@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <string>
 #include <unordered_set>
 
 #include "pattern/dfs_code.h"
@@ -684,6 +685,14 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     // Build union instances and group them by structure (within the
     // pair; cross-pair and cross-bucket dedup happens in the fold).
     std::vector<UnionCandidate> unions;
+    // Union-shape memo: an instance's union is fixed, up to vertex
+    // numbering, by which positions of e1 ++ e2 name the same graph vertex
+    // and by the labels at those positions. Only the first instance of a
+    // shape builds and classifies its union; repeats join the group it
+    // found. Exact because groups only append: a repeat would find that
+    // same group first.
+    std::unordered_map<std::string, size_t> shape_group;
+    std::string shape;
     for (const auto& [ei, ej] : overlaps) {
       const Embedding& e1 = a.embeddings[ei];
       const Embedding& e2 = b.embeddings[ej];
@@ -692,6 +701,25 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       verts.insert(verts.end(), e2.begin(), e2.end());
       std::sort(verts.begin(), verts.end());
       verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
+
+      shape.clear();
+      auto append = [&shape](int32_t value) {
+        shape.append(reinterpret_cast<const char*>(&value), sizeof(value));
+      };
+      for (VertexId gv : e1) append(graph_->Label(gv));
+      for (VertexId gv : e2) {
+        // Embeddings are injective, so only an e1 position can repeat gv.
+        const auto hit = std::find(e1.begin(), e1.end(), gv);
+        append(hit == e1.end() ? -1 : static_cast<int32_t>(hit - e1.begin()));
+        append(graph_->Label(gv));
+      }
+      auto [memo, fresh] = shape_group.try_emplace(shape, 0);
+      if (!fresh) {
+        unions[memo->second].embeddings.emplace_back(verts.begin(),
+                                                     verts.end());
+        continue;
+      }
+
       std::unordered_map<VertexId, VertexId> pos;
       Pattern up;
       for (size_t t = 0; t < verts.size(); ++t) {
@@ -709,15 +737,18 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
           SpiderSetRepr::Compute(up, session_->spider_radius);
       // Find matching group (spider-set filter, then exact check).
       UnionCandidate* group = nullptr;
-      for (UnionCandidate& g : unions) {
+      for (size_t gi = 0; gi < unions.size(); ++gi) {
+        UnionCandidate& g = unions[gi];
         if (!(g.spider_set == repr)) continue;
         ++out->iso_checks_run;
         if (ArePatternsIsomorphic(g.pattern, up)) {
           group = &g;
+          memo->second = gi;
           break;
         }
       }
       if (group == nullptr) {
+        memo->second = unions.size();
         UnionCandidate g;
         g.spider_set = repr;
         for (VertexId pu = 0; pu < a.pattern.NumVertices(); ++pu) {
