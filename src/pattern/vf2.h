@@ -11,7 +11,7 @@
 /// \file vf2.h
 /// Label-aware (sub)graph isomorphism. FindEmbeddings enumerates the
 /// embeddings E[P] of a pattern in the network; ArePatternsIsomorphic is the
-/// exact test that the spider-set filter (spider_set.h) guards.
+/// exact test that confirms a PatternIsoHash (dfs_code.h) bucket hit.
 
 namespace spidermine {
 

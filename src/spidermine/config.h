@@ -283,8 +283,8 @@ struct MineStats {
   int64_t merges = 0;             ///< merged patterns created
   int64_t merge_attempts = 0;     ///< pattern pairs examined
   int64_t pruned_unmerged = 0;    ///< patterns dropped at end of Stage II
-  int64_t iso_checks_skipped = 0; ///< spider-set filter rejections
-  int64_t iso_checks_run = 0;     ///< exact iso tests after filter collision
+  int64_t iso_checks_skipped = 0; ///< dedup lookups/pairs an iso-hash miss settled
+  int64_t iso_checks_run = 0;     ///< VF2 tests run on iso-hash matches
   int64_t nonclosed_dropped = 0;  ///< patterns dropped by closedness rule
   int64_t emb_extensions = 0;     ///< carried-list incremental extensions/joins
   int64_t emb_carried = 0;        ///< closure candidates served from a carried list

@@ -78,7 +78,7 @@ uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
          static_cast<uint32_t>(anchor);
 }
 
-/// The SpiderSetCheck fold: moves \p embeddings into duplicate \p other up
+/// The duplicate fold: moves \p embeddings into duplicate \p other up
 /// to the per-pattern cap, then re-dedups by image. Callers recompute
 /// other->support when they need it fresh (the coordinator batches that).
 void FoldEmbeddings(GrowthPattern* other, std::vector<Embedding>&& embeddings,
@@ -92,8 +92,10 @@ void FoldEmbeddings(GrowthPattern* other, std::vector<Embedding>&& embeddings,
   DedupEmbeddingsByImage(&other->embeddings);
 }
 
-/// Spider-set dedup (SpiderSetCheck) against an arbitrary pattern pool:
-/// returns the pool index of an isomorphic existing pattern or -1. Counter
+/// Iso-hash dedup against an arbitrary pattern pool: returns the pool index
+/// of the first isomorphic pattern in admission order, or -1. \p dedup
+/// buckets pool indices by PatternIsoHash; a hash mismatch certifies
+/// non-isomorphism, so VF2 runs only within the candidate's bucket. Counter
 /// pointers let both worker lineages (local counters) and the coordinator
 /// (shared MineStats) reuse the scan.
 int64_t FindDuplicateIn(
@@ -101,27 +103,20 @@ int64_t FindDuplicateIn(
     const std::unordered_map<uint64_t, std::vector<int64_t>>& dedup,
     GrowthPattern& candidate, int64_t* iso_checks_skipped,
     int64_t* iso_checks_run) {
-  auto it = dedup.find(candidate.spider_set.digest());
-  if (it == dedup.end()) return -1;
+  if (candidate.iso_hash == 0) {
+    candidate.iso_hash = PatternIsoHash(candidate.pattern);
+  }
+  auto it = dedup.find(candidate.iso_hash);
+  if (it == dedup.end()) {
+    ++*iso_checks_skipped;  // no pattern shares the hash: certified new
+    return -1;
+  }
   for (int64_t idx : it->second) {
-    GrowthPattern& other = pool[static_cast<size_t>(idx)];
-    if (!(other.spider_set == candidate.spider_set)) {
-      ++*iso_checks_skipped;  // digest collision, filter rejected
-      continue;
-    }
-    // Iso-hash prefilter: WL fingerprints are computed at most once per
-    // pattern (cached) and a mismatch certifies non-isomorphism, so the
-    // exponential-worst-case VF2 test runs only on true hash collisions.
-    if (candidate.iso_hash == 0) {
-      candidate.iso_hash = PatternIsoHash(candidate.pattern);
-    }
-    if (other.iso_hash == 0) other.iso_hash = PatternIsoHash(other.pattern);
-    if (other.iso_hash != candidate.iso_hash) {
-      ++*iso_checks_skipped;  // fingerprint mismatch, filter rejected
-      continue;
-    }
     ++*iso_checks_run;
-    if (ArePatternsIsomorphic(other.pattern, candidate.pattern)) return idx;
+    if (ArePatternsIsomorphic(pool[static_cast<size_t>(idx)].pattern,
+                              candidate.pattern)) {
+      return idx;
+    }
   }
   return -1;
 }
@@ -161,7 +156,7 @@ struct GrowthEngine::Lineage {
   std::deque<GrowthPattern> pool;  // stable storage (deque: no realloc moves)
   std::vector<char> dead;
   std::deque<int64_t> queue;
-  // spider-set digest -> pool indices (dedup buckets)
+  // PatternIsoHash -> pool indices (dedup buckets)
   std::unordered_map<uint64_t, std::vector<int64_t>> dedup;
   // (spider id, anchor) key -> local pool indices that used it
   std::unordered_map<uint64_t, std::vector<int64_t>> registry;
@@ -171,7 +166,8 @@ struct GrowthEngine::Lineage {
 
   int64_t Admit(GrowthPattern gp) {
     int64_t idx = static_cast<int64_t>(pool.size());
-    dedup[gp.spider_set.digest()].push_back(idx);
+    if (gp.iso_hash == 0) gp.iso_hash = PatternIsoHash(gp.pattern);
+    dedup[gp.iso_hash].push_back(idx);
     pool.push_back(std::move(gp));
     dead.push_back(0);
     return idx;
@@ -183,7 +179,7 @@ struct GrowthEngine::Lineage {
 struct GrowthEngine::RoundState {
   std::deque<GrowthPattern> pool;
   std::vector<char> dead;
-  // spider-set digest -> pool indices (dedup buckets)
+  // PatternIsoHash -> pool indices (dedup buckets)
   std::unordered_map<uint64_t, std::vector<int64_t>> dedup;
   // pattern id -> pool index (for resolving merge-registry entries)
   std::unordered_map<int64_t, int64_t> id_to_pool;
@@ -193,7 +189,8 @@ struct GrowthEngine::RoundState {
 
   int64_t Admit(GrowthPattern gp) {
     int64_t idx = static_cast<int64_t>(pool.size());
-    dedup[gp.spider_set.digest()].push_back(idx);
+    if (gp.iso_hash == 0) gp.iso_hash = PatternIsoHash(gp.pattern);
+    dedup[gp.iso_hash].push_back(idx);
     id_to_pool[gp.id] = idx;
     pool.push_back(std::move(gp));
     dead.push_back(0);
@@ -298,7 +295,6 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
       gp.boundary.push_back(v);
     }
   }
-  gp.spider_set = SpiderSetRepr::Compute(gp.pattern, session_->spider_radius);
   return gp;
 }
 
@@ -411,29 +407,15 @@ bool GrowthEngine::TryExtend(
   if (q.support == base.support) *support_preserved = true;
 
   ++ls->stats.growth_steps;
-  // Incremental spider-set maintenance (paper Sec. 4.2.2: "update those
-  // spiders whose heads are within distance r to the common boundary"):
-  // only pre-existing vertices within distance r of the extension site v
-  // have a changed r-ball; new leaves are computed fresh by Updated().
-  {
-    const std::vector<int32_t> dist =
-        q.pattern.BfsDistances(v, session_->spider_radius);
-    std::vector<VertexId> changed;
-    for (VertexId x = 0; x < base.pattern.NumVertices(); ++x) {
-      if (dist[x] >= 0) changed.push_back(x);
-    }
-    q.spider_set =
-        base.spider_set.Updated(q.pattern, session_->spider_radius, changed);
-  }
 
   int64_t dup = FindDuplicateIn(ls->pool, ls->dedup, q,
                                 &ls->stats.iso_checks_skipped,
                                 &ls->stats.iso_checks_run);
   if (dup >= 0) {
-    // Redundant generation (SpiderSetCheck hit): fold the new embeddings
-    // into the existing pattern instead of duplicating it. Support is
-    // recomputed eagerly: the lineage may extend `other` later and its
-    // closedness checks compare against the up-to-date value.
+    // Redundant generation (an isomorphic pattern exists): fold the new
+    // embeddings into the existing pattern instead of duplicating it.
+    // Support is recomputed eagerly: the lineage may extend `other` later
+    // and its closedness checks compare against the up-to-date value.
     GrowthPattern& other = ls->pool[dup];
     FoldEmbeddings(&other, std::move(q.embeddings),
                    query_->max_embeddings_per_pattern);
@@ -627,7 +609,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   // scheduling.
   struct UnionCandidate {
     Pattern pattern;
-    SpiderSetRepr spider_set;
+    uint64_t iso_hash = 0;  // PatternIsoHash(pattern)
     std::vector<Embedding> embeddings;
     std::vector<VertexId> boundary;  // from the first instance
     // Parent-pattern vertex -> union-pattern vertex, from the founding
@@ -733,13 +715,12 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
         up.AddEdge(pos[e2[pu]], pos[e2[pv]], b.pattern.EdgeLabel(pu, pv));
       }
       Embedding ue(verts.begin(), verts.end());
-      SpiderSetRepr repr =
-          SpiderSetRepr::Compute(up, session_->spider_radius);
-      // Find matching group (spider-set filter, then exact check).
+      const uint64_t up_hash = PatternIsoHash(up);
+      // Find matching group (iso-hash filter, then exact check).
       UnionCandidate* group = nullptr;
       for (size_t gi = 0; gi < unions.size(); ++gi) {
         UnionCandidate& g = unions[gi];
-        if (!(g.spider_set == repr)) continue;
+        if (g.iso_hash != up_hash) continue;
         ++out->iso_checks_run;
         if (ArePatternsIsomorphic(g.pattern, up)) {
           group = &g;
@@ -750,7 +731,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       if (group == nullptr) {
         memo->second = unions.size();
         UnionCandidate g;
-        g.spider_set = repr;
+        g.iso_hash = up_hash;
         for (VertexId pu = 0; pu < a.pattern.NumVertices(); ++pu) {
           g.map_a.push_back(pos[e1[pu]]);
         }
@@ -822,7 +803,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       merged.pattern = std::move(c.pattern);
       merged.embeddings = std::move(c.embeddings);
       merged.support = c.support;
-      merged.spider_set = c.spider_set;
+      merged.iso_hash = c.iso_hash;
       merged.next_boundary = std::move(c.boundary);
       merged.merged_ever = true;
       merged.id = next_id_++;
@@ -932,7 +913,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
 
   // Pass 2: fold lineage extensions across lineages. A child duplicating an
   // already-admitted pattern contributes its embeddings to it (the serial
-  // SpiderSetCheck semantics); otherwise it is admitted with a fresh id.
+  // duplicate-fold semantics); otherwise it is admitted with a fresh id.
   // Fold targets get their support recomputed once, after all folds.
   std::vector<int64_t> support_dirty;
   for (int64_t i = 0; i < n; ++i) {

@@ -11,7 +11,6 @@
 #include "pattern/embedding.h"
 #include "pattern/embedding_list.h"
 #include "pattern/pattern.h"
-#include "pattern/spider_set.h"
 #include "spider/spider_index.h"
 #include "spidermine/config.h"
 
@@ -29,6 +28,13 @@
 /// anchor bucket's union candidates on the workers (every bucket reads the
 /// same pre-merge snapshot) and admits them in a serial sorted-key fold --
 /// so the round's output is identical at any thread count.
+///
+/// Dedup has one key everywhere (lineage, round, union grouping and the
+/// session's result collector): patterns are bucketed by PatternIsoHash and
+/// a bucket hit is confirmed with VF2, so the pattern kept is always the
+/// first isomorphic one in admission order. Within one examined pattern
+/// pair, union instances of the same shape (which positions of the two
+/// embeddings coincide) are classified once.
 
 namespace spidermine {
 
@@ -59,11 +65,10 @@ struct GrowthPattern {
   /// True when this pattern is a merge result or descends from one
   /// (Stage II keeps only such patterns).
   bool merged_ever = false;
-  /// Spider-set representation for the isomorphism filter.
-  SpiderSetRepr spider_set;
-  /// Cached PatternIsoHash of `pattern` (0 = not yet computed). Filled
-  /// lazily by the dedup scans; valid because a GrowthPattern's pattern is
-  /// never mutated after construction (extensions build fresh candidates).
+  /// Cached PatternIsoHash of `pattern` (0 = not yet computed): the one
+  /// dedup key of lineage, round and result dedup. Filled by the first
+  /// dedup lookup; valid because a GrowthPattern's pattern is never mutated
+  /// after construction (extensions build fresh candidates).
   uint64_t iso_hash = 0;
   /// Unique id for merge bookkeeping (assigned by the coordinating thread
   /// in a deterministic order).
@@ -120,7 +125,7 @@ class GrowthEngine {
 
   /// One SpiderGrow round over \p input: every pattern is extended at every
   /// boundary vertex with every compatible spider (paper Algorithm 2), with
-  /// spider-set dedup, closedness pruning and merge detection. When
+  /// iso-hash dedup, closedness pruning and merge detection. When
   /// \p enable_merging, patterns sharing a (spider, anchor) are merged
   /// (Algorithm 4) using the previous round's registry \p previous.
   GrowRoundResult GrowRound(std::vector<GrowthPattern> input,

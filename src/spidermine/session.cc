@@ -10,7 +10,6 @@
 #include "common/timer.h"
 #include "graph/binary_format.h"
 #include "pattern/dfs_code.h"
-#include "pattern/spider_set.h"
 #include "pattern/vf2.h"
 #include "spider/spider_store_io.h"
 #include "spider/spider_store_mmap.h"
@@ -33,41 +32,31 @@ bool LargerPattern(const MinedPattern& a, const MinedPattern& b) {
   return a.support > b.support;
 }
 
-/// Accumulates every discovered pattern, deduplicating by spider-set +
-/// exact isomorphism, keeping the best-support variant.
+/// Accumulates every discovered pattern, deduplicating by iso-hash bucket +
+/// exact isomorphism (the growth engine's dedup key), keeping the
+/// best-support variant.
 class ResultCollector {
  public:
-  ResultCollector(const QueryConfig* query, int32_t spider_radius,
-                  MineStats* stats)
-      : query_(query), spider_radius_(spider_radius), stats_(stats) {}
+  ResultCollector(const QueryConfig* query, MineStats* stats)
+      : query_(query), stats_(stats) {}
 
   void Add(const GrowthPattern& gp) {
-    uint64_t digest = gp.spider_set.digest();
-    auto [it, inserted] = buckets_.try_emplace(digest);
-    // The growth engine usually cached the candidate's WL fingerprint
-    // already; 0 = compute lazily at the first bucket comparison.
-    uint64_t gp_hash = gp.iso_hash;
+    // The growth engine has usually cached the WL fingerprint already.
+    const uint64_t gp_hash =
+        gp.iso_hash != 0 ? gp.iso_hash : PatternIsoHash(gp.pattern);
+    auto [it, inserted] = buckets_.try_emplace(gp_hash);
+    if (inserted) ++stats_->iso_checks_skipped;
     for (int64_t idx : it->second) {
       MinedPattern& existing = results_[idx];
-      // Iso-hash prefilter: a fingerprint mismatch certifies
-      // non-isomorphism without running VF2.
-      if (gp_hash == 0) gp_hash = PatternIsoHash(gp.pattern);
-      if (hashes_[idx] == 0) {
-        hashes_[idx] = PatternIsoHash(existing.pattern);
-      }
-      if (hashes_[idx] != gp_hash) {
-        ++stats_->iso_checks_skipped;
-        continue;
-      }
       ++stats_->iso_checks_run;
       if (ArePatternsIsomorphic(existing.pattern, gp.pattern)) {
         if (gp.support > existing.support) {
           // Replace the pattern together with its embeddings and carried
           // list: the incumbent may be an isomorphic variant with a
           // DIFFERENT vertex numbering, and embeddings/lists are only
-          // meaningful in their own pattern's numbering. (The digest and
-          // WL-hash bucket keys are isomorphism-invariant, so the cached
-          // bucket entry and hashes_[idx] stay valid.)
+          // meaningful in their own pattern's numbering. (The WL-hash
+          // bucket key is isomorphism-invariant, so the bucket entry stays
+          // valid.)
           existing.pattern = gp.pattern;
           existing.support = gp.support;
           existing.embeddings = gp.embeddings;
@@ -85,7 +74,6 @@ class ResultCollector {
     mp.from_merge = gp.merged_ever;
     it->second.push_back(static_cast<int64_t>(results_.size()));
     results_.push_back(std::move(mp));
-    hashes_.push_back(gp_hash);  // may still be 0 (never compared)
     if (static_cast<int64_t>(results_.size()) >
         query_->max_results + kCompactionSlack) {
       Compact();
@@ -104,22 +92,16 @@ class ResultCollector {
     std::sort(results_.begin(), results_.end(), LargerPattern);
     results_.resize(static_cast<size_t>(query_->max_results));
     buckets_.clear();
-    // The sort permuted results_, so the cached fingerprints no longer
-    // align; reset them (0 = recompute lazily on the next collision).
-    hashes_.assign(results_.size(), 0);
     for (size_t i = 0; i < results_.size(); ++i) {
-      SpiderSetRepr repr =
-          SpiderSetRepr::Compute(results_[i].pattern, spider_radius_);
-      buckets_[repr.digest()].push_back(static_cast<int64_t>(i));
+      buckets_[PatternIsoHash(results_[i].pattern)].push_back(
+          static_cast<int64_t>(i));
     }
   }
 
   const QueryConfig* query_;
-  int32_t spider_radius_;
   MineStats* stats_;
   std::vector<MinedPattern> results_;
-  /// Cached PatternIsoHash per results_ entry, 0 = not yet computed.
-  std::vector<uint64_t> hashes_;
+  /// PatternIsoHash -> results_ indices, in insertion order.
   std::unordered_map<uint64_t, std::vector<int64_t>> buckets_;
 };
 
@@ -556,7 +538,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
 
   GrowthEngine engine(graph_, index_.get(), &config_, &q, &stats, &deadline,
                       pool_, &cancel);
-  ResultCollector collector(&q, config_.spider_radius, &stats);
+  ResultCollector collector(&q, &stats);
   // Sampling-based transaction mode: each restart run draws its own sorted
   // whitelist from the run's salted substream (empty = count everything).
   // The vector outlives every engine call of its run; the closure recount

@@ -66,7 +66,7 @@ std::string MineStats::ToString() const {
      << "s\n"
      << "growth: " << extend_calls << " extend calls, " << growth_steps
      << " spider appends, " << nonclosed_dropped << " non-closed dropped\n"
-     << "isomorphism: " << iso_checks_skipped << " skipped by spider-set, "
+     << "isomorphism: " << iso_checks_skipped << " skipped by iso-hash, "
      << iso_checks_run << " run\n"
      << "embedding lists: " << emb_extensions << " extensions, "
      << emb_carried << " closure candidates carried, " << vf2_fallbacks
