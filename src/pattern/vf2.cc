@@ -198,10 +198,11 @@ bool ContainsEmbedding(const Pattern& pattern, const LabeledGraph& graph) {
   return found;
 }
 
-bool ArePatternsIsomorphic(const Pattern& a, const Pattern& b) {
-  if (a.NumVertices() != b.NumVertices()) return false;
-  if (a.NumEdges() != b.NumEdges()) return false;
-  if (a.SortedLabels() != b.SortedLabels()) return false;
+std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
+                                                     const Pattern& b) {
+  if (a.NumVertices() != b.NumVertices()) return std::nullopt;
+  if (a.NumEdges() != b.NumEdges()) return std::nullopt;
+  if (a.SortedLabels() != b.SortedLabels()) return std::nullopt;
   // Degree-sequence pre-check.
   auto degree_sequence = [](const Pattern& p) {
     std::vector<int32_t> d(static_cast<size_t>(p.NumVertices()));
@@ -209,12 +210,40 @@ bool ArePatternsIsomorphic(const Pattern& a, const Pattern& b) {
     std::sort(d.begin(), d.end());
     return d;
   };
-  if (degree_sequence(a) != degree_sequence(b)) return false;
-  if (a.NumVertices() == 0) return true;
-  if (a.NumEdges() == 0) return a.Label(0) == b.Label(0);
+  if (degree_sequence(a) != degree_sequence(b)) return std::nullopt;
+  if (a.NumEdges() == 0) {
+    // Edgeless: equal sorted labels already make any label-matching
+    // bijection an isomorphism (a connected pattern has one vertex here).
+    auto by_label = [](const Pattern& p) {
+      std::vector<VertexId> order(static_cast<size_t>(p.NumVertices()));
+      for (VertexId v = 0; v < p.NumVertices(); ++v) order[v] = v;
+      std::stable_sort(order.begin(), order.end(),
+                       [&p](VertexId x, VertexId y) {
+                         return p.Label(x) < p.Label(y);
+                       });
+      return order;
+    };
+    const std::vector<VertexId> from = by_label(a);
+    const std::vector<VertexId> to = by_label(b);
+    std::vector<VertexId> map(from.size());
+    for (size_t i = 0; i < from.size(); ++i) map[from[i]] = to[i];
+    return map;
+  }
   // With equal vertex and edge counts, an injective edge-preserving map of
   // a into b is necessarily a full isomorphism.
-  return ContainsEmbedding(a, PatternToLabeledGraph(b));
+  std::optional<std::vector<VertexId>> map;
+  Vf2Options options;
+  options.max_embeddings = 1;
+  EnumerateEmbeddings(a, PatternToLabeledGraph(b), options,
+                      [&map](const Embedding& e) {
+                        map = e;
+                        return false;
+                      });
+  return map;
+}
+
+bool ArePatternsIsomorphic(const Pattern& a, const Pattern& b) {
+  return FindIsomorphism(a, b).has_value();
 }
 
 LabeledGraph PatternToLabeledGraph(const Pattern& pattern) {

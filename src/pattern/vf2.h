@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "graph/labeled_graph.h"
@@ -55,7 +56,14 @@ std::vector<Embedding> FindEmbeddings(const Pattern& pattern,
 /// True iff at least one embedding exists.
 bool ContainsEmbedding(const Pattern& pattern, const LabeledGraph& graph);
 
-/// Exact labeled-graph isomorphism between two patterns (Definition 1).
+/// Exact labeled-graph isomorphism between two patterns (Definition 1):
+/// returns a map m with m[u] = the vertex of \p b that vertex u of \p a
+/// maps to, preserving vertex labels, edges and edge labels; nullopt when
+/// the patterns are not isomorphic.
+std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
+                                                     const Pattern& b);
+
+/// True iff FindIsomorphism(a, b) finds a map.
 bool ArePatternsIsomorphic(const Pattern& a, const Pattern& b);
 
 /// Converts a pattern to an immutable LabeledGraph (for running graph

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
@@ -78,16 +79,22 @@ uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
          static_cast<uint32_t>(anchor);
 }
 
-/// The duplicate fold: moves \p embeddings into duplicate \p other up
-/// to the per-pattern cap, then re-dedups by image. Callers recompute
-/// other->support when they need it fresh (the coordinator batches that).
-void FoldEmbeddings(GrowthPattern* other, std::vector<Embedding>&& embeddings,
-                    int64_t max_embeddings) {
-  for (Embedding& e : embeddings) {
+/// The duplicate fold: adds a duplicate's \p embeddings to \p other up to
+/// the per-pattern cap, then re-dedups by image. \p iso maps each vertex of
+/// other's pattern to the duplicate's (FindDuplicateIn), so every embedding
+/// is renumbered into other's vertex numbering on the way in. Callers
+/// recompute other->support when they need it fresh (the coordinator
+/// batches that).
+void FoldEmbeddings(GrowthPattern* other,
+                    const std::vector<Embedding>& embeddings,
+                    const std::vector<VertexId>& iso, int64_t max_embeddings) {
+  for (const Embedding& e : embeddings) {
     if (static_cast<int64_t>(other->embeddings.size()) >= max_embeddings) {
       break;
     }
-    other->embeddings.push_back(std::move(e));
+    Embedding renumbered(iso.size());
+    for (size_t u = 0; u < iso.size(); ++u) renumbered[u] = e[iso[u]];
+    other->embeddings.push_back(std::move(renumbered));
   }
   DedupEmbeddingsByImage(&other->embeddings);
 }
@@ -95,14 +102,16 @@ void FoldEmbeddings(GrowthPattern* other, std::vector<Embedding>&& embeddings,
 /// Iso-hash dedup against an arbitrary pattern pool: returns the pool index
 /// of the first isomorphic pattern in admission order, or -1. \p dedup
 /// buckets pool indices by PatternIsoHash; a hash mismatch certifies
-/// non-isomorphism, so VF2 runs only within the candidate's bucket. Counter
-/// pointers let both worker lineages (local counters) and the coordinator
-/// (shared MineStats) reuse the scan.
+/// non-isomorphism, so VF2 runs only within the candidate's bucket. On a
+/// hit, \p iso receives the map from the pool pattern's vertices to the
+/// candidate's (see FoldEmbeddings). Counter pointers let both worker
+/// lineages (local counters) and the coordinator (shared MineStats) reuse
+/// the scan.
 int64_t FindDuplicateIn(
     std::deque<GrowthPattern>& pool,
     const std::unordered_map<uint64_t, std::vector<int64_t>>& dedup,
-    GrowthPattern& candidate, int64_t* iso_checks_skipped,
-    int64_t* iso_checks_run) {
+    GrowthPattern& candidate, std::vector<VertexId>* iso,
+    int64_t* iso_checks_skipped, int64_t* iso_checks_run) {
   if (candidate.iso_hash == 0) {
     candidate.iso_hash = PatternIsoHash(candidate.pattern);
   }
@@ -113,8 +122,11 @@ int64_t FindDuplicateIn(
   }
   for (int64_t idx : it->second) {
     ++*iso_checks_run;
-    if (ArePatternsIsomorphic(pool[static_cast<size_t>(idx)].pattern,
-                              candidate.pattern)) {
+    std::optional<std::vector<VertexId>> map =
+        FindIsomorphism(pool[static_cast<size_t>(idx)].pattern,
+                        candidate.pattern);
+    if (map.has_value()) {
+      *iso = std::move(*map);
       return idx;
     }
   }
@@ -408,7 +420,8 @@ bool GrowthEngine::TryExtend(
 
   ++ls->stats.growth_steps;
 
-  int64_t dup = FindDuplicateIn(ls->pool, ls->dedup, q,
+  std::vector<VertexId> iso;
+  int64_t dup = FindDuplicateIn(ls->pool, ls->dedup, q, &iso,
                                 &ls->stats.iso_checks_skipped,
                                 &ls->stats.iso_checks_run);
   if (dup >= 0) {
@@ -417,7 +430,7 @@ bool GrowthEngine::TryExtend(
     // Support is recomputed eagerly: the lineage may extend `other` later
     // and its closedness checks compare against the up-to-date value.
     GrowthPattern& other = ls->pool[dup];
-    FoldEmbeddings(&other, std::move(q.embeddings),
+    FoldEmbeddings(&other, q.embeddings, iso,
                    query_->max_embeddings_per_pattern);
     other.support = Support(other);
     other.merged_ever |= base.merged_ever;
@@ -668,97 +681,102 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     // pair; cross-pair and cross-bucket dedup happens in the fold).
     std::vector<UnionCandidate> unions;
     // Union-shape memo: an instance's union is fixed, up to vertex
-    // numbering, by which positions of e1 ++ e2 name the same graph vertex
-    // and by the labels at those positions. Only the first instance of a
-    // shape builds and classifies its union; repeats join the group it
-    // found. Exact because groups only append: a repeat would find that
-    // same group first.
-    std::unordered_map<std::string, size_t> shape_group;
+    // numbering, by which positions of e1 ++ e2 name the same graph vertex.
+    // Only the first instance of a shape builds and classifies its union.
+    // It records the group it joined and `rep`, each group vertex's
+    // position in e1 ++ e2, so every instance of the shape enters the group
+    // as concat[rep[u]]: in the group pattern's numbering. Exact because
+    // groups only append: a repeat would find that same group first.
+    struct ShapeGroup {
+      size_t group = 0;
+      std::vector<int32_t> rep;
+    };
+    std::unordered_map<std::string, ShapeGroup> shape_group;
     std::string shape;
+    const int32_t na = a.pattern.NumVertices();
+    const int32_t nb = b.pattern.NumVertices();
     for (const auto& [ei, ej] : overlaps) {
       const Embedding& e1 = a.embeddings[ei];
       const Embedding& e2 = b.embeddings[ej];
-      // Union vertex set, sorted for a deterministic mapping.
-      std::vector<VertexId> verts = e1;
-      verts.insert(verts.end(), e2.begin(), e2.end());
-      std::sort(verts.begin(), verts.end());
-      verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-
-      shape.clear();
-      auto append = [&shape](int32_t value) {
-        shape.append(reinterpret_cast<const char*>(&value), sizeof(value));
+      auto concat = [&e1, &e2, na](int32_t p) {
+        return p < na ? e1[p] : e2[p - na];
       };
-      for (VertexId gv : e1) append(graph_->Label(gv));
+      // Key: per e2 position, the e1 position holding the same graph vertex
+      // or -1 (embeddings are injective, so e1 positions never repeat).
+      shape.clear();
       for (VertexId gv : e2) {
-        // Embeddings are injective, so only an e1 position can repeat gv.
         const auto hit = std::find(e1.begin(), e1.end(), gv);
-        append(hit == e1.end() ? -1 : static_cast<int32_t>(hit - e1.begin()));
-        append(graph_->Label(gv));
+        const int32_t at =
+            hit == e1.end() ? -1 : static_cast<int32_t>(hit - e1.begin());
+        shape.append(reinterpret_cast<const char*>(&at), sizeof(at));
       }
-      auto [memo, fresh] = shape_group.try_emplace(shape, 0);
-      if (!fresh) {
-        unions[memo->second].embeddings.emplace_back(verts.begin(),
-                                                     verts.end());
-        continue;
-      }
-
-      std::unordered_map<VertexId, VertexId> pos;
-      Pattern up;
-      for (size_t t = 0; t < verts.size(); ++t) {
-        pos[verts[t]] = static_cast<VertexId>(t);
-        up.AddVertex(graph_->Label(verts[t]));
-      }
-      for (const auto& [pu, pv] : a.pattern.Edges()) {
-        up.AddEdge(pos[e1[pu]], pos[e1[pv]], a.pattern.EdgeLabel(pu, pv));
-      }
-      for (const auto& [pu, pv] : b.pattern.Edges()) {
-        up.AddEdge(pos[e2[pu]], pos[e2[pv]], b.pattern.EdgeLabel(pu, pv));
-      }
-      Embedding ue(verts.begin(), verts.end());
-      const uint64_t up_hash = PatternIsoHash(up);
-      // Find matching group (iso-hash filter, then exact check).
-      UnionCandidate* group = nullptr;
-      for (size_t gi = 0; gi < unions.size(); ++gi) {
-        UnionCandidate& g = unions[gi];
-        if (g.iso_hash != up_hash) continue;
-        ++out->iso_checks_run;
-        if (ArePatternsIsomorphic(g.pattern, up)) {
-          group = &g;
-          memo->second = gi;
+      auto [memo, fresh] = shape_group.try_emplace(shape);
+      ShapeGroup& sg = memo->second;
+      if (fresh) {
+        // Union vertex set, sorted for a deterministic numbering.
+        std::vector<VertexId> verts = e1;
+        verts.insert(verts.end(), e2.begin(), e2.end());
+        std::sort(verts.begin(), verts.end());
+        verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
+        std::unordered_map<VertexId, VertexId> pos;
+        Pattern up;
+        for (size_t t = 0; t < verts.size(); ++t) {
+          pos[verts[t]] = static_cast<VertexId>(t);
+          up.AddVertex(graph_->Label(verts[t]));
+        }
+        for (const auto& [pu, pv] : a.pattern.Edges()) {
+          up.AddEdge(pos[e1[pu]], pos[e1[pv]], a.pattern.EdgeLabel(pu, pv));
+        }
+        for (const auto& [pu, pv] : b.pattern.Edges()) {
+          up.AddEdge(pos[e2[pu]], pos[e2[pv]], b.pattern.EdgeLabel(pu, pv));
+        }
+        std::vector<int32_t> up_rep(verts.size(), -1);
+        for (int32_t p = 0; p < na + nb; ++p) {
+          int32_t& first = up_rep[pos[concat(p)]];
+          if (first < 0) first = p;
+        }
+        const uint64_t up_hash = PatternIsoHash(up);
+        // Find matching group (iso-hash filter, then exact check).
+        sg.group = unions.size();
+        for (size_t gi = 0; gi < unions.size(); ++gi) {
+          if (unions[gi].iso_hash != up_hash) continue;
+          ++out->iso_checks_run;
+          std::optional<std::vector<VertexId>> iso =
+              FindIsomorphism(unions[gi].pattern, up);
+          if (!iso.has_value()) continue;
+          sg.group = gi;
+          for (VertexId uv : *iso) sg.rep.push_back(up_rep[uv]);
           break;
         }
-      }
-      if (group == nullptr) {
-        memo->second = unions.size();
-        UnionCandidate g;
-        g.iso_hash = up_hash;
-        for (VertexId pu = 0; pu < a.pattern.NumVertices(); ++pu) {
-          g.map_a.push_back(pos[e1[pu]]);
+        if (sg.group == unions.size()) {
+          sg.rep = std::move(up_rep);
+          UnionCandidate g;
+          g.iso_hash = up_hash;
+          for (VertexId pu = 0; pu < na; ++pu) g.map_a.push_back(pos[e1[pu]]);
+          for (VertexId pv = 0; pv < nb; ++pv) g.map_b.push_back(pos[e2[pv]]);
+          g.pattern = std::move(up);
+          // Boundary: images of both parents' frontier vertices.
+          auto add_boundary = [&](const GrowthPattern& parent,
+                                  const Embedding& pe) {
+            for (VertexId pv : parent.boundary) {
+              g.boundary.push_back(pos[pe[pv]]);
+            }
+            for (VertexId pv : parent.next_boundary) {
+              g.boundary.push_back(pos[pe[pv]]);
+            }
+          };
+          add_boundary(a, e1);
+          add_boundary(b, e2);
+          std::sort(g.boundary.begin(), g.boundary.end());
+          g.boundary.erase(
+              std::unique(g.boundary.begin(), g.boundary.end()),
+              g.boundary.end());
+          unions.push_back(std::move(g));
         }
-        for (VertexId pv = 0; pv < b.pattern.NumVertices(); ++pv) {
-          g.map_b.push_back(pos[e2[pv]]);
-        }
-        g.pattern = std::move(up);
-        // Boundary: images of both parents' frontier vertices.
-        auto add_boundary = [&](const GrowthPattern& parent,
-                                const Embedding& pe) {
-          for (VertexId pv : parent.boundary) {
-            g.boundary.push_back(pos[pe[pv]]);
-          }
-          for (VertexId pv : parent.next_boundary) {
-            g.boundary.push_back(pos[pe[pv]]);
-          }
-        };
-        add_boundary(a, e1);
-        add_boundary(b, e2);
-        std::sort(g.boundary.begin(), g.boundary.end());
-        g.boundary.erase(
-            std::unique(g.boundary.begin(), g.boundary.end()),
-            g.boundary.end());
-        unions.push_back(std::move(g));
-        group = &unions.back();
       }
-      group->embeddings.push_back(std::move(ue));
+      Embedding ue(sg.rep.size());
+      for (size_t u = 0; u < sg.rep.size(); ++u) ue[u] = concat(sg.rep[u]);
+      unions[sg.group].embeddings.push_back(std::move(ue));
     }
 
     for (UnionCandidate& g : unions) {
@@ -807,13 +825,14 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       merged.next_boundary = std::move(c.boundary);
       merged.merged_ever = true;
       merged.id = next_id_++;
-      int64_t dup = FindDuplicateIn(rs->pool, rs->dedup, merged,
+      std::vector<VertexId> iso;
+      int64_t dup = FindDuplicateIn(rs->pool, rs->dedup, merged, &iso,
                                     &stats_->iso_checks_skipped,
                                     &stats_->iso_checks_run);
       if (dup >= 0) {
         GrowthPattern& other = rs->pool[dup];
         other.merged_ever = true;  // it is now a merge product
-        FoldEmbeddings(&other, std::move(merged.embeddings),
+        FoldEmbeddings(&other, merged.embeddings, iso,
                        query_->max_embeddings_per_pattern);
         other.support = Support(other);
         continue;
@@ -920,12 +939,13 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
     Lineage& ls = lineages[static_cast<size_t>(i)];
     for (size_t c = 1; c < ls.pool.size(); ++c) {
       GrowthPattern child = std::move(ls.pool[c]);
-      int64_t dup = FindDuplicateIn(rs.pool, rs.dedup, child,
+      std::vector<VertexId> iso;
+      int64_t dup = FindDuplicateIn(rs.pool, rs.dedup, child, &iso,
                                     &stats_->iso_checks_skipped,
                                     &stats_->iso_checks_run);
       if (dup >= 0) {
         GrowthPattern& other = rs.pool[dup];
-        FoldEmbeddings(&other, std::move(child.embeddings),
+        FoldEmbeddings(&other, child.embeddings, iso,
                        query_->max_embeddings_per_pattern);
         support_dirty.push_back(dup);
         other.merged_ever |= child.merged_ever;

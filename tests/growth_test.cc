@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+#include "gen/erdos_renyi.h"
+#include "gen/injection.h"
+#include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/vf2.h"
 #include "spider/star_miner.h"
@@ -21,6 +27,58 @@ LabeledGraph TwoPaths() {
   return std::move(b.Build()).value();
 }
 
+/// The same two labeled paths, but the second copy's graph ids run in
+/// DESCENDING label order, so a union built in sorted-graph-id order
+/// numbers the two copies differently.
+LabeledGraph TwoPathsOppositeIdOrder() {
+  GraphBuilder b;
+  VertexId base = b.AddVertex(0);
+  for (LabelId l = 1; l <= 4; ++l) b.AddVertex(l);
+  for (int i = 0; i < 4; ++i) b.AddEdge(base + i, base + i + 1);
+  base = b.AddVertex(4);  // ids base..base+4 hold labels 4..0
+  for (LabelId l = 3; l >= 0; --l) b.AddVertex(l);
+  for (int i = 0; i < 4; ++i) b.AddEdge(base + i, base + i + 1);
+  return std::move(b.Build()).value();
+}
+
+/// Empty when \p e maps \p p into \p g injectively, preserving vertex
+/// labels, edges and edge labels; otherwise what is wrong.
+std::string EmbeddingError(const Pattern& p, const Embedding& e,
+                           const LabeledGraph& g) {
+  if (static_cast<int32_t>(e.size()) != p.NumVertices()) return "size";
+  std::vector<VertexId> image = e;
+  std::sort(image.begin(), image.end());
+  if (std::adjacent_find(image.begin(), image.end()) != image.end()) {
+    return "not injective";
+  }
+  for (VertexId v = 0; v < p.NumVertices(); ++v) {
+    if (g.Label(e[v]) != p.Label(v)) return StrCat("label of vertex ", v);
+  }
+  for (const auto& edge : p.LabeledEdges()) {
+    if (!g.HasEdge(e[edge.u], e[edge.v]) ||
+        g.EdgeLabel(e[edge.u], e[edge.v]) != edge.label) {
+      return StrCat("edge ", edge.u, "-", edge.v);
+    }
+  }
+  return "";
+}
+
+/// Checks every embedding of every pattern; returns how many it checked.
+int64_t ExpectValidEmbeddings(const std::vector<GrowthPattern>& patterns,
+                              const LabeledGraph& g) {
+  int64_t checked = 0;
+  for (const GrowthPattern& gp : patterns) {
+    for (const Embedding& e : gp.embeddings) {
+      const std::string error = EmbeddingError(gp.pattern, e, g);
+      EXPECT_EQ(error, "") << "pattern " << gp.id
+                           << (gp.merged_ever ? " (merge product) " : " ")
+                           << gp.pattern.ToString();
+      ++checked;
+    }
+  }
+  return checked;
+}
+
 struct Fixture {
   LabeledGraph graph;
   StarMineResult stars;
@@ -30,13 +88,14 @@ struct Fixture {
   std::unique_ptr<SpiderIndex> index;
   std::unique_ptr<GrowthEngine> engine;
 
-  explicit Fixture(LabeledGraph g) : graph(std::move(g)) {
+  explicit Fixture(LabeledGraph g, int64_t support = 2)
+      : graph(std::move(g)) {
     StarMinerConfig star_config;
-    star_config.min_support = 2;
+    star_config.min_support = support;
     stars = std::move(MineStarSpiders(graph, star_config)).value();
-    session_config.min_support = 2;
+    session_config.min_support = support;
     session_config.spider_radius = 1;
-    query_config.min_support = 2;  // engines take a resolved threshold
+    query_config.min_support = support;  // engines take a resolved threshold
     index = std::make_unique<SpiderIndex>(&stars.store,
                                           graph.NumVertices());
     engine = std::make_unique<GrowthEngine>(&graph, index.get(),
@@ -238,6 +297,72 @@ TEST(GrowthTest, TinyListBudgetDoesNotChangeGrowth) {
   }
   EXPECT_EQ(engine_on.stats.growth_steps, tiny.stats.growth_steps);
   EXPECT_EQ(engine_on.stats.extend_calls, tiny.stats.extend_calls);
+}
+
+/// Two overlaps of the same shape whose graph ids run in opposite orders
+/// join one union group, and both enter it in the group pattern's vertex
+/// numbering (not each in its own sorted-graph-id numbering).
+TEST(GrowthTest, SameShapeUnionsShareOneGroupNumbering) {
+  Fixture f(TwoPathsOppositeIdOrder());
+  int32_t left = f.FindStar(1, {0, 2});
+  int32_t right = f.FindStar(3, {2, 4});
+  ASSERT_NE(left, -1);
+  ASSERT_NE(right, -1);
+  std::vector<GrowthPattern> working;
+  working.push_back(f.engine->SeedFromSpider(left));
+  working.push_back(f.engine->SeedFromSpider(right));
+  MergeRegistry previous;
+  GrowRoundResult r =
+      f.engine->GrowRound(std::move(working), /*enable_merging=*/true,
+                          &previous);
+  ASSERT_GT(f.stats.merges, 0);
+  int32_t full_paths = 0;
+  for (const GrowthPattern& gp : r.patterns) {
+    if (!gp.merged_ever || gp.pattern.NumVertices() != 5) continue;
+    ++full_paths;
+    // One embedding per path copy, both valid in the group's numbering.
+    ASSERT_EQ(gp.embeddings.size(), 2u) << gp.pattern.ToString();
+    EXPECT_NE(gp.embeddings[0][0] / 5, gp.embeddings[1][0] / 5);
+    EXPECT_EQ(gp.support, 2);
+  }
+  EXPECT_EQ(full_paths, 1);
+  EXPECT_GT(ExpectValidEmbeddings(r.patterns, f.graph), 0);
+}
+
+/// The occurrence-list invariant TryExtend relies on (e[v] is the image of
+/// pattern vertex v): after every round of a merge-heavy run, including
+/// merge products and patterns that absorbed folded duplicates, every
+/// embedding maps its pattern's labels and edges into the graph.
+TEST(GrowthTest, EmbeddingsStayValidThroughMergesAndFolds) {
+  Rng rng(4242);
+  GraphBuilder builder = GenerateErdosRenyi(220, 2.0, 10, &rng);
+  Pattern planted = RandomConnectedPattern(12, 0.15, 10, &rng);
+  PatternInjector injector(&builder);
+  ASSERT_TRUE(injector.Inject(planted, 4, &rng).ok());
+  Fixture f(std::move(builder.Build()).value(), /*support=*/3);
+  f.query_config.max_patterns_per_round = 600;
+  f.query_config.max_embeddings_per_pattern = 1000;
+  f.query_config.max_merge_pairs_per_key = 32;
+
+  std::vector<int32_t> picks;
+  Rng pick_rng(7);
+  for (size_t pick : pick_rng.SampleWithoutReplacement(
+           static_cast<size_t>(f.stars.store.size()), 24)) {
+    picks.push_back(static_cast<int32_t>(pick));
+  }
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns(picks);
+  ExpectValidEmbeddings(working, f.graph);
+  MergeRegistry previous;
+  int64_t checked = 0;
+  for (int round = 0; round < 4 && !working.empty(); ++round) {
+    GrowRoundResult r =
+        f.engine->GrowRound(std::move(working), /*enable_merging=*/true,
+                            &previous);
+    checked += ExpectValidEmbeddings(r.patterns, f.graph);
+    working = std::move(r.patterns);
+  }
+  EXPECT_GT(f.stats.merges, 0) << "the merge pass must be exercised";
+  EXPECT_GT(checked, 0);
 }
 
 TEST(GrowthTest, SupportRecomputationMatchesMeasure) {

@@ -173,6 +173,41 @@ TEST(IsomorphismTest, RelabeledVerticesIsomorphic) {
   EXPECT_TRUE(ArePatternsIsomorphic(a, b));
 }
 
+TEST(IsomorphismTest, FindIsomorphismReturnsAVertexMap) {
+  // a: labeled path 0-1-2 with a pendant edge label; b: the same pattern
+  // numbered in reverse.
+  Pattern a;
+  a.AddVertex(5);
+  a.AddVertex(6);
+  a.AddVertex(7);
+  a.AddEdge(0, 1, 3);
+  a.AddEdge(1, 2, 4);
+  Pattern b;
+  b.AddVertex(7);
+  b.AddVertex(6);
+  b.AddVertex(5);
+  b.AddEdge(0, 1, 4);
+  b.AddEdge(1, 2, 3);
+  std::optional<std::vector<VertexId>> map = FindIsomorphism(a, b);
+  ASSERT_TRUE(map.has_value());
+  EXPECT_EQ(*map, (std::vector<VertexId>{2, 1, 0}));
+  for (const auto& e : a.LabeledEdges()) {
+    EXPECT_EQ(b.EdgeLabel((*map)[e.u], (*map)[e.v]), e.label);
+  }
+  // Swapping the edge labels in b breaks the isomorphism.
+  Pattern c;
+  c.AddVertex(7);
+  c.AddVertex(6);
+  c.AddVertex(5);
+  c.AddEdge(0, 1, 3);
+  c.AddEdge(1, 2, 4);
+  EXPECT_FALSE(FindIsomorphism(a, c).has_value());
+  // A single vertex maps onto itself.
+  Pattern one;
+  one.AddVertex(9);
+  EXPECT_EQ(FindIsomorphism(one, one), std::vector<VertexId>{0});
+}
+
 TEST(IsomorphismTest, DifferentLabelsNotIsomorphic) {
   EXPECT_FALSE(ArePatternsIsomorphic(LabeledEdge(0, 1), LabeledEdge(0, 2)));
 }
