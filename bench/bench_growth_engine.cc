@@ -19,12 +19,14 @@
 // >= 2x (exit 2 when the bench runs but misses it).
 //
 // Output: a single JSON object on stdout (committed as
-// BENCH_growth_engine.json by tools/run_bench_trajectory.sh).
+// BENCH_growth_engine.json by tools/run_bench_trajectory.sh), including the
+// core count it was taken on (hardware_concurrency).
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -172,6 +174,8 @@ int Main() {
   const double headline = speedup(8, /*post_growth=*/true);
 
   std::printf("{\n  \"bench\": \"growth_engine\",\n");
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"graph_vertices\": %d,\n  \"k\": %d,\n  \"restarts\": %d,\n",
               kVertices, kTopK, kRestarts);
   std::printf("  \"engine_budget\": %lld,\n",
