@@ -47,40 +47,19 @@ Pattern NeighborhoodSpider(const Pattern& pattern, VertexId center,
   return tagged;
 }
 
-void SpiderSetRepr::Finalize() {
-  codes_ = by_vertex_;
-  std::sort(codes_.begin(), codes_.end());
-  // Order-independent digest over the sorted multiset.
-  uint64_t acc = 0x2545f4914f6cdd1dULL;
-  for (uint64_t c : codes_) {
-    acc ^= c + 0x9e3779b97f4a7c15ULL + (acc << 6) + (acc >> 2);
-  }
-  combined_ = acc;
-}
-
 SpiderSetRepr SpiderSetRepr::Compute(const Pattern& pattern, int32_t r) {
   SpiderSetRepr repr;
-  repr.by_vertex_.reserve(static_cast<size_t>(pattern.NumVertices()));
+  repr.codes_.reserve(static_cast<size_t>(pattern.NumVertices()));
   for (VertexId v = 0; v < pattern.NumVertices(); ++v) {
-    repr.by_vertex_.push_back(BallCode(pattern, v, r));
+    repr.codes_.push_back(BallCode(pattern, v, r));
   }
-  repr.Finalize();
-  return repr;
-}
-
-SpiderSetRepr SpiderSetRepr::Updated(const Pattern& extended, int32_t r,
-                                     std::span<const VertexId> changed) const {
-  SpiderSetRepr repr;
-  repr.by_vertex_ = by_vertex_;
-  repr.by_vertex_.resize(static_cast<size_t>(extended.NumVertices()), 0);
-  for (VertexId v : changed) {
-    repr.by_vertex_[static_cast<size_t>(v)] = BallCode(extended, v, r);
+  std::sort(repr.codes_.begin(), repr.codes_.end());
+  // Order-independent digest over the sorted multiset.
+  uint64_t acc = 0x2545f4914f6cdd1dULL;
+  for (uint64_t c : repr.codes_) {
+    acc ^= c + 0x9e3779b97f4a7c15ULL + (acc << 6) + (acc >> 2);
   }
-  for (VertexId v = static_cast<VertexId>(by_vertex_.size());
-       v < extended.NumVertices(); ++v) {
-    repr.by_vertex_[static_cast<size_t>(v)] = BallCode(extended, v, r);
-  }
-  repr.Finalize();
+  repr.combined_ = acc;
   return repr;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "pattern/pattern.h"
@@ -10,8 +9,10 @@
 /// The spider-set representation S[P] of a pattern (paper Sec. 4.2.2):
 /// the multiset of the canonicalized r-neighborhood spiders of every vertex
 /// of P, with the head vertex marked. Theorem 2: P isomorphic to Q implies
-/// S[P] == S[Q]; the contrapositive lets SpiderMine skip most pairwise
-/// isomorphism tests (spider-set pruning).
+/// S[P] == S[Q]; the contrapositive lets a filter skip most pairwise
+/// isomorphism tests (spider-set pruning). The growth engine filters with
+/// the cheaper PatternIsoHash (dfs_code.h) instead; this representation
+/// reproduces the paper's pruning-power figure (bench_spiderset_pruning).
 ///
 /// Equal spider-sets do NOT imply isomorphism (the paper's Figure 3(II)
 /// counterexample at r=1 is reproduced in the tests); callers must confirm
@@ -20,9 +21,7 @@
 namespace spidermine {
 
 /// The multiset S[P], stored as sorted 64-bit hashes of the canonical codes
-/// of the per-vertex r-neighborhood spiders, plus the per-vertex table that
-/// enables the paper's incremental update rule ("update those spiders whose
-/// heads are within distance r to the common boundary").
+/// of the per-vertex r-neighborhood spiders.
 ///
 /// Hashing keeps the filter sound: identical canonical codes always hash
 /// identically, so isomorphic patterns always compare equal; a (vanishingly
@@ -34,16 +33,6 @@ class SpiderSetRepr {
 
   /// Computes S[P] with spider radius \p r >= 1 from scratch.
   static SpiderSetRepr Compute(const Pattern& pattern, int32_t r);
-
-  /// The paper's Sec. 4.2.2 update: S[P'] for an extension P' of the
-  /// pattern this repr was computed for, recomputing only the balls whose
-  /// heads changed. \p changed lists the PRE-EXISTING vertices whose
-  /// r-neighborhood was altered (for an extension at boundary vertex v
-  /// with r = 1 that is {v} union N(v)); vertices new in \p extended are
-  /// always computed fresh. Equivalent to Compute(extended, r) at a cost
-  /// proportional to |changed| + #new instead of |V(P')|.
-  SpiderSetRepr Updated(const Pattern& extended, int32_t r,
-                        std::span<const VertexId> changed) const;
 
   /// Multiset equality.
   bool operator==(const SpiderSetRepr& other) const {
@@ -60,10 +49,7 @@ class SpiderSetRepr {
   const std::vector<uint64_t>& codes() const { return codes_; }
 
  private:
-  void Finalize();
-
-  std::vector<uint64_t> codes_;      // sorted multiset
-  std::vector<uint64_t> by_vertex_;  // code of vertex i's ball (unsorted)
+  std::vector<uint64_t> codes_;  // sorted multiset
   uint64_t combined_ = 0;
 };
 

@@ -10,7 +10,6 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "pattern/vf2.h"
-#include "pattern/spider_set.h"
 #include "spidermine/closure.h"
 #include "spidermine/miner.h"
 
@@ -241,47 +240,6 @@ TEST_P(OracleInvariants, OracleOutputIsFrequentBoundedAndSorted) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleInvariants,
                          ::testing::Values(7u, 17u, 27u, 37u, 47u));
-
-// ---------------------------------------------------------------------------
-// Incremental spider-set maintenance (paper Sec. 4.2.2 update rule).
-// ---------------------------------------------------------------------------
-
-class SpiderSetUpdateInvariants : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SpiderSetUpdateInvariants, UpdatedEqualsFullRecompute) {
-  // Simulate star growth: repeatedly attach fresh leaves at a random
-  // vertex, maintaining the spider-set incrementally, and check it against
-  // a from-scratch recomputation at every step and for both radii.
-  Rng rng(GetParam());
-  for (int32_t r : {1, 2}) {
-    Pattern p(static_cast<LabelId>(rng.UniformInt(0, 4)));
-    SpiderSetRepr repr = SpiderSetRepr::Compute(p, r);
-    for (int step = 0; step < 12; ++step) {
-      const VertexId site =
-          static_cast<VertexId>(rng.UniformInt(0, p.NumVertices() - 1));
-      const int32_t base_n = p.NumVertices();
-      const int32_t leaves = static_cast<int32_t>(rng.UniformInt(1, 3));
-      for (int l = 0; l < leaves; ++l) {
-        VertexId nv = p.AddVertex(static_cast<LabelId>(rng.UniformInt(0, 4)));
-        p.AddEdge(site, nv,
-                  static_cast<EdgeLabelId>(rng.UniformInt(0, 2)));
-      }
-      std::vector<VertexId> changed;
-      std::vector<int32_t> dist = p.BfsDistances(site, r);
-      for (VertexId x = 0; x < base_n; ++x) {
-        if (dist[x] >= 0) changed.push_back(x);
-      }
-      repr = repr.Updated(p, r, changed);
-      SpiderSetRepr full = SpiderSetRepr::Compute(p, r);
-      ASSERT_TRUE(repr == full)
-          << "radius " << r << " step " << step << ": incremental update "
-          << "diverged from full recomputation";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpiderSetUpdateInvariants,
-                         ::testing::Values(3u, 13u, 23u, 33u, 43u, 53u));
 
 }  // namespace
 }  // namespace spidermine
