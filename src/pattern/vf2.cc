@@ -211,24 +211,9 @@ std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
     return d;
   };
   if (degree_sequence(a) != degree_sequence(b)) return std::nullopt;
-  if (a.NumEdges() == 0) {
-    // Edgeless: equal sorted labels already make any label-matching
-    // bijection an isomorphism (a connected pattern has one vertex here).
-    auto by_label = [](const Pattern& p) {
-      std::vector<VertexId> order(static_cast<size_t>(p.NumVertices()));
-      for (VertexId v = 0; v < p.NumVertices(); ++v) order[v] = v;
-      std::stable_sort(order.begin(), order.end(),
-                       [&p](VertexId x, VertexId y) {
-                         return p.Label(x) < p.Label(y);
-                       });
-      return order;
-    };
-    const std::vector<VertexId> from = by_label(a);
-    const std::vector<VertexId> to = by_label(b);
-    std::vector<VertexId> map(from.size());
-    for (size_t i = 0; i < from.size(); ++i) map[from[i]] = to[i];
-    return map;
-  }
+  // A connected pattern without edges has at most one vertex, which the
+  // label check above already matched.
+  if (a.NumEdges() == 0) return std::vector<VertexId>(a.NumVertices(), 0);
   // With equal vertex and edge counts, an injective edge-preserving map of
   // a into b is necessarily a full isomorphism.
   std::optional<std::vector<VertexId>> map;

@@ -59,7 +59,7 @@ bool ContainsEmbedding(const Pattern& pattern, const LabeledGraph& graph);
 /// Exact labeled-graph isomorphism between two patterns (Definition 1):
 /// returns a map m with m[u] = the vertex of \p b that vertex u of \p a
 /// maps to, preserving vertex labels, edges and edge labels; nullopt when
-/// the patterns are not isomorphic.
+/// the patterns are not isomorphic. Both patterns must be connected.
 std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
                                                      const Pattern& b);
 
