@@ -29,7 +29,6 @@
 #     (exit 2 otherwise); RSS numbers are trajectory records.
 #
 #   $ tools/run_bench_trajectory.sh
-#   $ tools/run_bench_trajectory.sh bench_growth_engine   # named benches only
 #
 # Numbers vary with hardware; the JSON is a trajectory record, not a test
 # oracle. Each bench binary itself exits non-zero when its run misses the
@@ -37,42 +36,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-all_benches=(bench_artifact_load bench_growth_engine bench_parallel_scaling
-             bench_support_measures bench_partition_stage1)
-if [[ $# -gt 0 ]]; then
-  selected=("$@")
-else
-  selected=("${all_benches[@]}")
-fi
-for bench in "${selected[@]}"; do
-  if [[ " ${all_benches[*]} " != *" ${bench} "* ]]; then
-    echo "error: unknown bench ${bench}; one of: ${all_benches[*]}" >&2
-    exit 1
-  fi
+for bench in bench_artifact_load bench_growth_engine bench_parallel_scaling \
+             bench_support_measures bench_partition_stage1; do
   if [[ ! -x "build/${bench}" ]]; then
     echo "error: build/${bench} not found; build first:" >&2
     echo "  cmake -B build -S . && cmake --build build -j" >&2
     exit 1
   fi
 done
-# True when the named bench was selected.
-wanted() { [[ " ${selected[*]} " == *" $1 "* ]]; }
 
-if wanted bench_artifact_load; then
 echo "=== bench_artifact_load (synthetic >=100 MB store; ~1 min)"
 build/bench_artifact_load > BENCH_artifact_load.json
 cat BENCH_artifact_load.json
 echo "OK: wrote BENCH_artifact_load.json"
-fi
 
-if wanted bench_growth_engine; then
 echo "=== bench_growth_engine (300k-vertex graph, 12 queries; ~2 min)"
 build/bench_growth_engine > BENCH_growth_engine.json
 cat BENCH_growth_engine.json
 echo "OK: wrote BENCH_growth_engine.json"
-fi
 
-if wanted bench_parallel_scaling; then
 echo "=== bench_parallel_scaling --concurrent-queries (socket server; ~1 min)"
 cores="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
 speedup_bar_args=()
@@ -92,18 +74,13 @@ rows="$(build/bench_parallel_scaling --vertices=20000 --concurrent-queries=8 \
 } > BENCH_serve_throughput.json
 cat BENCH_serve_throughput.json
 echo "OK: wrote BENCH_serve_throughput.json"
-fi
 
-if wanted bench_support_measures; then
 echo "=== bench_support_measures (50k-vertex graph, 7 measures x 3; ~1 min)"
 build/bench_support_measures > BENCH_support_measures.json
 cat BENCH_support_measures.json
 echo "OK: wrote BENCH_support_measures.json"
-fi
 
-if wanted bench_partition_stage1; then
 echo "=== bench_partition_stage1 (2M-vertex BA graph; ~5 min)"
 build/bench_partition_stage1 > BENCH_partition_stage1.json
 cat BENCH_partition_stage1.json
 echo "OK: wrote BENCH_partition_stage1.json"
-fi
