@@ -45,16 +45,17 @@ int main() {
             : -1;
 
     for (bool closure : {false, true}) {
-      MineConfig config;
+      SessionConfig config;
+      TopKQuery query;
       config.min_support = 3;
-      config.k = 5;
-      config.dmax = 6;
-      config.vmin = 9;
-      config.rng_seed = 11;
-      config.restarts = 3;
-      config.close_internal_edges = closure;
-      MineResult mined;
-      RunSpiderMine(graph, config, &mined);
+      query.k = 5;
+      query.dmax = 6;
+      query.vmin = 9;
+      query.rng_seed = 11;
+      query.restarts = 3;
+      query.close_internal_edges = closure;
+      QueryResult mined;
+      RunSpiderMine(graph, config, query, &mined);
       std::printf("%llu,%s,%d,%d,%lld\n",
                   static_cast<unsigned long long>(instance),
                   closure ? "on" : "off", LargestEdges(mined.patterns),

@@ -50,15 +50,16 @@ int main() {
   if (!injector.Inject(large, 2, &rng).ok()) return 1;
   LabeledGraph graph = std::move(builder.Build()).value();
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 5;
-  config.dmax = 8;
-  config.vmin = 24;
-  config.rng_seed = 5;
-  config.time_budget_seconds = 90;
-  MineResult mined;
-  double sm_seconds = RunSpiderMine(graph, config, &mined);
+  query.k = 5;
+  query.dmax = 8;
+  query.vmin = 24;
+  query.rng_seed = 5;
+  query.time_budget_seconds = 90;
+  QueryResult mined;
+  double sm_seconds = RunSpiderMine(graph, config, query, &mined);
   std::printf("measured,spidermine_largest_vertices,%d\n",
               LargestVertices(mined.patterns));
   std::printf("measured,spidermine_spider_appends,%lld\n",

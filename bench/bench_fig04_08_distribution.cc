@@ -35,15 +35,16 @@ int main() {
     }
 
     // SpiderMine (paper: sigma=2, K=10, Dmax=4).
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 2;
-    config.k = 10;
-    config.dmax = 4;
-    config.vmin = 30;
-    config.rng_seed = 42;
-    config.time_budget_seconds = 120;
-    MineResult mined;
-    RunSpiderMine(data->graph, config, &mined);
+    query.k = 10;
+    query.dmax = 4;
+    query.vmin = 30;
+    query.rng_seed = 42;
+    query.time_budget_seconds = 120;
+    QueryResult mined;
+    RunSpiderMine(data->graph, config, query, &mined);
     for (const auto& [size, count] : SizeDistribution(mined.patterns)) {
       std::printf("%d,SpiderMine,%d,%d\n", gid, size, count);
     }

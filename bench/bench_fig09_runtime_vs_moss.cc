@@ -36,15 +36,16 @@ int main() {
     if (!injector.Inject(large, 2, &rng).ok()) return 1;
     LabeledGraph graph = std::move(builder.Build()).value();
 
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 2;
-    config.k = 10;
-    config.dmax = 4;
-    config.vmin = 30;
-    config.rng_seed = 5;
-    config.time_budget_seconds = 60;
-    MineResult mined;
-    double spidermine_seconds = RunSpiderMine(graph, config, &mined);
+    query.k = 10;
+    query.dmax = 4;
+    query.vmin = 30;
+    query.rng_seed = 5;
+    query.time_budget_seconds = 60;
+    QueryResult mined;
+    double spidermine_seconds = RunSpiderMine(graph, config, query, &mined);
 
     CompleteMinerConfig complete_config;
     complete_config.min_support = 2;

@@ -34,15 +34,16 @@ int main() {
     if (!injector.Inject(large, 2, &rng).ok()) return 1;
     LabeledGraph graph = std::move(builder.Build()).value();
 
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 2;
-    config.k = 10;
-    config.dmax = 10;
-    config.vmin = 30;
-    config.rng_seed = 5;
-    config.time_budget_seconds = 120;
-    MineResult mined;
-    double spidermine_seconds = RunSpiderMine(graph, config, &mined);
+    query.k = 10;
+    query.dmax = 10;
+    query.vmin = 30;
+    query.rng_seed = 5;
+    query.time_budget_seconds = 120;
+    QueryResult mined;
+    double spidermine_seconds = RunSpiderMine(graph, config, query, &mined);
 
     SubdueConfig subdue_config;
     subdue_config.max_expansions = 100000;

@@ -38,15 +38,16 @@ int main() {
     if (!injector.Inject(large, 2, &rng).ok()) return 1;
     LabeledGraph graph = std::move(builder.Build()).value();
 
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 2;
-    config.k = 10;
-    config.dmax = 10;
-    config.vmin = large_size;
-    config.rng_seed = 5;
-    config.time_budget_seconds = 150;
-    MineResult mined;
-    double seconds = RunSpiderMine(graph, config, &mined);
+    query.k = 10;
+    query.dmax = 10;
+    query.vmin = large_size;
+    query.rng_seed = 5;
+    query.time_budget_seconds = 150;
+    QueryResult mined;
+    double seconds = RunSpiderMine(graph, config, query, &mined);
 
     std::printf("%lld,%.3f,%d,%d\n", static_cast<long long>(n), seconds,
                 LargestVertices(mined.patterns), LargestEdges(mined.patterns));

@@ -36,19 +36,20 @@ int main() {
     if (!injector.Inject(large, 2, &rng).ok()) return 1;
     LabeledGraph graph = std::move(builder.Build()).value();
 
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 2;
-    config.k = 10;
-    config.dmax = 6;
-    config.vmin = 40;
-    config.rng_seed = 5;
+    query.k = 10;
+    query.dmax = 6;
+    query.vmin = 40;
+    query.rng_seed = 5;
     // Hubs explode the spider count (the Figure 17 effect); cap Stage I
     // like any practical run would and report the count reached.
     config.max_spiders = 2000000;
     config.max_star_leaves = 6;
-    config.time_budget_seconds = 120;
-    MineResult mined;
-    double seconds = RunSpiderMine(graph, config, &mined);
+    query.time_budget_seconds = 120;
+    QueryResult mined;
+    double seconds = RunSpiderMine(graph, config, query, &mined);
 
     std::printf("%lld,%lld,%lld,%.3f,%.3f,%d,%d\n",
                 static_cast<long long>(n),

@@ -43,14 +43,15 @@ void RunVariant(const char* variant, int32_t num_small) {
   Result<TransactionGraph> txn = BuildTransactionGraph(data->database);
   if (!txn.ok()) return;
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 4;
-  config.k = 10;
-  config.dmax = 8;
-  config.vmin = 25;
-  config.rng_seed = 13;
-  config.time_budget_seconds = 180;
-  Result<MineResult> mined = MineTransactions(*txn, config);
+  query.k = 10;
+  query.dmax = 8;
+  query.vmin = 25;
+  query.rng_seed = 13;
+  query.time_budget_seconds = 180;
+  Result<QueryResult> mined = MineTransactions(*txn, config, query);
   if (mined.ok()) {
     std::map<int32_t, int32_t> hist;
     for (const MinedPattern& p : mined->patterns) ++hist[p.NumVertices()];

@@ -29,15 +29,16 @@ int main() {
     const LabeledGraph& graph = data->graph;
 
     {
-      MineConfig config;
+      SessionConfig config;
+      TopKQuery query;
       config.min_support = 2;
-      config.k = 10;
-      config.dmax = 4;
-      config.vmin = 30;
-      config.rng_seed = 42;
-      config.time_budget_seconds = 120;
-      MineResult mined;
-      double seconds = RunSpiderMine(graph, config, &mined);
+      query.k = 10;
+      query.dmax = 4;
+      query.vmin = 30;
+      query.rng_seed = 42;
+      query.time_budget_seconds = 120;
+      QueryResult mined;
+      double seconds = RunSpiderMine(graph, config, query, &mined);
       std::printf("%d,SpiderMine,%.3f,%d\n", gid, seconds,
                   mined.stats.timed_out ? 0 : 1);
     }

@@ -29,15 +29,16 @@ int main() {
                    data.status().ToString().c_str());
       return 1;
     }
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 10;
-    config.k = 5;
-    config.dmax = 6;
-    config.vmin = 50;
-    config.rng_seed = 42;
-    config.time_budget_seconds = 240;
-    MineResult mined;
-    RunSpiderMine(data->graph, config, &mined);
+    query.k = 5;
+    query.dmax = 6;
+    query.vmin = 50;
+    query.rng_seed = 42;
+    query.time_budget_seconds = 240;
+    QueryResult mined;
+    RunSpiderMine(data->graph, config, query, &mined);
     for (size_t rank = 0; rank < mined.patterns.size(); ++rank) {
       std::printf("%d,%zu,%d,%d\n", gid, rank + 1,
                   mined.patterns[rank].NumEdges(),

@@ -31,17 +31,18 @@ int main() {
   }
 
   for (int32_t d = 1; d <= 4; ++d) {
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 10;
-    config.k = 5;
-    config.dmax = 2 * d;
-    config.vmin = 50;
-    config.rng_seed = 42;
-    config.time_budget_seconds = 120;
-    MineResult mined;
-    RunSpiderMine(data->graph, config, &mined);
+    query.k = 5;
+    query.dmax = 2 * d;
+    query.vmin = 50;
+    query.rng_seed = 42;
+    query.time_budget_seconds = 120;
+    QueryResult mined;
+    RunSpiderMine(data->graph, config, query, &mined);
     for (size_t rank = 0; rank < mined.patterns.size(); ++rank) {
-      std::printf("%d,%zu,%d,%d\n", config.dmax, rank + 1,
+      std::printf("%d,%zu,%d,%d\n", query.dmax, rank + 1,
                   mined.patterns[rank].NumVertices(),
                   mined.patterns[rank].NumEdges());
     }

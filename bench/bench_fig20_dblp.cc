@@ -31,15 +31,16 @@ int main() {
     return 1;
   }
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 4;
-  config.k = 20;
-  config.dmax = 8;
-  config.vmin = 12;
-  config.rng_seed = 42;
-  config.time_budget_seconds = 180;
-  MineResult mined;
-  RunSpiderMine(data->graph, config, &mined);
+  query.k = 20;
+  query.dmax = 8;
+  query.vmin = 12;
+  query.rng_seed = 42;
+  query.time_budget_seconds = 180;
+  QueryResult mined;
+  RunSpiderMine(data->graph, config, query, &mined);
   for (const auto& [size, count] : SizeDistribution(mined.patterns)) {
     std::printf("SpiderMine,%d,%d\n", size, count);
   }

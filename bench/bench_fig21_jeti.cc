@@ -33,15 +33,16 @@ int main() {
     return 1;
   }
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 10;
-  config.k = 10;
-  config.dmax = 8;
-  config.vmin = 10;
-  config.rng_seed = 42;
-  config.time_budget_seconds = 120;
-  MineResult mined;
-  RunSpiderMine(data->graph, config, &mined);
+  query.k = 10;
+  query.dmax = 8;
+  query.vmin = 10;
+  query.rng_seed = 42;
+  query.time_budget_seconds = 120;
+  QueryResult mined;
+  RunSpiderMine(data->graph, config, query, &mined);
   for (const auto& [size, count] : SizeDistribution(mined.patterns)) {
     std::printf("SpiderMine,%d,%d\n", size, count);
   }

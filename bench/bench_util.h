@@ -19,7 +19,6 @@
 #include "common/timer.h"
 #include "graph/labeled_graph.h"
 #include "spidermine/config.h"
-#include "spidermine/miner.h"
 #include "spidermine/session.h"
 
 namespace spidermine::bench {
@@ -47,17 +46,13 @@ inline void Banner(const char* artifact, const char* description) {
   std::printf("# === %s ===\n# %s\n", artifact, description);
 }
 
-/// Timed SpiderMine run; returns total seconds and fills \p out. Kept on
-/// the deprecated fused shim on purpose: the figure harnesses reproduce
-/// the paper's one-shot runs (warning silenced locally).
-inline double RunSpiderMine(const LabeledGraph& graph, MineConfig config,
-                            MineResult* out) {
+/// Timed one-shot SpiderMine run (MineOnce: Stage I + one query, as the
+/// paper's figures time it); returns total seconds and fills \p out.
+inline double RunSpiderMine(const LabeledGraph& graph,
+                            const SessionConfig& config,
+                            const TopKQuery& query, QueryResult* out) {
   WallTimer timer;
-  SpiderMiner miner(&graph, config);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<MineResult> result = miner.Mine();
-#pragma GCC diagnostic pop
+  Result<QueryResult> result = MineOnce(&graph, config, query);
   double seconds = timer.ElapsedSeconds();
   if (result.ok()) *out = std::move(result).value();
   return seconds;
@@ -82,7 +77,7 @@ inline double BuildMiningSession(const LabeledGraph& graph,
 }
 
 /// Timed warm query against an existing session; returns wall seconds and
-/// fills \p out. The sessions-vs-fused amortization the serving API buys is
+/// fills \p out. The amortization a session buys over one-shot mining is
 /// exactly (cold stage1 seconds) / (this).
 inline double RunSessionQuery(MiningSession* session, const TopKQuery& query,
                               QueryResult* out) {

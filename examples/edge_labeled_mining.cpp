@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "graph/graph_builder.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
 using namespace spidermine;
 
@@ -66,20 +66,18 @@ int main() {
               static_cast<long long>(graph->NumEdges()),
               graph->HasEdgeLabels() ? "yes" : "no");
 
-  MineConfig config;
+  SessionConfig config;
   config.min_support = 3;
-  config.k = 5;
-  config.dmax = 4;
-  config.vmin = 4;
-  config.rng_seed = 7;
-  config.restarts = 4;
-  // This example deliberately shows the legacy one-shot shim (graph mined
-  // once, thrown away); the session API (spidermine/session.h, see the
-  // other examples) is the primary path when a graph serves many queries.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<MineResult> result = SpiderMiner(&*graph, config).Mine();
-#pragma GCC diagnostic pop
+  TopKQuery query;
+  query.k = 5;
+  query.dmax = 4;
+  query.vmin = 4;
+  query.rng_seed = 7;
+  query.restarts = 4;
+  // One-shot mining: the graph is mined once and thrown away. Hold a
+  // MiningSession (see the other examples) when a graph serves many
+  // queries.
+  Result<QueryResult> result = MineOnce(&*graph, config, query);
   if (!result.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  result.status().ToString().c_str());

@@ -8,7 +8,7 @@
 // is runnable standalone. Patterns are written in pattern_io.h format.
 // --runs N issues N queries (seeds seed, seed+1, ...) against the ONE
 // cached Stage I spider set and exports the accumulated best patterns —
-// the session amortization the fused SpiderMiner::Mine() shim cannot give.
+// the session amortization a one-shot MineOnce() per run cannot give.
 
 #include <cstdio>
 #include <cstdlib>

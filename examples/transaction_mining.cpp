@@ -52,14 +52,15 @@ int main() {
               gen.num_small);
 
   // SpiderMine, transaction support.
-  MineConfig config;
+  SessionConfig config;
   config.min_support = 4;  // transactions
-  config.k = 10;
-  config.dmax = 8;
-  config.vmin = 25;
-  config.rng_seed = 3;
-  config.time_budget_seconds = 120;
-  Result<MineResult> mined = MineTransactions(*txn, config);
+  TopKQuery query;
+  query.k = 10;
+  query.dmax = 8;
+  query.vmin = 25;
+  query.rng_seed = 3;
+  query.time_budget_seconds = 120;
+  Result<QueryResult> mined = MineTransactions(*txn, config, query);
   if (!mined.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  mined.status().ToString().c_str());

@@ -2,13 +2,13 @@
 
 #include <vector>
 
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
 /// \file closed_filter.h
 /// Post-filters over a mined result set. The paper prunes non-closed
 /// patterns during growth (Algorithm 2 line 22-23); these utilities apply
 /// the same notions to a final pattern list, which is useful when
-/// combining patterns from multiple runs (MineConfig::restarts) or
+/// combining patterns from multiple runs (QueryConfig::restarts) or
 /// presenting results: a pattern is CLOSED if no returned super-pattern
 /// has the same support, and MAXIMAL if no returned super-pattern exists
 /// at all (cf. SPIN/MARGIN in the paper's related work).

@@ -118,48 +118,4 @@ uint64_t QueryConfig::CanonicalHash(int64_t session_min_support,
   return h.state;
 }
 
-SessionConfig MineConfig::SessionPart() const {
-  SessionConfig session;
-  session.min_support = min_support;
-  session.spider_radius = spider_radius;
-  session.max_star_leaves = max_star_leaves;
-  session.max_spiders = max_spiders;
-  session.num_threads = num_threads;
-  session.pool = pool;
-  session.stage1_shard_grain = stage1_shard_grain;
-  session.stage1_time_budget_seconds = time_budget_seconds;
-  session.txn_of_vertex = txn_of_vertex;
-  session.txn_map = txn_map;
-  return session;
-}
-
-QueryConfig MineConfig::QueryPart() const {
-  QueryConfig query;
-  query.min_support = 0;  // resolves to the session floor (= min_support)
-  query.k = k;
-  query.epsilon = epsilon;
-  query.dmax = dmax;
-  query.vmin = vmin;
-  query.support_measure = support_measure;
-  query.txn_sample = txn_sample;
-  query.rng_seed = rng_seed;
-  query.seed_count_override = seed_count_override;
-  query.restarts = restarts;
-  query.max_embeddings_per_pattern = max_embeddings_per_pattern;
-  query.embedding_list_budget = embedding_list_budget;
-  query.max_patterns_per_round = max_patterns_per_round;
-  query.max_seed_embeddings_per_anchor = max_seed_embeddings_per_anchor;
-  query.max_merge_pairs_per_key = max_merge_pairs_per_key;
-  query.max_union_instances = max_union_instances;
-  query.stage3_max_rounds = stage3_max_rounds;
-  query.max_results = max_results;
-  query.time_budget_seconds = time_budget_seconds;
-  query.use_closed_spiders_only = use_closed_spiders_only;
-  query.close_internal_edges = close_internal_edges;
-  query.closure_window = closure_window;
-  query.enforce_dmax_on_results = enforce_dmax_on_results;
-  query.keep_unmerged = keep_unmerged;
-  return query;
-}
-
 }  // namespace spidermine

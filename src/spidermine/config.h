@@ -17,9 +17,8 @@
 /// network, while Stages II/III are randomized and cheap enough to rerun
 /// per query. `SessionConfig` carries the graph-scoped knobs that shape the
 /// Stage I artifacts a `MiningSession` caches; `QueryConfig` carries the
-/// per-query knobs of Stages II+III. The legacy fused `MineConfig` remains
-/// as the input of the `SpiderMiner::Mine()` compatibility shim and
-/// decomposes into the two via SessionPart()/QueryPart().
+/// per-query knobs of Stages II+III. A one-shot run passes one of each to
+/// `MineOnce` (session.h).
 
 namespace spidermine {
 
@@ -200,73 +199,7 @@ struct QueryConfig {
                          int64_t graph_vertices) const;
 };
 
-/// Legacy fused configuration of `SpiderMiner::Mine()` (build a session,
-/// run one query, throw the session away). New code should construct
-/// SessionConfig + QueryConfig directly; this type is kept so existing
-/// callers and the CLI `mine` subcommand compile unchanged. Every field
-/// is the fused spelling of one SessionConfig or QueryConfig field — the
-/// authoritative documentation lives on those two structs; ownership of
-/// the borrowed pointers (`pool`, `txn_of_vertex`) matches SessionConfig:
-/// both must outlive the Mine() call.
-struct MineConfig {
-  // ---- Problem parameters -> QueryConfig (min_support also sets the
-  // ---- session floor; spider_radius is session-scoped).
-  int64_t min_support = 2;       ///< sigma: SessionPart floor AND query threshold
-  int32_t k = 10;                ///< top-K
-  double epsilon = 0.1;          ///< error bound
-  int32_t dmax = 4;              ///< pattern diameter bound
-  int32_t spider_radius = 1;     ///< r (session-scoped; 1 = star fast path)
-  int64_t vmin = 0;              ///< large-pattern floor (0 = |V(G)|/10)
-  SupportMeasureKind support_measure = SupportMeasureKind::kGreedyMisVertex;
-  int64_t txn_sample = 0;        ///< per-run transaction sample size (0 = all)
-
-  // ---- Parallelism -> SessionConfig.
-  int32_t num_threads = 1;          ///< worker threads (0 = all cores)
-  ThreadPool* pool = nullptr;       ///< borrowed pool (overrides num_threads)
-  int64_t stage1_shard_grain = 0;   ///< Stage I scan-shard grain (0 = auto)
-
-  // ---- Randomization -> QueryConfig.
-  uint64_t rng_seed = 42;           ///< seed of the Stage II spider draw
-  int64_t seed_count_override = 0;  ///< fixed M when > 0 (0 = paper formula)
-  int32_t restarts = 1;             ///< independent Stage II+III runs
-
-  // ---- Engineering caps -> QueryConfig (star caps -> SessionConfig).
-  int64_t max_embeddings_per_pattern = 10000;
-  int64_t embedding_list_budget = 4096;  ///< carried-E[P] budget (0 = VF2 only)
-  int64_t max_patterns_per_round = 4000;
-  int64_t max_seed_embeddings_per_anchor = 20;
-  int32_t max_star_leaves = 8;      ///< session-scoped star cap
-  int64_t max_spiders = 0;          ///< session-scoped global spider budget
-  int32_t max_merge_pairs_per_key = 8;
-  int32_t max_union_instances = 256;
-  int32_t stage3_max_rounds = 64;
-  int64_t max_results = 10000;
-  /// Fused budget spanning ALL stages: the shim gives Stage I the whole
-  /// budget and the query whatever Stage I left over.
-  double time_budget_seconds = 0.0;
-
-  // ---- Behavioral switches -> QueryConfig.
-  bool use_closed_spiders_only = true;
-  bool close_internal_edges = true;
-  int64_t closure_window = 0;  // 0 resolves to max(64, 8 * k)
-  bool enforce_dmax_on_results = false;
-  bool keep_unmerged = false;
-  /// Borrowed transaction map (session-scoped); must outlive the call.
-  const std::vector<int32_t>* txn_of_vertex = nullptr;
-  /// Borrowed per-vertex transaction payloads (session-scoped); must
-  /// outlive the call. Takes precedence over txn_of_vertex.
-  const VertexTxnMap* txn_map = nullptr;
-
-  /// The graph-scoped slice: Stage I knobs, parallelism, the transaction
-  /// map. The fused time budget becomes the Stage I budget; the shim hands
-  /// the remaining time to the query.
-  SessionConfig SessionPart() const;
-  /// The query-scoped slice. min_support maps to 0 (= session floor), so
-  /// the shim's query always runs at exactly the mined threshold.
-  QueryConfig QueryPart() const;
-};
-
-/// Counters and timings of one Mine() run or one session query. Stage I
+/// Counters and timings of one session query (or one MineOnce run). Stage I
 /// fields are populated by the session (exactly once per session); query
 /// stats leave them 0, which is how tests assert that serving R queries
 /// re-mines nothing.
@@ -303,10 +236,6 @@ struct MineStats {
   double stage2_seconds = 0.0;
   double stage3_seconds = 0.0;
   double total_seconds = 0.0;
-
-  /// Copies the Stage I fields of \p stage1 into this (the shim's merge of
-  /// session stats into a legacy MineResult).
-  void FoldStage1(const MineStats& stage1);
 
   /// Multi-line human-readable rendering (tools and example output).
   std::string ToString() const;

@@ -133,6 +133,26 @@ std::vector<int32_t> DrawTxnSample(const QueryConfig& q, int32_t run,
   return sample;
 }
 
+/// The query checks that need the session's config: field ranges, the
+/// mined support floor, and a transaction source for kTransaction. Shared
+/// by RunQuery and MineOnce (which runs them before Stage I).
+Status ValidateQueryForSession(const TopKQuery& query,
+                               const SessionConfig& config) {
+  SM_RETURN_NOT_OK(query.Validate());
+  if (query.min_support != 0 && query.min_support < config.min_support) {
+    return Status::InvalidArgument(
+        StrCat("query min_support ", query.min_support,
+               " is below the session's mined floor ", config.min_support,
+               "; spiders below the floor were never mined"));
+  }
+  if (query.support_measure == SupportMeasureKind::kTransaction &&
+      config.txn_of_vertex == nullptr && config.txn_map == nullptr) {
+    return Status::InvalidArgument(
+        "transaction support requires txn_of_vertex or txn_map");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 const char* Stage1LoadModeName(Stage1LoadMode mode) {
@@ -485,20 +505,9 @@ int64_t MiningSession::FoldQueryIntoAggregate(const QueryResult& result) const {
 }
 
 Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
-  SM_RETURN_NOT_OK(query.Validate());
+  SM_RETURN_NOT_OK(ValidateQueryForSession(query, config_));
   QueryConfig q = query;
   if (q.min_support == 0) q.min_support = config_.min_support;
-  if (q.min_support < config_.min_support) {
-    return Status::InvalidArgument(
-        StrCat("query min_support ", q.min_support,
-               " is below the session's mined floor ", config_.min_support,
-               "; spiders below the floor were never mined"));
-  }
-  if (q.support_measure == SupportMeasureKind::kTransaction &&
-      config_.txn_of_vertex == nullptr && config_.txn_map == nullptr) {
-    return Status::InvalidArgument(
-        "transaction support requires txn_of_vertex or txn_map");
-  }
   // First touch of a mapped artifact's bulk sections: CRC + content range
   // checks run exactly once (thread-safe), so a tampered or bit-rotted
   // `.sm2` fails the query instead of feeding the growth engine garbage.
@@ -791,8 +800,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   // final list as well: seeds drawn from the cached floor-level store (and
   // closure's full-embedding recounts) can carry support in [floor, sigma)
   // that growth — which only checks extensions — never re-tests. Gated so
-  // floor-level queries stay byte-identical to the legacy fused driver,
-  // which deliberately returns closure-demoted patterns.
+  // floor-level queries keep closure-demoted patterns, as one-shot
+  // mining always has.
   if (q.min_support > config_.min_support) {
     std::erase_if(all, [&q](const MinedPattern& mp) {
       return mp.support < q.min_support;
@@ -822,6 +831,44 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
              ", emb carried/fallback=", stats.emb_carried, "/",
              stats.vf2_fallbacks, ", returned ", result.patterns.size(),
              " patterns in ", stats.total_seconds, "s"));
+  return result;
+}
+
+Result<QueryResult> MineOnce(const LabeledGraph* graph, SessionConfig config,
+                             TopKQuery query) {
+  // Validate both halves before mining anything: an invalid query must fail
+  // fast, not after a full Stage I pass.
+  SM_RETURN_NOT_OK(config.Validate());
+  SM_RETURN_NOT_OK(ValidateQueryForSession(query, config));
+
+  WallTimer total_timer;
+  const double budget = query.time_budget_seconds;
+  double& stage1_budget = config.stage1_time_budget_seconds;
+  if (budget > 0 && (stage1_budget <= 0 || stage1_budget > budget)) {
+    stage1_budget = budget;
+  }
+  SM_ASSIGN_OR_RETURN(MiningSession session,
+                      MiningSession::Create(graph, config));
+  const MineStats& stage1 = session.stage1_stats();
+  // The query gets whatever Stage I left over (a hair above zero when
+  // Stage I consumed it all, so the query's deadline trips immediately
+  // instead of meaning "unlimited").
+  if (budget > 0) {
+    query.time_budget_seconds =
+        std::max(budget - stage1.stage1_seconds, 1e-9);
+  }
+  SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
+
+  MineStats& stats = result.stats;
+  stats.num_spiders = stage1.num_spiders;
+  stats.num_closed_spiders = stage1.num_closed_spiders;
+  stats.stage1_store_bytes = stage1.stage1_store_bytes;
+  stats.stage1_scan_shards = stage1.stage1_scan_shards;
+  stats.stage1_enum_shards = stage1.stage1_enum_shards;
+  stats.stage1_steps = stage1.stage1_steps;
+  stats.stage1_seconds = stage1.stage1_seconds;
+  stats.timed_out = stats.timed_out || stage1.timed_out;
+  stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
 

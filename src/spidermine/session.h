@@ -33,8 +33,7 @@
 /// session's mined floor), rng_seed, restarts, dmax and caps. Queries are
 /// validated via Result<> up front, so a bad query returns an error and
 /// never invalidates the session, and each query result is byte-identical
-/// to a standalone `SpiderMiner::Mine()` with the same parameters at any
-/// thread count.
+/// to a fresh session answering the same query, at any thread count.
 ///
 /// Thread-safety contract (see docs/SERVING.md for the full statement):
 /// after construction every Stage I artifact -- the store, the index, the
@@ -289,5 +288,17 @@ class MiningSession {
   double stage1_load_seconds_ = 0.0;
   std::unique_ptr<ServingAggregate> serving_;
 };
+
+/// One-shot SpiderMine (paper Algorithm 1): mines Stage I of \p graph
+/// (borrowed for the call) under \p config, answers \p query, and drops
+/// the session. `query.time_budget_seconds` bounds the whole run: Stage I
+/// gets it (or config's own Stage I budget when that is tighter) and the
+/// query gets whatever Stage I left, at least 1e-9 s. The query is
+/// validated before Stage I starts. Patterns equal `Create` + `RunQuery`
+/// with the same parameters; the stats also carry the Stage I counters,
+/// and total_seconds spans both stages. Anything that mines a graph more
+/// than once should hold a MiningSession instead.
+Result<QueryResult> MineOnce(const LabeledGraph* graph, SessionConfig config,
+                             TopKQuery query);
 
 }  // namespace spidermine

@@ -6,7 +6,7 @@
 
 namespace spidermine {
 
-// SessionConfig/QueryConfig/MineConfig methods live in config.cc; this
+// SessionConfig/QueryConfig methods live in config.cc; this
 // file renders the stats aggregates.
 
 std::string SessionServingStats::ToString() const {
@@ -33,17 +33,6 @@ std::string SessionServingStats::ToString() const {
        << cache_evictions << " evicted)";
   }
   return os.str();
-}
-
-void MineStats::FoldStage1(const MineStats& stage1) {
-  num_spiders = stage1.num_spiders;
-  num_closed_spiders = stage1.num_closed_spiders;
-  stage1_store_bytes = stage1.stage1_store_bytes;
-  stage1_scan_shards = stage1.stage1_scan_shards;
-  stage1_enum_shards = stage1.stage1_enum_shards;
-  stage1_steps = stage1.stage1_steps;
-  stage1_seconds = stage1.stage1_seconds;
-  timed_out = timed_out || stage1.timed_out;
 }
 
 std::string MineStats::ToString() const {

@@ -34,17 +34,17 @@ Result<TransactionGraph> BuildTransactionGraph(
   return out;
 }
 
-Result<MineResult> MineTransactions(const TransactionGraph& txn,
-                                    MineConfig config) {
+Result<QueryResult> MineTransactions(const TransactionGraph& txn,
+                                     SessionConfig config, TopKQuery query) {
   // The adapter mines under transaction support by definition. A caller who
   // explicitly configured a DIFFERENT measure (or a foreign transaction
   // map) is contradicting that; reject instead of silently clobbering.
-  if (config.support_measure != SupportMeasureKind::kTransaction &&
-      config.support_measure != SupportMeasureKind::kGreedyMisVertex) {
+  if (query.support_measure != SupportMeasureKind::kTransaction &&
+      query.support_measure != SupportMeasureKind::kGreedyMisVertex) {
     return Status::InvalidArgument(
         StrCat("MineTransactions mines under the transaction measure; the "
-               "config asks for ",
-               SupportMeasureName(config.support_measure),
+               "query asks for ",
+               SupportMeasureName(query.support_measure),
                " (leave support_measure at its default or set it to "
                "transaction)"));
   }
@@ -54,15 +54,9 @@ Result<MineResult> MineTransactions(const TransactionGraph& txn,
         "MineTransactions derives txn_of_vertex from the transaction graph; "
         "the config carries a different transaction map");
   }
-  config.support_measure = SupportMeasureKind::kTransaction;
+  query.support_measure = SupportMeasureKind::kTransaction;
   config.txn_of_vertex = &txn.txn_of_vertex;
-  SpiderMiner miner(&txn.graph, config);
-  // The adapter mirrors the shim's one-shot shape; the session migration
-  // for transaction mining rides on its callers, not here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return miner.Mine();
-#pragma GCC diagnostic pop
+  return MineOnce(&txn.graph, config, query);
 }
 
 Result<VertexTxnMap> LoadVertexTxnMap(const std::string& path,

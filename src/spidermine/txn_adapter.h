@@ -6,7 +6,7 @@
 #include "common/result.h"
 #include "graph/labeled_graph.h"
 #include "spidermine/config.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 #include "support/support_measure.h"
 
 /// \file txn_adapter.h
@@ -37,14 +37,14 @@ struct TransactionGraph {
 Result<TransactionGraph> BuildTransactionGraph(
     const std::vector<LabeledGraph>& database);
 
-/// Runs SpiderMine over a transaction database: \p config is adjusted to
-/// transaction support automatically (min_support counts transactions).
-/// Conflicting configs are rejected instead of silently overwritten: the
-/// caller's support_measure must be kTransaction or the struct default
-/// (kGreedyMisVertex, which the adapter upgrades), and a caller-set
-/// txn_of_vertex must be \p txn's own vector.
-Result<MineResult> MineTransactions(const TransactionGraph& txn,
-                                    MineConfig config);
+/// Runs SpiderMine (MineOnce) over a transaction database: \p config and
+/// \p query are adjusted to transaction support automatically
+/// (min_support counts transactions). Conflicting configs are rejected
+/// instead of silently overwritten: the query's support_measure must be
+/// kTransaction or the struct default (kGreedyMisVertex, which the adapter
+/// upgrades), and a caller-set txn_of_vertex must be \p txn's own vector.
+Result<QueryResult> MineTransactions(const TransactionGraph& txn,
+                                     SessionConfig config, TopKQuery query);
 
 /// Loads per-vertex transaction payloads from a `--txn-map` file: plain
 /// text, one `<vertex> <txn_id>` incidence per line, `#` starts a comment,

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "pattern/pattern.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
 /// \file variants.h
 /// Result post-processing for presentation and analysis, modeled on how the

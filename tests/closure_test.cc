@@ -4,12 +4,7 @@
 
 #include "graph/graph_builder.h"
 #include "pattern/vf2.h"
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "spidermine/session.h"
 
 namespace spidermine {
 namespace {
@@ -152,22 +147,23 @@ TEST(ClosureTest, EmptyEmbeddingListIsNoop) {
 // the result at the open path.
 TEST(ClosureTest, MinerRecoversTriangleOnlyWithClosure) {
   LabeledGraph g = TwoTriangles();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 3;
-  config.dmax = 2;
-  config.vmin = 3;
-  config.rng_seed = 1;
-  config.restarts = 4;
+  query.k = 3;
+  query.dmax = 2;
+  query.vmin = 3;
+  query.rng_seed = 1;
+  query.restarts = 4;
 
-  config.close_internal_edges = false;
-  Result<MineResult> open = SpiderMiner(&g, config).Mine();
+  query.close_internal_edges = false;
+  Result<QueryResult> open = MineOnce(&g, config, query);
   ASSERT_TRUE(open.ok());
   ASSERT_FALSE(open->patterns.empty());
   EXPECT_LT(open->patterns.front().NumEdges(), 3);
 
-  config.close_internal_edges = true;
-  Result<MineResult> closed = SpiderMiner(&g, config).Mine();
+  query.close_internal_edges = true;
+  Result<QueryResult> closed = MineOnce(&g, config, query);
   ASSERT_TRUE(closed.ok());
   ASSERT_FALSE(closed->patterns.empty());
   EXPECT_EQ(closed->patterns.front().NumEdges(), 3);

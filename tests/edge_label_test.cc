@@ -7,12 +7,8 @@
 #include "pattern/vf2.h"
 #include "spider/ball_miner.h"
 #include "spider/star_miner.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "spidermine/oracle.h"
 
 /// \file edge_label_test.cc
@@ -366,14 +362,15 @@ TEST(EdgeLabelTest, SpiderMineMinesEdgeLabeledNetworkEndToEnd) {
   }
   LabeledGraph g = std::move(builder.Build()).value();
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;
-  config.k = 3;
-  config.dmax = 4;
-  config.vmin = 4;
-  config.rng_seed = 2;
-  config.restarts = 4;
-  Result<MineResult> result = SpiderMiner(&g, config).Mine();
+  query.k = 3;
+  query.dmax = 4;
+  query.vmin = 4;
+  query.rng_seed = 2;
+  query.restarts = 4;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_FALSE(result->patterns.empty());
   const MinedPattern& top = result->patterns.front();

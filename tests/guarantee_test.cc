@@ -5,12 +5,8 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "spidermine/seed_count.h"
 
 /// \file guarantee_test.cc
@@ -46,14 +42,15 @@ PlantedInstance MakePlantedInstance(uint64_t seed) {
 // the planted one. Recovered patterns may exceed the plant through
 // background interconnections, which the paper explicitly notes.
 bool RunOnce(const PlantedInstance& instance, uint64_t seed, double epsilon) {
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;
-  config.k = 5;
-  config.dmax = 4;
-  config.vmin = instance.planted_vertices;
-  config.epsilon = epsilon;
-  config.rng_seed = seed;
-  Result<MineResult> result = SpiderMiner(&instance.graph, config).Mine();
+  query.k = 5;
+  query.dmax = 4;
+  query.vmin = instance.planted_vertices;
+  query.epsilon = epsilon;
+  query.rng_seed = seed;
+  Result<QueryResult> result = MineOnce(&instance.graph, config, query);
   if (!result.ok() || result->patterns.empty()) return false;
   return result->patterns.front().NumVertices() >= instance.planted_vertices;
 }
@@ -77,17 +74,18 @@ TEST(GuaranteeTest, SuccessRateMeetsEpsilonBound) {
 
 TEST(GuaranteeTest, SmallerEpsilonDrawsMoreSeeds) {
   PlantedInstance instance = MakePlantedInstance(99);
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;
-  config.k = 5;
-  config.dmax = 4;
-  config.vmin = instance.planted_vertices;
-  config.rng_seed = 7;
+  query.k = 5;
+  query.dmax = 4;
+  query.vmin = instance.planted_vertices;
+  query.rng_seed = 7;
 
-  config.epsilon = 0.4;
-  Result<MineResult> loose = SpiderMiner(&instance.graph, config).Mine();
-  config.epsilon = 0.02;
-  Result<MineResult> strict = SpiderMiner(&instance.graph, config).Mine();
+  query.epsilon = 0.4;
+  Result<QueryResult> loose = MineOnce(&instance.graph, config, query);
+  query.epsilon = 0.02;
+  Result<QueryResult> strict = MineOnce(&instance.graph, config, query);
   ASSERT_TRUE(loose.ok());
   ASSERT_TRUE(strict.ok());
   EXPECT_GT(strict->stats.seed_count_m, loose->stats.seed_count_m);
@@ -103,25 +101,26 @@ TEST(GuaranteeTest, StarvedSeedsFailMoreOftenThanLemma2Seeds) {
   int starved = 0;
   int full = 0;
   for (int t = 0; t < trials; ++t) {
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 3;
-    config.k = 5;
-    config.dmax = 4;
-    config.vmin = instance.planted_vertices;
-    config.rng_seed = 500 + static_cast<uint64_t>(t);
+    query.k = 5;
+    query.dmax = 4;
+    query.vmin = instance.planted_vertices;
+    query.rng_seed = 500 + static_cast<uint64_t>(t);
 
-    config.seed_count_override = 1;
-    Result<MineResult> starved_result =
-        SpiderMiner(&instance.graph, config).Mine();
+    query.seed_count_override = 1;
+    Result<QueryResult> starved_result =
+        MineOnce(&instance.graph, config, query);
     if (starved_result.ok() && !starved_result->patterns.empty() &&
         starved_result->patterns.front().NumVertices() >=
             instance.planted_vertices) {
       ++starved;
     }
 
-    config.seed_count_override = 0;  // Lemma 2 value
-    Result<MineResult> full_result =
-        SpiderMiner(&instance.graph, config).Mine();
+    query.seed_count_override = 0;  // Lemma 2 value
+    Result<QueryResult> full_result =
+        MineOnce(&instance.graph, config, query);
     if (full_result.ok() && !full_result->patterns.empty() &&
         full_result->patterns.front().NumVertices() >=
             instance.planted_vertices) {

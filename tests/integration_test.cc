@@ -11,12 +11,7 @@
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/vf2.h"
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "spidermine/session.h"
 
 namespace spidermine {
 namespace {
@@ -42,13 +37,14 @@ TEST(IntegrationTest, SpiderMineMatchesCompleteMinerOnSmallGraph) {
     true_max_edges = std::max(true_max_edges, p.pattern.NumEdges());
   }
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 5;
-  config.dmax = 8;
-  config.vmin = 8;
-  config.rng_seed = 17;
-  Result<MineResult> mined = SpiderMiner(&g, config).Mine();
+  query.k = 5;
+  query.dmax = 8;
+  query.vmin = 8;
+  query.rng_seed = 17;
+  Result<QueryResult> mined = MineOnce(&g, config, query);
   ASSERT_TRUE(mined.ok());
   ASSERT_FALSE(mined->patterns.empty());
   // SpiderMine is probabilistic; it must reach at least ~the same largest
@@ -63,13 +59,14 @@ TEST(IntegrationTest, SpiderMineMatchesCompleteMinerOnSmallGraph) {
 TEST(IntegrationTest, ReturnedSupportsAreReproducible) {
   Result<PaperDataset> data = BuildGidDataset(1, /*seed=*/5);
   ASSERT_TRUE(data.ok());
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 10;
-  config.dmax = 4;
-  config.vmin = 30;
-  config.rng_seed = 3;
-  Result<MineResult> mined = SpiderMiner(&data->graph, config).Mine();
+  query.k = 10;
+  query.dmax = 4;
+  query.vmin = 30;
+  query.rng_seed = 3;
+  Result<QueryResult> mined = MineOnce(&data->graph, config, query);
   ASSERT_TRUE(mined.ok());
   int32_t checked = 0;
   for (const MinedPattern& mp : mined->patterns) {
@@ -99,13 +96,14 @@ TEST(IntegrationTest, Gid1SpiderMineBeatsSubdueOnPatternSize) {
   Result<PaperDataset> data = BuildGidDataset(1, /*seed=*/42);
   ASSERT_TRUE(data.ok());
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 10;
-  config.dmax = 4;
-  config.vmin = 30;
-  config.rng_seed = 9;
-  Result<MineResult> mined = SpiderMiner(&data->graph, config).Mine();
+  query.k = 10;
+  query.dmax = 4;
+  query.vmin = 30;
+  query.rng_seed = 9;
+  Result<QueryResult> mined = MineOnce(&data->graph, config, query);
   ASSERT_TRUE(mined.ok());
   ASSERT_FALSE(mined->patterns.empty());
   int32_t spidermine_best = mined->patterns.front().NumVertices();
@@ -130,12 +128,13 @@ TEST(IntegrationTest, Gid1SpiderMineBeatsSubdueOnPatternSize) {
 TEST(IntegrationTest, ReturnedPatternsRespectDiameterBound) {
   Result<PaperDataset> data = BuildGidDataset(1, /*seed=*/11);
   ASSERT_TRUE(data.ok());
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 10;
-  config.dmax = 4;
-  config.vmin = 30;
-  Result<MineResult> mined = SpiderMiner(&data->graph, config).Mine();
+  query.k = 10;
+  query.dmax = 4;
+  query.vmin = 30;
+  Result<QueryResult> mined = MineOnce(&data->graph, config, query);
   ASSERT_TRUE(mined.ok());
   for (const MinedPattern& mp : mined->patterns) {
     // Stage III keeps growing merged patterns until frequency fails, so

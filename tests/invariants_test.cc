@@ -11,12 +11,8 @@
 #include "graph/graph_io.h"
 #include "pattern/vf2.h"
 #include "spidermine/closure.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "spidermine/oracle.h"
 #include "spidermine/variants.h"
 
@@ -146,13 +142,14 @@ class ResultPostProcessing : public ::testing::TestWithParam<uint64_t> {
     PatternInjector injector(&builder);
     EXPECT_TRUE(injector.Inject(planted, 3, &rng).ok());
     graph_ = std::move(builder.Build()).value();
-    MineConfig config;
+    SessionConfig config;
+    TopKQuery query;
     config.min_support = 2;
-    config.k = 12;
-    config.dmax = 4;
-    config.vmin = 8;
-    config.rng_seed = seed;
-    Result<MineResult> result = SpiderMiner(&graph_, config).Mine();
+    query.k = 12;
+    query.dmax = 4;
+    query.vmin = 8;
+    query.rng_seed = seed;
+    Result<QueryResult> result = MineOnce(&graph_, config, query);
     EXPECT_TRUE(result.ok());
     return result.ok() ? std::move(result->patterns)
                        : std::vector<MinedPattern>{};

@@ -6,12 +6,7 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "spidermine/session.h"
 
 namespace spidermine {
 namespace {
@@ -26,34 +21,36 @@ LabeledGraph DenseLowDiversityGraph(int64_t n, uint64_t seed) {
 
 TEST(MinerBudgetTest, TimeBudgetIsRespectedWithinSingleRounds) {
   LabeledGraph g = DenseLowDiversityGraph(1500, 5);
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 4;
-  config.k = 5;
-  config.dmax = 8;
-  config.vmin = 150;
-  config.rng_seed = 3;
-  config.time_budget_seconds = 3.0;
+  query.k = 5;
+  query.dmax = 8;
+  query.vmin = 150;
+  query.rng_seed = 3;
+  query.time_budget_seconds = 3.0;
   WallTimer timer;
-  Result<MineResult> result = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> result = MineOnce(&g, config, query);
   double elapsed = timer.ElapsedSeconds();
   ASSERT_TRUE(result.ok());
   // The budget is polled inside rounds; allow slack for Stage I and for
   // finishing the current extension.
   EXPECT_LT(elapsed, 20.0) << "budget must bound even one heavy round";
   EXPECT_TRUE(result->stats.timed_out ||
-              result->stats.total_seconds < config.time_budget_seconds + 1);
+              result->stats.total_seconds < query.time_budget_seconds + 1);
 }
 
 TEST(MinerBudgetTest, TruncatedRunStillReturnsPatterns) {
   LabeledGraph g = DenseLowDiversityGraph(800, 7);
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 4;
-  config.k = 5;
-  config.dmax = 6;
-  config.vmin = 80;
-  config.rng_seed = 3;
-  config.time_budget_seconds = 5.0;
-  Result<MineResult> result = SpiderMiner(&g, config).Mine();
+  query.k = 5;
+  query.dmax = 6;
+  query.vmin = 80;
+  query.rng_seed = 3;
+  query.time_budget_seconds = 5.0;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   // With 4 labels on a dense background, frequent structures abound: the
   // miner must surface some even when the budget truncates Stage II/III
@@ -66,30 +63,32 @@ TEST(MinerBudgetTest, TruncatedRunStillReturnsPatterns) {
 
 TEST(MinerBudgetTest, PatternCapsAreReported) {
   LabeledGraph g = DenseLowDiversityGraph(600, 11);
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;
-  config.k = 5;
-  config.dmax = 6;
-  config.vmin = 60;
-  config.rng_seed = 3;
-  config.max_patterns_per_round = 50;  // absurdly small: must trip
-  config.time_budget_seconds = 20.0;
-  Result<MineResult> result = SpiderMiner(&g, config).Mine();
+  query.k = 5;
+  query.dmax = 6;
+  query.vmin = 60;
+  query.rng_seed = 3;
+  query.max_patterns_per_round = 50;  // absurdly small: must trip
+  query.time_budget_seconds = 20.0;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.pattern_cap_hits, 0);
 }
 
 TEST(MinerBudgetTest, EmbeddingCapIsReported) {
   LabeledGraph g = DenseLowDiversityGraph(600, 13);
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;
-  config.k = 3;
-  config.dmax = 4;
-  config.vmin = 60;
-  config.rng_seed = 3;
-  config.max_embeddings_per_pattern = 16;  // tiny: must trip on 4 labels
-  config.time_budget_seconds = 20.0;
-  Result<MineResult> result = SpiderMiner(&g, config).Mine();
+  query.k = 3;
+  query.dmax = 4;
+  query.vmin = 60;
+  query.rng_seed = 3;
+  query.max_embeddings_per_pattern = 16;  // tiny: must trip on 4 labels
+  query.time_budget_seconds = 20.0;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.embedding_cap_hits, 0);
 }
@@ -111,22 +110,23 @@ TEST(DmaxEnforcementTest, FilterDropsOverDiameterResults) {
   ASSERT_TRUE(injector.Inject(planted, 3, &rng).ok());
   LabeledGraph g = std::move(builder.Build()).value();
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 10;
-  config.dmax = 4;
-  config.vmin = 10;
-  config.rng_seed = 9;
+  query.k = 10;
+  query.dmax = 4;
+  query.vmin = 10;
+  query.rng_seed = 9;
 
-  config.enforce_dmax_on_results = true;
-  Result<MineResult> strict = SpiderMiner(&g, config).Mine();
+  query.enforce_dmax_on_results = true;
+  Result<QueryResult> strict = MineOnce(&g, config, query);
   ASSERT_TRUE(strict.ok());
   for (const MinedPattern& p : strict->patterns) {
-    EXPECT_LE(p.pattern.Diameter(), config.dmax);
+    EXPECT_LE(p.pattern.Diameter(), query.dmax);
   }
 
-  config.enforce_dmax_on_results = false;
-  Result<MineResult> loose = SpiderMiner(&g, config).Mine();
+  query.enforce_dmax_on_results = false;
+  Result<QueryResult> loose = MineOnce(&g, config, query);
   ASSERT_TRUE(loose.ok());
   EXPECT_GE(loose->patterns.size(), strict->patterns.size());
 }

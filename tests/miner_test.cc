@@ -1,9 +1,4 @@
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "spidermine/session.h"
 
 #include <gtest/gtest.h>
 
@@ -31,14 +26,14 @@ LabeledGraph TwoPaths() {
 
 TEST(MinerTest, RecoversFullPathPattern) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 3;
-  config.dmax = 4;
-  config.vmin = 5;
-  config.rng_seed = 7;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  query.k = 3;
+  query.dmax = 4;
+  query.vmin = 5;
+  query.rng_seed = 7;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->patterns.empty());
   const MinedPattern& top = result->patterns.front();
@@ -60,14 +55,14 @@ TEST(MinerTest, FindsInjectedPatternInNoise) {
   ASSERT_TRUE(injector.Inject(planted, 3, &rng).ok());
   LabeledGraph g = std::move(builder.Build()).value();
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 5;
-  config.dmax = 8;
-  config.vmin = 12;
-  config.rng_seed = 31;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  query.k = 5;
+  query.dmax = 8;
+  query.vmin = 12;
+  query.rng_seed = 31;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->patterns.empty());
   // The top pattern should capture (most of) the planted 12-vertex pattern.
@@ -81,13 +76,13 @@ TEST(MinerTest, FindsInjectedPatternInNoise) {
 
 TEST(MinerTest, ReturnedEmbeddingsAreRealEmbeddings) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 2;
-  config.dmax = 4;
-  config.vmin = 5;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  query.k = 2;
+  query.dmax = 4;
+  query.vmin = 5;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   for (const MinedPattern& mp : result->patterns) {
     for (const Embedding& e : mp.embeddings) {
@@ -104,26 +99,26 @@ TEST(MinerTest, ReturnedEmbeddingsAreRealEmbeddings) {
 
 TEST(MinerTest, RespectsK) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 1;
-  config.dmax = 4;
-  config.vmin = 5;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  query.k = 1;
+  query.dmax = 4;
+  query.vmin = 5;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->patterns.size(), 1u);
 }
 
 TEST(MinerTest, SupportThresholdExcludesRarePatterns) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;  // only two copies exist
-  config.k = 5;
-  config.dmax = 4;
-  config.vmin = 5;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  query.k = 5;
+  query.dmax = 4;
+  query.vmin = 5;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   for (const MinedPattern& mp : result->patterns) {
     EXPECT_GE(mp.support, 3);
@@ -132,59 +127,66 @@ TEST(MinerTest, SupportThresholdExcludesRarePatterns) {
 
 TEST(MinerTest, InvalidConfigsRejected) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  auto rejected = [&g](SessionConfig config, TopKQuery query) {
+    return !MineOnce(&g, config, query).ok();
+  };
+  SessionConfig config;
   config.min_support = 0;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
-  config = {};
-  config.k = 0;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
-  config = {};
-  config.dmax = 0;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
+  EXPECT_TRUE(rejected(config, {}));
   config = {};
   config.spider_radius = 3;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
-  config = {};
-  config.epsilon = 1.5;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
-  config = {};
-  config.support_measure = SupportMeasureKind::kTransaction;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
+  EXPECT_TRUE(rejected(config, {}));
+  TopKQuery query;
+  query.k = 0;
+  EXPECT_TRUE(rejected({}, query));
+  query = {};
+  query.dmax = 0;
+  EXPECT_TRUE(rejected({}, query));
+  query = {};
+  query.epsilon = 1.5;
+  EXPECT_TRUE(rejected({}, query));
+  query = {};
+  query.support_measure = SupportMeasureKind::kTransaction;
+  EXPECT_TRUE(rejected({}, query));
+  query = {};
+  query.min_support = 1;  // below the session's default floor of 2
+  EXPECT_TRUE(rejected({}, query));
 }
 
 TEST(MinerTest, EmptyGraphYieldsEmptyResult) {
   GraphBuilder b;
   LabeledGraph g = std::move(b.Build()).value();
-  MineConfig config;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  SessionConfig config;
+  TopKQuery query;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->patterns.empty());
 }
 
 TEST(MinerTest, SeedOverrideIsHonored) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 2;
-  config.dmax = 4;
-  config.seed_count_override = 4;
-  SpiderMiner miner(&g, config);
-  Result<MineResult> result = miner.Mine();
+  query.k = 2;
+  query.dmax = 4;
+  query.seed_count_override = 4;
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.seed_count_m, 4);
 }
 
 TEST(MinerTest, DeterministicForFixedSeed) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 3;
-  config.dmax = 4;
-  config.vmin = 5;
-  config.rng_seed = 99;
-  Result<MineResult> a = SpiderMiner(&g, config).Mine();
-  Result<MineResult> b = SpiderMiner(&g, config).Mine();
+  query.k = 3;
+  query.dmax = 4;
+  query.vmin = 5;
+  query.rng_seed = 99;
+  Result<QueryResult> a = MineOnce(&g, config, query);
+  Result<QueryResult> b = MineOnce(&g, config, query);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->patterns.size(), b->patterns.size());
@@ -197,14 +199,15 @@ TEST(MinerTest, DeterministicForFixedSeed) {
 
 TEST(MinerTest, KeepUnmergedAblationRetainsMore) {
   LabeledGraph g = TwoPaths();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 10;
-  config.dmax = 4;
-  config.vmin = 5;
-  Result<MineResult> pruned = SpiderMiner(&g, config).Mine();
-  config.keep_unmerged = true;
-  Result<MineResult> kept = SpiderMiner(&g, config).Mine();
+  query.k = 10;
+  query.dmax = 4;
+  query.vmin = 5;
+  Result<QueryResult> pruned = MineOnce(&g, config, query);
+  query.keep_unmerged = true;
+  Result<QueryResult> kept = MineOnce(&g, config, query);
   ASSERT_TRUE(pruned.ok());
   ASSERT_TRUE(kept.ok());
   EXPECT_GE(kept->patterns.size(), pruned->patterns.size());
@@ -245,13 +248,14 @@ TEST(TxnAdapterTest, MineTransactionsFindsSharedPattern) {
   Result<TransactionGraph> txn = BuildTransactionGraph(data->database);
   ASSERT_TRUE(txn.ok());
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 3;  // transactions
-  config.k = 3;
-  config.dmax = 8;
-  config.vmin = 10;
-  config.rng_seed = 5;
-  Result<MineResult> result = MineTransactions(*txn, config);
+  query.k = 3;
+  query.dmax = 8;
+  query.vmin = 10;
+  query.rng_seed = 5;
+  Result<QueryResult> result = MineTransactions(*txn, config, query);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->patterns.empty());
   EXPECT_GE(result->patterns.front().NumVertices(), 8)

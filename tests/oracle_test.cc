@@ -10,12 +10,7 @@
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/vf2.h"
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "spidermine/session.h"
 
 namespace spidermine {
 namespace {
@@ -179,14 +174,15 @@ TEST(OracleTest, SpiderMineTopSizeMatchesOracleOnPlantedGraph) {
   // job; this test pins the end-to-end agreement of the two engines.
   int32_t best_edges = 0;
   for (uint64_t seed : {3u, 4u, 5u, 6u, 7u}) {
-    MineConfig mine_config;
-    mine_config.min_support = 3;
-    mine_config.k = 5;
-    mine_config.dmax = 4;
-    mine_config.vmin = 8;
-    mine_config.rng_seed = seed;
-    mine_config.restarts = 3;
-    Result<MineResult> mined = SpiderMiner(&g, mine_config).Mine();
+    SessionConfig config;
+    config.min_support = 3;
+    TopKQuery query;
+    query.k = 5;
+    query.dmax = 4;
+    query.vmin = 8;
+    query.rng_seed = seed;
+    query.restarts = 3;
+    Result<QueryResult> mined = MineOnce(&g, config, query);
     ASSERT_TRUE(mined.ok());
     ASSERT_FALSE(mined->patterns.empty());
     best_edges = std::max(best_edges, mined->patterns.front().NumEdges());

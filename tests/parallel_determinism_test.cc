@@ -13,13 +13,8 @@
 #include "graph/graph_builder.h"
 #include "pattern/dfs_code.h"
 #include "spider_test_util.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 #include "support/support_measure.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 /// End-to-end determinism of the parallel pipeline: the mined pattern set,
 /// supports and ordering must be byte-identical for any thread count with
@@ -31,7 +26,7 @@ namespace spidermine {
 namespace {
 
 /// Canonical transcript of a mine result (shared spider_test_util format).
-std::string Transcript(const MineResult& result) {
+std::string Transcript(const QueryResult& result) {
   return PatternsTranscript(result.patterns);
 }
 
@@ -53,26 +48,32 @@ LabeledGraph ScaleFreeGraphWithInjection(uint64_t seed) {
   return std::move(builder.Build()).value();
 }
 
-/// Small caps keep each Mine() run to well under a second while still
-/// exercising every parallel stage (shards, seeding, lineages, merges,
-/// closure); determinism is about folds, not workload size.
-MineConfig BaseConfig() {
-  MineConfig config;
+SessionConfig BaseConfig() {
+  SessionConfig config;
   config.min_support = 3;
-  config.k = 10;
-  config.dmax = 4;
-  config.vmin = 8;
-  config.rng_seed = 7;
-  config.seed_count_override = 12;
-  config.max_patterns_per_round = 600;
-  config.max_embeddings_per_pattern = 1000;
   return config;
 }
 
+/// Small caps keep each MineOnce run to well under a second while still
+/// exercising every parallel stage (shards, seeding, lineages, merges,
+/// closure); determinism is about folds, not workload size.
+TopKQuery BaseQuery() {
+  TopKQuery query;
+  query.k = 10;
+  query.dmax = 4;
+  query.vmin = 8;
+  query.rng_seed = 7;
+  query.seed_count_override = 12;
+  query.max_patterns_per_round = 600;
+  query.max_embeddings_per_pattern = 1000;
+  return query;
+}
+
 void ExpectIdenticalAcrossThreadCounts(const LabeledGraph& g,
-                                       MineConfig config) {
+                                       SessionConfig config,
+                                       const TopKQuery& query) {
   config.num_threads = 1;
-  Result<MineResult> serial = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> serial = MineOnce(&g, config, query);
   ASSERT_TRUE(serial.ok()) << serial.status();
   const std::string reference = Transcript(*serial);
   EXPECT_FALSE(serial->patterns.empty());
@@ -81,7 +82,7 @@ void ExpectIdenticalAcrossThreadCounts(const LabeledGraph& g,
   EXPECT_GT(serial->stats.growth_steps, 0);
   for (int32_t threads : {2, 8}) {
     config.num_threads = threads;
-    Result<MineResult> parallel = SpiderMiner(&g, config).Mine();
+    Result<QueryResult> parallel = MineOnce(&g, config, query);
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_EQ(Transcript(*parallel), reference)
         << "results diverged at num_threads=" << threads;
@@ -95,32 +96,35 @@ void ExpectIdenticalAcrossThreadCounts(const LabeledGraph& g,
 
 TEST(ParallelDeterminismTest, ErdosRenyiTopKIdenticalAtAnyThreadCount) {
   LabeledGraph g = ErGraphWithInjection(101);
-  ExpectIdenticalAcrossThreadCounts(g, BaseConfig());
+  ExpectIdenticalAcrossThreadCounts(g, BaseConfig(), BaseQuery());
 }
 
 TEST(ParallelDeterminismTest, ScaleFreeTopKIdenticalAtAnyThreadCount) {
   LabeledGraph g = ScaleFreeGraphWithInjection(202);
-  MineConfig config = BaseConfig();
-  config.dmax = 4;
-  ExpectIdenticalAcrossThreadCounts(g, config);
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
+  query.dmax = 4;
+  ExpectIdenticalAcrossThreadCounts(g, config, query);
 }
 
 TEST(ParallelDeterminismTest, RestartsUseIndependentSubstreams) {
   LabeledGraph g = ErGraphWithInjection(303);
-  MineConfig config = BaseConfig();
-  config.restarts = 3;
-  config.seed_count_override = 4;
-  ExpectIdenticalAcrossThreadCounts(g, config);
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
+  query.restarts = 3;
+  query.seed_count_override = 4;
+  ExpectIdenticalAcrossThreadCounts(g, config, query);
 }
 
 TEST(ParallelDeterminismTest, ShardGrainAndThreadsMatrixIdentical) {
   // Shard-grain invariance: the transcript must be byte-identical across
   // {1, 2, 8} threads x {tiny, default, huge} Stage I vertex-range grains.
   LabeledGraph g = ErGraphWithInjection(606);
-  MineConfig config = BaseConfig();
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
   config.num_threads = 1;
   config.stage1_shard_grain = 0;
-  Result<MineResult> reference = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> reference = MineOnce(&g, config, query);
   ASSERT_TRUE(reference.ok()) << reference.status();
   const std::string expected = Transcript(*reference);
   EXPECT_FALSE(reference->patterns.empty());
@@ -128,7 +132,7 @@ TEST(ParallelDeterminismTest, ShardGrainAndThreadsMatrixIdentical) {
     for (int64_t grain : {int64_t{3}, int64_t{0}, int64_t{1} << 20}) {
       config.num_threads = threads;
       config.stage1_shard_grain = grain;
-      Result<MineResult> run = SpiderMiner(&g, config).Mine();
+      Result<QueryResult> run = MineOnce(&g, config, query);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(Transcript(*run), expected)
           << "diverged at threads=" << threads << " grain=" << grain;
@@ -143,10 +147,11 @@ TEST(ParallelDeterminismTest, GlobalSpiderBudgetIsGrainAndThreadInvariant) {
   // With max_spiders set, the admitted prefix (and hence everything
   // downstream) must not depend on threads or grain either.
   LabeledGraph g = ScaleFreeGraphWithInjection(707);
-  MineConfig config = BaseConfig();
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
   config.max_spiders = 40;
   config.num_threads = 1;
-  Result<MineResult> reference = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> reference = MineOnce(&g, config, query);
   ASSERT_TRUE(reference.ok()) << reference.status();
   EXPECT_EQ(reference->stats.num_spiders, 40);
   const std::string expected = Transcript(*reference);
@@ -154,7 +159,7 @@ TEST(ParallelDeterminismTest, GlobalSpiderBudgetIsGrainAndThreadInvariant) {
     for (int64_t grain : {int64_t{5}, int64_t{0}}) {
       config.num_threads = threads;
       config.stage1_shard_grain = grain;
-      Result<MineResult> run = SpiderMiner(&g, config).Mine();
+      Result<QueryResult> run = MineOnce(&g, config, query);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(Transcript(*run), expected)
           << "budgeted run diverged at threads=" << threads
@@ -176,11 +181,12 @@ TEST(ParallelDeterminismTest, CheckMergePairPassIdenticalUnderMergePressure) {
   ASSERT_TRUE(injector.Inject(planted, 4, &rng).ok());
   LabeledGraph g = std::move(builder.Build()).value();
 
-  MineConfig config = BaseConfig();
-  config.seed_count_override = 24;
-  config.max_merge_pairs_per_key = 32;
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
+  query.seed_count_override = 24;
+  query.max_merge_pairs_per_key = 32;
   config.num_threads = 1;
-  Result<MineResult> serial = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> serial = MineOnce(&g, config, query);
   ASSERT_TRUE(serial.ok()) << serial.status();
   // Vacuous without real merge work.
   EXPECT_GT(serial->stats.merges, 0);
@@ -188,7 +194,7 @@ TEST(ParallelDeterminismTest, CheckMergePairPassIdenticalUnderMergePressure) {
   const std::string reference = Transcript(*serial);
   for (int32_t threads : {2, 8}) {
     config.num_threads = threads;
-    Result<MineResult> parallel = SpiderMiner(&g, config).Mine();
+    Result<QueryResult> parallel = MineOnce(&g, config, query);
     ASSERT_TRUE(parallel.ok()) << parallel.status();
     EXPECT_EQ(Transcript(*parallel), reference)
         << "merge-heavy run diverged at num_threads=" << threads;
@@ -218,14 +224,15 @@ TEST(ParallelDeterminismTest, MeasureThreadsBudgetMatrixIdentical) {
        {SupportMeasureKind::kGreedyMisVertex, SupportMeasureKind::kGreedyMisEdge,
         SupportMeasureKind::kMinImage, SupportMeasureKind::kEmbeddingCount,
         SupportMeasureKind::kHomomorphism, SupportMeasureKind::kTransaction}) {
-    MineConfig config = BaseConfig();
-    config.support_measure = measure;
+    SessionConfig config = BaseConfig();
+    TopKQuery query = BaseQuery();
+    query.support_measure = measure;
     if (measure == SupportMeasureKind::kTransaction) {
       config.txn_map = &txn_map;
-      config.txn_sample = 5;  // a genuine sample: 5 of 8 transactions
+      query.txn_sample = 5;  // a genuine sample: 5 of 8 transactions
     }
     config.num_threads = 1;
-    Result<MineResult> reference = SpiderMiner(&g, config).Mine();
+    Result<QueryResult> reference = MineOnce(&g, config, query);
     ASSERT_TRUE(reference.ok())
         << SupportMeasureName(measure) << ": " << reference.status();
     EXPECT_FALSE(reference->patterns.empty()) << SupportMeasureName(measure);
@@ -233,8 +240,8 @@ TEST(ParallelDeterminismTest, MeasureThreadsBudgetMatrixIdentical) {
     for (int32_t threads : {1, 8}) {
       for (int64_t budget : {int64_t{4096}, int64_t{0}}) {
         config.num_threads = threads;
-        config.embedding_list_budget = budget;
-        Result<MineResult> run = SpiderMiner(&g, config).Mine();
+        query.embedding_list_budget = budget;
+        Result<QueryResult> run = MineOnce(&g, config, query);
         ASSERT_TRUE(run.ok()) << run.status();
         EXPECT_EQ(Transcript(*run), expected)
             << SupportMeasureName(measure) << " diverged at threads="
@@ -245,18 +252,19 @@ TEST(ParallelDeterminismTest, MeasureThreadsBudgetMatrixIdentical) {
 }
 
 TEST(ParallelDeterminismTest, CallerProvidedPoolReusedAcrossMines) {
-  // One externally owned pool serves several Mine() calls (the bench-sweep
-  // / restart reuse path) and produces the same transcript as per-Mine
-  // pool construction.
+  // One externally owned pool serves several MineOnce calls (the
+  // bench-sweep / restart reuse path) and produces the same transcript as
+  // per-call pool construction.
   LabeledGraph g = ErGraphWithInjection(808);
-  MineConfig config = BaseConfig();
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
   config.num_threads = 4;
-  Result<MineResult> owned = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> owned = MineOnce(&g, config, query);
   ASSERT_TRUE(owned.ok());
   ThreadPool shared_pool(4);
   config.pool = &shared_pool;
   for (int run = 0; run < 3; ++run) {
-    Result<MineResult> result = SpiderMiner(&g, config).Mine();
+    Result<QueryResult> result = MineOnce(&g, config, query);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(Transcript(*result), Transcript(*owned))
         << "shared-pool run " << run << " diverged";
@@ -265,28 +273,31 @@ TEST(ParallelDeterminismTest, CallerProvidedPoolReusedAcrossMines) {
 
 TEST(ParallelDeterminismTest, NegativeShardGrainRejected) {
   LabeledGraph g = ErGraphWithInjection(909);
-  MineConfig config = BaseConfig();
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
   config.stage1_shard_grain = -7;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
+  EXPECT_FALSE(MineOnce(&g, config, query).ok());
 }
 
 TEST(ParallelDeterminismTest, ZeroThreadsMeansHardwareDefault) {
   LabeledGraph g = ErGraphWithInjection(404);
-  MineConfig config = BaseConfig();
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
   config.num_threads = 1;
-  Result<MineResult> serial = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> serial = MineOnce(&g, config, query);
   ASSERT_TRUE(serial.ok());
   config.num_threads = 0;  // all cores
-  Result<MineResult> parallel = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> parallel = MineOnce(&g, config, query);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(Transcript(*parallel), Transcript(*serial));
 }
 
 TEST(ParallelDeterminismTest, NegativeThreadCountRejected) {
   LabeledGraph g = ErGraphWithInjection(505);
-  MineConfig config = BaseConfig();
+  SessionConfig config = BaseConfig();
+  TopKQuery query = BaseQuery();
   config.num_threads = -2;
-  EXPECT_FALSE(SpiderMiner(&g, config).Mine().ok());
+  EXPECT_FALSE(MineOnce(&g, config, query).ok());
 }
 
 }  // namespace

@@ -6,12 +6,7 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "spidermine/session.h"
 
 namespace spidermine {
 namespace {
@@ -24,19 +19,20 @@ TEST(RestartsTest, MultipleRunsAccumulateResults) {
   ASSERT_TRUE(injector.Inject(planted, 3, &rng).ok());
   LabeledGraph g = std::move(builder.Build()).value();
 
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 10;
-  config.dmax = 6;
-  config.vmin = 10;
-  config.rng_seed = 1;
+  query.k = 10;
+  query.dmax = 6;
+  query.vmin = 10;
+  query.rng_seed = 1;
   // Starve a single run of seeds so restarts visibly help.
-  config.seed_count_override = 2;
+  query.seed_count_override = 2;
 
-  config.restarts = 1;
-  Result<MineResult> one = SpiderMiner(&g, config).Mine();
-  config.restarts = 8;
-  Result<MineResult> many = SpiderMiner(&g, config).Mine();
+  query.restarts = 1;
+  Result<QueryResult> one = MineOnce(&g, config, query);
+  query.restarts = 8;
+  Result<QueryResult> many = MineOnce(&g, config, query);
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(many.ok());
   // More runs can only widen the accumulated result set.
@@ -54,15 +50,16 @@ TEST(RestartsTest, RestartsRespectTimeBudget) {
   Rng rng(910);
   LabeledGraph g =
       std::move(GenerateErdosRenyi(400, 3.0, 8, &rng).Build()).value();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 5;
-  config.dmax = 6;
-  config.vmin = 40;
-  config.restarts = 1000;  // absurd; budget must stop it
-  config.time_budget_seconds = 2.0;
+  query.k = 5;
+  query.dmax = 6;
+  query.vmin = 40;
+  query.restarts = 1000;  // absurd; budget must stop it
+  query.time_budget_seconds = 2.0;
   WallTimer timer;
-  Result<MineResult> result = SpiderMiner(&g, config).Mine();
+  Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(timer.ElapsedSeconds(), 15.0);
   EXPECT_TRUE(result->stats.timed_out);
@@ -72,15 +69,16 @@ TEST(RestartsTest, SingleRestartMatchesDefault) {
   Rng rng(911);
   LabeledGraph g =
       std::move(GenerateErdosRenyi(100, 2.0, 10, &rng).Build()).value();
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 2;
-  config.k = 5;
-  config.dmax = 4;
-  config.vmin = 10;
-  config.rng_seed = 77;
-  Result<MineResult> a = SpiderMiner(&g, config).Mine();
-  config.restarts = 1;
-  Result<MineResult> b = SpiderMiner(&g, config).Mine();
+  query.k = 5;
+  query.dmax = 4;
+  query.vmin = 10;
+  query.rng_seed = 77;
+  Result<QueryResult> a = MineOnce(&g, config, query);
+  query.restarts = 1;
+  Result<QueryResult> b = MineOnce(&g, config, query);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->patterns.size(), b->patterns.size());

@@ -12,17 +12,11 @@
 #include "graph/graph_builder.h"
 #include "pattern/vf2.h"
 #include "spider_test_util.h"
-#include "spidermine/miner.h"
-
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 /// The MiningSession contract: Stage I runs exactly once per session, every
-/// query against the cached store is byte-identical to a standalone Mine()
-/// with the same parameters (at any thread count), and a bad query returns
-/// an error without invalidating the session.
+/// query against the cached store is byte-identical to the same query on a
+/// fresh session (at any thread count), and a bad query returns an error
+/// without invalidating the session.
 
 namespace spidermine {
 namespace {
@@ -52,19 +46,7 @@ TopKQuery BaseQuery(uint64_t rng_seed) {
   return query;
 }
 
-/// The legacy fused config equivalent to BaseSessionConfig + BaseQuery.
-MineConfig EquivalentMineConfig(uint64_t rng_seed) {
-  MineConfig config;
-  config.min_support = 3;
-  config.k = 8;
-  config.dmax = 4;
-  config.vmin = 8;
-  config.rng_seed = rng_seed;
-  config.seed_count_override = 10;
-  return config;
-}
-
-TEST(SessionTest, NQueriesMatchNIndependentMinesAtOneAndEightThreads) {
+TEST(SessionTest, NQueriesMatchNFreshSessionsAtOneAndEightThreads) {
   LabeledGraph g = TestGraph(11);
   const std::vector<uint64_t> seeds = {7, 8, 9, 1234};
   for (int32_t threads : {1, 8}) {
@@ -77,18 +59,22 @@ TEST(SessionTest, NQueriesMatchNIndependentMinesAtOneAndEightThreads) {
       Result<QueryResult> query_result =
           session->RunQuery(BaseQuery(seed));
       ASSERT_TRUE(query_result.ok()) << query_result.status();
-      MineConfig mine_config = EquivalentMineConfig(seed);
-      mine_config.num_threads = threads;
-      Result<MineResult> standalone = SpiderMiner(&g, mine_config).Mine();
-      ASSERT_TRUE(standalone.ok()) << standalone.status();
-      EXPECT_FALSE(standalone->patterns.empty());
+      // MineOnce: a fresh session that answers this one query.
+      Result<QueryResult> fresh =
+          MineOnce(&g, session_config, BaseQuery(seed));
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      EXPECT_FALSE(fresh->patterns.empty());
       EXPECT_EQ(PatternsTranscript(query_result->patterns),
-                PatternsTranscript(standalone->patterns))
-          << "session query diverged from standalone Mine() at seed="
+                PatternsTranscript(fresh->patterns))
+          << "session query diverged from a fresh session at seed="
           << seed << " threads=" << threads;
-      EXPECT_EQ(query_result->stats.growth_steps,
-                standalone->stats.growth_steps);
-      EXPECT_EQ(query_result->stats.merges, standalone->stats.merges);
+      EXPECT_EQ(query_result->stats.growth_steps, fresh->stats.growth_steps);
+      EXPECT_EQ(query_result->stats.merges, fresh->stats.merges);
+      // The one-shot result also carries the Stage I counters.
+      EXPECT_EQ(fresh->stats.num_spiders,
+                session->stage1_stats().num_spiders);
+      EXPECT_EQ(fresh->stats.stage1_steps,
+                session->stage1_stats().stage1_steps);
     }
     EXPECT_EQ(session->queries_run(),
               static_cast<int64_t>(seeds.size()));

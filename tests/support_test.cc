@@ -210,11 +210,12 @@ Result<TransactionGraph> TinyTransactionGraph() {
 TEST(TxnAdapterTest, MineTransactionsRejectsConflictingMeasure) {
   Result<TransactionGraph> txn = TinyTransactionGraph();
   ASSERT_TRUE(txn.ok());
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 1;
-  config.vmin = 1;
-  config.support_measure = SupportMeasureKind::kMinImage;
-  Result<MineResult> result = MineTransactions(*txn, config);
+  query.vmin = 1;
+  query.support_measure = SupportMeasureKind::kMinImage;
+  Result<QueryResult> result = MineTransactions(*txn, config, query);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("transaction measure"),
             std::string::npos)
@@ -226,11 +227,12 @@ TEST(TxnAdapterTest, MineTransactionsRejectsForeignTxnMap) {
   ASSERT_TRUE(txn.ok());
   std::vector<int32_t> foreign(static_cast<size_t>(txn->graph.NumVertices()),
                                0);
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 1;
-  config.vmin = 1;
+  query.vmin = 1;
   config.txn_of_vertex = &foreign;
-  Result<MineResult> result = MineTransactions(*txn, config);
+  Result<QueryResult> result = MineTransactions(*txn, config, query);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("different transaction map"),
             std::string::npos)
@@ -240,13 +242,14 @@ TEST(TxnAdapterTest, MineTransactionsRejectsForeignTxnMap) {
 TEST(TxnAdapterTest, MineTransactionsAcceptsDefaultAndExplicitMeasure) {
   Result<TransactionGraph> txn = TinyTransactionGraph();
   ASSERT_TRUE(txn.ok());
-  MineConfig config;
+  SessionConfig config;
+  TopKQuery query;
   config.min_support = 1;
-  config.vmin = 1;
-  ASSERT_TRUE(MineTransactions(*txn, config).ok());  // struct default
-  config.support_measure = SupportMeasureKind::kTransaction;
+  query.vmin = 1;
+  ASSERT_TRUE(MineTransactions(*txn, config, query).ok());  // struct default
+  query.support_measure = SupportMeasureKind::kTransaction;
   config.txn_of_vertex = &txn->txn_of_vertex;  // the graph's own map is fine
-  ASSERT_TRUE(MineTransactions(*txn, config).ok());
+  ASSERT_TRUE(MineTransactions(*txn, config, query).ok());
 }
 
 TEST(TxnAdapterTest, LoadVertexTxnMapParsesAndValidates) {

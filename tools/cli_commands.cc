@@ -24,7 +24,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_metrics.h"
 #include "graph/graph_partition.h"
-#include "spidermine/miner.h"
 #include "spidermine/session.h"
 #include "spidermine/stage1_partition.h"
 #include "spidermine/txn_adapter.h"
@@ -255,42 +254,39 @@ Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
   SM_ASSIGN_OR_RETURN(LabeledGraph graph,
                       LoadGraphAuto(flags.positional()[0]));
 
-  MineConfig config;
+  SessionConfig config;
   config.min_support = flags.GetInt("support");
-  config.k = static_cast<int32_t>(flags.GetInt("k"));
-  config.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
-  config.epsilon = flags.GetDouble("epsilon");
-  config.vmin = flags.GetInt("vmin");
-  config.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  config.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
   SM_ASSIGN_OR_RETURN(config.num_threads,
                       ValidateThreadsFlag(flags.GetInt("threads")));
   SM_ASSIGN_OR_RETURN(config.stage1_shard_grain,
                       ValidateShardGrainFlag(flags.GetInt("shard-grain")));
-  config.time_budget_seconds = flags.GetDouble("time-budget");
-  config.embedding_list_budget = flags.GetInt("emb-budget");
-  config.enforce_dmax_on_results = flags.GetBool("strict-dmax");
-  SM_ASSIGN_OR_RETURN(config.support_measure,
+  TopKQuery query;
+  query.k = static_cast<int32_t>(flags.GetInt("k"));
+  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
+  query.epsilon = flags.GetDouble("epsilon");
+  query.vmin = flags.GetInt("vmin");
+  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
+  query.time_budget_seconds = flags.GetDouble("time-budget");
+  query.embedding_list_budget = flags.GetInt("emb-budget");
+  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
+  SM_ASSIGN_OR_RETURN(query.support_measure,
                       ParseMeasure(flags.GetString("measure")));
-  config.txn_sample = flags.GetInt("txn-sample");
-  VertexTxnMap txn_map_storage;  // must outlive miner.Mine()
+  query.txn_sample = flags.GetInt("txn-sample");
+  VertexTxnMap txn_map_storage;  // must outlive MineOnce()
   SM_ASSIGN_OR_RETURN(
       config.txn_map,
       MaybeLoadTxnMap(flags.GetString("txn-map"), graph, &txn_map_storage));
 
-  SpiderMiner miner(&graph, config);
-  // `mine` IS the one-shot fused path the shim exists for; the session
-  // lifecycle is served by `stage1` / `query` / `serve`.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  SM_ASSIGN_OR_RETURN(MineResult result, miner.Mine());
-#pragma GCC diagnostic pop
+  // `mine` is the one-shot path; the session lifecycle is served by
+  // `stage1` / `query` / `serve`.
+  SM_ASSIGN_OR_RETURN(QueryResult result, MineOnce(&graph, config, query));
 
   std::vector<MinedPattern> patterns = std::move(result.patterns);
   if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
 
   out << "top " << patterns.size() << " patterns ("
-      << SupportMeasureName(config.support_measure) << " support):\n";
+      << SupportMeasureName(query.support_measure) << " support):\n";
   for (size_t i = 0; i < patterns.size(); ++i) {
     PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
   }
