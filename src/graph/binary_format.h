@@ -19,8 +19,7 @@
 ///   [20.. ]  payload (little-endian integers)
 ///
 /// Codecs for concrete types live next to those types (graphs and patterns
-/// in graph/binary_io, the Stage I spider store in spider/spider_store_io)
-/// and share these helpers, so the graph layer never depends upward. Each
+/// in graph/binary_io) and share these helpers, so the graph layer never depends upward. Each
 /// codec owns its version number (passed with the magic), so evolving one
 /// format never invalidates saved files of the others.
 

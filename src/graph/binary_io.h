@@ -22,8 +22,8 @@
 /// 32-bit counts. Loads
 /// verify magic, version, length and CRC before decoding and fail with
 /// kIoError on any mismatch, so truncated or corrupted files are never
-/// silently accepted. Stage I spider-store artifacts share the same
-/// framing; their codec lives with the store (spider/spider_store_io.h).
+/// silently accepted. Stage I artifacts use their own zero-copy layout
+/// (spider/spider_store_mmap.h).
 
 namespace spidermine {
 

@@ -1,5 +1,6 @@
 #include "spider/spider_store_mmap.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string_view>
@@ -169,12 +170,25 @@ std::string Stage1ToSm2Bytes(const SpiderStore& store,
   return out;
 }
 
+Status CheckStage1Magic(const std::string& path, std::string_view head) {
+  const std::string_view magic = head.substr(0, 4);
+  if (magic == std::string_view(kSm2Magic, 4)) return Status::Ok();
+  if (magic == "SMS1") {
+    return Status::IoError(
+        StrCat("'", path, "' is a Stage I artifact in the retired .sm1 "
+               "format; re-run `spidermine stage1` to write a .sm2"));
+  }
+  return Status::IoError(
+      StrCat("'", path,
+             "' is not a stage1 artifact (unrecognized format magic)"));
+}
+
 Status SaveStage1Sm2(const SpiderStore& store, const SpiderIndex& index,
                      const Stage1Meta& meta, const std::string& path) {
   if (!Sm2HostSupported()) {
     return Status::IoError(
-        "the zero-copy .sm2 format is little-endian only; use the legacy "
-        ".sm1 writer on this host");
+        "the zero-copy .sm2 format is little-endian only and cannot be "
+        "written on this host");
   }
   return binary_format::WriteFile(path,
                                   Stage1ToSm2Bytes(store, index, meta));
@@ -189,13 +203,13 @@ Result<std::unique_ptr<MappedStage1>> MappedStage1::Open(
   }
   SM_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
   const std::span<const uint8_t> bytes = file.bytes();
+  SM_RETURN_NOT_OK(CheckStage1Magic(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             std::min<size_t>(bytes.size(), 4))));
   if (bytes.size() < kSm2HeaderBytes + 4) {
     return Status::IoError(StrCat("sm2 file too short: ", bytes.size(),
                                   " bytes < ", kSm2HeaderBytes + 4,
                                   "-byte header"));
-  }
-  if (std::memcmp(bytes.data(), kSm2Magic, 4) != 0) {
-    return Status::IoError("bad magic; expected SMS2");
   }
   const uint32_t version = LoadU32(bytes.data() + 4);
   if (version != kSm2FormatVersion) {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -12,16 +13,13 @@
 #include "common/result.h"
 #include "spider/spider_index.h"
 #include "spider/spider_store.h"
-#include "spider/spider_store_io.h"
 
 /// \file spider_store_mmap.h
 /// The zero-copy on-disk Stage I artifact: format `.sm2` (magic "SMS2").
 ///
-/// The legacy `.sm1` format (spider_store_io.h) deserializes through a
-/// copy — every integer is decoded and re-appended, so a serving replica
-/// pays seconds of CPU and a full heap copy per multi-GB store. `.sm2`
-/// instead lays the store's columns (and the CSR anchor index) on disk
-/// exactly as they live in memory: fixed-width little-endian arrays,
+/// `.sm2` lays the store's columns (and the CSR anchor index) on disk
+/// exactly as they live in memory, so nothing is decoded or copied at
+/// load: fixed-width little-endian arrays,
 /// each section start padded to 64-byte alignment, so loading is an
 /// `mmap` + header check and the arrays are used in place via the
 /// borrowed-span modes of SpiderStore/SpiderIndex. N replicas on one box
@@ -60,9 +58,8 @@
 /// (MiningSession invokes it before the first query touches the data),
 /// so opening a cold multi-GB artifact stays in the milliseconds.
 ///
-/// The format is little-endian only: on a big-endian host `Open` refuses
-/// `.sm2` files and `MiningSession::SaveStage1` falls back to the
-/// portable legacy `.sm1` writer.
+/// The format is little-endian only: on a big-endian host `Open` and
+/// `SaveStage1Sm2` return kIoError.
 
 namespace spidermine {
 
@@ -70,6 +67,32 @@ inline constexpr char kSm2Magic[4] = {'S', 'M', 'S', '2'};
 inline constexpr uint32_t kSm2FormatVersion = 1;
 inline constexpr uint32_t kSm2SectionCount = 9;
 inline constexpr size_t kSm2SectionAlign = 64;
+
+/// Provenance of a saved Stage I artifact: the mining parameters that
+/// produced the spider set (MiningSession::LoadStage1 restores them as the
+/// session's floor) plus the identity of the graph it was mined over (size
+/// and content hash, so an artifact is never silently applied to a
+/// different network).
+struct Stage1Meta {
+  int64_t min_support = 2;
+  int32_t spider_radius = 1;
+  int32_t max_star_leaves = 8;
+  int64_t max_spiders = 0;
+  int64_t num_graph_vertices = 0;
+  /// LabeledGraph::ContentHash() of the mined network.
+  /// MiningSession::SaveStage1 always records it and LoadStage1 requires
+  /// an exact match, so an artifact can never be served against a
+  /// different graph (callers building metas by hand must fill it in).
+  uint64_t graph_hash = 0;
+  /// True when a spider budget or time budget truncated the mined set.
+  bool truncated = false;
+};
+
+/// Checks the leading bytes \p head (the format magic) of the Stage I
+/// artifact at \p path: Ok for `.sm2`, kIoError otherwise. Files of the
+/// retired copy-load format (magic "SMS1") get a message that says to
+/// re-run `spidermine stage1`.
+Status CheckStage1Magic(const std::string& path, std::string_view head);
 
 /// True when this host can read/write `.sm2` in place (little-endian).
 constexpr bool Sm2HostSupported() {

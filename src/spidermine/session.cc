@@ -8,10 +8,8 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "graph/binary_format.h"
 #include "pattern/dfs_code.h"
 #include "pattern/vf2.h"
-#include "spider/spider_store_io.h"
 #include "spider/spider_store_mmap.h"
 #include "spider/star_miner.h"
 #include "spidermine/closure.h"
@@ -159,8 +157,6 @@ const char* Stage1LoadModeName(Stage1LoadMode mode) {
   switch (mode) {
     case Stage1LoadMode::kMined:
       return "mined";
-    case Stage1LoadMode::kCopied:
-      return "copied";
     case Stage1LoadMode::kMapped:
       return "mapped";
   }
@@ -261,53 +257,6 @@ Result<MiningSession> MiningSession::Create(const LabeledGraph* graph,
   return session;
 }
 
-Result<MiningSession> MiningSession::FromStore(const LabeledGraph* graph,
-                                               SessionConfig config,
-                                               SpiderStore store) {
-  SM_RETURN_NOT_OK(config.Validate());
-  // Anchors are graph vertex ids: an out-of-range anchor would corrupt the
-  // index build and every downstream neighborhood scan, so a store is
-  // checked against the graph it claims to describe before adoption.
-  for (int32_t id = 0; id < static_cast<int32_t>(store.size()); ++id) {
-    for (VertexId anchor : store.anchors(id)) {
-      if (anchor < 0 || anchor >= graph->NumVertices()) {
-        return Status::InvalidArgument(
-            StrCat("spider ", id, " anchored at vertex ", anchor,
-                   ", outside the graph's ", graph->NumVertices(),
-                   " vertices (store/graph mismatch)"));
-      }
-    }
-  }
-
-  MiningSession session;
-  session.graph_ = graph;
-  session.config_ = config;
-  session.InitTxnState();
-  session.load_mode_ = Stage1LoadMode::kCopied;
-  session.pool_ = config.pool;
-  if (session.pool_ == nullptr) {
-    session.owned_pool_ = std::make_unique<ThreadPool>(
-        config.num_threads > 0 ? config.num_threads
-                               : ThreadPool::DefaultThreads());
-    session.pool_ = session.owned_pool_.get();
-  }
-  WallTimer stage_timer;
-  session.store_ = std::make_unique<SpiderStore>(std::move(store));
-  MineStats& stats = session.stage1_stats_;
-  stats.num_spiders = session.store_->size();
-  stats.stage1_store_bytes = session.store_->HeapBytes();
-  for (int32_t id = 0; id < static_cast<int32_t>(session.store_->size());
-       ++id) {
-    if (session.store_->closed(id)) ++stats.num_closed_spiders;
-  }
-  session.index_ =
-      std::make_unique<SpiderIndex>(session.store_.get(),
-                                    graph->NumVertices());
-  stats.stage1_seconds = stage_timer.ElapsedSeconds();
-  stats.total_seconds = stats.stage1_seconds;
-  return session;
-}
-
 Status MiningSession::SaveStage1(const std::string& path) const {
   Stage1Meta meta;
   meta.min_support = config_.min_support;
@@ -317,11 +266,6 @@ Status MiningSession::SaveStage1(const std::string& path) const {
   meta.num_graph_vertices = graph_->NumVertices();
   meta.graph_hash = graph_->ContentHash();
   meta.truncated = stage1_truncated_;
-  if (!Sm2HostSupported()) {
-    // Big-endian hosts cannot lay the columns out for in-place reuse;
-    // the portable legacy format still round-trips everywhere.
-    return SaveSpiderStoreBinary(*store_, meta, path);
-  }
   // Re-saving a mapped artifact must not launder tampered bytes into a
   // fresh file with valid checksums.
   if (mapped_ != nullptr) SM_RETURN_NOT_OK(mapped_->EnsureValidated());
@@ -330,10 +274,9 @@ Status MiningSession::SaveStage1(const std::string& path) const {
 
 namespace {
 
-/// Shared by both load paths: binds an artifact to the serving graph and
-/// folds its mining parameters into the session config. The message
-/// substrings ("-vertex graph", "hash mismatch") are load-bearing —
-/// callers and tests match on them.
+/// Binds an artifact to the serving graph and folds its mining parameters
+/// into the session config. The message substrings ("-vertex graph",
+/// "hash mismatch") are load-bearing — callers and tests match on them.
 Status BindArtifactToGraph(const Stage1Meta& meta, const LabeledGraph& graph,
                            SessionConfig* config) {
   if (meta.num_graph_vertices != graph.NumVertices()) {
@@ -366,57 +309,44 @@ Result<MiningSession> MiningSession::LoadStage1(const LabeledGraph* graph,
                                                 SessionConfig config,
                                                 const std::string& path) {
   WallTimer load_timer;
-  if (binary_format::PeekMagic(path) == std::string(kSm2Magic, 4)) {
-    // ---- Zero-copy path: mmap the artifact and borrow its columns. ----
-    SM_ASSIGN_OR_RETURN(std::unique_ptr<MappedStage1> mapped,
-                        MappedStage1::Open(path));
-    const Stage1Meta& meta = mapped->meta();
-    SM_RETURN_NOT_OK(BindArtifactToGraph(meta, *graph, &config));
-    SM_RETURN_NOT_OK(config.Validate());
-    MiningSession session;
-    session.graph_ = graph;
-    session.config_ = config;
-    session.InitTxnState();
-    session.load_mode_ = Stage1LoadMode::kMapped;
-    session.pool_ = config.pool;
-    if (session.pool_ == nullptr) {
-      session.owned_pool_ = std::make_unique<ThreadPool>(
-          config.num_threads > 0 ? config.num_threads
-                                 : ThreadPool::DefaultThreads());
-      session.pool_ = session.owned_pool_.get();
-    }
-    session.mapped_ = std::move(mapped);
-    // Shallow borrowed-span copies: the columns and the CSR index arrays
-    // stay in the mapping. FromStore's O(total anchors) adoption scan is
-    // skipped — Open's structural checks plus the lazy section CRCs (run
-    // before the first query touches the data) cover the same contract.
-    session.store_ =
-        std::make_unique<SpiderStore>(session.mapped_->store());
-    session.index_ = std::make_unique<SpiderIndex>(
-        session.store_.get(), session.mapped_->index().offsets(),
-        session.mapped_->index().ids());
-    MineStats& stats = session.stage1_stats_;
-    stats.num_spiders = session.store_->size();
-    stats.stage1_store_bytes = session.store_->HeapBytes();
-    for (int32_t id = 0; id < static_cast<int32_t>(session.store_->size());
-         ++id) {
-      if (session.store_->closed(id)) ++stats.num_closed_spiders;
-    }
-    session.stage1_truncated_ = meta.truncated;
-    session.stage1_load_seconds_ = load_timer.ElapsedSeconds();
-    stats.stage1_seconds = session.stage1_load_seconds_;
-    stats.total_seconds = stats.stage1_seconds;
-    return session;
+  // Zero-copy: mmap the artifact and borrow its columns.
+  SM_ASSIGN_OR_RETURN(std::unique_ptr<MappedStage1> mapped,
+                      MappedStage1::Open(path));
+  const Stage1Meta& meta = mapped->meta();
+  SM_RETURN_NOT_OK(BindArtifactToGraph(meta, *graph, &config));
+  SM_RETURN_NOT_OK(config.Validate());
+  MiningSession session;
+  session.graph_ = graph;
+  session.config_ = config;
+  session.InitTxnState();
+  session.load_mode_ = Stage1LoadMode::kMapped;
+  session.pool_ = config.pool;
+  if (session.pool_ == nullptr) {
+    session.owned_pool_ = std::make_unique<ThreadPool>(
+        config.num_threads > 0 ? config.num_threads
+                               : ThreadPool::DefaultThreads());
+    session.pool_ = session.owned_pool_.get();
   }
-
-  // ---- Legacy `.sm1` path: deserialize through a heap copy. ----
-  SM_ASSIGN_OR_RETURN(Stage1Artifact artifact, LoadSpiderStoreBinary(path));
-  SM_RETURN_NOT_OK(BindArtifactToGraph(artifact.meta, *graph, &config));
-  SM_ASSIGN_OR_RETURN(
-      MiningSession session,
-      FromStore(graph, config, std::move(artifact.store)));
-  session.stage1_truncated_ = artifact.meta.truncated;
+  session.mapped_ = std::move(mapped);
+  // Shallow borrowed-span copies: the columns and the CSR index arrays
+  // stay in the mapping. Open's structural checks plus the lazy section
+  // CRCs (run before the first query touches the data) stand in for an
+  // O(total anchors) adoption scan.
+  session.store_ = std::make_unique<SpiderStore>(session.mapped_->store());
+  session.index_ = std::make_unique<SpiderIndex>(
+      session.store_.get(), session.mapped_->index().offsets(),
+      session.mapped_->index().ids());
+  MineStats& stats = session.stage1_stats_;
+  stats.num_spiders = session.store_->size();
+  stats.stage1_store_bytes = session.store_->HeapBytes();
+  for (int32_t id = 0; id < static_cast<int32_t>(session.store_->size());
+       ++id) {
+    if (session.store_->closed(id)) ++stats.num_closed_spiders;
+  }
+  session.stage1_truncated_ = meta.truncated;
   session.stage1_load_seconds_ = load_timer.ElapsedSeconds();
+  stats.stage1_seconds = session.stage1_load_seconds_;
+  stats.total_seconds = stats.stage1_seconds;
   return session;
 }
 

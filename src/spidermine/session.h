@@ -51,7 +51,7 @@
 /// serving starts).
 ///
 /// Stage I artifacts round-trip to disk (`SaveStage1` / `LoadStage1`,
-/// graph/binary_io.h): the CLI `stage1` subcommand precomputes the spider
+/// spider/spider_store_mmap.h): the CLI `stage1` subcommand precomputes the spider
 /// set offline, `query` answers repeated top-K requests against the saved
 /// artifact without re-mining, and `serve` keeps one session resident,
 /// answering newline-delimited JSON queries concurrently (tools/serve_loop.h).
@@ -65,8 +65,6 @@ using TopKQuery = QueryConfig;
 enum class Stage1LoadMode {
   /// Mined from the graph at construction (Create).
   kMined,
-  /// Deserialized through a heap copy (legacy `.sm1` artifact, FromStore).
-  kCopied,
   /// Borrowed zero-copy from an mmap'd `.sm2` artifact.
   kMapped,
 };
@@ -171,25 +169,16 @@ class MiningSession {
   static Result<MiningSession> Create(const LabeledGraph* graph,
                                       SessionConfig config);
 
-  /// Builds a session around an already-mined \p store (e.g. deserialized).
-  /// Validates that every anchor is a vertex of \p graph. The store is
-  /// adopted; config describes how it was mined (min_support is the floor
-  /// queries are checked against).
-  static Result<MiningSession> FromStore(const LabeledGraph* graph,
-                                         SessionConfig config,
-                                         SpiderStore store);
-
   /// Writes the session's Stage I artifact (spider store + CSR index +
-  /// mining parameters) to \p path. Writes the zero-copy `.sm2` format
-  /// (spider/spider_store_mmap.h) on little-endian hosts and falls back to
-  /// the portable legacy `.sm1` format elsewhere. Overwrites.
+  /// mining parameters) to \p path in the zero-copy `.sm2` format
+  /// (spider/spider_store_mmap.h). Overwrites. Fails with kIoError on
+  /// big-endian hosts, which cannot write `.sm2`.
   Status SaveStage1(const std::string& path) const;
 
-  /// Rebuilds a session from a SaveStage1 artifact. Sniffs the format
-  /// magic: `.sm2` artifacts are mmap'd and served zero-copy (the session
-  /// borrows spans over the mapping; bulk sections CRC-validate lazily on
-  /// the first query), legacy `.sm1` artifacts deserialize through a heap
-  /// copy. The artifact's mining parameters (support floor, radius,
+  /// Rebuilds a session from a SaveStage1 artifact. The `.sm2` file is
+  /// mmap'd and served zero-copy (the session borrows spans over the
+  /// mapping; bulk sections CRC-validate lazily on the first query). The
+  /// artifact's mining parameters (support floor, radius,
   /// leaf/spider caps) override the corresponding fields of \p config —
   /// they describe the stored set — while the parallelism knobs of
   /// \p config are honored. Fails with kIoError on corrupt/truncated files
@@ -218,7 +207,7 @@ class MiningSession {
   const MineStats& stage1_stats() const { return stage1_stats_; }
   /// True when a Stage I budget or spider cap truncated the mined set.
   bool stage1_truncated() const { return stage1_truncated_; }
-  /// How the Stage I spider set was obtained (mined / copied / mapped).
+  /// How the Stage I spider set was obtained (mined / mapped).
   Stage1LoadMode stage1_load_mode() const { return load_mode_; }
   /// Wall seconds spent loading + adopting the Stage I artifact (0 when
   /// the session mined its own spider set).

@@ -11,7 +11,7 @@
 #include "common/thread_pool.h"
 #include "graph/graph_partition.h"
 #include "spider/spider_store.h"
-#include "spider/spider_store_io.h"
+#include "spider/spider_store_mmap.h"
 
 /// \file stage1_partition.h
 /// Out-of-core partitioned Stage I: mine the spider set per graph

@@ -8,7 +8,6 @@
 
 #include "graph/binary_format.h"
 #include "graph/binary_io.h"
-#include "spider/spider_store_io.h"
 #include "spider/spider_store_mmap.h"
 
 namespace spidermine::cli {
@@ -253,7 +252,7 @@ TEST_F(CliTest, QueryAnswersTwiceByteIdenticallyAndMatchesMine) {
                       "--inject-count=3", "--out=" + graph_path},
                      gen_out)
                   .ok());
-  const std::string artifact = Track(TempPath("cli_query.sm1"));
+  const std::string artifact = Track(TempPath("cli_query.sm2"));
   std::ostringstream stage1_out;
   ASSERT_TRUE(
       CmdStage1({graph_path, "--support=3", "--out=" + artifact}, stage1_out)
@@ -288,7 +287,7 @@ TEST_F(CliTest, QueryRejectsSupportBelowArtifactFloor) {
                       "--out=" + graph_path},
                      gen_out)
                   .ok());
-  const std::string artifact = Track(TempPath("cli_query_floor.sm1"));
+  const std::string artifact = Track(TempPath("cli_query_floor.sm2"));
   std::ostringstream stage1_out;
   ASSERT_TRUE(
       CmdStage1({graph_path, "--support=3", "--out=" + artifact}, stage1_out)
@@ -306,7 +305,7 @@ TEST_F(CliTest, QueryRejectsCorruptArtifact) {
                       "--out=" + graph_path},
                      gen_out)
                   .ok());
-  const std::string artifact = Track(TempPath("cli_query_corrupt.sm1"));
+  const std::string artifact = Track(TempPath("cli_query_corrupt.sm2"));
   std::ostringstream stage1_out;
   ASSERT_TRUE(
       CmdStage1({graph_path, "--support=2", "--out=" + artifact}, stage1_out)

@@ -27,7 +27,6 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
-#include "spider/spider_store_io.h"
 #include "spider/spider_store_mmap.h"
 #include "spidermine/session.h"
 #include "tools/cli_commands.h"
@@ -403,18 +402,41 @@ TEST(ServePrecheckTest, UnrecognizedMagicFailsFast) {
   std::filesystem::remove(path);
 }
 
-TEST(ServePrecheckTest, RecognizedMagicsPassTheSniff) {
+TEST(ServePrecheckTest, Sm2MagicPassesTheSniff) {
   // The precheck is a four-byte magic sniff, not full validation: its job
   // is to reject obviously-wrong paths before the expensive graph load.
   // Structural errors still surface at LoadStage1.
   const std::string path =
       (std::filesystem::temp_directory_path() / "serve_precheck_magic.bin")
           .string();
-  for (const std::string magic :
-       {std::string(kSm1Magic, 4), std::string(kSm2Magic, 4)}) {
-    std::ofstream(path, std::ios::binary) << magic << "tail bytes";
-    EXPECT_TRUE(PrecheckStage1Artifact(path).ok()) << magic;
-  }
+  std::ofstream(path, std::ios::binary)
+      << std::string(kSm2Magic, 4) << "tail bytes";
+  EXPECT_TRUE(PrecheckStage1Artifact(path).ok());
+  std::filesystem::remove(path);
+}
+
+TEST(ServePrecheckTest, RetiredSm1ArtifactIsRefusedWithAHint) {
+  // `.sm1` (magic "SMS1") was the copy-load Stage I format. Neither the
+  // precheck nor the loader reads it; both name the command that writes
+  // a `.sm2` in its place.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "serve_precheck_sm1.bin")
+          .string();
+  std::ofstream(path, std::ios::binary) << "SMS1" << std::string(200, '\0');
+  Status precheck = PrecheckStage1Artifact(path);
+  EXPECT_EQ(precheck.code(), StatusCode::kIoError);
+  EXPECT_NE(precheck.message().find("re-run `spidermine stage1`"),
+            std::string::npos)
+      << precheck.ToString();
+
+  LabeledGraph graph = TestGraph();
+  Result<MiningSession> loaded =
+      MiningSession::LoadStage1(&graph, SessionConfig{}, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("re-run `spidermine stage1`"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::filesystem::remove(path);
 }
 

@@ -17,7 +17,6 @@
 #include "gen/pattern_factory.h"
 #include "graph/binary_format.h"
 #include "graph/graph_builder.h"
-#include "spider/spider_store_io.h"
 #include "spider_test_util.h"
 #include "spidermine/session.h"
 
@@ -25,7 +24,8 @@
 /// queries byte-identically to the session that mined the store (at any
 /// thread count), corrupt/truncated/misaligned files must be rejected
 /// through Result<>, tampered bulk sections must be caught by the lazy CRC
-/// pass on first touch, and legacy `.sm1` artifacts must keep loading.
+/// pass on first touch, and an artifact must not load against another
+/// graph.
 
 namespace spidermine {
 namespace {
@@ -252,39 +252,16 @@ TEST(SpiderStoreMmapTest, GraphMismatchRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("hash mismatch"),
             std::string::npos);
+
+  Rng rng(99);
+  LabeledGraph smaller =
+      std::move(GenerateErdosRenyi(50, 2.0, 5, &rng).Build()).value();
+  loaded = MiningSession::LoadStage1(&smaller, SessionConfig{}, fx.path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("-vertex graph"),
+            std::string::npos);
   std::filesystem::remove(fx.path);
-}
-
-TEST(SpiderStoreMmapTest, LegacySm1ArtifactStillLoads) {
-  LabeledGraph g = TestGraph(108);
-  Result<MiningSession> mined = MiningSession::Create(&g, MinedConfig());
-  ASSERT_TRUE(mined.ok()) << mined.status();
-
-  // Write the legacy format directly (what a pre-`.sm2` release saved).
-  Stage1Meta meta;
-  meta.min_support = 3;
-  meta.spider_radius = mined->config().spider_radius;
-  meta.max_star_leaves = mined->config().max_star_leaves;
-  meta.max_spiders = mined->config().max_spiders;
-  meta.num_graph_vertices = g.NumVertices();
-  meta.graph_hash = g.ContentHash();
-  const std::string path = TempPath("sm2_legacy.sm1");
-  ASSERT_TRUE(SaveSpiderStoreBinary(mined->store(), meta, path).ok());
-  EXPECT_EQ(binary_format::PeekMagic(path), std::string(kSm1Magic, 4));
-
-  Result<MiningSession> loaded =
-      MiningSession::LoadStage1(&g, SessionConfig{}, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->stage1_load_mode(), Stage1LoadMode::kCopied);
-  EXPECT_FALSE(loaded->store().is_borrowed());
-  EXPECT_EQ(StoreTranscript(loaded->store()),
-            StoreTranscript(mined->store()));
-  Result<QueryResult> a = mined->RunQuery(SmallQuery(5));
-  Result<QueryResult> b = loaded->RunQuery(SmallQuery(5));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(PatternsTranscript(b->patterns), PatternsTranscript(a->patterns));
-  std::filesystem::remove(path);
 }
 
 TEST(SpiderStoreMmapTest, MissingFileRejected) {

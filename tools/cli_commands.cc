@@ -680,13 +680,7 @@ Status PrecheckStage1Artifact(const std::string& path) {
     return Status::IoError(
         StrCat("cannot read stage1 artifact '", path, "'"));
   }
-  if (magic != std::string(kSm2Magic, 4) &&
-      magic != std::string(kSm1Magic, 4)) {
-    return Status::IoError(
-        StrCat("'", path,
-               "' is not a stage1 artifact (unrecognized format magic)"));
-  }
-  return Status::Ok();
+  return CheckStage1Magic(path, magic);
 }
 
 Status CmdServe(const std::vector<std::string>& args, std::istream& in,

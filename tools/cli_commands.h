@@ -70,8 +70,7 @@ Status CmdBaseline(const std::vector<std::string>& args, std::ostream& out);
 Status CmdConvert(const std::vector<std::string>& args, std::ostream& out);
 
 /// Cheap fail-fast check of a stage1 artifact path: the file must be
-/// readable and carry a recognized format magic ("SMS2" zero-copy or
-/// "SMS1" legacy). `serve` runs it before the graph is loaded and the
+/// readable and carry the `.sm2` format magic ("SMS2"). `serve` runs it before the graph is loaded and the
 /// worker pool is built, so a typo'd --artifact path fails in
 /// milliseconds, not after seconds of graph loading. kIoError otherwise.
 Status PrecheckStage1Artifact(const std::string& path);

@@ -5,9 +5,9 @@
 //   spidermine gen --model=er --vertices=2000 --avg-degree=3 --labels=30 --inject-vertices=25 --inject-count=3 --out=/tmp/g.smg
 //   spidermine stats /tmp/g.smg
 //   spidermine mine /tmp/g.smg --support=3 --k=10 --dmax=4 --variants --stats
-//   spidermine stage1 /tmp/g.smg --support=3 --out=/tmp/g.sm1
-//   spidermine query /tmp/g.smg /tmp/g.sm1 --k=10 --dmax=4 --seed=7
-//   echo '{"id":1,"k":10,"seed":7}' | spidermine serve /tmp/g.smg /tmp/g.sm1 --max-inflight=4
+//   spidermine stage1 /tmp/g.smg --support=3 --out=/tmp/g.sm2
+//   spidermine query /tmp/g.smg /tmp/g.sm2 --k=10 --dmax=4 --seed=7
+//   echo '{"id":1,"k":10,"seed":7}' | spidermine serve /tmp/g.smg /tmp/g.sm2 --max-inflight=4
 //   spidermine baseline /tmp/g.smg --algo=subdue
 //   spidermine convert /tmp/g.smg /tmp/g.lg
 //
