@@ -773,10 +773,7 @@ Result<QueryResult> MineOnce(const LabeledGraph* graph, SessionConfig config,
 
   WallTimer total_timer;
   const double budget = query.time_budget_seconds;
-  double& stage1_budget = config.stage1_time_budget_seconds;
-  if (budget > 0 && (stage1_budget <= 0 || stage1_budget > budget)) {
-    stage1_budget = budget;
-  }
+  if (budget > 0) config.stage1_time_budget_seconds = budget;
   SM_ASSIGN_OR_RETURN(MiningSession session,
                       MiningSession::Create(graph, config));
   const MineStats& stage1 = session.stage1_stats();

@@ -280,9 +280,9 @@ class MiningSession {
 
 /// One-shot SpiderMine (paper Algorithm 1): mines Stage I of \p graph
 /// (borrowed for the call) under \p config, answers \p query, and drops
-/// the session. `query.time_budget_seconds` bounds the whole run: Stage I
-/// gets it (or config's own Stage I budget when that is tighter) and the
-/// query gets whatever Stage I left, at least 1e-9 s. The query is
+/// the session. `query.time_budget_seconds`, when set, bounds the whole
+/// run: it replaces config's Stage I budget, and the query gets whatever
+/// Stage I left, at least 1e-9 s. The query is
 /// validated before Stage I starts. Patterns equal `Create` + `RunQuery`
 /// with the same parameters; the stats also carry the Stage I counters,
 /// and total_seconds spans both stages. Anything that mines a graph more
