@@ -87,7 +87,8 @@ TEST(MinerBudgetTest, EmbeddingCapIsReported) {
   query.vmin = 60;
   query.rng_seed = 3;
   query.max_embeddings_per_pattern = 16;  // tiny: must trip on 4 labels
-  query.time_budget_seconds = 20.0;
+  // The cap trips within the first rounds; a short budget is enough.
+  query.time_budget_seconds = 2.0;
   Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.embedding_cap_hits, 0);

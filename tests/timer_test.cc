@@ -17,7 +17,7 @@ TEST(WallTimerTest, RestartResetsEpoch) {
   WallTimer timer;
   // Burn a little time.
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   double before = timer.ElapsedSeconds();
   timer.Restart();
   EXPECT_LE(timer.ElapsedSeconds(), before + 1e-3);
@@ -39,7 +39,7 @@ TEST(DeadlineTest, UnlimitedNeverExpires) {
 TEST(DeadlineTest, TinyBudgetExpires) {
   Deadline d(1e-9);
   volatile double sink = 0;
-  for (int i = 0; i < 10000; ++i) sink += i;
+  for (int i = 0; i < 10000; ++i) sink = sink + i;
   EXPECT_TRUE(d.Expired());
   EXPECT_EQ(d.RemainingSeconds(), 0.0);
 }
