@@ -115,6 +115,30 @@ Result<SupportMeasureKind> ParseMeasure(const std::string& name) {
              "or transaction)"));
 }
 
+namespace {
+
+/// The Stages II+III flags `mine` and `query` share (all but --support,
+/// which sets the mined floor in `mine` and the query threshold in
+/// `query`).
+Result<TopKQuery> QueryFromFlags(const FlagSet& flags) {
+  TopKQuery query;
+  query.k = static_cast<int32_t>(flags.GetInt("k"));
+  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
+  query.epsilon = flags.GetDouble("epsilon");
+  query.vmin = flags.GetInt("vmin");
+  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
+  query.time_budget_seconds = flags.GetDouble("time-budget");
+  query.embedding_list_budget = flags.GetInt("emb-budget");
+  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
+  SM_ASSIGN_OR_RETURN(query.support_measure,
+                      ParseMeasure(flags.GetString("measure")));
+  query.txn_sample = flags.GetInt("txn-sample");
+  return query;
+}
+
+}  // namespace
+
 Result<LabeledGraph> LoadGraphAuto(const std::string& path) {
   if (HasExtension(path, ".smg")) return LoadGraphBinary(path);
   return LoadGraphText(path);
@@ -260,19 +284,7 @@ Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
                       ValidateThreadsFlag(flags.GetInt("threads")));
   SM_ASSIGN_OR_RETURN(config.stage1_shard_grain,
                       ValidateShardGrainFlag(flags.GetInt("shard-grain")));
-  TopKQuery query;
-  query.k = static_cast<int32_t>(flags.GetInt("k"));
-  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
-  query.epsilon = flags.GetDouble("epsilon");
-  query.vmin = flags.GetInt("vmin");
-  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
-  query.time_budget_seconds = flags.GetDouble("time-budget");
-  query.embedding_list_budget = flags.GetInt("emb-budget");
-  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
-  SM_ASSIGN_OR_RETURN(query.support_measure,
-                      ParseMeasure(flags.GetString("measure")));
-  query.txn_sample = flags.GetInt("txn-sample");
+  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(flags));
   VertexTxnMap txn_map_storage;  // must outlive MineOnce()
   SM_ASSIGN_OR_RETURN(
       config.txn_map,
@@ -626,20 +638,8 @@ Status CmdQuery(const std::vector<std::string>& args, std::ostream& out) {
       MiningSession::LoadStage1(&graph, session_config,
                                 flags.positional()[1]));
 
-  TopKQuery query;
+  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(flags));
   query.min_support = flags.GetInt("support");
-  query.k = static_cast<int32_t>(flags.GetInt("k"));
-  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
-  query.epsilon = flags.GetDouble("epsilon");
-  query.vmin = flags.GetInt("vmin");
-  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
-  query.time_budget_seconds = flags.GetDouble("time-budget");
-  query.embedding_list_budget = flags.GetInt("emb-budget");
-  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
-  SM_ASSIGN_OR_RETURN(query.support_measure,
-                      ParseMeasure(flags.GetString("measure")));
-  query.txn_sample = flags.GetInt("txn-sample");
 
   SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
 
