@@ -81,42 +81,53 @@ void ThreadPool::ParallelForChunks(
   // chunk from a shared cursor. Scheduling order varies between runs, but
   // callers write only to pre-sized per-index slots, so results do not.
   //
-  // Completion is a per-call latch, NOT pool-global WaitIdle(): with
-  // several concurrent callers (in-flight queries sharing a session pool)
-  // a global wait would block each call on every other caller's tasks --
-  // and `body`, captured by reference, must stay alive until precisely
-  // this call's helpers have finished.
-  const int64_t chunk_size = grain;
-  struct CallLatch {
-    std::atomic<int64_t> cursor{0};
+  // Completion counts finished CHUNKS, not helpers: a runner claims a chunk
+  // before it touches `body` or `token`, and the call returns once every
+  // chunk is finished. The caller keeps claiming until the cursor is used
+  // up, so it never waits for a helper still queued behind other callers'
+  // tasks (or behind a worker blocked in a nested call); a helper that
+  // starts late finds no chunk and touches only the shared CallState.
+  struct CallState {
+    std::atomic<int64_t> cursor{0};  // next unclaimed chunk
+    int64_t n = 0;
+    int64_t chunk_size = 0;
+    int64_t num_chunks = 0;
+    const std::function<void(int64_t, int64_t)>* body = nullptr;
+    const CancellationToken* token = nullptr;
     std::mutex mu;
     std::condition_variable done;
-    int32_t pending_helpers = 0;
-  };
-  auto latch = std::make_shared<CallLatch>();
-  auto run_chunks = [latch, n, chunk_size, token, &body] {
-    for (;;) {
-      if (token != nullptr && token->IsCancelled()) return;
-      const int64_t begin = latch->cursor.fetch_add(chunk_size);
-      if (begin >= n) return;
-      body(begin, std::min(n, begin + chunk_size));
+    int64_t finished = 0;  // guarded by mu
+
+    void RunChunks() {
+      for (;;) {
+        const int64_t chunk = cursor.fetch_add(1);
+        if (chunk >= num_chunks) return;
+        // The caller waits for this chunk, so body and token are alive.
+        if (token == nullptr || !token->IsCancelled()) {
+          const int64_t begin = chunk * chunk_size;
+          (*body)(begin, std::min(n, begin + chunk_size));
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        if (++finished == num_chunks) done.notify_all();
+      }
     }
   };
+  auto state = std::make_shared<CallState>();
+  state->n = n;
+  state->chunk_size = grain;
+  state->num_chunks = (n + grain - 1) / grain;
+  state->body = &body;
+  state->token = token;
   // Spawn at most one task per chunk so tiny loops do not wake every worker.
-  const int64_t num_chunks = (n + chunk_size - 1) / chunk_size;
   const int32_t helpers = static_cast<int32_t>(
-      std::min<int64_t>(num_threads_, num_chunks - 1));
-  latch->pending_helpers = helpers;
+      std::min<int64_t>(num_threads_, state->num_chunks - 1));
   for (int32_t t = 0; t < helpers; ++t) {
-    Schedule([latch, run_chunks] {
-      run_chunks();
-      std::unique_lock<std::mutex> lock(latch->mu);
-      if (--latch->pending_helpers == 0) latch->done.notify_all();
-    });
+    Schedule([state] { state->RunChunks(); });
   }
-  run_chunks();  // the caller helps
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->done.wait(lock, [&latch] { return latch->pending_helpers == 0; });
+  state->RunChunks();  // the caller helps until no chunk is left to claim
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done.wait(lock,
+                   [&state] { return state->finished == state->num_chunks; });
 }
 
 void ThreadPool::ParallelFor(int64_t n,

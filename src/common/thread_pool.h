@@ -22,10 +22,15 @@
 /// Concurrent callers: one pool may be shared by any number of caller
 /// threads (the serving scenario: many in-flight queries fanning out over
 /// one session pool). Schedule() is thread-safe, and each
-/// ParallelFor/ParallelForChunks call tracks its own helper tasks with a
-/// per-call latch, so a call returns exactly when *its* iterations are
-/// done -- never blocking on (or being blocked by) another caller's work.
-/// WaitIdle() remains pool-global: it observes every caller's tasks.
+/// ParallelFor/ParallelForChunks call counts its own finished chunks: a
+/// runner claims a chunk before touching the loop body, the caller runs
+/// chunks itself until none is left to claim, and the call returns once
+/// every claimed chunk has finished. It never waits for a helper task that
+/// is still queued (behind another caller's work, or behind a worker that
+/// is blocked), so nested calls from inside a worker cannot deadlock; a
+/// helper that starts late finds nothing to claim and touches nothing the
+/// caller owns. WaitIdle() remains pool-global: it observes every caller's
+/// tasks.
 ///
 /// Cooperative cancellation: long-running stages poll a CancellationToken
 /// (optionally bound to a Deadline) so a time budget stops workers
@@ -93,8 +98,9 @@ class ThreadPool {
   /// \p token is non-null and becomes cancelled, chunks not yet started are
   /// skipped (iterations already running finish; callers observe partial
   /// output only through their own slots). Safe to call concurrently from
-  /// multiple threads on one pool: the call waits only for its own
-  /// iterations (per-call latch), not for other callers' tasks.
+  /// multiple threads on one pool, and from inside a pool worker: the call
+  /// waits only for its own claimed chunks, not for other callers' tasks
+  /// or for its own helpers to be dequeued.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& body,
                    const CancellationToken* token = nullptr);
 

@@ -43,8 +43,8 @@
 /// (GrowthEngine, RNG, collectors, stats); the only cross-query state is
 /// the serving aggregate (`serving_stats()`, `queries_run()`), folded
 /// under a mutex after each query completes. Concurrent queries share the
-/// session's worker pool; ThreadPool's per-call latches keep each query's
-/// parallel loops independent, so a query's result is byte-identical to
+/// session's worker pool; ThreadPool's per-call chunk counts keep each
+/// query's parallel loops independent, so a query's result is byte-identical to
 /// the same query run with the session serialized -- concurrency changes
 /// wall-clock interleaving, never output. Moving a MiningSession while
 /// queries are in flight is undefined behavior (move it only before

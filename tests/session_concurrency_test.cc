@@ -55,7 +55,7 @@ TEST(SessionConcurrencyTest, ConcurrentQueriesMatchSerialExecution) {
   LabeledGraph g = TestGraph(11);
   // The session pool has 2 workers shared by every in-flight query: the
   // contended configuration (queries outnumber workers) that the per-call
-  // ThreadPool latches must keep independent.
+  // ThreadPool chunk counts must keep independent.
   Result<MiningSession> session = MiningSession::Create(&g, BaseSessionConfig(2));
   ASSERT_TRUE(session.ok()) << session.status();
 
@@ -154,7 +154,7 @@ TEST(SessionConcurrencyTest, ConcurrentBadQueriesIsolateFromGoodOnes) {
 
 TEST(SessionConcurrencyTest, SessionsShareACallerProvidedPool) {
   // Two sessions on one borrowed pool, queried concurrently: the
-  // per-call latches must keep even cross-session parallel loops
+  // per-call chunk counts must keep even cross-session parallel loops
   // independent (the bench/serving fleet configuration).
   LabeledGraph g1 = TestGraph(33);
   LabeledGraph g2 = TestGraph(44);

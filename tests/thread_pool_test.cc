@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -122,7 +128,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersStayIndependent) {
   // The serving configuration: several caller threads run parallel loops
   // on ONE shared pool at once (concurrent queries on a session pool).
   // Each call must cover exactly its own iterations and return when they
-  // are done — the per-call latch, not a pool-global wait.
+  // are done — the per-call chunk count, not a pool-global wait.
   ThreadPool pool(2);
   constexpr int kCallers = 4;
   const int64_t n = 20011;
@@ -151,6 +157,100 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersStayIndependent) {
     });
   }
   for (std::thread& caller : callers) caller.join();
+}
+
+/// Occupies every worker of a pool with a task that blocks until Release(),
+/// so helper tasks scheduled meanwhile stay queued behind them. Destruction
+/// releases the workers and waits until every blocking task has returned.
+class WorkerBlocker {
+ public:
+  explicit WorkerBlocker(ThreadPool* pool) {
+    const int32_t workers = pool->num_threads();
+    for (int32_t t = 0; t < workers; ++t) {
+      pool->Schedule([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++blocked_;
+        changed_.notify_all();
+        changed_.wait(lock, [this] { return released_; });
+        --blocked_;
+        changed_.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this, workers] { return blocked_ == workers; });
+  }
+
+  WorkerBlocker(const WorkerBlocker&) = delete;
+  WorkerBlocker& operator=(const WorkerBlocker&) = delete;
+
+  ~WorkerBlocker() {
+    Release();
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this] { return blocked_ == 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable changed_;
+  int32_t blocked_ = 0;
+  bool released_ = false;
+};
+
+/// Runs \p call on its own thread and reports whether it returned within
+/// 10 s. On a timeout it releases \p blocker, so a call that waits for its
+/// queued helpers finishes and the test fails instead of hanging.
+bool ReturnsWhileBlocked(WorkerBlocker* blocker,
+                         const std::function<void()>& call) {
+  std::future<void> done = std::async(std::launch::async, call);
+  const bool returned =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!returned) blocker->Release();
+  done.get();
+  return returned;
+}
+
+TEST(ThreadPoolTest, ParallelForChunksReturnsWhileHelpersAreQueued) {
+  // With every worker busy, the call's helpers cannot start; the caller
+  // runs every chunk itself and must return without waiting for them.
+  ThreadPool pool(3);
+  WorkerBlocker blocker(&pool);
+  const int64_t n = 257;
+  std::vector<int> hits(static_cast<size_t>(n), 0);
+  EXPECT_TRUE(ReturnsWhileBlocked(&blocker, [&pool, &hits, n] {
+    pool.ParallelForChunks(n, /*grain=*/4, [&hits](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) ++hits[static_cast<size_t>(i)];
+    });
+  })) << "the call waited for helpers that never ran";
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[static_cast<size_t>(i)], 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, LateHelpersDoNotTouchTheFinishedCall) {
+  // The helpers of a returned call start only after its body and token are
+  // gone. They must find no chunk to claim and touch neither (a sanitizer
+  // build reports the use after free if they do).
+  ThreadPool pool(3);
+  WorkerBlocker blocker(&pool);
+  auto token = std::make_unique<CancellationToken>();
+  std::atomic<int64_t> ran{0};
+  auto body = std::make_unique<std::function<void(int64_t, int64_t)>>(
+      [&ran](int64_t begin, int64_t end) { ran.fetch_add(end - begin); });
+  ASSERT_TRUE(ReturnsWhileBlocked(&blocker, [&pool, &body, &token] {
+    pool.ParallelForChunks(100, /*grain=*/1, *body, token.get());
+  }));
+  EXPECT_EQ(ran.load(), 100);
+  body.reset();
+  token.reset();
+  blocker.Release();
+  pool.WaitIdle();  // the late helpers run here
+  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(CancellationTokenTest, StartsUncancelledAndLatchesOnRequest) {
