@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/thread_pool.h"
-
 namespace spidermine {
 
 namespace {
@@ -55,28 +53,6 @@ std::vector<std::vector<VertexId>> AvailabilityLists(
     }
   }
   return avail;
-}
-
-/// Serial fold of chunk-partial lists: saturated iff any chunk overflowed
-/// its budget+1 cap (then its true count already exceeds the budget) or the
-/// exact total does. An unsaturated fold concatenates exact per-chunk
-/// enumerations in ascending chunk order, so content is grain-independent.
-EmbeddingListRef FoldChunks(std::vector<std::vector<Embedding>>&& partial,
-                            const std::vector<char>& overflow,
-                            int64_t budget) {
-  int64_t total = 0;
-  bool saturated = false;
-  for (const char o : overflow) saturated |= (o != 0);
-  for (const std::vector<Embedding>& chunk : partial) {
-    total += static_cast<int64_t>(chunk.size());
-  }
-  if (saturated || total > budget) return SaturatedEmbeddingList();
-  auto list = std::make_shared<EmbeddingList>();
-  list->embeddings.reserve(static_cast<size_t>(total));
-  for (std::vector<Embedding>& chunk : partial) {
-    for (Embedding& e : chunk) list->embeddings.push_back(std::move(e));
-  }
-  return list;
 }
 
 }  // namespace
@@ -180,9 +156,7 @@ bool EnumerateLeafAssignments(
 EmbeddingListRef BuildStarEmbeddingList(const LabeledGraph& graph,
                                         const SpiderStore& store,
                                         int32_t spider_id, int64_t budget,
-                                        ThreadPool* pool,
-                                        const CancellationToken* token,
-                                        int64_t grain, bool homomorphic) {
+                                        bool homomorphic) {
   if (budget <= 0) return SaturatedEmbeddingList();
   const auto groups = GroupLeafKeys(store.leaves(spider_id));
   // Homomorphic centers: any head-labeled vertex with >= 1 neighbor per
@@ -195,59 +169,37 @@ EmbeddingListRef BuildStarEmbeddingList(const LabeledGraph& graph,
     centers = head < graph.NumLabels() ? graph.VerticesWithLabel(head)
                                        : std::span<const VertexId>{};
   }
-  const int64_t n = static_cast<int64_t>(centers.size());
-  if (n == 0) return std::make_shared<EmbeddingList>();
-
-  std::vector<std::vector<Embedding>> partial(static_cast<size_t>(n));
-  std::vector<char> overflow(static_cast<size_t>(n), 0);
-  const int64_t cap = budget + 1;
-  auto body = [&](int64_t begin, int64_t end) {
-    std::vector<Embedding>& out = partial[static_cast<size_t>(begin)];
-    for (int64_t i = begin; i < end; ++i) {
-      if (token != nullptr && token->IsCancelled()) {
-        overflow[static_cast<size_t>(begin)] = 1;
-        return;
+  auto list = std::make_shared<EmbeddingList>();
+  std::vector<Embedding>& out = list->embeddings;
+  for (const VertexId anchor : centers) {
+    if (groups.empty()) {
+      out.push_back({anchor});
+      if (static_cast<int64_t>(out.size()) > budget) {
+        return SaturatedEmbeddingList();
       }
-      const VertexId anchor = centers[static_cast<size_t>(i)];
-      if (groups.empty()) {
-        out.push_back({anchor});
-        if (static_cast<int64_t>(out.size()) >= cap) {
-          overflow[static_cast<size_t>(begin)] = 1;
-          return;
-        }
-        continue;
-      }
-      // Homomorphic leaves may not coincide with the center anyway (no
-      // self-loops on simple graphs), so the empty forbidden set is exact.
-      const std::vector<std::vector<VertexId>> avail = AvailabilityLists(
-          graph, anchor, groups,
-          homomorphic ? std::vector<VertexId>{}
-                      : std::vector<VertexId>{anchor});
-      std::vector<VertexId> chosen;
-      auto emit = [&](const std::vector<VertexId>& leafs) {
-        Embedding e;
-        e.reserve(1 + leafs.size());
-        e.push_back(anchor);
-        for (VertexId x : leafs) e.push_back(x);
-        out.push_back(std::move(e));
-        return static_cast<int64_t>(out.size()) < cap;
-      };
-      bool completed =
-          homomorphic
-              ? EnumerateLeafAssignments(groups, avail, &chosen, 0, emit)
-              : EnumerateLeafArrangements(groups, avail, &chosen, 0, emit);
-      if (!completed) {
-        overflow[static_cast<size_t>(begin)] = 1;
-        return;
-      }
+      continue;
     }
-  };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelForChunks(n, grain, body, token);
-  } else {
-    body(0, n);
+    // Homomorphic leaves may not coincide with the center anyway (no
+    // self-loops on simple graphs), so the empty forbidden set is exact.
+    const std::vector<std::vector<VertexId>> avail = AvailabilityLists(
+        graph, anchor, groups,
+        homomorphic ? std::vector<VertexId>{} : std::vector<VertexId>{anchor});
+    std::vector<VertexId> chosen;
+    auto emit = [&](const std::vector<VertexId>& leafs) {
+      Embedding e;
+      e.reserve(1 + leafs.size());
+      e.push_back(anchor);
+      for (VertexId x : leafs) e.push_back(x);
+      out.push_back(std::move(e));
+      return static_cast<int64_t>(out.size()) <= budget;
+    };
+    bool completed =
+        homomorphic
+            ? EnumerateLeafAssignments(groups, avail, &chosen, 0, emit)
+            : EnumerateLeafArrangements(groups, avail, &chosen, 0, emit);
+    if (!completed) return SaturatedEmbeddingList();
   }
-  return FoldChunks(std::move(partial), overflow, budget);
+  return list;
 }
 
 EmbeddingListRef ExtendEmbeddingListAtVertex(
@@ -297,9 +249,7 @@ EmbeddingListRef JoinEmbeddingLists(const EmbeddingList& a,
                                     const std::vector<VertexId>& map_a,
                                     const std::vector<VertexId>& map_b,
                                     int32_t num_union_vertices, int64_t budget,
-                                    ThreadPool* pool,
-                                    const CancellationToken* token,
-                                    int64_t grain, bool homomorphic) {
+                                    bool homomorphic) {
   if (budget <= 0 || a.saturated || b.saturated) {
     return SaturatedEmbeddingList();
   }
@@ -338,65 +288,48 @@ EmbeddingListRef JoinEmbeddingLists(const EmbeddingList& a,
     by_overlap[std::move(key)].push_back(static_cast<int64_t>(ej));
   }
 
-  const int64_t n = static_cast<int64_t>(a.embeddings.size());
-  std::vector<std::vector<Embedding>> partial(static_cast<size_t>(n));
-  std::vector<char> overflow(static_cast<size_t>(n), 0);
-  const int64_t cap = budget + 1;
-  auto body = [&](int64_t begin, int64_t end) {
-    std::vector<Embedding>& out = partial[static_cast<size_t>(begin)];
-    std::vector<VertexId> key(shared.size());
-    for (int64_t i = begin; i < end; ++i) {
-      if (token != nullptr && token->IsCancelled()) {
-        overflow[static_cast<size_t>(begin)] = 1;
-        return;
-      }
-      const Embedding& ea = a.embeddings[static_cast<size_t>(i)];
-      for (size_t s = 0; s < shared.size(); ++s) {
-        key[s] = ea[static_cast<size_t>(shared[s].first)];
-      }
-      const auto it = by_overlap.find(key);
-      if (it == by_overlap.end()) continue;
-      const std::vector<VertexId> a_image =
-          homomorphic ? std::vector<VertexId>{} : SortedImage(ea);
-      for (int64_t ej : it->second) {
-        const Embedding& eb = b.embeddings[static_cast<size_t>(ej)];
-        // Cross-injectivity: b-exclusive images must avoid a's image
-        // entirely (shared columns agree by key; intra-parent injectivity
-        // is given). A homomorphic union embedding is any key-agreeing
-        // pair, so the check is skipped there.
-        bool ok = true;
-        if (!homomorphic) {
-          for (int32_t pv : b_exclusive) {
-            if (std::binary_search(a_image.begin(), a_image.end(),
-                                   eb[static_cast<size_t>(pv)])) {
-              ok = false;
-              break;
-            }
+  auto list = std::make_shared<EmbeddingList>();
+  std::vector<Embedding>& out = list->embeddings;
+  std::vector<VertexId> key(shared.size());
+  for (const Embedding& ea : a.embeddings) {
+    for (size_t s = 0; s < shared.size(); ++s) {
+      key[s] = ea[static_cast<size_t>(shared[s].first)];
+    }
+    const auto it = by_overlap.find(key);
+    if (it == by_overlap.end()) continue;
+    const std::vector<VertexId> a_image =
+        homomorphic ? std::vector<VertexId>{} : SortedImage(ea);
+    for (int64_t ej : it->second) {
+      const Embedding& eb = b.embeddings[static_cast<size_t>(ej)];
+      // Cross-injectivity: b-exclusive images must avoid a's image entirely
+      // (shared columns agree by key; intra-parent injectivity is given). A
+      // homomorphic union embedding is any key-agreeing pair, so the check
+      // is skipped there.
+      bool ok = true;
+      if (!homomorphic) {
+        for (int32_t pv : b_exclusive) {
+          if (std::binary_search(a_image.begin(), a_image.end(),
+                                 eb[static_cast<size_t>(pv)])) {
+            ok = false;
+            break;
           }
         }
-        if (!ok) continue;
-        Embedding f(static_cast<size_t>(num_union_vertices));
-        for (size_t pu = 0; pu < map_a.size(); ++pu) {
-          f[static_cast<size_t>(map_a[pu])] = ea[pu];
-        }
-        for (size_t pv = 0; pv < map_b.size(); ++pv) {
-          f[static_cast<size_t>(map_b[pv])] = eb[pv];
-        }
-        out.push_back(std::move(f));
-        if (static_cast<int64_t>(out.size()) >= cap) {
-          overflow[static_cast<size_t>(begin)] = 1;
-          return;
-        }
+      }
+      if (!ok) continue;
+      Embedding f(static_cast<size_t>(num_union_vertices));
+      for (size_t pu = 0; pu < map_a.size(); ++pu) {
+        f[static_cast<size_t>(map_a[pu])] = ea[pu];
+      }
+      for (size_t pv = 0; pv < map_b.size(); ++pv) {
+        f[static_cast<size_t>(map_b[pv])] = eb[pv];
+      }
+      out.push_back(std::move(f));
+      if (static_cast<int64_t>(out.size()) > budget) {
+        return SaturatedEmbeddingList();
       }
     }
-  };
-  if (n == 0) return std::make_shared<EmbeddingList>();
-  if (pool != nullptr && n > 1) {
-    pool->ParallelForChunks(n, grain, body, token);
-  } else {
-    body(0, n);
   }
-  return FoldChunks(std::move(partial), overflow, budget);
+  return list;
 }
 
 bool ExtendEmbeddingsNewVertex(const LabeledGraph& graph,

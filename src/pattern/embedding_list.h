@@ -37,18 +37,15 @@
 /// consumer to the certified VF2 fallback. Results are byte-identical at
 /// any budget; the budget only trades memory for closure-phase speed.
 ///
-/// Determinism: the chunk-parallel builders (star build, merge join) write
-/// per-chunk partial lists capped at budget+1 and fold them serially in
-/// ascending chunk order. An unsaturated result is then the exact full
-/// enumeration in a chunk-independent order, and the saturated verdict
-/// depends only on the true list size — identical at any grain and thread
-/// count. Callers inside pool workers must pass a null pool (nested
-/// ParallelForChunks can deadlock); the serial path produces the same lists.
+/// Determinism: every builder is serial and enumerates in a fixed order,
+/// stopping as soon as the list exceeds its budget, so an unsaturated result
+/// is the exact full enumeration and the saturated verdict depends only on
+/// the true list size. Growth runs the builders on pool workers (seeds,
+/// extensions) and inline in the CheckMerge fold (joins); the lists are
+/// bounded by the budget, so fanning one out would cost more in dispatch
+/// than it saves.
 
 namespace spidermine {
-
-class ThreadPool;
-class CancellationToken;
 
 /// A complete-or-saturated embedding set. Immutable once published via
 /// EmbeddingListRef; shared_ptr sharing makes carrying a list through
@@ -114,11 +111,8 @@ bool EnumerateLeafAssignments(
 /// Builds the complete E[star] of spider \p spider_id: for every store
 /// anchor, every arrangement of the spider's leaves over the anchor's
 /// fresh neighbors, in the store's pattern numbering (vertex 0 = head,
-/// then leaves in `store.leaves()` order). Chunk-parallel over the anchor
-/// list when \p pool is non-null (never pass a pool from inside a pool
-/// worker); \p grain < 1 selects the pool's automatic grain. Returns a
-/// saturated list when the budget overflows, \p budget <= 0, or \p token
-/// is cancelled mid-build.
+/// then leaves in `store.leaves()` order). Returns a saturated list when
+/// the budget overflows or \p budget <= 0.
 ///
 /// \p homomorphic switches the engine to homomorphic E[P]: centers come
 /// from every head-labeled vertex (the store's anchor list requires
@@ -127,9 +121,6 @@ bool EnumerateLeafAssignments(
 EmbeddingListRef BuildStarEmbeddingList(const LabeledGraph& graph,
                                         const SpiderStore& store,
                                         int32_t spider_id, int64_t budget,
-                                        ThreadPool* pool = nullptr,
-                                        const CancellationToken* token = nullptr,
-                                        int64_t grain = 0,
                                         bool homomorphic = false);
 
 /// Extends complete list \p base of a pattern P to the complete list of
@@ -158,9 +149,8 @@ EmbeddingListRef ExtendEmbeddingListAtVertex(
 /// \p num_union_vertices union vertices and overlap on the shared columns.
 /// A union embedding is exactly a pair (ea, eb) that agrees on the overlap
 /// columns and is injective across the exclusive ones, so the join hashes
-/// b's list by overlap key and streams a's list through it — chunk-parallel
-/// over a's list when \p pool is non-null, with the same deterministic
-/// fold/saturation contract as BuildStarEmbeddingList. No pair produces
+/// b's list by overlap key and streams a's list through it, with the same
+/// saturation contract as BuildStarEmbeddingList. No pair produces
 /// duplicates (an embedding determines its parent projections uniquely).
 /// Saturation in either parent is sticky.
 ///
@@ -172,9 +162,6 @@ EmbeddingListRef JoinEmbeddingLists(const EmbeddingList& a,
                                     const std::vector<VertexId>& map_a,
                                     const std::vector<VertexId>& map_b,
                                     int32_t num_union_vertices, int64_t budget,
-                                    ThreadPool* pool = nullptr,
-                                    const CancellationToken* token = nullptr,
-                                    int64_t grain = 0,
                                     bool homomorphic = false);
 
 /// Level-extension step shared with the complete baseline miner: appends to

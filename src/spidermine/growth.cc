@@ -84,7 +84,7 @@ uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
 /// other's pattern to the duplicate's (FindDuplicateIn), so every embedding
 /// is renumbered into other's vertex numbering on the way in. Callers
 /// recompute other->support when they need it fresh (the coordinator
-/// batches that).
+/// batches that in ApplyFolds).
 void FoldEmbeddings(GrowthPattern* other,
                     const std::vector<Embedding>& embeddings,
                     const std::vector<VertexId>& iso, int64_t max_embeddings) {
@@ -99,16 +99,38 @@ void FoldEmbeddings(GrowthPattern* other,
   DedupEmbeddingsByImage(&other->embeddings);
 }
 
+/// VF2 scan of one dedup bucket: returns the first pool index at or after
+/// \p first_idx whose pattern is isomorphic to \p pattern, or -1. Bucket
+/// entries are in admission order, so the hit is the first isomorphic
+/// pattern admitted from \p first_idx on. On a hit, \p iso receives the map
+/// from the pool pattern's vertices to \p pattern's (see FoldEmbeddings).
+int64_t FirstIsomorphicIn(const std::deque<GrowthPattern>& pool,
+                          const std::vector<int64_t>& bucket,
+                          int64_t first_idx, const Pattern& pattern,
+                          std::vector<VertexId>* iso,
+                          int64_t* iso_checks_run) {
+  for (auto it = std::lower_bound(bucket.begin(), bucket.end(), first_idx);
+       it != bucket.end(); ++it) {
+    ++*iso_checks_run;
+    std::optional<std::vector<VertexId>> map =
+        FindIsomorphism(pool[static_cast<size_t>(*it)].pattern, pattern);
+    if (map.has_value()) {
+      *iso = std::move(*map);
+      return *it;
+    }
+  }
+  return -1;
+}
+
 /// Iso-hash dedup against an arbitrary pattern pool: returns the pool index
 /// of the first isomorphic pattern in admission order, or -1. \p dedup
 /// buckets pool indices by PatternIsoHash; a hash mismatch certifies
 /// non-isomorphism, so VF2 runs only within the candidate's bucket. On a
 /// hit, \p iso receives the map from the pool pattern's vertices to the
-/// candidate's (see FoldEmbeddings). Counter pointers let both worker
-/// lineages (local counters) and the coordinator (shared MineStats) reuse
-/// the scan.
+/// candidate's. Counter pointers let both worker lineages (local counters)
+/// and the coordinator (shared MineStats) reuse the scan.
 int64_t FindDuplicateIn(
-    std::deque<GrowthPattern>& pool,
+    const std::deque<GrowthPattern>& pool,
     const std::unordered_map<uint64_t, std::vector<int64_t>>& dedup,
     GrowthPattern& candidate, std::vector<VertexId>* iso,
     int64_t* iso_checks_skipped, int64_t* iso_checks_run) {
@@ -120,17 +142,8 @@ int64_t FindDuplicateIn(
     ++*iso_checks_skipped;  // no pattern shares the hash: certified new
     return -1;
   }
-  for (int64_t idx : it->second) {
-    ++*iso_checks_run;
-    std::optional<std::vector<VertexId>> map =
-        FindIsomorphism(pool[static_cast<size_t>(idx)].pattern,
-                        candidate.pattern);
-    if (map.has_value()) {
-      *iso = std::move(*map);
-      return idx;
-    }
-  }
-  return -1;
+  return FirstIsomorphicIn(pool, it->second, /*first_idx=*/0,
+                           candidate.pattern, iso, iso_checks_run);
 }
 
 }  // namespace
@@ -184,6 +197,15 @@ struct GrowthEngine::Lineage {
     dead.push_back(0);
     return idx;
   }
+};
+
+/// A duplicate's embeddings waiting to be folded into the pool pattern it
+/// duplicates, with the map from that pattern's vertices to the
+/// duplicate's (see FoldEmbeddings).
+struct GrowthEngine::PendingFold {
+  int64_t target = 0;
+  std::vector<Embedding> embeddings;
+  std::vector<VertexId> iso;
 };
 
 /// Coordinator-side round state: the union of all lineages after stable
@@ -291,12 +313,8 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
   gp.support = Support(gp);
   if (list_budget_ > 0) {
     // Carried complete list: every arrangement over every store anchor.
-    // Serial on purpose — BuildSeed runs inside pool workers, where a
-    // nested ParallelForChunks could deadlock the pool.
-    gp.full_list =
-        BuildStarEmbeddingList(*graph_, store, spider_id, list_budget_,
-                               /*pool=*/nullptr, /*token=*/nullptr,
-                               /*grain=*/0, homomorphic_);
+    gp.full_list = BuildStarEmbeddingList(*graph_, store, spider_id,
+                                          list_budget_, homomorphic_);
     ++local->emb_extensions;
   }
   // Boundary: the outermost layer (leaves), or the head for 0-leaf spiders.
@@ -631,6 +649,10 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     std::vector<VertexId> map_a;
     std::vector<VertexId> map_b;
     int64_t support = 0;
+    // First isomorphic pattern of the pre-merge pool (-1 = none) and the
+    // map from its vertices to this candidate's, resolved on the worker.
+    int64_t snapshot_dup = -1;
+    std::vector<VertexId> snapshot_iso;
   };
   struct PairResult {
     std::vector<UnionCandidate> candidates;
@@ -639,14 +661,18 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     bool cancelled = false;
   };
   std::vector<PairResult> results(tasks.size());
-  auto build_pair = [this, rs](const PairTask& task, PairResult* out) {
+  const std::deque<GrowthPattern>& snapshot = rs->pool;
+  const std::unordered_map<uint64_t, std::vector<int64_t>>& snapshot_dedup =
+      rs->dedup;
+  auto build_pair = [this, &snapshot, &snapshot_dedup](const PairTask& task,
+                                                       PairResult* out) {
     if (Cancelled()) {
       out->cancelled = true;
       return;
     }
     ++out->merge_attempts;
-    const GrowthPattern& a = rs->pool[task.a];
-    const GrowthPattern& b = rs->pool[task.b];
+    const GrowthPattern& a = snapshot[task.a];
+    const GrowthPattern& b = snapshot[task.b];
     // Collect overlapping embedding pairs.
     std::unordered_map<VertexId, std::vector<int32_t>> where;
     for (size_t ei = 0; ei < a.embeddings.size(); ++ei) {
@@ -788,6 +814,16 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       g.support = ComputeSupport(query_->support_measure, g.pattern,
                                  g.embeddings, ctx);
       if (g.support < query_->min_support) continue;
+      // Dedup against the pre-merge pool here, off the coordinator: the
+      // snapshot is read-only until the fold, and its entries lead every
+      // dedup bucket, so the fold would find this same first hit.
+      const auto bucket = snapshot_dedup.find(g.iso_hash);
+      if (bucket != snapshot_dedup.end()) {
+        g.snapshot_dup =
+            FirstIsomorphicIn(snapshot, bucket->second, /*first_idx=*/0,
+                              g.pattern, &g.snapshot_iso,
+                              &out->iso_checks_run);
+      }
       out->candidates.push_back(std::move(g));
     }
   };
@@ -808,9 +844,12 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
 
   // ---- Serial fold in sorted (key, pair) order — the same order the old
   // per-bucket serial pass produced candidates in: assign ids, dedup
-  // against the evolving pool (folding embeddings of duplicates) and
-  // admit. Identical at any thread count because candidates and fold
-  // order are.
+  // against the evolving pool (duplicates' embeddings wait for ApplyFolds)
+  // and admit. Identical at any thread count because candidates and fold
+  // order are. The workers already scanned the snapshot entries of each
+  // candidate's bucket; only this fold's admissions remain to be checked.
+  const int64_t snapshot_size = static_cast<int64_t>(rs->pool.size());
+  std::vector<PendingFold> folds;
   for (size_t i = 0; i < results.size(); ++i) {
     PairResult& result = results[i];
     stats_->merge_attempts += result.merge_attempts;
@@ -825,23 +864,24 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       merged.next_boundary = std::move(c.boundary);
       merged.merged_ever = true;
       merged.id = next_id_++;
-      std::vector<VertexId> iso;
-      int64_t dup = FindDuplicateIn(rs->pool, rs->dedup, merged, &iso,
-                                    &stats_->iso_checks_skipped,
-                                    &stats_->iso_checks_run);
+      int64_t dup = c.snapshot_dup;
+      std::vector<VertexId> iso = std::move(c.snapshot_iso);
+      const auto bucket = rs->dedup.find(merged.iso_hash);
+      if (bucket == rs->dedup.end()) {
+        ++stats_->iso_checks_skipped;  // no pattern shares the hash
+      } else if (dup < 0) {
+        dup = FirstIsomorphicIn(rs->pool, bucket->second, snapshot_size,
+                                merged.pattern, &iso,
+                                &stats_->iso_checks_run);
+      }
       if (dup >= 0) {
-        GrowthPattern& other = rs->pool[dup];
-        other.merged_ever = true;  // it is now a merge product
-        FoldEmbeddings(&other, merged.embeddings, iso,
-                       query_->max_embeddings_per_pattern);
-        other.support = Support(other);
+        rs->pool[dup].merged_ever = true;  // it is now a merge product
+        folds.push_back({dup, std::move(merged.embeddings), std::move(iso)});
         continue;
       }
       if (list_budget_ > 0) {
         // Carried-list merge: join the parents' complete lists on the
-        // founding instance's overlap columns. This fold runs on the
-        // coordinator thread, so the pool is safe to use here (unlike the
-        // worker-side seed/extend builders).
+        // founding instance's overlap columns.
         const EmbeddingListRef& la = rs->pool[tasks[i].a].full_list;
         const EmbeddingListRef& lb = rs->pool[tasks[i].b].full_list;
         merged.full_list =
@@ -849,8 +889,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
                 ? SaturatedEmbeddingList()
                 : JoinEmbeddingLists(*la, *lb, c.map_a, c.map_b,
                                      merged.pattern.NumVertices(),
-                                     list_budget_, pool_, token_,
-                                     /*grain=*/0, homomorphic_);
+                                     list_budget_, homomorphic_);
         ++stats_->emb_extensions;
       }
       rs->Admit(std::move(merged));
@@ -858,7 +897,46 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       rs->any_growth = true;
     }
   }
+  ApplyFolds(rs, std::move(folds));
   if (Cancelled()) rs->truncated = true;
+}
+
+void GrowthEngine::ApplyFolds(RoundState* rs,
+                              std::vector<PendingFold> folds) const {
+  // Nothing between a dedup hit and this call reads the target's
+  // embeddings or support, and a target's folds touch only that target.
+  // So each target can take its folds here, in the order they were found,
+  // independently of every other target, then recompute its support once
+  // (a support depends only on the final embedding list). No token: every
+  // target must leave folded and with a fresh support even after a
+  // deadline trips.
+  std::stable_sort(folds.begin(), folds.end(),
+                   [](const PendingFold& x, const PendingFold& y) {
+                     return x.target < y.target;
+                   });
+  std::vector<size_t> starts;  // first fold of each target, then the end
+  for (size_t f = 0; f < folds.size(); ++f) {
+    if (f == 0 || folds[f].target != folds[f - 1].target) starts.push_back(f);
+  }
+  starts.push_back(folds.size());
+  auto apply = [this, rs, &folds, &starts](int64_t begin, int64_t end) {
+    for (int64_t t = begin; t < end; ++t) {
+      const size_t first = starts[static_cast<size_t>(t)];
+      const size_t last = starts[static_cast<size_t>(t) + 1];
+      GrowthPattern& target = rs->pool[folds[first].target];
+      for (size_t f = first; f < last; ++f) {
+        FoldEmbeddings(&target, folds[f].embeddings, folds[f].iso,
+                       query_->max_embeddings_per_pattern);
+      }
+      target.support = Support(target);
+    }
+  };
+  const int64_t n = static_cast<int64_t>(starts.size()) - 1;
+  if (pool_ != nullptr && n > 1) {
+    pool_->ParallelForChunks(n, /*grain=*/1, apply);
+  } else {
+    apply(0, n);
+  }
 }
 
 GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
@@ -933,8 +1011,8 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   // Pass 2: fold lineage extensions across lineages. A child duplicating an
   // already-admitted pattern contributes its embeddings to it (the serial
   // duplicate-fold semantics); otherwise it is admitted with a fresh id.
-  // Fold targets get their support recomputed once, after all folds.
-  std::vector<int64_t> support_dirty;
+  // The folds themselves are deferred to ApplyFolds, after the loop.
+  std::vector<PendingFold> folds;
   for (int64_t i = 0; i < n; ++i) {
     Lineage& ls = lineages[static_cast<size_t>(i)];
     for (size_t c = 1; c < ls.pool.size(); ++c) {
@@ -944,15 +1022,12 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
                                     &stats_->iso_checks_skipped,
                                     &stats_->iso_checks_run);
       if (dup >= 0) {
-        GrowthPattern& other = rs.pool[dup];
-        FoldEmbeddings(&other, child.embeddings, iso,
-                       query_->max_embeddings_per_pattern);
-        support_dirty.push_back(dup);
-        other.merged_ever |= child.merged_ever;
+        rs.pool[dup].merged_ever |= child.merged_ever;
         // A non-closed verdict from any lineage applies to the shared
         // pattern (Algorithm 2's closedness drop must survive the fold).
         rs.dead[dup] = rs.dead[dup] || ls.dead[c];
         global_of[static_cast<size_t>(i)][c] = dup;
+        folds.push_back({dup, std::move(child.embeddings), std::move(iso)});
         continue;
       }
       if (static_cast<int64_t>(rs.pool.size()) >=
@@ -970,15 +1045,8 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
       global_of[static_cast<size_t>(i)][c] = idx;
     }
   }
-  // Recompute each fold target's support once, over its final embedding
-  // list (the value depends only on that list, so batching changes cost,
-  // not results). Must precede RunMerges/output, which read supports.
-  std::sort(support_dirty.begin(), support_dirty.end());
-  support_dirty.erase(std::unique(support_dirty.begin(), support_dirty.end()),
-                      support_dirty.end());
-  for (int64_t idx : support_dirty) {
-    rs.pool[idx].support = Support(rs.pool[idx]);
-  }
+  // Must precede RunMerges/output, which read embeddings and supports.
+  ApplyFolds(&rs, std::move(folds));
 
   // Registry remap: lineage-local pool indices -> global pattern ids, keys
   // visited in sorted order so the global registry content is stable.

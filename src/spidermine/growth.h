@@ -26,8 +26,9 @@
 /// order -- cross-lineage dedup, id assignment, and registry remap happen
 /// serially in a stable order. The CheckMerge pass builds each colliding
 /// anchor bucket's union candidates on the workers (every bucket reads the
-/// same pre-merge snapshot) and admits them in a serial sorted-key fold --
-/// so the round's output is identical at any thread count.
+/// same pre-merge snapshot, and each resolves its duplicates of that
+/// snapshot there) and admits them in a serial sorted-key fold -- so the
+/// round's output is identical at any thread count.
 ///
 /// Dedup has one key everywhere (lineage, round, union grouping and the
 /// session's result collector): patterns are bucketed by PatternIsoHash and
@@ -146,6 +147,7 @@ class GrowthEngine {
   struct RoundState;
   struct Lineage;
   struct LocalStats;
+  struct PendingFold;
 
   /// True once the bound token or deadline requests a stop.
   bool Cancelled() const;
@@ -173,12 +175,20 @@ class GrowthEngine {
 
   /// Runs CheckMerge for all colliding registry keys. The examined pattern
   /// pairs (the expensive part: overlap collection, union-instance
-  /// building, support counting) are flattened across buckets and fan out
-  /// over the pool individually against the pre-merge pool snapshot, so a
-  /// single hot anchor bucket no longer serializes the pass; a serial fold
-  /// then admits candidates in sorted (key, pair) order, so the outcome is
-  /// identical at any thread count.
+  /// building, support counting, dedup against the pre-merge pool) are
+  /// flattened across buckets and fan out over the pool individually
+  /// against the pre-merge pool snapshot, so a single hot anchor bucket no
+  /// longer serializes the pass; a serial fold then admits candidates in
+  /// sorted (key, pair) order, so the outcome is identical at any thread
+  /// count.
   void RunMerges(RoundState* rs, MergeRegistry* previous);
+
+  /// Folds each pending duplicate's embeddings into its target pool
+  /// pattern, in the order the duplicates were found, then recomputes each
+  /// target's support once; targets fan out over the pool. Runs to
+  /// completion even after cancellation, so every fold target leaves
+  /// folded and with a fresh support.
+  void ApplyFolds(RoundState* rs, std::vector<PendingFold> folds) const;
 
   const LabeledGraph* graph_;
   const SpiderIndex* index_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "gen/erdos_renyi.h"
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
@@ -18,7 +17,7 @@
 
 /// The embedding-list engine's contract (pattern/embedding_list.h): an
 /// unsaturated carried list is E[P] bit for bit — the same set a VF2 search
-/// enumerates — at any budget, chunk grain and thread count, and a query
+/// enumerates — at any budget, and a query
 /// served from carried lists returns a byte-identical top-K to one forced
 /// onto the VF2 fallback.
 
@@ -97,10 +96,10 @@ TEST(EmbeddingListTest, EqualKeySiblingLeavesYieldAllArrangements) {
   EXPECT_EQ(Canonical(list->embeddings), expected);
 }
 
-/// The deterministic fold: identical content (and an identical saturation
-/// verdict) at every chunk grain and thread count, including grains that
-/// shuffle how anchors land in chunks.
-TEST(EmbeddingListTest, StarBuildDeterministicUnderGrainsAndThreads) {
+/// The budget contract: a list within its budget is the exact full
+/// enumeration, and one over it is saturated with its contents dropped —
+/// including budgets one below and exactly at the true list size.
+TEST(EmbeddingListTest, StarBuildHonorsBudget) {
   LabeledGraph g = TestGraph(23);
   SessionConfig config;
   config.min_support = 3;
@@ -109,22 +108,20 @@ TEST(EmbeddingListTest, StarBuildDeterministicUnderGrainsAndThreads) {
   const SpiderStore& store = session->store();
   ASSERT_GT(store.size(), 0u);
   const int32_t id = static_cast<int32_t>(store.size()) / 2;
-  for (int64_t budget : {int64_t{1} << 20, int64_t{8}, int64_t{1}}) {
-    EmbeddingListRef serial = BuildStarEmbeddingList(g, store, id, budget);
-    ASSERT_NE(serial, nullptr);
-    for (int32_t threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      for (int64_t grain : {int64_t{1}, int64_t{2}, int64_t{7}, int64_t{64}}) {
-        EmbeddingListRef parallel = BuildStarEmbeddingList(
-            g, store, id, budget, &pool, /*token=*/nullptr, grain);
-        ASSERT_NE(parallel, nullptr);
-        EXPECT_EQ(parallel->saturated, serial->saturated)
-            << "budget=" << budget << " threads=" << threads
-            << " grain=" << grain;
-        EXPECT_EQ(parallel->embeddings, serial->embeddings)
-            << "budget=" << budget << " threads=" << threads
-            << " grain=" << grain;
-      }
+  EmbeddingListRef full = BuildStarEmbeddingList(g, store, id, 1 << 20);
+  ASSERT_NE(full, nullptr);
+  ASSERT_FALSE(full->saturated);
+  const int64_t size = static_cast<int64_t>(full->embeddings.size());
+  ASSERT_GT(size, 1);
+  for (int64_t budget : {int64_t{1} << 20, size, size - 1, int64_t{8},
+                         int64_t{1}}) {
+    EmbeddingListRef list = BuildStarEmbeddingList(g, store, id, budget);
+    ASSERT_NE(list, nullptr);
+    EXPECT_EQ(list->saturated, size > budget) << "budget=" << budget;
+    if (list->saturated) {
+      EXPECT_TRUE(list->embeddings.empty()) << "budget=" << budget;
+    } else {
+      EXPECT_EQ(list->embeddings, full->embeddings) << "budget=" << budget;
     }
   }
 }
