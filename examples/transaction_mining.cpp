@@ -22,7 +22,7 @@ int main() {
   // Figure 15 stress).
   TransactionDatasetConfig gen;
   gen.num_graphs = 10;
-  gen.vertices_per_graph = 500;
+  gen.vertices_per_graph = 1000;
   gen.avg_degree = 3.0;
   gen.num_labels = 65;
   gen.num_large = 5;
