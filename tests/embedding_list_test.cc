@@ -17,9 +17,8 @@
 
 /// The embedding-list engine's contract (pattern/embedding_list.h): an
 /// unsaturated carried list is E[P] bit for bit — the same set a VF2 search
-/// enumerates — at any budget, and a query
-/// served from carried lists returns a byte-identical top-K to one forced
-/// onto the VF2 fallback.
+/// enumerates — at any budget, and a query served from carried lists
+/// returns a byte-identical top-K to one forced onto the VF2 fallback.
 
 namespace spidermine {
 namespace {
