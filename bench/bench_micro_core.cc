@@ -1,7 +1,7 @@
 // Google-benchmark micro benchmarks for the library's hot kernels:
-// canonical DFS codes, VF2 embedding search, spider-set computation,
-// support measures and Stage I star mining. These are the operations the
-// figure-level benches compose; tracking them isolates regressions.
+// canonical DFS codes, VF2 embedding search, support measures and Stage I
+// star mining. These are the operations the figure-level benches compose;
+// tracking them isolates regressions.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/dfs_code.h"
-#include "pattern/spider_set.h"
 #include "pattern/vf2.h"
 #include "spider/star_miner.h"
 #include "support/support_measure.h"
@@ -32,36 +31,6 @@ void BM_MinimumDfsCode(benchmark::State& state) {
   state.SetLabel("pattern vertices");
 }
 BENCHMARK(BM_MinimumDfsCode)->Arg(6)->Arg(10)->Arg(14);
-
-void BM_SpiderSetCompute(benchmark::State& state) {
-  Rng rng(43);
-  Pattern p = RandomConnectedPattern(static_cast<int32_t>(state.range(0)),
-                                     0.3, 4, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SpiderSetRepr::Compute(p, 1));
-  }
-}
-BENCHMARK(BM_SpiderSetCompute)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_SpiderSetVsFullIso(benchmark::State& state) {
-  // The filter-vs-exact-test tradeoff the paper's Sec. 4.2.2 motivates.
-  Rng rng(44);
-  Pattern a = RandomConnectedPattern(12, 0.3, 2, &rng);
-  Pattern b = RandomConnectedPattern(12, 0.3, 2, &rng);
-  if (state.range(0) == 0) {
-    SpiderSetRepr ra = SpiderSetRepr::Compute(a, 1);
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(SpiderSetRepr::Compute(b, 1) == ra);
-    }
-    state.SetLabel("spider-set compare");
-  } else {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(ArePatternsIsomorphic(a, b));
-    }
-    state.SetLabel("exact isomorphism");
-  }
-}
-BENCHMARK(BM_SpiderSetVsFullIso)->Arg(0)->Arg(1);
 
 void BM_Vf2FindEmbeddings(benchmark::State& state) {
   Rng rng(45);

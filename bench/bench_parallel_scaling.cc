@@ -336,13 +336,14 @@ int Run(int argc, const char* const* argv) {
       std::printf(
           "{\"bench\":\"serve_throughput\",\"model\":\"%s\","
           "\"vertices\":%lld,\"edges\":%lld,\"pool_threads\":%d,"
-          "\"connections\":%d,\"inflight\":%d,\"queries\":%lld,"
+          "\"hardware_concurrency\":%u,\"connections\":%d,\"inflight\":%d,\"queries\":%lld,"
           "\"failed\":%lld,\"rejected\":%lld,\"cold_seconds\":%.4f,"
           "\"wall_seconds\":%.4f,\"qps\":%.3f,"
           "\"throughput_speedup_vs_1conn\":%.3f}\n",
           model.c_str(), static_cast<long long>(graph.NumVertices()),
           static_cast<long long>(graph.NumEdges()),
-          ThreadPool::DefaultThreads(), connections, connections,
+          ThreadPool::DefaultThreads(), std::thread::hardware_concurrency(),
+          connections, connections,
           static_cast<long long>(served),
           static_cast<long long>(failed.load()),
           static_cast<long long>(serve_stats.rejected), cold_seconds, wall,
@@ -413,7 +414,8 @@ int Run(int argc, const char* const* argv) {
     };
     std::printf(
         "{\"bench\":\"parallel_scaling\",\"model\":\"%s\",\"vertices\":%lld,"
-        "\"edges\":%lld,\"threads\":%d,\"shard_grain\":%lld,"
+        "\"edges\":%lld,\"hardware_concurrency\":%u,\"threads\":%d,"
+        "\"shard_grain\":%lld,"
         "\"patterns\":%zu,\"spiders\":%lld,\"scan_shards\":%lld,"
         "\"enum_shards\":%lld,\"stage1_seconds\":%.4f,"
         "\"growth_seconds\":%.4f,\"total_seconds\":%.4f,"
@@ -423,7 +425,8 @@ int Run(int argc, const char* const* argv) {
         "\"speedup_total\":%.3f,\"store_bytes\":%lld,"
         "\"peak_rss_mb\":%.1f}\n",
         model.c_str(), static_cast<long long>(graph.NumVertices()),
-        static_cast<long long>(graph.NumEdges()), threads,
+        static_cast<long long>(graph.NumEdges()),
+        std::thread::hardware_concurrency(), threads,
         static_cast<long long>(session_config.stage1_shard_grain),
         result.patterns.size(), static_cast<long long>(s1.num_spiders),
         static_cast<long long>(s1.stage1_scan_shards),

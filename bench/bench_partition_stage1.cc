@@ -29,6 +29,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -228,6 +229,7 @@ int Main(int argc, char** argv) {
   std::printf(
       "{\n"
       "  \"bench\": \"partition_stage1\",\n"
+      "  \"hardware_concurrency\": %u,\n"
       "  \"vertices\": %lld,\n"
       "  \"partitions\": %d,\n"
       "  \"support\": %lld,\n"
@@ -238,6 +240,7 @@ int Main(int argc, char** argv) {
       "  \"partition_phase\": {\"seconds\": %.2f, \"peak_rss_bytes\": "
       "%lld},\n"
       "  \"workers\": [",
+      std::thread::hardware_concurrency(),
       static_cast<long long>(vertices), partitions,
       static_cast<long long>(support), max_leaves,
       static_cast<long long>(single_bytes.size()),

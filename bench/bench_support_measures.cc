@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -179,6 +180,8 @@ int Main() {
       mni_qps > 0 ? find("homomorphism").qps / mni_qps : 0.0;
 
   std::printf("{\n  \"bench\": \"support_measures\",\n");
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"graph_vertices\": %d,\n  \"k\": %d,\n  \"repeats\": %d,\n",
               kVertices, kTopK, kRepeats);
   std::printf("  \"num_transactions\": %lld,\n  \"txn_sample\": %lld,\n",

@@ -9,9 +9,9 @@
 /// \file dfs_code.h
 /// gSpan-style minimum DFS code canonicalization for patterns. Two patterns
 /// are isomorphic iff their minimum DFS codes are equal, so the canonical
-/// string is usable as an exact dedup key. SpiderMine uses this for spiders
-/// and spider-set ball codes; in-flight and result patterns are deduped by
-/// the cheaper PatternIsoHash below, confirmed with VF2.
+/// string is usable as an exact dedup key. SpiderMine uses this for
+/// spiders; in-flight and result patterns are deduped by the cheaper
+/// PatternIsoHash below, confirmed with VF2.
 
 namespace spidermine {
 

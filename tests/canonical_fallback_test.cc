@@ -3,7 +3,6 @@
 #include "common/rng.h"
 #include "gen/pattern_factory.h"
 #include "pattern/dfs_code.h"
-#include "pattern/spider_set.h"
 #include "pattern/vf2.h"
 
 namespace spidermine {
@@ -96,18 +95,6 @@ TEST(CanonicalFallbackTest, BoundedSearchReportsExhaustion) {
   DfsCode full;
   EXPECT_TRUE(MinimumDfsCodeBounded(p, INT64_MAX, &full));
   EXPECT_EQ(CompareDfsCodes(full, MinimumDfsCode(p)), 0);
-}
-
-TEST(CanonicalFallbackTest, SpiderSetStableOnSymmetricPatterns) {
-  // Spider-set codes route through CanonicalString; the gate must keep
-  // them permutation-invariant even on dense single-label patterns.
-  Rng rng(11);
-  Pattern p = RandomConnectedPattern(30, 0.8, 1, &rng);
-  std::vector<VertexId> perm(p.NumVertices());
-  for (VertexId v = 0; v < p.NumVertices(); ++v) perm[v] = v;
-  rng.Shuffle(&perm);
-  EXPECT_TRUE(SpiderSetRepr::Compute(p, 1) ==
-              SpiderSetRepr::Compute(Permuted(p, perm), 1));
 }
 
 TEST(CanonicalFallbackTest, CanonicalStringStillExactForSmallDense) {

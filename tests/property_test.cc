@@ -7,7 +7,6 @@
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/dfs_code.h"
-#include "pattern/spider_set.h"
 #include "pattern/vf2.h"
 #include "spider/ball_miner.h"
 #include "spider/star_miner.h"
@@ -37,27 +36,7 @@ TEST_P(RandomScenario, CanonicalCodeAgreesWithVf2Isomorphism) {
       << "a=" << a.ToString() << " b=" << b.ToString();
 }
 
-// ---- Invariant 2: Theorem 2 -- isomorphic patterns share spider-sets,
-// and unequal spider-sets certify non-isomorphism. ----
-TEST_P(RandomScenario, SpiderSetFilterIsSoundForPruning) {
-  Pattern a = RandomConnectedPattern(
-      static_cast<int32_t>(rng_.UniformInt(3, 10)), 0.3,
-      static_cast<LabelId>(rng_.UniformInt(1, 4)), &rng_);
-  Pattern b = RandomConnectedPattern(
-      static_cast<int32_t>(rng_.UniformInt(3, 10)), 0.3,
-      static_cast<LabelId>(rng_.UniformInt(1, 4)), &rng_);
-  for (int32_t r = 1; r <= 2; ++r) {
-    bool sets_equal =
-        SpiderSetRepr::Compute(a, r) == SpiderSetRepr::Compute(b, r);
-    if (!sets_equal) {
-      EXPECT_FALSE(ArePatternsIsomorphic(a, b))
-          << "spider-set pruning must never discard isomorphic pairs (r="
-          << r << ")";
-    }
-  }
-}
-
-// ---- Invariant 3: every embedding VF2 returns is label- and
+// ---- Invariant 2: every embedding VF2 returns is label- and
 // edge-preserving and injective. ----
 TEST_P(RandomScenario, EmbeddingsAreValid) {
   LabeledGraph g = std::move(
@@ -81,7 +60,7 @@ TEST_P(RandomScenario, EmbeddingsAreValid) {
   }
 }
 
-// ---- Invariant 4: star-miner anchors really anchor embeddings, and
+// ---- Invariant 3: star-miner anchors really anchor embeddings, and
 // support is anti-monotone along the star lattice. ----
 TEST_P(RandomScenario, StarSupportIsAntiMonotone) {
   LabeledGraph g = std::move(
@@ -113,7 +92,7 @@ TEST_P(RandomScenario, StarSupportIsAntiMonotone) {
   }
 }
 
-// ---- Invariant 5: anchors of mined stars admit anchored embeddings. ----
+// ---- Invariant 4: anchors of mined stars admit anchored embeddings. ----
 TEST_P(RandomScenario, StarAnchorsAdmitEmbeddings) {
   LabeledGraph g = std::move(
       GenerateErdosRenyi(50, 3.0, 3, &rng_).Build())
@@ -138,7 +117,7 @@ TEST_P(RandomScenario, StarAnchorsAdmitEmbeddings) {
   }
 }
 
-// ---- Invariant 6: ball spiders are r-bounded from the head. ----
+// ---- Invariant 5: ball spiders are r-bounded from the head. ----
 TEST_P(RandomScenario, BallSpidersAreRBounded) {
   LabeledGraph g = std::move(
       GenerateErdosRenyi(40, 2.5, 3, &rng_).Build())
@@ -157,7 +136,7 @@ TEST_P(RandomScenario, BallSpidersAreRBounded) {
   }
 }
 
-// ---- Invariant 7: greedy MIS supports never exceed embedding count and
+// ---- Invariant 6: greedy MIS supports never exceed embedding count and
 // respect the conflict hierarchy. ----
 TEST_P(RandomScenario, SupportMeasureHierarchy) {
   LabeledGraph g = std::move(

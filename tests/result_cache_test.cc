@@ -7,14 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/strings.h"
-#include "gen/erdos_renyi.h"
-#include "gen/injection.h"
-#include "gen/pattern_factory.h"
-#include "graph/graph_builder.h"
 #include "spidermine/session.h"
 #include "tools/serve_loop.h"
+#include "serve_test_util.h"
 
 /// The deterministic result cache: a hit replays byte-for-byte what a
 /// recomputation would produce (the engine's determinism contract makes
@@ -24,23 +20,6 @@
 
 namespace spidermine::cli {
 namespace {
-
-LabeledGraph TestGraph(uint64_t seed = 11) {
-  Rng rng(seed);
-  GraphBuilder builder = GenerateErdosRenyi(200, 2.0, 14, &rng);
-  Pattern planted = RandomConnectedPattern(10, 0.15, 14, &rng);
-  PatternInjector injector(&builder);
-  EXPECT_TRUE(injector.Inject(planted, 3, &rng).ok());
-  return std::move(builder.Build()).value();
-}
-
-Result<MiningSession> TestSession(const LabeledGraph* graph,
-                                  int64_t min_support = 3) {
-  SessionConfig config;
-  config.min_support = min_support;
-  config.num_threads = 2;
-  return MiningSession::Create(graph, config);
-}
 
 std::vector<std::string> NormalizedResponses(const std::string& text) {
   std::vector<std::string> lines;
@@ -69,7 +48,7 @@ TEST(ResultCacheTest, HitReplaysRecomputationByteForByte) {
   ASSERT_TRUE(session.ok()) << session.status();
   ResultCache cache(ResultCacheConfig{});
 
-  // The same request stream through the serve loop twice, sharing one
+  // The same request stream through the server twice, sharing one
   // cache and one session. Run 2 is answered entirely from the cache:
   // responses are byte-identical (modulo the "seconds" timing) and
   // RunQuery is bypassed — queries_run does not advance.
@@ -77,17 +56,17 @@ TEST(ResultCacheTest, HitReplaysRecomputationByteForByte) {
       "{\"id\": 1, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n"
       "{\"id\": 2, \"k\": 2, \"seed\": 5, \"vmin\": 8, \"seed_count\": 10}\n";
   auto run = [&] {
-    std::istringstream in(requests);
-    std::ostringstream out, err;
+    std::ostringstream err;
     ServeOptions options;
     options.max_inflight = 2;
     options.summary = false;
     options.cache = &cache;
     ServeStats stats;
-    Status status = RunServeLoop(*session, in, out, err, options, &stats);
-    EXPECT_TRUE(status.ok()) << status;
+    StreamServeResult served =
+        ServeStream(*session, requests, options, err, &stats);
+    EXPECT_TRUE(served.status.ok()) << served.status;
     EXPECT_EQ(stats.answered, 2);
-    std::vector<std::string> lines = NormalizedResponses(out.str());
+    std::vector<std::string> lines = NormalizedResponses(served.out);
     std::sort(lines.begin(), lines.end());
     return lines;
   };
@@ -217,7 +196,7 @@ TEST(ResultCacheTest, ZeroCapacityDisablesTheCache) {
     EXPECT_EQ(cache.stats().entries, 0);
   }
 
-  // End-to-end: a serve loop with a disabled cache recomputes every time.
+  // End-to-end: a server with a disabled cache recomputes every time.
   LabeledGraph g = TestGraph();
   Result<MiningSession> session = TestSession(&g);
   ASSERT_TRUE(session.ok());
@@ -227,12 +206,11 @@ TEST(ResultCacheTest, ZeroCapacityDisablesTheCache) {
   const std::string requests =
       "{\"id\": 1, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n";
   for (int run = 0; run < 2; ++run) {
-    std::istringstream in(requests);
-    std::ostringstream out, err;
+    std::ostringstream err;
     ServeOptions options;
     options.summary = false;
     options.cache = &cache;
-    ASSERT_TRUE(RunServeLoop(*session, in, out, err, options).ok());
+    ASSERT_TRUE(ServeStream(*session, requests, options, err).status.ok());
   }
   EXPECT_EQ(session->queries_run(), 2);  // no bypass
 }

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -11,58 +19,56 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#endif
-
-#include "common/rng.h"
 #include "common/strings.h"
-#include "gen/erdos_renyi.h"
-#include "gen/injection.h"
-#include "gen/pattern_factory.h"
-#include "graph/graph_builder.h"
 #include "spider/spider_store_mmap.h"
 #include "spidermine/session.h"
 #include "tools/cli_commands.h"
+#include "serve_test_util.h"
 
-/// The serve protocol over string streams: one response line per request
-/// line, ids echoed (concurrent queries complete out of order), malformed
-/// requests answered rather than fatal, shutdown acknowledged last, and
-/// concurrent serving returning exactly the responses of --max-inflight=1.
-/// Plus the multi-client server: concurrent unix/TCP connections
-/// multiplexed by one event loop, the admission gate's "overloaded"
-/// rejection, and the result cache's byte-identical replays.
+/// The serve protocol over the server's stream connection (a temp-file or
+/// pipe fd pair, as `serve < requests.jsonl`): one response line per
+/// request line, ids echoed (concurrent queries complete out of order),
+/// malformed requests answered rather than fatal, shutdown acknowledged
+/// last, concurrent serving returning exactly the responses of
+/// --max-inflight=1, and the caller's fds handed back as they were. Plus
+/// the socket transports: concurrent unix/TCP connections multiplexed by
+/// the same event loop, the admission gate's "overloaded" rejection, and
+/// the result cache's byte-identical replays.
 
 namespace spidermine::cli {
 namespace {
-
-LabeledGraph TestGraph() {
-  Rng rng(11);
-  GraphBuilder builder = GenerateErdosRenyi(200, 2.0, 14, &rng);
-  Pattern planted = RandomConnectedPattern(10, 0.15, 14, &rng);
-  PatternInjector injector(&builder);
-  EXPECT_TRUE(injector.Inject(planted, 3, &rng).ok());
-  return std::move(builder.Build()).value();
-}
-
-Result<MiningSession> TestSession(const LabeledGraph* graph) {
-  SessionConfig config;
-  config.min_support = 3;
-  config.num_threads = 2;
-  return MiningSession::Create(graph, config);
-}
 
 std::vector<std::string> Lines(const std::string& text) {
   std::vector<std::string> lines;
   for (const std::string& line : Split(text, '\n')) {
     if (!line.empty()) lines.push_back(line);
   }
+  return lines;
+}
+
+/// The stream's responses to six queries at \p inflight, "seconds" masked
+/// and sorted (concurrent queries complete out of order).
+std::vector<std::string> SixAnsweredTranscript(const MiningSession& session,
+                                               const std::string& requests,
+                                               int32_t inflight) {
+  std::ostringstream err;
+  ServeOptions options;
+  options.max_inflight = inflight;
+  options.summary = false;
+  ServeStats stats;
+  StreamServeResult served =
+      ServeStream(session, requests, options, err, &stats);
+  EXPECT_TRUE(served.status.ok()) << served.status;
+  EXPECT_EQ(stats.answered, 6);
+  std::vector<std::string> lines = Lines(served.out);
+  for (std::string& line : lines) {
+    size_t begin = line.find("\"seconds\":");
+    size_t end = line.find(",\"timed_out\"");
+    EXPECT_NE(begin, std::string::npos);
+    EXPECT_NE(end, std::string::npos);
+    line.replace(begin, end - begin, "\"seconds\":X");
+  }
+  std::sort(lines.begin(), lines.end());
   return lines;
 }
 
@@ -206,7 +212,7 @@ TEST(ServeLoopTest, MeasureErrorsAnswerWithoutKillingTheStream) {
   Result<MiningSession> session = TestSession(&g);
   ASSERT_TRUE(session.ok()) << session.status();
 
-  std::istringstream in(
+  const std::string requests =
       // Unknown measure name: rejected at parse time.
       "{\"id\": 1, \"k\": 3, \"measure\": \"pagerank\"}\n"
       // txn_sample without the transaction measure: rejected by Validate.
@@ -219,15 +225,17 @@ TEST(ServeLoopTest, MeasureErrorsAnswerWithoutKillingTheStream) {
       // The stream is still healthy: a homomorphism query succeeds.
       "{\"id\": 5, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10, "
       "\"measure\": \"homomorphism\"}\n"
-      "{\"id\": 6, \"cmd\": \"shutdown\"}\n");
-  std::ostringstream out, err;
+      "{\"id\": 6, \"cmd\": \"shutdown\"}\n";
+  std::ostringstream err;
   ServeOptions options;
   options.max_inflight = 2;
   options.summary = false;
   ServeStats stats;
-  ASSERT_TRUE(RunServeLoop(*session, in, out, err, options, &stats).ok());
+  StreamServeResult served =
+      ServeStream(*session, requests, options, err, &stats);
+  ASSERT_TRUE(served.status.ok()) << served.status;
 
-  std::vector<std::string> lines = Lines(out.str());
+  std::vector<std::string> lines = Lines(served.out);
   ASSERT_EQ(lines.size(), 6u);  // every request answered, none dropped
   auto line_with = [&lines](std::string_view needle) {
     for (const std::string& line : lines) {
@@ -267,27 +275,8 @@ TEST(ServeLoopTest, MixedMeasureConcurrentMatchesSerial) {
                        200 + i, ", \"vmin\": 8, \"seed_count\": 10, "
                        "\"measure\": \"", measures[i], "\"}\n");
   }
-  auto run = [&requests](const MiningSession& session, int32_t inflight) {
-    std::istringstream in(requests);
-    std::ostringstream out, err;
-    ServeOptions options;
-    options.max_inflight = inflight;
-    options.summary = false;
-    ServeStats stats;
-    EXPECT_TRUE(RunServeLoop(session, in, out, err, options, &stats).ok());
-    EXPECT_EQ(stats.answered, 6);
-    std::vector<std::string> lines = Lines(out.str());
-    for (std::string& line : lines) {
-      size_t begin = line.find("\"seconds\":");
-      size_t end = line.find(",\"timed_out\"");
-      EXPECT_NE(begin, std::string::npos);
-      EXPECT_NE(end, std::string::npos);
-      line.replace(begin, end - begin, "\"seconds\":X");
-    }
-    std::sort(lines.begin(), lines.end());
-    return lines;
-  };
-  EXPECT_EQ(run(*serial_session, 1), run(*concurrent_session, 4));
+  EXPECT_EQ(SixAnsweredTranscript(*serial_session, requests, 1),
+            SixAnsweredTranscript(*concurrent_session, requests, 4));
 }
 
 TEST(ServeLoopTest, AnswersEveryRequestAndShutsDownLast) {
@@ -295,24 +284,23 @@ TEST(ServeLoopTest, AnswersEveryRequestAndShutsDownLast) {
   Result<MiningSession> session = TestSession(&g);
   ASSERT_TRUE(session.ok()) << session.status();
 
-  std::istringstream in(
+  const std::string requests =
       "{\"id\": 1, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n"
       "\n"
       "{\"id\": \"text-id\", \"k\": 2, \"seed\": 5, \"vmin\": 8, "
       "\"seed_count\": 10}\n"
       "{\"id\": 9, \"k\": 0}\n"
       "not json\n"
-      "{\"id\": 10, \"cmd\": \"shutdown\"}\n");
-  std::ostringstream out;
+      "{\"id\": 10, \"cmd\": \"shutdown\"}\n";
   std::ostringstream err;
   ServeOptions options;
   options.max_inflight = 2;
   ServeStats stats;
-  Status status =
-      RunServeLoop(*session, in, out, err, options, &stats);
-  ASSERT_TRUE(status.ok()) << status;
+  StreamServeResult served =
+      ServeStream(*session, requests, options, err, &stats);
+  ASSERT_TRUE(served.status.ok()) << served.status;
 
-  std::vector<std::string> lines = Lines(out.str());
+  std::vector<std::string> lines = Lines(served.out);
   ASSERT_EQ(lines.size(), 5u);  // one response per non-empty request line
   // The shutdown acknowledgment is the final line, after the drain.
   EXPECT_EQ(lines.back(),
@@ -356,32 +344,13 @@ TEST(ServeLoopTest, ConcurrentServingMatchesSerialResponses) {
     requests += StrCat("{\"id\": ", i, ", \"k\": 3, \"seed\": ", 100 + i,
                        ", \"vmin\": 8, \"seed_count\": 10}\n");
   }
-  auto run = [&requests](const MiningSession& session, int32_t inflight) {
-    std::istringstream in(requests);
-    std::ostringstream out;
-    std::ostringstream err;
-    ServeOptions options;
-    options.max_inflight = inflight;
-    options.summary = false;
-    ServeStats stats;
-    Status status = RunServeLoop(session, in, out, err, options, &stats);
-    EXPECT_TRUE(status.ok()) << status;
-    EXPECT_EQ(stats.answered, 6);
-    std::vector<std::string> lines = Lines(out.str());
-    for (std::string& line : lines) {
-      size_t begin = line.find("\"seconds\":");
-      size_t end = line.find(",\"timed_out\"");
-      EXPECT_NE(begin, std::string::npos);
-      EXPECT_NE(end, std::string::npos);
-      line.replace(begin, end - begin, "\"seconds\":X");
-    }
-    std::sort(lines.begin(), lines.end());
-    return lines;
-  };
+  // A regular file with no shutdown line whose last line is unterminated:
+  // poll() always reports it readable, yet every line, the last one
+  // included, is answered before the server exits at EOF.
+  requests.pop_back();
 
-  std::vector<std::string> serial = run(*serial_session, 1);
-  std::vector<std::string> concurrent = run(*concurrent_session, 4);
-  EXPECT_EQ(serial, concurrent);
+  EXPECT_EQ(SixAnsweredTranscript(*serial_session, requests, 1),
+            SixAnsweredTranscript(*concurrent_session, requests, 4));
 }
 
 TEST(ServePrecheckTest, MissingArtifactFailsFast) {
@@ -444,11 +413,10 @@ TEST(ServePrecheckTest, CmdServeChecksArtifactBeforeGraph) {
   // Both paths are missing; the error must be about the artifact, proving
   // the precheck runs before the graph is loaded (fail fast, not after
   // seconds of graph parsing and pool construction).
-  std::istringstream in("");
-  std::ostringstream out, err;
+  std::ostringstream err;
   Status status = CmdServe({"/nonexistent/graph.bin",
                             "/nonexistent/dir/stage1.sm2"},
-                           in, out, err);
+                           err);
   ASSERT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_NE(status.message().find("stage1 artifact"), std::string::npos);
 }
@@ -457,15 +425,118 @@ TEST(ServeLoopTest, RejectsInvalidInflight) {
   LabeledGraph g = TestGraph();
   Result<MiningSession> session = TestSession(&g);
   ASSERT_TRUE(session.ok());
-  std::istringstream in("");
-  std::ostringstream out, err;
+  std::ostringstream err;
   ServeOptions options;
   options.max_inflight = 0;
-  Status status = RunServeLoop(*session, in, out, err, options);
+  ServeTransportOptions transport;
+  transport.stream_in_fd = STDIN_FILENO;
+  transport.stream_out_fd = STDOUT_FILENO;
+  Status status = RunServeServer(*session, transport, err, options);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
+TEST(ServeStreamTest, AtTheInflightCapInputOrderIsKept) {
+  // The stream stops framing lines while max_inflight of its queries run,
+  // so at a cap of 1 the malformed line 2 waits for query line 1.
+  LabeledGraph g = TestGraph();
+  Result<MiningSession> session = TestSession(&g);
+  ASSERT_TRUE(session.ok());
+  std::ostringstream err;
+  ServeOptions options;
+  options.max_inflight = 1;
+  options.summary = false;
+  StreamServeResult served = ServeStream(
+      *session,
+      "{\"id\": 1, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n"
+      "not json\n",
+      options, err);
+  ASSERT_TRUE(served.status.ok()) << served.status;
+  std::vector<std::string> lines = Lines(served.out);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind("{\"id\":1,\"line\":1,\"ok\":true", 0), 0u)
+      << lines[0];
+  EXPECT_EQ(lines[1].rfind("{\"id\":null,\"line\":2,\"ok\":false", 0), 0u)
+      << lines[1];
+}
+
+TEST(ServeStreamTest, EmptyInputReturnsOkWithNoOutput) {
+  LabeledGraph g = TestGraph();
+  Result<MiningSession> session = TestSession(&g);
+  ASSERT_TRUE(session.ok());
+  const int dev_null = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(dev_null, 0);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  ServeTransportOptions transport;
+  transport.stream_in_fd = dev_null;
+  transport.stream_out_fd = ::fileno(out);
+  std::ostringstream err;
+  ServeOptions options;
+  ServeStats stats;
+  Status status = RunServeServer(*session, transport, err, options, &stats);
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(::lseek(::fileno(out), 0, SEEK_END), 0);  // nothing written
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_NE(err.str().find("serve: 0 requests"), std::string::npos);
+  std::fclose(out);
+  ::close(dev_null);
+}
+
+TEST(ServeStreamTest, StreamFdsStayOpenWithTheirFlags) {
+  // The stream fds are the caller's (stdin/stdout of the shell that ran
+  // `serve`): the server must neither close them nor leave O_NONBLOCK
+  // behind. The output side starts non-blocking, the input side blocking:
+  // both must come back exactly as they were.
+  LabeledGraph g = TestGraph();
+  Result<MiningSession> session = TestSession(&g);
+  ASSERT_TRUE(session.ok());
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  ASSERT_EQ(::fcntl(out_pipe[1], F_SETFL,
+                    ::fcntl(out_pipe[1], F_GETFL) | O_NONBLOCK),
+            0);
+  const int in_flags = ::fcntl(in_pipe[0], F_GETFL);
+  const int out_flags = ::fcntl(out_pipe[1], F_GETFL);
+  ASSERT_EQ(in_flags & O_NONBLOCK, 0);
+  ASSERT_NE(out_flags & O_NONBLOCK, 0);
+
+  const std::string requests =
+      "{\"id\": 1, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n"
+      "{\"id\": 2, \"cmd\": \"shutdown\"}\n";
+  ASSERT_EQ(::write(in_pipe[1], requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  ::close(in_pipe[1]);
+  std::string output;
+  std::thread reader([&output, fd = out_pipe[0]] {
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+      output.append(chunk, static_cast<size_t>(n));
+    }
+  });
+
+  ServeTransportOptions transport;
+  transport.stream_in_fd = in_pipe[0];
+  transport.stream_out_fd = out_pipe[1];
+  std::ostringstream err;
+  ServeOptions options;
+  options.summary = false;
+  Status status = RunServeServer(*session, transport, err, options);
+  EXPECT_TRUE(status.ok()) << status;
+  // Still open (fcntl succeeds) and flags unchanged.
+  EXPECT_EQ(::fcntl(in_pipe[0], F_GETFL), in_flags);
+  EXPECT_EQ(::fcntl(out_pipe[1], F_GETFL), out_flags);
+
+  ::close(out_pipe[1]);
+  reader.join();
+  ::close(in_pipe[0]);
+  ::close(out_pipe[0]);
+  std::vector<std::string> lines = Lines(output);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[1], "{\"id\":2,\"line\":2,\"ok\":true,\"shutdown\":true}");
+}
 
 /// A blocking test client over a connected socket: raw sends, line reads.
 class TestClient {
@@ -648,17 +719,17 @@ TEST(ServeServerTest, ConcurrentClientsMatchSerialByteForByte) {
   EXPECT_TRUE(server.stats().shutdown_requested);
   EXPECT_FALSE(std::filesystem::exists(socket_path));  // unlinked on exit
 
-  // The same 8 queries through the serial stream loop on a fresh session.
+  // The same 8 queries through the serial stream on a fresh session.
   std::string requests;
   for (int id = 1; id <= 8; ++id) requests += request(id);
-  std::istringstream in(requests);
-  std::ostringstream out, err;
+  std::ostringstream err;
   ServeOptions serial_options;
   serial_options.max_inflight = 1;
   serial_options.summary = false;
-  ASSERT_TRUE(
-      RunServeLoop(*serial_session, in, out, err, serial_options).ok());
-  std::vector<std::string> serial_lines = Lines(out.str());
+  StreamServeResult serial =
+      ServeStream(*serial_session, requests, serial_options, err);
+  ASSERT_TRUE(serial.status.ok()) << serial.status;
+  std::vector<std::string> serial_lines = Lines(serial.out);
 
   ASSERT_EQ(server_lines.size(), serial_lines.size());
   for (auto* lines : {&server_lines, &serial_lines}) {
@@ -741,6 +812,34 @@ TEST(ServeServerTest, OverloadedRequestsAreRejectedImmediately) {
   EXPECT_EQ(server.stats().rejected, 1);
 }
 
+TEST(ServeServerTest, ShutdownLineIsTheLastLineRead) {
+  LabeledGraph g = TestGraph();
+  Result<MiningSession> session = TestSession(&g);
+  ASSERT_TRUE(session.ok());
+
+  const std::string socket_path = TempSocketPath("lastline");
+  ServeTransportOptions transport;
+  transport.socket_path = socket_path;
+  ServeOptions options;
+  options.summary = false;
+  ServerRunner server(*session, transport, options);
+
+  // Both lines arrive in one segment; the query after the shutdown line
+  // is never read, so the ack is the only reply before EOF.
+  TestClient client = TestClient::ConnectUnix(socket_path);
+  client.Send(
+      "{\"cmd\": \"shutdown\"}\n"
+      "{\"id\": 1, \"k\": 3, \"seed\": 7, \"vmin\": 8, "
+      "\"seed_count\": 10}\n");
+  EXPECT_EQ(client.ReadLine(),
+            "{\"id\":null,\"line\":1,\"ok\":true,\"shutdown\":true}");
+  EXPECT_EQ(client.ReadLine(), "");
+  server.Join();
+  ASSERT_TRUE(server.status().ok()) << server.status();
+  EXPECT_EQ(server.stats().requests, 1);
+  EXPECT_EQ(session->queries_run(), 0);
+}
+
 TEST(ServeServerTest, TcpTransportAndCacheHitsAreByteIdentical) {
   LabeledGraph g = TestGraph();
   Result<MiningSession> session = TestSession(&g);
@@ -783,8 +882,6 @@ TEST(ServeServerTest, TcpTransportAndCacheHitsAreByteIdentical) {
   // snapshot that a summary would render.
   EXPECT_EQ(cache.stats().entries, 1);
 }
-
-#endif  // unix server tests
 
 }  // namespace
 }  // namespace spidermine::cli

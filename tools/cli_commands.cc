@@ -1,7 +1,8 @@
 #include "tools/cli_commands.h"
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <iostream>
 #include <optional>
 
 #include "baselines/complete_miner.h"
@@ -683,8 +684,7 @@ Status PrecheckStage1Artifact(const std::string& path) {
   return CheckStage1Magic(path, magic);
 }
 
-Status CmdServe(const std::vector<std::string>& args, std::istream& in,
-                std::ostream& out, std::ostream& err) {
+Status CmdServe(const std::vector<std::string>& args, std::ostream& err) {
   FlagSet flags("spidermine serve",
                 "answer newline-delimited JSON top-K queries from a "
                 "resident session (see docs/CLI.md for the schema)");
@@ -794,13 +794,14 @@ Status CmdServe(const std::vector<std::string>& args, std::istream& in,
   options.max_inflight = static_cast<int32_t>(inflight);
   options.summary = !flags.GetBool("quiet");
   options.cache = &cache;
-  if (!flags.GetString("socket").empty() || tcp_port >= 0) {
-    ServeTransportOptions transport;
-    transport.socket_path = flags.GetString("socket");
-    transport.tcp_port = static_cast<int32_t>(tcp_port);
-    return RunServeServer(*session, transport, err, options);
+  ServeTransportOptions transport;
+  transport.socket_path = flags.GetString("socket");
+  transport.tcp_port = static_cast<int32_t>(tcp_port);
+  if (transport.socket_path.empty() && tcp_port < 0) {
+    transport.stream_in_fd = STDIN_FILENO;
+    transport.stream_out_fd = STDOUT_FILENO;
   }
-  return RunServeLoop(*session, in, out, err, options);
+  return RunServeServer(*session, transport, err, options);
 }
 
 Status CmdBaseline(const std::vector<std::string>& args, std::ostream& out) {
@@ -920,7 +921,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   } else if (command == "query") {
     status = CmdQuery(rest, out);
   } else if (command == "serve") {
-    status = CmdServe(rest, std::cin, out, err);
+    status = CmdServe(rest, err);
   } else if (command == "baseline") {
     status = CmdBaseline(rest, out);
   } else if (command == "convert") {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -32,7 +31,8 @@
 ///   query    answer a top-K query against a saved stage1 artifact without
 ///            re-mining; repeated queries take milliseconds-to-seconds
 ///   serve    keep one session resident and answer newline-delimited JSON
-///            top-K queries concurrently (stdin/stdout or a unix socket)
+///            top-K queries concurrently (stdin/stdout, a unix socket
+///            and/or TCP)
 ///   baseline run a comparison miner (subdue / seus / grew / complete)
 ///   convert  convert between the text (.lg) and binary (.smg) formats
 
@@ -40,6 +40,7 @@ namespace spidermine::cli {
 
 /// Dispatches `spidermine <subcommand> [flags]`. Writes normal output to
 /// \p out and errors/usage to \p err; returns the process exit code.
+/// `serve` is the exception: it answers on the process's stdout fd.
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err);
 
@@ -76,17 +77,15 @@ Status CmdConvert(const std::vector<std::string>& args, std::ostream& out);
 Status PrecheckStage1Artifact(const std::string& path);
 
 /// `serve`: builds (or loads) a session, then answers newline-delimited
-/// JSON queries from \p in on \p out until EOF or {"cmd":"shutdown"},
+/// JSON queries from stdin on stdout until EOF or {"cmd":"shutdown"},
 /// running up to --max-inflight queries concurrently; diagnostics and the
 /// final latency summary go to \p err. With --socket=<path> and/or
-/// --tcp=<port> a multi-client event-loop server (tools/serve_loop.h)
-/// replaces the streams: any number of concurrent connections, a global
+/// --tcp=<port> the same server (tools/serve_loop.h) listens instead of
+/// reading stdin: any number of concurrent connections, a global
 /// --max-inflight admission gate ("overloaded" rejections), and a shared
 /// result cache (--cache-entries/--cache-bytes) answering repeated
-/// queries without recomputation. The streams are parameters (RunCli
-/// passes std::cin/std::cout) so tests drive the full command without a
-/// process. See tools/serve_loop.h for the protocol.
-Status CmdServe(const std::vector<std::string>& args, std::istream& in,
-                std::ostream& out, std::ostream& err);
+/// queries without recomputation. Tests drive the server itself through
+/// RunServeServer. See tools/serve_loop.h for the protocol.
+Status CmdServe(const std::vector<std::string>& args, std::ostream& err);
 
 }  // namespace spidermine::cli

@@ -1,43 +1,29 @@
 #include "tools/serve_loop.h"
 
-#include <algorithm>
-#include <cmath>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <deque>
-#include <limits>
-#include <istream>
-#include <mutex>
-#include <optional>
-#include <ostream>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <condition_variable>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#else
-#include <poll.h>
-#endif
-
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0  // macOS: SIGPIPE is already SIG_IGN'd process-wide
-#endif
-#endif
+#include <deque>
+#include <limits>
+#include <mutex>
+#include <optional>
+#include <ostream>
+#include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "common/strings.h"
 #include "common/timer.h"
@@ -292,20 +278,18 @@ std::string OkResponseFromBody(const std::string& id_json,
                 ",\"timed_out\":", timed_out ? "true" : "false", "}");
 }
 
-/// One executed request: the rendered response line plus what it was.
+/// One executed request: the rendered response line and whether it is an
+/// "ok" one.
 struct Executed {
   std::string response;
   bool ok = false;
-  bool cache_hit = false;
 };
 
 /// Runs one admitted query against the session, consulting \p cache
 /// first. A hit replays the cached deterministic body (bypassing RunQuery
 /// entirely); a miss computes, then caches the body unless the query
 /// timed out (a truncated result is wall-clock-dependent, so replaying it
-/// would pin one machine's bad luck forever). Shared by the stream loop
-/// and the multi-client server so both transports have identical caching
-/// semantics.
+/// would pin one machine's bad luck forever).
 Executed ExecuteQuery(const MiningSession& session, ResultCache* cache,
                       const TopKQuery& query, const std::string& id_json,
                       int64_t line) {
@@ -320,20 +304,19 @@ Executed ExecuteQuery(const MiningSession& session, ResultCache* cache,
       return Executed{OkResponseFromBody(id_json, line, *hit,
                                          timer.ElapsedSeconds(),
                                          /*timed_out=*/false),
-                      /*ok=*/true, /*cache_hit=*/true};
+                      /*ok=*/true};
     }
   }
   Result<QueryResult> result = session.RunQuery(query);
   const double seconds = timer.ElapsedSeconds();
   if (!result.ok()) {
-    return Executed{ErrorResponse(id_json, line, result.status()), false,
-                    false};
+    return Executed{ErrorResponse(id_json, line, result.status()), false};
   }
   std::string body = OkBody(*result);
   if (use_cache && !result->stats.timed_out) cache->Insert(key, body);
   return Executed{OkResponseFromBody(id_json, line, body, seconds,
                                      result->stats.timed_out),
-                  /*ok=*/true, /*cache_hit=*/false};
+                  /*ok=*/true};
 }
 
 /// The session's serving aggregate with the result cache's counters folded
@@ -503,260 +486,24 @@ Result<TopKQuery> QueryFromJson(const JsonObject& request) {
   return query;
 }
 
-Status RunServeLoop(const MiningSession& session, std::istream& in,
-                    std::ostream& out, std::ostream& err,
-                    const ServeOptions& options, ServeStats* stats) {
-  if (options.max_inflight < 1) {
-    return Status::InvalidArgument(
-        StrCat("max_inflight must be >= 1 (got ", options.max_inflight, ")"));
-  }
-  WallTimer timer;
-  ServeStats local;
-
-  // One response line per request line, written atomically and flushed
-  // immediately (clients block on responses; concurrent queries complete
-  // out of order and interleave here).
-  std::mutex out_mu;
-  auto emit = [&out, &out_mu, &local](const std::string& line, bool answered) {
-    std::lock_guard<std::mutex> lock(out_mu);
-    out << line << "\n" << std::flush;
-    if (answered) {
-      ++local.answered;
-    } else {
-      ++local.errors;
-    }
-  };
-
-  // A bounded job queue feeding max_inflight worker threads, each running
-  // RunQuery on the shared (const, thread-safe) session. The bound gives
-  // back-pressure: a client streaming thousands of requests holds at most
-  // 2x max_inflight parsed queries in memory.
-  struct Job {
-    int64_t line = 0;  // 1-based physical input line (the correlation key)
-    std::string id_json;
-    TopKQuery query;
-  };
-  std::deque<Job> queue;
-  std::mutex queue_mu;
-  std::condition_variable can_push;
-  std::condition_variable can_pop;
-  bool closed = false;
-  const size_t queue_cap = 2 * static_cast<size_t>(options.max_inflight);
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(options.max_inflight));
-  for (int32_t w = 0; w < options.max_inflight; ++w) {
-    workers.emplace_back([&session, &options, &queue, &queue_mu, &can_push,
-                          &can_pop, &closed, &emit] {
-      for (;;) {
-        Job job;
-        {
-          std::unique_lock<std::mutex> lock(queue_mu);
-          can_pop.wait(lock, [&] { return !queue.empty() || closed; });
-          if (queue.empty()) return;  // closed and drained
-          job = std::move(queue.front());
-          queue.pop_front();
-        }
-        can_push.notify_one();
-        Executed executed = ExecuteQuery(session, options.cache, job.query,
-                                         job.id_json, job.line);
-        emit(executed.response, executed.ok);
-      }
-    });
-  }
-
-  std::string line;
-  std::string shutdown_id_json;
-  int64_t shutdown_line = 0;
-  // The response "line" key is the PHYSICAL 1-based input line number —
-  // blank lines advance it (they just get no response) so a client can
-  // correlate by counting its own output lines; local.requests counts
-  // only actual requests for the stats.
-  int64_t physical_line = 0;
-  while (std::getline(in, line)) {
-    ++physical_line;
-    if (StripAsciiWhitespace(line).empty()) continue;
-    ++local.requests;
-    Result<JsonObject> request = ParseJsonObject(line);
-    if (!request.ok()) {
-      emit(ErrorResponse("null", physical_line, request.status()), false);
-      continue;
-    }
-    const std::string id_json = RenderId(Find(*request, "id"));
-    if (const JsonValue* cmd = Find(*request, "cmd")) {
-      if (cmd->kind == JsonValue::Kind::kString &&
-          cmd->string_value == "shutdown") {
-        local.shutdown_requested = true;
-        shutdown_id_json = id_json;
-        shutdown_line = physical_line;
-        break;  // drain in-flight queries below, then acknowledge
-      }
-      emit(ErrorResponse(
-               id_json, physical_line,
-               Status::InvalidArgument(
-                   "unknown \"cmd\" (only \"shutdown\" exists)")),
-           false);
-      continue;
-    }
-    Result<TopKQuery> query = QueryFromJson(*request);
-    if (!query.ok()) {
-      emit(ErrorResponse(id_json, physical_line, query.status()), false);
-      continue;
-    }
-    {
-      std::unique_lock<std::mutex> lock(queue_mu);
-      can_push.wait(lock, [&] { return queue.size() < queue_cap; });
-      queue.push_back(Job{physical_line, id_json, *std::move(query)});
-    }
-    can_pop.notify_one();
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(queue_mu);
-    closed = true;
-  }
-  can_pop.notify_all();
-  for (std::thread& worker : workers) worker.join();
-
-  // The shutdown acknowledgment is the last response line: once the client
-  // reads it, every query it sent has been answered.
-  if (local.shutdown_requested) {
-    emit(StrCat(ResponseHead(shutdown_id_json, shutdown_line),
-                ",\"ok\":true,\"shutdown\":true}"),
-         true);
-  }
-
-  local.wall_seconds = timer.ElapsedSeconds();
-  if (options.summary) {
-    err << "serve: " << local.requests << " requests in "
-        << local.wall_seconds << "s (" << local.answered << " answered, "
-        << local.errors << " errors); session total: "
-        << SnapshotWithCache(session, options.cache).ToString() << "\n";
-  }
-  if (stats != nullptr) *stats = local;
-  return Status::Ok();
-}
-
-#if defined(__unix__) || defined(__APPLE__)
 
 namespace {
 
-// --------------------------------------------------- multi-client server
+// ------------------------------------------------------------- the server
 //
 // One event-loop thread owns every fd (listeners, connections, the wakeup
 // pipe) and all connection state; max_inflight worker threads own nothing
 // but the job they are executing. Workers hand finished responses back
 // through a mutex-guarded completion vector and a self-pipe byte, so all
-// socket writes happen on the loop thread — no fd is ever touched from
-// two threads.
+// writes happen on the loop thread — no fd is ever touched from two
+// threads. The loop waits in poll(): it serves a handful of fds, and
+// unlike epoll, poll() accepts a regular file (`serve < requests.jsonl`).
 
-Status SetNonBlocking(int fd) {
+/// Sets O_NONBLOCK on \p fd. False when fcntl fails.
+bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IoError(StrCat("fcntl(O_NONBLOCK): ", std::strerror(errno)));
-  }
-  return Status::Ok();
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
-
-/// Readiness event, normalized across the two poller backends. A hangup
-/// reports as readable so the regular read path observes the EOF.
-struct PollEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-};
-
-#if defined(__linux__)
-
-/// epoll-backed poller (level-triggered, matching the poll() fallback).
-class Poller {
- public:
-  Poller() : epoll_fd_(::epoll_create1(0)) {}
-  ~Poller() {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-  bool ok() const { return epoll_fd_ >= 0; }
-
-  void Watch(int fd, bool want_read, bool want_write) {
-    epoll_event event{};
-    event.events = (want_read ? static_cast<uint32_t>(EPOLLIN) : 0u) |
-                   (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-    event.data.fd = fd;
-    const int op =
-        watched_.insert(fd).second ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-    ::epoll_ctl(epoll_fd_, op, fd, &event);
-  }
-  void Unwatch(int fd) {
-    if (watched_.erase(fd) > 0) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    }
-  }
-  /// Blocks until readiness (timeout_ms < 0 = forever), EINTR-retrying.
-  /// Returns the event count, < 0 on a poller failure.
-  int Wait(std::vector<PollEvent>* out, int timeout_ms) {
-    epoll_event events[64];
-    int n;
-    do {
-      n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    out->clear();
-    for (int i = 0; i < n; ++i) {
-      PollEvent event;
-      event.fd = events[i].data.fd;
-      event.readable =
-          (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
-      event.writable = (events[i].events & EPOLLOUT) != 0;
-      out->push_back(event);
-    }
-    return n;
-  }
-
- private:
-  int epoll_fd_;
-  std::unordered_set<int> watched_;
-};
-
-#else
-
-/// poll()-backed fallback for non-Linux unix platforms. The interest set
-/// is rebuilt into a pollfd array per wait — fine at serving fan-ins.
-class Poller {
- public:
-  bool ok() const { return true; }
-
-  void Watch(int fd, bool want_read, bool want_write) {
-    interest_[fd] = static_cast<short>((want_read ? POLLIN : 0) |
-                                       (want_write ? POLLOUT : 0));
-  }
-  void Unwatch(int fd) { interest_.erase(fd); }
-  int Wait(std::vector<PollEvent>* out, int timeout_ms) {
-    std::vector<pollfd> fds;
-    fds.reserve(interest_.size());
-    for (const auto& [fd, events] : interest_) {
-      fds.push_back(pollfd{fd, events, 0});
-    }
-    int n;
-    do {
-      n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    out->clear();
-    if (n <= 0) return n;
-    for (const pollfd& p : fds) {
-      if (p.revents == 0) continue;
-      PollEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      out->push_back(event);
-    }
-    return n;
-  }
-
- private:
-  std::unordered_map<int, short> interest_;
-};
-
-#endif
 
 /// Binds + listens on a unix socket, replacing only a genuinely stale
 /// *socket* at the path — a typo'd --socket pointing at a regular file
@@ -830,13 +577,21 @@ Result<int> ListenTcp(int32_t port, int32_t* bound_port) {
 /// the identity completions carry back: fds are reused by the kernel the
 /// moment a connection closes, ids never are.
 struct ServerConnection {
-  int fd = -1;
+  int in_fd = -1;            ///< requests are read here
+  int out_fd = -1;           ///< responses are written here (a socket: in_fd)
+  bool stream = false;       ///< the caller's fd pair, not an accepted socket
   std::string read_buffer;   ///< bytes received, not yet newline-framed
-  std::string write_buffer;  ///< rendered responses not yet accepted by send
+  std::string write_buffer;  ///< rendered responses; see write_offset
+  size_t write_offset = 0;   ///< write_buffer bytes the kernel already took
   int64_t physical_line = 0; ///< 1-based request line counter (per conn)
   int64_t inflight = 0;      ///< this connection's executing queries
-  bool read_open = true;     ///< false after EOF / read error / oversize
-  bool write_ok = true;      ///< false after a send error (EPIPE etc.)
+  bool read_open = true;     ///< false after EOF / read error / oversize /
+                             ///< the shutdown line
+  bool write_ok = true;      ///< false after a write error (EPIPE etc.)
+
+  bool pending_output() const {
+    return write_ok && write_offset < write_buffer.size();
+  }
 };
 
 /// A request line longer than this is a protocol violation, answered once
@@ -854,10 +609,27 @@ Status RunServeServer(const MiningSession& session,
     return Status::InvalidArgument(
         StrCat("max_inflight must be >= 1 (got ", options.max_inflight, ")"));
   }
-  if (transport.socket_path.empty() && transport.tcp_port < 0) {
+  const bool has_stream = transport.stream_in_fd >= 0;
+  if (has_stream != (transport.stream_out_fd >= 0)) {
     return Status::InvalidArgument(
-        "the serve server needs at least one transport (a unix socket path "
-        "and/or a TCP port)");
+        "the serve stream needs both an input and an output fd");
+  }
+  if (transport.socket_path.empty() && transport.tcp_port < 0 && !has_stream) {
+    return Status::InvalidArgument(
+        "the serve server needs at least one transport (a stream fd pair, "
+        "a unix socket path and/or a TCP port)");
+  }
+  // The stream fds are the caller's: their flags are restored on return,
+  // so a non-blocking inherited tty or pipe never leaks into the shell.
+  int stream_in_flags = -1;
+  int stream_out_flags = -1;
+  if (has_stream) {
+    stream_in_flags = ::fcntl(transport.stream_in_fd, F_GETFL, 0);
+    stream_out_flags = ::fcntl(transport.stream_out_fd, F_GETFL, 0);
+    if (stream_in_flags < 0 || stream_out_flags < 0) {
+      return Status::IoError(
+          StrCat("serve stream fd: ", std::strerror(errno)));
+    }
   }
   // A client that disconnects mid-response must surface as an EPIPE return
   // value on this connection, not kill the whole server.
@@ -867,13 +639,14 @@ Status RunServeServer(const MiningSession& session,
   int tcp_listener = -1;
   ServeEndpoints endpoints;
   auto close_listeners = [&] {
-    if (unix_listener >= 0) {
-      ::close(unix_listener);
-      unix_listener = -1;
+    for (int* listener : {&unix_listener, &tcp_listener}) {
+      if (*listener >= 0) ::close(*listener);
+      *listener = -1;
     }
-    if (tcp_listener >= 0) {
-      ::close(tcp_listener);
-      tcp_listener = -1;
+  };
+  auto unlink_socket = [&] {
+    if (!transport.socket_path.empty()) {
+      ::unlink(transport.socket_path.c_str());
     }
   };
   if (!transport.socket_path.empty()) {
@@ -884,9 +657,7 @@ Status RunServeServer(const MiningSession& session,
     Result<int> tcp = ListenTcp(transport.tcp_port, &endpoints.tcp_port);
     if (!tcp.ok()) {
       close_listeners();
-      if (!transport.socket_path.empty()) {
-        ::unlink(transport.socket_path.c_str());
-      }
+      unlink_socket();
       return tcp.status();
     }
     tcp_listener = *tcp;
@@ -901,24 +672,25 @@ Status RunServeServer(const MiningSession& session,
   if (::pipe(wake_fds) != 0) {
     const std::string detail = std::strerror(errno);
     close_listeners();
-    if (!transport.socket_path.empty()) {
-      ::unlink(transport.socket_path.c_str());
-    }
+    unlink_socket();
     return Status::IoError(StrCat("pipe(): ", detail));
   }
   (void)SetNonBlocking(wake_fds[0]);
   (void)SetNonBlocking(wake_fds[1]);
 
-  err << "serve: listening on";
-  if (unix_listener >= 0) err << " unix socket " << endpoints.socket_path;
-  if (unix_listener >= 0 && tcp_listener >= 0) err << " and";
-  if (tcp_listener >= 0) err << " tcp 127.0.0.1:" << endpoints.tcp_port;
-  err << " (send {\"cmd\":\"shutdown\"} to stop)\n";
+  if (unix_listener >= 0 || tcp_listener >= 0) {
+    err << "serve: listening on";
+    if (unix_listener >= 0) err << " unix socket " << endpoints.socket_path;
+    if (unix_listener >= 0 && tcp_listener >= 0) err << " and";
+    if (tcp_listener >= 0) err << " tcp 127.0.0.1:" << endpoints.tcp_port;
+    err << " (send {\"cmd\":\"shutdown\"} to stop)\n";
+  }
   if (transport.on_ready) transport.on_ready(endpoints);
 
   // ----- worker pool: max_inflight threads, a job queue, a completion
-  // vector. Admission happens on the loop thread, so the queue never holds
-  // more than max_inflight jobs and every admitted job starts immediately.
+  // vector. Admission happens on the loop thread: a socket query only
+  // while fewer than max_inflight run in all, a stream query while fewer
+  // than max_inflight of the stream's own run.
   struct ServerJob {
     int64_t conn_id = 0;
     int64_t line = 0;
@@ -968,9 +740,7 @@ Status RunServeServer(const MiningSession& session,
   }
 
   // ----- loop state (loop-thread-only; no locks needed).
-  Poller poller;
   std::unordered_map<int64_t, ServerConnection> connections;
-  std::unordered_map<int, int64_t> conn_of_fd;
   int64_t next_conn_id = 1;
   int64_t global_inflight = 0;
   bool shutting_down = false;
@@ -983,70 +753,64 @@ Status RunServeServer(const MiningSession& session,
   ServeStats local;
   Status status = Status::Ok();
 
-  if (!poller.ok()) {
-    status = Status::IoError("epoll_create1() failed");
+  if (has_stream) {
+    (void)SetNonBlocking(transport.stream_in_fd);
+    (void)SetNonBlocking(transport.stream_out_fd);
+    ServerConnection stream;
+    stream.in_fd = transport.stream_in_fd;
+    stream.out_fd = transport.stream_out_fd;
+    stream.stream = true;
+    connections.emplace(next_conn_id++, std::move(stream));
   }
-  poller.Watch(wake_fds[0], /*want_read=*/true, /*want_write=*/false);
-  if (unix_listener >= 0) poller.Watch(unix_listener, true, false);
-  if (tcp_listener >= 0) poller.Watch(tcp_listener, true, false);
 
-  // Re-arms a connection's poll interest from its current state: read
-  // while the client may still send, write only while bytes are queued
-  // (level-triggered EPOLLOUT on an empty buffer would spin).
-  auto update_interest = [&](ServerConnection& conn) {
-    poller.Watch(conn.fd, conn.read_open,
-                 conn.write_ok && !conn.write_buffer.empty());
+  auto find_conn = [&](int64_t conn_id) -> ServerConnection* {
+    auto it = connections.find(conn_id);
+    return it == connections.end() ? nullptr : &it->second;
   };
 
-  // Pushes queued bytes into the socket until it would block. A send
-  // failure (EPIPE after SIG_IGN, ECONNRESET) kills the write side only;
-  // close bookkeeping happens in maybe_close.
-  auto flush_writes = [&](ServerConnection& conn) {
-    while (conn.write_ok && !conn.write_buffer.empty()) {
-      ssize_t n = ::send(conn.fd, conn.write_buffer.data(),
-                         conn.write_buffer.size(), MSG_NOSIGNAL);
+  // Pushes queued bytes out until the fd would block. A write failure
+  // (EPIPE after SIG_IGN, ECONNRESET) kills the write side only; close
+  // bookkeeping happens in maybe_close.
+  auto flush_writes = [](ServerConnection& conn) {
+    while (conn.pending_output()) {
+      const ssize_t n =
+          ::write(conn.out_fd, conn.write_buffer.data() + conn.write_offset,
+                  conn.write_buffer.size() - conn.write_offset);
       if (n > 0) {
-        conn.write_buffer.erase(0, static_cast<size_t>(n));
+        conn.write_offset += static_cast<size_t>(n);
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
       conn.write_ok = false;
-      conn.write_buffer.clear();
     }
+    conn.write_buffer.clear();
+    conn.write_offset = 0;
   };
 
   /// Queues one response line on a connection (dropped silently when the
   /// connection died first — the counters still record the outcome).
-  auto emit_response = [&](int64_t conn_id, const std::string& response,
-                           bool answered) {
-    if (answered) {
-      ++local.answered;
-    } else {
-      ++local.errors;
-    }
-    auto it = connections.find(conn_id);
-    if (it == connections.end() || !it->second.write_ok) return;
-    it->second.write_buffer.append(response);
-    it->second.write_buffer.push_back('\n');
-    flush_writes(it->second);
-    update_interest(it->second);
+  auto emit = [&](ServerConnection* conn, const std::string& response,
+                  bool answered) {
+    ++(answered ? local.answered : local.errors);
+    if (conn == nullptr || !conn->write_ok) return;
+    conn->write_buffer.append(response);
+    conn->write_buffer.push_back('\n');
+    flush_writes(*conn);
   };
 
-  /// Closes and forgets a connection once nothing more can happen on it:
-  /// the write side is dead, or the client is gone and every admitted
-  /// query has been answered and flushed.
+  /// Forgets a connection once nothing more can happen on it: the write
+  /// side is dead, or the client is gone and every admitted query has been
+  /// answered and flushed. Only accepted sockets are closed; the stream
+  /// fds stay the caller's.
   auto maybe_close = [&](int64_t conn_id) {
     auto it = connections.find(conn_id);
     if (it == connections.end()) return;
-    ServerConnection& conn = it->second;
-    const bool write_done = !conn.write_ok || conn.write_buffer.empty();
-    const bool done =
-        conn.inflight == 0 && (!conn.write_ok || (!conn.read_open && write_done));
-    if (!done) return;
-    poller.Unwatch(conn.fd);
-    ::close(conn.fd);
-    conn_of_fd.erase(conn.fd);
+    const ServerConnection& conn = it->second;
+    if (conn.inflight > 0) return;
+    if (conn_id == shutdown_conn && !shutdown_acked) return;  // ack owed
+    if (conn.write_ok && (conn.read_open || conn.pending_output())) return;
+    if (!conn.stream) ::close(conn.in_fd);
     connections.erase(it);
   };
 
@@ -1063,82 +827,68 @@ Status RunServeServer(const MiningSession& session,
                                10, 60000);
   };
 
-  /// Handles one framed request line of one connection.
-  auto process_line = [&](int64_t conn_id, const std::string& text) {
-    auto conn_it = connections.find(conn_id);
-    if (conn_it == connections.end()) return;
-    ServerConnection& conn = conn_it->second;
+  /// Handles one framed request line of one connection, whatever its
+  /// transport. Returns false for the shutdown line: it is the last line
+  /// read from its connection.
+  auto process_line = [&](int64_t conn_id, ServerConnection& conn,
+                          std::string_view text) {
     ++conn.physical_line;
-    if (StripAsciiWhitespace(text).empty()) return;
+    if (StripAsciiWhitespace(text).empty()) return true;
     ++local.requests;
+    auto reply_error = [&](const std::string& id_json, const Status& error) {
+      emit(&conn, ErrorResponse(id_json, conn.physical_line, error), false);
+    };
     Result<JsonObject> request = ParseJsonObject(text);
     if (!request.ok()) {
-      emit_response(conn_id,
-                    ErrorResponse("null", conn.physical_line,
-                                  request.status()),
-                    false);
-      return;
+      reply_error("null", request.status());
+      return true;
     }
     const std::string id_json = RenderId(Find(*request, "id"));
     if (const JsonValue* cmd = Find(*request, "cmd")) {
-      if (cmd->kind == JsonValue::Kind::kString &&
-          cmd->string_value == "shutdown") {
-        if (shutting_down) {
-          emit_response(conn_id,
-                        ErrorResponse(id_json, conn.physical_line,
-                                      Status::InvalidArgument(
-                                          "shutdown already in progress")),
-                        false);
-          return;
-        }
-        // Stop accepting (listeners close now, so new connects fail fast),
-        // drain every in-flight query, then acknowledge — the ack is the
-        // requester's final line.
-        shutting_down = true;
-        local.shutdown_requested = true;
-        shutdown_conn = conn_id;
-        shutdown_id_json = id_json;
-        shutdown_line = conn.physical_line;
-        if (unix_listener >= 0) poller.Unwatch(unix_listener);
-        if (tcp_listener >= 0) poller.Unwatch(tcp_listener);
-        close_listeners();
-        return;
+      if (cmd->kind != JsonValue::Kind::kString ||
+          cmd->string_value != "shutdown") {
+        reply_error(id_json, Status::InvalidArgument(
+                                 "unknown \"cmd\" (only \"shutdown\" exists)"));
+        return true;
       }
-      emit_response(conn_id,
-                    ErrorResponse(id_json, conn.physical_line,
-                                  Status::InvalidArgument(
-                                      "unknown \"cmd\" (only \"shutdown\" "
-                                      "exists)")),
-                    false);
-      return;
+      if (shutting_down) {
+        reply_error(id_json,
+                    Status::InvalidArgument("shutdown already in progress"));
+        return true;
+      }
+      // Stop accepting (listeners close now, so new connects fail fast),
+      // drain every in-flight query, then acknowledge — the ack is the
+      // requester's final line.
+      shutting_down = true;
+      local.shutdown_requested = true;
+      shutdown_conn = conn_id;
+      shutdown_id_json = id_json;
+      shutdown_line = conn.physical_line;
+      close_listeners();
+      return false;
     }
     Result<TopKQuery> query = QueryFromJson(*request);
     if (!query.ok()) {
-      emit_response(conn_id,
-                    ErrorResponse(id_json, conn.physical_line,
-                                  query.status()),
-                    false);
-      return;
+      reply_error(id_json, query.status());
+      return true;
     }
     if (shutting_down) {
-      emit_response(conn_id,
-                    ErrorResponse(id_json, conn.physical_line,
-                                  Status::InvalidArgument(
-                                      "server is shutting down")),
-                    false);
-      return;
+      reply_error(id_json,
+                  Status::InvalidArgument("server is shutting down"));
+      return true;
     }
-    if (global_inflight >= options.max_inflight) {
-      // The admission gate: reject instead of queueing, so a burst can
-      // never build an unbounded backlog and the client learns to back
-      // off immediately.
+    if (!conn.stream && global_inflight >= options.max_inflight) {
+      // The socket admission gate: reject instead of queueing, so a burst
+      // can never build an unbounded backlog and the client learns to
+      // back off immediately. (The stream never gets here at the cap: it
+      // stops framing instead.)
       ++local.rejected;
-      emit_response(conn_id,
-                    StrCat(ResponseHead(id_json, conn.physical_line),
-                           ",\"ok\":false,\"error\":\"overloaded\","
-                           "\"retry_after_ms\":", retry_after_ms(), "}"),
-                    false);
-      return;
+      emit(&conn,
+           StrCat(ResponseHead(id_json, conn.physical_line),
+                  ",\"ok\":false,\"error\":\"overloaded\","
+                  "\"retry_after_ms\":", retry_after_ms(), "}"),
+           false);
+      return true;
     }
     ++global_inflight;
     ++conn.inflight;
@@ -1148,62 +898,65 @@ Status RunServeServer(const MiningSession& session,
                                *std::move(query)});
     }
     jobs_cv.notify_one();
+    return true;
   };
 
-  /// Drains readable bytes and processes every complete line. EOF (or a
-  /// read error, or an oversize line) closes the read side; queries
-  /// already admitted still complete and flush before the fd closes.
-  auto handle_readable = [&](int64_t conn_id) {
-    auto it = connections.find(conn_id);
-    if (it == connections.end()) return;
-    ServerConnection& conn = it->second;
-    char buffer[4096];
-    while (conn.read_open) {
-      ssize_t n = ::read(conn.fd, buffer, sizeof(buffer));
-      if (n > 0) {
-        conn.read_buffer.append(buffer, static_cast<size_t>(n));
-        if (conn.read_buffer.size() > kMaxRequestBytes &&
-            conn.read_buffer.find('\n') == std::string::npos) {
-          ++conn.physical_line;
-          ++local.requests;
-          emit_response(conn_id,
-                        ErrorResponse("null", conn.physical_line,
-                                      Status::InvalidArgument(StrCat(
-                                          "request line exceeds ",
-                                          kMaxRequestBytes, " bytes"))),
-                        false);
-          conn.read_open = false;
-          conn.read_buffer.clear();
-        }
-        continue;
-      }
-      if (n == 0) {
-        conn.read_open = false;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      conn.read_open = false;  // ECONNRESET and friends
-      break;
-    }
-    // Frame and process the complete lines received so far. process_line
-    // never inserts into `connections`, so `conn` stays valid.
+  /// Whether \p conn may frame (and read) its next line now: the stream
+  /// waits while max_inflight of its queries run, sockets never wait.
+  auto may_frame = [&](const ServerConnection& conn) {
+    return !conn.stream || conn.inflight < options.max_inflight;
+  };
+
+  /// Processes every complete line buffered on a connection, and after
+  /// EOF a final unterminated one too (as std::getline would).
+  auto frame_lines = [&](int64_t conn_id, ServerConnection& conn) {
     size_t start = 0;
-    size_t newline;
-    while ((newline = conn.read_buffer.find('\n', start)) !=
-           std::string::npos) {
-      process_line(conn_id, conn.read_buffer.substr(start, newline - start));
-      start = newline + 1;
+    while (may_frame(conn) && start < conn.read_buffer.size()) {
+      size_t end = conn.read_buffer.find('\n', start);
+      if (end == std::string::npos) {
+        if (conn.read_open) break;
+        end = conn.read_buffer.size();
+      }
+      const std::string_view text =
+          std::string_view(conn.read_buffer).substr(start, end - start);
+      start = end + 1;
+      if (!process_line(conn_id, conn, text)) {
+        conn.read_open = false;
+        conn.read_buffer.clear();
+        return;
+      }
     }
-    conn.read_buffer.erase(0, start);
-    if (!conn.read_open && !conn.read_buffer.empty()) {
-      // Final unterminated line before EOF: serve it anyway, matching the
-      // stream loop's std::getline behavior.
-      process_line(conn_id, conn.read_buffer);
-      conn.read_buffer.clear();
+    conn.read_buffer.erase(0, std::min(start, conn.read_buffer.size()));
+  };
+
+  /// One read per readiness event. EOF (or a read error, or an oversize
+  /// line) closes the read side; queries already admitted still complete
+  /// and flush before the connection is forgotten.
+  auto handle_readable = [&](int64_t conn_id, ServerConnection& conn) {
+    char buffer[1 << 16];
+    ssize_t n;
+    do {
+      n = ::read(conn.in_fd, buffer, sizeof(buffer));
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+      conn.read_buffer.append(buffer, static_cast<size_t>(n));
+      if (conn.read_buffer.size() > kMaxRequestBytes &&
+          conn.read_buffer.find('\n') == std::string::npos) {
+        ++conn.physical_line;
+        ++local.requests;
+        emit(&conn,
+             ErrorResponse("null", conn.physical_line,
+                           Status::InvalidArgument(StrCat(
+                               "request line exceeds ", kMaxRequestBytes,
+                               " bytes"))),
+             false);
+        conn.read_open = false;
+        conn.read_buffer.clear();
+      }
+    } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      conn.read_open = false;  // EOF, or ECONNRESET and friends
     }
-    update_interest(conn);
-    maybe_close(conn_id);
+    frame_lines(conn_id, conn);
   };
 
   /// Accepts every pending connection on a listener (level-triggered:
@@ -1215,21 +968,19 @@ Status RunServeServer(const MiningSession& session,
         fd = ::accept(listener, nullptr, nullptr);
       } while (fd < 0 && errno == EINTR);
       if (fd < 0) break;  // EAGAIN, or a transient accept error: retry later
-      if (shutting_down || !SetNonBlocking(fd).ok()) {
+      if (!SetNonBlocking(fd)) {
         ::close(fd);
         continue;
       }
-      const int64_t conn_id = next_conn_id++;
       ServerConnection conn;
-      conn.fd = fd;
-      connections.emplace(conn_id, std::move(conn));
-      conn_of_fd[fd] = conn_id;
-      poller.Watch(fd, /*want_read=*/true, /*want_write=*/false);
+      conn.in_fd = fd;
+      conn.out_fd = fd;
+      connections.emplace(next_conn_id++, std::move(conn));
     }
   };
 
   /// Applies finished queries: write their responses, release admission
-  /// slots. Runs on the loop thread only.
+  /// slots, resume a stream that waited for one. Loop thread only.
   auto drain_completions = [&] {
     char discard[64];
     ssize_t n;
@@ -1243,80 +994,108 @@ Status RunServeServer(const MiningSession& session,
     }
     for (Completion& completion : batch) {
       --global_inflight;
-      auto it = connections.find(completion.conn_id);
-      if (it != connections.end() && it->second.inflight > 0) {
-        --it->second.inflight;
-      }
-      emit_response(completion.conn_id, completion.response, completion.ok);
+      ServerConnection* conn = find_conn(completion.conn_id);
+      if (conn != nullptr) --conn->inflight;
+      emit(conn, completion.response, completion.ok);
+      if (conn != nullptr) frame_lines(completion.conn_id, *conn);
       maybe_close(completion.conn_id);
     }
   };
 
-  // ----- the event loop.
-  std::vector<PollEvent> events;
+  // ----- the event loop. Interest is rebuilt from connection state each
+  // round: a connection with output the kernel has not taken waits to
+  // write and reads nothing, which bounds every write buffer.
+  std::vector<pollfd> fds;
+  std::vector<int64_t> owners;  // per fds entry: conn id; 0 wake; -1 listener
+  auto watch = [&](int fd, short events, int64_t owner) {
+    fds.push_back(pollfd{fd, events, 0});
+    owners.push_back(owner);
+  };
   while (status.ok()) {
     // Shutdown completes in two steps: ack once the last in-flight query
     // finished, then exit once every connection's responses are flushed
     // (bounded by a drain deadline so one stuck client can't wedge exit).
     if (shutting_down && !shutdown_acked && global_inflight == 0) {
       shutdown_acked = true;
-      emit_response(shutdown_conn,
-                    StrCat(ResponseHead(shutdown_id_json, shutdown_line),
-                           ",\"ok\":true,\"shutdown\":true}"),
-                    true);
+      emit(find_conn(shutdown_conn),
+           StrCat(ResponseHead(shutdown_id_json, shutdown_line),
+                  ",\"ok\":true,\"shutdown\":true}"),
+           true);
+      maybe_close(shutdown_conn);
       drain_timer.Restart();
     }
     if (shutdown_acked) {
-      bool pending = false;
-      for (auto& [conn_id, conn] : connections) {
-        if (conn.write_ok && !conn.write_buffer.empty()) pending = true;
-      }
+      const bool pending =
+          std::any_of(connections.begin(), connections.end(),
+                      [](const auto& entry) {
+                        return entry.second.pending_output();
+                      });
       if (!pending || drain_timer.ElapsedSeconds() > 5.0) break;
+    } else if (unix_listener < 0 && tcp_listener < 0 && connections.empty()) {
+      break;  // the stream reached EOF and was answered in full
     }
-    const int timeout_ms = shutdown_acked ? 50 : -1;
-    const int n = poller.Wait(&events, timeout_ms);
+
+    fds.clear();
+    owners.clear();
+    watch(wake_fds[0], POLLIN, 0);
+    for (int listener : {unix_listener, tcp_listener}) {
+      if (listener >= 0) watch(listener, POLLIN, -1);
+    }
+    for (const auto& [conn_id, conn] : connections) {
+      if (conn.pending_output()) {
+        watch(conn.out_fd, POLLOUT, conn_id);
+      } else if (conn.read_open && may_frame(conn)) {
+        watch(conn.in_fd, POLLIN, conn_id);
+      }
+    }
+    int n;
+    do {
+      n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                 shutdown_acked ? 50 : -1);
+    } while (n < 0 && errno == EINTR);
     if (n < 0) {
-      status = Status::IoError(StrCat("poll wait: ", std::strerror(errno)));
+      status = Status::IoError(StrCat("poll(): ", std::strerror(errno)));
       break;
     }
-    for (const PollEvent& event : events) {
-      if (event.fd == wake_fds[0]) {
+    for (size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      const int64_t owner = owners[i];
+      if (owner == 0) {
         drain_completions();
-      } else if (event.fd == unix_listener || event.fd == tcp_listener) {
-        handle_accept(event.fd);
-      } else {
-        auto fd_it = conn_of_fd.find(event.fd);
-        if (fd_it == conn_of_fd.end()) continue;  // closed earlier this batch
-        const int64_t conn_id = fd_it->second;
-        if (event.writable) {
-          auto it = connections.find(conn_id);
-          if (it != connections.end()) {
-            flush_writes(it->second);
-            update_interest(it->second);
-          }
+      } else if (owner < 0) {
+        if (!shutting_down) handle_accept(fds[i].fd);
+      } else if (ServerConnection* conn = find_conn(owner)) {
+        // A hangup or error reports through the regular read/write path.
+        if (fds[i].events == POLLOUT) {
+          flush_writes(*conn);
+        } else {
+          handle_readable(owner, *conn);
         }
-        if (event.readable) handle_readable(conn_id);
-        maybe_close(conn_id);
+        maybe_close(owner);
       }
     }
   }
 
-  // ----- teardown: stop the workers, close every fd, free the path.
+  // ----- teardown: stop the workers, close every socket, hand the stream
+  // fds back as they were, free the path.
   {
     std::lock_guard<std::mutex> lock(jobs_mu);
     jobs_closed = true;
   }
   jobs_cv.notify_all();
   for (std::thread& worker : workers) worker.join();
-  for (auto& [conn_id, conn] : connections) ::close(conn.fd);
+  for (auto& [conn_id, conn] : connections) {
+    if (!conn.stream) ::close(conn.in_fd);
+  }
   connections.clear();
-  conn_of_fd.clear();
+  if (has_stream) {
+    ::fcntl(transport.stream_in_fd, F_SETFL, stream_in_flags);
+    ::fcntl(transport.stream_out_fd, F_SETFL, stream_out_flags);
+  }
   close_listeners();
   ::close(wake_fds[0]);
   ::close(wake_fds[1]);
-  if (!transport.socket_path.empty()) {
-    ::unlink(transport.socket_path.c_str());
-  }
+  unlink_socket();
 
   local.wall_seconds = timer.ElapsedSeconds();
   if (options.summary) {
@@ -1330,31 +1109,5 @@ Status RunServeServer(const MiningSession& session,
   if (stats != nullptr) *stats = local;
   return status;
 }
-
-Status RunServeSocket(const MiningSession& session,
-                      const std::string& socket_path, std::ostream& err,
-                      const ServeOptions& options) {
-  ServeTransportOptions transport;
-  transport.socket_path = socket_path;
-  return RunServeServer(session, transport, err, options, nullptr);
-}
-
-#else  // no unix sockets / poll on this platform
-
-Status RunServeServer(const MiningSession&, const ServeTransportOptions&,
-                      std::ostream&, const ServeOptions&, ServeStats*) {
-  return Status::InvalidArgument(
-      "the serve server requires unix sockets/poll, unavailable on this "
-      "platform; use the stdin/stdout transport");
-}
-
-Status RunServeSocket(const MiningSession&, const std::string&,
-                      std::ostream&, const ServeOptions&) {
-  return Status::InvalidArgument(
-      "--socket requires unix domain sockets, unavailable on this platform; "
-      "use the stdin/stdout transport");
-}
-
-#endif
 
 }  // namespace spidermine::cli

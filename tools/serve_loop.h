@@ -12,14 +12,13 @@
 #include "spidermine/session.h"
 
 /// \file serve_loop.h
-/// The long-lived query-serving loop behind `spidermine serve`: one
-/// resident `MiningSession`, newline-delimited JSON requests in,
-/// newline-delimited JSON responses out, up to `max_inflight` queries
-/// executing concurrently on the session (RunQuery is const and
-/// thread-safe; see spidermine/session.h and docs/SERVING.md).
-///
-/// The loop is a library so it is unit-testable over string streams and
-/// reusable by the unix-socket transport. Protocol (full schema with
+/// The long-lived query server behind `spidermine serve`: one resident
+/// `MiningSession`, newline-delimited JSON requests in, newline-delimited
+/// JSON responses out, up to `max_inflight` queries executing
+/// concurrently on the session (RunQuery is const and thread-safe; see
+/// spidermine/session.h and docs/SERVING.md). One poll() event loop
+/// serves every transport — a stdin/stdout-style fd pair, a unix socket,
+/// TCP — through one request state machine. Protocol (full schema with
 /// examples in docs/CLI.md):
 ///
 ///   request:  {"id": 1, "k": 5, "dmax": 4, "seed": 7}
@@ -28,7 +27,8 @@
 ///              "timed_out":false}
 ///   error:    {"id":1,"line":1,"ok":false,"error":"..."}
 ///   shutdown: {"cmd": "shutdown"}   (drains in-flight queries, then exits;
-///             the acknowledgment is the final response line)
+///             the acknowledgment is the final response line, and the
+///             shutdown line is the last line read from its connection)
 ///
 /// Concurrent queries complete out of order, so every response carries
 /// two correlation keys: "id" echoes the request's id verbatim (null when
@@ -72,18 +72,19 @@ std::string EscapeJsonString(std::string_view raw);
 /// the CLI's).
 Result<TopKQuery> QueryFromJson(const JsonObject& request);
 
-/// Options of one serve loop.
+/// Options of one server.
 struct ServeOptions {
   /// Queries allowed to execute concurrently on the session (the worker
-  /// count of the loop). Must be >= 1. The stream loop applies it as
-  /// blocking back-pressure (reading pauses when the queue is full); the
-  /// socket/TCP server applies it as an admission gate (excess requests
-  /// are rejected immediately with "overloaded" + retry_after_ms).
+  /// count of the server). Must be >= 1. The stream fd pair applies it as
+  /// back-pressure (it stops reading while max_inflight of its queries
+  /// run); socket/TCP connections apply it as an admission gate (excess
+  /// requests are rejected immediately with "overloaded" +
+  /// retry_after_ms).
   int32_t max_inflight = 1;
-  /// Print the end-of-loop aggregate line (requests, errors, latency,
+  /// Print the end-of-serve aggregate line (requests, errors, latency,
   /// session serving stats) to the error stream.
   bool summary = true;
-  /// Optional result cache (borrowed; outlives the loop). A repeated
+  /// Optional result cache (borrowed; outlives the server). A repeated
   /// query whose canonical hash + Stage I content key match a cached
   /// entry is answered from the cache without touching RunQuery — the
   /// response is byte-identical to a recomputation except for its
@@ -92,27 +93,15 @@ struct ServeOptions {
   ResultCache* cache = nullptr;
 };
 
-/// Counters of one serve loop, filled when the loop exits.
+/// Counters of one server, filled when it exits.
 struct ServeStats {
   int64_t requests = 0;       ///< request lines read (incl. malformed)
   int64_t answered = 0;       ///< responses with "ok":true
   int64_t errors = 0;         ///< responses with "ok":false (incl. rejected)
   int64_t rejected = 0;       ///< admission-gate "overloaded" rejections
-  double wall_seconds = 0.0;  ///< loop duration
+  double wall_seconds = 0.0;  ///< server duration
   bool shutdown_requested = false;  ///< exited via {"cmd":"shutdown"}
 };
-
-/// Runs the serve loop: reads newline-delimited JSON requests from \p in
-/// until EOF or a shutdown command, answers each on \p out (exactly one
-/// response line per request line, interleaved by completion order), and
-/// executes up to `options.max_inflight` queries concurrently against
-/// \p session. Malformed requests produce an "ok":false response and
-/// never abort the loop. Returns kInvalidArgument only for invalid
-/// \p options; request-level failures are protocol responses, not
-/// statuses.
-Status RunServeLoop(const MiningSession& session, std::istream& in,
-                    std::ostream& out, std::ostream& err,
-                    const ServeOptions& options, ServeStats* stats = nullptr);
 
 /// What a server actually bound: the socket path verbatim and the real
 /// TCP port (the ephemeral one when tcp_port was 0); -1 / empty = that
@@ -122,9 +111,17 @@ struct ServeEndpoints {
   int32_t tcp_port = -1;
 };
 
-/// Where a multi-client server listens. At least one transport must be
-/// enabled (a non-empty socket_path and/or tcp_port >= 0).
+/// What a server serves. At least one transport must be enabled: the
+/// stream fd pair, a non-empty socket_path and/or tcp_port >= 0.
 struct ServeTransportOptions {
+  /// The stream connection: request lines are read from stream_in_fd and
+  /// responses written to stream_out_fd (`serve` passes stdin/stdout when
+  /// neither --socket nor --tcp is set). -1 = no stream; set both or
+  /// neither. Either may be a pipe, a tty, a socket or a regular file.
+  /// The server never closes them, and on return their file-status flags
+  /// are as it found them (it sets O_NONBLOCK while serving).
+  int stream_in_fd = -1;
+  int stream_out_fd = -1;
   /// Unix-domain socket path; empty = no unix listener. A stale socket
   /// file at the path is replaced; an existing path that is NOT a socket
   /// is refused with kInvalidArgument, never deleted.
@@ -134,46 +131,47 @@ struct ServeTransportOptions {
   /// listener; 0 = pick an ephemeral port (reported via on_ready).
   int32_t tcp_port = -1;
   /// Invoked once on the serving thread after every listener is bound and
-  /// before the first accept — the only way to learn an ephemeral TCP
-  /// port. Tests connect from here (or from another thread afterwards).
+  /// before the first request is read — the only way to learn an
+  /// ephemeral TCP port. Tests connect from here (or from another thread
+  /// afterwards).
   std::function<void(const ServeEndpoints&)> on_ready;
 };
 
-/// Runs the multi-client serve server: an event loop (epoll on Linux,
-/// poll elsewhere) multiplexing any number of concurrent connections
-/// across the enabled transports, with `options.max_inflight` worker
-/// threads executing admitted queries on \p session. Per connection the
-/// protocol is exactly RunServeLoop's (newline-delimited requests,
-/// responses in completion order, "line" = 1-based physical line number
-/// within that connection); across connections:
+/// Runs the serve server: a poll() event loop multiplexing the stream fd
+/// pair and any number of concurrent socket connections, with
+/// `options.max_inflight` worker threads executing admitted queries on
+/// \p session. Per connection, exactly one response line per non-blank
+/// request line, in completion order; "line" is the 1-based physical
+/// line number within that connection. Malformed requests produce an
+/// "ok":false response and never abort the server. Across connections:
 ///
-///   - admission: a query arriving while max_inflight queries are already
-///     executing (on any connection) is rejected immediately with
+///   - admission: the stream stops framing lines while max_inflight of
+///     its queries run, so it waits instead of being rejected. A socket
+///     query arriving while max_inflight queries are already executing
+///     is rejected immediately with
 ///     {"id":..,"line":..,"ok":false,"error":"overloaded",
 ///      "retry_after_ms":N} — N is derived from the session's observed
 ///     mean query latency. A slow or idle client never stalls the others.
+///   - output: a connection whose responses the kernel has not yet taken
+///     is not read until they are, which bounds every write buffer.
 ///   - shutdown: {"cmd":"shutdown"} from any connection stops admission
-///     ("server is shutting down" errors), drains every in-flight query
-///     on every connection, acknowledges the requester with the final
-///     response line, flushes all connections and exits.
+///     ("server is shutting down" errors on other connections), drains
+///     every in-flight query, acknowledges the requester with its final
+///     response line, flushes all connections and exits. Nothing after
+///     the shutdown line on its connection is read.
+///   - exit: also once no listener and no connection remain — for the
+///     stream alone, once its input reached EOF and every query it sent
+///     has been answered.
 ///   - robustness: SIGPIPE is ignored process-wide (a mid-response
 ///     disconnect surfaces as EPIPE and closes that connection only);
 ///     accept/read/write retry on EINTR.
 ///
-/// kIoError on listener setup failures; per-connection I/O errors close
-/// that connection and never abort the server.
+/// kInvalidArgument for invalid \p options or \p transport, kIoError on
+/// listener setup failures; per-connection I/O errors close that
+/// connection and never abort the server.
 Status RunServeServer(const MiningSession& session,
                       const ServeTransportOptions& transport,
                       std::ostream& err, const ServeOptions& options,
                       ServeStats* stats = nullptr);
-
-/// Serves over a unix domain socket at \p socket_path instead of
-/// stdin/stdout: RunServeServer with only the unix transport enabled
-/// (kept as the stable single-transport entry point). Concurrent
-/// connections are multiplexed; a client sending {"cmd":"shutdown"}
-/// stops the server for everyone. kIoError on socket failures.
-Status RunServeSocket(const MiningSession& session,
-                      const std::string& socket_path, std::ostream& err,
-                      const ServeOptions& options);
 
 }  // namespace spidermine::cli
