@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -435,6 +436,20 @@ TEST(ServeLoopTest, RejectsInvalidInflight) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ServeLoopTest, RejectsAStreamTogetherWithAListener) {
+  LabeledGraph g = TestGraph();
+  Result<MiningSession> session = TestSession(&g);
+  ASSERT_TRUE(session.ok());
+  std::ostringstream err;
+  ServeOptions options;
+  ServeTransportOptions transport;
+  transport.stream_in_fd = STDIN_FILENO;
+  transport.stream_out_fd = STDOUT_FILENO;
+  transport.tcp_port = 0;
+  Status status = RunServeServer(*session, transport, err, options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ServeStreamTest, AtTheInflightCapInputOrderIsKept) {
   // The stream stops framing lines while max_inflight of its queries run,
   // so at a cap of 1 the malformed line 2 waits for query line 1.
@@ -482,11 +497,13 @@ TEST(ServeStreamTest, EmptyInputReturnsOkWithNoOutput) {
   ::close(dev_null);
 }
 
-TEST(ServeStreamTest, StreamFdsStayOpenWithTheirFlags) {
+TEST(ServeStreamTest, StalledPipeReaderGetsEveryAnswerAndFdsStayUnchanged) {
   // The stream fds are the caller's (stdin/stdout of the shell that ran
-  // `serve`): the server must neither close them nor leave O_NONBLOCK
-  // behind. The output side starts non-blocking, the input side blocking:
-  // both must come back exactly as they were.
+  // `serve`): the server must neither close them nor change their flags,
+  // and a stdout reader that pauses (`serve ... | less`) must still get
+  // every answer and the ack — the stream is never cut by the sockets'
+  // drain deadline. The output pipe starts full, and its reader starts
+  // only after every query ran, plus longer than that deadline.
   LabeledGraph g = TestGraph();
   Result<MiningSession> session = TestSession(&g);
   ASSERT_TRUE(session.ok());
@@ -494,34 +511,44 @@ TEST(ServeStreamTest, StreamFdsStayOpenWithTheirFlags) {
   int out_pipe[2];
   ASSERT_EQ(::pipe(in_pipe), 0);
   ASSERT_EQ(::pipe(out_pipe), 0);
-  ASSERT_EQ(::fcntl(out_pipe[1], F_SETFL,
-                    ::fcntl(out_pipe[1], F_GETFL) | O_NONBLOCK),
-            0);
   const int in_flags = ::fcntl(in_pipe[0], F_GETFL);
   const int out_flags = ::fcntl(out_pipe[1], F_GETFL);
-  ASSERT_EQ(in_flags & O_NONBLOCK, 0);
-  ASSERT_NE(out_flags & O_NONBLOCK, 0);
-
+  ASSERT_EQ(::fcntl(out_pipe[1], F_SETFL, out_flags | O_NONBLOCK), 0);
+  const std::string filler(4096, 'f');
+  size_t filled = 0;
+  ssize_t n;
+  while ((n = ::write(out_pipe[1], filler.data(), filler.size())) > 0) {
+    filled += static_cast<size_t>(n);
+  }
+  ASSERT_EQ(::fcntl(out_pipe[1], F_SETFL, out_flags), 0);
   const std::string requests =
-      "{\"id\": 1, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n"
-      "{\"id\": 2, \"cmd\": \"shutdown\"}\n";
+      "{\"id\": 1, \"k\": 3, \"seed\": 1, \"vmin\": 8, \"seed_count\": 10}\n"
+      "{\"id\": 2, \"k\": 3, \"seed\": 2, \"vmin\": 8, \"seed_count\": 10}\n"
+      "{\"id\": 3, \"k\": 3, \"seed\": 3, \"vmin\": 8, \"seed_count\": 10}\n"
+      "{\"id\": 4, \"cmd\": \"shutdown\"}\n";
   ASSERT_EQ(::write(in_pipe[1], requests.data(), requests.size()),
             static_cast<ssize_t>(requests.size()));
   ::close(in_pipe[1]);
+
   std::string output;
-  std::thread reader([&output, fd = out_pipe[0]] {
+  std::thread reader([&] {
+    for (int waits = 0;
+         waits < 3000 && session->serving_stats().queries_run < 3; ++waits) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5500));
     char chunk[4096];
-    ssize_t n;
-    while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-      output.append(chunk, static_cast<size_t>(n));
+    ssize_t got;
+    while ((got = ::read(out_pipe[0], chunk, sizeof(chunk))) > 0) {
+      output.append(chunk, static_cast<size_t>(got));
     }
   });
-
   ServeTransportOptions transport;
   transport.stream_in_fd = in_pipe[0];
   transport.stream_out_fd = out_pipe[1];
   std::ostringstream err;
   ServeOptions options;
+  options.max_inflight = 4;
   options.summary = false;
   Status status = RunServeServer(*session, transport, err, options);
   EXPECT_TRUE(status.ok()) << status;
@@ -533,9 +560,39 @@ TEST(ServeStreamTest, StreamFdsStayOpenWithTheirFlags) {
   reader.join();
   ::close(in_pipe[0]);
   ::close(out_pipe[0]);
-  std::vector<std::string> lines = Lines(output);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[1], "{\"id\":2,\"line\":2,\"ok\":true,\"shutdown\":true}");
+  ASSERT_GE(output.size(), filled);
+  std::vector<std::string> lines = Lines(output.substr(filled));
+  ASSERT_EQ(lines.size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_NE(lines[i].find("\"ok\":true"), std::string::npos) << lines[i];
+  }
+  EXPECT_EQ(lines[3], "{\"id\":4,\"line\":4,\"ok\":true,\"shutdown\":true}");
+}
+
+TEST(ServeStreamTest, DeadOutputStopsAdmittingQueries) {
+  // `serve < big.jsonl | head -c1`: once the output pipe's reader is gone
+  // the server must stop running queries nobody will read, not work
+  // through the rest of its input.
+  LabeledGraph g = TestGraph();
+  Result<MiningSession> session = TestSession(&g);
+  ASSERT_TRUE(session.ok());
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  ::close(out_pipe[0]);
+  std::string requests;
+  for (int i = 1; i <= 40; ++i) {
+    requests += StrCat("{\"id\": ", i, ", \"k\": 3, \"seed\": ", i,
+                       ", \"vmin\": 8, \"seed_count\": 10}\n");
+  }
+  std::ostringstream err;
+  ServeOptions options;
+  options.max_inflight = 2;
+  options.summary = false;
+  StreamServeResult served =
+      ServeStream(*session, requests, options, err, nullptr, out_pipe[1]);
+  EXPECT_TRUE(served.status.ok()) << served.status;
+  ::close(out_pipe[1]);
+  EXPECT_LE(session->serving_stats().queries_run, 2);
 }
 
 /// A blocking test client over a connected socket: raw sends, line reads.

@@ -50,12 +50,15 @@ struct StreamServeResult {
 };
 
 /// Runs RunServeServer with \p requests as the stream's whole input and
-/// returns its status and output. Diagnostics go to \p err.
+/// returns its status and output. Diagnostics go to \p err. A given
+/// \p out_fd (a pipe, say) receives the responses instead of a temporary
+/// file, and `out` stays empty.
 inline StreamServeResult ServeStream(const MiningSession& session,
                                      std::string_view requests,
                                      const ServeOptions& options,
                                      std::ostream& err,
-                                     ServeStats* stats = nullptr) {
+                                     ServeStats* stats = nullptr,
+                                     int out_fd = -1) {
   StreamServeResult result;
   std::FILE* in = std::tmpfile();
   std::FILE* out = std::tmpfile();
@@ -67,7 +70,7 @@ inline StreamServeResult ServeStream(const MiningSession& session,
     std::rewind(in);
     ServeTransportOptions transport;
     transport.stream_in_fd = ::fileno(in);
-    transport.stream_out_fd = ::fileno(out);
+    transport.stream_out_fd = out_fd >= 0 ? out_fd : ::fileno(out);
     result.status = RunServeServer(session, transport, err, options, stats);
     ::lseek(::fileno(out), 0, SEEK_SET);
     char chunk[4096];

@@ -614,22 +614,12 @@ Status RunServeServer(const MiningSession& session,
     return Status::InvalidArgument(
         "the serve stream needs both an input and an output fd");
   }
-  if (transport.socket_path.empty() && transport.tcp_port < 0 && !has_stream) {
+  const bool has_listener =
+      !transport.socket_path.empty() || transport.tcp_port >= 0;
+  if (has_stream == has_listener) {
     return Status::InvalidArgument(
-        "the serve server needs at least one transport (a stream fd pair, "
-        "a unix socket path and/or a TCP port)");
-  }
-  // The stream fds are the caller's: their flags are restored on return,
-  // so a non-blocking inherited tty or pipe never leaks into the shell.
-  int stream_in_flags = -1;
-  int stream_out_flags = -1;
-  if (has_stream) {
-    stream_in_flags = ::fcntl(transport.stream_in_fd, F_GETFL, 0);
-    stream_out_flags = ::fcntl(transport.stream_out_fd, F_GETFL, 0);
-    if (stream_in_flags < 0 || stream_out_flags < 0) {
-      return Status::IoError(
-          StrCat("serve stream fd: ", std::strerror(errno)));
-    }
+        "the serve server needs either a stream fd pair or listeners (a "
+        "unix socket path and/or a TCP port), not both");
   }
   // A client that disconnects mid-response must surface as an EPIPE return
   // value on this connection, not kill the whole server.
@@ -754,8 +744,9 @@ Status RunServeServer(const MiningSession& session,
   Status status = Status::Ok();
 
   if (has_stream) {
-    (void)SetNonBlocking(transport.stream_in_fd);
-    (void)SetNonBlocking(transport.stream_out_fd);
+    // The stream fds stay as the caller set them (blocking, normally):
+    // poll() reports input before each single read, and a blocking write
+    // holds the loop until the caller's reader takes the response.
     ServerConnection stream;
     stream.in_fd = transport.stream_in_fd;
     stream.out_fd = transport.stream_out_fd;
@@ -901,10 +892,12 @@ Status RunServeServer(const MiningSession& session,
     return true;
   };
 
-  /// Whether \p conn may frame (and read) its next line now: the stream
-  /// waits while max_inflight of its queries run, sockets never wait.
+  /// Whether \p conn may frame (and read) its next line now: not once its
+  /// output is dead (nobody would read the answers); the stream waits while
+  /// max_inflight of its queries run, sockets never wait.
   auto may_frame = [&](const ServerConnection& conn) {
-    return !conn.stream || conn.inflight < options.max_inflight;
+    return conn.write_ok &&
+           (!conn.stream || conn.inflight < options.max_inflight);
   };
 
   /// Processes every complete line buffered on a connection, and after
@@ -1014,7 +1007,8 @@ Status RunServeServer(const MiningSession& session,
   while (status.ok()) {
     // Shutdown completes in two steps: ack once the last in-flight query
     // finished, then exit once every connection's responses are flushed
-    // (bounded by a drain deadline so one stuck client can't wedge exit).
+    // (for sockets bounded by a drain deadline, so one stuck client can't
+    // wedge exit; the stream is the caller's own pipe and is never cut).
     if (shutting_down && !shutdown_acked && global_inflight == 0) {
       shutdown_acked = true;
       emit(find_conn(shutdown_conn),
@@ -1030,7 +1024,9 @@ Status RunServeServer(const MiningSession& session,
                       [](const auto& entry) {
                         return entry.second.pending_output();
                       });
-      if (!pending || drain_timer.ElapsedSeconds() > 5.0) break;
+      if (!pending || (!has_stream && drain_timer.ElapsedSeconds() > 5.0)) {
+        break;
+      }
     } else if (unix_listener < 0 && tcp_listener < 0 && connections.empty()) {
       break;  // the stream reached EOF and was answered in full
     }
@@ -1076,8 +1072,8 @@ Status RunServeServer(const MiningSession& session,
     }
   }
 
-  // ----- teardown: stop the workers, close every socket, hand the stream
-  // fds back as they were, free the path.
+  // ----- teardown: stop the workers, close every socket (never the
+  // stream fds), free the path.
   {
     std::lock_guard<std::mutex> lock(jobs_mu);
     jobs_closed = true;
@@ -1088,10 +1084,6 @@ Status RunServeServer(const MiningSession& session,
     if (!conn.stream) ::close(conn.in_fd);
   }
   connections.clear();
-  if (has_stream) {
-    ::fcntl(transport.stream_in_fd, F_SETFL, stream_in_flags);
-    ::fcntl(transport.stream_out_fd, F_SETFL, stream_out_flags);
-  }
   close_listeners();
   ::close(wake_fds[0]);
   ::close(wake_fds[1]);

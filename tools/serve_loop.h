@@ -111,15 +111,15 @@ struct ServeEndpoints {
   int32_t tcp_port = -1;
 };
 
-/// What a server serves. At least one transport must be enabled: the
-/// stream fd pair, a non-empty socket_path and/or tcp_port >= 0.
+/// What a server serves: either the stream fd pair, or listeners (a
+/// non-empty socket_path and/or tcp_port >= 0) — exactly one of the two.
 struct ServeTransportOptions {
   /// The stream connection: request lines are read from stream_in_fd and
   /// responses written to stream_out_fd (`serve` passes stdin/stdout when
   /// neither --socket nor --tcp is set). -1 = no stream; set both or
   /// neither. Either may be a pipe, a tty, a socket or a regular file.
-  /// The server never closes them, and on return their file-status flags
-  /// are as it found them (it sets O_NONBLOCK while serving).
+  /// The server never closes them nor changes their flags; a blocking
+  /// output fd makes the server wait for its reader, as a pipe should.
   int stream_in_fd = -1;
   int stream_out_fd = -1;
   /// Unix-domain socket path; empty = no unix listener. A stale socket
@@ -153,12 +153,16 @@ struct ServeTransportOptions {
 ///      "retry_after_ms":N} — N is derived from the session's observed
 ///     mean query latency. A slow or idle client never stalls the others.
 ///   - output: a connection whose responses the kernel has not yet taken
-///     is not read until they are, which bounds every write buffer.
+///     is not read until they are, which bounds every write buffer. A
+///     connection whose output failed (EPIPE) reads and admits nothing
+///     more; it is forgotten once its in-flight queries finish.
 ///   - shutdown: {"cmd":"shutdown"} from any connection stops admission
 ///     ("server is shutting down" errors on other connections), drains
 ///     every in-flight query, acknowledges the requester with its final
-///     response line, flushes all connections and exits. Nothing after
-///     the shutdown line on its connection is read.
+///     response line, flushes all connections and exits (sockets get 5 s
+///     after the ack to take their output; the stream is always flushed
+///     in full). Nothing after the shutdown line on its connection is
+///     read.
 ///   - exit: also once no listener and no connection remain — for the
 ///     stream alone, once its input reached EOF and every query it sent
 ///     has been answered.
