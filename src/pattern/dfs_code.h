@@ -10,8 +10,8 @@
 /// gSpan-style minimum DFS code canonicalization for patterns. Two patterns
 /// are isomorphic iff their minimum DFS codes are equal, so the canonical
 /// string is usable as an exact dedup key. SpiderMine uses this for
-/// spiders; in-flight and result patterns are deduped by the cheaper
-/// PatternIsoHash below, confirmed with VF2.
+/// spiders; in-flight and result patterns are deduped through iso_index.h,
+/// which keys on the cheaper PatternIsoHash below and confirms with VF2.
 
 namespace spidermine {
 
@@ -74,8 +74,8 @@ std::string DfsCodeToString(const DfsCode& code);
 /// 64-bit isomorphism-invariant fingerprint: FNV-1a over
 /// WlRefinementString. Isomorphic patterns always hash equal (WL is
 /// invariant and has no budgeted fallback, unlike CanonicalString), so a
-/// hash mismatch certifies non-isomorphism and dedup loops use it to skip
-/// the exact VF2 test; equal hashes still require VF2 confirmation.
+/// hash mismatch certifies non-isomorphism and IsoIndex skips the exact
+/// VF2 test; equal hashes still require VF2 confirmation.
 /// Never returns 0, so callers can use 0 as a "not yet computed" sentinel.
 uint64_t PatternIsoHash(const Pattern& pattern);
 

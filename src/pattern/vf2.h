@@ -11,8 +11,9 @@
 
 /// \file vf2.h
 /// Label-aware (sub)graph isomorphism. FindEmbeddings enumerates the
-/// embeddings E[P] of a pattern in the network; ArePatternsIsomorphic is the
-/// exact test that confirms a PatternIsoHash (dfs_code.h) bucket hit.
+/// embeddings E[P] of a pattern in the network; FindIsomorphism is the exact
+/// test (with its vertex map) that the isomorphism-class index
+/// (iso_index.h) runs to confirm a key hit.
 
 namespace spidermine {
 

@@ -216,7 +216,9 @@ struct MineStats {
   int64_t merges = 0;             ///< merged patterns created
   int64_t merge_attempts = 0;     ///< pattern pairs examined
   int64_t pruned_unmerged = 0;    ///< patterns dropped at end of Stage II
-  int64_t iso_checks_skipped = 0; ///< dedup lookups/pairs an iso-hash miss settled
+  /// IsoIndex lookups an iso-hash miss settled (no pattern under the key);
+  /// one split between a merge pair worker and the merge fold counts once.
+  int64_t iso_checks_skipped = 0;
   int64_t iso_checks_run = 0;     ///< VF2 tests run on iso-hash matches
   int64_t nonclosed_dropped = 0;  ///< patterns dropped by closedness rule
   int64_t emb_extensions = 0;     ///< carried-list incremental extensions/joins

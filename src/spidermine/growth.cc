@@ -1,14 +1,10 @@
 #include "spidermine/growth.h"
 
 #include <algorithm>
-#include <cassert>
-#include <functional>
-#include <optional>
 #include <string>
 #include <unordered_set>
 
-#include "pattern/dfs_code.h"
-#include "pattern/vf2.h"
+#include "pattern/iso_index.h"
 #include "support/support_measure.h"
 
 namespace spidermine {
@@ -81,7 +77,7 @@ uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
 
 /// The duplicate fold: adds a duplicate's \p embeddings to \p other up to
 /// the per-pattern cap, then re-dedups by image. \p iso maps each vertex of
-/// other's pattern to the duplicate's (FindDuplicateIn), so every embedding
+/// other's pattern to the duplicate's (IsoIndex::Find), so every embedding
 /// is renumbered into other's vertex numbering on the way in. Callers
 /// recompute other->support when they need it fresh (the coordinator
 /// batches that in ApplyFolds).
@@ -99,52 +95,33 @@ void FoldEmbeddings(GrowthPattern* other,
   DedupEmbeddingsByImage(&other->embeddings);
 }
 
-/// VF2 scan of one dedup bucket: returns the first pool index at or after
-/// \p first_idx whose pattern is isomorphic to \p pattern, or -1. Bucket
-/// entries are in admission order, so the hit is the first isomorphic
-/// pattern admitted from \p first_idx on. On a hit, \p iso receives the map
-/// from the pool pattern's vertices to \p pattern's (see FoldEmbeddings).
-int64_t FirstIsomorphicIn(const std::deque<GrowthPattern>& pool,
-                          const std::vector<int64_t>& bucket,
-                          int64_t first_idx, const Pattern& pattern,
-                          std::vector<VertexId>* iso,
-                          int64_t* iso_checks_run) {
-  for (auto it = std::lower_bound(bucket.begin(), bucket.end(), first_idx);
-       it != bucket.end(); ++it) {
-    ++*iso_checks_run;
-    std::optional<std::vector<VertexId>> map =
-        FindIsomorphism(pool[static_cast<size_t>(*it)].pattern, pattern);
-    if (map.has_value()) {
-      *iso = std::move(*map);
-      return *it;
-    }
-  }
-  return -1;
-}
+/// A growth round's pattern pool: stable storage (deque: no realloc
+/// moves), dead flags and the isomorphism-class index over it. Each lineage
+/// and the coordinator's round state hold one.
+struct PatternPool {
+  std::deque<GrowthPattern> patterns;
+  std::vector<char> dead;
+  IsoIndex index;
 
-/// Iso-hash dedup against an arbitrary pattern pool: returns the pool index
-/// of the first isomorphic pattern in admission order, or -1. \p dedup
-/// buckets pool indices by PatternIsoHash; a hash mismatch certifies
-/// non-isomorphism, so VF2 runs only within the candidate's bucket. On a
-/// hit, \p iso receives the map from the pool pattern's vertices to the
-/// candidate's. Counter pointers let both worker lineages (local counters)
-/// and the coordinator (shared MineStats) reuse the scan.
-int64_t FindDuplicateIn(
-    const std::deque<GrowthPattern>& pool,
-    const std::unordered_map<uint64_t, std::vector<int64_t>>& dedup,
-    GrowthPattern& candidate, std::vector<VertexId>* iso,
-    int64_t* iso_checks_skipped, int64_t* iso_checks_run) {
-  if (candidate.iso_hash == 0) {
-    candidate.iso_hash = PatternIsoHash(candidate.pattern);
+  int64_t size() const { return static_cast<int64_t>(patterns.size()); }
+
+  int64_t Admit(GrowthPattern gp) {
+    const int64_t idx = size();
+    if (gp.iso_hash == 0) gp.iso_hash = IsoIndex::Key(gp.pattern);
+    index.Add(gp.iso_hash, idx);
+    patterns.push_back(std::move(gp));
+    dead.push_back(0);
+    return idx;
   }
-  auto it = dedup.find(candidate.iso_hash);
-  if (it == dedup.end()) {
-    ++*iso_checks_skipped;  // no pattern shares the hash: certified new
-    return -1;
+
+  /// IsoIndex::Find for \p gp (its iso_hash set); \p iso gets the map from
+  /// the hit's vertices to gp's, as FoldEmbeddings takes it.
+  int64_t FindDuplicate(const GrowthPattern& gp, int64_t first_idx,
+                        std::vector<VertexId>* iso, IsoChecks* checks) const {
+    return index.Find(gp.iso_hash, gp.pattern, first_idx, patterns, iso,
+                      checks);
   }
-  return FirstIsomorphicIn(pool, it->second, /*first_idx=*/0,
-                           candidate.pattern, iso, iso_checks_run);
-}
+};
 
 }  // namespace
 
@@ -154,8 +131,7 @@ int64_t FindDuplicateIn(
 struct GrowthEngine::LocalStats {
   int64_t extend_calls = 0;
   int64_t growth_steps = 0;
-  int64_t iso_checks_skipped = 0;
-  int64_t iso_checks_run = 0;
+  IsoChecks iso;
   int64_t nonclosed_dropped = 0;
   int64_t embedding_cap_hits = 0;
   int64_t pattern_cap_hits = 0;
@@ -164,8 +140,8 @@ struct GrowthEngine::LocalStats {
   void FoldInto(MineStats* stats) const {
     stats->extend_calls += extend_calls;
     stats->growth_steps += growth_steps;
-    stats->iso_checks_skipped += iso_checks_skipped;
-    stats->iso_checks_run += iso_checks_run;
+    stats->iso_checks_skipped += iso.skipped;
+    stats->iso_checks_run += iso.run;
     stats->nonclosed_dropped += nonclosed_dropped;
     stats->embedding_cap_hits += embedding_cap_hits;
     stats->pattern_cap_hits += pattern_cap_hits;
@@ -178,25 +154,12 @@ struct GrowthEngine::LocalStats {
 /// extensions discovered this round. Registry values are LOCAL pool
 /// indices; the coordinator rewrites them to global pattern ids.
 struct GrowthEngine::Lineage {
-  std::deque<GrowthPattern> pool;  // stable storage (deque: no realloc moves)
-  std::vector<char> dead;
+  PatternPool pool;
   std::deque<int64_t> queue;
-  // PatternIsoHash -> pool indices (dedup buckets)
-  std::unordered_map<uint64_t, std::vector<int64_t>> dedup;
-  // (spider id, anchor) key -> local pool indices that used it
-  std::unordered_map<uint64_t, std::vector<int64_t>> registry;
+  MergeRegistry registry;
   LocalStats stats;
   bool any_growth = false;
   bool truncated = false;
-
-  int64_t Admit(GrowthPattern gp) {
-    int64_t idx = static_cast<int64_t>(pool.size());
-    if (gp.iso_hash == 0) gp.iso_hash = PatternIsoHash(gp.pattern);
-    dedup[gp.iso_hash].push_back(idx);
-    pool.push_back(std::move(gp));
-    dead.push_back(0);
-    return idx;
-  }
 };
 
 /// A duplicate's embeddings waiting to be folded into the pool pattern it
@@ -211,25 +174,11 @@ struct GrowthEngine::PendingFold {
 /// Coordinator-side round state: the union of all lineages after stable
 /// cross-lineage dedup, plus the merge machinery (Algorithm 4 buffers).
 struct GrowthEngine::RoundState {
-  std::deque<GrowthPattern> pool;
-  std::vector<char> dead;
-  // PatternIsoHash -> pool indices (dedup buckets)
-  std::unordered_map<uint64_t, std::vector<int64_t>> dedup;
-  // pattern id -> pool index (for resolving merge-registry entries)
-  std::unordered_map<int64_t, int64_t> id_to_pool;
+  PatternPool pool;
   MergeRegistry registry;
+  LocalStats stats;  // dedup work of the coordinator and the merge workers
   bool any_growth = false;
   bool truncated = false;
-
-  int64_t Admit(GrowthPattern gp) {
-    int64_t idx = static_cast<int64_t>(pool.size());
-    if (gp.iso_hash == 0) gp.iso_hash = PatternIsoHash(gp.pattern);
-    dedup[gp.iso_hash].push_back(idx);
-    id_to_pool[gp.id] = idx;
-    pool.push_back(std::move(gp));
-    dead.push_back(0);
-    return idx;
-  }
 };
 
 GrowthEngine::GrowthEngine(const LabeledGraph* graph, const SpiderIndex* index,
@@ -368,7 +317,7 @@ bool GrowthEngine::TryExtend(
     bool* support_preserved) const {
   ++ls->stats.extend_calls;
   const SpiderStore& store = index_->store();
-  const GrowthPattern& base = ls->pool[base_idx];
+  const GrowthPattern& base = ls->pool.patterns[base_idx];
 
   const std::vector<LeafKey> np_labels =
       PatternNeighborKeys(base.pattern, v);
@@ -438,16 +387,16 @@ bool GrowthEngine::TryExtend(
 
   ++ls->stats.growth_steps;
 
+  q.iso_hash = IsoIndex::Key(q.pattern);
   std::vector<VertexId> iso;
-  int64_t dup = FindDuplicateIn(ls->pool, ls->dedup, q, &iso,
-                                &ls->stats.iso_checks_skipped,
-                                &ls->stats.iso_checks_run);
+  const int64_t dup =
+      ls->pool.FindDuplicate(q, /*first_idx=*/0, &iso, &ls->stats.iso);
   if (dup >= 0) {
     // Redundant generation (an isomorphic pattern exists): fold the new
     // embeddings into the existing pattern instead of duplicating it.
     // Support is recomputed eagerly: the lineage may extend `other` later
     // and its closedness checks compare against the up-to-date value.
-    GrowthPattern& other = ls->pool[dup];
+    GrowthPattern& other = ls->pool.patterns[dup];
     FoldEmbeddings(&other, q.embeddings, iso,
                    query_->max_embeddings_per_pattern);
     other.support = Support(other);
@@ -473,7 +422,7 @@ bool GrowthEngine::TryExtend(
   q.next_boundary = base.next_boundary;
   for (VertexId nv : new_vertices) q.next_boundary.push_back(nv);
   q.merged_ever = base.merged_ever;
-  int64_t idx = ls->Admit(std::move(q));
+  int64_t idx = ls->pool.Admit(std::move(q));
   ls->queue.push_back(idx);
   ls->any_growth = true;
 
@@ -489,7 +438,7 @@ bool GrowthEngine::TryExtend(
 
 void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
                                  int64_t pattern_cap) const {
-  int64_t seed_idx = ls->Admit(std::move(input));
+  int64_t seed_idx = ls->pool.Admit(std::move(input));
   ls->queue.push_back(seed_idx);
 
   while (!ls->queue.empty()) {
@@ -501,9 +450,9 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
     }
     int64_t idx = ls->queue.front();
     ls->queue.pop_front();
-    if (ls->dead[idx]) continue;
+    if (ls->pool.dead[idx]) continue;
     // NOTE: deque storage keeps references stable across Admit().
-    GrowthPattern& cur = ls->pool[idx];
+    GrowthPattern& cur = ls->pool.patterns[idx];
     if (cur.cursor >= cur.boundary.size()) continue;  // finished this round
     if (cur.exhausted) continue;
     const VertexId v = cur.boundary[cur.cursor];
@@ -545,7 +494,7 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
 
     bool support_preserved = false;
     for (int32_t sid : candidates) {
-      if (static_cast<int64_t>(ls->pool.size()) >= pattern_cap) {
+      if (ls->pool.size() >= pattern_cap) {
         ls->truncated = true;
         ++ls->stats.pattern_cap_hits;
         break;
@@ -557,11 +506,11 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
       TryExtend(ls, idx, v, sid, sorted_images, &support_preserved);
     }
 
-    GrowthPattern& cur2 = ls->pool[idx];  // re-take (paranoia; deque-stable)
+    GrowthPattern& cur2 = ls->pool.patterns[idx];  // re-take (deque-stable)
     if (support_preserved) {
       // Non-closed: some extension kept every occurrence (Algorithm 2
       // line 22-23); drop the sub-pattern.
-      ls->dead[idx] = 1;
+      ls->pool.dead[idx] = 1;
       ++ls->stats.nonclosed_dropped;
       continue;
     }
@@ -584,6 +533,10 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   keys.reserve(rs->registry.size());
   for (const auto& [key, ids] : rs->registry) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
+  std::unordered_map<int64_t, int64_t> id_to_pool;  // pattern id -> index
+  for (int64_t idx = 0; idx < rs->pool.size(); ++idx) {
+    id_to_pool[rs->pool.patterns[idx].id] = idx;
+  }
   std::vector<Bucket> buckets;
   for (uint64_t key : keys) {
     std::vector<int64_t> all_ids = rs->registry[key];
@@ -599,9 +552,9 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     Bucket bucket;
     bucket.key = key;
     for (int64_t id : all_ids) {
-      auto it = rs->id_to_pool.find(id);
-      if (it == rs->id_to_pool.end()) continue;
-      if (rs->dead[it->second]) continue;
+      auto it = id_to_pool.find(id);
+      if (it == id_to_pool.end()) continue;
+      if (rs->pool.dead[it->second]) continue;
       bucket.live.push_back(it->second);
     }
     if (bucket.live.size() < 2) continue;
@@ -638,41 +591,34 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   // happens until the fold below), writing into its own slot. Pair outputs
   // therefore depend only on the snapshot and the pair, never on
   // scheduling.
-  struct UnionCandidate {
-    Pattern pattern;
-    uint64_t iso_hash = 0;  // PatternIsoHash(pattern)
-    std::vector<Embedding> embeddings;
-    std::vector<VertexId> boundary;  // from the first instance
+  struct UnionCandidate : GrowthPattern {  // the merge product, plus:
     // Parent-pattern vertex -> union-pattern vertex, from the founding
     // instance — the join columns for the carried-list merge
     // (JoinEmbeddingLists) at the serial fold.
     std::vector<VertexId> map_a;
     std::vector<VertexId> map_b;
-    int64_t support = 0;
-    // First isomorphic pattern of the pre-merge pool (-1 = none) and the
-    // map from its vertices to this candidate's, resolved on the worker.
-    int64_t snapshot_dup = -1;
-    std::vector<VertexId> snapshot_iso;
+    // First isomorphic pool pattern (-1 = none) and the map from its
+    // vertices to this candidate's: the worker looks in the pre-merge
+    // snapshot, the fold in what it admitted since.
+    int64_t dup = -1;
+    std::vector<VertexId> dup_iso;
   };
   struct PairResult {
     std::vector<UnionCandidate> candidates;
     int64_t merge_attempts = 0;
-    int64_t iso_checks_run = 0;
+    IsoChecks iso;
     bool cancelled = false;
   };
   std::vector<PairResult> results(tasks.size());
-  const std::deque<GrowthPattern>& snapshot = rs->pool;
-  const std::unordered_map<uint64_t, std::vector<int64_t>>& snapshot_dedup =
-      rs->dedup;
-  auto build_pair = [this, &snapshot, &snapshot_dedup](const PairTask& task,
-                                                       PairResult* out) {
+  const PatternPool& snapshot = rs->pool;
+  auto build_pair = [this, &snapshot](const PairTask& task, PairResult* out) {
     if (Cancelled()) {
       out->cancelled = true;
       return;
     }
     ++out->merge_attempts;
-    const GrowthPattern& a = snapshot[task.a];
-    const GrowthPattern& b = snapshot[task.b];
+    const GrowthPattern& a = snapshot.patterns[task.a];
+    const GrowthPattern& b = snapshot.patterns[task.b];
     // Collect overlapping embedding pairs.
     std::unordered_map<VertexId, std::vector<int32_t>> where;
     for (size_t ei = 0; ei < a.embeddings.size(); ++ei) {
@@ -706,6 +652,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     // Build union instances and group them by structure (within the
     // pair; cross-pair and cross-bucket dedup happens in the fold).
     std::vector<UnionCandidate> unions;
+    IsoIndex union_index;  // over `unions`
     // Union-shape memo: an instance's union is fixed, up to vertex
     // numbering, by which positions of e1 ++ e2 name the same graph vertex.
     // Only the first instance of a shape builds and classifies its union.
@@ -761,42 +708,39 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
           int32_t& first = up_rep[pos[concat(p)]];
           if (first < 0) first = p;
         }
-        const uint64_t up_hash = PatternIsoHash(up);
-        // Find matching group (iso-hash filter, then exact check).
-        sg.group = unions.size();
-        for (size_t gi = 0; gi < unions.size(); ++gi) {
-          if (unions[gi].iso_hash != up_hash) continue;
-          ++out->iso_checks_run;
-          std::optional<std::vector<VertexId>> iso =
-              FindIsomorphism(unions[gi].pattern, up);
-          if (!iso.has_value()) continue;
-          sg.group = gi;
-          for (VertexId uv : *iso) sg.rep.push_back(up_rep[uv]);
-          break;
-        }
-        if (sg.group == unions.size()) {
+        const uint64_t up_hash = IsoIndex::Key(up);
+        std::vector<VertexId> iso;
+        const int64_t group = union_index.Find(up_hash, up, /*first_idx=*/0,
+                                               unions, &iso, &out->iso);
+        if (group >= 0) {
+          sg.group = static_cast<size_t>(group);
+          for (VertexId uv : iso) sg.rep.push_back(up_rep[uv]);
+        } else {
+          sg.group = unions.size();
+          union_index.Add(up_hash, static_cast<int64_t>(sg.group));
           sg.rep = std::move(up_rep);
           UnionCandidate g;
           g.iso_hash = up_hash;
+          g.merged_ever = true;
           for (VertexId pu = 0; pu < na; ++pu) g.map_a.push_back(pos[e1[pu]]);
           for (VertexId pv = 0; pv < nb; ++pv) g.map_b.push_back(pos[e2[pv]]);
           g.pattern = std::move(up);
-          // Boundary: images of both parents' frontier vertices.
+          // Next boundary: images of both parents' frontier vertices.
           auto add_boundary = [&](const GrowthPattern& parent,
                                   const Embedding& pe) {
             for (VertexId pv : parent.boundary) {
-              g.boundary.push_back(pos[pe[pv]]);
+              g.next_boundary.push_back(pos[pe[pv]]);
             }
             for (VertexId pv : parent.next_boundary) {
-              g.boundary.push_back(pos[pe[pv]]);
+              g.next_boundary.push_back(pos[pe[pv]]);
             }
           };
           add_boundary(a, e1);
           add_boundary(b, e2);
-          std::sort(g.boundary.begin(), g.boundary.end());
-          g.boundary.erase(
-              std::unique(g.boundary.begin(), g.boundary.end()),
-              g.boundary.end());
+          std::sort(g.next_boundary.begin(), g.next_boundary.end());
+          g.next_boundary.erase(
+              std::unique(g.next_boundary.begin(), g.next_boundary.end()),
+              g.next_boundary.end());
           unions.push_back(std::move(g));
         }
       }
@@ -807,23 +751,13 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
 
     for (UnionCandidate& g : unions) {
       DedupEmbeddingsByImage(&g.embeddings);
-      SupportContext ctx;
-      ctx.txn_of_vertex = session_->txn_of_vertex;
-      ctx.txn_map = session_->txn_map;
-      ctx.txn_sample = txn_sample_;
-      g.support = ComputeSupport(query_->support_measure, g.pattern,
-                                 g.embeddings, ctx);
+      g.support = Support(g);
       if (g.support < query_->min_support) continue;
       // Dedup against the pre-merge pool here, off the coordinator: the
       // snapshot is read-only until the fold, and its entries lead every
       // dedup bucket, so the fold would find this same first hit.
-      const auto bucket = snapshot_dedup.find(g.iso_hash);
-      if (bucket != snapshot_dedup.end()) {
-        g.snapshot_dup =
-            FirstIsomorphicIn(snapshot, bucket->second, /*first_idx=*/0,
-                              g.pattern, &g.snapshot_iso,
-                              &out->iso_checks_run);
-      }
+      g.dup = snapshot.FindDuplicate(g, /*first_idx=*/0, &g.dup_iso,
+                                     &out->iso);
       out->candidates.push_back(std::move(g));
     }
   };
@@ -848,51 +782,38 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   // and admit. Identical at any thread count because candidates and fold
   // order are. The workers already scanned the snapshot entries of each
   // candidate's bucket; only this fold's admissions remain to be checked.
-  const int64_t snapshot_size = static_cast<int64_t>(rs->pool.size());
+  const int64_t snapshot_size = rs->pool.size();
   std::vector<PendingFold> folds;
   for (size_t i = 0; i < results.size(); ++i) {
     PairResult& result = results[i];
     stats_->merge_attempts += result.merge_attempts;
-    stats_->iso_checks_run += result.iso_checks_run;
+    rs->stats.iso.skipped += result.iso.skipped;
+    rs->stats.iso.run += result.iso.run;
     if (result.cancelled) rs->truncated = true;
     for (UnionCandidate& c : result.candidates) {
-      GrowthPattern merged;
-      merged.pattern = std::move(c.pattern);
-      merged.embeddings = std::move(c.embeddings);
-      merged.support = c.support;
-      merged.iso_hash = c.iso_hash;
-      merged.next_boundary = std::move(c.boundary);
-      merged.merged_ever = true;
-      merged.id = next_id_++;
-      int64_t dup = c.snapshot_dup;
-      std::vector<VertexId> iso = std::move(c.snapshot_iso);
-      const auto bucket = rs->dedup.find(merged.iso_hash);
-      if (bucket == rs->dedup.end()) {
-        ++stats_->iso_checks_skipped;  // no pattern shares the hash
-      } else if (dup < 0) {
-        dup = FirstIsomorphicIn(rs->pool, bucket->second, snapshot_size,
-                                merged.pattern, &iso,
-                                &stats_->iso_checks_run);
+      c.id = next_id_++;
+      if (c.dup < 0) {
+        c.dup = rs->pool.FindDuplicate(c, snapshot_size, &c.dup_iso,
+                                       &rs->stats.iso);
       }
-      if (dup >= 0) {
-        rs->pool[dup].merged_ever = true;  // it is now a merge product
-        folds.push_back({dup, std::move(merged.embeddings), std::move(iso)});
+      if (c.dup >= 0) {
+        rs->pool.patterns[c.dup].merged_ever = true;  // now a merge product
+        folds.push_back({c.dup, std::move(c.embeddings), std::move(c.dup_iso)});
         continue;
       }
       if (list_budget_ > 0) {
         // Carried-list merge: join the parents' complete lists on the
         // founding instance's overlap columns.
-        const EmbeddingListRef& la = rs->pool[tasks[i].a].full_list;
-        const EmbeddingListRef& lb = rs->pool[tasks[i].b].full_list;
-        merged.full_list =
-            (la == nullptr || lb == nullptr)
-                ? SaturatedEmbeddingList()
-                : JoinEmbeddingLists(*la, *lb, c.map_a, c.map_b,
-                                     merged.pattern.NumVertices(),
-                                     list_budget_, homomorphic_);
+        const EmbeddingListRef& la = rs->pool.patterns[tasks[i].a].full_list;
+        const EmbeddingListRef& lb = rs->pool.patterns[tasks[i].b].full_list;
+        c.full_list = (la == nullptr || lb == nullptr)
+                          ? SaturatedEmbeddingList()
+                          : JoinEmbeddingLists(*la, *lb, c.map_a, c.map_b,
+                                               c.pattern.NumVertices(),
+                                               list_budget_, homomorphic_);
         ++stats_->emb_extensions;
       }
-      rs->Admit(std::move(merged));
+      rs->pool.Admit(std::move(c));
       ++stats_->merges;
       rs->any_growth = true;
     }
@@ -923,7 +844,7 @@ void GrowthEngine::ApplyFolds(RoundState* rs,
     for (int64_t t = begin; t < end; ++t) {
       const size_t first = starts[static_cast<size_t>(t)];
       const size_t last = starts[static_cast<size_t>(t) + 1];
-      GrowthPattern& target = rs->pool[folds[first].target];
+      GrowthPattern& target = rs->pool.patterns[folds[first].target];
       for (size_t f = first; f < last; ++f) {
         FoldEmbeddings(&target, folds[f].embeddings, folds[f].iso,
                        query_->max_embeddings_per_pattern);
@@ -980,8 +901,8 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   // so no in-flight pattern is lost mid-budget.
   for (int64_t i = 0; i < n; ++i) {
     Lineage& ls = lineages[static_cast<size_t>(i)];
-    if (ls.pool.empty()) {
-      ls.Admit(std::move(input[static_cast<size_t>(i)]));
+    if (ls.pool.size() == 0) {
+      ls.pool.Admit(std::move(input[static_cast<size_t>(i)]));
       ls.truncated = true;
     }
   }
@@ -1000,11 +921,10 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   // serial algorithm admits all round inputs before extending.
   std::vector<std::vector<int64_t>> global_of(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    Lineage& ls = lineages[static_cast<size_t>(i)];
-    global_of[static_cast<size_t>(i)].assign(ls.pool.size(), -1);
-    char input_dead = ls.dead[0];
-    int64_t idx = rs.Admit(std::move(ls.pool[0]));
-    rs.dead[idx] = input_dead;
+    PatternPool& lp = lineages[static_cast<size_t>(i)].pool;
+    global_of[static_cast<size_t>(i)].assign(lp.patterns.size(), -1);
+    int64_t idx = rs.pool.Admit(std::move(lp.patterns[0]));
+    rs.pool.dead[idx] = lp.dead[0];
     global_of[static_cast<size_t>(i)][0] = idx;
   }
 
@@ -1014,24 +934,22 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   // The folds themselves are deferred to ApplyFolds, after the loop.
   std::vector<PendingFold> folds;
   for (int64_t i = 0; i < n; ++i) {
-    Lineage& ls = lineages[static_cast<size_t>(i)];
-    for (size_t c = 1; c < ls.pool.size(); ++c) {
-      GrowthPattern child = std::move(ls.pool[c]);
+    PatternPool& lp = lineages[static_cast<size_t>(i)].pool;
+    for (size_t c = 1; c < lp.patterns.size(); ++c) {
+      GrowthPattern child = std::move(lp.patterns[c]);
       std::vector<VertexId> iso;
-      int64_t dup = FindDuplicateIn(rs.pool, rs.dedup, child, &iso,
-                                    &stats_->iso_checks_skipped,
-                                    &stats_->iso_checks_run);
+      const int64_t dup =
+          rs.pool.FindDuplicate(child, /*first_idx=*/0, &iso, &rs.stats.iso);
       if (dup >= 0) {
-        rs.pool[dup].merged_ever |= child.merged_ever;
+        rs.pool.patterns[dup].merged_ever |= child.merged_ever;
         // A non-closed verdict from any lineage applies to the shared
         // pattern (Algorithm 2's closedness drop must survive the fold).
-        rs.dead[dup] = rs.dead[dup] || ls.dead[c];
+        rs.pool.dead[dup] = rs.pool.dead[dup] || lp.dead[c];
         global_of[static_cast<size_t>(i)][c] = dup;
         folds.push_back({dup, std::move(child.embeddings), std::move(iso)});
         continue;
       }
-      if (static_cast<int64_t>(rs.pool.size()) >=
-          query_->max_patterns_per_round) {
+      if (rs.pool.size() >= query_->max_patterns_per_round) {
         // Global budget exhausted: this lineage's remaining children are
         // (transitive) extensions of what was just dropped, so skip them
         // wholesale; one cap hit per lineage keeps the counter readable.
@@ -1040,39 +958,35 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
         break;
       }
       child.id = next_id_++;
-      int64_t idx = rs.Admit(std::move(child));
-      rs.dead[idx] = ls.dead[c];
+      int64_t idx = rs.pool.Admit(std::move(child));
+      rs.pool.dead[idx] = lp.dead[c];
       global_of[static_cast<size_t>(i)][c] = idx;
     }
   }
   // Must precede RunMerges/output, which read embeddings and supports.
   ApplyFolds(&rs, std::move(folds));
 
-  // Registry remap: lineage-local pool indices -> global pattern ids, keys
-  // visited in sorted order so the global registry content is stable.
+  // Registry remap: lineage-local pool indices -> global pattern ids. A
+  // key's ids land in lineage order whatever order the keys are visited in,
+  // and RunMerges sorts both the keys and each key's ids.
   for (int64_t i = 0; i < n; ++i) {
-    Lineage& ls = lineages[static_cast<size_t>(i)];
-    std::vector<uint64_t> keys;
-    keys.reserve(ls.registry.size());
-    for (const auto& [key, idxs] : ls.registry) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (uint64_t key : keys) {
-      for (int64_t lidx : ls.registry[key]) {
-        int64_t g = global_of[static_cast<size_t>(i)][lidx];
-        if (g < 0) continue;
-        rs.registry[key].push_back(rs.pool[g].id);
+    for (const auto& [key, lidxs] : lineages[static_cast<size_t>(i)].registry) {
+      for (int64_t lidx : lidxs) {
+        const int64_t g = global_of[static_cast<size_t>(i)][lidx];
+        if (g >= 0) rs.registry[key].push_back(rs.pool.patterns[g].id);
       }
     }
   }
 
   if (enable_merging) RunMerges(&rs, previous);
+  rs.stats.FoldInto(stats_);
 
   GrowRoundResult out;
   out.any_growth = rs.any_growth;
   out.truncated = rs.truncated;
-  for (size_t idx = 0; idx < rs.pool.size(); ++idx) {
-    if (rs.dead[idx]) continue;
-    GrowthPattern gp = std::move(rs.pool[idx]);
+  for (int64_t idx = 0; idx < rs.pool.size(); ++idx) {
+    if (rs.pool.dead[idx]) continue;
+    GrowthPattern gp = std::move(rs.pool.patterns[idx]);
     std::sort(gp.next_boundary.begin(), gp.next_boundary.end());
     gp.next_boundary.erase(
         std::unique(gp.next_boundary.begin(), gp.next_boundary.end()),

@@ -30,12 +30,11 @@
 /// snapshot there) and admits them in a serial sorted-key fold -- so the
 /// round's output is identical at any thread count.
 ///
-/// Dedup has one key everywhere (lineage, round, union grouping and the
-/// session's result collector): patterns are bucketed by PatternIsoHash and
-/// a bucket hit is confirmed with VF2, so the pattern kept is always the
-/// first isomorphic one in admission order. Within one examined pattern
-/// pair, union instances of the same shape (which positions of the two
-/// embeddings coincide) are classified once.
+/// Every dedup site (lineage, round, union grouping, merge fold and the
+/// session's result dedup) goes through pattern/iso_index.h, so the pattern
+/// kept is always the first isomorphic one in admission order. Within one
+/// examined pattern pair, union instances of the same shape (which
+/// positions of the two embeddings coincide) are classified once.
 
 namespace spidermine {
 
@@ -66,10 +65,9 @@ struct GrowthPattern {
   /// True when this pattern is a merge result or descends from one
   /// (Stage II keeps only such patterns).
   bool merged_ever = false;
-  /// Cached PatternIsoHash of `pattern` (0 = not yet computed): the one
-  /// dedup key of lineage, round and result dedup. Filled by the first
-  /// dedup lookup; valid because a GrowthPattern's pattern is never mutated
-  /// after construction (extensions build fresh candidates).
+  /// Cached IsoIndex::Key of `pattern` (0 = not yet computed), filled on
+  /// first dedup use; valid because a GrowthPattern's pattern is never
+  /// mutated after construction (extensions build fresh candidates).
   uint64_t iso_hash = 0;
   /// Unique id for merge bookkeeping (assigned by the coordinating thread
   /// in a deterministic order).

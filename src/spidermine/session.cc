@@ -1,14 +1,13 @@
 #include "spidermine/session.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "pattern/dfs_code.h"
+#include "pattern/iso_index.h"
 #include "pattern/vf2.h"
 #include "spider/spider_store_mmap.h"
 #include "spider/star_miner.h"
@@ -30,77 +29,86 @@ bool LargerPattern(const MinedPattern& a, const MinedPattern& b) {
   return a.support > b.support;
 }
 
-/// Accumulates every discovered pattern, deduplicating by iso-hash bucket +
-/// exact isomorphism (the growth engine's dedup key), keeping the
-/// best-support variant.
-class ResultCollector {
+/// Keeps the best-support member of each isomorphism class offered to it,
+/// classes in first-offered order: the one dedup rule of the query's result
+/// collector, its post-closure re-dedup and AccumulateTopK. A later member
+/// takes over only with strictly higher support, and then replaces the
+/// pattern, support, embeddings and carried list together (embeddings and
+/// lists are only meaningful in their own pattern's vertex numbering);
+/// from_merge is ORed either way. A member that loses is not copied.
+class BestPerClass {
  public:
-  ResultCollector(const QueryConfig* query, MineStats* stats)
-      : query_(query), stats_(stats) {}
+  /// Lookups count into \p checks. \p cap > 0 bounds the set: past
+  /// cap + kCompactionSlack classes, only the cap largest (LargerPattern)
+  /// are kept.
+  explicit BestPerClass(IsoChecks* checks, int64_t cap = 0)
+      : checks_(checks), cap_(cap) {}
 
-  void Add(const GrowthPattern& gp) {
-    // The growth engine has usually cached the WL fingerprint already.
-    const uint64_t gp_hash =
-        gp.iso_hash != 0 ? gp.iso_hash : PatternIsoHash(gp.pattern);
-    auto [it, inserted] = buckets_.try_emplace(gp_hash);
-    if (inserted) ++stats_->iso_checks_skipped;
-    for (int64_t idx : it->second) {
-      MinedPattern& existing = results_[idx];
-      ++stats_->iso_checks_run;
-      if (ArePatternsIsomorphic(existing.pattern, gp.pattern)) {
-        if (gp.support > existing.support) {
-          // Replace the pattern together with its embeddings and carried
-          // list: the incumbent may be an isomorphic variant with a
-          // DIFFERENT vertex numbering, and embeddings/lists are only
-          // meaningful in their own pattern's numbering. (The WL-hash
-          // bucket key is isomorphism-invariant, so the bucket entry stays
-          // valid.)
-          existing.pattern = gp.pattern;
-          existing.support = gp.support;
-          existing.embeddings = gp.embeddings;
-          existing.full_list = gp.full_list;
-        }
-        existing.from_merge |= gp.merged_ever;
-        return;
-      }
+  void Offer(const GrowthPattern& gp) {
+    if (MinedPattern* slot =
+            Place(gp.pattern, gp.iso_hash, gp.support, gp.merged_ever)) {
+      slot->pattern = gp.pattern;
+      slot->embeddings = gp.embeddings;
+      slot->full_list = gp.full_list;
+      slot->support = gp.support;
     }
-    MinedPattern mp;
-    mp.pattern = gp.pattern;
-    mp.embeddings = gp.embeddings;
-    mp.full_list = gp.full_list;
-    mp.support = gp.support;
-    mp.from_merge = gp.merged_ever;
-    it->second.push_back(static_cast<int64_t>(results_.size()));
-    results_.push_back(std::move(mp));
-    if (static_cast<int64_t>(results_.size()) >
-        query_->max_results + kCompactionSlack) {
-      Compact();
+    if (cap_ > 0 && static_cast<int64_t>(size()) > cap_ + kCompactionSlack) {
+      std::sort(kept_.begin(), kept_.end(), LargerPattern);
+      kept_.resize(static_cast<size_t>(cap_));
+      index_ = IsoIndex();
+      for (size_t i = 0; i < kept_.size(); ++i) {
+        index_.Add(kept_[i].key, static_cast<int64_t>(i));
+      }
     }
   }
 
-  std::vector<MinedPattern> TakeSorted() {
-    std::sort(results_.begin(), results_.end(), LargerPattern);
-    return std::move(results_);
+  void Offer(MinedPattern mp) {
+    if (MinedPattern* slot = Place(mp.pattern, 0, mp.support, mp.from_merge)) {
+      mp.from_merge = slot->from_merge;
+      *slot = std::move(mp);
+    }
+  }
+
+  size_t size() const { return kept_.size(); }
+
+  /// The kept members, in class order.
+  std::vector<MinedPattern> Take() {
+    std::vector<MinedPattern> out;
+    for (Kept& k : kept_) out.push_back(std::move(k));
+    return out;
   }
 
  private:
   static constexpr int64_t kCompactionSlack = 1024;
 
-  void Compact() {
-    std::sort(results_.begin(), results_.end(), LargerPattern);
-    results_.resize(static_cast<size_t>(query_->max_results));
-    buckets_.clear();
-    for (size_t i = 0; i < results_.size(); ++i) {
-      buckets_[PatternIsoHash(results_[i].pattern)].push_back(
-          static_cast<int64_t>(i));
+  struct Kept : MinedPattern {
+    uint64_t key = 0;  // IsoIndex::Key(pattern), kept for compaction
+  };
+
+  /// Where the candidate goes: its class's member when it wins, a fresh
+  /// class (carrying only from_merge) when it is new, nullptr when it
+  /// loses. The candidate's from_merge is ORed into its class either way.
+  MinedPattern* Place(const Pattern& pattern, uint64_t key, int64_t support,
+                      bool from_merge) {
+    if (key == 0) key = IsoIndex::Key(pattern);
+    const int64_t hit = index_.Find(key, pattern, /*first_idx=*/0, kept_,
+                                    /*map=*/nullptr, checks_);
+    if (hit < 0) {
+      index_.Add(key, static_cast<int64_t>(size()));
+      Kept& fresh = kept_.emplace_back();
+      fresh.key = key;
+      fresh.from_merge = from_merge;
+      return &fresh;
     }
+    MinedPattern& incumbent = kept_[static_cast<size_t>(hit)];
+    incumbent.from_merge |= from_merge;
+    return support > incumbent.support ? &incumbent : nullptr;
   }
 
-  const QueryConfig* query_;
-  MineStats* stats_;
-  std::vector<MinedPattern> results_;
-  /// PatternIsoHash -> results_ indices, in insertion order.
-  std::unordered_map<uint64_t, std::vector<int64_t>> buckets_;
+  IsoChecks* checks_;
+  int64_t cap_;
+  std::vector<Kept> kept_;
+  IsoIndex index_;
 };
 
 /// Stride between per-run RNG substream seeds. Runs must not share a
@@ -165,41 +173,11 @@ const char* Stage1LoadModeName(Stage1LoadMode mode) {
 
 void AccumulateTopK(std::vector<MinedPattern>* accumulated,
                     std::vector<MinedPattern> more, int64_t k) {
-  // Per-entry WL fingerprints, computed at most once (0 = not yet): a
-  // mismatch certifies non-isomorphism and skips the exact VF2 test.
-  std::vector<uint64_t> kept_hashes(accumulated->size(), 0);
-  for (MinedPattern& candidate : more) {
-    bool duplicate = false;
-    uint64_t candidate_hash = 0;
-    for (size_t i = 0; i < accumulated->size(); ++i) {
-      MinedPattern& kept = (*accumulated)[i];
-      if (kept.NumEdges() != candidate.NumEdges() ||
-          kept.NumVertices() != candidate.NumVertices()) {
-        continue;
-      }
-      if (candidate_hash == 0) {
-        candidate_hash = PatternIsoHash(candidate.pattern);
-      }
-      if (kept_hashes[i] == 0) kept_hashes[i] = PatternIsoHash(kept.pattern);
-      if (kept_hashes[i] != candidate_hash) continue;
-      if (ArePatternsIsomorphic(kept.pattern, candidate.pattern)) {
-        // Same fold semantics as the in-query ResultCollector: best
-        // support wins, the merge provenance flag is sticky either way.
-        if (candidate.support > kept.support) {
-          candidate.from_merge |= kept.from_merge;
-          kept = std::move(candidate);
-        } else {
-          kept.from_merge |= candidate.from_merge;
-        }
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      accumulated->push_back(std::move(candidate));
-      kept_hashes.push_back(candidate_hash);  // may be 0 (never compared)
-    }
-  }
+  IsoChecks uncounted;
+  BestPerClass best(&uncounted);
+  for (MinedPattern& mp : *accumulated) best.Offer(std::move(mp));
+  for (MinedPattern& mp : more) best.Offer(std::move(mp));
+  *accumulated = best.Take();
   std::sort(accumulated->begin(), accumulated->end(), LargerPattern);
   if (k > 0 && static_cast<int64_t>(accumulated->size()) > k) {
     accumulated->resize(static_cast<size_t>(k));
@@ -477,7 +455,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
 
   GrowthEngine engine(graph_, index_.get(), &config_, &q, &stats, &deadline,
                       pool_, &cancel);
-  ResultCollector collector(&q, &stats);
+  IsoChecks result_checks;  // the collector's and the post-closure dedup's
+  BestPerClass collector(&result_checks, q.max_results);
   // Sampling-based transaction mode: each restart run draws its own sorted
   // whitelist from the run's salted substream (empty = count everything).
   // The vector outlives every engine call of its run; the closure recount
@@ -565,7 +544,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
 
     // ---------------- Stage III: recover full patterns. ----------------
     stage_timer.Restart();
-    for (const GrowthPattern& gp : working) collector.Add(gp);
+    for (const GrowthPattern& gp : working) collector.Offer(gp);
 
     for (int32_t round = 0; round < q.stage3_max_rounds; ++round) {
       if (working.empty()) break;
@@ -579,16 +558,17 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
       ++stats.stage3_rounds;
       working.clear();
       for (GrowthPattern& gp : grown.patterns) {
-        collector.Add(gp);
+        collector.Offer(gp);
         if (!gp.exhausted) working.push_back(std::move(gp));
       }
       if (!grown.any_growth) break;
     }
-    for (const GrowthPattern& gp : working) collector.Add(gp);
+    for (const GrowthPattern& gp : working) collector.Offer(gp);
     stats.stage3_seconds += stage_timer.ElapsedSeconds();
   }
 
-  std::vector<MinedPattern> all = collector.TakeSorted();
+  std::vector<MinedPattern> all = collector.Take();
+  std::sort(all.begin(), all.end(), LargerPattern);
 
   // Internal-edge closure (closure.h): restore frequent cycle-closing edges
   // the star-based growth could not add, then re-deduplicate (closure can
@@ -678,53 +658,17 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
     }
     if (stats.closure_edges_added > 0) {
       std::sort(all.begin(), all.end(), LargerPattern);
-      std::vector<MinedPattern> deduped;
-      // WL fingerprints of the kept patterns (closure may have changed
-      // every pattern, so nothing cached upstream applies; 0 = lazy).
-      std::vector<uint64_t> deduped_hashes;
+      BestPerClass deduped(&result_checks);
       for (MinedPattern& mp : all) {
-        bool duplicate = false;
-        uint64_t mp_hash = 0;
-        for (size_t j = 0; j < deduped.size(); ++j) {
-          MinedPattern& kept = deduped[j];
-          if (kept.NumEdges() != mp.NumEdges() ||
-              kept.NumVertices() != mp.NumVertices()) {
-            continue;
-          }
-          if (mp_hash == 0) mp_hash = PatternIsoHash(mp.pattern);
-          if (deduped_hashes[j] == 0) {
-            deduped_hashes[j] = PatternIsoHash(kept.pattern);
-          }
-          if (deduped_hashes[j] != mp_hash) {
-            ++stats.iso_checks_skipped;
-            continue;
-          }
-          ++stats.iso_checks_run;
-          if (ArePatternsIsomorphic(kept.pattern, mp.pattern)) {
-            if (mp.support > kept.support) {
-              // Replace the whole variant: the embeddings (and any carried
-              // list) are expressed in mp.pattern's vertex numbering, which
-              // an isomorphic kept.pattern need not share.
-              kept.pattern = mp.pattern;
-              kept.support = mp.support;
-              kept.embeddings = mp.embeddings;
-              kept.full_list = mp.full_list;
-            }
-            kept.from_merge |= mp.from_merge;
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) {
-          deduped.push_back(std::move(mp));
-          deduped_hashes.push_back(mp_hash);
-        }
+        deduped.Offer(std::move(mp));
         // Dedup cost is bounded: only the top window can reach the final K.
         if (static_cast<int64_t>(deduped.size()) > 4 * q.k + 16) break;
       }
-      all = std::move(deduped);
+      all = deduped.Take();
     }
   }
+  stats.iso_checks_skipped += result_checks.skipped;
+  stats.iso_checks_run += result_checks.run;
 
   // An elevated query threshold (> the session floor) is enforced on the
   // final list as well: seeds drawn from the cached floor-level store (and

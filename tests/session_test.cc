@@ -266,6 +266,54 @@ TEST(SessionTest, AccumulateTopKDedupsAcrossQueries) {
   }
 }
 
+TEST(SessionTest, AccumulateTopKReplacesTheVariantWithItsEmbeddings) {
+  // Host graph: a labeled path A-B-C plus a second A on B.
+  GraphBuilder builder;
+  for (LabelId label : {1, 2, 3, 1}) builder.AddVertex(label);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(1, 3);
+  const LabeledGraph g = std::move(builder.Build()).value();
+  // The pattern A-B-C numbered A, B, C (earlier, lower support) and C, B, A
+  // (later, higher support); each carries embeddings in its own numbering.
+  MinedPattern earlier;
+  for (LabelId label : {1, 2, 3}) earlier.pattern.AddVertex(label);
+  earlier.pattern.AddEdge(0, 1);
+  earlier.pattern.AddEdge(1, 2);
+  earlier.embeddings = {{0, 1, 2}};
+  earlier.support = 1;
+  MinedPattern later;
+  for (LabelId label : {3, 2, 1}) later.pattern.AddVertex(label);
+  later.pattern.AddEdge(0, 1);
+  later.pattern.AddEdge(1, 2);
+  later.embeddings = {{2, 1, 0}, {2, 1, 3}};
+  later.support = 2;
+  ASSERT_TRUE(ArePatternsIsomorphic(earlier.pattern, later.pattern));
+  ASSERT_FALSE(earlier.pattern == later.pattern);
+
+  for (bool merge_on_earlier : {true, false}) {
+    SCOPED_TRACE(merge_on_earlier ? "earlier from_merge" : "later from_merge");
+    earlier.from_merge = merge_on_earlier;
+    later.from_merge = !merge_on_earlier;
+    std::vector<MinedPattern> accumulated = {earlier};
+    AccumulateTopK(&accumulated, {later}, /*k=*/5);
+    ASSERT_EQ(accumulated.size(), 1u);
+    const MinedPattern& kept = accumulated[0];
+    EXPECT_TRUE(kept.pattern == later.pattern);
+    EXPECT_EQ(kept.embeddings, later.embeddings);
+    EXPECT_EQ(kept.support, 2);
+    EXPECT_TRUE(kept.from_merge);
+    for (const Embedding& e : kept.embeddings) {
+      for (const auto& [u, v] : kept.pattern.Edges()) {
+        EXPECT_TRUE(g.HasEdge(e[u], e[v]));
+      }
+      for (VertexId u = 0; u < kept.pattern.NumVertices(); ++u) {
+        EXPECT_EQ(g.Label(e[u]), kept.pattern.Label(u));
+      }
+    }
+  }
+}
+
 TEST(SessionTest, CanonicalHashNormalizesDefaultedFields) {
   // The hash keys the serving result cache, so every defaulted field must
   // collapse onto its explicit resolution — exactly how RunQuery resolves
