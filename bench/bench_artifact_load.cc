@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -101,7 +102,7 @@ int64_t ReadWholeFile(const std::string& path) {
 }
 
 int Main() {
-  if (!Sm2HostSupported()) {
+  if (std::endian::native != std::endian::little) {
     std::fprintf(stderr, "big-endian host: .sm2 unsupported, skipping\n");
     return 0;
   }

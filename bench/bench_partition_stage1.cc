@@ -189,18 +189,9 @@ int Main(int argc, char** argv) {
       Result<Stage1PartialResult> partial =
           MineStage1Partial(*part, config, &pool);
       if (!partial.ok()) return 1;
-      Stage1PartialMeta meta;
-      meta.min_support = support;
-      meta.max_star_leaves = max_leaves;
-      meta.num_graph_vertices = part->parent_num_vertices;
-      meta.graph_hash = part->parent_hash;
-      meta.partition_index = p;
-      meta.num_partitions = partitions;
-      meta.owned_begin = part->owned_begin;
-      meta.owned_end = part->owned_end;
-      return SaveStage1Partial(partial->store, meta, partial_path(p)).ok()
-                 ? 0
-                 : 1;
+      const Status saved =
+          SaveStage1Partial(partial->store, partial->meta, partial_path(p));
+      return saved.ok() ? 0 : 1;
     }));
     if (workers.back().exit_code != 0) return 1;
   }

@@ -11,17 +11,20 @@
 #include "common/strings.h"
 
 /// \file binary_format.h
-/// The shared framing of every spidermine binary file format — the
-/// versioned, checksummed envelope graph/binary_io.h documents:
+/// The single-payload envelope of the graph, pattern and `.smgp`
+/// partition files — the versioned, checksummed framing graph/binary_io.h
+/// documents (the zero-copy Stage I formats use graph/section_file.h):
 ///
 ///   [0..3]   4-byte magic   [4..7] uint32 version
 ///   [8..15]  uint64 payload length   [16..19] uint32 payload CRC-32
 ///   [20.. ]  payload (little-endian integers)
 ///
 /// Codecs for concrete types live next to those types (graphs and patterns
-/// in graph/binary_io) and share these helpers, so the graph layer never depends upward. Each
-/// codec owns its version number (passed with the magic), so evolving one
-/// format never invalidates saved files of the others.
+/// in graph/binary_io) and share these helpers (the little-endian Append*
+/// writers and Reader, which section-file meta sections use too), so the
+/// graph layer never depends upward. Each codec owns its version number
+/// (passed with the magic), so evolving one format never invalidates saved
+/// files of the others.
 
 namespace spidermine::binary_format {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fnv1a.h"
 #include "common/strings.h"
 #include "graph/binary_format.h"
 #include "graph/graph_builder.h"
@@ -15,16 +16,6 @@ using binary_format::AppendI32;
 using binary_format::AppendI64;
 using binary_format::AppendU64;
 using binary_format::AppendU8;
-
-/// FNV-1a word fold, same constants as LabeledGraph::ContentHash so every
-/// content hash in the system composes the same way.
-struct Fnv {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  }
-};
 
 }  // namespace
 
@@ -118,20 +109,21 @@ Result<PartitionPlan> MakePartitionPlan(const LabeledGraph& graph,
 }
 
 uint64_t GraphPartition::ContentHash() const {
-  Fnv fnv;
-  fnv.Mix(parent_hash);
-  fnv.Mix(static_cast<uint64_t>(parent_num_vertices));
-  fnv.Mix(static_cast<uint64_t>(parent_num_edges));
-  fnv.Mix(static_cast<uint64_t>(num_partitions));
-  fnv.Mix(static_cast<uint64_t>(partition_index));
-  fnv.Mix(static_cast<uint64_t>(radius));
-  fnv.Mix(static_cast<uint64_t>(owned_begin));
-  fnv.Mix(static_cast<uint64_t>(owned_end));
-  fnv.Mix(graph.ContentHash());
+  // The same word fold as LabeledGraph::ContentHash.
+  Fnv1a fnv;
+  fnv.MixWord(parent_hash);
+  fnv.MixWord(static_cast<uint64_t>(parent_num_vertices));
+  fnv.MixWord(static_cast<uint64_t>(parent_num_edges));
+  fnv.MixWord(static_cast<uint64_t>(num_partitions));
+  fnv.MixWord(static_cast<uint64_t>(partition_index));
+  fnv.MixWord(static_cast<uint64_t>(radius));
+  fnv.MixWord(static_cast<uint64_t>(owned_begin));
+  fnv.MixWord(static_cast<uint64_t>(owned_end));
+  fnv.MixWord(graph.ContentHash());
   for (VertexId orig : local_to_orig) {
-    fnv.Mix(static_cast<uint64_t>(orig));
+    fnv.MixWord(static_cast<uint64_t>(orig));
   }
-  return fnv.hash;
+  return fnv.hash();
 }
 
 Result<GraphPartition> BuildGraphPartition(const LabeledGraph& graph,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.h"
+
 namespace spidermine {
 
 bool LabeledGraph::HasEdge(VertexId u, VertexId v) const {
@@ -27,26 +29,23 @@ uint64_t LabeledGraph::ContentHash() const {
   // FNV-1a over the canonical CSR content. Hashing int64 words directly
   // (rather than serialized bytes) keeps this allocation-free: the hash
   // binds an artifact to its graph, so it runs on every save AND load.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  mix(static_cast<uint64_t>(NumVertices()));
-  mix(static_cast<uint64_t>(num_edges_));
-  for (LabelId label : labels_) mix(static_cast<uint64_t>(label));
+  Fnv1a fnv;
+  fnv.MixWord(static_cast<uint64_t>(NumVertices()));
+  fnv.MixWord(static_cast<uint64_t>(num_edges_));
+  for (LabelId label : labels_) fnv.MixWord(static_cast<uint64_t>(label));
   for (VertexId u = 0; u < NumVertices(); ++u) {
     for (int64_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
       const VertexId v = neighbors_[static_cast<size_t>(i)];
       if (u >= v) continue;  // each undirected edge once
-      mix((static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-          static_cast<uint32_t>(v));
-      mix(has_edge_labels_
+      fnv.MixWord((static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
+                  static_cast<uint32_t>(v));
+      fnv.MixWord(
+          has_edge_labels_
               ? static_cast<uint64_t>(edge_labels_[static_cast<size_t>(i)])
               : 0);
     }
   }
-  return hash;
+  return fnv.hash();
 }
 
 }  // namespace spidermine

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "common/fnv1a.h"
+
 namespace spidermine {
 
 int CompareDfsEdges(const DfsEdge& a, const DfsEdge& b) {
@@ -346,15 +348,11 @@ std::string WlRefinementString(const Pattern& pattern) {
 
 uint64_t PatternIsoHash(const Pattern& pattern) {
   const std::string key = WlRefinementString(pattern);
-  // FNV-1a: deterministic across platforms and runs (std::hash is not
-  // guaranteed either), so hashes can participate in byte-identical
-  // serving results.
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h == 0 ? 1 : h;  // reserve 0 as the "not computed" sentinel
+  // The basis is the standard one with its last digit dropped. It is
+  // kept because every dedup key and pinned value depends on it.
+  Fnv1a h(1469598103934665603ULL);
+  h.MixBytes(key.data(), key.size());
+  return h.hash() == 0 ? 1 : h.hash();  // 0 is the "not computed" sentinel
 }
 
 std::string DfsCodeToString(const DfsCode& code) {

@@ -12,7 +12,7 @@ SpiderStore SpiderStore::Borrowed(std::span<const LabelId> head_labels,
                                   std::span<const SpiderLeafKey> leaf_pool,
                                   std::span<const int64_t> anchor_offsets,
                                   std::span<const VertexId> anchor_pool) {
-  assert(closed.size() == head_labels.size());
+  assert(closed.empty() || closed.size() == head_labels.size());
   assert(leaf_offsets.size() == head_labels.size() + 1);
   assert(anchor_offsets.size() == head_labels.size() + 1);
   SpiderStore store;

@@ -53,7 +53,8 @@ class SpiderStore {
   /// starting at 0 and ending at the respective pool size; leaves within a
   /// spider are sorted and anchors strictly ascending (the `.sm2` reader
   /// checks the offset invariants before calling this; pool content is
-  /// guarded by section CRCs).
+  /// guarded by section CRCs). `closed` is either one flag per spider or
+  /// empty (a `.sm2p` partial, whose store must not be asked closed()).
   static SpiderStore Borrowed(std::span<const LabelId> head_labels,
                               std::span<const uint8_t> closed,
                               std::span<const int64_t> leaf_offsets,

@@ -1,16 +1,14 @@
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
-#include "common/mapped_file.h"
 #include "common/result.h"
+#include "graph/section_file.h"
 #include "spider/spider_index.h"
 #include "spider/spider_store.h"
 
@@ -25,18 +23,8 @@
 /// borrowed-span modes of SpiderStore/SpiderIndex. N replicas on one box
 /// then share one page-cache copy instead of N heap copies.
 ///
-/// File layout (all integers little-endian):
-///
-///   [0..3]    magic "SMS2"          [4..7]   uint32 version (= 1)
-///   [8..11]   uint32 section count  [12..15] uint32 reserved (0)
-///   [16..]    section table: per section 32 bytes
-///               uint32 kind, uint32 reserved,
-///               uint64 offset, uint64 length, uint32 crc32, uint32 reserved
-///   [..+4]    uint32 header CRC-32 (over everything above it)
-///   (zero padding to the first 64-byte boundary)
-///   sections, each starting 64-byte aligned, zero padding between them;
-///   the file ends EXACTLY at the last section's end (no trailing pad), so
-///   every non-padding byte is covered by exactly one section CRC.
+/// The file is a section list over the shared container of
+/// graph/section_file.h (magic "SMS2", version 1).
 ///
 /// Sections, in fixed order (kind = index):
 ///   0 meta            fixed-width Stage1Meta + n/total_leaves/total_anchors
@@ -66,7 +54,6 @@ namespace spidermine {
 inline constexpr char kSm2Magic[4] = {'S', 'M', 'S', '2'};
 inline constexpr uint32_t kSm2FormatVersion = 1;
 inline constexpr uint32_t kSm2SectionCount = 9;
-inline constexpr size_t kSm2SectionAlign = 64;
 
 /// Provenance of a saved Stage I artifact: the mining parameters that
 /// produced the spider set (MiningSession::LoadStage1 restores them as the
@@ -94,17 +81,30 @@ struct Stage1Meta {
 /// re-run `spidermine stage1`.
 Status CheckStage1Magic(const std::string& path, std::string_view head);
 
-/// True when this host can read/write `.sm2` in place (little-endian).
-constexpr bool Sm2HostSupported() {
-  return std::endian::native == std::endian::little;
-}
-
 // The on-disk arrays are reused in place, so the element types must have
 // the exact width and layout the format promises.
 static_assert(sizeof(LabelId) == 4 && sizeof(VertexId) == 4);
 static_assert(sizeof(SpiderLeafKey) == 8 &&
                   std::is_standard_layout_v<SpiderLeafKey>,
               "SpiderLeafKey must be two packed int32s for the .sm2 layout");
+
+/// A borrowed store over the star sections both `.sm2` and `.sm2p` carry:
+/// head labels at kind 1, and leaf offsets, leaf pool, anchor offsets and
+/// anchor pool at the four kinds from \p leaf_offsets_kind, of a file whose
+/// lengths are checked. \p closed is empty for `.sm2p`, which has no closed
+/// column (its stores must not be asked closed()). Checks the star count
+/// and both offsets arrays.
+Result<SpiderStore> BorrowStarSections(const SectionFile& file,
+                                       uint32_t leaf_offsets_kind,
+                                       std::span<const uint8_t> closed,
+                                       uint64_t total_leaves,
+                                       uint64_t total_anchors);
+
+/// The per-star content check of `.sm2` and `.sm2p`: a non-negative head
+/// label, sorted non-negative leaf keys, and non-empty, strictly ascending
+/// anchors inside [\p lo, \p hi). \p format prefixes error messages.
+Status CheckStars(const SpiderStore& stars, std::string_view format,
+                  int64_t lo, int64_t hi);
 
 /// Serializes \p store + \p index + \p meta to `.sm2` bytes.
 /// Deterministic: identical inputs produce identical bytes.
@@ -149,20 +149,12 @@ class MappedStage1 {
   Status EnsureValidated() const;
 
  private:
-  struct Section {
-    uint32_t kind = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    uint32_t crc = 0;
-  };
-
   MappedStage1() = default;
 
   Status ValidateLazySections() const;
 
-  MappedFile file_;
+  SectionFile file_;
   Stage1Meta meta_;
-  std::vector<Section> sections_;
   SpiderStore store_;  // borrowed-span mode over file_
   std::unique_ptr<SpiderIndex> index_;  // borrowed-span mode over file_
 

@@ -1,8 +1,8 @@
 #include "spidermine/config.h"
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
+
+#include "common/fnv1a.h"
 
 namespace spidermine {
 
@@ -51,30 +51,6 @@ Status QueryConfig::Validate() const {
   return Status::Ok();
 }
 
-namespace {
-
-/// FNV-1a over the bytes of one value. Doubles hash by bit pattern (the
-/// protocol parses them deterministically, so equal requests carry equal
-/// bits); bools widen to a byte; enums to their underlying integer.
-struct Fnv1a {
-  uint64_t state = 0xcbf29ce484222325ULL;  // FNV offset basis
-
-  void Bytes(const void* data, size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      state ^= p[i];
-      state *= 0x100000001b3ULL;  // FNV prime
-    }
-  }
-  template <typename T>
-  void Field(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Bytes(&value, sizeof(value));
-  }
-};
-
-}  // namespace
-
 uint64_t QueryConfig::CanonicalHash(int64_t session_min_support,
                                     int64_t graph_vertices) const {
   // Normalize every defaulted field exactly the way RunQuery resolves it,
@@ -88,34 +64,37 @@ uint64_t QueryConfig::CanonicalHash(int64_t session_min_support,
       closure_window > 0 ? closure_window : std::max<int64_t>(64, 8LL * k);
   const int32_t effective_restarts = restarts == 0 ? 0 : std::max(1, restarts);
 
+  // FNV-1a over the bytes of each field. Doubles hash by bit pattern (the
+  // protocol parses them deterministically, so equal requests carry equal
+  // bits); bools are one byte; enums go in as their underlying integer.
   Fnv1a h;
-  h.Field(support);
-  h.Field(k);
-  h.Field(epsilon);
-  h.Field(dmax);
-  h.Field(effective_vmin);
-  h.Field(static_cast<int32_t>(support_measure));
-  h.Field(txn_sample);
-  h.Field(rng_seed);
-  h.Field(seed_count_override);
-  h.Field(effective_restarts);
-  h.Field(max_embeddings_per_pattern);
+  h.MixValueBytes(support);
+  h.MixValueBytes(k);
+  h.MixValueBytes(epsilon);
+  h.MixValueBytes(dmax);
+  h.MixValueBytes(effective_vmin);
+  h.MixValueBytes(static_cast<int32_t>(support_measure));
+  h.MixValueBytes(txn_sample);
+  h.MixValueBytes(rng_seed);
+  h.MixValueBytes(seed_count_override);
+  h.MixValueBytes(effective_restarts);
+  h.MixValueBytes(max_embeddings_per_pattern);
   // embedding_list_budget deliberately NOT hashed: results are
   // byte-identical at any budget (the engine's determinism contract), so
   // requests differing only there must share a cache line.
-  h.Field(max_patterns_per_round);
-  h.Field(max_seed_embeddings_per_anchor);
-  h.Field(max_merge_pairs_per_key);
-  h.Field(max_union_instances);
-  h.Field(stage3_max_rounds);
-  h.Field(max_results);
-  h.Field(time_budget_seconds);
-  h.Field(use_closed_spiders_only);
-  h.Field(close_internal_edges);
-  h.Field(window);
-  h.Field(enforce_dmax_on_results);
-  h.Field(keep_unmerged);
-  return h.state;
+  h.MixValueBytes(max_patterns_per_round);
+  h.MixValueBytes(max_seed_embeddings_per_anchor);
+  h.MixValueBytes(max_merge_pairs_per_key);
+  h.MixValueBytes(max_union_instances);
+  h.MixValueBytes(stage3_max_rounds);
+  h.MixValueBytes(max_results);
+  h.MixValueBytes(time_budget_seconds);
+  h.MixValueBytes(use_closed_spiders_only);
+  h.MixValueBytes(close_internal_edges);
+  h.MixValueBytes(window);
+  h.MixValueBytes(enforce_dmax_on_results);
+  h.MixValueBytes(keep_unmerged);
+  return h.hash();
 }
 
 }  // namespace spidermine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -329,59 +330,48 @@ Result<MiningSession> MiningSession::LoadStage1(const LabeledGraph* graph,
 }
 
 void MiningSession::InitTxnState() {
-  uint64_t h = 0;
-  auto fold = [&h](uint64_t value) {
-    if (h == 0) h = 0xcbf29ce484222325ULL;
-    for (int i = 0; i < 8; ++i) {
-      h ^= (value >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  Fnv1a h;
   if (config_.txn_of_vertex != nullptr) {
-    fold(1);  // source tag
-    fold(static_cast<uint64_t>(config_.txn_of_vertex->size()));
+    h.MixU64Bytes(1);  // source tag
+    h.MixU64Bytes(static_cast<uint64_t>(config_.txn_of_vertex->size()));
     for (int32_t t : *config_.txn_of_vertex) {
-      fold(static_cast<uint64_t>(static_cast<uint32_t>(t)));
+      h.MixU64Bytes(static_cast<uint64_t>(static_cast<uint32_t>(t)));
       num_txns_ = std::max<int64_t>(num_txns_, static_cast<int64_t>(t) + 1);
     }
   }
   if (config_.txn_map != nullptr) {
-    fold(2);  // source tag
-    fold(static_cast<uint64_t>(config_.txn_map->num_transactions));
+    h.MixU64Bytes(2);  // source tag
+    h.MixU64Bytes(static_cast<uint64_t>(config_.txn_map->num_transactions));
     for (int64_t o : config_.txn_map->offsets) {
-      fold(static_cast<uint64_t>(o));
+      h.MixU64Bytes(static_cast<uint64_t>(o));
     }
     for (int32_t t : config_.txn_map->txn_ids) {
-      fold(static_cast<uint64_t>(static_cast<uint32_t>(t)));
+      h.MixU64Bytes(static_cast<uint64_t>(static_cast<uint32_t>(t)));
     }
     // The map takes precedence for support, so its universe wins too.
     num_txns_ = config_.txn_map->num_transactions;
   }
-  txn_digest_ = h;
+  const bool has_source =
+      config_.txn_of_vertex != nullptr || config_.txn_map != nullptr;
+  txn_digest_ = has_source ? h.hash() : 0;
 }
 
 uint64_t MiningSession::stage1_content_key() const {
   // FNV-1a over the facts that determine the spider set. Store size and
   // the truncation flag participate so a budget-truncated mine of the same
   // graph+config never aliases a complete one.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto fold = [&h](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (value >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  fold(graph_->ContentHash());
-  fold(static_cast<uint64_t>(config_.min_support));
-  fold(static_cast<uint64_t>(config_.spider_radius));
-  fold(static_cast<uint64_t>(config_.max_star_leaves));
-  fold(static_cast<uint64_t>(config_.max_spiders));
-  fold(static_cast<uint64_t>(store_->size()));
-  fold(stage1_truncated_ ? 1 : 0);
+  Fnv1a h;
+  h.MixU64Bytes(graph_->ContentHash());
+  h.MixU64Bytes(static_cast<uint64_t>(config_.min_support));
+  h.MixU64Bytes(static_cast<uint64_t>(config_.spider_radius));
+  h.MixU64Bytes(static_cast<uint64_t>(config_.max_star_leaves));
+  h.MixU64Bytes(static_cast<uint64_t>(config_.max_spiders));
+  h.MixU64Bytes(static_cast<uint64_t>(store_->size()));
+  h.MixU64Bytes(stage1_truncated_ ? 1 : 0);
   // Transaction payloads change kTransaction answers without changing the
   // spider set; folding their digest keeps cache lines separated.
-  fold(txn_digest_);
-  return h;
+  h.MixU64Bytes(txn_digest_);
+  return h.hash();
 }
 
 int64_t MiningSession::queries_run() const {

@@ -1,12 +1,10 @@
 #include "spidermine/stage1_partition.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
+#include <compare>
 #include <string_view>
 #include <utility>
 
-#include "common/crc32.h"
 #include "common/strings.h"
 #include "graph/binary_format.h"
 #include "spider/spider_index.h"
@@ -19,19 +17,18 @@ namespace {
 
 using binary_format::AppendI32;
 using binary_format::AppendI64;
-using binary_format::AppendU32;
 using binary_format::AppendU64;
 
 /// Fixed byte length of the `.sm2p` meta section (see WritePartialMeta).
 constexpr uint64_t kSm2pMetaBytes = 88;
-constexpr size_t kSm2pPreamble = 16;
-constexpr size_t kSm2pTableEntryBytes = 32;
-constexpr size_t kSm2pHeaderBytes =
-    kSm2pPreamble + kSm2pSectionCount * kSm2pTableEntryBytes;
 
-const char* kSm2pSectionName[kSm2pSectionCount] = {
+constexpr const char* kSm2pSectionNames[kSm2pSectionCount] = {
     "meta",           "head_labels", "leaf_offsets",
     "leaf_pool",      "anchor_offsets", "anchor_pool"};
+
+constexpr SectionFormat kSm2pFormat{std::string_view(kSm2pMagic, 4),
+                                    kSm2pFormatVersion, "sm2p",
+                                    kSm2pSectionNames};
 
 enum Sm2pSectionKind : uint32_t {
   kMeta = 0,
@@ -42,54 +39,8 @@ enum Sm2pSectionKind : uint32_t {
   kAnchorPool = 5,
 };
 
-void PadTo(std::string* out, size_t align) {
-  while (out->size() % align != 0) out->push_back('\0');
-}
-
-template <typename T>
-std::span<const uint8_t> AsBytes(std::span<const T> data) {
-  return {reinterpret_cast<const uint8_t*>(data.data()), data.size_bytes()};
-}
-
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;  // little-endian host (gated like .sm2)
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-template <typename T>
-std::span<const T> SectionSpan(std::span<const uint8_t> file,
-                               uint64_t offset, uint64_t length) {
-  return {reinterpret_cast<const T*>(file.data() + offset),
-          static_cast<size_t>(length / sizeof(T))};
-}
-
-Status CheckOffsets(std::span<const int64_t> offsets, int64_t expected_total,
-                    const char* what) {
-  if (offsets.empty() || offsets.front() != 0) {
-    return Status::IoError(StrCat("sm2p ", what, " does not start at 0"));
-  }
-  for (size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) {
-      return Status::IoError(
-          StrCat("sm2p ", what, " not monotonic at entry ", i));
-    }
-  }
-  if (offsets.back() != expected_total) {
-    return Status::IoError(StrCat("sm2p ", what, " ends at ", offsets.back(),
-                                  ", expected ", expected_total));
-  }
-  return Status::Ok();
-}
-
-std::string WritePartialMeta(const Stage1PartialMeta& meta, uint64_t n,
-                             uint64_t total_leaves, uint64_t total_anchors) {
+std::string WritePartialMeta(const Stage1PartialMeta& meta,
+                             const SpiderStore& store) {
   std::string out;
   AppendI64(&out, meta.min_support);
   AppendI32(&out, meta.spider_radius);
@@ -101,24 +52,23 @@ std::string WritePartialMeta(const Stage1PartialMeta& meta, uint64_t n,
   AppendI32(&out, meta.num_partitions);
   AppendI64(&out, meta.owned_begin);
   AppendI64(&out, meta.owned_end);
-  AppendU64(&out, n);
-  AppendU64(&out, total_leaves);
-  AppendU64(&out, total_anchors);
+  AppendU64(&out, static_cast<uint64_t>(store.size()));
+  AppendU64(&out, static_cast<uint64_t>(store.TotalLeaves()));
+  AppendU64(&out, static_cast<uint64_t>(store.TotalAnchors()));
   return out;
 }
 
-/// Canonical three-way star order: head label, then the leaf vector
-/// lexicographically with prefixes first — the store order every miner
-/// pass and the merge share.
-int CompareStarKey(LabelId label_a, std::span<const SpiderLeafKey> a,
-                   LabelId label_b, std::span<const SpiderLeafKey> b) {
-  if (label_a != label_b) return label_a < label_b ? -1 : 1;
-  const size_t common = std::min(a.size(), b.size());
-  for (size_t i = 0; i < common; ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+/// Canonical order of star \p i of \p a against star \p j of \p b: head
+/// label, then the leaf vector lexicographically with prefixes first — the
+/// store order every miner pass and the merge share.
+std::strong_ordering CompareStars(const MappedStage1Partial& a, int64_t i,
+                                  const MappedStage1Partial& b, int64_t j) {
+  if (const auto order = a.head_label(i) <=> b.head_label(j); order != 0) {
+    return order;
   }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  return 0;
+  const std::span<const SpiderLeafKey> x = a.leaves(i), y = b.leaves(j);
+  return std::lexicographical_compare_three_way(x.begin(), x.end(),
+                                                y.begin(), y.end());
 }
 
 }  // namespace
@@ -163,6 +113,16 @@ Result<Stage1PartialResult> MineStage1Partial(const GraphPartition& part,
   // original id owned_begin + i (both ascending — order is preserved).
   const VertexId num_owned = static_cast<VertexId>(part.num_owned());
   Stage1PartialResult result;
+  result.meta.min_support = config.min_support;
+  result.meta.spider_radius = 1;
+  result.meta.max_star_leaves = config.max_star_leaves;
+  result.meta.max_spiders = config.max_spiders;
+  result.meta.num_graph_vertices = part.parent_num_vertices;
+  result.meta.graph_hash = part.parent_hash;
+  result.meta.partition_index = part.partition_index;
+  result.meta.num_partitions = part.num_partitions;
+  result.meta.owned_begin = part.owned_begin;
+  result.meta.owned_end = part.owned_end;
   result.local_stars = mined.store.size();
   std::vector<VertexId> mapped;
   for (int32_t id = 0; id < mined.store.size(); ++id) {
@@ -185,172 +145,54 @@ Result<Stage1PartialResult> MineStage1Partial(const GraphPartition& part,
 
 std::string Stage1PartialToBytes(const SpiderStore& store,
                                  const Stage1PartialMeta& meta) {
-  const uint64_t n = static_cast<uint64_t>(store.size());
-  const std::string meta_bytes =
-      WritePartialMeta(meta, n, static_cast<uint64_t>(store.TotalLeaves()),
-                       static_cast<uint64_t>(store.TotalAnchors()));
-
-  const std::span<const uint8_t> section_bytes[kSm2pSectionCount] = {
-      {reinterpret_cast<const uint8_t*>(meta_bytes.data()),
-       meta_bytes.size()},
+  const std::string meta_bytes = WritePartialMeta(meta, store);
+  const std::span<const uint8_t> sections[kSm2pSectionCount] = {
+      AsBytes(std::span<const char>(meta_bytes)),
       AsBytes(store.head_labels()),
       AsBytes(store.leaf_offsets()),
       AsBytes(store.leaf_pool()),
       AsBytes(store.anchor_offsets()),
       AsBytes(store.anchor_pool()),
   };
-
-  uint64_t offsets[kSm2pSectionCount];
-  uint64_t cursor = kSm2pHeaderBytes + 4;  // + header CRC
-  for (uint32_t kind = 0; kind < kSm2pSectionCount; ++kind) {
-    cursor = (cursor + kSm2SectionAlign - 1) / kSm2SectionAlign *
-             kSm2SectionAlign;
-    offsets[kind] = cursor;
-    cursor += section_bytes[kind].size();
-  }
-
-  std::string out;
-  out.reserve(static_cast<size_t>(cursor));
-  out.append(kSm2pMagic, 4);
-  AppendU32(&out, kSm2pFormatVersion);
-  AppendU32(&out, kSm2pSectionCount);
-  AppendU32(&out, 0);  // reserved
-  for (uint32_t kind = 0; kind < kSm2pSectionCount; ++kind) {
-    AppendU32(&out, kind);
-    AppendU32(&out, 0);  // reserved
-    AppendU64(&out, offsets[kind]);
-    AppendU64(&out, section_bytes[kind].size());
-    AppendU32(&out, Crc32(section_bytes[kind]));
-    AppendU32(&out, 0);  // reserved
-  }
-  AppendU32(&out, Crc32(std::string_view(out.data(), kSm2pHeaderBytes)));
-  for (uint32_t kind = 0; kind < kSm2pSectionCount; ++kind) {
-    PadTo(&out, kSm2SectionAlign);
-    out.append(reinterpret_cast<const char*>(section_bytes[kind].data()),
-               section_bytes[kind].size());
-  }
-  return out;
+  return WriteSectionFile(kSm2pFormat, sections);
 }
 
 Status SaveStage1Partial(const SpiderStore& store,
                          const Stage1PartialMeta& meta,
                          const std::string& path) {
-  if (!Sm2HostSupported()) {
-    return Status::IoError(
-        "the .sm2p partial format is little-endian only, like .sm2");
-  }
+  SM_RETURN_NOT_OK(CheckSectionFileHost(kSm2pFormat));
   return binary_format::WriteFile(path, Stage1PartialToBytes(store, meta));
 }
 
 Result<std::unique_ptr<MappedStage1Partial>> MappedStage1Partial::Open(
     const std::string& path) {
-  if (!Sm2HostSupported()) {
-    return Status::IoError(
-        "the .sm2p partial format is little-endian only and cannot be "
-        "mapped on this host");
-  }
-  SM_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  const std::span<const uint8_t> bytes = file.bytes();
-  if (bytes.size() < kSm2pHeaderBytes + 4) {
-    return Status::IoError(StrCat("sm2p file too short: ", bytes.size(),
-                                  " bytes < ", kSm2pHeaderBytes + 4,
-                                  "-byte header"));
-  }
-  if (std::memcmp(bytes.data(), kSm2pMagic, 4) != 0) {
-    return Status::IoError("bad magic; expected SM2P");
-  }
-  const uint32_t version = LoadU32(bytes.data() + 4);
-  if (version != kSm2pFormatVersion) {
-    return Status::IoError(
-        StrCat("unsupported sm2p format version ", version));
-  }
-  const uint32_t section_count = LoadU32(bytes.data() + 8);
-  if (section_count != kSm2pSectionCount) {
-    return Status::IoError(StrCat("sm2p section count ", section_count,
-                                  " != expected ", kSm2pSectionCount));
-  }
-  const uint32_t header_crc = LoadU32(bytes.data() + kSm2pHeaderBytes);
-  if (Crc32(bytes.subspan(0, kSm2pHeaderBytes)) != header_crc) {
-    return Status::IoError(
-        "sm2p header checksum mismatch (corrupted or truncated file)");
-  }
-
+  SM_ASSIGN_OR_RETURN(MappedFile mapping, MappedFile::Open(path));
   auto mapped =
       std::unique_ptr<MappedStage1Partial>(new MappedStage1Partial());
-  mapped->file_ = std::move(file);
-  const std::span<const uint8_t> data = mapped->file_.bytes();
-
-  struct Section {
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    uint32_t crc = 0;
-  };
-  Section sections[kSm2pSectionCount];
-  uint64_t prev_end = kSm2pHeaderBytes + 4;
-  for (uint32_t kind = 0; kind < kSm2pSectionCount; ++kind) {
-    const uint8_t* entry =
-        data.data() + kSm2pPreamble + kind * kSm2pTableEntryBytes;
-    Section& section = sections[kind];
-    const uint32_t entry_kind = LoadU32(entry);
-    section.offset = LoadU64(entry + 8);
-    section.length = LoadU64(entry + 16);
-    section.crc = LoadU32(entry + 24);
-    if (entry_kind != kind) {
-      return Status::IoError(StrCat("sm2p section ", kind,
-                                    " has unexpected kind ", entry_kind));
-    }
-    if (section.offset % kSm2SectionAlign != 0) {
-      return Status::IoError(StrCat("sm2p section ", kSm2pSectionName[kind],
-                                    " misaligned at offset ",
-                                    section.offset));
-    }
-    if (section.offset < prev_end || section.offset > data.size() ||
-        section.length > data.size() - section.offset) {
-      return Status::IoError(StrCat("sm2p section ", kSm2pSectionName[kind],
-                                    " out of bounds (offset ",
-                                    section.offset, ", length ",
-                                    section.length, ", file ", data.size(),
-                                    " bytes)"));
-    }
-    prev_end = section.offset + section.length;
-  }
-  if (prev_end != data.size()) {
-    return Status::IoError(StrCat("sm2p trailing bytes: sections end at ",
-                                  prev_end, ", file has ", data.size(),
-                                  " (truncated or padded file)"));
-  }
-
+  SM_ASSIGN_OR_RETURN(mapped->file_,
+                      SectionFile::Open(kSm2pFormat, std::move(mapping)));
+  const SectionFile& file = mapped->file_;
   // Every section CRC is checked EAGERLY: a partial is read exactly once
   // by the merge, and Open doubles as the worker driver's output check.
-  for (uint32_t kind = 0; kind < kSm2pSectionCount; ++kind) {
-    if (Crc32(data.subspan(sections[kind].offset, sections[kind].length)) !=
-        sections[kind].crc) {
-      return Status::IoError(StrCat("sm2p section ", kSm2pSectionName[kind],
-                                    " checksum mismatch (corrupted or "
-                                    "truncated partial)"));
-    }
-  }
+  SM_RETURN_NOT_OK(file.CheckCrcs(kHeadLabels, kSm2pSectionCount));
 
-  if (sections[kMeta].length != kSm2pMetaBytes) {
-    return Status::IoError(StrCat("sm2p meta section has ",
-                                  sections[kMeta].length,
-                                  " bytes, expected ", kSm2pMetaBytes));
-  }
-  const uint8_t* m = data.data() + sections[kMeta].offset;
+  SM_ASSIGN_OR_RETURN(binary_format::Reader fields,
+                      file.Meta(kSm2pMetaBytes));
   Stage1PartialMeta& meta = mapped->meta_;
-  meta.min_support = static_cast<int64_t>(LoadU64(m));
-  meta.spider_radius = static_cast<int32_t>(LoadU32(m + 8));
-  meta.max_star_leaves = static_cast<int32_t>(LoadU32(m + 12));
-  meta.max_spiders = static_cast<int64_t>(LoadU64(m + 16));
-  meta.num_graph_vertices = static_cast<int64_t>(LoadU64(m + 24));
-  meta.graph_hash = LoadU64(m + 32);
-  meta.partition_index = static_cast<int32_t>(LoadU32(m + 40));
-  meta.num_partitions = static_cast<int32_t>(LoadU32(m + 44));
-  meta.owned_begin = static_cast<int64_t>(LoadU64(m + 48));
-  meta.owned_end = static_cast<int64_t>(LoadU64(m + 56));
-  const uint64_t n = LoadU64(m + 64);
-  const uint64_t total_leaves = LoadU64(m + 72);
-  const uint64_t total_anchors = LoadU64(m + 80);
+  uint64_t n = 0, total_leaves = 0, total_anchors = 0;
+  fields.ReadI64(&meta.min_support);
+  fields.ReadI32(&meta.spider_radius);
+  fields.ReadI32(&meta.max_star_leaves);
+  fields.ReadI64(&meta.max_spiders);
+  fields.ReadI64(&meta.num_graph_vertices);
+  fields.ReadU64(&meta.graph_hash);
+  fields.ReadI32(&meta.partition_index);
+  fields.ReadI32(&meta.num_partitions);
+  fields.ReadI64(&meta.owned_begin);
+  fields.ReadI64(&meta.owned_end);
+  fields.ReadU64(&n);
+  fields.ReadU64(&total_leaves);
+  fields.ReadU64(&total_anchors);
   if (meta.min_support < 1 || meta.spider_radius < 1 ||
       meta.max_star_leaves < 0 || meta.max_spiders < 0 ||
       meta.num_graph_vertices < 0 || meta.num_partitions < 1 ||
@@ -360,80 +202,24 @@ Result<std::unique_ptr<MappedStage1Partial>> MappedStage1Partial::Open(
       meta.owned_end > meta.num_graph_vertices) {
     return Status::IoError("sm2p meta fields out of range");
   }
-  if (n > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-    return Status::IoError(StrCat("sm2p partial spider count ", n,
-                                  " exceeds the int32 id space"));
-  }
-  mapped->n_ = n;
 
-  const uint64_t expected_length[kSm2pSectionCount] = {
-      kSm2pMetaBytes,
-      n * sizeof(LabelId),
-      (n + 1) * sizeof(int64_t),
-      total_leaves * sizeof(SpiderLeafKey),
-      (n + 1) * sizeof(int64_t),
-      total_anchors * sizeof(VertexId),
+  // head_labels (kind 1) bounds n before any n + 1 is multiplied.
+  const SectionShape shapes[kSm2pSectionCount] = {
+      {kSm2pMetaBytes, 1},
+      {n, sizeof(LabelId)},
+      {n + 1, sizeof(int64_t)},
+      {total_leaves, sizeof(SpiderLeafKey)},
+      {n + 1, sizeof(int64_t)},
+      {total_anchors, sizeof(VertexId)},
   };
-  for (uint32_t kind = 1; kind < kSm2pSectionCount; ++kind) {
-    if (sections[kind].length != expected_length[kind]) {
-      return Status::IoError(
-          StrCat("sm2p section ", kSm2pSectionName[kind], " has ",
-                 sections[kind].length, " bytes, expected ",
-                 expected_length[kind]));
-    }
-  }
-
-  mapped->head_labels_ = SectionSpan<LabelId>(
-      data, sections[kHeadLabels].offset, sections[kHeadLabels].length);
-  mapped->leaf_offsets_ = SectionSpan<int64_t>(
-      data, sections[kLeafOffsets].offset, sections[kLeafOffsets].length);
-  mapped->leaf_pool_ = SectionSpan<SpiderLeafKey>(
-      data, sections[kLeafPool].offset, sections[kLeafPool].length);
-  mapped->anchor_offsets_ = SectionSpan<int64_t>(
-      data, sections[kAnchorOffsets].offset,
-      sections[kAnchorOffsets].length);
-  mapped->anchor_pool_ = SectionSpan<VertexId>(
-      data, sections[kAnchorPool].offset, sections[kAnchorPool].length);
-
-  SM_RETURN_NOT_OK(CheckOffsets(mapped->leaf_offsets_,
-                                static_cast<int64_t>(total_leaves),
-                                "leaf_offsets"));
-  SM_RETURN_NOT_OK(CheckOffsets(mapped->anchor_offsets_,
-                                static_cast<int64_t>(total_anchors),
-                                "anchor_offsets"));
-
-  // Content invariants: sorted non-negative leaves, non-empty strictly
-  // ascending anchors inside the owned range. Canonical ORDER between
-  // stars is validated during the merge walk, where the comparator runs
-  // anyway.
-  for (int64_t id = 0; id < mapped->size(); ++id) {
-    if (mapped->head_label(id) < 0) {
-      return Status::IoError(
-          StrCat("sm2p negative head label on star ", id));
-    }
-    std::span<const SpiderLeafKey> leaves = mapped->leaves(id);
-    for (size_t j = 0; j < leaves.size(); ++j) {
-      if (leaves[j].first < 0 || leaves[j].second < 0 ||
-          (j > 0 && leaves[j] < leaves[j - 1])) {
-        return Status::IoError(
-            StrCat("sm2p star ", id, " leaf keys invalid or unsorted"));
-      }
-    }
-    std::span<const VertexId> anchors = mapped->anchors(id);
-    if (anchors.empty()) {
-      return Status::IoError(StrCat("sm2p star ", id, " has no anchors"));
-    }
-    for (size_t j = 0; j < anchors.size(); ++j) {
-      if (anchors[j] < meta.owned_begin || anchors[j] >= meta.owned_end ||
-          (j > 0 && anchors[j] <= anchors[j - 1])) {
-        return Status::IoError(StrCat("sm2p star ", id,
-                                      " anchors unsorted or outside the "
-                                      "owned range [",
-                                      meta.owned_begin, ", ",
-                                      meta.owned_end, ")"));
-      }
-    }
-  }
+  SM_RETURN_NOT_OK(file.CheckLengths(shapes));
+  SM_ASSIGN_OR_RETURN(mapped->stars_,
+                      BorrowStarSections(file, kLeafOffsets, {}, total_leaves,
+                                         total_anchors));
+  // Canonical ORDER between stars is validated during the merge walk,
+  // where the comparator runs anyway.
+  SM_RETURN_NOT_OK(
+      CheckStars(mapped->stars_, "sm2p", meta.owned_begin, meta.owned_end));
   return mapped;
 }
 
@@ -532,24 +318,17 @@ Result<Stage1MergeResult> MergeStage1Partials(
   for (;;) {
     // Find the minimum star key across cursors; gather its contributors
     // in partition order.
-    int best = -1;
-    for (size_t c = 0; c < cursors.size(); ++c) {
-      if (cursors[c].pos >= cursors[c].partial->size()) continue;
-      if (best < 0 ||
-          CompareStarKey(
-              cursors[c].partial->head_label(cursors[c].pos),
-              cursors[c].partial->leaves(cursors[c].pos),
-              cursors[static_cast<size_t>(best)].partial->head_label(
-                  cursors[static_cast<size_t>(best)].pos),
-              cursors[static_cast<size_t>(best)].partial->leaves(
-                  cursors[static_cast<size_t>(best)].pos)) < 0) {
-        best = static_cast<int>(c);
+    const Cursor* best = nullptr;
+    for (const Cursor& cursor : cursors) {
+      if (cursor.pos >= cursor.partial->size()) continue;
+      if (best == nullptr || CompareStars(*cursor.partial, cursor.pos,
+                                          *best->partial, best->pos) < 0) {
+        best = &cursor;
       }
     }
-    if (best < 0) break;
-    const MappedStage1Partial& lead =
-        *cursors[static_cast<size_t>(best)].partial;
-    const int64_t lead_pos = cursors[static_cast<size_t>(best)].pos;
+    if (best == nullptr) break;
+    const MappedStage1Partial& lead = *best->partial;
+    const int64_t lead_pos = best->pos;
     const LabelId label = lead.head_label(lead_pos);
     const std::span<const SpiderLeafKey> leaves = lead.leaves(lead_pos);
 
@@ -557,9 +336,8 @@ Result<Stage1MergeResult> MergeStage1Partials(
     int64_t total_anchors = 0;
     for (size_t c = 0; c < cursors.size(); ++c) {
       if (cursors[c].pos >= cursors[c].partial->size()) continue;
-      if (CompareStarKey(cursors[c].partial->head_label(cursors[c].pos),
-                         cursors[c].partial->leaves(cursors[c].pos), label,
-                         leaves) == 0) {
+      if (CompareStars(*cursors[c].partial, cursors[c].pos, lead,
+                       lead_pos) == 0) {
         contributing.push_back(c);
         total_anchors += static_cast<int64_t>(
             cursors[c].partial->anchors(cursors[c].pos).size());
@@ -613,10 +391,8 @@ Result<Stage1MergeResult> MergeStage1Partials(
       ++cursor.pos;
       ++result.partial_entries;
       if (cursor.pos < cursor.partial->size() &&
-          CompareStarKey(cursor.partial->head_label(cursor.pos - 1),
-                         cursor.partial->leaves(cursor.pos - 1),
-                         cursor.partial->head_label(cursor.pos),
-                         cursor.partial->leaves(cursor.pos)) >= 0) {
+          CompareStars(*cursor.partial, cursor.pos - 1, *cursor.partial,
+                       cursor.pos) >= 0) {
         return Status::IoError(
             StrCat("partial ", c, " is not in strict canonical order at "
                    "entry ", cursor.pos, " (corrupted partial)"));

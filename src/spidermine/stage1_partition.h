@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/mapped_file.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "graph/graph_partition.h"
@@ -46,10 +45,10 @@
 /// pruning locally below sigma would drop anchors from globally frequent
 /// stars and break byte-identity.
 ///
-/// `.sm2p` (magic "SM2P") mirrors the `.sm2` section-table layout
-/// (docs/FORMATS.md): 64-byte-aligned little-endian sections, per-section
-/// CRC-32s, exact-end geometry — minus the closed column (merge-time
-/// information) and the CSR index (rebuilt once, over the merged store).
+/// `.sm2p` (magic "SM2P") is a section list over the same container as
+/// `.sm2` (graph/section_file.h, docs/FORMATS.md): the `.sm2` columns
+/// minus the closed column (merge-time information) and the CSR index
+/// (rebuilt once, over the merged store).
 
 namespace spidermine {
 
@@ -84,6 +83,9 @@ struct Stage1PartialConfig {
 };
 
 struct Stage1PartialResult {
+  /// The partial's provenance: the config's mining parameters, spider
+  /// radius 1, and the partition's parent identity and geometry.
+  Stage1PartialMeta meta;
   /// Stars with >= 1 owned anchor, canonical order, anchors in ORIGINAL
   /// vertex ids (ascending, inside [owned_begin, owned_end)). The closed
   /// column is meaningless here (computed at merge) and not serialized.
@@ -119,30 +121,22 @@ class MappedStage1Partial {
       const std::string& path);
 
   const Stage1PartialMeta& meta() const { return meta_; }
-  int64_t size() const { return static_cast<int64_t>(n_); }
-  LabelId head_label(int64_t i) const { return head_labels_[i]; }
+  // Star ids fit int32: Open checks the count.
+  int64_t size() const { return stars_.size(); }
+  LabelId head_label(int64_t i) const { return stars_.head_label(i); }
   std::span<const SpiderLeafKey> leaves(int64_t i) const {
-    return leaf_pool_.subspan(
-        static_cast<size_t>(leaf_offsets_[i]),
-        static_cast<size_t>(leaf_offsets_[i + 1] - leaf_offsets_[i]));
+    return stars_.leaves(i);
   }
   std::span<const VertexId> anchors(int64_t i) const {
-    return anchor_pool_.subspan(
-        static_cast<size_t>(anchor_offsets_[i]),
-        static_cast<size_t>(anchor_offsets_[i + 1] - anchor_offsets_[i]));
+    return stars_.anchors(i);
   }
 
  private:
   MappedStage1Partial() = default;
 
-  MappedFile file_;
+  SectionFile file_;
   Stage1PartialMeta meta_;
-  uint64_t n_ = 0;
-  std::span<const LabelId> head_labels_;
-  std::span<const int64_t> leaf_offsets_;
-  std::span<const SpiderLeafKey> leaf_pool_;
-  std::span<const int64_t> anchor_offsets_;
-  std::span<const VertexId> anchor_pool_;
+  SpiderStore stars_;  // borrows file_; has no closed column
 };
 
 /// The merged Stage I set plus everything needed to write the `.sm2`.

@@ -17,6 +17,7 @@
 #include "gen/pattern_factory.h"
 #include "graph/binary_format.h"
 #include "graph/graph_builder.h"
+#include "section_file_test_util.h"
 #include "spider_test_util.h"
 #include "spidermine/session.h"
 
@@ -208,6 +209,38 @@ TEST(SpiderStoreMmapTest, MisalignedSectionRejectedAtOpen) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("misaligned"), std::string::npos);
 
+  std::filesystem::remove(fx.path);
+  std::filesystem::remove(bad_path);
+}
+
+TEST(SpiderStoreMmapTest, WrappingCountsRejectedAtOpen) {
+  Fixture fx = MakeFixture("sm2_wrap.sm2", 108);
+  const std::string bytes = ReadAll(fx.path);
+  const std::string bad_path = TempPath("sm2_wrap_bad.sm2");
+  // total_leaves (meta byte 56) + 2^61 makes 8 x total_leaves wrap to the
+  // real leaf_pool length; total_anchors (byte 64) + 2^62 does the same
+  // for 4 x total_anchors. The offsets arrays ending at those counts
+  // (anchor_offsets and index_offsets for anchors) are moved along and
+  // every CRC is recomputed, so only the count check can reject.
+  struct Case {
+    size_t meta_field;
+    uint64_t delta;
+    std::vector<uint32_t> offsets_kinds;
+    const char* section;
+  };
+  for (const Case& c : {Case{56, uint64_t{1} << 61, {3}, "leaf_pool"},
+                        Case{64, uint64_t{1} << 62, {5, 7}, "anchor_pool"}}) {
+    std::string crafted = bytes;
+    InflateCount(&crafted, c.meta_field, c.delta, c.offsets_kinds);
+    WriteAll(bad_path, crafted);
+    Result<std::unique_ptr<MappedStage1>> r = MappedStage1::Open(bad_path);
+    ASSERT_FALSE(r.ok()) << c.section << " count wrap was accepted";
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+    EXPECT_NE(r.status().message().find(c.section), std::string::npos)
+        << r.status();
+    EXPECT_EQ(r.status().message().find("star"), std::string::npos)
+        << r.status();
+  }
   std::filesystem::remove(fx.path);
   std::filesystem::remove(bad_path);
 }

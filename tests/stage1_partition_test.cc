@@ -15,6 +15,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_partition.h"
+#include "section_file_test_util.h"
 #include "spidermine/session.h"
 
 /// The tentpole contract of partitioned Stage I: merging the per-partition
@@ -97,19 +98,9 @@ std::string PartitionedSm2Bytes(const LabeledGraph& graph,
     Result<Stage1PartialResult> partial =
         MineStage1Partial(*part, config, &pool);
     EXPECT_TRUE(partial.ok()) << partial.status();
-    Stage1PartialMeta meta;
-    meta.min_support = params.min_support;
-    meta.max_star_leaves = params.max_star_leaves;
-    meta.max_spiders = params.max_spiders;
-    meta.num_graph_vertices = part->parent_num_vertices;
-    meta.graph_hash = part->parent_hash;
-    meta.partition_index = p;
-    meta.num_partitions = parts;
-    meta.owned_begin = part->owned_begin;
-    meta.owned_end = part->owned_end;
     const std::string path =
         TempPath(StrCat("stage1_partition_", tag, "_", p, ".sm2p"));
-    EXPECT_TRUE(SaveStage1Partial(partial->store, meta, path).ok());
+    EXPECT_TRUE(SaveStage1Partial(partial->store, partial->meta, path).ok());
     partial_paths.push_back(path);
   }
   const std::string out = TempPath(StrCat("stage1_partition_", tag, ".sm2"));
@@ -183,13 +174,8 @@ TEST(Stage1PartitionTest, PartialRejectsCorruptionAndTruncation) {
       MineStage1Partial(*part, Stage1PartialConfig{});
   ASSERT_TRUE(partial.ok()) << partial.status();
   ASSERT_GT(partial->store.size(), 0);
-  Stage1PartialMeta meta;
-  meta.num_graph_vertices = graph.NumVertices();
-  meta.graph_hash = graph.ContentHash();
-  meta.num_partitions = 2;
-  meta.owned_begin = part->owned_begin;
-  meta.owned_end = part->owned_end;
-  const std::string bytes = Stage1PartialToBytes(partial->store, meta);
+  const std::string bytes =
+      Stage1PartialToBytes(partial->store, partial->meta);
   const std::string path = TempPath("stage1_partial_corrupt.sm2p");
 
   WriteAll(path, bytes);
@@ -216,6 +202,43 @@ TEST(Stage1PartitionTest, PartialRejectsCorruptionAndTruncation) {
   std::filesystem::remove(path);
 }
 
+TEST(Stage1PartitionTest, PartialRejectsWrappingCountsAtOpen) {
+  const LabeledGraph graph = ErGraph(63, 80);
+  Result<PartitionPlan> plan = MakePartitionPlan(graph, 2, 1);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
+  ASSERT_TRUE(part.ok()) << part.status();
+  Result<Stage1PartialResult> partial =
+      MineStage1Partial(*part, Stage1PartialConfig{});
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  const std::string bytes =
+      Stage1PartialToBytes(partial->store, partial->meta);
+  const std::string path = TempPath("stage1_partial_wrap.sm2p");
+  // total_leaves (meta byte 72) + 2^61 and total_anchors (byte 80) + 2^62
+  // wrap to the real pool lengths once multiplied by the element size;
+  // the matching offsets array is moved along and every CRC recomputed.
+  struct Case {
+    size_t meta_field;
+    uint64_t delta;
+    uint32_t offsets_kind;
+    const char* section;
+  };
+  for (const Case& c : {Case{72, uint64_t{1} << 61, 2, "leaf_pool"},
+                        Case{80, uint64_t{1} << 62, 4, "anchor_pool"}}) {
+    std::string crafted = bytes;
+    InflateCount(&crafted, c.meta_field, c.delta, {c.offsets_kind});
+    WriteAll(path, crafted);
+    Result<std::unique_ptr<MappedStage1Partial>> r =
+        MappedStage1Partial::Open(path);
+    ASSERT_FALSE(r.ok()) << c.section << " count wrap was accepted";
+    EXPECT_NE(r.status().message().find(c.section), std::string::npos)
+        << r.status();
+    EXPECT_EQ(r.status().message().find("star"), std::string::npos)
+        << r.status();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Stage1PartitionTest, MergeRejectsMixedOrIncompletePartialSets) {
   const LabeledGraph graph = ErGraph(67, 100);
   Result<PartitionPlan> plan = MakePartitionPlan(graph, 2, 1);
@@ -227,16 +250,9 @@ TEST(Stage1PartitionTest, MergeRejectsMixedOrIncompletePartialSets) {
     Result<Stage1PartialResult> partial =
         MineStage1Partial(*part, Stage1PartialConfig{});
     ASSERT_TRUE(partial.ok()) << partial.status();
-    Stage1PartialMeta meta;
-    meta.num_graph_vertices = graph.NumVertices();
-    meta.graph_hash = graph.ContentHash();
-    meta.partition_index = p;
-    meta.num_partitions = 2;
-    meta.owned_begin = part->owned_begin;
-    meta.owned_end = part->owned_end;
     const std::string path =
         TempPath(StrCat("stage1_partial_merge_", p, ".sm2p"));
-    ASSERT_TRUE(SaveStage1Partial(partial->store, meta, path).ok());
+    ASSERT_TRUE(SaveStage1Partial(partial->store, partial->meta, path).ok());
     paths.push_back(path);
   }
   // The complete set merges.
@@ -249,18 +265,11 @@ TEST(Stage1PartitionTest, MergeRejectsMixedOrIncompletePartialSets) {
   {
     Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
     ASSERT_TRUE(part.ok());
-    Stage1PartialConfig other;
-    other.max_star_leaves = 3;
-    Result<Stage1PartialResult> partial = MineStage1Partial(*part, other);
+    Result<Stage1PartialResult> partial =
+        MineStage1Partial(*part, Stage1PartialConfig{});
     ASSERT_TRUE(partial.ok());
-    Stage1PartialMeta meta;
+    Stage1PartialMeta meta = partial->meta;
     meta.max_star_leaves = 3;
-    meta.num_graph_vertices = graph.NumVertices();
-    meta.graph_hash = graph.ContentHash();
-    meta.partition_index = 1;
-    meta.num_partitions = 2;
-    meta.owned_begin = part->owned_begin;
-    meta.owned_end = part->owned_end;
     const std::string mixed = TempPath("stage1_partial_mixed.sm2p");
     ASSERT_TRUE(SaveStage1Partial(partial->store, meta, mixed).ok());
     EXPECT_FALSE(MergeStage1Partials({paths[0], mixed}).ok());

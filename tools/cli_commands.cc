@@ -543,18 +543,7 @@ Status CmdStage1Part(const std::vector<std::string>& args,
   SM_ASSIGN_OR_RETURN(Stage1PartialResult result,
                       MineStage1Partial(part, config, &pool));
 
-  Stage1PartialMeta meta;
-  meta.min_support = config.min_support;
-  meta.spider_radius = 1;
-  meta.max_star_leaves = config.max_star_leaves;
-  meta.max_spiders = config.max_spiders;
-  meta.num_graph_vertices = part.parent_num_vertices;
-  meta.graph_hash = part.parent_hash;
-  meta.partition_index = part.partition_index;
-  meta.num_partitions = part.num_partitions;
-  meta.owned_begin = part.owned_begin;
-  meta.owned_end = part.owned_end;
-  SM_RETURN_NOT_OK(SaveStage1Partial(result.store, meta, out_path));
+  SM_RETURN_NOT_OK(SaveStage1Partial(result.store, result.meta, out_path));
   out << "stage1-part: partition " << part.partition_index << "/"
       << part.num_partitions << " mined " << result.store.size()
       << " owned-anchor stars (" << result.local_stars
