@@ -51,49 +51,56 @@ Status QueryConfig::Validate() const {
   return Status::Ok();
 }
 
+QueryConfig QueryConfig::Resolve(int64_t session_min_support,
+                                 int64_t graph_vertices) const {
+  QueryConfig q = *this;
+  if (q.min_support == 0) q.min_support = session_min_support;
+  if (q.vmin <= 0) q.vmin = std::max<int64_t>(1, graph_vertices / 10);
+  q.vmin = std::min(q.vmin, graph_vertices);
+  if (q.closure_window <= 0) {
+    q.closure_window = std::max<int64_t>(64, 8LL * q.k);
+  }
+  if (q.restarts < 0) q.restarts = 1;
+  if (q.embedding_list_budget > 0 && q.max_embeddings_per_pattern > 0) {
+    q.embedding_list_budget =
+        std::min(q.embedding_list_budget, q.max_embeddings_per_pattern);
+  }
+  return q;
+}
+
 uint64_t QueryConfig::CanonicalHash(int64_t session_min_support,
                                     int64_t graph_vertices) const {
-  // Normalize every defaulted field exactly the way RunQuery resolves it,
-  // so {"support":0} and {"support":<floor>} are the same cache line.
-  const int64_t support =
-      min_support == 0 ? session_min_support : min_support;
-  int64_t effective_vmin =
-      vmin > 0 ? vmin : std::max<int64_t>(1, graph_vertices / 10);
-  effective_vmin = std::min(effective_vmin, graph_vertices);
-  const int64_t window =
-      closure_window > 0 ? closure_window : std::max<int64_t>(64, 8LL * k);
-  const int32_t effective_restarts = restarts == 0 ? 0 : std::max(1, restarts);
-
+  const QueryConfig q = Resolve(session_min_support, graph_vertices);
   // FNV-1a over the bytes of each field. Doubles hash by bit pattern (the
   // protocol parses them deterministically, so equal requests carry equal
   // bits); bools are one byte; enums go in as their underlying integer.
   Fnv1a h;
-  h.MixValueBytes(support);
-  h.MixValueBytes(k);
-  h.MixValueBytes(epsilon);
-  h.MixValueBytes(dmax);
-  h.MixValueBytes(effective_vmin);
-  h.MixValueBytes(static_cast<int32_t>(support_measure));
-  h.MixValueBytes(txn_sample);
-  h.MixValueBytes(rng_seed);
-  h.MixValueBytes(seed_count_override);
-  h.MixValueBytes(effective_restarts);
-  h.MixValueBytes(max_embeddings_per_pattern);
+  h.MixValueBytes(q.min_support);
+  h.MixValueBytes(q.k);
+  h.MixValueBytes(q.epsilon);
+  h.MixValueBytes(q.dmax);
+  h.MixValueBytes(q.vmin);
+  h.MixValueBytes(static_cast<int32_t>(q.support_measure));
+  h.MixValueBytes(q.txn_sample);
+  h.MixValueBytes(q.rng_seed);
+  h.MixValueBytes(q.seed_count_override);
+  h.MixValueBytes(q.restarts);
+  h.MixValueBytes(q.max_embeddings_per_pattern);
   // embedding_list_budget deliberately NOT hashed: results are
   // byte-identical at any budget (the engine's determinism contract), so
   // requests differing only there must share a cache line.
-  h.MixValueBytes(max_patterns_per_round);
-  h.MixValueBytes(max_seed_embeddings_per_anchor);
-  h.MixValueBytes(max_merge_pairs_per_key);
-  h.MixValueBytes(max_union_instances);
-  h.MixValueBytes(stage3_max_rounds);
-  h.MixValueBytes(max_results);
-  h.MixValueBytes(time_budget_seconds);
-  h.MixValueBytes(use_closed_spiders_only);
-  h.MixValueBytes(close_internal_edges);
-  h.MixValueBytes(window);
-  h.MixValueBytes(enforce_dmax_on_results);
-  h.MixValueBytes(keep_unmerged);
+  h.MixValueBytes(q.max_patterns_per_round);
+  h.MixValueBytes(q.max_seed_embeddings_per_anchor);
+  h.MixValueBytes(q.max_merge_pairs_per_key);
+  h.MixValueBytes(q.max_union_instances);
+  h.MixValueBytes(q.stage3_max_rounds);
+  h.MixValueBytes(q.max_results);
+  h.MixValueBytes(q.time_budget_seconds);
+  h.MixValueBytes(q.use_closed_spiders_only);
+  h.MixValueBytes(q.close_internal_edges);
+  h.MixValueBytes(q.closure_window);
+  h.MixValueBytes(q.enforce_dmax_on_results);
+  h.MixValueBytes(q.keep_unmerged);
   return h.hash();
 }
 

@@ -179,22 +179,33 @@ struct QueryConfig {
   /// A failed query never touches session state.
   Status Validate() const;
 
-  /// Stable FNV-1a hash over every result-determining field, in declared
-  /// field order, with defaulted fields normalized first so semantically
-  /// identical requests hash identically: `min_support` 0 resolves to
-  /// \p session_min_support (the session's mined floor), `vmin` 0 to the
-  /// paper's max(1, |V|/10) default over \p graph_vertices (clamped to
-  /// |V|, as RunQuery resolves it), `closure_window` 0 to max(64, 8k),
-  /// and negative `restarts` clamp to the default 1. Two deliberate
-  /// exclusions, documented invariants of the engine (docs/SERVING.md):
-  /// `embedding_list_budget` (results are byte-identical at any value —
-  /// hashing it would split cache lines between identical answers) and
-  /// the parallelism knobs (none live here). `time_budget_seconds` IS
-  /// hashed — an expiring budget truncates results — but callers must
-  /// not cache results whose stats report `timed_out` (the truncation
-  /// point is wall-clock dependent). The hash keys the serving result
-  /// cache (result_cache.h) together with the session's Stage I content
-  /// key; it is a cache key, not a cryptographic digest.
+  /// This query with every default and clamp of a run resolved; the one
+  /// place they live (RunQuery runs on the resolved copy):
+  ///   - `min_support` 0 -> \p session_min_support (the mined floor);
+  ///   - `vmin` 0 -> the paper's max(1, |V|/10) over \p graph_vertices,
+  ///     and every `vmin` clamped to |V|;
+  ///   - `closure_window` 0 -> max(64, 8k);
+  ///   - negative `restarts` -> the default 1;
+  ///   - `embedding_list_budget` clamped to `max_embeddings_per_pattern`
+  ///     (when both are > 0), so an unsaturated carried list is never
+  ///     larger than what the VF2 fallback may return.
+  /// Idempotent; needs no validation first.
+  QueryConfig Resolve(int64_t session_min_support,
+                      int64_t graph_vertices) const;
+
+  /// Stable FNV-1a hash over every result-determining field of
+  /// Resolve(\p session_min_support, \p graph_vertices), in declared field
+  /// order, so semantically identical requests hash identically. Two
+  /// deliberate exclusions, documented invariants of the engine
+  /// (docs/SERVING.md): `embedding_list_budget` (results are
+  /// byte-identical at any value — hashing it would split cache lines
+  /// between identical answers) and the parallelism knobs (none live
+  /// here). `time_budget_seconds` IS hashed — an expiring budget
+  /// truncates results — but callers must not cache results whose stats
+  /// report `timed_out` (the truncation point is wall-clock dependent).
+  /// The hash keys the serving result cache (result_cache.h) together
+  /// with the session's Stage I content key; it is a cache key, not a
+  /// cryptographic digest.
   uint64_t CanonicalHash(int64_t session_min_support,
                          int64_t graph_vertices) const;
 };

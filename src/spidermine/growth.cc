@@ -194,11 +194,6 @@ GrowthEngine::GrowthEngine(const LabeledGraph* graph, const SpiderIndex* index,
       deadline_(deadline),
       pool_(pool),
       token_(token) {
-  list_budget_ = query_->embedding_list_budget;
-  if (list_budget_ > 0 && query_->max_embeddings_per_pattern > 0) {
-    list_budget_ =
-        std::min(list_budget_, query_->max_embeddings_per_pattern);
-  }
   homomorphic_ =
       query_->support_measure == SupportMeasureKind::kHomomorphism;
 }
@@ -260,10 +255,11 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
   }
   DedupEmbeddingsByImage(&gp.embeddings);
   gp.support = Support(gp);
-  if (list_budget_ > 0) {
+  if (query_->embedding_list_budget > 0) {
     // Carried complete list: every arrangement over every store anchor.
     gp.full_list = BuildStarEmbeddingList(*graph_, store, spider_id,
-                                          list_budget_, homomorphic_);
+                                          query_->embedding_list_budget,
+                                          homomorphic_);
     ++local->emb_extensions;
   }
   // Boundary: the outermost layer (leaves), or the head for 0-leaf spiders.
@@ -404,7 +400,7 @@ bool GrowthEngine::TryExtend(
     return false;
   }
 
-  if (list_budget_ > 0) {
+  if (query_->embedding_list_budget > 0) {
     // Admitted: extend the carried complete list incrementally (serial —
     // worker context). An absent base list (defensive) degrades to
     // saturated, never to a wrong list.
@@ -413,7 +409,8 @@ bool GrowthEngine::TryExtend(
             ? SaturatedEmbeddingList()
             : ExtendEmbeddingListAtVertex(*graph_, store, spider_id,
                                           *base.full_list, v, new_leaves,
-                                          list_budget_, homomorphic_);
+                                          query_->embedding_list_budget,
+                                          homomorphic_);
     ++ls->stats.emb_extensions;
   }
 
@@ -801,7 +798,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
         folds.push_back({c.dup, std::move(c.embeddings), std::move(c.dup_iso)});
         continue;
       }
-      if (list_budget_ > 0) {
+      if (query_->embedding_list_budget > 0) {
         // Carried-list merge: join the parents' complete lists on the
         // founding instance's overlap columns.
         const EmbeddingListRef& la = rs->pool.patterns[tasks[i].a].full_list;
@@ -810,7 +807,8 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
                           ? SaturatedEmbeddingList()
                           : JoinEmbeddingLists(*la, *lb, c.map_a, c.map_b,
                                                c.pattern.NumVertices(),
-                                               list_budget_, homomorphic_);
+                                               query_->embedding_list_budget,
+                                               homomorphic_);
         ++stats_->emb_extensions;
       }
       rs->pool.Admit(std::move(c));

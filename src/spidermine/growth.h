@@ -97,9 +97,8 @@ class GrowthEngine {
  public:
   /// All references are borrowed and must outlive the engine. \p session
   /// carries the graph-scoped parameters (spider radius, transaction map);
-  /// \p query the per-query knobs — its min_support must already be
-  /// resolved to a concrete threshold (MiningSession::RunQuery maps the
-  /// 0 = "session floor" sentinel before constructing an engine). A
+  /// \p query the per-query knobs, already QueryConfig::Resolve()d
+  /// (MiningSession::RunQuery resolves before constructing an engine). A
   /// non-null \p deadline is polled inside rounds so the configured time
   /// budget bounds even a single expensive round. A non-null \p pool
   /// parallelizes seeding and per-lineage round expansion (results stay
@@ -197,12 +196,6 @@ class GrowthEngine {
   ThreadPool* pool_;
   const CancellationToken* token_;
   int64_t next_id_ = 1;
-  /// Effective carried-list budget: the query's embedding_list_budget
-  /// clamped to max_embeddings_per_pattern, so an unsaturated carried list
-  /// is never larger than what the VF2 fallback was allowed to return
-  /// (otherwise a truncating VF2 and a complete list could disagree).
-  /// 0 = engine off.
-  int64_t list_budget_ = 0;
   /// Carried lists enumerate homomorphic E[P] (kHomomorphism queries).
   /// Growth decisions still use the injective occurrence list — only the
   /// complete list handed to closure switches semantics.

@@ -404,8 +404,8 @@ int64_t MiningSession::FoldQueryIntoAggregate(const QueryResult& result) const {
 
 Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   SM_RETURN_NOT_OK(ValidateQueryForSession(query, config_));
-  QueryConfig q = query;
-  if (q.min_support == 0) q.min_support = config_.min_support;
+  const QueryConfig q =
+      query.Resolve(config_.min_support, graph_->NumVertices());
   // First touch of a mapped artifact's bulk sections: CRC + content range
   // checks run exactly once (thread-safe), so a tampered or bit-rotted
   // `.sm2` fails the query instead of feeding the growth engine garbage.
@@ -432,12 +432,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   // within the query). ------
   int64_t m = q.seed_count_override;
   if (m <= 0) {
-    int64_t vmin = q.vmin > 0
-                       ? q.vmin
-                       : std::max<int64_t>(1, graph_->NumVertices() / 10);
-    vmin = std::min(vmin, graph_->NumVertices());
     Result<int64_t> computed =
-        ComputeSeedCount(graph_->NumVertices(), vmin, q.k, q.epsilon);
+        ComputeSeedCount(graph_->NumVertices(), q.vmin, q.k, q.epsilon);
     // An unreachable epsilon falls back to drawing every spider.
     m = computed.ok() ? *computed : store.size();
   }
@@ -454,10 +450,9 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   // recounts deterministically.
   std::vector<int32_t> run_txn_sample;
 
-  // restarts == 0 stops before Stage II; negatives clamp to the default 1.
-  const int32_t total_runs = q.restarts == 0 ? 0 : std::max(1, q.restarts);
+  // restarts == 0 stops before Stage II.
   WallTimer stage_timer;
-  for (int32_t run = 0; run < total_runs; ++run) {
+  for (int32_t run = 0; run < q.restarts; ++run) {
     if (cancel.IsCancelled()) {
       stats.timed_out = true;
       break;
@@ -574,10 +569,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   const std::vector<int32_t> closure_txn_sample =
       DrawTxnSample(q, /*run=*/0, num_txns_);
   if (q.close_internal_edges || homomorphic) {
-    const int64_t window = q.closure_window > 0
-                               ? q.closure_window
-                               : std::max<int64_t>(64, 8LL * q.k);
-    const size_t limit = std::min(all.size(), static_cast<size_t>(window));
+    const size_t limit =
+        std::min(all.size(), static_cast<size_t>(q.closure_window));
     // Per-pattern closure is independent: fan out over the pool, each
     // iteration touching only all[i] and its own counter slot.
     struct ClosureSlot {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "common/strings.h"
 #include "graph/binary_format.h"
 #include "graph/binary_io.h"
 #include "spider/spider_store_mmap.h"
+#include "tools/serve_loop.h"
 
 namespace spidermine::cli {
 namespace {
@@ -322,6 +326,111 @@ TEST_F(CliTest, QueryRejectsCorruptArtifact) {
   std::ostringstream out;
   Status status = CmdQuery({graph_path, artifact}, out);
   EXPECT_EQ(status.code(), StatusCode::kIoError);
+}
+
+TEST_F(CliTest, Int32FlagsRejectOutOfRangeValues) {
+  // 2^32 + 3 and 2^32 + 8 used to narrow silently to k = 3 and 8 leaves.
+  const std::string graph_path = Track(TempPath("cli_int32_flags.smg"));
+  std::ostringstream gen_out;
+  ASSERT_TRUE(CmdGen({"--model=er", "--vertices=80", "--labels=6",
+                      "--out=" + graph_path},
+                     gen_out)
+                  .ok());
+  const std::string artifact = Track(TempPath("cli_int32_flags.sm2"));
+  std::ostringstream out;
+  Status stage1 = CmdStage1(
+      {graph_path, "--max-leaves=4294967304", "--out=" + artifact}, out);
+  EXPECT_EQ(stage1.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stage1.message().find("--max-leaves is out of range"),
+            std::string::npos)
+      << stage1;
+
+  ASSERT_TRUE(CmdStage1({graph_path, "--out=" + artifact}, out).ok());
+  Status query = CmdQuery({graph_path, artifact, "--k=4294967299"}, out);
+  EXPECT_EQ(query.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(query.message().find("--k is out of range (4294967299)"),
+            std::string::npos)
+      << query;
+}
+
+// Each query parameter is defined once, in QueryParams(). Walk the table:
+// `--flag=v` through the CLI flag path and {"key": v} through
+// QueryFromJson must set the same TopKQuery field, and omitting both must
+// keep TopKQuery{}'s value.
+TEST(QueryParamTableTest, FlagsAndRequestKeysSetTheSameField) {
+  const TopKQuery defaults;
+  Result<TopKQuery> json_defaults = QueryFromJson(JsonObject{});
+  ASSERT_TRUE(json_defaults.ok());
+  std::vector<std::string> keys;
+  for (const QueryParam& param : QueryParams()) {
+    std::string key(param.flag);
+    std::replace(key.begin(), key.end(), '-', '_');
+    keys.push_back(key);
+    SCOPED_TRACE(key);
+    // A non-default value of the row's type, as flag and as JSON text.
+    std::string flag_text = "7";
+    std::string json_text = "7";
+    auto same_field = [&param](const TopKQuery& a, const TopKQuery& b) {
+      return std::visit([&](auto member) { return a.*member == b.*member; },
+                        param.member);
+    };
+    std::visit(
+        [&](auto member) {
+          using T = std::remove_cvref_t<decltype(defaults.*member)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            flag_text = json_text = "true";
+          } else if constexpr (std::is_same_v<T, double>) {
+            flag_text = json_text = "0.25";
+          } else if constexpr (std::is_same_v<T, SupportMeasureKind>) {
+            flag_text = "homomorphism";
+            json_text = "\"homomorphism\"";
+          }
+        },
+        param.member);
+
+    Result<JsonObject> request =
+        ParseJsonObject(StrCat("{\"", key, "\": ", json_text, "}"));
+    ASSERT_TRUE(request.ok()) << request.status();
+    Result<TopKQuery> from_json = QueryFromJson(*request);
+    ASSERT_TRUE(from_json.ok()) << from_json.status();
+    EXPECT_FALSE(same_field(*from_json, defaults));
+    EXPECT_TRUE(same_field(*json_defaults, defaults));
+    if (key != param.flag) {
+      // The flag spelling is not a request key.
+      Result<JsonObject> dashed = ParseJsonObject(
+          StrCat("{\"", param.flag, "\": ", json_text, "}"));
+      ASSERT_TRUE(dashed.ok());
+      EXPECT_FALSE(QueryFromJson(*dashed).ok());
+    }
+
+    for (QueryCommand command : {kMineCommand, kQueryCommand}) {
+      FlagSet set("set"), unset("unset");
+      AddQueryFlags(command, &set);
+      AddQueryFlags(command, &unset);
+      const std::string arg = StrCat("--", param.flag, "=", flag_text);
+      if ((param.commands & command) == 0) {
+        EXPECT_FALSE(set.Parse({arg}).ok()) << arg;
+        continue;
+      }
+      ASSERT_TRUE(set.Parse({arg}).ok()) << arg;
+      ASSERT_TRUE(unset.Parse({}).ok());
+      Result<TopKQuery> from_flags = QueryFromFlags(command, set);
+      ASSERT_TRUE(from_flags.ok()) << from_flags.status();
+      EXPECT_TRUE(same_field(*from_flags, *from_json)) << arg;
+      EXPECT_EQ(from_flags->CanonicalHash(2, 100),
+                from_json->CanonicalHash(2, 100))
+          << arg;
+      Result<TopKQuery> flag_defaults = QueryFromFlags(command, unset);
+      ASSERT_TRUE(flag_defaults.ok()) << flag_defaults.status();
+      EXPECT_TRUE(same_field(*flag_defaults, defaults));
+    }
+  }
+  // The serve schema of docs/CLI.md, minus the protocol keys id and cmd.
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "dmax", "emb_budget", "epsilon", "k", "measure",
+                      "restarts", "seed", "seed_count", "strict_dmax",
+                      "support", "time_budget", "txn_sample", "vmin"}));
 }
 
 TEST_F(CliTest, BaselineSubdueRuns) {

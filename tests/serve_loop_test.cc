@@ -124,7 +124,8 @@ TEST(ServeJsonTest, QueryFromJsonMapsEveryKey) {
       "{\"support\": 4, \"k\": 3, \"dmax\": 6, \"epsilon\": 0.2, "
       "\"vmin\": 9, \"seed\": 99, \"seed_count\": 12, \"restarts\": 2, "
       "\"time_budget\": 1.5, \"measure\": \"count\", "
-      "\"strict_dmax\": true, \"id\": 1}");
+      "\"strict_dmax\": true, \"emb_budget\": 64, \"txn_sample\": 5, "
+      "\"id\": 1}");
   ASSERT_TRUE(object.ok()) << object.status();
   Result<TopKQuery> query = QueryFromJson(*object);
   ASSERT_TRUE(query.ok()) << query.status();
@@ -139,6 +140,8 @@ TEST(ServeJsonTest, QueryFromJsonMapsEveryKey) {
   EXPECT_EQ(query->time_budget_seconds, 1.5);
   EXPECT_EQ(query->support_measure, SupportMeasureKind::kEmbeddingCount);
   EXPECT_TRUE(query->enforce_dmax_on_results);
+  EXPECT_EQ(query->embedding_list_budget, 64);
+  EXPECT_EQ(query->txn_sample, 5);
 }
 
 TEST(ServeJsonTest, QueryFromJsonRejectsUnknownAndMistyped) {

@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "baselines/complete_miner.h"
 #include "baselines/grew.h"
 #include "baselines/seus.h"
 #include "baselines/subdue.h"
-#include "common/flags.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -25,7 +25,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_metrics.h"
 #include "graph/graph_partition.h"
-#include "spidermine/session.h"
 #include "spidermine/stage1_partition.h"
 #include "spidermine/txn_adapter.h"
 #include "spidermine/variants.h"
@@ -91,54 +90,183 @@ Result<const VertexTxnMap*> MaybeLoadTxnMap(const std::string& path,
   return static_cast<const VertexTxnMap*>(storage);
 }
 
-constexpr char kMeasureHelp[] =
-    "support measure: vertex-mis | edge-mis | mni | count | homomorphism | "
-    "transaction";
 constexpr char kTxnMapHelp[] =
     "per-vertex transaction payload file ('<vertex> <txn_id>' lines; "
     "enables --measure=transaction on a single network)";
-constexpr char kTxnSampleHelp[] =
-    "count only a per-run uniform sample of this many transactions "
-    "(0 = all; requires --measure=transaction)";
+
+/// The support-measure names of the --measure flag and "measure" key.
+constexpr std::pair<std::string_view, SupportMeasureKind> kMeasureNames[] = {
+    {"vertex-mis", SupportMeasureKind::kGreedyMisVertex},
+    {"edge-mis", SupportMeasureKind::kGreedyMisEdge},
+    {"mni", SupportMeasureKind::kMinImage},
+    {"count", SupportMeasureKind::kEmbeddingCount},
+    {"homomorphism", SupportMeasureKind::kHomomorphism},
+    {"transaction", SupportMeasureKind::kTransaction},
+};
+
+std::string_view MeasureFlagName(SupportMeasureKind kind) {
+  for (const auto& [name, named_kind] : kMeasureNames) {
+    if (named_kind == kind) return name;
+  }
+  return "";
+}
+
+/// Every user-settable query parameter, once. Registration order is free:
+/// FlagSet::Usage() sorts by name.
+constexpr QueryParam kQueryParams[] = {
+    {"support",
+     "query support threshold (0 = the artifact's mined floor; values "
+     "below the floor are rejected)",
+     &TopKQuery::min_support, kQueryCommand},
+    {"k", "number of top patterns K", &TopKQuery::k},
+    {"dmax", "pattern diameter bound Dmax", &TopKQuery::dmax},
+    {"epsilon", "error bound epsilon", &TopKQuery::epsilon},
+    {"vmin", "minimum large-pattern vertices (0 = |V|/10)", &TopKQuery::vmin},
+    {"seed", "rng seed", &TopKQuery::rng_seed},
+    {"seed-count", "seed-count override M (0 = paper formula)",
+     &TopKQuery::seed_count_override, kServeOnly},
+    {"restarts", "independent stage II+III runs", &TopKQuery::restarts},
+    {"measure",
+     "support measure: vertex-mis | edge-mis | mni | count | homomorphism | "
+     "transaction",
+     &TopKQuery::support_measure},
+    {"txn-sample",
+     "count only a per-run uniform sample of this many transactions "
+     "(0 = all; requires --measure=transaction)",
+     &TopKQuery::txn_sample},
+    {"time-budget", "wall-clock budget seconds (0 = off)",
+     &TopKQuery::time_budget_seconds},
+    {"emb-budget",
+     "per-lineage carried embedding-list budget (0 = VF2-only closure); "
+     "results are identical at any value",
+     &TopKQuery::embedding_list_budget},
+    {"strict-dmax", "drop results whose diameter exceeds dmax (Definition 2)",
+     &TopKQuery::enforce_dmax_on_results},
+};
+
+/// Registers the output flags of the tail `mine` and `query` share.
+void AddOutputFlags(std::string_view stats_help, FlagSet* flags) {
+  flags->AddBool("maximal", false, "keep only maximal patterns")
+      .AddBool("variants", false, "print Fig.23-style variant groups")
+      .AddBool("stats", false, stats_help)
+      .AddString("out", "",
+                 "write top patterns to <out>.<rank>.smp (binary pattern "
+                 "files; empty = do not save)");
+}
+
+/// The output tail `mine` and `query` share: the --maximal filter, the
+/// pattern rows under a "top N patterns (<measure> support<header_extra>):"
+/// line, --variants, --stats (after \p stats_head) and --out.
+Status PrintQueryOutput(const FlagSet& flags, QueryResult result,
+                        std::string_view header_extra,
+                        std::string_view stats_head, std::ostream& out) {
+  std::vector<MinedPattern> patterns = std::move(result.patterns);
+  if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
+
+  out << "top " << patterns.size() << " patterns ("
+      << SupportMeasureName(result.stats.support_measure) << " support"
+      << header_extra << "):\n";
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
+  }
+  if (flags.GetBool("variants")) {
+    std::vector<VariantGroup> groups = GroupVariants(patterns);
+    out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
+  }
+  if (flags.GetBool("stats")) out << stats_head << result.stats.ToString();
+  if (!flags.GetString("out").empty()) {
+    const std::string& prefix = flags.GetString("out");
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      const std::string path = StrCat(prefix, ".", i + 1, ".smp");
+      SM_RETURN_NOT_OK(SavePatternBinary(patterns[i].pattern, path));
+    }
+    out << "wrote " << patterns.size() << " pattern files to " << prefix
+        << ".*.smp\n";
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
+Result<int32_t> CheckedInt32(int64_t value, std::string_view name,
+                             std::string_view quote) {
+  if (value != static_cast<int32_t>(value)) {
+    return Status::InvalidArgument(
+        StrCat(quote, name, quote, " is out of range (", value, ")"));
+  }
+  return static_cast<int32_t>(value);
+}
+
 Result<SupportMeasureKind> ParseMeasure(const std::string& name) {
-  if (name == "vertex-mis") return SupportMeasureKind::kGreedyMisVertex;
-  if (name == "edge-mis") return SupportMeasureKind::kGreedyMisEdge;
-  if (name == "mni") return SupportMeasureKind::kMinImage;
-  if (name == "count") return SupportMeasureKind::kEmbeddingCount;
-  if (name == "homomorphism") return SupportMeasureKind::kHomomorphism;
-  if (name == "transaction") return SupportMeasureKind::kTransaction;
+  for (const auto& [flag_name, kind] : kMeasureNames) {
+    if (name == flag_name) return kind;
+  }
   return Status::InvalidArgument(
       StrCat("unknown measure '", name,
              "' (expected vertex-mis, edge-mis, mni, count, homomorphism "
              "or transaction)"));
 }
 
-namespace {
+std::span<const QueryParam> QueryParams() { return kQueryParams; }
 
-/// The Stages II+III flags `mine` and `query` share (all but --support,
-/// which sets the mined floor in `mine` and the query threshold in
-/// `query`).
-Result<TopKQuery> QueryFromFlags(const FlagSet& flags) {
-  TopKQuery query;
-  query.k = static_cast<int32_t>(flags.GetInt("k"));
-  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
-  query.epsilon = flags.GetDouble("epsilon");
-  query.vmin = flags.GetInt("vmin");
-  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
-  query.time_budget_seconds = flags.GetDouble("time-budget");
-  query.embedding_list_budget = flags.GetInt("emb-budget");
-  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
-  SM_ASSIGN_OR_RETURN(query.support_measure,
-                      ParseMeasure(flags.GetString("measure")));
-  query.txn_sample = flags.GetInt("txn-sample");
-  return query;
+const QueryParam* FindQueryParam(std::string_view key) {
+  // The serve key naming rule, compared in place: the flag name with every
+  // '-' spelled '_'.
+  auto same = [](char flag, char k) { return (flag == '-' ? '_' : flag) == k; };
+  for (const QueryParam& param : kQueryParams) {
+    if (std::ranges::equal(param.flag, key, same)) return &param;
+  }
+  return nullptr;
 }
 
-}  // namespace
+void AddQueryFlags(QueryCommand command, FlagSet* flags) {
+  const TopKQuery defaults;
+  for (const QueryParam& param : kQueryParams) {
+    if ((param.commands & command) == 0) continue;
+    std::visit(
+        [&](auto member) {
+          using T = std::remove_cvref_t<decltype(defaults.*member)>;
+          const T& value = defaults.*member;
+          if constexpr (std::is_same_v<T, bool>) {
+            flags->AddBool(param.flag, value, param.help);
+          } else if constexpr (std::is_same_v<T, double>) {
+            flags->AddDouble(param.flag, value, param.help);
+          } else if constexpr (std::is_same_v<T, SupportMeasureKind>) {
+            flags->AddString(param.flag, MeasureFlagName(value), param.help);
+          } else {
+            flags->AddInt(param.flag, static_cast<int64_t>(value),
+                          param.help);
+          }
+        },
+        param.member);
+  }
+}
+
+Result<TopKQuery> QueryFromFlags(QueryCommand command, const FlagSet& flags) {
+  TopKQuery query;
+  for (const QueryParam& param : kQueryParams) {
+    if ((param.commands & command) == 0) continue;
+    auto read = [&](auto member) -> Status {
+      using T = std::remove_cvref_t<decltype(query.*member)>;
+      T& field = query.*member;
+      if constexpr (std::is_same_v<T, bool>) {
+        field = flags.GetBool(param.flag);
+      } else if constexpr (std::is_same_v<T, double>) {
+        field = flags.GetDouble(param.flag);
+      } else if constexpr (std::is_same_v<T, SupportMeasureKind>) {
+        SM_ASSIGN_OR_RETURN(field, ParseMeasure(flags.GetString(param.flag)));
+      } else if constexpr (std::is_same_v<T, int32_t>) {
+        SM_ASSIGN_OR_RETURN(field, CheckedInt32(flags.GetInt(param.flag),
+                                                StrCat("--", param.flag)));
+      } else {
+        field = static_cast<T>(flags.GetInt(param.flag));
+      }
+      return Status::Ok();
+    };
+    SM_RETURN_NOT_OK(std::visit(read, param.member));
+  }
+  return query;
+}
 
 Result<LabeledGraph> LoadGraphAuto(const std::string& path) {
   if (HasExtension(path, ".smg")) return LoadGraphBinary(path);
@@ -244,33 +372,15 @@ Status CmdStats(const std::vector<std::string>& args, std::ostream& out) {
 Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
   FlagSet flags("spidermine mine", "run SpiderMine over a graph file");
   flags.AddInt("support", 2, "support threshold sigma")
-      .AddInt("k", 10, "number of top patterns K")
-      .AddInt("dmax", 4, "pattern diameter bound Dmax")
-      .AddDouble("epsilon", 0.1, "error bound epsilon")
-      .AddInt("vmin", 0, "minimum large-pattern vertices (0 = |V|/10)")
-      .AddInt("seed", 42, "rng seed")
-      .AddInt("restarts", 1, "independent stage II+III runs")
       .AddInt("threads", 1,
               "worker threads for all stages (0 = all cores); results are "
               "identical at any value")
       .AddInt("shard-grain", 0,
               "Stage I vertex-range shard grain (0 = auto); results are "
               "identical at any value")
-      .AddString("measure", "vertex-mis", kMeasureHelp)
-      .AddString("txn-map", "", kTxnMapHelp)
-      .AddInt("txn-sample", 0, kTxnSampleHelp)
-      .AddDouble("time-budget", 0.0, "wall-clock budget seconds (0 = off)")
-      .AddInt("emb-budget", 4096,
-              "per-lineage carried embedding-list budget (0 = VF2-only "
-              "closure); results are identical at any value")
-      .AddBool("strict-dmax", false,
-               "drop results whose diameter exceeds dmax (Definition 2)")
-      .AddBool("maximal", false, "keep only maximal patterns")
-      .AddBool("variants", false, "print Fig.23-style variant groups")
-      .AddBool("stats", false, "print mining statistics")
-      .AddString("out", "",
-                 "write top patterns to <out>.<rank>.smp (binary pattern "
-                 "files; empty = do not save)");
+      .AddString("txn-map", "", kTxnMapHelp);
+  AddQueryFlags(kMineCommand, &flags);
+  AddOutputFlags("print mining statistics", &flags);
   SM_RETURN_NOT_OK(flags.Parse(args));
   if (flags.positional().size() != 1) {
     return Status::InvalidArgument(
@@ -285,7 +395,7 @@ Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
                       ValidateThreadsFlag(flags.GetInt("threads")));
   SM_ASSIGN_OR_RETURN(config.stage1_shard_grain,
                       ValidateShardGrainFlag(flags.GetInt("shard-grain")));
-  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(flags));
+  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(kMineCommand, flags));
   VertexTxnMap txn_map_storage;  // must outlive MineOnce()
   SM_ASSIGN_OR_RETURN(
       config.txn_map,
@@ -294,32 +404,7 @@ Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
   // `mine` is the one-shot path; the session lifecycle is served by
   // `stage1` / `query` / `serve`.
   SM_ASSIGN_OR_RETURN(QueryResult result, MineOnce(&graph, config, query));
-
-  std::vector<MinedPattern> patterns = std::move(result.patterns);
-  if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
-
-  out << "top " << patterns.size() << " patterns ("
-      << SupportMeasureName(query.support_measure) << " support):\n";
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
-  }
-  if (flags.GetBool("variants")) {
-    std::vector<VariantGroup> groups = GroupVariants(patterns);
-    out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
-  }
-  if (flags.GetBool("stats")) {
-    out << result.stats.ToString();
-  }
-  if (!flags.GetString("out").empty()) {
-    const std::string& prefix = flags.GetString("out");
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const std::string path = StrCat(prefix, ".", i + 1, ".smp");
-      SM_RETURN_NOT_OK(SavePatternBinary(patterns[i].pattern, path));
-    }
-    out << "wrote " << patterns.size() << " pattern files to " << prefix
-        << ".*.smp\n";
-  }
-  return Status::Ok();
+  return PrintQueryOutput(flags, std::move(result), "", "", out);
 }
 
 Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
@@ -388,6 +473,9 @@ Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
         "--partitions/--parts-dir/--keep-parts/--worker-binary require "
         "--workers >= 1");
   }
+  SM_ASSIGN_OR_RETURN(
+      const int32_t max_leaves,
+      CheckedInt32(flags.GetInt("max-leaves"), "--max-leaves"));
   if (workers > 0) {
     if (flags.WasSet("time-budget")) {
       return Status::InvalidArgument(
@@ -400,8 +488,7 @@ Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
     options.num_workers = static_cast<int32_t>(workers);
     options.num_partitions = static_cast<int32_t>(partitions);
     options.min_support = flags.GetInt("support");
-    options.max_star_leaves =
-        static_cast<int32_t>(flags.GetInt("max-leaves"));
+    options.max_star_leaves = max_leaves;
     options.max_spiders = flags.GetInt("max-spiders");
     SM_ASSIGN_OR_RETURN(options.worker_threads,
                         ValidateThreadsFlag(flags.GetInt("threads")));
@@ -425,7 +512,7 @@ Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
 
   SessionConfig config;
   config.min_support = flags.GetInt("support");
-  config.max_star_leaves = static_cast<int32_t>(flags.GetInt("max-leaves"));
+  config.max_star_leaves = max_leaves;
   config.max_spiders = flags.GetInt("max-spiders");
   SM_ASSIGN_OR_RETURN(config.num_threads,
                       ValidateThreadsFlag(flags.GetInt("threads")));
@@ -533,7 +620,9 @@ Status CmdStage1Part(const std::vector<std::string>& args,
 
   Stage1PartialConfig config;
   config.min_support = flags.GetInt("support");
-  config.max_star_leaves = static_cast<int32_t>(flags.GetInt("max-leaves"));
+  SM_ASSIGN_OR_RETURN(
+      config.max_star_leaves,
+      CheckedInt32(flags.GetInt("max-leaves"), "--max-leaves"));
   config.max_spiders = flags.GetInt("max-spiders");
   SM_ASSIGN_OR_RETURN(config.shard_grain,
                       ValidateShardGrainFlag(flags.GetInt("shard-grain")));
@@ -581,33 +670,12 @@ Status CmdStage1Merge(const std::vector<std::string>& args,
 Status CmdQuery(const std::vector<std::string>& args, std::ostream& out) {
   FlagSet flags("spidermine query",
                 "answer a top-K query against a saved stage1 artifact");
-  flags.AddInt("support", 0,
-               "query support threshold (0 = the artifact's mined floor; "
-               "values below the floor are rejected)")
-      .AddInt("k", 10, "number of top patterns K")
-      .AddInt("dmax", 4, "pattern diameter bound Dmax")
-      .AddDouble("epsilon", 0.1, "error bound epsilon")
-      .AddInt("vmin", 0, "minimum large-pattern vertices (0 = |V|/10)")
-      .AddInt("seed", 42, "rng seed")
-      .AddInt("restarts", 1, "independent stage II+III runs")
-      .AddInt("threads", 1,
-              "worker threads (0 = all cores); results are identical at "
-              "any value")
-      .AddString("measure", "vertex-mis", kMeasureHelp)
-      .AddString("txn-map", "", kTxnMapHelp)
-      .AddInt("txn-sample", 0, kTxnSampleHelp)
-      .AddDouble("time-budget", 0.0, "wall-clock budget seconds (0 = off)")
-      .AddInt("emb-budget", 4096,
-              "per-lineage carried embedding-list budget (0 = VF2-only "
-              "closure); results are identical at any value")
-      .AddBool("strict-dmax", false,
-               "drop results whose diameter exceeds dmax (Definition 2)")
-      .AddBool("maximal", false, "keep only maximal patterns")
-      .AddBool("variants", false, "print Fig.23-style variant groups")
-      .AddBool("stats", false, "print query statistics")
-      .AddString("out", "",
-                 "write top patterns to <out>.<rank>.smp (binary pattern "
-                 "files; empty = do not save)");
+  flags.AddInt("threads", 1,
+               "worker threads (0 = all cores); results are identical at "
+               "any value")
+      .AddString("txn-map", "", kTxnMapHelp);
+  AddQueryFlags(kQueryCommand, &flags);
+  AddOutputFlags("print query statistics", &flags);
   SM_RETURN_NOT_OK(flags.Parse(args));
   if (flags.positional().size() != 2) {
     return Status::InvalidArgument(
@@ -628,40 +696,14 @@ Status CmdQuery(const std::vector<std::string>& args, std::ostream& out) {
       MiningSession::LoadStage1(&graph, session_config,
                                 flags.positional()[1]));
 
-  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(flags));
-  query.min_support = flags.GetInt("support");
-
+  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(kQueryCommand, flags));
   SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
-
-  std::vector<MinedPattern> patterns = std::move(result.patterns);
-  if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
-
-  out << "top " << patterns.size() << " patterns ("
-      << SupportMeasureName(query.support_measure) << " support, "
-      << session.store().size() << " cached spiders):\n";
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
-  }
-  if (flags.GetBool("variants")) {
-    std::vector<VariantGroup> groups = GroupVariants(patterns);
-    out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
-  }
-  if (flags.GetBool("stats")) {
-    out << "artifact load: "
-        << Stage1LoadModeName(session.stage1_load_mode()) << " in "
-        << session.stage1_load_seconds() << "s\n";
-    out << result.stats.ToString();
-  }
-  if (!flags.GetString("out").empty()) {
-    const std::string& prefix = flags.GetString("out");
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const std::string path = StrCat(prefix, ".", i + 1, ".smp");
-      SM_RETURN_NOT_OK(SavePatternBinary(patterns[i].pattern, path));
-    }
-    out << "wrote " << patterns.size() << " pattern files to " << prefix
-        << ".*.smp\n";
-  }
-  return Status::Ok();
+  return PrintQueryOutput(
+      flags, std::move(result),
+      StrCat(", ", session.store().size(), " cached spiders"),
+      StrCat("artifact load: ", Stage1LoadModeName(session.stage1_load_mode()),
+             " in ", session.stage1_load_seconds(), "s\n"),
+      out);
 }
 
 Status PrecheckStage1Artifact(const std::string& path) {
@@ -754,7 +796,9 @@ Status CmdServe(const std::vector<std::string>& args, std::ostream& err) {
   } else {
     // Cold start: mine Stage I here, once, before serving begins.
     config.min_support = flags.GetInt("support");
-    config.max_star_leaves = static_cast<int32_t>(flags.GetInt("max-leaves"));
+    SM_ASSIGN_OR_RETURN(
+        config.max_star_leaves,
+        CheckedInt32(flags.GetInt("max-leaves"), "--max-leaves"));
     config.max_spiders = flags.GetInt("max-spiders");
     SM_ASSIGN_OR_RETURN(config.stage1_shard_grain,
                         ValidateShardGrainFlag(flags.GetInt("shard-grain")));

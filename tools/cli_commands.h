@@ -1,11 +1,17 @@
 #pragma once
 
+#include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "graph/labeled_graph.h"
+#include "spidermine/session.h"
 #include "support/support_measure.h"
 
 /// \file cli_commands.h
@@ -45,9 +51,58 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err);
 
 /// Parses a support-measure flag/request value ("vertex-mis", "edge-mis",
-/// "mni", "count"); kInvalidArgument naming the unknown value otherwise.
+/// "mni", "count", "homomorphism", "transaction"); kInvalidArgument
+/// naming the unknown value otherwise.
 /// Shared by the mine/query flag parsing and the serve JSON schema.
 Result<SupportMeasureKind> ParseMeasure(const std::string& name);
+
+/// The one checked int64 -> int32 narrowing of the CLI's int32 flags and
+/// serve's int32 request keys: kInvalidArgument
+/// `<quote><name><quote> is out of range (<value>)` instead of a silent
+/// wrap (2^32 + 3 would otherwise run as 3). Serve quotes its keys
+/// (`"k"`); flags pass `--k` unquoted.
+Result<int32_t> CheckedInt32(int64_t value, std::string_view name,
+                             std::string_view quote = "");
+
+/// The commands that read a query parameter as a flag (a bit set). Every
+/// parameter is also a `serve` request key.
+enum QueryCommand : uint8_t {
+  kServeOnly = 0,
+  kMineCommand = 1,
+  kQueryCommand = 2,
+};
+
+/// The TopKQuery member a query parameter sets; the member's type is the
+/// parameter's value type (int32/int64/uint64 = integer, double = number,
+/// bool, SupportMeasureKind = a ParseMeasure name).
+using QueryMember =
+    std::variant<int32_t TopKQuery::*, int64_t TopKQuery::*,
+                 uint64_t TopKQuery::*, double TopKQuery::*,
+                 bool TopKQuery::*, SupportMeasureKind TopKQuery::*>;
+
+/// One user-settable query parameter: the single definition that `mine`,
+/// `query` and `serve` all read. Defaults come from `TopKQuery{}`.
+struct QueryParam {
+  /// Flag name; the serve request key is the same name with '-' -> '_'.
+  std::string_view flag;
+  std::string_view help;
+  QueryMember member;
+  /// QueryCommand bits of the commands that register it as a flag.
+  uint8_t commands = kMineCommand | kQueryCommand;
+};
+
+/// The query parameter table (docs/CLI.md documents it per front end).
+std::span<const QueryParam> QueryParams();
+
+/// The table row whose serve key is \p key; nullptr when there is none.
+const QueryParam* FindQueryParam(std::string_view key);
+
+/// Registers the table's flags of \p command on \p flags.
+void AddQueryFlags(QueryCommand command, FlagSet* flags);
+
+/// Reads the flags AddQueryFlags registered into a TopKQuery; fields
+/// \p command has no flag for keep their TopKQuery{} defaults.
+Result<TopKQuery> QueryFromFlags(QueryCommand command, const FlagSet& flags);
 
 /// Loads a graph choosing the decoder by file extension: ".smg" = binary
 /// (graph/binary_io.h), anything else = LG text (graph/graph_io.h).

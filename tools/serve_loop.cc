@@ -17,11 +17,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -406,86 +406,49 @@ std::string EscapeJsonString(std::string_view raw) {
 
 Result<TopKQuery> QueryFromJson(const JsonObject& request) {
   TopKQuery query;
-  auto integer = [](std::string_view key, const JsonValue& value,
-                    int64_t* out) -> Status {
-    if (value.kind != JsonValue::Kind::kNumber) {
-      return Status::InvalidArgument(StrCat("\"", key, "\" must be a number"));
-    }
-    double d = value.number_value;
-    if (d != std::floor(d) || std::abs(d) > 9.0e15) {
-      return Status::InvalidArgument(
-          StrCat("\"", key, "\" must be an integer"));
-    }
-    *out = static_cast<int64_t>(d);
-    return Status::Ok();
-  };
-  // int32 fields reject out-of-range values loudly — a silent
-  // static_cast would wrap 2^32+3 to k=3 and "succeed" wrongly.
-  auto integer32 = [&integer](std::string_view key, const JsonValue& value,
-                              int32_t* out) -> Status {
-    int64_t wide = 0;
-    SM_RETURN_NOT_OK(integer(key, value, &wide));
-    if (wide < std::numeric_limits<int32_t>::min() ||
-        wide > std::numeric_limits<int32_t>::max()) {
-      return Status::InvalidArgument(
-          StrCat("\"", key, "\" is out of range (", wide, ")"));
-    }
-    *out = static_cast<int32_t>(wide);
-    return Status::Ok();
-  };
   for (const auto& [key, value] : request) {
-    int64_t n = 0;
-    if (key == "id" || key == "cmd") {
-      continue;  // protocol envelope, not query parameters
-    } else if (key == "support") {
-      SM_RETURN_NOT_OK(integer(key, value, &query.min_support));
-    } else if (key == "k") {
-      SM_RETURN_NOT_OK(integer32(key, value, &query.k));
-    } else if (key == "dmax") {
-      SM_RETURN_NOT_OK(integer32(key, value, &query.dmax));
-    } else if (key == "vmin") {
-      SM_RETURN_NOT_OK(integer(key, value, &query.vmin));
-    } else if (key == "seed") {
-      SM_RETURN_NOT_OK(integer(key, value, &n));
-      query.rng_seed = static_cast<uint64_t>(n);
-    } else if (key == "seed_count") {
-      SM_RETURN_NOT_OK(integer(key, value, &query.seed_count_override));
-    } else if (key == "restarts") {
-      SM_RETURN_NOT_OK(integer32(key, value, &query.restarts));
-    } else if (key == "emb_budget") {
-      SM_RETURN_NOT_OK(integer(key, value, &query.embedding_list_budget));
-    } else if (key == "epsilon") {
-      if (value.kind != JsonValue::Kind::kNumber) {
-        return Status::InvalidArgument("\"epsilon\" must be a number");
-      }
-      query.epsilon = value.number_value;
-    } else if (key == "time_budget") {
-      if (value.kind != JsonValue::Kind::kNumber) {
-        return Status::InvalidArgument("\"time_budget\" must be a number");
-      }
-      query.time_budget_seconds = value.number_value;
-    } else if (key == "measure") {
-      if (value.kind != JsonValue::Kind::kString) {
-        return Status::InvalidArgument("\"measure\" must be a string");
-      }
-      SM_ASSIGN_OR_RETURN(query.support_measure,
-                          ParseMeasure(value.string_value));
-    } else if (key == "txn_sample") {
-      SM_RETURN_NOT_OK(integer(key, value, &query.txn_sample));
-    } else if (key == "strict_dmax") {
-      if (value.kind != JsonValue::Kind::kBool) {
-        return Status::InvalidArgument("\"strict_dmax\" must be a boolean");
-      }
-      query.enforce_dmax_on_results = value.bool_value;
-    } else {
+    if (key == "id" || key == "cmd") continue;  // the protocol envelope
+    const QueryParam* param = FindQueryParam(key);
+    if (param == nullptr) {
       return Status::InvalidArgument(
           StrCat("unknown request key \"", key,
                  "\" (see the serve schema in docs/CLI.md)"));
     }
+    auto must_be = [&key](std::string_view what) {
+      return Status::InvalidArgument(StrCat("\"", key, "\" must be ", what));
+    };
+    auto read = [&](auto member) -> Status {
+      using T = std::remove_cvref_t<decltype(query.*member)>;
+      T& field = query.*member;
+      if constexpr (std::is_same_v<T, bool>) {
+        if (value.kind != JsonValue::Kind::kBool) return must_be("a boolean");
+        field = value.bool_value;
+      } else if constexpr (std::is_same_v<T, SupportMeasureKind>) {
+        if (value.kind != JsonValue::Kind::kString) return must_be("a string");
+        SM_ASSIGN_OR_RETURN(field, ParseMeasure(value.string_value));
+      } else if (value.kind != JsonValue::Kind::kNumber) {
+        return must_be("a number");
+      } else if constexpr (std::is_same_v<T, double>) {
+        field = value.number_value;
+      } else {
+        // Integral numbers up to 9e15 are integers, so 1e3 means 1000.
+        const double d = value.number_value;
+        if (d != std::floor(d) || std::abs(d) > 9.0e15) {
+          return must_be("an integer");
+        }
+        if constexpr (std::is_same_v<T, int32_t>) {
+          SM_ASSIGN_OR_RETURN(
+              field, CheckedInt32(static_cast<int64_t>(d), key, "\""));
+        } else {
+          field = static_cast<T>(static_cast<int64_t>(d));
+        }
+      }
+      return Status::Ok();
+    };
+    SM_RETURN_NOT_OK(std::visit(read, param->member));
   }
   return query;
 }
-
 
 namespace {
 

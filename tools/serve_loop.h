@@ -61,15 +61,15 @@ Result<JsonObject> ParseJsonObject(std::string_view line);
 /// backslashes, control characters).
 std::string EscapeJsonString(std::string_view raw);
 
-/// Builds a TopKQuery from a parsed request object. Recognized keys:
-/// "support", "k", "dmax", "epsilon", "vmin", "seed", "seed_count",
-/// "restarts", "time_budget" (numbers), "measure" (string),
-/// "strict_dmax" (bool) — each optional, defaulting as the `query`
-/// subcommand does; "id" and "cmd" are protocol keys and ignored here.
-/// kInvalidArgument on unknown keys, wrong value types, or non-integral
-/// values for integer fields (range errors surface later, from
-/// QueryConfig::Validate / RunQuery, so the error texts stay identical to
-/// the CLI's).
+/// Builds a TopKQuery from a parsed request object. The keys are the rows
+/// of the query parameter table (QueryParams() in tools/cli_commands.h;
+/// schema in docs/CLI.md): each flag name with '-' spelled '_', plus the
+/// serve-only "seed_count". Omitted keys keep their TopKQuery{} defaults;
+/// "id" and "cmd" are protocol keys and ignored here. kInvalidArgument on
+/// unknown keys, wrong value types, non-integral values for integer
+/// fields, and out-of-range int32 values (other range errors surface
+/// later, from QueryConfig::Validate / RunQuery, so the error texts stay
+/// identical to the CLI's).
 Result<TopKQuery> QueryFromJson(const JsonObject& request);
 
 /// Options of one server.
