@@ -1,22 +1,22 @@
-// The embedding-list growth engine vs the per-candidate VF2 closure path
-// (the Stage II/III hot path it replaces).
+// The Stage II/III query path end to end, and closure's E[P] search rooted
+// at stored-star anchors against the label scan it replaces.
 //
-// Workload: a sparse 300k-vertex ER graph with planted 16-vertex patterns
-// and a wide closure window (k=64 -> 512 candidates). On a graph this size
-// every closure candidate's from-scratch VF2 search must filter thousands
-// of label-compatible roots, while the carried complete list — maintained
-// incrementally through seeding, spider extensions and merge joins — hands
-// closure E[P] for free. Growth itself never reads the carried lists, so
-// the two modes execute byte-identical Stages II/III; the bench asserts
-// the final top-K transcripts match across every mode x thread-count cell
-// before reporting a single number.
+// Workload: a sparse 300k-vertex ER graph over 8 labels with planted
+// 16-vertex patterns and a wide closure window (k=64 -> 512 candidates).
+// Every closure candidate's E[P] search starts from one pattern vertex; a
+// label scan filters ~37k label-compatible roots there, while the anchors
+// of the stored star around that vertex are a small subset that contains
+// every embedding's start.
 //
-// Metrics: per (threads, budget) the end-to-end query seconds and the
+// Metrics: per thread count (1, 2, 8) the end-to-end query seconds, the
 // post-growth seconds (total - stage II - stage III: closure plus the
-// mode-independent accumulate/dedup epilogue — attributing the epilogue to
-// closure UNDERSTATES the engine's speedup, never inflates it). The
-// headline is the post-growth speedup at 8 threads; the acceptance bar is
-// >= 2x (exit 2 when the bench runs but misses it).
+// accumulate/dedup epilogue) and the closure search count (rooted +
+// scanned), with the top-K transcript required identical across thread
+// counts. Then an A/B over the returned patterns: FindEmbeddings with and
+// without the stored-star roots must return identical lists, and the
+// headline `rooted_closure_speedup` is the scan's summed search time over
+// the rooted one's; the bar is >= 2x (exit 2 when the bench runs but
+// misses it).
 //
 // Output: a single JSON object on stdout (committed as
 // BENCH_growth_engine.json by tools/run_bench_trajectory.sh), including the
@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/dfs_code.h"
+#include "pattern/vf2.h"
 #include "spidermine/session.h"
 
 namespace spidermine::bench {
@@ -50,8 +52,8 @@ constexpr int32_t kInjectCopies = 4;
 constexpr int64_t kSupport = 3;
 constexpr int32_t kTopK = 64;  // closure window resolves to 8 * 64 = 512
 constexpr int32_t kRestarts = 2;
-constexpr int64_t kEngineBudget = 4096;
-constexpr int32_t kRepeats = 2;  // per cell; min is reported
+constexpr int32_t kRepeats = 2;    // per cell; min reported
+constexpr int32_t kAbRepeats = 5;  // per A/B side; min reported
 constexpr double kBar = 2.0;
 
 LabeledGraph BuildGraph() {
@@ -65,19 +67,18 @@ LabeledGraph BuildGraph() {
   return std::move(builder.Build()).value();
 }
 
-TopKQuery BenchQuery(int64_t embedding_list_budget) {
+TopKQuery BenchQuery() {
   TopKQuery query;
   query.min_support = kSupport;
   query.k = kTopK;
   query.dmax = 4;
   query.rng_seed = 7;
   query.restarts = kRestarts;
-  query.embedding_list_budget = embedding_list_budget;
   return query;
 }
 
 /// Canonical byte transcript of a result list (minimum DFS codes +
-/// supports, in order) — the cross-mode identity check.
+/// supports, in order) — the cross-thread identity check.
 std::string Transcript(const std::vector<MinedPattern>& patterns) {
   std::string out;
   for (const MinedPattern& p : patterns) {
@@ -90,20 +91,51 @@ std::string Transcript(const std::vector<MinedPattern>& patterns) {
 
 struct Cell {
   int32_t threads = 0;
-  int64_t budget = 0;
   double total_seconds = 0.0;
   double post_growth_seconds = 0.0;
-  int64_t emb_carried = 0;
-  int64_t vf2_fallbacks = 0;
+  int64_t closure_rooted = 0;
+  int64_t closure_scanned = 0;
   int64_t patterns = 0;
 };
+
+/// One side of the A/B: every pattern's E[P] search, the way closure runs
+/// it, with (\p store non-null) or without the stored-star roots.
+struct SearchSide {
+  double seconds = 0.0;
+  int64_t rooted = 0;
+  std::vector<std::vector<Embedding>> lists;
+};
+
+SearchSide SearchAll(const LabeledGraph& graph, const SpiderStore* store,
+                     const std::vector<MinedPattern>& patterns,
+                     int64_t max_embeddings) {
+  SearchSide side;
+  WallTimer timer;
+  for (const MinedPattern& mp : patterns) {
+    Vf2Options options;
+    options.max_embeddings = max_embeddings;
+    if (store != nullptr) {
+      options.start_roots = [store, &mp, &side](VertexId v) {
+        auto roots = StarRoots(*store, mp.pattern, v, /*homomorphic=*/false);
+        if (roots) ++side.rooted;
+        return roots;
+      };
+    }
+    side.lists.push_back(FindEmbeddings(mp.pattern, graph, options));
+  }
+  side.seconds = timer.ElapsedSeconds();
+  return side;
+}
 
 int Main() {
   std::fprintf(stderr, "building %d-vertex bench graph...\n", kVertices);
   LabeledGraph graph = BuildGraph();
+  const TopKQuery query = BenchQuery();
 
   std::vector<Cell> cells;
   std::string reference_transcript;
+  std::vector<MinedPattern> returned;
+  std::unique_ptr<MiningSession> last_session;
   for (int32_t threads : {1, 2, 8}) {
     SessionConfig config;
     config.min_support = kSupport;
@@ -114,93 +146,99 @@ int Main() {
                    session.status().ToString().c_str());
       return 1;
     }
-    for (int64_t budget : {int64_t{0}, kEngineBudget}) {
-      Cell cell;
-      cell.threads = threads;
-      cell.budget = budget;
-      for (int32_t rep = 0; rep < kRepeats; ++rep) {
-        Result<QueryResult> result = session->RunQuery(BenchQuery(budget));
-        if (!result.ok()) {
-          std::fprintf(stderr, "query: %s\n",
-                       result.status().ToString().c_str());
-          return 1;
-        }
-        const MineStats& stats = result->stats;
-        const double post_growth = stats.total_seconds -
-                                   stats.stage2_seconds -
-                                   stats.stage3_seconds;
-        if (rep == 0 || stats.total_seconds < cell.total_seconds) {
-          cell.total_seconds = stats.total_seconds;
-          cell.post_growth_seconds = post_growth;
-        }
-        cell.emb_carried = stats.emb_carried;
-        cell.vf2_fallbacks = stats.vf2_fallbacks;
-        cell.patterns = static_cast<int64_t>(result->patterns.size());
-        const std::string transcript = Transcript(result->patterns);
-        if (reference_transcript.empty()) {
-          reference_transcript = transcript;
-        } else if (transcript != reference_transcript) {
-          std::fprintf(stderr,
-                       "TRANSCRIPT MISMATCH at threads=%d budget=%lld — "
-                       "modes are not byte-identical\n",
-                       threads, static_cast<long long>(budget));
-          return 1;
-        }
+    Cell cell;
+    cell.threads = threads;
+    for (int32_t rep = 0; rep < kRepeats; ++rep) {
+      Result<QueryResult> result = session->RunQuery(query);
+      if (!result.ok()) {
+        std::fprintf(stderr, "query: %s\n",
+                     result.status().ToString().c_str());
+        return 1;
       }
-      std::fprintf(stderr,
-                   "threads=%d budget=%lld: total=%.3fs post-growth=%.3fs "
-                   "carried=%lld fallbacks=%lld\n",
-                   threads, static_cast<long long>(budget),
-                   cell.total_seconds, cell.post_growth_seconds,
-                   static_cast<long long>(cell.emb_carried),
-                   static_cast<long long>(cell.vf2_fallbacks));
-      cells.push_back(cell);
+      const MineStats& stats = result->stats;
+      const double post_growth =
+          stats.total_seconds - stats.stage2_seconds - stats.stage3_seconds;
+      if (rep == 0 || stats.total_seconds < cell.total_seconds) {
+        cell.total_seconds = stats.total_seconds;
+        cell.post_growth_seconds = post_growth;
+      }
+      cell.closure_rooted = stats.closure_rooted;
+      cell.closure_scanned = stats.closure_scanned;
+      cell.patterns = static_cast<int64_t>(result->patterns.size());
+      const std::string transcript = Transcript(result->patterns);
+      if (reference_transcript.empty()) {
+        reference_transcript = transcript;
+        returned = result->patterns;
+      } else if (transcript != reference_transcript) {
+        std::fprintf(stderr,
+                     "TRANSCRIPT MISMATCH at threads=%d — results are not "
+                     "byte-identical across thread counts\n",
+                     threads);
+        return 1;
+      }
     }
+    std::fprintf(stderr,
+                 "threads=%d: total=%.3fs post-growth=%.3fs rooted=%lld "
+                 "scanned=%lld\n",
+                 threads, cell.total_seconds, cell.post_growth_seconds,
+                 static_cast<long long>(cell.closure_rooted),
+                 static_cast<long long>(cell.closure_scanned));
+    cells.push_back(cell);
+    last_session =
+        std::make_unique<MiningSession>(std::move(session).value());
   }
 
-  auto find = [&cells](int32_t threads, int64_t budget) -> const Cell& {
-    for (const Cell& c : cells) {
-      if (c.threads == threads && c.budget == budget) return c;
+  // ---- A/B over the returned patterns, serial, min of kAbRepeats per
+  // side.
+  const SpiderStore& store = last_session->store();
+  SearchSide scan;
+  SearchSide rooted;
+  for (int32_t rep = 0; rep < kAbRepeats; ++rep) {
+    SearchSide s = SearchAll(graph, nullptr, returned,
+                             query.max_embeddings_per_pattern);
+    SearchSide r = SearchAll(graph, &store, returned,
+                             query.max_embeddings_per_pattern);
+    if (r.lists != s.lists) {
+      std::fprintf(stderr,
+                   "ROOTED LIST MISMATCH — rooted and scanned searches "
+                   "differ\n");
+      return 1;
     }
-    std::abort();
-  };
-  auto speedup = [&find](int32_t threads, bool post_growth) {
-    const Cell& off = find(threads, 0);
-    const Cell& on = find(threads, kEngineBudget);
-    const double a = post_growth ? off.post_growth_seconds : off.total_seconds;
-    const double b = post_growth ? on.post_growth_seconds : on.total_seconds;
-    return b > 0 ? a / b : 0.0;
-  };
-  const double headline = speedup(8, /*post_growth=*/true);
+    if (rep == 0 || s.seconds < scan.seconds) scan = std::move(s);
+    if (rep == 0 || r.seconds < rooted.seconds) rooted = std::move(r);
+  }
+  const double speedup =
+      rooted.seconds > 0 ? scan.seconds / rooted.seconds : 0.0;
+  std::fprintf(stderr, "A/B over %zu patterns: scan=%.3fs rooted=%.3fs\n",
+               returned.size(), scan.seconds, rooted.seconds);
 
   std::printf("{\n  \"bench\": \"growth_engine\",\n");
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"graph_vertices\": %d,\n  \"k\": %d,\n  \"restarts\": %d,\n",
               kVertices, kTopK, kRestarts);
-  std::printf("  \"engine_budget\": %lld,\n",
-              static_cast<long long>(kEngineBudget));
   std::printf("  \"cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     std::printf(
-        "    {\"threads\": %d, \"emb_budget\": %lld, "
-        "\"total_seconds\": %.6f, \"post_growth_seconds\": %.6f, "
-        "\"emb_carried\": %lld, \"vf2_fallbacks\": %lld, "
-        "\"patterns\": %lld}%s\n",
-        c.threads, static_cast<long long>(c.budget), c.total_seconds,
-        c.post_growth_seconds, static_cast<long long>(c.emb_carried),
-        static_cast<long long>(c.vf2_fallbacks),
+        "    {\"threads\": %d, \"total_seconds\": %.6f, "
+        "\"post_growth_seconds\": %.6f, \"closure_searches\": %lld, "
+        "\"closure_rooted\": %lld, \"patterns\": %lld}%s\n",
+        c.threads, c.total_seconds, c.post_growth_seconds,
+        static_cast<long long>(c.closure_rooted + c.closure_scanned),
+        static_cast<long long>(c.closure_rooted),
         static_cast<long long>(c.patterns),
         i + 1 < cells.size() ? "," : "");
   }
   std::printf("  ],\n");
-  std::printf("  \"post_growth_speedup_1t\": %.2f,\n", speedup(1, true));
-  std::printf("  \"post_growth_speedup_2t\": %.2f,\n", speedup(2, true));
-  std::printf("  \"post_growth_speedup_8t\": %.2f,\n", headline);
-  std::printf("  \"end_to_end_speedup_8t\": %.2f,\n", speedup(8, false));
-  std::printf("  \"transcripts_identical_across_modes\": true\n}\n");
-  return headline >= kBar ? 0 : 2;  // exit 2 = ran but missed the 2x bar
+  std::printf("  \"ab_patterns\": %zu,\n  \"ab_rooted\": %lld,\n",
+              returned.size(), static_cast<long long>(rooted.rooted));
+  std::printf("  \"ab_scan_seconds\": %.6f,\n", scan.seconds);
+  std::printf("  \"ab_rooted_seconds\": %.6f,\n", rooted.seconds);
+  std::printf("  \"rooted_closure_speedup\": %.2f,\n", speedup);
+  std::printf("  \"rooted_lists_identical\": true,\n");
+  std::printf("  \"transcripts_identical_across_threads\": true\n}\n");
+  return speedup >= kBar ? 0 : 2;  // exit 2 = ran but missed the 2x bar
 }
 
 }  // namespace

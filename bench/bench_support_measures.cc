@@ -2,8 +2,8 @@
 //
 // The measure is a per-query knob, so one Stage I pass serves every
 // workload; what differs is the closure recount — greedy MIS / MNI /
-// count over the injective lists, the homomorphic recount (carried list
-// or homomorphic VF2 fallback), and transaction coverage over a
+// count over the injective lists, the homomorphic recount (a homomorphic
+// VF2 enumeration), and transaction coverage over a
 // per-vertex payload map, with and without per-run sampling. This bench
 // answers the operator's question "what does switching measures cost?":
 // per measure, queries/sec on a 50k-vertex graph, plus the headline

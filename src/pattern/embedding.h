@@ -29,7 +29,7 @@ bool ImagesIntersect(const std::vector<VertexId>& a,
 
 /// Sorts E[P] into canonical lexicographic order (element-wise VertexId
 /// comparison). Embedding enumeration order is an implementation detail
-/// (VF2's matching order, a carried list's extension order, a chunk fold),
+/// (VF2's matching order, an occurrence list's extension order, a fold),
 /// but downstream consumers — DedupEmbeddingsByImage keeps the FIRST
 /// embedding per image, and closure scores candidate edges through those
 /// representatives — are order-sensitive. Canonicalizing first makes every

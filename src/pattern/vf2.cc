@@ -142,11 +142,15 @@ void SearchState::Recurse(size_t depth) {
              options->anchor_graph_vertex >= 0) {
     try_candidate(options->anchor_graph_vertex);
   } else {
-    // First vertex without anchor: scan vertices of the wanted label.
-    if (want_label < graph->NumLabels()) {
-      for (VertexId gv : graph->VerticesWithLabel(want_label)) {
-        try_candidate(gv);
-      }
+    // First vertex without anchor: the start-root source's subsequence of
+    // the wanted label's vertices, or all of them.
+    std::optional<std::span<const VertexId>> roots;
+    if (options->start_roots) roots = options->start_roots(pv);
+    if (!roots && want_label < graph->NumLabels()) {
+      roots = graph->VerticesWithLabel(want_label);
+    }
+    if (roots) {
+      for (VertexId gv : *roots) try_candidate(gv);
     }
   }
 }

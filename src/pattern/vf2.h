@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/labeled_graph.h"
@@ -34,6 +35,15 @@ struct Vf2Options {
   /// edge), which on self-loop-free graphs already forbids adjacent
   /// pattern vertices from collapsing onto one image.
   bool homomorphic = false;
+  /// Optional candidate source for the first vertex of the matching order
+  /// (unused when an anchor is set). Called once with that pattern vertex,
+  /// it returns an ascending subsequence of the graph vertices carrying its
+  /// label that holds its image in every embedding, or nullopt to scan the
+  /// whole label. The roots it drops start no embedding and the ones it
+  /// keeps stay in scan order, so the enumeration order and the
+  /// max_embeddings cut are those of the scan.
+  std::function<std::optional<std::span<const VertexId>>(VertexId)>
+      start_roots;
 };
 
 /// Statistics of one enumeration run.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <compare>
 #include <sstream>
 
 namespace spidermine {
@@ -29,6 +30,28 @@ SpiderStore SpiderStore::Borrowed(std::span<const LabelId> head_labels,
 bool SpiderStore::IsAnchoredAt(int32_t id, VertexId vertex) const {
   std::span<const VertexId> a = anchors(id);
   return std::binary_search(a.begin(), a.end(), vertex);
+}
+
+int32_t SpiderStore::Find(LabelId head,
+                          std::span<const SpiderLeafKey> leaves) const {
+  int32_t lo = 0;
+  int32_t hi = static_cast<int32_t>(size());
+  while (lo < hi) {
+    const int32_t mid = lo + (hi - lo) / 2;
+    const std::span<const SpiderLeafKey> x = this->leaves(mid);
+    std::strong_ordering order = head_label(mid) <=> head;
+    if (order == 0) {
+      order = std::lexicographical_compare_three_way(
+          x.begin(), x.end(), leaves.begin(), leaves.end());
+    }
+    if (order == 0) return mid;
+    if (order < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return -1;
 }
 
 int64_t SpiderStore::HeapBytes() const {
@@ -161,6 +184,23 @@ SpiderStore SpiderStore::FromSpiders(const std::vector<Spider>& spiders) {
     store.Append(s.pattern.Label(0), leaves, s.anchors, s.closed);
   }
   return store;
+}
+
+std::optional<std::span<const VertexId>> StarRoots(const SpiderStore& store,
+                                                   const Pattern& pattern,
+                                                   VertexId v,
+                                                   bool homomorphic) {
+  std::vector<SpiderLeafKey> keys;
+  for (VertexId u : pattern.Neighbors(v)) {
+    keys.emplace_back(pattern.EdgeLabel(v, u), pattern.Label(u));
+  }
+  std::sort(keys.begin(), keys.end());
+  if (homomorphic) {
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  }
+  const int32_t id = store.Find(pattern.Label(v), keys);
+  if (id < 0) return std::nullopt;
+  return store.anchors(id);
 }
 
 }  // namespace spidermine

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -108,6 +109,12 @@ class SpiderStore {
   /// True iff \p vertex anchors spider \p id (binary search).
   bool IsAnchoredAt(int32_t id, VertexId vertex) const;
 
+  /// Id of the star (\p head, sorted \p leaves), or -1 when it is not
+  /// stored. A binary search over the canonical order mining and the
+  /// partial merge produce: head label, then the leaf vector
+  /// lexicographically, prefixes first.
+  int32_t Find(LabelId head, std::span<const SpiderLeafKey> leaves) const;
+
   /// Vertex count of the star pattern: 1 + number of leaves.
   int32_t NumVerticesOf(int32_t id) const {
     std::span<const int64_t> offsets = leaf_offsets_col();
@@ -212,5 +219,20 @@ class SpiderStore {
   std::span<const int64_t> b_anchor_offsets_;
   std::span<const VertexId> b_anchor_pool_;
 };
+
+/// Closure's VF2 start roots (Vf2Options::start_roots): the anchors of the
+/// star that pattern vertex \p v and its pattern neighbours form, or
+/// nullopt when \p store does not hold it (more leaves than
+/// max_star_leaves, support below the floor, a truncated store). The star
+/// is v's label plus the sorted (edge label, neighbour label) keys of its
+/// pattern edges; under \p homomorphic each key once, since a homomorphism
+/// may send equal-key neighbours to one graph vertex. A stored star's
+/// anchor list is every vertex of that label with at least that many
+/// distinct neighbours per key, so it holds v's image in every embedding
+/// and is an ascending subsequence of the label's vertices.
+std::optional<std::span<const VertexId>> StarRoots(const SpiderStore& store,
+                                                   const Pattern& pattern,
+                                                   VertexId v,
+                                                   bool homomorphic);
 
 }  // namespace spidermine

@@ -42,7 +42,7 @@ std::string WriteMetaSection(const Stage1Meta& meta,
                              const SpiderStore& store) {
   std::string out;
   AppendI64(&out, meta.min_support);
-  AppendI32(&out, meta.spider_radius);
+  AppendI32(&out, 1);  // spider radius: every store holds radius-1 stars
   AppendI32(&out, meta.max_star_leaves);
   AppendI64(&out, meta.max_spiders);
   AppendI64(&out, meta.num_graph_vertices);
@@ -161,8 +161,9 @@ Result<std::unique_ptr<MappedStage1>> MappedStage1::Open(
                       file.Meta(kMetaSectionBytes));
   Stage1Meta& meta = mapped->meta_;
   uint64_t truncated = 0, n = 0, total_leaves = 0, total_anchors = 0;
+  int32_t spider_radius = 0;
   fields.ReadI64(&meta.min_support);
-  fields.ReadI32(&meta.spider_radius);
+  fields.ReadI32(&spider_radius);
   fields.ReadI32(&meta.max_star_leaves);
   fields.ReadI64(&meta.max_spiders);
   fields.ReadI64(&meta.num_graph_vertices);
@@ -172,8 +173,11 @@ Result<std::unique_ptr<MappedStage1>> MappedStage1::Open(
   fields.ReadU64(&total_leaves);
   fields.ReadU64(&total_anchors);
   meta.truncated = (truncated & 0xFF) != 0;
-  if (meta.min_support < 1 || meta.spider_radius < 1 ||
-      meta.max_star_leaves < 0 || meta.max_spiders < 0 ||
+  if (spider_radius != 1) {
+    return Status::IoError(StrCat("sm2 meta spider_radius is ",
+                                  spider_radius, "; only 1 is supported"));
+  }
+  if (meta.min_support < 1 || meta.max_star_leaves < 0 || meta.max_spiders < 0 ||
       meta.num_graph_vertices < 0) {
     return Status::IoError("sm2 meta fields out of range");
   }

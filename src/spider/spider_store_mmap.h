@@ -62,7 +62,6 @@ inline constexpr uint32_t kSm2SectionCount = 9;
 /// different network).
 struct Stage1Meta {
   int64_t min_support = 2;
-  int32_t spider_radius = 1;
   int32_t max_star_leaves = 8;
   int64_t max_spiders = 0;
   int64_t num_graph_vertices = 0;

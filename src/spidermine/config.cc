@@ -10,11 +10,6 @@ Status SessionConfig::Validate() const {
   if (min_support < 1) {
     return Status::InvalidArgument("min_support must be >= 1");
   }
-  if (spider_radius != 1) {
-    return Status::InvalidArgument(
-        "the growth engine implements spider_radius = 1 (the paper's own "
-        "implementation choice); use MineBallSpiders for larger radii");
-  }
   if (num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
@@ -34,10 +29,6 @@ Status QueryConfig::Validate() const {
   if (dmax < 1) return Status::InvalidArgument("dmax must be >= 1");
   if (epsilon <= 0.0 || epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
-  }
-  if (embedding_list_budget < 0) {
-    return Status::InvalidArgument(
-        "embedding_list_budget must be >= 0 (0 = VF2-only closure)");
   }
   if (txn_sample < 0) {
     return Status::InvalidArgument(
@@ -61,10 +52,6 @@ QueryConfig QueryConfig::Resolve(int64_t session_min_support,
     q.closure_window = std::max<int64_t>(64, 8LL * q.k);
   }
   if (q.restarts < 0) q.restarts = 1;
-  if (q.embedding_list_budget > 0 && q.max_embeddings_per_pattern > 0) {
-    q.embedding_list_budget =
-        std::min(q.embedding_list_budget, q.max_embeddings_per_pattern);
-  }
   return q;
 }
 
@@ -86,9 +73,6 @@ uint64_t QueryConfig::CanonicalHash(int64_t session_min_support,
   h.MixValueBytes(q.seed_count_override);
   h.MixValueBytes(q.restarts);
   h.MixValueBytes(q.max_embeddings_per_pattern);
-  // embedding_list_budget deliberately NOT hashed: results are
-  // byte-identical at any budget (the engine's determinism contract), so
-  // requests differing only there must share a cache line.
   h.MixValueBytes(q.max_patterns_per_round);
   h.MixValueBytes(q.max_seed_embeddings_per_anchor);
   h.MixValueBytes(q.max_merge_pairs_per_key);

@@ -36,9 +36,6 @@ struct SessionConfig {
   /// min_support >= this floor; lower values would need spiders the session
   /// never mined.
   int64_t min_support = 2;
-  /// Spider radius r (the paper recommends 1 or 2; the growth engine's
-  /// fast path implements r = 1).
-  int32_t spider_radius = 1;
   /// Star miner: max leaves per spider.
   int32_t max_star_leaves = 8;
   /// Star miner: global spider budget (0 = unlimited). Deterministic: the
@@ -125,15 +122,6 @@ struct QueryConfig {
   // ---- Engineering caps (0 = unlimited unless stated). ----
   /// Per-pattern cap on stored embeddings.
   int64_t max_embeddings_per_pattern = 10000;
-  /// Embedding-list engine: per-lineage budget on the carried complete
-  /// embedding list (E[P]) that growth maintains incrementally so closure
-  /// can reuse it instead of re-running VF2 per candidate. A lineage whose
-  /// list would exceed the budget is marked saturated and falls back to
-  /// the certified VF2 path — results are byte-identical either way, the
-  /// budget only trades memory for closure-phase speed. 0 disables the
-  /// engine entirely (every closure candidate pays a VF2 search: today's
-  /// pre-engine behavior, kept as the equivalence baseline).
-  int64_t embedding_list_budget = 4096;
   /// Cap on in-flight patterns per growth round.
   int64_t max_patterns_per_round = 4000;
   /// Per-anchor cap on seed-spider embedding enumeration.
@@ -185,22 +173,17 @@ struct QueryConfig {
   ///   - `vmin` 0 -> the paper's max(1, |V|/10) over \p graph_vertices,
   ///     and every `vmin` clamped to |V|;
   ///   - `closure_window` 0 -> max(64, 8k);
-  ///   - negative `restarts` -> the default 1;
-  ///   - `embedding_list_budget` clamped to `max_embeddings_per_pattern`
-  ///     (when both are > 0), so an unsaturated carried list is never
-  ///     larger than what the VF2 fallback may return.
+  ///   - negative `restarts` -> the default 1.
   /// Idempotent; needs no validation first.
   QueryConfig Resolve(int64_t session_min_support,
                       int64_t graph_vertices) const;
 
   /// Stable FNV-1a hash over every result-determining field of
   /// Resolve(\p session_min_support, \p graph_vertices), in declared field
-  /// order, so semantically identical requests hash identically. Two
-  /// deliberate exclusions, documented invariants of the engine
-  /// (docs/SERVING.md): `embedding_list_budget` (results are
-  /// byte-identical at any value — hashing it would split cache lines
-  /// between identical answers) and the parallelism knobs (none live
-  /// here). `time_budget_seconds` IS hashed — an expiring budget
+  /// order, so semantically identical requests hash identically. The
+  /// parallelism knobs do not live here, so they cannot split cache lines
+  /// between identical answers (docs/SERVING.md). `time_budget_seconds`
+  /// IS hashed — an expiring budget
   /// truncates results — but callers must not cache results whose stats
   /// report `timed_out` (the truncation point is wall-clock dependent).
   /// The hash keys the serving result cache (result_cache.h) together
@@ -232,9 +215,10 @@ struct MineStats {
   int64_t iso_checks_skipped = 0;
   int64_t iso_checks_run = 0;     ///< VF2 tests run on iso-hash matches
   int64_t nonclosed_dropped = 0;  ///< patterns dropped by closedness rule
-  int64_t emb_extensions = 0;     ///< carried-list incremental extensions/joins
-  int64_t emb_carried = 0;        ///< closure candidates served from a carried list
-  int64_t vf2_fallbacks = 0;      ///< closure candidates re-enumerated with VF2
+  /// Closure's E[P] searches rooted at a stored star's anchors, and those
+  /// that scanned every vertex of the start label (star not stored).
+  int64_t closure_rooted = 0;
+  int64_t closure_scanned = 0;
   /// Support measure the query ran under (echoed into --stats output and
   /// the serving aggregates).
   SupportMeasureKind support_measure = SupportMeasureKind::kGreedyMisVertex;

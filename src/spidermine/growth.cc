@@ -1,8 +1,11 @@
 #include "spidermine/growth.h"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "pattern/iso_index.h"
 #include "support/support_measure.h"
@@ -70,6 +73,75 @@ std::vector<LeafKey> PatternNeighborKeys(const Pattern& p, VertexId v) {
   return keys;
 }
 
+/// Groups a sorted leaf-key multiset into (key, count) runs.
+std::vector<std::pair<LeafKey, int32_t>> GroupLeafKeys(
+    std::span<const LeafKey> keys) {
+  std::vector<std::pair<LeafKey, int32_t>> groups;
+  for (const LeafKey& k : keys) {
+    if (!groups.empty() && groups.back().first == k) {
+      ++groups.back().second;
+    } else {
+      groups.emplace_back(k, 1);
+    }
+  }
+  return groups;
+}
+
+/// Availability lists per leaf-key group among the neighbors of \p center,
+/// excluding the sorted \p forbidden (already-embedded images).
+std::vector<std::vector<VertexId>> AvailabilityLists(
+    const LabeledGraph& graph, VertexId center,
+    const std::vector<std::pair<LeafKey, int32_t>>& groups,
+    std::span<const VertexId> forbidden) {
+  std::vector<std::vector<VertexId>> avail(groups.size());
+  for (VertexId x : graph.Neighbors(center)) {
+    if (std::binary_search(forbidden.begin(), forbidden.end(), x)) continue;
+    const LeafKey key{graph.EdgeLabel(center, x), graph.Label(x)};
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (key == groups[g].first) avail[g].push_back(x);
+    }
+  }
+  return avail;
+}
+
+/// Enumerates every way to choose, for each (key, count) group, `count`
+/// distinct vertices from that group's availability list as an ascending
+/// COMBINATION: automorphic reassignments of equal-key leaves are produced
+/// once. This is the occurrence-list semantics of GrowthPattern::embeddings;
+/// it under-counts E[P] on purpose. \p emit receives the concatenated
+/// choice and returns false to stop; the function returns false when
+/// stopped early.
+bool EnumerateLeafCombinations(
+    const std::vector<std::pair<LeafKey, int32_t>>& groups,
+    const std::vector<std::vector<VertexId>>& avail,
+    std::vector<VertexId>* chosen, size_t group_idx,
+    const std::function<bool(const std::vector<VertexId>&)>& emit) {
+  if (group_idx == groups.size()) return emit(*chosen);
+  const int32_t need = groups[group_idx].second;
+  const std::vector<VertexId>& pool = avail[group_idx];
+  if (static_cast<int32_t>(pool.size()) < need) return true;  // no choice
+  // Iterative combination enumeration over `pool`.
+  std::vector<int32_t> idx(static_cast<size_t>(need));
+  for (int32_t i = 0; i < need; ++i) idx[i] = i;
+  while (true) {
+    size_t base = chosen->size();
+    for (int32_t i = 0; i < need; ++i) chosen->push_back(pool[idx[i]]);
+    bool keep_going =
+        EnumerateLeafCombinations(groups, avail, chosen, group_idx + 1, emit);
+    chosen->resize(base);
+    if (!keep_going) return false;
+    // Advance combination.
+    int32_t pos = need - 1;
+    while (pos >= 0 &&
+           idx[pos] == static_cast<int32_t>(pool.size()) - need + pos) {
+      --pos;
+    }
+    if (pos < 0) return true;
+    ++idx[pos];
+    for (int32_t i = pos + 1; i < need; ++i) idx[i] = idx[i - 1] + 1;
+  }
+}
+
 uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(spider_id)) << 32) |
          static_cast<uint32_t>(anchor);
@@ -135,7 +207,6 @@ struct GrowthEngine::LocalStats {
   int64_t nonclosed_dropped = 0;
   int64_t embedding_cap_hits = 0;
   int64_t pattern_cap_hits = 0;
-  int64_t emb_extensions = 0;
 
   void FoldInto(MineStats* stats) const {
     stats->extend_calls += extend_calls;
@@ -145,7 +216,6 @@ struct GrowthEngine::LocalStats {
     stats->nonclosed_dropped += nonclosed_dropped;
     stats->embedding_cap_hits += embedding_cap_hits;
     stats->pattern_cap_hits += pattern_cap_hits;
-    stats->emb_extensions += emb_extensions;
   }
 };
 
@@ -193,10 +263,7 @@ GrowthEngine::GrowthEngine(const LabeledGraph* graph, const SpiderIndex* index,
       stats_(stats),
       deadline_(deadline),
       pool_(pool),
-      token_(token) {
-  homomorphic_ =
-      query_->support_measure == SupportMeasureKind::kHomomorphism;
-}
+      token_(token) {}
 
 bool GrowthEngine::Cancelled() const {
   if (token_ != nullptr && token_->IsCancelled()) return true;
@@ -230,14 +297,9 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
       gp.embeddings.push_back({anchor});
       continue;
     }
-    // Availability lists per label group.
-    std::vector<std::vector<VertexId>> avail(groups.size());
-    for (VertexId x : graph_->Neighbors(anchor)) {
-      const LeafKey key{graph_->EdgeLabel(anchor, x), graph_->Label(x)};
-      for (size_t g = 0; g < groups.size(); ++g) {
-        if (key == groups[g].first) avail[g].push_back(x);
-      }
-    }
+    // A leaf never lands on its head: simple graphs have no self-loops.
+    const std::vector<std::vector<VertexId>> avail =
+        AvailabilityLists(*graph_, anchor, groups, {});
     int64_t emitted_here = 0;
     std::vector<VertexId> chosen;
     EnumerateLeafCombinations(
@@ -255,13 +317,6 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
   }
   DedupEmbeddingsByImage(&gp.embeddings);
   gp.support = Support(gp);
-  if (query_->embedding_list_budget > 0) {
-    // Carried complete list: every arrangement over every store anchor.
-    gp.full_list = BuildStarEmbeddingList(*graph_, store, spider_id,
-                                          query_->embedding_list_budget,
-                                          homomorphic_);
-    ++local->emb_extensions;
-  }
   // Boundary: the outermost layer (leaves), or the head for 0-leaf spiders.
   if (gp.pattern.NumVertices() == 1) {
     gp.boundary = {0};
@@ -345,15 +400,8 @@ bool GrowthEngine::TryExtend(
     const Embedding& e = base.embeddings[ei];
     VertexId gv = e[v];
     if (!store.IsAnchoredAt(spider_id, gv)) continue;
-    const std::vector<VertexId>& image = sorted_images[ei];
-    std::vector<std::vector<VertexId>> avail(groups.size());
-    for (VertexId x : graph_->Neighbors(gv)) {
-      if (std::binary_search(image.begin(), image.end(), x)) continue;
-      const LeafKey key{graph_->EdgeLabel(gv, x), graph_->Label(x)};
-      for (size_t g = 0; g < groups.size(); ++g) {
-        if (key == groups[g].first) avail[g].push_back(x);
-      }
-    }
+    const std::vector<std::vector<VertexId>> avail =
+        AvailabilityLists(*graph_, gv, groups, sorted_images[ei]);
     bool emitted_for_anchor = false;
     std::vector<VertexId> chosen;
     EnumerateLeafCombinations(
@@ -398,20 +446,6 @@ bool GrowthEngine::TryExtend(
     other.support = Support(other);
     other.merged_ever |= base.merged_ever;
     return false;
-  }
-
-  if (query_->embedding_list_budget > 0) {
-    // Admitted: extend the carried complete list incrementally (serial —
-    // worker context). An absent base list (defensive) degrades to
-    // saturated, never to a wrong list.
-    q.full_list =
-        base.full_list == nullptr
-            ? SaturatedEmbeddingList()
-            : ExtendEmbeddingListAtVertex(*graph_, store, spider_id,
-                                          *base.full_list, v, new_leaves,
-                                          query_->embedding_list_budget,
-                                          homomorphic_);
-    ++ls->stats.emb_extensions;
   }
 
   q.boundary = base.boundary;
@@ -589,11 +623,6 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   // therefore depend only on the snapshot and the pair, never on
   // scheduling.
   struct UnionCandidate : GrowthPattern {  // the merge product, plus:
-    // Parent-pattern vertex -> union-pattern vertex, from the founding
-    // instance — the join columns for the carried-list merge
-    // (JoinEmbeddingLists) at the serial fold.
-    std::vector<VertexId> map_a;
-    std::vector<VertexId> map_b;
     // First isomorphic pool pattern (-1 = none) and the map from its
     // vertices to this candidate's: the worker looks in the pre-merge
     // snapshot, the fold in what it admitted since.
@@ -719,8 +748,6 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
           UnionCandidate g;
           g.iso_hash = up_hash;
           g.merged_ever = true;
-          for (VertexId pu = 0; pu < na; ++pu) g.map_a.push_back(pos[e1[pu]]);
-          for (VertexId pv = 0; pv < nb; ++pv) g.map_b.push_back(pos[e2[pv]]);
           g.pattern = std::move(up);
           // Next boundary: images of both parents' frontier vertices.
           auto add_boundary = [&](const GrowthPattern& parent,
@@ -797,19 +824,6 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
         rs->pool.patterns[c.dup].merged_ever = true;  // now a merge product
         folds.push_back({c.dup, std::move(c.embeddings), std::move(c.dup_iso)});
         continue;
-      }
-      if (query_->embedding_list_budget > 0) {
-        // Carried-list merge: join the parents' complete lists on the
-        // founding instance's overlap columns.
-        const EmbeddingListRef& la = rs->pool.patterns[tasks[i].a].full_list;
-        const EmbeddingListRef& lb = rs->pool.patterns[tasks[i].b].full_list;
-        c.full_list = (la == nullptr || lb == nullptr)
-                          ? SaturatedEmbeddingList()
-                          : JoinEmbeddingLists(*la, *lb, c.map_a, c.map_b,
-                                               c.pattern.NumVertices(),
-                                               query_->embedding_list_budget,
-                                               homomorphic_);
-        ++stats_->emb_extensions;
       }
       rs->pool.Admit(std::move(c));
       ++stats_->merges;

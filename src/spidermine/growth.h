@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "graph/labeled_graph.h"
 #include "pattern/embedding.h"
-#include "pattern/embedding_list.h"
 #include "pattern/pattern.h"
 #include "spider/spider_index.h"
 #include "spidermine/config.h"
@@ -44,14 +43,6 @@ struct GrowthPattern {
   /// Known embeddings E[P] (occurrence-list growth semantics: embeddings of
   /// an extension are extensions of these).
   std::vector<Embedding> embeddings;
-  /// Carried COMPLETE embedding list (embedding-list engine,
-  /// pattern/embedding_list.h): when present and not saturated, exactly the
-  /// E[P] a VF2 search would enumerate, maintained incrementally across
-  /// growth rounds so closure never re-discovers it. Null when the engine
-  /// is off (embedding_list_budget = 0); saturated once any ancestor
-  /// overflowed the budget. Never consulted for growth decisions — the
-  /// occurrence list above keeps those byte-identical across modes.
-  EmbeddingListRef full_list;
   /// Support under the configured measure.
   int64_t support = 0;
   /// Frontier pattern vertices eligible for spider extension this round
@@ -96,7 +87,7 @@ using MergeRegistry = std::unordered_map<uint64_t, std::vector<int64_t>>;
 class GrowthEngine {
  public:
   /// All references are borrowed and must outlive the engine. \p session
-  /// carries the graph-scoped parameters (spider radius, transaction map);
+  /// carries the graph-scoped parameters (the transaction sources);
   /// \p query the per-query knobs, already QueryConfig::Resolve()d
   /// (MiningSession::RunQuery resolves before constructing an engine). A
   /// non-null \p deadline is polled inside rounds so the configured time
@@ -196,10 +187,6 @@ class GrowthEngine {
   ThreadPool* pool_;
   const CancellationToken* token_;
   int64_t next_id_ = 1;
-  /// Carried lists enumerate homomorphic E[P] (kHomomorphism queries).
-  /// Growth decisions still use the injective occurrence list — only the
-  /// complete list handed to closure switches semantics.
-  bool homomorphic_ = false;
   /// Current restart run's transaction whitelist (see SetTxnSample).
   const std::vector<int32_t>* txn_sample_ = nullptr;
 };

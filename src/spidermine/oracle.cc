@@ -17,10 +17,8 @@ Result<OracleResult> ExactTopKLargest(const LabeledGraph& graph,
     return Status::InvalidArgument("oracle dmax must be non-negative");
   }
   // The oracle rides on the complete baseline miner, whose level-extension
-  // steps are the shared embedding-list primitives of
-  // pattern/embedding_list.h (ExtendEmbeddingsNewVertex /
-  // FilterEmbeddingsInternalEdge) — the same machinery the growth engine
-  // uses to carry complete lists.
+  // steps are the embedding-list primitives of pattern/embedding_list.h
+  // (ExtendEmbeddingsNewVertex / FilterEmbeddingsInternalEdge).
   CompleteMinerConfig complete;
   complete.min_support = config.min_support;
   complete.support_measure = config.support_measure;

@@ -1,16 +1,8 @@
 #include "spidermine/result_cache.h"
 
-#include <sstream>
 #include <utility>
 
 namespace spidermine {
-
-std::string ResultCacheStats::ToString() const {
-  std::ostringstream os;
-  os << "cache " << hits << " hits / " << misses << " misses, " << entries
-     << " entries (" << bytes / 1024 << " KiB), " << evictions << " evicted";
-  return os.str();
-}
 
 std::optional<std::string> ResultCache::Lookup(const Key& key) {
   if (!enabled()) return std::nullopt;

@@ -57,9 +57,6 @@ struct ResultCacheStats {
   int64_t evictions = 0;   ///< entries removed to respect the caps
   int64_t entries = 0;     ///< current resident entries
   int64_t bytes = 0;       ///< current resident payload bytes
-
-  /// One-line rendering for the serve summary.
-  std::string ToString() const;
 };
 
 /// A bounded, mutex-protected LRU cache of rendered query responses.

@@ -34,9 +34,9 @@ bool LargerPattern(const MinedPattern& a, const MinedPattern& b) {
 /// classes in first-offered order: the one dedup rule of the query's result
 /// collector, its post-closure re-dedup and AccumulateTopK. A later member
 /// takes over only with strictly higher support, and then replaces the
-/// pattern, support, embeddings and carried list together (embeddings and
-/// lists are only meaningful in their own pattern's vertex numbering);
-/// from_merge is ORed either way. A member that loses is not copied.
+/// pattern, support and embeddings together (embeddings are only
+/// meaningful in their own pattern's vertex numbering); from_merge is ORed
+/// either way. A member that loses is not copied.
 class BestPerClass {
  public:
   /// Lookups count into \p checks. \p cap > 0 bounds the set: past
@@ -50,7 +50,6 @@ class BestPerClass {
             Place(gp.pattern, gp.iso_hash, gp.support, gp.merged_ever)) {
       slot->pattern = gp.pattern;
       slot->embeddings = gp.embeddings;
-      slot->full_list = gp.full_list;
       slot->support = gp.support;
     }
     if (cap_ > 0 && static_cast<int64_t>(size()) > cap_ + kCompactionSlack) {
@@ -185,9 +184,10 @@ void AccumulateTopK(std::vector<MinedPattern>* accumulated,
   }
 }
 
-Result<MiningSession> MiningSession::Create(const LabeledGraph* graph,
-                                            SessionConfig config) {
-  SM_RETURN_NOT_OK(config.Validate());
+Result<MiningSession> MiningSession::Build(
+    const LabeledGraph* graph, const SessionConfig& config,
+    const WallTimer& timer,
+    const std::function<Status(MiningSession*)>& load_stage1) {
   MiningSession session;
   session.graph_ = graph;
   session.config_ = config;
@@ -199,47 +199,54 @@ Result<MiningSession> MiningSession::Create(const LabeledGraph* graph,
                                : ThreadPool::DefaultThreads());
     session.pool_ = session.owned_pool_.get();
   }
-
-  // ---------------- Stage I: mine all spiders, exactly once. -------------
-  WallTimer stage_timer;
-  Deadline deadline(config.stage1_time_budget_seconds);
-  CancellationToken cancel(&deadline);
-  StarMinerConfig star_config;
-  star_config.min_support = config.min_support;
-  star_config.max_leaves = config.max_star_leaves;
-  star_config.max_spiders = config.max_spiders;
-  star_config.shard_grain = config.stage1_shard_grain;
-  SM_ASSIGN_OR_RETURN(
-      StarMineResult stars,
-      MineStarSpiders(*graph, star_config, session.pool_, &cancel));
-  session.store_ = std::make_unique<SpiderStore>(std::move(stars.store));
-  session.stage1_truncated_ = stars.truncated;
-
+  SM_RETURN_NOT_OK(load_stage1(&session));
   MineStats& stats = session.stage1_stats_;
   const SpiderStore& store = *session.store_;
   stats.num_spiders = store.size();
-  stats.stage1_steps = stars.extension_attempts;
   stats.stage1_store_bytes = store.HeapBytes();
-  stats.stage1_scan_shards = stars.num_scan_shards;
-  stats.stage1_enum_shards = stars.num_enum_shards;
   for (int32_t id = 0; id < static_cast<int32_t>(store.size()); ++id) {
     if (store.closed(id)) ++stats.num_closed_spiders;
   }
-  session.index_ =
-      std::make_unique<SpiderIndex>(session.store_.get(),
-                                    graph->NumVertices());
-  stats.stage1_seconds = stage_timer.ElapsedSeconds();
+  stats.stage1_seconds = timer.ElapsedSeconds();
   stats.total_seconds = stats.stage1_seconds;
-  if (config.stage1_time_budget_seconds > 0 && cancel.IsCancelled()) {
-    stats.timed_out = true;
-  }
   return session;
+}
+
+Result<MiningSession> MiningSession::Create(const LabeledGraph* graph,
+                                            SessionConfig config) {
+  SM_RETURN_NOT_OK(config.Validate());
+  // ---------------- Stage I: mine all spiders, exactly once. -------------
+  WallTimer stage_timer;
+  auto mine = [](MiningSession* session) -> Status {
+    const SessionConfig& config = session->config_;
+    Deadline deadline(config.stage1_time_budget_seconds);
+    CancellationToken cancel(&deadline);
+    StarMinerConfig star_config;
+    star_config.min_support = config.min_support;
+    star_config.max_leaves = config.max_star_leaves;
+    star_config.max_spiders = config.max_spiders;
+    star_config.shard_grain = config.stage1_shard_grain;
+    SM_ASSIGN_OR_RETURN(StarMineResult stars,
+                        MineStarSpiders(*session->graph_, star_config,
+                                        session->pool_, &cancel));
+    session->store_ = std::make_unique<SpiderStore>(std::move(stars.store));
+    session->stage1_truncated_ = stars.truncated;
+    session->index_ = std::make_unique<SpiderIndex>(
+        session->store_.get(), session->graph_->NumVertices());
+    MineStats& stats = session->stage1_stats_;
+    stats.stage1_steps = stars.extension_attempts;
+    stats.stage1_scan_shards = stars.num_scan_shards;
+    stats.stage1_enum_shards = stars.num_enum_shards;
+    stats.timed_out =
+        config.stage1_time_budget_seconds > 0 && cancel.IsCancelled();
+    return Status::Ok();
+  };
+  return Build(graph, config, stage_timer, mine);
 }
 
 Status MiningSession::SaveStage1(const std::string& path) const {
   Stage1Meta meta;
   meta.min_support = config_.min_support;
-  meta.spider_radius = config_.spider_radius;
   meta.max_star_leaves = config_.max_star_leaves;
   meta.max_spiders = config_.max_spiders;
   meta.num_graph_vertices = graph_->NumVertices();
@@ -276,7 +283,6 @@ Status BindArtifactToGraph(const Stage1Meta& meta, const LabeledGraph& graph,
   // The artifact's mining parameters describe the stored set and override
   // whatever the caller guessed; parallelism knobs stay the caller's.
   config->min_support = meta.min_support;
-  config->spider_radius = meta.spider_radius;
   config->max_star_leaves = meta.max_star_leaves;
   config->max_spiders = meta.max_spiders;
   return Status::Ok();
@@ -294,38 +300,23 @@ Result<MiningSession> MiningSession::LoadStage1(const LabeledGraph* graph,
   const Stage1Meta& meta = mapped->meta();
   SM_RETURN_NOT_OK(BindArtifactToGraph(meta, *graph, &config));
   SM_RETURN_NOT_OK(config.Validate());
-  MiningSession session;
-  session.graph_ = graph;
-  session.config_ = config;
-  session.InitTxnState();
-  session.load_mode_ = Stage1LoadMode::kMapped;
-  session.pool_ = config.pool;
-  if (session.pool_ == nullptr) {
-    session.owned_pool_ = std::make_unique<ThreadPool>(
-        config.num_threads > 0 ? config.num_threads
-                               : ThreadPool::DefaultThreads());
-    session.pool_ = session.owned_pool_.get();
-  }
-  session.mapped_ = std::move(mapped);
-  // Shallow borrowed-span copies: the columns and the CSR index arrays
-  // stay in the mapping. Open's structural checks plus the lazy section
-  // CRCs (run before the first query touches the data) stand in for an
-  // O(total anchors) adoption scan.
-  session.store_ = std::make_unique<SpiderStore>(session.mapped_->store());
-  session.index_ = std::make_unique<SpiderIndex>(
-      session.store_.get(), session.mapped_->index().offsets(),
-      session.mapped_->index().ids());
-  MineStats& stats = session.stage1_stats_;
-  stats.num_spiders = session.store_->size();
-  stats.stage1_store_bytes = session.store_->HeapBytes();
-  for (int32_t id = 0; id < static_cast<int32_t>(session.store_->size());
-       ++id) {
-    if (session.store_->closed(id)) ++stats.num_closed_spiders;
-  }
-  session.stage1_truncated_ = meta.truncated;
-  session.stage1_load_seconds_ = load_timer.ElapsedSeconds();
-  stats.stage1_seconds = session.stage1_load_seconds_;
-  stats.total_seconds = stats.stage1_seconds;
+  auto adopt = [&mapped](MiningSession* session) {
+    session->load_mode_ = Stage1LoadMode::kMapped;
+    session->mapped_ = std::move(mapped);
+    session->stage1_truncated_ = session->mapped_->meta().truncated;
+    // Shallow borrowed-span copies: the columns and the CSR index arrays
+    // stay in the mapping. Open's structural checks plus the lazy section
+    // CRCs (run before the first query touches the data) stand in for an
+    // O(total anchors) adoption scan.
+    session->store_ = std::make_unique<SpiderStore>(session->mapped_->store());
+    session->index_ = std::make_unique<SpiderIndex>(
+        session->store_.get(), session->mapped_->index().offsets(),
+        session->mapped_->index().ids());
+    return Status::Ok();
+  };
+  SM_ASSIGN_OR_RETURN(MiningSession session,
+                      Build(graph, config, load_timer, adopt));
+  session.stage1_load_seconds_ = session.stage1_stats_.stage1_seconds;
   return session;
 }
 
@@ -363,7 +354,7 @@ uint64_t MiningSession::stage1_content_key() const {
   Fnv1a h;
   h.MixU64Bytes(graph_->ContentHash());
   h.MixU64Bytes(static_cast<uint64_t>(config_.min_support));
-  h.MixU64Bytes(static_cast<uint64_t>(config_.spider_radius));
+  h.MixU64Bytes(1);  // the spider radius every store is mined at
   h.MixU64Bytes(static_cast<uint64_t>(config_.max_star_leaves));
   h.MixU64Bytes(static_cast<uint64_t>(config_.max_spiders));
   h.MixU64Bytes(static_cast<uint64_t>(store_->size()));
@@ -393,8 +384,8 @@ int64_t MiningSession::FoldQueryIntoAggregate(const QueryResult& result) const {
   agg.total_query_seconds += result.stats.total_seconds;
   agg.max_query_seconds =
       std::max(agg.max_query_seconds, result.stats.total_seconds);
-  agg.emb_carried += result.stats.emb_carried;
-  agg.vf2_fallbacks += result.stats.vf2_fallbacks;
+  agg.closure_rooted += result.stats.closure_rooted;
+  agg.closure_scanned += result.stats.closure_scanned;
   if (result.stats.support_measure == SupportMeasureKind::kHomomorphism) {
     ++agg.homomorphism_queries;
   }
@@ -487,8 +478,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
     }
 
     MergeRegistry previous;
-    const int32_t iterations =
-        std::max(1, q.dmax / (2 * config_.spider_radius));
+    // Each round grows a pattern by one radius-1 spider on every side.
+    const int32_t iterations = std::max(1, q.dmax / 2);
     for (int32_t iter = 0; iter < iterations; ++iter) {
       if (cancel.IsCancelled()) {
         stats.timed_out = true;
@@ -560,8 +551,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   // make previously distinct patterns isomorphic). Homomorphism queries
   // enter this block even with closure off: their growth-time supports are
   // anti-monotone bounds over the injective occurrence list, and the final
-  // answer recounts over the complete HOMOMORPHIC E[P] (carried hom-mode
-  // list, or the VF2 homomorphism fallback).
+  // answer recounts over the complete HOMOMORPHIC E[P].
   const bool homomorphic =
       q.support_measure == SupportMeasureKind::kHomomorphism;
   // Multi-restart transaction sampling recounts under run 0's whitelist (a
@@ -575,8 +565,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
     // iteration touching only all[i] and its own counter slot.
     struct ClosureSlot {
       int32_t edges_added = 0;
-      int32_t carried = 0;
-      int32_t fallbacks = 0;
+      int32_t rooted = 0;
+      int32_t scanned = 0;
     };
     std::vector<ClosureSlot> slots(limit);
     pool_->ParallelForChunks(
@@ -593,25 +583,23 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
             ClosureSlot& slot = slots[static_cast<size_t>(i)];
             // Growth tracks only the embeddings reachable along its own
             // path (an occurrence list), which under-counts the surviving
-            // support of a candidate closure edge. Closure needs the full
-            // E[P]: the carried complete list (embedding-list engine)
-            // supplies it for free; an absent or saturated list pays the
-            // VF2 re-enumeration. Both sides are canonicalized before the
-            // image dedup, so the two paths keep identical representatives
-            // and the output is byte-identical either way.
-            std::vector<Embedding> full;
-            if (mp.full_list != nullptr && !mp.full_list->saturated) {
-              full = mp.full_list->embeddings;
-              ++slot.carried;
-            } else {
-              Vf2Options vf2_options;
-              vf2_options.max_embeddings = q.max_embeddings_per_pattern;
-              // Under kHomomorphism the carried lists enumerate homomorphic
-              // E[P], so the fallback must too.
-              vf2_options.homomorphic = homomorphic;
-              full = FindEmbeddings(mp.pattern, *graph_, vf2_options);
-              ++slot.fallbacks;
-            }
+            // support of a candidate closure edge, so closure enumerates
+            // the full E[P], homomorphic under kHomomorphism. The search
+            // starts at the anchors of the stored star around the matching
+            // order's first vertex, or scans that vertex's label when the
+            // star is not stored; both yield the same list in the same
+            // order.
+            Vf2Options vf2_options;
+            vf2_options.max_embeddings = q.max_embeddings_per_pattern;
+            vf2_options.homomorphic = homomorphic;
+            vf2_options.start_roots = [this, &mp, &slot,
+                                       homomorphic](VertexId v) {
+              auto roots = StarRoots(*store_, mp.pattern, v, homomorphic);
+              ++(roots ? slot.rooted : slot.scanned);
+              return roots;
+            };
+            std::vector<Embedding> full =
+                FindEmbeddings(mp.pattern, *graph_, vf2_options);
             if (!full.empty()) {
               CanonicalizeEmbeddingOrder(&full);
               // Homomorphic embeddings with one image SET can be genuinely
@@ -627,17 +615,14 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
               slot.edges_added = CloseInternalEdges(
                   *graph_, &mp.pattern, &mp.embeddings, q.support_measure,
                   q.min_support, &mp.support, support_context);
-              // A closure edge changes the pattern; the carried list no
-              // longer describes it.
-              if (slot.edges_added > 0) mp.full_list.reset();
             }
           }
         },
         &cancel);
     for (size_t i = 0; i < limit; ++i) {
       stats.closure_edges_added += slots[i].edges_added;
-      stats.emb_carried += slots[i].carried;
-      stats.vf2_fallbacks += slots[i].fallbacks;
+      stats.closure_rooted += slots[i].rooted;
+      stats.closure_scanned += slots[i].scanned;
     }
     if (stats.closure_edges_added > 0) {
       std::sort(all.begin(), all.end(), LargerPattern);
@@ -685,8 +670,8 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
       StrCat("MiningSession: query #", sequence, " over ",
              stage1_stats_.num_spiders, " cached spiders, M=",
              stats.seed_count_m, ", merges=", stats.merges,
-             ", emb carried/fallback=", stats.emb_carried, "/",
-             stats.vf2_fallbacks, ", returned ", result.patterns.size(),
+             ", closure rooted/scanned=", stats.closure_rooted, "/",
+             stats.closure_scanned, ", returned ", result.patterns.size(),
              " patterns in ", stats.total_seconds, "s"));
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -9,9 +10,9 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "graph/labeled_graph.h"
 #include "pattern/embedding.h"
-#include "pattern/embedding_list.h"
 #include "pattern/pattern.h"
 #include "spider/spider_index.h"
 #include "spider/spider_store.h"
@@ -77,11 +78,6 @@ struct MinedPattern {
   Pattern pattern;
   /// Embeddings known for the pattern (capped; see QueryConfig).
   std::vector<Embedding> embeddings;
-  /// Carried complete embedding list from the growth engine (null when the
-  /// engine is off; saturated after a budget overflow). Lets closure reuse
-  /// E[P] instead of re-running VF2; always paired with `pattern` — the
-  /// list is expressed in that pattern's vertex numbering.
-  EmbeddingListRef full_list;
   /// Support under the configured measure.
   int64_t support = 0;
   /// True when the pattern descends from a Stage II merge.
@@ -130,12 +126,11 @@ struct SessionServingStats {
   double total_query_seconds = 0.0;
   /// Slowest single query so far, in seconds.
   double max_query_seconds = 0.0;
-  /// Closure candidates served from carried embedding lists, across all
-  /// queries (MineStats::emb_carried folded per query).
-  int64_t emb_carried = 0;
-  /// Closure candidates that fell back to a VF2 re-enumeration (absent or
-  /// saturated carried list; every candidate when the engine is off).
-  int64_t vf2_fallbacks = 0;
+  /// Closure E[P] searches across all queries, rooted at a stored star's
+  /// anchors or scanning the start label (MineStats::closure_rooted and
+  /// closure_scanned folded per query).
+  int64_t closure_rooted = 0;
+  int64_t closure_scanned = 0;
   /// Queries served under the homomorphism support measure.
   int64_t homomorphism_queries = 0;
   /// Queries that ran the sampling-based transaction mode (txn_sample > 0).
@@ -178,8 +173,8 @@ class MiningSession {
   /// Rebuilds a session from a SaveStage1 artifact. The `.sm2` file is
   /// mmap'd and served zero-copy (the session borrows spans over the
   /// mapping; bulk sections CRC-validate lazily on the first query). The
-  /// artifact's mining parameters (support floor, radius,
-  /// leaf/spider caps) override the corresponding fields of \p config —
+  /// artifact's mining parameters (support floor, leaf/spider caps)
+  /// override the corresponding fields of \p config —
   /// they describe the stored set — while the parallelism knobs of
   /// \p config are honored. Fails with kIoError on corrupt/truncated files
   /// and kInvalidArgument when the artifact was mined over a different
@@ -223,7 +218,7 @@ class MiningSession {
   const LabeledGraph& graph() const { return *graph_; }
   /// Stable identity of the cached Stage I artifact: a hash over the
   /// graph's content hash, every config field that determines the mined
-  /// spider set (support floor, radius, leaf/spider caps), the store size
+  /// spider set (support floor, leaf/spider caps), the store size
   /// and the truncation flag. Two sessions answer queries identically iff
   /// their keys match, which makes this the artifact half of a result-cache
   /// key (result_cache.h); parallelism knobs deliberately do not
@@ -240,6 +235,15 @@ class MiningSession {
   };
 
   MiningSession() : serving_(std::make_unique<ServingAggregate>()) {}
+
+  /// The set-up Create and LoadStage1 share: binds \p graph and \p config,
+  /// builds the session-owned pool when the config brings none, lets
+  /// \p load_stage1 fill store_, index_ and the path's own fields, then
+  /// fills the Stage I stats every session reports, timed by \p timer.
+  static Result<MiningSession> Build(
+      const LabeledGraph* graph, const SessionConfig& config,
+      const WallTimer& timer,
+      const std::function<Status(MiningSession*)>& load_stage1);
 
   /// Folds one finished query into the serving aggregate; returns the
   /// query's 1-based serving sequence number (for the log line).

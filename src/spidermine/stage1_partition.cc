@@ -43,7 +43,7 @@ std::string WritePartialMeta(const Stage1PartialMeta& meta,
                              const SpiderStore& store) {
   std::string out;
   AppendI64(&out, meta.min_support);
-  AppendI32(&out, meta.spider_radius);
+  AppendI32(&out, 1);  // spider radius: every store holds radius-1 stars
   AppendI32(&out, meta.max_star_leaves);
   AppendI64(&out, meta.max_spiders);
   AppendI64(&out, meta.num_graph_vertices);
@@ -114,7 +114,6 @@ Result<Stage1PartialResult> MineStage1Partial(const GraphPartition& part,
   const VertexId num_owned = static_cast<VertexId>(part.num_owned());
   Stage1PartialResult result;
   result.meta.min_support = config.min_support;
-  result.meta.spider_radius = 1;
   result.meta.max_star_leaves = config.max_star_leaves;
   result.meta.max_spiders = config.max_spiders;
   result.meta.num_graph_vertices = part.parent_num_vertices;
@@ -180,8 +179,9 @@ Result<std::unique_ptr<MappedStage1Partial>> MappedStage1Partial::Open(
                       file.Meta(kSm2pMetaBytes));
   Stage1PartialMeta& meta = mapped->meta_;
   uint64_t n = 0, total_leaves = 0, total_anchors = 0;
+  int32_t spider_radius = 0;
   fields.ReadI64(&meta.min_support);
-  fields.ReadI32(&meta.spider_radius);
+  fields.ReadI32(&spider_radius);
   fields.ReadI32(&meta.max_star_leaves);
   fields.ReadI64(&meta.max_spiders);
   fields.ReadI64(&meta.num_graph_vertices);
@@ -193,9 +193,13 @@ Result<std::unique_ptr<MappedStage1Partial>> MappedStage1Partial::Open(
   fields.ReadU64(&n);
   fields.ReadU64(&total_leaves);
   fields.ReadU64(&total_anchors);
-  if (meta.min_support < 1 || meta.spider_radius < 1 ||
-      meta.max_star_leaves < 0 || meta.max_spiders < 0 ||
-      meta.num_graph_vertices < 0 || meta.num_partitions < 1 ||
+  if (spider_radius != 1) {
+    return Status::IoError(StrCat("sm2p meta spider_radius is ",
+                                  spider_radius, "; only 1 is supported"));
+  }
+  if (meta.min_support < 1 || meta.max_star_leaves < 0 ||
+      meta.max_spiders < 0 || meta.num_graph_vertices < 0 ||
+      meta.num_partitions < 1 ||
       meta.partition_index < 0 ||
       meta.partition_index >= meta.num_partitions || meta.owned_begin < 0 ||
       meta.owned_begin >= meta.owned_end ||
@@ -253,7 +257,6 @@ Result<Stage1MergeResult> MergeStage1Partials(
     if (meta.graph_hash != first.graph_hash ||
         meta.num_graph_vertices != first.num_graph_vertices ||
         meta.min_support != first.min_support ||
-        meta.spider_radius != first.spider_radius ||
         meta.max_star_leaves != first.max_star_leaves ||
         meta.max_spiders != first.max_spiders ||
         meta.num_partitions != first.num_partitions) {
@@ -401,7 +404,6 @@ Result<Stage1MergeResult> MergeStage1Partials(
   }
 
   result.meta.min_support = first.min_support;
-  result.meta.spider_radius = first.spider_radius;
   result.meta.max_star_leaves = first.max_star_leaves;
   result.meta.max_spiders = first.max_spiders;
   result.meta.num_graph_vertices = first.num_graph_vertices;

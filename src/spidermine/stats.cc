@@ -16,8 +16,8 @@ std::string SessionServingStats::ToString() const {
                       : 0.0;
   os << queries_run << " queries served, " << patterns_returned
      << " patterns returned, latency mean/max " << mean << "/"
-     << max_query_seconds << "s, emb carried/fallback " << emb_carried << "/"
-     << vf2_fallbacks;
+     << max_query_seconds << "s, closure rooted/scanned " << closure_rooted
+     << "/" << closure_scanned;
   if (homomorphism_queries > 0) {
     os << ", " << homomorphism_queries << " homomorphism";
   }
@@ -57,9 +57,9 @@ std::string MineStats::ToString() const {
      << " spider appends, " << nonclosed_dropped << " non-closed dropped\n"
      << "isomorphism: " << iso_checks_skipped << " skipped by iso-hash, "
      << iso_checks_run << " run\n"
-     << "embedding lists: " << emb_extensions << " extensions, "
-     << emb_carried << " closure candidates carried, " << vf2_fallbacks
-     << " VF2 fallbacks\n"
+     << "closure search: " << closure_rooted
+     << " rooted at stored-star anchors, " << closure_scanned
+     << " label scans\n"
      << "closure: " << closure_edges_added << " internal edges restored\n"
      << "caps: " << embedding_cap_hits << " embedding, " << pattern_cap_hits
      << " pattern" << (timed_out ? "; TIME BUDGET EXPIRED" : "") << "\n"

@@ -43,7 +43,7 @@ enum class SupportMeasureKind {
   /// the homomorphism support; on an injective occurrence list (what
   /// growth carries) it is the anti-monotone growth-time bound. The
   /// session's closure phase recounts over the complete homomorphic list
-  /// (carried hom-mode embedding list or VF2 homomorphism fallback).
+  /// that a homomorphic VF2 search enumerates.
   kHomomorphism,
 };
 

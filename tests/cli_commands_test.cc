@@ -353,6 +353,17 @@ TEST_F(CliTest, Int32FlagsRejectOutOfRangeValues) {
       << query;
 }
 
+TEST_F(CliTest, QueryRejectsRetiredEmbBudgetFlag) {
+  std::ostringstream out;
+  Status status = CmdQuery({TempPath("cli_unused.smg"),
+                            TempPath("cli_unused.sm2"), "--emb-budget=64"},
+                           out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown flag --emb-budget"),
+            std::string::npos)
+      << status;
+}
+
 // Each query parameter is defined once, in QueryParams(). Walk the table:
 // `--flag=v` through the CLI flag path and {"key": v} through
 // QueryFromJson must set the same TopKQuery field, and omitting both must
@@ -428,9 +439,9 @@ TEST(QueryParamTableTest, FlagsAndRequestKeysSetTheSameField) {
   // The serve schema of docs/CLI.md, minus the protocol keys id and cmd.
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(keys, (std::vector<std::string>{
-                      "dmax", "emb_budget", "epsilon", "k", "measure",
-                      "restarts", "seed", "seed_count", "strict_dmax",
-                      "support", "time_budget", "txn_sample", "vmin"}));
+                      "dmax", "epsilon", "k", "measure", "restarts", "seed",
+                      "seed_count", "strict_dmax", "support", "time_budget",
+                      "txn_sample", "vmin"}));
 }
 
 TEST_F(CliTest, BaselineSubdueRuns) {

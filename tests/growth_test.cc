@@ -9,7 +9,6 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
-#include "pattern/vf2.h"
 #include "spider/star_miner.h"
 #include "spider_test_util.h"
 
@@ -94,7 +93,6 @@ struct Fixture {
     star_config.min_support = support;
     stars = std::move(MineStarSpiders(graph, star_config)).value();
     session_config.min_support = support;
-    session_config.spider_radius = 1;
     query_config.min_support = support;  // engines take a resolved threshold
     index = std::make_unique<SpiderIndex>(&stars.store,
                                           graph.NumVertices());
@@ -240,63 +238,6 @@ TEST(GrowthTest, ExhaustedFlagSetAtFixpoint) {
       EXPECT_TRUE(gp.exhausted) << "full path cannot grow further";
     }
   }
-}
-
-/// The engine invariant at growth level: after rounds that exercise
-/// seeding, spider extension AND the merge join, every carried unsaturated
-/// list is exactly the E[P] a VF2 search enumerates (same set, compared
-/// canonically).
-TEST(GrowthTest, CarriedListsStayExactAcrossRoundsAndMerges) {
-  Fixture f(TwoPaths());
-  int32_t left = f.FindStar(1, {0, 2});
-  int32_t right = f.FindStar(3, {2, 4});
-  ASSERT_NE(left, -1);
-  ASSERT_NE(right, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(left));
-  working.push_back(f.engine->SeedFromSpider(right));
-  MergeRegistry previous;
-  GrowRoundResult r =
-      f.engine->GrowRound(std::move(working), /*enable_merging=*/true,
-                          &previous);
-  ASSERT_GT(f.stats.merges, 0) << "the join path must be exercised";
-  int32_t checked = 0;
-  for (const GrowthPattern& gp : r.patterns) {
-    ASSERT_NE(gp.full_list, nullptr)
-        << "engine on (default budget) must carry a list on every pattern";
-    if (gp.full_list->saturated) continue;
-    std::vector<Embedding> expected =
-        FindEmbeddings(gp.pattern, f.graph, Vf2Options{});
-    CanonicalizeEmbeddingOrder(&expected);
-    std::vector<Embedding> carried = gp.full_list->embeddings;
-    CanonicalizeEmbeddingOrder(&carried);
-    EXPECT_EQ(carried, expected) << gp.pattern.ToString();
-    ++checked;
-  }
-  EXPECT_GT(checked, 0);
-}
-
-/// Forcing saturation with a tiny budget never changes growth output —
-/// lists are never consulted for growth decisions.
-TEST(GrowthTest, TinyListBudgetDoesNotChangeGrowth) {
-  Fixture engine_on(TwoPaths());
-  Fixture tiny(TwoPaths());
-  tiny.query_config.embedding_list_budget = 1;
-  tiny.engine = std::make_unique<GrowthEngine>(
-      &tiny.graph, tiny.index.get(), &tiny.session_config,
-      &tiny.query_config, &tiny.stats);
-  for (Fixture* f : {&engine_on, &tiny}) {
-    int32_t s = f->FindStar(2, {1, 3});
-    ASSERT_NE(s, -1);
-    std::vector<GrowthPattern> working;
-    working.push_back(f->engine->SeedFromSpider(s));
-    MergeRegistry previous;
-    GrowRoundResult r =
-        f->engine->GrowRound(std::move(working), false, &previous);
-    working = std::move(r.patterns);
-  }
-  EXPECT_EQ(engine_on.stats.growth_steps, tiny.stats.growth_steps);
-  EXPECT_EQ(engine_on.stats.extend_calls, tiny.stats.extend_calls);
 }
 
 /// Two overlaps of the same shape whose graph ids run in opposite orders

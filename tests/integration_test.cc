@@ -76,9 +76,9 @@ TEST(IntegrationTest, ReturnedSupportsAreReproducible) {
     options.max_states = 2000000;
     std::vector<Embedding> embeddings =
         FindEmbeddings(mp.pattern, data->graph, options);
-    // The miner's closure phase canonicalizes E[P] before the image dedup
-    // (so the carried-list and VF2 paths agree byte for byte); greedy-MIS
-    // support is order-sensitive, so reproducing it needs the same step.
+    // The miner's closure phase canonicalizes E[P] before the image dedup;
+    // greedy-MIS support is order-sensitive, so reproducing it needs the
+    // same step.
     CanonicalizeEmbeddingOrder(&embeddings);
     DedupEmbeddingsByImage(&embeddings);
     int64_t support = ComputeSupport(SupportMeasureKind::kGreedyMisVertex,

@@ -133,9 +133,6 @@ TEST(MinerTest, InvalidConfigsRejected) {
   SessionConfig config;
   config.min_support = 0;
   EXPECT_TRUE(rejected(config, {}));
-  config = {};
-  config.spider_radius = 3;
-  EXPECT_TRUE(rejected(config, {}));
   TopKQuery query;
   query.k = 0;
   EXPECT_TRUE(rejected({}, query));

@@ -204,13 +204,12 @@ TEST(ParallelDeterminismTest, CheckMergePairPassIdenticalUnderMergePressure) {
   }
 }
 
-TEST(ParallelDeterminismTest, MeasureThreadsBudgetMatrixIdentical) {
+TEST(ParallelDeterminismTest, EveryMeasureIdenticalAcrossThreads) {
   // Every support measure must honour the same determinism contract: for a
-  // fixed seed the transcript is byte-identical across thread counts AND
-  // across embedding-list budgets (budget 0 = VF2-only closure exercises
-  // the fallback enumeration path; the default carries lists). The
-  // transaction measure additionally runs with a per-run sample, whose RNG
-  // substream must not depend on threading either.
+  // fixed seed the transcript is byte-identical across thread counts,
+  // closure's E[P] searches included. The transaction measure additionally
+  // runs with a per-run sample, whose RNG substream must not depend on
+  // threading either.
   LabeledGraph g = ErGraphWithInjection(1111);
   VertexTxnMap txn_map;
   txn_map.num_transactions = 8;
@@ -237,17 +236,11 @@ TEST(ParallelDeterminismTest, MeasureThreadsBudgetMatrixIdentical) {
         << SupportMeasureName(measure) << ": " << reference.status();
     EXPECT_FALSE(reference->patterns.empty()) << SupportMeasureName(measure);
     const std::string expected = Transcript(*reference);
-    for (int32_t threads : {1, 8}) {
-      for (int64_t budget : {int64_t{4096}, int64_t{0}}) {
-        config.num_threads = threads;
-        query.embedding_list_budget = budget;
-        Result<QueryResult> run = MineOnce(&g, config, query);
-        ASSERT_TRUE(run.ok()) << run.status();
-        EXPECT_EQ(Transcript(*run), expected)
-            << SupportMeasureName(measure) << " diverged at threads="
-            << threads << " budget=" << budget;
-      }
-    }
+    config.num_threads = 8;
+    Result<QueryResult> run = MineOnce(&g, config, query);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(Transcript(*run), expected)
+        << SupportMeasureName(measure) << " diverged at threads=8";
   }
 }
 

@@ -83,10 +83,9 @@ Opened OpenSm2(const std::string& path) {
   AppendColumn(&result.columns, (*mapped)->index().offsets());
   AppendColumn(&result.columns, (*mapped)->index().ids());
   const Stage1Meta& meta = (*mapped)->meta();
-  result.columns += StrCat(meta.min_support, ",", meta.spider_radius, ",",
-                           meta.max_star_leaves, ",", meta.max_spiders, ",",
-                           meta.num_graph_vertices, ",", meta.graph_hash,
-                           ",", meta.truncated);
+  result.columns += StrCat(meta.min_support, ",", meta.max_star_leaves, ",",
+                           meta.max_spiders, ",", meta.num_graph_vertices,
+                           ",", meta.graph_hash, ",", meta.truncated);
   return result;
 }
 
@@ -105,10 +104,10 @@ Opened OpenSm2p(const std::string& path) {
   }
   const Stage1PartialMeta& meta = (*partial)->meta();
   result.columns += StrCat(
-      meta.min_support, ",", meta.spider_radius, ",", meta.max_star_leaves,
-      ",", meta.max_spiders, ",", meta.num_graph_vertices, ",",
-      meta.graph_hash, ",", meta.partition_index, ",", meta.num_partitions,
-      ",", meta.owned_begin, ",", meta.owned_end);
+      meta.min_support, ",", meta.max_star_leaves, ",", meta.max_spiders,
+      ",", meta.num_graph_vertices, ",", meta.graph_hash, ",",
+      meta.partition_index, ",", meta.num_partitions, ",", meta.owned_begin,
+      ",", meta.owned_end);
   return result;
 }
 
@@ -209,6 +208,44 @@ TEST(SectionFileTest, Sm2pCorruptionBattery) {
   ASSERT_GT(partial->store.size(), 0);
   RunBattery("sm2p", Stage1PartialToBytes(partial->store, partial->meta),
              OpenSm2p, /*lazy_from=*/kSm2pSectionCount);
+}
+
+/// Both formats keep the spider-radius meta field (int32 after the int64
+/// support floor); every store holds radius-1 stars, so a validly signed
+/// file recording any other radius is refused with an error naming it.
+TEST(SectionFileTest, RadiusOtherThanOneIsRejected) {
+  const LabeledGraph graph = SmallGraph();
+  Result<MiningSession> session =
+      MiningSession::Create(&graph, SessionConfig{});
+  ASSERT_TRUE(session.ok()) << session.status();
+  const std::string path = TempPath("section_file_radius.sm2");
+  ASSERT_TRUE(session->SaveStage1(path).ok());
+  std::string sm2 = ReadAll(path);
+  Result<PartitionPlan> plan = MakePartitionPlan(graph, 2, 1);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
+  ASSERT_TRUE(part.ok()) << part.status();
+  Result<Stage1PartialResult> partial =
+      MineStage1Partial(*part, Stage1PartialConfig{});
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  std::string sm2p = Stage1PartialToBytes(partial->store, partial->meta);
+  for (std::string* bytes : {&sm2, &sm2p}) {
+    const size_t radius_at = EntryOf(*bytes, 0).offset + 8;
+    ASSERT_EQ(LoadAt<int32_t>(*bytes, radius_at), 1);
+    StoreAt<int32_t>(bytes, radius_at, 2);
+    ResignAll(bytes);
+  }
+  WriteAll(path, sm2);
+  const Status sm2_status = MappedStage1::Open(path).status();
+  EXPECT_NE(sm2_status.message().find("spider_radius is 2"),
+            std::string::npos)
+      << sm2_status;
+  WriteAll(path, sm2p);
+  const Status sm2p_status = MappedStage1Partial::Open(path).status();
+  EXPECT_NE(sm2p_status.message().find("spider_radius is 2"),
+            std::string::npos)
+      << sm2p_status;
+  std::filesystem::remove(path);
 }
 
 TEST(SectionFileTest, EmptyAndForeignFilesAreRejected) {

@@ -124,7 +124,7 @@ TEST(ServeJsonTest, QueryFromJsonMapsEveryKey) {
       "{\"support\": 4, \"k\": 3, \"dmax\": 6, \"epsilon\": 0.2, "
       "\"vmin\": 9, \"seed\": 99, \"seed_count\": 12, \"restarts\": 2, "
       "\"time_budget\": 1.5, \"measure\": \"count\", "
-      "\"strict_dmax\": true, \"emb_budget\": 64, \"txn_sample\": 5, "
+      "\"strict_dmax\": true, \"txn_sample\": 5, "
       "\"id\": 1}");
   ASSERT_TRUE(object.ok()) << object.status();
   Result<TopKQuery> query = QueryFromJson(*object);
@@ -140,7 +140,6 @@ TEST(ServeJsonTest, QueryFromJsonMapsEveryKey) {
   EXPECT_EQ(query->time_budget_seconds, 1.5);
   EXPECT_EQ(query->support_measure, SupportMeasureKind::kEmbeddingCount);
   EXPECT_TRUE(query->enforce_dmax_on_results);
-  EXPECT_EQ(query->embedding_list_budget, 64);
   EXPECT_EQ(query->txn_sample, 5);
 }
 
@@ -150,6 +149,15 @@ TEST(ServeJsonTest, QueryFromJsonRejectsUnknownAndMistyped) {
   Result<TopKQuery> q1 = QueryFromJson(*unknown);
   EXPECT_FALSE(q1.ok());
   EXPECT_NE(q1.status().message().find("topk"), std::string::npos);
+
+  // The retired carried-list budget is an unknown key like any other.
+  Result<JsonObject> retired = ParseJsonObject("{\"emb_budget\": 64}");
+  ASSERT_TRUE(retired.ok());
+  Result<TopKQuery> q3 = QueryFromJson(*retired);
+  EXPECT_FALSE(q3.ok());
+  EXPECT_NE(q3.status().message().find("unknown request key \"emb_budget\""),
+            std::string::npos)
+      << q3.status();
 
   Result<JsonObject> mistyped = ParseJsonObject("{\"k\": \"ten\"}");
   ASSERT_TRUE(mistyped.ok());
@@ -917,8 +925,9 @@ TEST(ServeServerTest, TcpTransportAndCacheHitsAreByteIdentical) {
 
   // The same query from two TCP clients, sequentially: the second is a
   // cache hit — byte-identical modulo the "seconds" timing — and bypasses
-  // RunQuery (queries_run stays 1). `emb_budget` differs on purpose:
-  // results are invariant to it, so the canonical hash ignores it.
+  // RunQuery (queries_run stays 1). `restarts` differs on purpose: a
+  // negative value resolves to the default 1, and the canonical hash is
+  // taken after resolution.
   const std::string query =
       "{\"id\": 1, \"k\": 3, \"seed\": 7, \"vmin\": 8, \"seed_count\": 10";
   TestClient first = TestClient::ConnectTcp(server.endpoints().tcp_port);
@@ -927,7 +936,7 @@ TEST(ServeServerTest, TcpTransportAndCacheHitsAreByteIdentical) {
   EXPECT_NE(cold.find("\"ok\":true"), std::string::npos) << cold;
 
   TestClient second = TestClient::ConnectTcp(server.endpoints().tcp_port);
-  second.Send(query + ", \"emb_budget\": 123456}\n");
+  second.Send(query + ", \"restarts\": -1}\n");
   const std::string warm = second.ReadLine();
   EXPECT_EQ(NormalizeSeconds(cold), NormalizeSeconds(warm));
   EXPECT_EQ(session->queries_run(), 1);

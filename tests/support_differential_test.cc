@@ -31,7 +31,8 @@
 ///     (embedding count is NOT anti-monotone, so it only enters through
 ///     dominance);
 ///   * the engine's kHomomorphism answers equal the brute-force
-///     homomorphism oracle on small graphs, at any embedding-list budget.
+///     homomorphism oracle on small graphs, with closure's E[P] searches
+///     rooted at stored stars.
 
 namespace spidermine {
 namespace {
@@ -275,7 +276,7 @@ TEST_P(MeasureDifferential, MeasuresAreAntiMonotoneAlongLeafPeelLineages) {
 INSTANTIATE_TEST_SUITE_P(Graphs, MeasureDifferential,
                          ::testing::Values("er", "ba", "dblp"));
 
-TEST(HomomorphismOracleTest, EngineEqualsBruteForceAtAnyBudget) {
+TEST(HomomorphismOracleTest, EngineEqualsBruteForce) {
   Rng rng(7);
   GraphBuilder builder = GenerateErdosRenyi(60, 1.8, 8, &rng);
   Pattern planted = RandomPatternWithDiameter(6, 3, 8, &rng);
@@ -298,12 +299,12 @@ TEST(HomomorphismOracleTest, EngineEqualsBruteForceAtAnyBudget) {
   query.support_measure = SupportMeasureKind::kHomomorphism;
   query.max_embeddings_per_pattern = 1000000;
 
-  Result<QueryResult> carried = session->RunQuery(query);
-  ASSERT_TRUE(carried.ok()) << carried.status();
-  ASSERT_FALSE(carried->patterns.empty());
-  EXPECT_EQ(carried->stats.support_measure, SupportMeasureKind::kHomomorphism);
+  Result<QueryResult> served = session->RunQuery(query);
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_FALSE(served->patterns.empty());
+  EXPECT_EQ(served->stats.support_measure, SupportMeasureKind::kHomomorphism);
 
-  for (const MinedPattern& mp : carried->patterns) {
+  for (const MinedPattern& mp : served->patterns) {
     // Brute-force homomorphism oracle: minimum-image count over the full
     // homomorphic embedding list.
     Vf2Options options;
@@ -318,15 +319,9 @@ TEST(HomomorphismOracleTest, EngineEqualsBruteForceAtAnyBudget) {
     EXPECT_EQ(mp.support, ComputeSupport(SupportMeasureKind::kHomomorphism,
                                          mp.pattern, mp.embeddings));
   }
-
-  // Budget invariance: a VF2-only run (budget 0) is byte-identical to the
-  // carried-list run — the two homomorphic enumeration paths agree.
-  TopKQuery vf2_only = query;
-  vf2_only.embedding_list_budget = 0;
-  Result<QueryResult> fallback = session->RunQuery(vf2_only);
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_EQ(PatternsTranscript(fallback->patterns),
-            PatternsTranscript(carried->patterns));
+  // The oracle's searches scan every label; the engine's closure started
+  // at stored-star anchors (distinct keys under homomorphism).
+  EXPECT_GT(served->stats.closure_rooted, 0);
 }
 
 TEST(TransactionDifferentialTest, DisjointUnionLineagesAndSampling) {

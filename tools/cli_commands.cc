@@ -136,10 +136,6 @@ constexpr QueryParam kQueryParams[] = {
      &TopKQuery::txn_sample},
     {"time-budget", "wall-clock budget seconds (0 = off)",
      &TopKQuery::time_budget_seconds},
-    {"emb-budget",
-     "per-lineage carried embedding-list budget (0 = VF2-only closure); "
-     "results are identical at any value",
-     &TopKQuery::embedding_list_budget},
     {"strict-dmax", "drop results whose diameter exceeds dmax (Definition 2)",
      &TopKQuery::enforce_dmax_on_results},
 };

@@ -5,10 +5,12 @@
 #   BENCH_artifact_load.json  — cold zero-copy mmap open of a `.sm2`
 #     artifact vs one cold sequential read of the same file (the floor of
 #     any copy load); the bench exits 2 unless open_vs_read_speedup >= 10.
-#   BENCH_growth_engine.json  — per-candidate VF2 closure vs the carried
-#     embedding-list engine on a 300k-vertex graph; the committed file
-#     must show post_growth_speedup_8t >= 2 with byte-identical top-K
-#     across modes and thread counts.
+#   BENCH_growth_engine.json  — the query on a 300k-vertex, 8-label graph
+#     at 1/2/8 threads (total, post-growth seconds, closure searches),
+#     then closure's E[P] search rooted at stored-star anchors vs the
+#     label scan over the returned patterns; the committed file must show
+#     rooted_closure_speedup >= 2 with identical rooted and scanned lists
+#     and byte-identical top-K across thread counts.
 #   BENCH_serve_throughput.json — end-to-end queries/sec of the
 #     multi-client socket server (RunServeServer) at 1..8 concurrent
 #     connections, real unix-socket clients on the measured path. The
@@ -50,7 +52,7 @@ build/bench_artifact_load > BENCH_artifact_load.json
 cat BENCH_artifact_load.json
 echo "OK: wrote BENCH_artifact_load.json"
 
-echo "=== bench_growth_engine (300k-vertex graph, 12 queries; ~2 min)"
+echo "=== bench_growth_engine (300k-vertex graph, 6 queries + A/B; ~1 min)"
 build/bench_growth_engine > BENCH_growth_engine.json
 cat BENCH_growth_engine.json
 echo "OK: wrote BENCH_growth_engine.json"
