@@ -91,11 +91,8 @@ std::string Transcript(const std::vector<MinedPattern>& patterns) {
 
 struct Cell {
   int32_t threads = 0;
-  double total_seconds = 0.0;
-  double post_growth_seconds = 0.0;
-  int64_t closure_rooted = 0;
-  int64_t closure_scanned = 0;
   int64_t patterns = 0;
+  MineStats stats;  // of the fastest repeat
 };
 
 /// One side of the A/B: every pattern's E[P] search, the way closure runs
@@ -155,15 +152,9 @@ int Main() {
                      result.status().ToString().c_str());
         return 1;
       }
-      const MineStats& stats = result->stats;
-      const double post_growth =
-          stats.total_seconds - stats.stage2_seconds - stats.stage3_seconds;
-      if (rep == 0 || stats.total_seconds < cell.total_seconds) {
-        cell.total_seconds = stats.total_seconds;
-        cell.post_growth_seconds = post_growth;
+      if (rep == 0 || result->stats.total_seconds < cell.stats.total_seconds) {
+        cell.stats = result->stats;
       }
-      cell.closure_rooted = stats.closure_rooted;
-      cell.closure_scanned = stats.closure_scanned;
       cell.patterns = static_cast<int64_t>(result->patterns.size());
       const std::string transcript = Transcript(result->patterns);
       if (reference_transcript.empty()) {
@@ -177,12 +168,8 @@ int Main() {
         return 1;
       }
     }
-    std::fprintf(stderr,
-                 "threads=%d: total=%.3fs post-growth=%.3fs rooted=%lld "
-                 "scanned=%lld\n",
-                 threads, cell.total_seconds, cell.post_growth_seconds,
-                 static_cast<long long>(cell.closure_rooted),
-                 static_cast<long long>(cell.closure_scanned));
+    std::fprintf(stderr, "threads=%d: %s\n", threads,
+                 cell.stats.ToJson().c_str());
     cells.push_back(cell);
     last_session =
         std::make_unique<MiningSession>(std::move(session).value());
@@ -221,14 +208,12 @@ int Main() {
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     std::printf(
-        "    {\"threads\": %d, \"total_seconds\": %.6f, "
-        "\"post_growth_seconds\": %.6f, \"closure_searches\": %lld, "
-        "\"closure_rooted\": %lld, \"patterns\": %lld}%s\n",
-        c.threads, c.total_seconds, c.post_growth_seconds,
-        static_cast<long long>(c.closure_rooted + c.closure_scanned),
-        static_cast<long long>(c.closure_rooted),
+        "    {\"threads\": %d, \"post_growth_seconds\": %.6f, "
+        "\"patterns\": %lld, \"stats\": %s}%s\n",
+        c.threads,
+        c.stats.total_seconds - c.stats.stage2_seconds - c.stats.stage3_seconds,
         static_cast<long long>(c.patterns),
-        i + 1 < cells.size() ? "," : "");
+        c.stats.ToJson().c_str(), i + 1 < cells.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"ab_patterns\": %zu,\n  \"ab_rooted\": %lld,\n",

@@ -97,6 +97,7 @@ struct Cell {
   double best_seconds = 0.0;
   double qps = 0.0;
   int64_t patterns = 0;
+  MineStats stats = {};  // of the fastest repeat
 };
 
 int Main() {
@@ -152,6 +153,7 @@ int Main() {
       if (rep == 0) {
         reference = transcript;
         cell.best_seconds = seconds;
+        cell.stats = result->stats;
       } else if (transcript != reference) {
         std::fprintf(stderr,
                      "TRANSCRIPT MISMATCH for %s at repeat %d — the "
@@ -160,6 +162,7 @@ int Main() {
         return 1;
       } else if (seconds < cell.best_seconds) {
         cell.best_seconds = seconds;
+        cell.stats = result->stats;
       }
       cell.patterns = static_cast<int64_t>(result->patterns.size());
     }
@@ -193,9 +196,9 @@ int Main() {
     std::printf(
         "    {\"measure\": \"%s\", \"txn_sample\": %lld, "
         "\"best_seconds\": %.6f, \"queries_per_second\": %.3f, "
-        "\"patterns\": %lld}%s\n",
+        "\"patterns\": %lld, \"stats\": %s}%s\n",
         c.name.c_str(), static_cast<long long>(c.txn_sample), c.best_seconds,
-        c.qps, static_cast<long long>(c.patterns),
+        c.qps, static_cast<long long>(c.patterns), c.stats.ToJson().c_str(),
         i + 1 < cells.size() ? "," : "");
   }
   std::printf("  ],\n");

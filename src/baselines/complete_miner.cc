@@ -8,7 +8,6 @@
 
 #include "common/timer.h"
 #include "pattern/dfs_code.h"
-#include "pattern/embedding_list.h"
 
 namespace spidermine {
 
@@ -18,6 +17,58 @@ struct State {
   Pattern pattern;
   std::vector<Embedding> embeddings;
 };
+
+// The level-wise embedding-list steps: each pattern extension by one edge
+// derives its embeddings from its parent's, instead of searching the
+// network again.
+
+/// Level-extension step: appends to \p out every extension of \p base
+/// embeddings mapping a NEW pattern vertex (attached to pattern vertex
+/// \p src by an edge labeled \p edge_label, with vertex label
+/// \p vertex_label) onto a fresh graph neighbor. Stops once \p out reaches
+/// \p max_embeddings (the caller's per-pattern cap) and returns false
+/// then, true when the enumeration completed.
+bool ExtendEmbeddingsNewVertex(const LabeledGraph& graph,
+                               const std::vector<Embedding>& base,
+                               VertexId src, EdgeLabelId edge_label,
+                               LabelId vertex_label, int64_t max_embeddings,
+                               std::vector<Embedding>* out) {
+  for (const Embedding& e : base) {
+    const std::vector<VertexId> image = SortedImage(e);
+    for (VertexId x : graph.Neighbors(e[static_cast<size_t>(src)])) {
+      if (graph.Label(x) != vertex_label ||
+          std::binary_search(image.begin(), image.end(), x)) {
+        continue;
+      }
+      if (graph.EdgeLabel(e[static_cast<size_t>(src)], x) != edge_label) {
+        continue;
+      }
+      Embedding extended = e;
+      extended.push_back(x);
+      out->push_back(std::move(extended));
+      if (static_cast<int64_t>(out->size()) >= max_embeddings) return false;
+    }
+  }
+  return true;
+}
+
+/// Internal-edge step: keeps the \p embeddings whose images of pattern
+/// vertices \p u and \p v are joined by a graph edge labeled
+/// \p edge_label (the embeddings of the pattern with that edge added; the
+/// vertex set is unchanged).
+std::vector<Embedding> FilterEmbeddingsInternalEdge(
+    const LabeledGraph& graph, const std::vector<Embedding>& embeddings,
+    VertexId u, VertexId v, EdgeLabelId edge_label) {
+  std::vector<Embedding> kept;
+  for (const Embedding& e : embeddings) {
+    const VertexId gu = e[static_cast<size_t>(u)];
+    const VertexId gv = e[static_cast<size_t>(v)];
+    if (graph.HasEdge(gu, gv) && graph.EdgeLabel(gu, gv) == edge_label) {
+      kept.push_back(e);
+    }
+  }
+  return kept;
+}
 
 }  // namespace
 

@@ -10,7 +10,8 @@
 /// \file config.h
 /// User-facing parameters of SpiderMine (paper Algorithm 1 inputs) plus the
 /// engineering caps that bound memory on pathological inputs. Every cap
-/// records its trigger in MineStats so truncation is never silent.
+/// records its trigger in MineStats (stats.h) so truncation is never
+/// silent.
 ///
 /// The parameters split along the paper's cost structure (Sec. 4.2.1):
 /// Stage I (mining all r-spiders) is a one-time pass over the massive
@@ -191,51 +192,6 @@ struct QueryConfig {
   /// cryptographic digest.
   uint64_t CanonicalHash(int64_t session_min_support,
                          int64_t graph_vertices) const;
-};
-
-/// Counters and timings of one session query (or one MineOnce run). Stage I
-/// fields are populated by the session (exactly once per session); query
-/// stats leave them 0, which is how tests assert that serving R queries
-/// re-mines nothing.
-struct MineStats {
-  int64_t num_spiders = 0;        ///< spiders mined in Stage I
-  int64_t num_closed_spiders = 0; ///< spiders surviving the closed filter
-  int64_t stage1_store_bytes = 0; ///< SpiderStore arena footprint (bytes)
-  int64_t stage1_scan_shards = 0; ///< label x vertex-range scan shards
-  int64_t stage1_enum_shards = 0; ///< label x first-leaf-key subtree shards
-  int64_t seed_count_m = 0;       ///< M actually used
-  int64_t extend_calls = 0;       ///< SpiderExtend invocations
-  int64_t growth_steps = 0;       ///< successful spider appends
-  int64_t stage1_steps = 0;       ///< star-mining extension attempts
-  int64_t merges = 0;             ///< merged patterns created
-  int64_t merge_attempts = 0;     ///< pattern pairs examined
-  int64_t pruned_unmerged = 0;    ///< patterns dropped at end of Stage II
-  /// IsoIndex lookups an iso-hash miss settled (no pattern under the key);
-  /// one split between a merge pair worker and the merge fold counts once.
-  int64_t iso_checks_skipped = 0;
-  int64_t iso_checks_run = 0;     ///< VF2 tests run on iso-hash matches
-  int64_t nonclosed_dropped = 0;  ///< patterns dropped by closedness rule
-  /// Closure's E[P] searches rooted at a stored star's anchors, and those
-  /// that scanned every vertex of the start label (star not stored).
-  int64_t closure_rooted = 0;
-  int64_t closure_scanned = 0;
-  /// Support measure the query ran under (echoed into --stats output and
-  /// the serving aggregates).
-  SupportMeasureKind support_measure = SupportMeasureKind::kGreedyMisVertex;
-  int64_t txn_sample_size = 0;    ///< per-run transaction sample size (0 = all)
-  int64_t closure_edges_added = 0; ///< internal edges restored post-growth
-  int64_t embedding_cap_hits = 0;
-  int64_t pattern_cap_hits = 0;
-  int64_t stage2_iterations = 0;
-  int64_t stage3_rounds = 0;
-  bool timed_out = false;
-  double stage1_seconds = 0.0;
-  double stage2_seconds = 0.0;
-  double stage3_seconds = 0.0;
-  double total_seconds = 0.0;
-
-  /// Multi-line human-readable rendering (tools and example output).
-  std::string ToString() const;
 };
 
 }  // namespace spidermine

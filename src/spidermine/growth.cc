@@ -197,28 +197,6 @@ struct PatternPool {
 
 }  // namespace
 
-/// Stat counters a worker accumulates privately; the coordinator folds them
-/// into the shared MineStats in input order, so totals are identical at any
-/// thread count.
-struct GrowthEngine::LocalStats {
-  int64_t extend_calls = 0;
-  int64_t growth_steps = 0;
-  IsoChecks iso;
-  int64_t nonclosed_dropped = 0;
-  int64_t embedding_cap_hits = 0;
-  int64_t pattern_cap_hits = 0;
-
-  void FoldInto(MineStats* stats) const {
-    stats->extend_calls += extend_calls;
-    stats->growth_steps += growth_steps;
-    stats->iso_checks_skipped += iso.skipped;
-    stats->iso_checks_run += iso.run;
-    stats->nonclosed_dropped += nonclosed_dropped;
-    stats->embedding_cap_hits += embedding_cap_hits;
-    stats->pattern_cap_hits += pattern_cap_hits;
-  }
-};
-
 /// The intra-round expansion state of ONE input pattern, owned entirely by
 /// the worker expanding it. pool[0] is the input; later entries are the
 /// extensions discovered this round. Registry values are LOCAL pool
@@ -227,7 +205,7 @@ struct GrowthEngine::Lineage {
   PatternPool pool;
   std::deque<int64_t> queue;
   MergeRegistry registry;
-  LocalStats stats;
+  MineStats stats;  // the coordinator adds these to the query's in order
   bool any_growth = false;
   bool truncated = false;
 };
@@ -246,7 +224,6 @@ struct GrowthEngine::PendingFold {
 struct GrowthEngine::RoundState {
   PatternPool pool;
   MergeRegistry registry;
-  LocalStats stats;  // dedup work of the coordinator and the merge workers
   bool any_growth = false;
   bool truncated = false;
 };
@@ -280,7 +257,7 @@ int64_t GrowthEngine::Support(const GrowthPattern& gp) const {
 }
 
 GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
-                                      LocalStats* local) const {
+                                      MineStats* local) const {
   const SpiderStore& store = index_->store();
   GrowthPattern gp;
   gp.pattern = store.PatternOf(spider_id);
@@ -329,9 +306,7 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
 }
 
 GrowthPattern GrowthEngine::SeedFromSpider(int32_t spider_id) {
-  LocalStats local;
-  GrowthPattern gp = BuildSeed(spider_id, &local);
-  local.FoldInto(stats_);
+  GrowthPattern gp = BuildSeed(spider_id, stats_);
   gp.id = next_id_++;
   return gp;
 }
@@ -340,7 +315,7 @@ std::vector<GrowthPattern> GrowthEngine::SeedPatterns(
     const std::vector<int32_t>& picks) {
   const int64_t n = static_cast<int64_t>(picks.size());
   std::vector<GrowthPattern> out(picks.size());
-  std::vector<LocalStats> local(picks.size());
+  std::vector<MineStats> local(picks.size());
   auto build = [this, &picks, &out, &local](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       out[i] = BuildSeed(picks[i], &local[i]);
@@ -356,7 +331,7 @@ std::vector<GrowthPattern> GrowthEngine::SeedPatterns(
   // Serial epilogue in input order: id assignment and stat folding match a
   // sequential SeedFromSpider loop exactly.
   for (int64_t i = 0; i < n; ++i) {
-    local[i].FoldInto(stats_);
+    stats_->Add(local[i]);
     out[i].id = next_id_++;
   }
   return out;
@@ -631,8 +606,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   };
   struct PairResult {
     std::vector<UnionCandidate> candidates;
-    int64_t merge_attempts = 0;
-    IsoChecks iso;
+    MineStats stats;
     bool cancelled = false;
   };
   std::vector<PairResult> results(tasks.size());
@@ -642,7 +616,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       out->cancelled = true;
       return;
     }
-    ++out->merge_attempts;
+    ++out->stats.merge_attempts;
     const GrowthPattern& a = snapshot.patterns[task.a];
     const GrowthPattern& b = snapshot.patterns[task.b];
     // Collect overlapping embedding pairs.
@@ -737,7 +711,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
         const uint64_t up_hash = IsoIndex::Key(up);
         std::vector<VertexId> iso;
         const int64_t group = union_index.Find(up_hash, up, /*first_idx=*/0,
-                                               unions, &iso, &out->iso);
+                                               unions, &iso, &out->stats.iso);
         if (group >= 0) {
           sg.group = static_cast<size_t>(group);
           for (VertexId uv : iso) sg.rep.push_back(up_rep[uv]);
@@ -781,7 +755,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       // snapshot is read-only until the fold, and its entries lead every
       // dedup bucket, so the fold would find this same first hit.
       g.dup = snapshot.FindDuplicate(g, /*first_idx=*/0, &g.dup_iso,
-                                     &out->iso);
+                                     &out->stats.iso);
       out->candidates.push_back(std::move(g));
     }
   };
@@ -810,15 +784,13 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   std::vector<PendingFold> folds;
   for (size_t i = 0; i < results.size(); ++i) {
     PairResult& result = results[i];
-    stats_->merge_attempts += result.merge_attempts;
-    rs->stats.iso.skipped += result.iso.skipped;
-    rs->stats.iso.run += result.iso.run;
+    stats_->Add(result.stats);
     if (result.cancelled) rs->truncated = true;
     for (UnionCandidate& c : result.candidates) {
       c.id = next_id_++;
       if (c.dup < 0) {
         c.dup = rs->pool.FindDuplicate(c, snapshot_size, &c.dup_iso,
-                                       &rs->stats.iso);
+                                       &stats_->iso);
       }
       if (c.dup >= 0) {
         rs->pool.patterns[c.dup].merged_ever = true;  // now a merge product
@@ -924,7 +896,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   RoundState rs;
   for (int64_t i = 0; i < n; ++i) {
     Lineage& ls = lineages[static_cast<size_t>(i)];
-    ls.stats.FoldInto(stats_);
+    stats_->Add(ls.stats);
     rs.any_growth |= ls.any_growth;
     rs.truncated |= ls.truncated;
   }
@@ -951,7 +923,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
       GrowthPattern child = std::move(lp.patterns[c]);
       std::vector<VertexId> iso;
       const int64_t dup =
-          rs.pool.FindDuplicate(child, /*first_idx=*/0, &iso, &rs.stats.iso);
+          rs.pool.FindDuplicate(child, /*first_idx=*/0, &iso, &stats_->iso);
       if (dup >= 0) {
         rs.pool.patterns[dup].merged_ever |= child.merged_ever;
         // A non-closed verdict from any lineage applies to the shared
@@ -991,7 +963,6 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   }
 
   if (enable_merging) RunMerges(&rs, previous);
-  rs.stats.FoldInto(stats_);
 
   GrowRoundResult out;
   out.any_growth = rs.any_growth;

@@ -12,6 +12,7 @@
 #include "pattern/pattern.h"
 #include "spider/spider_index.h"
 #include "spidermine/config.h"
+#include "spidermine/stats.h"
 
 /// \file growth.h
 /// The SpiderGrow / SpiderExtend / CheckMerge machinery (paper Algorithms
@@ -134,7 +135,6 @@ class GrowthEngine {
  private:
   struct RoundState;
   struct Lineage;
-  struct LocalStats;
   struct PendingFold;
 
   /// True once the bound token or deadline requests a stop.
@@ -142,7 +142,7 @@ class GrowthEngine {
 
   /// Seed construction with stats written to \p local (worker-safe; no
   /// shared-state writes).
-  GrowthPattern BuildSeed(int32_t spider_id, LocalStats* local) const;
+  GrowthPattern BuildSeed(int32_t spider_id, MineStats* local) const;
 
   /// Runs the full intra-round expansion of one input pattern into \p ls,
   /// admitting at most \p pattern_cap patterns (the round's global

@@ -17,8 +17,8 @@ Result<OracleResult> ExactTopKLargest(const LabeledGraph& graph,
     return Status::InvalidArgument("oracle dmax must be non-negative");
   }
   // The oracle rides on the complete baseline miner, whose level-extension
-  // steps are the embedding-list primitives of pattern/embedding_list.h
-  // (ExtendEmbeddingsNewVertex / FilterEmbeddingsInternalEdge).
+  // steps derive each pattern's embeddings from its parent's
+  // (baselines/complete_miner.cc).
   CompleteMinerConfig complete;
   complete.min_support = config.min_support;
   complete.support_measure = config.support_measure;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/fnv1a.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/timer.h"
@@ -375,22 +374,19 @@ SessionServingStats MiningSession::serving_stats() const {
   return serving_->stats;
 }
 
-int64_t MiningSession::FoldQueryIntoAggregate(const QueryResult& result) const {
+void MiningSession::FoldQueryIntoAggregate(const QueryResult& result) const {
   std::lock_guard<std::mutex> lock(serving_->mu);
   SessionServingStats& agg = serving_->stats;
   ++agg.queries_run;
   agg.patterns_returned += static_cast<int64_t>(result.patterns.size());
   if (result.stats.timed_out) ++agg.timed_out_queries;
-  agg.total_query_seconds += result.stats.total_seconds;
   agg.max_query_seconds =
       std::max(agg.max_query_seconds, result.stats.total_seconds);
-  agg.closure_rooted += result.stats.closure_rooted;
-  agg.closure_scanned += result.stats.closure_scanned;
+  agg.query_totals.Add(result.stats);
   if (result.stats.support_measure == SupportMeasureKind::kHomomorphism) {
     ++agg.homomorphism_queries;
   }
   if (result.stats.txn_sample_size > 0) ++agg.txn_sampled_queries;
-  return agg.queries_run;
 }
 
 Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
@@ -432,8 +428,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
 
   GrowthEngine engine(graph_, index_.get(), &config_, &q, &stats, &deadline,
                       pool_, &cancel);
-  IsoChecks result_checks;  // the collector's and the post-closure dedup's
-  BestPerClass collector(&result_checks, q.max_results);
+  BestPerClass collector(&stats.iso, q.max_results);
   // Sampling-based transaction mode: each restart run draws its own sorted
   // whitelist from the run's salted substream (empty = count everything).
   // The vector outlives every engine call of its run; the closure recount
@@ -563,12 +558,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
         std::min(all.size(), static_cast<size_t>(q.closure_window));
     // Per-pattern closure is independent: fan out over the pool, each
     // iteration touching only all[i] and its own counter slot.
-    struct ClosureSlot {
-      int32_t edges_added = 0;
-      int32_t rooted = 0;
-      int32_t scanned = 0;
-    };
-    std::vector<ClosureSlot> slots(limit);
+    std::vector<MineStats> slots(limit);
     pool_->ParallelForChunks(
         static_cast<int64_t>(limit), /*grain=*/1,
         [this, &q, &all, &slots, homomorphic,
@@ -580,7 +570,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
               closure_txn_sample.empty() ? nullptr : &closure_txn_sample;
           for (int64_t i = begin; i < end; ++i) {
             MinedPattern& mp = all[static_cast<size_t>(i)];
-            ClosureSlot& slot = slots[static_cast<size_t>(i)];
+            MineStats& slot = slots[static_cast<size_t>(i)];
             // Growth tracks only the embeddings reachable along its own
             // path (an occurrence list), which under-counts the surviving
             // support of a candidate closure edge, so closure enumerates
@@ -595,7 +585,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
             vf2_options.start_roots = [this, &mp, &slot,
                                        homomorphic](VertexId v) {
               auto roots = StarRoots(*store_, mp.pattern, v, homomorphic);
-              ++(roots ? slot.rooted : slot.scanned);
+              ++(roots ? slot.closure_rooted : slot.closure_scanned);
               return roots;
             };
             std::vector<Embedding> full =
@@ -612,21 +602,17 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
                                           mp.embeddings, support_context);
             }
             if (q.close_internal_edges) {
-              slot.edges_added = CloseInternalEdges(
+              slot.closure_edges_added = CloseInternalEdges(
                   *graph_, &mp.pattern, &mp.embeddings, q.support_measure,
                   q.min_support, &mp.support, support_context);
             }
           }
         },
         &cancel);
-    for (size_t i = 0; i < limit; ++i) {
-      stats.closure_edges_added += slots[i].edges_added;
-      stats.closure_rooted += slots[i].rooted;
-      stats.closure_scanned += slots[i].scanned;
-    }
+    for (const MineStats& slot : slots) stats.Add(slot);
     if (stats.closure_edges_added > 0) {
       std::sort(all.begin(), all.end(), LargerPattern);
-      BestPerClass deduped(&result_checks);
+      BestPerClass deduped(&stats.iso);
       for (MinedPattern& mp : all) {
         deduped.Offer(std::move(mp));
         // Dedup cost is bounded: only the top window can reach the final K.
@@ -635,8 +621,6 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
       all = deduped.Take();
     }
   }
-  stats.iso_checks_skipped += result_checks.skipped;
-  stats.iso_checks_run += result_checks.run;
 
   // An elevated query threshold (> the session floor) is enforced on the
   // final list as well: seeds drawn from the cached floor-level store (and
@@ -665,14 +649,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
     stats.timed_out = true;
   }
   stats.total_seconds = total_timer.ElapsedSeconds();
-  const int64_t sequence = FoldQueryIntoAggregate(result);
-  Log(LogLevel::kInfo,
-      StrCat("MiningSession: query #", sequence, " over ",
-             stage1_stats_.num_spiders, " cached spiders, M=",
-             stats.seed_count_m, ", merges=", stats.merges,
-             ", closure rooted/scanned=", stats.closure_rooted, "/",
-             stats.closure_scanned, ", returned ", result.patterns.size(),
-             " patterns in ", stats.total_seconds, "s"));
+  FoldQueryIntoAggregate(result);
   return result;
 }
 
@@ -699,13 +676,7 @@ Result<QueryResult> MineOnce(const LabeledGraph* graph, SessionConfig config,
   SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
 
   MineStats& stats = result.stats;
-  stats.num_spiders = stage1.num_spiders;
-  stats.num_closed_spiders = stage1.num_closed_spiders;
-  stats.stage1_store_bytes = stage1.stage1_store_bytes;
-  stats.stage1_scan_shards = stage1.stage1_scan_shards;
-  stats.stage1_enum_shards = stage1.stage1_enum_shards;
-  stats.stage1_steps = stage1.stage1_steps;
-  stats.stage1_seconds = stage1.stage1_seconds;
+  stats.Add(stage1);  // the query's Stage I counters are 0
   stats.timed_out = stats.timed_out || stage1.timed_out;
   stats.total_seconds = total_timer.ElapsedSeconds();
   return result;

@@ -18,6 +18,8 @@
 #include "spider/spider_store.h"
 #include "spider/spider_store_mmap.h"
 #include "spidermine/config.h"
+#include "spidermine/result_cache.h"
+#include "spidermine/stats.h"
 
 /// \file session.h
 /// The serving front door of SpiderMine: mine Stage I once, answer many
@@ -120,31 +122,19 @@ struct SessionServingStats {
   int64_t patterns_returned = 0;
   /// Queries whose time budget expired (MineStats::timed_out).
   int64_t timed_out_queries = 0;
-  /// Sum of per-query wall seconds (MineStats::total_seconds). Under
-  /// concurrent serving this exceeds elapsed wall time — it is the served
-  /// compute, not the serving duration.
-  double total_query_seconds = 0.0;
   /// Slowest single query so far, in seconds.
   double max_query_seconds = 0.0;
-  /// Closure E[P] searches across all queries, rooted at a stored star's
-  /// anchors or scanning the start label (MineStats::closure_rooted and
-  /// closure_scanned folded per query).
-  int64_t closure_rooted = 0;
-  int64_t closure_scanned = 0;
+  /// Every query's stats summed. Its total_seconds is the served compute,
+  /// which under concurrent serving exceeds the elapsed wall time.
+  MineStats query_totals;
   /// Queries served under the homomorphism support measure.
   int64_t homomorphism_queries = 0;
   /// Queries that ran the sampling-based transaction mode (txn_sample > 0).
   int64_t txn_sampled_queries = 0;
-  /// Result-cache counters (spidermine/result_cache.h), folded in by the
-  /// serve layer before rendering a summary: the cache lives beside the
-  /// session (RunQuery itself never consults it), so the session's own
-  /// aggregate leaves these at 0. A cache hit bypasses RunQuery entirely
-  /// and therefore does NOT count in queries_run.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  /// Resident cached payload bytes at snapshot time.
-  int64_t cache_bytes = 0;
+  /// Result-cache counters, set by the serve layer: the cache lives beside
+  /// the session, so the session's own aggregate leaves them at 0. A cache
+  /// hit bypasses RunQuery and does NOT count in queries_run.
+  ResultCacheStats cache;
 
   /// One-line human-readable rendering (serve loop reports, tools).
   std::string ToString() const;
@@ -245,9 +235,8 @@ class MiningSession {
       const WallTimer& timer,
       const std::function<Status(MiningSession*)>& load_stage1);
 
-  /// Folds one finished query into the serving aggregate; returns the
-  /// query's 1-based serving sequence number (for the log line).
-  int64_t FoldQueryIntoAggregate(const QueryResult& result) const;
+  /// Folds one finished query into the serving aggregate.
+  void FoldQueryIntoAggregate(const QueryResult& result) const;
 
   /// Computes num_txns_ and txn_digest_ from the configured transaction
   /// sources (called once per construction path; both stay 0 without one).

@@ -1,23 +1,22 @@
+#include "spidermine/stats.h"
+
+#include <iomanip>
 #include <sstream>
 
-#include "common/strings.h"
-#include "spidermine/config.h"
 #include "spidermine/session.h"
 
 namespace spidermine {
 
-// SessionConfig/QueryConfig methods live in config.cc; this
-// file renders the stats aggregates.
-
 std::string SessionServingStats::ToString() const {
   std::ostringstream os;
   const double mean =
-      queries_run > 0 ? total_query_seconds / static_cast<double>(queries_run)
-                      : 0.0;
+      queries_run > 0
+          ? query_totals.total_seconds / static_cast<double>(queries_run)
+          : 0.0;
   os << queries_run << " queries served, " << patterns_returned
      << " patterns returned, latency mean/max " << mean << "/"
-     << max_query_seconds << "s, closure rooted/scanned " << closure_rooted
-     << "/" << closure_scanned;
+     << max_query_seconds << "s, closure rooted/scanned "
+     << query_totals.closure_rooted << "/" << query_totals.closure_scanned;
   if (homomorphism_queries > 0) {
     os << ", " << homomorphism_queries << " homomorphism";
   }
@@ -27,26 +26,52 @@ std::string SessionServingStats::ToString() const {
   if (timed_out_queries > 0) {
     os << ", " << timed_out_queries << " hit their time budget";
   }
-  if (cache_hits + cache_misses > 0) {
-    os << ", cache " << cache_hits << " hits / " << cache_misses
-       << " misses (" << cache_bytes / 1024 << " KiB resident, "
-       << cache_evictions << " evicted)";
+  if (cache.hits + cache.misses > 0) {
+    os << ", cache " << cache.hits << " hits / " << cache.misses
+       << " misses (" << cache.bytes / 1024 << " KiB resident, "
+       << cache.evictions << " evicted)";
   }
   return os.str();
 }
 
-std::string MineStats::ToString() const {
+void MineStats::Add(const MineStats& other) {
+  ForEachCounter([](std::string_view, std::string_view, auto& sum,
+                    const auto& more) { sum += more; },
+                 *this, other);
+}
+
+std::string MineStats::ToJson() const {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(6) << '{';
+  const char* separator = "";
+  ForEachCounter(
+      [&](std::string_view name, std::string_view, const auto& value) {
+        os << separator << '"' << name << "\":" << value;
+        separator = ",";
+      },
+      *this);
+  os << '}';
+  return os.str();
+}
+
+std::string MineStats::StageOneLine() const {
+  std::ostringstream os;
+  os << "stage I: " << num_spiders << " spiders (" << num_closed_spiders
+     << " closed) in " << stage1_seconds << "s, " << stage1_steps
+     << " extension attempts, " << stage1_scan_shards << " scan + "
+     << stage1_enum_shards << " enum shards, store "
+     << stage1_store_bytes / 1024 << " KiB\n";
+  return os.str();
+}
+
+std::string MineStats::ToString(const MineStats& stage1) const {
   std::ostringstream os;
   os << "support: " << SupportMeasureName(support_measure);
   if (txn_sample_size > 0) {
     os << ", txn sample " << txn_sample_size << " per run";
   }
   os << "\n"
-     << "stage I: " << num_spiders << " spiders (" << num_closed_spiders
-     << " closed) in " << stage1_seconds << "s, " << stage1_steps
-     << " extension attempts, " << stage1_scan_shards << " scan + "
-     << stage1_enum_shards << " enum shards, store "
-     << stage1_store_bytes / 1024 << " KiB\n"
+     << stage1.StageOneLine()
      << "stage II: M=" << seed_count_m << ", " << stage2_iterations
      << " iterations, " << merges << " merges (" << merge_attempts
      << " pairs examined), " << pruned_unmerged << " unmerged pruned, "
@@ -55,8 +80,8 @@ std::string MineStats::ToString() const {
      << "s\n"
      << "growth: " << extend_calls << " extend calls, " << growth_steps
      << " spider appends, " << nonclosed_dropped << " non-closed dropped\n"
-     << "isomorphism: " << iso_checks_skipped << " skipped by iso-hash, "
-     << iso_checks_run << " run\n"
+     << "isomorphism: " << iso.skipped << " skipped by iso-hash, " << iso.run
+     << " run\n"
      << "closure search: " << closure_rooted
      << " rooted at stored-star anchors, " << closure_scanned
      << " label scans\n"

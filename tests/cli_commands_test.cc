@@ -236,6 +236,49 @@ TEST_F(CliTest, Stage1WritesArtifactAndReportsSpiders) {
   EXPECT_TRUE((*loaded)->EnsureValidated().ok());
 }
 
+TEST_F(CliTest, StatsShowOnlyTheStagesTheCommandRan) {
+  const std::string graph_path = Track(TempPath("cli_stats_stages.smg"));
+  std::ostringstream gen_out;
+  ASSERT_TRUE(CmdGen({"--model=er", "--vertices=150", "--avg-degree=1.5",
+                      "--labels=12", "--seed=5", "--inject-vertices=10",
+                      "--inject-count=3", "--out=" + graph_path},
+                     gen_out)
+                  .ok());
+  const std::string artifact = Track(TempPath("cli_stats_stages.sm2"));
+  std::ostringstream stage1_out;
+  ASSERT_TRUE(CmdStage1({graph_path, "--support=3", "--out=" + artifact,
+                         "--stats"},
+                        stage1_out)
+                  .ok());
+  const std::string stage1_text = stage1_out.str();
+  const std::string mined = "stage1: mined ";
+  ASSERT_EQ(stage1_text.rfind(mined, 0), 0u) << stage1_text;
+  const std::string spiders = stage1_text.substr(
+      mined.size(), stage1_text.find(' ', mined.size()) - mined.size());
+  ASSERT_GT(std::stoll(spiders), 0);
+  const std::string stage1_line = "\nstage I: " + spiders + " spiders (";
+
+  // `stage1 --stats` reports Stage I only: no query stage ran.
+  EXPECT_NE(stage1_text.find(stage1_line), std::string::npos) << stage1_text;
+  for (const char* query_line : {"support:", "stage II:", "stage III:",
+                                 "growth:", "isomorphism:", "total:"}) {
+    EXPECT_EQ(stage1_text.find(query_line), std::string::npos)
+        << query_line << " in:\n" << stage1_text;
+  }
+
+  // `query --stats` shows the loaded artifact's Stage I, not zeros, next to
+  // the query's own lines.
+  std::ostringstream query_out;
+  ASSERT_TRUE(CmdQuery({graph_path, artifact, "--k=3", "--dmax=4", "--seed=2",
+                        "--stats"},
+                       query_out)
+                  .ok());
+  const std::string query_text = query_out.str();
+  EXPECT_NE(query_text.find(stage1_line), std::string::npos) << query_text;
+  EXPECT_NE(query_text.find("\nstage II: M="), std::string::npos);
+  EXPECT_NE(query_text.find("\ntotal: "), std::string::npos);
+}
+
 TEST_F(CliTest, Stage1RequiresOut) {
   const std::string graph_path = Track(TempPath("cli_stage1_noout.smg"));
   std::ostringstream gen_out;

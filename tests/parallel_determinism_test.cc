@@ -200,7 +200,7 @@ TEST(ParallelDeterminismTest, CheckMergePairPassIdenticalUnderMergePressure) {
         << "merge-heavy run diverged at num_threads=" << threads;
     EXPECT_EQ(parallel->stats.merges, serial->stats.merges);
     EXPECT_EQ(parallel->stats.merge_attempts, serial->stats.merge_attempts);
-    EXPECT_EQ(parallel->stats.iso_checks_run, serial->stats.iso_checks_run);
+    EXPECT_EQ(parallel->stats.iso.run, serial->stats.iso.run);
   }
 }
 

@@ -113,8 +113,8 @@ TEST(SessionConcurrencyTest, ConcurrentQueriesMatchSerialExecution) {
   SessionServingStats stats = session->serving_stats();
   EXPECT_EQ(stats.queries_run, expected);
   EXPECT_GT(stats.patterns_returned, 0);
-  EXPECT_GT(stats.total_query_seconds, 0.0);
-  EXPECT_GE(stats.total_query_seconds, stats.max_query_seconds);
+  EXPECT_GT(stats.query_totals.total_seconds, 0.0);
+  EXPECT_GE(stats.query_totals.total_seconds, stats.max_query_seconds);
   EXPECT_EQ(stats.timed_out_queries, 0);
 }
 

@@ -152,10 +152,10 @@ void AddOutputFlags(std::string_view stats_help, FlagSet* flags) {
 
 /// The output tail `mine` and `query` share: the --maximal filter, the
 /// pattern rows under a "top N patterns (<measure> support<header_extra>):"
-/// line, --variants, --stats (after \p stats_head) and --out.
+/// line, --variants, --stats (printing \p stats_text) and --out.
 Status PrintQueryOutput(const FlagSet& flags, QueryResult result,
                         std::string_view header_extra,
-                        std::string_view stats_head, std::ostream& out) {
+                        std::string_view stats_text, std::ostream& out) {
   std::vector<MinedPattern> patterns = std::move(result.patterns);
   if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
 
@@ -169,7 +169,7 @@ Status PrintQueryOutput(const FlagSet& flags, QueryResult result,
     std::vector<VariantGroup> groups = GroupVariants(patterns);
     out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
   }
-  if (flags.GetBool("stats")) out << stats_head << result.stats.ToString();
+  if (flags.GetBool("stats")) out << stats_text;
   if (!flags.GetString("out").empty()) {
     const std::string& prefix = flags.GetString("out");
     for (size_t i = 0; i < patterns.size(); ++i) {
@@ -400,7 +400,8 @@ Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
   // `mine` is the one-shot path; the session lifecycle is served by
   // `stage1` / `query` / `serve`.
   SM_ASSIGN_OR_RETURN(QueryResult result, MineOnce(&graph, config, query));
-  return PrintQueryOutput(flags, std::move(result), "", "", out);
+  const std::string stats_text = result.stats.ToString();
+  return PrintQueryOutput(flags, std::move(result), "", stats_text, out);
 }
 
 Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
@@ -525,7 +526,7 @@ Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
       << "s" << (session.stage1_truncated() ? " (truncated)" : "")
       << "; wrote " << out_path << " ("
       << stats.stage1_store_bytes / 1024 << " KiB store)\n";
-  if (flags.GetBool("stats")) out << stats.ToString();
+  if (flags.GetBool("stats")) out << stats.StageOneLine();
   return Status::Ok();
 }
 
@@ -694,11 +695,13 @@ Status CmdQuery(const std::vector<std::string>& args, std::ostream& out) {
 
   SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(kQueryCommand, flags));
   SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
+  const std::string stats_text =
+      StrCat("artifact load: ", Stage1LoadModeName(session.stage1_load_mode()),
+             " in ", session.stage1_load_seconds(), "s\n",
+             result.stats.ToString(session.stage1_stats()));
   return PrintQueryOutput(
       flags, std::move(result),
-      StrCat(", ", session.store().size(), " cached spiders"),
-      StrCat("artifact load: ", Stage1LoadModeName(session.stage1_load_mode()),
-             " in ", session.stage1_load_seconds(), "s\n"),
+      StrCat(", ", session.store().size(), " cached spiders"), stats_text,
       out);
 }
 

@@ -325,13 +325,7 @@ Executed ExecuteQuery(const MiningSession& session, ResultCache* cache,
 SessionServingStats SnapshotWithCache(const MiningSession& session,
                                       const ResultCache* cache) {
   SessionServingStats snapshot = session.serving_stats();
-  if (cache != nullptr) {
-    ResultCacheStats cache_stats = cache->stats();
-    snapshot.cache_hits = cache_stats.hits;
-    snapshot.cache_misses = cache_stats.misses;
-    snapshot.cache_evictions = cache_stats.evictions;
-    snapshot.cache_bytes = cache_stats.bytes;
-  }
+  if (cache != nullptr) snapshot.cache = cache->stats();
   return snapshot;
 }
 
@@ -774,7 +768,7 @@ Status RunServeServer(const MiningSession& session,
     SessionServingStats snapshot = session.serving_stats();
     double mean_seconds =
         snapshot.queries_run > 0
-            ? snapshot.total_query_seconds /
+            ? snapshot.query_totals.total_seconds /
                   static_cast<double>(snapshot.queries_run)
             : 0.1;
     return std::clamp<int64_t>(static_cast<int64_t>(mean_seconds * 1000.0),
