@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -56,6 +57,15 @@ class LabeledGraph {
   /// Label of the undirected edge {u, v}; 0 for unlabeled edges. Requires
   /// the edge to exist (returns -1 otherwise).
   EdgeLabelId EdgeLabel(VertexId u, VertexId v) const;
+
+  /// Label of the edge to Neighbors(v)[i]: EdgeLabel(v, Neighbors(v)[i])
+  /// without its search, for callers already walking the list. 0 on graphs
+  /// without edge labels.
+  EdgeLabelId EdgeLabelAt(VertexId v, size_t i) const {
+    return has_edge_labels_
+               ? edge_labels_[static_cast<size_t>(offsets_[v]) + i]
+               : 0;
+  }
 
   /// True iff any edge carries a nonzero label.
   bool HasEdgeLabels() const { return has_edge_labels_; }

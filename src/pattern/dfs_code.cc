@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <sstream>
 #include <tuple>
 
@@ -293,65 +294,111 @@ bool MinimumDfsCodeBounded(const Pattern& pattern, int64_t max_steps,
   return MinimumDfsCodeImpl(pattern, max_steps, out);
 }
 
-std::string WlRefinementString(const Pattern& pattern) {
-  auto mix = [](uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-  };
+namespace {
+
+uint64_t WlMix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// The one WL colour refinement behind WlRefinementString and
+/// PatternIsoHash. Hands the fingerprint's bytes to \p sink(data, size) in
+/// order: "n<n>m<m>;" in decimal, each sorted vertex colour in hex with a
+/// trailing ",", a ";", then each sorted edge colour the same way.
+template <typename Sink>
+void WlFingerprint(const Pattern& pattern, Sink&& sink) {
   const int32_t n = pattern.NumVertices();
-  std::vector<uint64_t> color(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v) {
-    color[v] = mix(static_cast<uint64_t>(pattern.Label(v)) + 1);
-  }
-  std::vector<uint64_t> next(static_cast<size_t>(n));
-  for (int round = 0; round < 3; ++round) {
+  const bool edge_labeled = pattern.HasEdgeLabels();
+  // Per-thread scratch: the key runs on every pattern a query grows.
+  thread_local std::vector<uint64_t> color;
+  thread_local std::vector<uint64_t> next;
+  thread_local std::vector<uint64_t> nbr;
+  thread_local std::vector<uint64_t> edge_colors;
+  // Edge labels by adjacency slot (the i-th slot is the i-th entry of the
+  // concatenated neighbour lists), filled only for edge-labeled patterns.
+  thread_local std::vector<EdgeLabelId> slot_label;
+  slot_label.clear();
+  if (edge_labeled) {
     for (VertexId v = 0; v < n; ++v) {
-      std::vector<uint64_t> nbr;
-      nbr.reserve(pattern.Neighbors(v).size());
+      for (VertexId u : pattern.Neighbors(v)) {
+        slot_label.push_back(pattern.EdgeLabel(v, u));
+      }
+    }
+  }
+  auto label_at = [edge_labeled](size_t slot) {
+    return edge_labeled ? static_cast<uint64_t>(slot_label[slot]) : 0;
+  };
+
+  color.resize(static_cast<size_t>(n));
+  next.resize(static_cast<size_t>(n));
+  for (VertexId v = 0; v < n; ++v) {
+    color[v] = WlMix(static_cast<uint64_t>(pattern.Label(v)) + 1);
+  }
+  for (int round = 0; round < 3; ++round) {
+    size_t slot = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      nbr.clear();
       for (VertexId u : pattern.Neighbors(v)) {
         // Edge labels participate in the refinement so edge-labeled
         // non-isomorphic patterns separate (0 for unlabeled edges).
-        nbr.push_back(
-            color[u] ^
-            mix(static_cast<uint64_t>(pattern.EdgeLabel(v, u)) + 17));
+        nbr.push_back(color[u] ^ WlMix(label_at(slot++) + 17));
       }
       std::sort(nbr.begin(), nbr.end());
       uint64_t acc = color[v];
-      for (uint64_t c : nbr) acc = mix(acc ^ (c + 0x9e3779b97f4a7c15ULL));
+      for (uint64_t c : nbr) acc = WlMix(acc ^ (c + 0x9e3779b97f4a7c15ULL));
       next[v] = acc;
     }
     color.swap(next);
   }
-  // Final string: n, m, sorted vertex colors, sorted edge color pairs.
-  std::vector<uint64_t> vertex_colors = color;
-  std::sort(vertex_colors.begin(), vertex_colors.end());
-  std::vector<uint64_t> edge_colors;
-  for (const auto& [u, v] : pattern.Edges()) {
-    uint64_t a = std::min(color[u], color[v]);
-    uint64_t b = std::max(color[u], color[v]);
-    edge_colors.push_back(
-        mix(a) ^ (mix(b) * 3) ^
-        mix(static_cast<uint64_t>(pattern.EdgeLabel(u, v)) + 29));
+  edge_colors.clear();
+  size_t slot = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId u : pattern.Neighbors(v)) {
+      const uint64_t label = label_at(slot++);
+      if (u < v) continue;  // each edge once, from its smaller end
+      const uint64_t a = std::min(color[u], color[v]);
+      const uint64_t b = std::max(color[u], color[v]);
+      edge_colors.push_back(WlMix(a) ^ (WlMix(b) * 3) ^ WlMix(label + 29));
+    }
   }
   std::sort(edge_colors.begin(), edge_colors.end());
-  std::ostringstream os;
-  os << "n" << n << "m" << pattern.NumEdges() << ";";
-  for (uint64_t c : vertex_colors) os << std::hex << c << ",";
-  os << ";";
-  for (uint64_t c : edge_colors) os << std::hex << c << ",";
-  return os.str();
+  std::sort(color.begin(), color.end());  // the vertex colours, in order
+
+  char buf[24];
+  auto put = [&](auto value, int base, char terminator) {
+    char* end = std::to_chars(buf, buf + sizeof(buf) - 1, value, base).ptr;
+    *end++ = terminator;
+    sink(buf, static_cast<size_t>(end - buf));
+  };
+  sink("n", 1);
+  put(n, 10, 'm');
+  put(pattern.NumEdges(), 10, ';');
+  for (uint64_t c : color) put(c, 16, ',');
+  sink(";", 1);
+  for (uint64_t c : edge_colors) put(c, 16, ',');
+}
+
+}  // namespace
+
+std::string WlRefinementString(const Pattern& pattern) {
+  std::string out;
+  WlFingerprint(pattern, [&out](const char* data, size_t size) {
+    out.append(data, size);
+  });
+  return out;
 }
 
 uint64_t PatternIsoHash(const Pattern& pattern) {
-  const std::string key = WlRefinementString(pattern);
   // The basis is the standard one with its last digit dropped. It is
   // kept because every dedup key and pinned value depends on it.
   Fnv1a h(1469598103934665603ULL);
-  h.MixBytes(key.data(), key.size());
+  WlFingerprint(pattern, [&h](const char* data, size_t size) {
+    h.MixBytes(data, size);
+  });
   return h.hash() == 0 ? 1 : h.hash();  // 0 is the "not computed" sentinel
 }
 

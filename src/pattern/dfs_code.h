@@ -71,8 +71,8 @@ std::string WlRefinementString(const Pattern& pattern);
 /// Serializes a code to a compact string usable as a hash/map key.
 std::string DfsCodeToString(const DfsCode& code);
 
-/// 64-bit isomorphism-invariant fingerprint: FNV-1a over
-/// WlRefinementString. Isomorphic patterns always hash equal (WL is
+/// 64-bit isomorphism-invariant fingerprint: FNV-1a over the bytes of
+/// WlRefinementString, folded without building the string. Isomorphic patterns always hash equal (WL is
 /// invariant and has no budgeted fallback, unlike CanonicalString), so a
 /// hash mismatch certifies non-isomorphism and IsoIndex skips the exact
 /// VF2 test; equal hashes still require VF2 confirmation.

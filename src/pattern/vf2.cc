@@ -3,19 +3,70 @@
 #include <algorithm>
 #include <cassert>
 
-#include "graph/graph_builder.h"
-
 namespace spidermine {
 
 namespace {
+
+/// A pattern as a VF2 host: the LabeledGraph calls the search makes,
+/// answered from the pattern's own sorted adjacency. A (label, vertex)
+/// ordering of the vertices stands in for the graph's label index, so
+/// label counts and the start vertex's candidates, in ascending order, are
+/// those of a LabeledGraph built from the pattern, and so is every map the
+/// search returns.
+class PatternHost {
+ public:
+  explicit PatternHost(const Pattern& pattern) : pattern_(&pattern) {
+    by_label_.resize(static_cast<size_t>(pattern.NumVertices()));
+    for (VertexId v = 0; v < pattern.NumVertices(); ++v) by_label_[v] = v;
+    std::stable_sort(by_label_.begin(), by_label_.end(),
+                     [&pattern](VertexId a, VertexId b) {
+                       return pattern.Label(a) < pattern.Label(b);
+                     });
+  }
+
+  int64_t NumVertices() const { return pattern_->NumVertices(); }
+  LabelId Label(VertexId v) const { return pattern_->Label(v); }
+  int64_t Degree(VertexId v) const { return pattern_->Degree(v); }
+  std::span<const VertexId> Neighbors(VertexId v) const {
+    return pattern_->Neighbors(v);
+  }
+  bool HasEdge(VertexId u, VertexId v) const {
+    return pattern_->HasEdge(u, v);
+  }
+  EdgeLabelId EdgeLabel(VertexId u, VertexId v) const {
+    return pattern_->EdgeLabel(u, v);
+  }
+  bool HasEdgeLabels() const { return pattern_->HasEdgeLabels(); }
+  LabelId NumLabels() const {
+    return by_label_.empty() ? 0 : pattern_->Label(by_label_.back()) + 1;
+  }
+  std::span<const VertexId> VerticesWithLabel(LabelId label) const {
+    const Pattern& p = *pattern_;
+    const auto first = std::partition_point(
+        by_label_.begin(), by_label_.end(),
+        [&p, label](VertexId v) { return p.Label(v) < label; });
+    const auto last = std::partition_point(
+        first, by_label_.end(),
+        [&p, label](VertexId v) { return p.Label(v) == label; });
+    return {by_label_.data() + (first - by_label_.begin()),
+            static_cast<size_t>(last - first)};
+  }
+  int64_t LabelCount(LabelId label) const {
+    return static_cast<int64_t>(VerticesWithLabel(label).size());
+  }
+
+ private:
+  const Pattern* pattern_;
+  std::vector<VertexId> by_label_;
+};
 
 /// Chooses the order in which pattern vertices are matched: a BFS-like
 /// order in which every vertex after the first has a previously ordered
 /// neighbor (so candidate sets come from adjacency, never from a full
 /// vertex scan). The start vertex is the one whose label is rarest in the
 /// graph (most selective), unless an anchor dictates the start.
-std::vector<VertexId> MatchingOrder(const Pattern& pattern,
-                                    const LabeledGraph& graph,
+template <typename Host>
+std::vector<VertexId> MatchingOrder(const Pattern& pattern, const Host& graph,
                                     VertexId anchor_pattern_vertex) {
   const int32_t n = pattern.NumVertices();
   VertexId start = 0;
@@ -61,9 +112,10 @@ std::vector<VertexId> MatchingOrder(const Pattern& pattern,
   return order;
 }
 
+template <typename Host>
 struct SearchState {
   const Pattern* pattern;
-  const LabeledGraph* graph;
+  const Host* graph;
   const Vf2Options* options;
   const std::function<bool(const Embedding&)>* callback;
   std::vector<VertexId> order;          // matching order of pattern vertices
@@ -76,7 +128,8 @@ struct SearchState {
   void Recurse(size_t depth);
 };
 
-void SearchState::Recurse(size_t depth) {
+template <typename Host>
+void SearchState<Host>::Recurse(size_t depth) {
   if (stop) return;
   ++stats.states_visited;
   if (options->max_states > 0 && stats.states_visited > options->max_states) {
@@ -155,17 +208,15 @@ void SearchState::Recurse(size_t depth) {
   }
 }
 
-}  // namespace
-
-Vf2Stats EnumerateEmbeddings(
-    const Pattern& pattern, const LabeledGraph& graph,
-    const Vf2Options& options,
-    const std::function<bool(const Embedding&)>& callback) {
+template <typename Host>
+Vf2Stats Enumerate(const Pattern& pattern, const Host& graph,
+                   const Vf2Options& options,
+                   const std::function<bool(const Embedding&)>& callback) {
   Vf2Stats stats;
   if (pattern.NumVertices() == 0) return stats;
   assert(pattern.IsConnected() && "embedding search requires connectivity");
 
-  SearchState state;
+  SearchState<Host> state;
   state.pattern = &pattern;
   state.graph = &graph;
   state.options = &options;
@@ -177,6 +228,28 @@ Vf2Stats EnumerateEmbeddings(
   stats.states_visited = state.stats.states_visited;
   stats.aborted = state.stats.aborted;
   return stats;
+}
+
+/// True iff \p host holds at least one embedding of \p pattern.
+template <typename Host>
+bool Contains(const Pattern& pattern, const Host& host) {
+  bool found = false;
+  Vf2Options options;
+  options.max_embeddings = 1;
+  Enumerate(pattern, host, options, [&found](const Embedding&) {
+    found = true;
+    return false;
+  });
+  return found;
+}
+
+}  // namespace
+
+Vf2Stats EnumerateEmbeddings(
+    const Pattern& pattern, const LabeledGraph& graph,
+    const Vf2Options& options,
+    const std::function<bool(const Embedding&)>& callback) {
+  return Enumerate(pattern, graph, options, callback);
 }
 
 std::vector<Embedding> FindEmbeddings(const Pattern& pattern,
@@ -192,14 +265,7 @@ std::vector<Embedding> FindEmbeddings(const Pattern& pattern,
 }
 
 bool ContainsEmbedding(const Pattern& pattern, const LabeledGraph& graph) {
-  bool found = false;
-  Vf2Options options;
-  options.max_embeddings = 1;
-  EnumerateEmbeddings(pattern, graph, options, [&found](const Embedding&) {
-    found = true;
-    return false;
-  });
-  return found;
+  return Contains(pattern, graph);
 }
 
 std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
@@ -223,11 +289,10 @@ std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
   std::optional<std::vector<VertexId>> map;
   Vf2Options options;
   options.max_embeddings = 1;
-  EnumerateEmbeddings(a, PatternToLabeledGraph(b), options,
-                      [&map](const Embedding& e) {
-                        map = e;
-                        return false;
-                      });
+  Enumerate(a, PatternHost(b), options, [&map](const Embedding& e) {
+    map = e;
+    return false;
+  });
   return map;
 }
 
@@ -235,17 +300,13 @@ bool ArePatternsIsomorphic(const Pattern& a, const Pattern& b) {
   return FindIsomorphism(a, b).has_value();
 }
 
-LabeledGraph PatternToLabeledGraph(const Pattern& pattern) {
-  GraphBuilder builder;
-  for (VertexId v = 0; v < pattern.NumVertices(); ++v) {
-    builder.AddVertex(pattern.Label(v));
+bool IsSubPattern(const Pattern& sub, const Pattern& super) {
+  if (sub.NumVertices() > super.NumVertices() ||
+      sub.NumEdges() > super.NumEdges()) {
+    return false;
   }
-  for (const auto& e : pattern.LabeledEdges()) {
-    builder.AddEdge(e.u, e.v, e.label);
-  }
-  Result<LabeledGraph> result = builder.Build();
-  assert(result.ok());
-  return std::move(result).value();
+  if (sub.NumVertices() == 0) return true;
+  return Contains(sub, PatternHost(super));
 }
 
 }  // namespace spidermine

@@ -14,7 +14,8 @@
 /// Label-aware (sub)graph isomorphism. FindEmbeddings enumerates the
 /// embeddings E[P] of a pattern in the network; FindIsomorphism is the exact
 /// test (with its vertex map) that the isomorphism-class index
-/// (iso_index.h) runs to confirm a key hit.
+/// (iso_index.h) runs to confirm a key hit. FindIsomorphism and IsSubPattern
+/// search the second pattern itself as the host, with no graph built.
 
 namespace spidermine {
 
@@ -77,8 +78,10 @@ std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
 /// True iff FindIsomorphism(a, b) finds a map.
 bool ArePatternsIsomorphic(const Pattern& a, const Pattern& b);
 
-/// Converts a pattern to an immutable LabeledGraph (for running graph
-/// algorithms or embedding searches against a pattern).
-LabeledGraph PatternToLabeledGraph(const Pattern& pattern);
+/// True iff \p sub is subgraph-isomorphic to \p super: a label-preserving
+/// injective map of sub's vertices into super's that keeps every edge and
+/// edge label (not necessarily induced). The empty pattern is a
+/// sub-pattern of every pattern; a non-empty \p sub must be connected.
+bool IsSubPattern(const Pattern& sub, const Pattern& super);
 
 }  // namespace spidermine

@@ -6,13 +6,6 @@
 
 namespace spidermine {
 
-bool IsSubPatternOf(const Pattern& sub, const Pattern& super) {
-  if (sub.NumVertices() > super.NumVertices()) return false;
-  if (sub.NumEdges() > super.NumEdges()) return false;
-  if (sub.NumVertices() == 0) return true;
-  return ContainsEmbedding(sub, PatternToLabeledGraph(super));
-}
-
 namespace {
 
 /// Shared scaffold: drop patterns[i] when some patterns[j] is a strict
@@ -32,7 +25,7 @@ std::vector<MinedPattern> Filter(std::vector<MinedPattern> patterns,
         continue;  // not strictly larger
       }
       if (!subsumes(small, big)) continue;
-      if (IsSubPatternOf(small.pattern, big.pattern)) dropped[i] = true;
+      if (IsSubPattern(small.pattern, big.pattern)) dropped[i] = true;
     }
   }
   std::vector<MinedPattern> kept;

@@ -23,8 +23,4 @@ std::vector<MinedPattern> FilterToClosed(std::vector<MinedPattern> patterns);
 /// Keeps only patterns with no super-pattern in the set at all.
 std::vector<MinedPattern> FilterToMaximal(std::vector<MinedPattern> patterns);
 
-/// True iff \p sub is subgraph-isomorphic to \p super (label-preserving,
-/// not necessarily induced). Exposed for tests.
-bool IsSubPatternOf(const Pattern& sub, const Pattern& super);
-
 }  // namespace spidermine

@@ -94,9 +94,11 @@ std::vector<std::vector<VertexId>> AvailabilityLists(
     const std::vector<std::pair<LeafKey, int32_t>>& groups,
     std::span<const VertexId> forbidden) {
   std::vector<std::vector<VertexId>> avail(groups.size());
-  for (VertexId x : graph.Neighbors(center)) {
+  const std::span<const VertexId> neighbors = graph.Neighbors(center);
+  for (size_t i = 0; i < neighbors.size(); ++i) {
+    const VertexId x = neighbors[i];
     if (std::binary_search(forbidden.begin(), forbidden.end(), x)) continue;
-    const LeafKey key{graph.EdgeLabel(center, x), graph.Label(x)};
+    const LeafKey key{graph.EdgeLabelAt(center, i), graph.Label(x)};
     for (size_t g = 0; g < groups.size(); ++g) {
       if (key == groups[g].first) avail[g].push_back(x);
     }

@@ -7,16 +7,6 @@
 
 namespace spidermine {
 
-bool IsSubPattern(const Pattern& sub, const Pattern& super) {
-  if (sub.NumVertices() > super.NumVertices() ||
-      sub.NumEdges() > super.NumEdges()) {
-    return false;
-  }
-  if (sub.NumVertices() == 0) return true;
-  const LabeledGraph host = PatternToLabeledGraph(super);
-  return ContainsEmbedding(sub, host);
-}
-
 std::vector<MinedPattern> FilterMaximal(std::vector<MinedPattern> patterns) {
   std::vector<MinedPattern> kept;
   kept.reserve(patterns.size());

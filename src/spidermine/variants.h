@@ -13,8 +13,9 @@
 ///
 /// * Maximality filtering -- the top-K list naturally contains patterns
 ///   nested inside larger ones; FilterMaximal keeps only patterns that are
-///   not subgraphs of a larger returned pattern (the view SPIN/MARGIN [27,
-///   30] produce, cited as the maximal-pattern alternative in Sec. 2).
+///   not subgraphs (IsSubPattern, vf2.h) of a larger returned pattern (the
+///   view SPIN/MARGIN [27, 30] produce, cited as the maximal-pattern
+///   alternative in Sec. 2).
 /// * Variant grouping -- Figure 23 presents each discriminative pattern as
 ///   a solid "main pattern present in all embeddings" plus dotted "pattern
 ///   variants, extra edges each appearing in some embeddings". GroupVariants
@@ -22,9 +23,6 @@
 ///   with members that extend the core by at most a few edges.
 
 namespace spidermine {
-
-/// True iff \p sub is subgraph-isomorphic to \p super (label-aware).
-bool IsSubPattern(const Pattern& sub, const Pattern& super);
 
 /// Keeps only maximal patterns: a pattern is dropped iff it is a subgraph
 /// of a kept pattern with at least as many edges. Order: input must be the

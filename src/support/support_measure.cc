@@ -26,32 +26,67 @@ std::string_view SupportMeasureName(SupportMeasureKind kind) {
 
 namespace {
 
+/// A set of graph vertices as per-vertex stamps: a vertex is in the set iff
+/// its stamp equals the current epoch, so Clear() is O(1). One per thread,
+/// reused by every support fold on it.
+class VertexMarks {
+ public:
+  /// Empties the set.
+  void Clear() {
+    if (++epoch_ == 0) {  // wrapped: old stamps could read as current
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+
+  bool Contains(VertexId v) const {
+    const auto i = static_cast<size_t>(v);
+    return i < stamp_.size() && stamp_[i] == epoch_;
+  }
+
+  /// Adds \p v; returns true iff it was not in the set.
+  bool Insert(VertexId v) {
+    const auto i = static_cast<size_t>(v);
+    if (i >= stamp_.size()) stamp_.resize(i + 1, 0);
+    if (stamp_[i] == epoch_) return false;
+    stamp_[i] = epoch_;
+    return true;
+  }
+
+ private:
+  std::vector<uint32_t> stamp_;
+  uint32_t epoch_ = 0;
+};
+
+VertexMarks& ThreadVertexMarks() {
+  thread_local VertexMarks marks;
+  return marks;
+}
+
 int64_t MinImageSupport(const Pattern& pattern,
                         const std::vector<Embedding>& embeddings) {
   if (embeddings.empty()) return 0;
+  VertexMarks& images = ThreadVertexMarks();
   int64_t min_images = INT64_MAX;
-  std::unordered_set<VertexId> images;
   for (VertexId pv = 0; pv < pattern.NumVertices(); ++pv) {
-    images.clear();
-    for (const Embedding& e : embeddings) images.insert(e[pv]);
-    min_images = std::min(min_images, static_cast<int64_t>(images.size()));
+    images.Clear();
+    int64_t count = 0;
+    for (const Embedding& e : embeddings) count += images.Insert(e[pv]);
+    min_images = std::min(min_images, count);
   }
   return min_images;
 }
 
 int64_t GreedyMisVertexSupport(const std::vector<Embedding>& embeddings) {
-  std::unordered_set<VertexId> used;
+  VertexMarks& used = ThreadVertexMarks();
+  used.Clear();
   int64_t count = 0;
   for (const Embedding& e : embeddings) {
-    bool conflict = false;
-    for (VertexId v : e) {
-      if (used.count(v)) {
-        conflict = true;
-        break;
-      }
+    if (std::any_of(e.begin(), e.end(),
+                    [&used](VertexId v) { return used.Contains(v); })) {
+      continue;
     }
-    if (conflict) continue;
-    for (VertexId v : e) used.insert(v);
+    for (VertexId v : e) used.Insert(v);
     ++count;
   }
   return count;
@@ -154,28 +189,57 @@ int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
 }
 
 void DedupEmbeddingsByImage(std::vector<Embedding>* embeddings) {
-  std::unordered_set<uint64_t> seen;
-  std::vector<Embedding> kept;
-  kept.reserve(embeddings->size());
-  std::vector<std::vector<VertexId>> images;
-  for (Embedding& e : *embeddings) {
-    uint64_t fp = ImageFingerprint(e);
-    if (!seen.insert(fp).second) {
-      // Possible fingerprint collision: confirm by comparing sorted images
-      // against kept embeddings with the same fingerprint (rare path).
-      bool duplicate = false;
-      std::vector<VertexId> image = SortedImage(e);
-      for (const Embedding& k : kept) {
-        if (ImageFingerprint(k) == fp && SortedImage(k) == image) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-    }
-    kept.push_back(std::move(e));
+  // The kept rows by image fingerprint: an open-addressing table of
+  // (fingerprint, kept row) slots, one per thread and stamped per call, so
+  // it is reused without clearing. A row whose fingerprint is taken is
+  // compared by sorted image against the kept rows with that fingerprint
+  // only (one row unless fingerprints collide).
+  struct Slot {
+    uint64_t fingerprint = 0;
+    size_t kept = 0;
+    uint32_t epoch = 0;
+  };
+  thread_local std::vector<Slot> table;
+  thread_local uint32_t epoch = 0;
+  thread_local std::vector<VertexId> image;
+  thread_local std::vector<VertexId> kept_image;
+  std::vector<Embedding>& rows = *embeddings;
+  size_t capacity = 16;
+  while (capacity < 2 * rows.size()) capacity <<= 1;
+  if (table.size() < capacity) table.resize(capacity);
+  if (++epoch == 0) {  // wrapped: old stamps could read as current
+    std::fill(table.begin(), table.end(), Slot{});
+    epoch = 1;
   }
-  *embeddings = std::move(kept);
+  const size_t mask = capacity - 1;
+  size_t kept = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint64_t fingerprint = ImageFingerprint(rows[i]);
+    size_t slot =
+        static_cast<size_t>(fingerprint ^ (fingerprint >> 32)) & mask;
+    bool duplicate = false;
+    bool sorted = false;
+    for (; table[slot].epoch == epoch; slot = (slot + 1) & mask) {
+      if (table[slot].fingerprint != fingerprint) continue;
+      if (!sorted) {
+        image.assign(rows[i].begin(), rows[i].end());
+        std::sort(image.begin(), image.end());
+        sorted = true;
+      }
+      const Embedding& other = rows[table[slot].kept];
+      kept_image.assign(other.begin(), other.end());
+      std::sort(kept_image.begin(), kept_image.end());
+      if (kept_image == image) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (duplicate) continue;
+    table[slot] = Slot{fingerprint, kept, epoch};
+    if (kept != i) rows[kept] = std::move(rows[i]);
+    ++kept;
+  }
+  rows.resize(kept);
 }
 
 }  // namespace spidermine

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pattern/vf2.h"
+
 namespace spidermine {
 namespace {
 
@@ -22,16 +24,16 @@ Pattern PathOf(std::vector<LabelId> labels) {
 }
 
 TEST(IsSubPatternTest, PathInLongerPath) {
-  EXPECT_TRUE(IsSubPatternOf(PathOf({0, 1}), PathOf({0, 1, 2})));
-  EXPECT_TRUE(IsSubPatternOf(PathOf({1, 2}), PathOf({0, 1, 2})));
-  EXPECT_FALSE(IsSubPatternOf(PathOf({0, 2}), PathOf({0, 1, 2})));
-  EXPECT_FALSE(IsSubPatternOf(PathOf({0, 1, 2}), PathOf({0, 1})));
+  EXPECT_TRUE(IsSubPattern(PathOf({0, 1}), PathOf({0, 1, 2})));
+  EXPECT_TRUE(IsSubPattern(PathOf({1, 2}), PathOf({0, 1, 2})));
+  EXPECT_FALSE(IsSubPattern(PathOf({0, 2}), PathOf({0, 1, 2})));
+  EXPECT_FALSE(IsSubPattern(PathOf({0, 1, 2}), PathOf({0, 1})));
 }
 
 TEST(IsSubPatternTest, EmptyAndEqual) {
   Pattern empty;
-  EXPECT_TRUE(IsSubPatternOf(empty, PathOf({0})));
-  EXPECT_TRUE(IsSubPatternOf(PathOf({0, 1}), PathOf({0, 1})));
+  EXPECT_TRUE(IsSubPattern(empty, PathOf({0})));
+  EXPECT_TRUE(IsSubPattern(PathOf({0, 1}), PathOf({0, 1})));
 }
 
 TEST(ClosedFilterTest, DropsEqualSupportSubPattern) {

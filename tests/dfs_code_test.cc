@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "gen/pattern_factory.h"
 #include "pattern/vf2.h"
@@ -158,6 +159,32 @@ TEST_P(DfsCodePermutationProperty, CanonicalFormIsPermutationInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DfsCodePermutationProperty,
                          ::testing::Range<uint64_t>(0, 25));
+
+// PatternIsoHash folds the WL bytes without building the string; it must
+// stay FNV-1a (with the key's basis) over WlRefinementString, with and
+// without edge labels, including the 0 -> 1 remap of the sentinel.
+TEST(PatternIsoHashTest, IsFnv1aOverWlRefinementString) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    Pattern shape = RandomConnectedPattern(
+        static_cast<int32_t>(rng.UniformInt(1, 30)), 0.4,
+        static_cast<LabelId>(rng.UniformInt(1, 40)), &rng);
+    Pattern p;
+    for (VertexId v = 0; v < shape.NumVertices(); ++v) {
+      p.AddVertex(shape.Label(v));
+    }
+    const bool edge_labels = trial % 2 == 1;
+    for (const auto& [u, v] : shape.Edges()) {
+      p.AddEdge(u, v,
+                edge_labels ? static_cast<EdgeLabelId>(rng.UniformInt(0, 4))
+                            : 0);
+    }
+    const std::string wl = WlRefinementString(p);
+    Fnv1a h(1469598103934665603ULL);
+    h.MixBytes(wl.data(), wl.size());
+    EXPECT_EQ(PatternIsoHash(p), h.hash() == 0 ? 1 : h.hash()) << wl;
+  }
+}
 
 }  // namespace
 }  // namespace spidermine

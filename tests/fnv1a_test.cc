@@ -100,6 +100,17 @@ TEST(Fnv1aTest, StoredAndKeyedHashesKeepTheirValues) {
   triangle.AddEdge(1, 2, 5);
   triangle.AddEdge(2, 0);
   EXPECT_EQ(PatternIsoHash(triangle), 7475125633988469543ULL);
+  // An edge-unlabeled pattern, whose key skips the edge-label lookups:
+  // a 4-cycle with a chord and a pendant, vertex labels repeated.
+  Pattern unlabeled;
+  for (LabelId label : {2, 7, 2, 7, 4}) unlabeled.AddVertex(label);
+  unlabeled.AddEdge(0, 1);
+  unlabeled.AddEdge(1, 2);
+  unlabeled.AddEdge(2, 3);
+  unlabeled.AddEdge(3, 0);
+  unlabeled.AddEdge(0, 2);
+  unlabeled.AddEdge(3, 4);
+  EXPECT_EQ(PatternIsoHash(unlabeled), 17863358951152860707ULL);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <set>
 
+#include "common/rng.h"
 #include "graph/graph_builder.h"
 #include "spidermine/txn_adapter.h"
 
@@ -300,6 +303,105 @@ TEST(DedupEmbeddingsTest, EmptyListNoop) {
   std::vector<Embedding> embeddings;
   DedupEmbeddingsByImage(&embeddings);
   EXPECT_TRUE(embeddings.empty());
+}
+
+/// The first row per sorted image, in order: DedupEmbeddingsByImage's
+/// contract, by comparing every row with every kept row.
+std::vector<Embedding> DedupReference(const std::vector<Embedding>& rows) {
+  std::vector<Embedding> kept;
+  for (const Embedding& e : rows) {
+    const Embedding image = SortedImage(e);
+    if (std::none_of(kept.begin(), kept.end(), [&image](const Embedding& k) {
+          return SortedImage(k) == image;
+        })) {
+      kept.push_back(e);
+    }
+  }
+  return kept;
+}
+
+int64_t MisVertexReference(const std::vector<Embedding>& rows) {
+  std::set<VertexId> used;
+  int64_t count = 0;
+  for (const Embedding& e : rows) {
+    if (std::any_of(e.begin(), e.end(),
+                    [&used](VertexId v) { return used.count(v) > 0; })) {
+      continue;
+    }
+    used.insert(e.begin(), e.end());
+    ++count;
+  }
+  return count;
+}
+
+int64_t MinImageReference(int32_t width, const std::vector<Embedding>& rows) {
+  if (rows.empty()) return 0;
+  int64_t min_images = INT64_MAX;
+  for (int32_t pv = 0; pv < width; ++pv) {
+    std::set<VertexId> images;
+    for (const Embedding& e : rows) images.insert(e[pv]);
+    min_images = std::min(min_images, static_cast<int64_t>(images.size()));
+  }
+  return min_images;
+}
+
+/// A random row stream: rows of \p width distinct vertices below
+/// \p num_vertices, and permuted copies of earlier rows.
+std::vector<Embedding> RandomRows(Rng* rng, int32_t width,
+                                  int32_t num_vertices, int32_t count) {
+  std::vector<Embedding> rows;
+  while (static_cast<int32_t>(rows.size()) < count) {
+    if (!rows.empty() && rng->Bernoulli(0.4)) {
+      Embedding copy = rows[rng->Index(rows.size())];
+      rng->Shuffle(&copy);
+      rows.push_back(std::move(copy));
+      continue;
+    }
+    std::set<VertexId> picked;
+    Embedding row;
+    while (static_cast<int32_t>(row.size()) < width) {
+      const auto v =
+          static_cast<VertexId>(rng->UniformInt(0, num_vertices - 1));
+      if (picked.insert(v).second) row.push_back(v);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// Dedup and the two stamped-scratch folds against set-based references.
+// Trials alternate small and large lists, vertex ranges and widths, so
+// each call starts from scratch another call left behind.
+TEST(DedupEmbeddingsTest, MatchesReferencesOnRandomRowStreams) {
+  Rng rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto width = static_cast<int32_t>(rng.UniformInt(1, 7));
+    const int32_t num_vertices =
+        trial % 3 == 0
+            ? 100000
+            : static_cast<int32_t>(width + rng.UniformInt(0, 30));
+    const auto count = static_cast<int32_t>(rng.UniformInt(0, 300));
+    std::vector<Embedding> rows = RandomRows(&rng, width, num_vertices, count);
+    Pattern p;
+    for (int32_t i = 0; i < width; ++i) p.AddVertex(0);
+    for (int32_t i = 1; i < width; ++i) p.AddEdge(i - 1, i);
+    for (const auto kind :
+         {SupportMeasureKind::kGreedyMisVertex, SupportMeasureKind::kMinImage,
+          SupportMeasureKind::kHomomorphism}) {
+      const int64_t expected = kind == SupportMeasureKind::kGreedyMisVertex
+                                   ? MisVertexReference(rows)
+                                   : MinImageReference(width, rows);
+      EXPECT_EQ(ComputeSupport(kind, p, rows), expected)
+          << SupportMeasureName(kind) << " on raw rows, trial " << trial;
+    }
+    const std::vector<Embedding> expected = DedupReference(rows);
+    DedupEmbeddingsByImage(&rows);
+    ASSERT_EQ(rows, expected) << "trial " << trial;
+    EXPECT_EQ(ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p, rows),
+              MisVertexReference(rows));
+    EXPECT_EQ(ComputeSupport(SupportMeasureKind::kMinImage, p, rows),
+              MinImageReference(width, rows));
+  }
 }
 
 TEST(SupportTest, MisMeasuresAreUpperBoundedByEmbeddingCount) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pattern/vf2.h"
+
 namespace spidermine {
 namespace {
 

@@ -251,18 +251,137 @@ TEST(IsomorphismTest, RandomPermutationProperty) {
   }
 }
 
-TEST(PatternToLabeledGraphTest, PreservesStructure) {
+/// \p p built into a LabeledGraph with GraphBuilder: the host VF2 searched
+/// for FindIsomorphism and IsSubPattern before they searched the pattern
+/// itself, kept here as their reference.
+LabeledGraph BuilderHost(const Pattern& p) {
+  GraphBuilder builder;
+  for (VertexId v = 0; v < p.NumVertices(); ++v) builder.AddVertex(p.Label(v));
+  for (const auto& e : p.LabeledEdges()) builder.AddEdge(e.u, e.v, e.label);
+  Result<LabeledGraph> graph = builder.Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+/// FindIsomorphism's map as the search over BuilderHost(b) finds it. With
+/// equal vertex and edge counts the first embedding is an isomorphism.
+std::optional<std::vector<VertexId>> ReferenceIsomorphism(const Pattern& a,
+                                                          const Pattern& b) {
+  if (a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges()) {
+    return std::nullopt;
+  }
+  Vf2Options options;
+  options.max_embeddings = 1;
+  std::optional<std::vector<VertexId>> map;
+  EnumerateEmbeddings(a, BuilderHost(b), options, [&map](const Embedding& e) {
+    map = e;
+    return false;
+  });
+  return map;
+}
+
+/// \p p with vertex v renumbered perm[v].
+Pattern Permuted(const Pattern& p, const std::vector<VertexId>& perm) {
+  std::vector<LabelId> labels(perm.size());
+  for (VertexId v = 0; v < p.NumVertices(); ++v) labels[perm[v]] = p.Label(v);
+  Pattern q;
+  for (LabelId l : labels) q.AddVertex(l);
+  for (const auto& e : p.LabeledEdges()) {
+    q.AddEdge(perm[e.u], perm[e.v], e.label);
+  }
+  return q;
+}
+
+/// A random connected pattern over \p num_labels vertex labels; with
+/// \p edge_labels, each edge gets a label in {0, 1, 2}.
+Pattern RandomPattern(int32_t n, LabelId num_labels, bool edge_labels,
+                      Rng* rng) {
+  Pattern shape = RandomConnectedPattern(n, 0.4, num_labels, rng);
+  if (!edge_labels) return shape;
+  Pattern p;
+  for (VertexId v = 0; v < shape.NumVertices(); ++v) p.AddVertex(shape.Label(v));
+  for (const auto& [u, v] : shape.Edges()) {
+    p.AddEdge(u, v, static_cast<EdgeLabelId>(rng->UniformInt(0, 2)));
+  }
+  return p;
+}
+
+TEST(BuilderHostTest, PreservesStructure) {
   Pattern p;
   p.AddVertex(4);
   p.AddVertex(2);
+  p.AddVertex(2);
   p.AddEdge(0, 1);
-  LabeledGraph g = PatternToLabeledGraph(p);
-  EXPECT_EQ(g.NumVertices(), 2);
-  EXPECT_EQ(g.NumEdges(), 1);
+  p.AddEdge(1, 2, 3);
+  LabeledGraph g = BuilderHost(p);
+  EXPECT_EQ(g.NumVertices(), 3);
+  EXPECT_EQ(g.NumEdges(), 2);
   EXPECT_EQ(g.Label(0), 4);
   EXPECT_EQ(g.Label(1), 2);
   EXPECT_TRUE(g.HasEdge(0, 1));
+  EXPECT_FALSE(g.HasEdge(0, 2));
+  EXPECT_EQ(g.EdgeLabel(0, 1), 0);
+  EXPECT_EQ(g.EdgeLabel(2, 1), 3);
 }
+
+class PatternHostTest : public ::testing::TestWithParam<bool> {};
+
+// FindIsomorphism searches the second pattern itself; the map it returns
+// must be the one the search over a built graph returned, automorphisms
+// (repeated labels) included, since IsoIndex hands it to the fold.
+TEST_P(PatternHostTest, MapEqualsSearchOverBuiltGraph) {
+  const bool edge_labels = GetParam();
+  Rng rng(edge_labels ? 91 : 19);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<int32_t>(rng.UniformInt(1, 14));
+    const auto labels = static_cast<LabelId>(rng.UniformInt(1, 3));
+    Pattern a = RandomPattern(n, labels, edge_labels, &rng);
+    std::vector<VertexId> perm(static_cast<size_t>(n));
+    for (VertexId v = 0; v < n; ++v) perm[v] = v;
+    rng.Shuffle(&perm);
+    Pattern b = Permuted(a, perm);
+    std::optional<std::vector<VertexId>> map = FindIsomorphism(a, b);
+    ASSERT_TRUE(map.has_value()) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(map, ReferenceIsomorphism(a, b)) << a.ToString();
+    for (const auto& e : a.LabeledEdges()) {
+      EXPECT_EQ(b.EdgeLabel((*map)[e.u], (*map)[e.v]), e.label);
+    }
+    // A pattern of the same size that is most likely not isomorphic.
+    Pattern c = RandomPattern(n, labels, edge_labels, &rng);
+    if (c.NumEdges() == a.NumEdges()) {
+      EXPECT_EQ(FindIsomorphism(a, c), ReferenceIsomorphism(a, c))
+          << a.ToString() << " vs " << c.ToString();
+    }
+  }
+}
+
+TEST_P(PatternHostTest, IsSubPatternEqualsSearchOverBuiltGraph) {
+  const bool edge_labels = GetParam();
+  Rng rng(edge_labels ? 5 : 55);
+  int contained = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto labels = static_cast<LabelId>(rng.UniformInt(1, 3));
+    Pattern super = RandomPattern(
+        static_cast<int32_t>(rng.UniformInt(2, 14)), labels, edge_labels,
+        &rng);
+    Pattern sub = RandomPattern(static_cast<int32_t>(rng.UniformInt(1, 6)),
+                                labels, edge_labels, &rng);
+    const bool expected = sub.NumVertices() <= super.NumVertices() &&
+                          sub.NumEdges() <= super.NumEdges() &&
+                          ContainsEmbedding(sub, BuilderHost(super));
+    EXPECT_EQ(IsSubPattern(sub, super), expected)
+        << sub.ToString() << " in " << super.ToString();
+    contained += expected;
+  }
+  // Both answers occur, or the comparison shows little.
+  EXPECT_GT(contained, 10);
+  EXPECT_LT(contained, 190);
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeLabels, PatternHostTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "EdgeLabeled" : "Unlabeled";
+                         });
 
 }  // namespace
 }  // namespace spidermine

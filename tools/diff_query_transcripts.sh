@@ -3,19 +3,23 @@
 # benchmark graph (perfbench/graphs.py, imported read-only, with the graph
 # spec of perfbench/run.py), through both query front ends. Each binary
 # converts the graph and mines its own Stage I artifact
-# (`stage1 --support=3`); then both answer 36 cases
-#   seeds {11, 404, 7, 23, 1001, 58}
-#   x measures {vertex-mis, homomorphism,
-#               transaction with --txn-map --txn-sample=32}
-#   x --threads {1, 3}
-# twice: as `query --k=5 --dmax=6 --vmin=20 --stats` transcripts, and as
-# JSON request lines sent to one `serve` process per --threads value over
-# stdin (responses sorted; they complete out of order). Only seconds
-# values are masked. A case differs when either its transcript or its
-# serve response does. The usage texts of `mine`, `query`, `stage1` and
-# `serve` (each run with no positional argument) are diffed too. Prints a
-# diff for everything that differs and exits 1 if anything does, 0 if all
-# 36 cases, the serve acknowledgments and the 4 usage texts are identical.
+# (`stage1 --support=3`); then both answer 44 cases in two legs:
+#   plain: seeds {11, 404, 7, 23, 1001, 58}
+#     x measures {vertex-mis, homomorphism,
+#                 transaction with --txn-map --txn-sample=32}
+#     x --threads {1, 3}                                      (36 cases)
+#   edge-labeled: the same graph with each edge {u, v} labeled
+#     (label(u) + label(v)) % 3, seeds {11, 404}
+#     x measures {vertex-mis, homomorphism} x --threads {1, 3} (8 cases)
+# each twice: as `query --k=5 --dmax=6 --vmin=20 --stats` transcripts, and
+# as JSON request lines sent to one `serve` process per leg and --threads
+# value over stdin (responses sorted; they complete out of order). Only
+# seconds values are masked. A case differs when either its transcript or
+# its serve response does. The usage texts of `mine`, `query`, `stage1`
+# and `serve` (each run with no positional argument) are diffed too.
+# Prints a diff for everything that differs and exits 1 if anything does,
+# 0 if all 44 cases, the 4 serve acknowledgments and the 4 usage texts are
+# identical.
 #
 # Usage: tools/diff_query_transcripts.sh OLD_BIN NEW_BIN
 set -euo pipefail
@@ -40,27 +44,28 @@ import graphs  # noqa: E402
 import run  # noqa: E402
 
 labels, edges, txn_of = graphs.make_graph(run.GRAPH, run.TXN_COUNT)
-graphs.write_lg(os.path.join(sys.argv[2], "graph.lg"), labels, edges)
+graphs.write_lg(os.path.join(sys.argv[2], "plain.lg"), labels, edges)
 graphs.write_txn_map(os.path.join(sys.argv[2], "graph.txn"), txn_of)
+# The edge-labeled leg's graph: the same one, with three edge labels.
+with open(os.path.join(sys.argv[2], "labeled.lg"), "w") as f:
+    f.writelines(f"v {v} {label}\n" for v, label in enumerate(labels))
+    f.writelines(f"e {u} {v} {(labels[u] + labels[v]) % 3}\n"
+                 for u, v in sorted(edges))
 EOF
 
-for side in old new; do
-  bin_var="${side}_bin"
-  "${!bin_var}" convert "$work/graph.lg" "$work/$side.smg" > /dev/null
-  "${!bin_var}" stage1 "$work/$side.smg" --support=3 \
-      --out="$work/$side.sm2" > /dev/null
+for leg in plain labeled; do
+  for side in old new; do
+    bin_var="${side}_bin"
+    "${!bin_var}" convert "$work/$leg.lg" "$work/$side.$leg.smg" > /dev/null
+    "${!bin_var}" stage1 "$work/$side.$leg.smg" --support=3 \
+        --out="$work/$side.$leg.sm2" > /dev/null
+  done
 done
 
-measures=(
-  "--measure=vertex-mis"
-  "--measure=homomorphism"
-  "--measure=transaction --txn-map=$work/graph.txn --txn-sample=32"
-)
 mask_seconds() {
   sed -E 's/\b[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?s\b/<t>s/g'
 }
 
-seeds=(11 404 7 23 1001 58)
 # The serve request of a measure case: its JSON keys after "measure".
 request_keys() {
   case "$1" in
@@ -68,70 +73,88 @@ request_keys() {
     *) echo "\"measure\":\"${1#--measure=}\"" ;;
   esac
 }
-for threads in 1 3; do
-  requests=""
-  for seed in "${seeds[@]}"; do
-    for measure in "${measures[@]}"; do
-      requests+="{\"id\":\"$seed/$threads/${measure%% *}\",\"k\":5,"
-      requests+="\"dmax\":6,\"vmin\":20,\"seed\":$seed,"
-      requests+="$(request_keys "$measure")}"$'\n'
-    done
-  done
-  requests+='{"cmd":"shutdown"}'
-  for side in old new; do
-    bin_var="${side}_bin"
-    printf '%s\n' "$requests" |
-        "${!bin_var}" serve "$work/$side.smg" "$work/$side.sm2" \
-            --txn-map="$work/graph.txn" --threads="$threads" \
-            --max-inflight=2 --quiet 2> "$work/serve.err" |
-        sed -E 's/"seconds":[0-9.]+/"seconds":<t>/' |
-        sort > "$work/$side.serve$threads"
-    # 18 responses and the acknowledgment, or the serve leg proves nothing.
-    if [ "$(wc -l < "$work/$side.serve$threads")" -ne 19 ]; then
-      echo "$side serve --threads=$threads answered incompletely:" >&2
-      cat "$work/serve.err" "$work/$side.serve$threads" >&2
-      exit 2
-    fi
-  done
-done
 
 cases=0
 differing=0
-for seed in "${seeds[@]}"; do
-  for measure in "${measures[@]}"; do
-    for threads in 1 3; do
-      args=(--k=5 --dmax=6 --vmin=20 --stats --seed="$seed"
-            --threads="$threads")
-      read -r -a extra <<< "$measure"
-      id="\"id\":\"$seed/$threads/${measure%% *}\""
-      for side in old new; do
-        bin_var="${side}_bin"
-        {
-          "${!bin_var}" query "$work/$side.smg" "$work/$side.sm2" \
-              "${args[@]}" "${extra[@]}" | mask_seconds
-          echo "serve: $(grep -F "$id" "$work/$side.serve$threads")"
-        } > "$work/$side.out"
+other=0
+# Runs the cases of one leg on the graph named $1. The arrays `seeds`,
+# `measures` and `serve_flags` (extra `serve` flags) describe them.
+run_leg() {
+  local leg=$1
+  local expected=$(( ${#seeds[@]} * ${#measures[@]} + 1 ))
+  local threads seed measure side bin_var requests id diff_out args extra
+  for threads in 1 3; do
+    requests=""
+    for seed in "${seeds[@]}"; do
+      for measure in "${measures[@]}"; do
+        requests+="{\"id\":\"$seed/$threads/${measure%% *}\",\"k\":5,"
+        requests+="\"dmax\":6,\"vmin\":20,\"seed\":$seed,"
+        requests+="$(request_keys "$measure")}"$'\n'
       done
-      cases=$((cases + 1))
-      if ! diff_out=$(diff "$work/old.out" "$work/new.out"); then
-        differing=$((differing + 1))
-        echo "=== seed=$seed threads=$threads ${measure//$work\//}"
-        echo "$diff_out"
+    done
+    requests+='{"cmd":"shutdown"}'
+    for side in old new; do
+      bin_var="${side}_bin"
+      printf '%s\n' "$requests" |
+          "${!bin_var}" serve "$work/$side.$leg.smg" "$work/$side.$leg.sm2" \
+              "${serve_flags[@]}" --threads="$threads" \
+              --max-inflight=2 --quiet 2> "$work/serve.err" |
+          sed -E 's/"seconds":[0-9.]+/"seconds":<t>/' |
+          sort > "$work/$side.serve"
+      # Every response and the acknowledgment, or the serve leg proves
+      # nothing.
+      if [ "$(wc -l < "$work/$side.serve")" -ne "$expected" ]; then
+        echo "$side $leg serve --threads=$threads answered incompletely:" >&2
+        cat "$work/serve.err" "$work/$side.serve" >&2
+        exit 2
       fi
     done
+    # The line outside the cases: the shutdown acknowledgment.
+    if ! diff_out=$(diff <(grep -v '"id":"' "$work/old.serve") \
+                         <(grep -v '"id":"' "$work/new.serve")); then
+      other=$((other + 1))
+      echo "=== $leg serve --threads=$threads acknowledgment"
+      echo "$diff_out"
+    fi
+    for seed in "${seeds[@]}"; do
+      for measure in "${measures[@]}"; do
+        args=(--k=5 --dmax=6 --vmin=20 --stats --seed="$seed"
+              --threads="$threads")
+        read -r -a extra <<< "$measure"
+        id="\"id\":\"$seed/$threads/${measure%% *}\""
+        for side in old new; do
+          bin_var="${side}_bin"
+          {
+            "${!bin_var}" query "$work/$side.$leg.smg" \
+                "$work/$side.$leg.sm2" "${args[@]}" "${extra[@]}" |
+                mask_seconds
+            echo "serve: $(grep -F "$id" "$work/$side.serve")"
+          } > "$work/$side.out"
+        done
+        cases=$((cases + 1))
+        if ! diff_out=$(diff "$work/old.out" "$work/new.out"); then
+          differing=$((differing + 1))
+          echo "=== $leg seed=$seed threads=$threads ${measure//$work\//}"
+          echo "$diff_out"
+        fi
+      done
+    done
   done
-done
+}
 
-# Lines outside the cases: the shutdown acknowledgments.
-other=0
-for threads in 1 3; do
-  if ! diff_out=$(diff <(grep -v '"id":"' "$work/old.serve$threads") \
-                       <(grep -v '"id":"' "$work/new.serve$threads")); then
-    other=$((other + 1))
-    echo "=== serve --threads=$threads acknowledgment"
-    echo "$diff_out"
-  fi
-done
+seeds=(11 404 7 23 1001 58)
+measures=(
+  "--measure=vertex-mis"
+  "--measure=homomorphism"
+  "--measure=transaction --txn-map=$work/graph.txn --txn-sample=32"
+)
+serve_flags=(--txn-map="$work/graph.txn")
+run_leg plain
+
+seeds=(11 404)
+measures=("--measure=vertex-mis" "--measure=homomorphism")
+serve_flags=()
+run_leg labeled
 
 usage_differing=0
 for command in mine query stage1 serve; do
@@ -147,6 +170,6 @@ for command in mine query stage1 serve; do
 done
 
 echo "$usage_differing of 4 usage texts differ"
-echo "$other of 2 serve acknowledgments differ"
+echo "$other of 4 serve acknowledgments differ"
 echo "$differing of $cases cases differ"
 [ "$differing" -eq 0 ] && [ "$usage_differing" -eq 0 ] && [ "$other" -eq 0 ]
