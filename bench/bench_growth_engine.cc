@@ -10,22 +10,27 @@
 //
 // Metrics: per thread count (1, 2, 8) the end-to-end query seconds, the
 // post-growth seconds (total - stage II - stage III: closure plus the
-// accumulate/dedup epilogue) and the closure search count (rooted +
-// scanned), with the top-K transcript required identical across thread
-// counts. Then an A/B over the returned patterns: FindEmbeddings with and
-// without the stored-star roots must return identical lists, and the
-// headline `rooted_closure_speedup` is the scan's summed search time over
-// the rooted one's; the bar is >= 2x (exit 2 when the bench runs but
-// misses it).
+// accumulate/dedup epilogue), the closure search count (rooted + scanned)
+// and the heap allocations of one query (`allocations`: calls of the
+// global operator new, which this binary alone replaces with a counting
+// one; the fewest over the cell's repeats), with the top-K transcript
+// required identical across thread counts. Then an A/B over the returned
+// patterns: FindEmbeddings with and without the stored-star roots must
+// return identical lists, and the headline `rooted_closure_speedup` is the
+// scan's summed search time over the rooted one's; the bar is >= 2x (exit
+// 2 when the bench runs but misses it).
 //
 // Output: a single JSON object on stdout (committed as
 // BENCH_growth_engine.json by tools/run_bench_trajectory.sh), including the
 // core count it was taken on (hardware_concurrency).
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +45,20 @@
 #include "pattern/dfs_code.h"
 #include "pattern/vf2.h"
 #include "spidermine/session.h"
+
+namespace {
+std::atomic<int64_t> heap_allocations{0};
+}  // namespace
+
+// Counting replacements of the global allocation functions (the array and
+// nothrow forms forward to these).
+void* operator new(std::size_t size) {
+  heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace spidermine::bench {
 namespace {
@@ -92,7 +111,8 @@ std::string Transcript(const std::vector<MinedPattern>& patterns) {
 struct Cell {
   int32_t threads = 0;
   int64_t patterns = 0;
-  MineStats stats;  // of the fastest repeat
+  int64_t allocations = 0;  // fewest of one query over the repeats
+  MineStats stats;          // of the fastest repeat
 };
 
 /// One side of the A/B: every pattern's E[P] search, the way closure runs
@@ -146,7 +166,13 @@ int Main() {
     Cell cell;
     cell.threads = threads;
     for (int32_t rep = 0; rep < kRepeats; ++rep) {
+      const int64_t allocations_before = heap_allocations.load();
       Result<QueryResult> result = session->RunQuery(query);
+      const int64_t query_allocations =
+          heap_allocations.load() - allocations_before;
+      if (rep == 0 || query_allocations < cell.allocations) {
+        cell.allocations = query_allocations;
+      }
       if (!result.ok()) {
         std::fprintf(stderr, "query: %s\n",
                      result.status().ToString().c_str());
@@ -209,10 +235,11 @@ int Main() {
     const Cell& c = cells[i];
     std::printf(
         "    {\"threads\": %d, \"post_growth_seconds\": %.6f, "
-        "\"patterns\": %lld, \"stats\": %s}%s\n",
+        "\"patterns\": %lld, \"allocations\": %lld, \"stats\": %s}%s\n",
         c.threads,
         c.stats.total_seconds - c.stats.stage2_seconds - c.stats.stage3_seconds,
         static_cast<long long>(c.patterns),
+        static_cast<long long>(c.allocations),
         c.stats.ToJson().c_str(), i + 1 < cells.size() ? "," : "");
   }
   std::printf("  ],\n");

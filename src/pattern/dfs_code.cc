@@ -312,25 +312,14 @@ uint64_t WlMix(uint64_t x) {
 template <typename Sink>
 void WlFingerprint(const Pattern& pattern, Sink&& sink) {
   const int32_t n = pattern.NumVertices();
-  const bool edge_labeled = pattern.HasEdgeLabels();
   // Per-thread scratch: the key runs on every pattern a query grows.
   thread_local std::vector<uint64_t> color;
   thread_local std::vector<uint64_t> next;
   thread_local std::vector<uint64_t> nbr;
   thread_local std::vector<uint64_t> edge_colors;
-  // Edge labels by adjacency slot (the i-th slot is the i-th entry of the
-  // concatenated neighbour lists), filled only for edge-labeled patterns.
-  thread_local std::vector<EdgeLabelId> slot_label;
-  slot_label.clear();
-  if (edge_labeled) {
-    for (VertexId v = 0; v < n; ++v) {
-      for (VertexId u : pattern.Neighbors(v)) {
-        slot_label.push_back(pattern.EdgeLabel(v, u));
-      }
-    }
-  }
-  auto label_at = [edge_labeled](size_t slot) {
-    return edge_labeled ? static_cast<uint64_t>(slot_label[slot]) : 0;
+  // The label of v's i-th edge (0 on edge-unlabeled patterns).
+  auto label_at = [&pattern](VertexId v, size_t i) {
+    return static_cast<uint64_t>(pattern.EdgeLabelAt(v, i));
   };
 
   color.resize(static_cast<size_t>(n));
@@ -339,13 +328,13 @@ void WlFingerprint(const Pattern& pattern, Sink&& sink) {
     color[v] = WlMix(static_cast<uint64_t>(pattern.Label(v)) + 1);
   }
   for (int round = 0; round < 3; ++round) {
-    size_t slot = 0;
     for (VertexId v = 0; v < n; ++v) {
       nbr.clear();
-      for (VertexId u : pattern.Neighbors(v)) {
+      const std::span<const VertexId> nbrs = pattern.Neighbors(v);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
         // Edge labels participate in the refinement so edge-labeled
         // non-isomorphic patterns separate (0 for unlabeled edges).
-        nbr.push_back(color[u] ^ WlMix(label_at(slot++) + 17));
+        nbr.push_back(color[nbrs[i]] ^ WlMix(label_at(v, i) + 17));
       }
       std::sort(nbr.begin(), nbr.end());
       uint64_t acc = color[v];
@@ -355,14 +344,15 @@ void WlFingerprint(const Pattern& pattern, Sink&& sink) {
     color.swap(next);
   }
   edge_colors.clear();
-  size_t slot = 0;
   for (VertexId v = 0; v < n; ++v) {
-    for (VertexId u : pattern.Neighbors(v)) {
-      const uint64_t label = label_at(slot++);
+    const std::span<const VertexId> nbrs = pattern.Neighbors(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = nbrs[i];
       if (u < v) continue;  // each edge once, from its smaller end
       const uint64_t a = std::min(color[u], color[v]);
       const uint64_t b = std::max(color[u], color[v]);
-      edge_colors.push_back(WlMix(a) ^ (WlMix(b) * 3) ^ WlMix(label + 29));
+      edge_colors.push_back(WlMix(a) ^ (WlMix(b) * 3) ^
+                            WlMix(label_at(v, i) + 29));
     }
   }
   std::sort(edge_colors.begin(), edge_colors.end());

@@ -74,7 +74,7 @@ void CanonicalizeEmbeddingOrder(std::vector<Embedding>* embeddings) {
   std::sort(embeddings->begin(), embeddings->end());
 }
 
-uint64_t ImageFingerprint(const Embedding& embedding) {
+uint64_t ImageFingerprint(std::span<const VertexId> embedding) {
   // Sum/xor of per-vertex mixes: order independent.
   uint64_t acc_sum = 0;
   uint64_t acc_xor = 0;
@@ -89,6 +89,13 @@ uint64_t ImageFingerprint(const Embedding& embedding) {
     acc_xor ^= x;
   }
   return acc_sum ^ (acc_xor * 0xff51afd7ed558ccdULL);
+}
+
+std::vector<Embedding> OccurrenceList::ToEmbeddings() const {
+  std::vector<Embedding> out;
+  out.reserve(rows_);
+  for (Row row : *this) out.emplace_back(row.begin(), row.end());
+  return out;
 }
 
 }  // namespace spidermine

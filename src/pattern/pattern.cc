@@ -7,9 +7,21 @@
 namespace spidermine {
 
 VertexId Pattern::AddVertex(LabelId label) {
+  if (offsets_.empty()) offsets_.push_back(0);
   labels_.push_back(label);
-  adjacency_.emplace_back();
+  offsets_.push_back(static_cast<int32_t>(neighbors_.size()));
   return static_cast<VertexId>(labels_.size() - 1);
+}
+
+void Pattern::InsertNeighbor(VertexId u, VertexId v, EdgeLabelId label) {
+  const auto first = neighbors_.begin() + offsets_[u];
+  const auto last = neighbors_.begin() + offsets_[u + 1];
+  const auto at = std::upper_bound(first, last, v) - neighbors_.begin();
+  if (has_edge_labels_) edge_labels_.insert(edge_labels_.begin() + at, label);
+  neighbors_.insert(neighbors_.begin() + at, v);
+  for (size_t w = static_cast<size_t>(u) + 1; w < offsets_.size(); ++w) {
+    ++offsets_[w];
+  }
 }
 
 bool Pattern::AddEdge(VertexId u, VertexId v, EdgeLabelId edge_label) {
@@ -17,37 +29,29 @@ bool Pattern::AddEdge(VertexId u, VertexId v, EdgeLabelId edge_label) {
     return false;
   }
   if (HasEdge(u, v)) return false;
-  auto& au = adjacency_[u];
-  au.insert(std::upper_bound(au.begin(), au.end(), v), v);
-  auto& av = adjacency_[v];
-  av.insert(std::upper_bound(av.begin(), av.end(), u), u);
-  ++num_edges_;
-  if (edge_label != 0) {
+  // The first labeled edge gives every earlier (unlabeled) edge its 0.
+  if (edge_label != 0 && !has_edge_labels_) {
+    edge_labels_.assign(neighbors_.size(), 0);
     has_edge_labels_ = true;
-    const auto key = std::make_pair(std::min(u, v), std::max(u, v));
-    const auto entry = std::make_pair(key, edge_label);
-    edge_labels_.insert(std::lower_bound(edge_labels_.begin(),
-                                         edge_labels_.end(), entry),
-                        entry);
   }
+  InsertNeighbor(u, v, edge_label);
+  InsertNeighbor(v, u, edge_label);
+  ++num_edges_;
   return true;
 }
 
 bool Pattern::HasEdge(VertexId u, VertexId v) const {
   if (u < 0 || v < 0 || u >= NumVertices() || v >= NumVertices()) return false;
-  const auto& au = adjacency_[u];
-  return std::binary_search(au.begin(), au.end(), v);
+  const std::span<const VertexId> nu = Neighbors(u);
+  return std::binary_search(nu.begin(), nu.end(), v);
 }
 
 EdgeLabelId Pattern::EdgeLabel(VertexId u, VertexId v) const {
-  if (!HasEdge(u, v)) return -1;
-  if (!has_edge_labels_) return 0;
-  const auto key = std::make_pair(std::min(u, v), std::max(u, v));
-  auto it = std::lower_bound(
-      edge_labels_.begin(), edge_labels_.end(), key,
-      [](const auto& entry, const auto& k) { return entry.first < k; });
-  if (it != edge_labels_.end() && it->first == key) return it->second;
-  return 0;
+  if (u < 0 || v < 0 || u >= NumVertices() || v >= NumVertices()) return -1;
+  const std::span<const VertexId> nu = Neighbors(u);
+  const auto it = std::lower_bound(nu.begin(), nu.end(), v);
+  if (it == nu.end() || *it != v) return -1;
+  return EdgeLabelAt(u, static_cast<size_t>(it - nu.begin()));
 }
 
 std::vector<int32_t> Pattern::BfsDistances(VertexId source,
@@ -60,7 +64,7 @@ std::vector<int32_t> Pattern::BfsDistances(VertexId source,
     VertexId v = queue.front();
     queue.pop_front();
     if (max_depth >= 0 && dist[v] >= max_depth) continue;
-    for (VertexId u : adjacency_[v]) {
+    for (VertexId u : Neighbors(v)) {
       if (dist[u] < 0) {
         dist[u] = dist[v] + 1;
         queue.push_back(u);
@@ -105,10 +109,11 @@ Pattern Pattern::InducedSubgraph(std::span<const VertexId> vertices) const {
     sub.AddVertex(labels_[vertices[i]]);
   }
   for (size_t i = 0; i < vertices.size(); ++i) {
-    for (VertexId u : adjacency_[vertices[i]]) {
-      if (position[u] >= 0) {
-        sub.AddEdge(static_cast<VertexId>(i), position[u],
-                    EdgeLabel(vertices[i], u));
+    const std::span<const VertexId> nbrs = Neighbors(vertices[i]);
+    for (size_t j = 0; j < nbrs.size(); ++j) {
+      if (position[nbrs[j]] >= 0) {
+        sub.AddEdge(static_cast<VertexId>(i), position[nbrs[j]],
+                    EdgeLabelAt(vertices[i], j));
       }
     }
   }
@@ -125,7 +130,7 @@ std::vector<std::pair<VertexId, VertexId>> Pattern::Edges() const {
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(static_cast<size_t>(num_edges_));
   for (VertexId v = 0; v < NumVertices(); ++v) {
-    for (VertexId u : adjacency_[v]) {
+    for (VertexId u : Neighbors(v)) {
       if (v < u) edges.emplace_back(v, u);
     }
   }
@@ -136,8 +141,11 @@ std::vector<Pattern::LabeledEdge> Pattern::LabeledEdges() const {
   std::vector<LabeledEdge> edges;
   edges.reserve(static_cast<size_t>(num_edges_));
   for (VertexId v = 0; v < NumVertices(); ++v) {
-    for (VertexId u : adjacency_[v]) {
-      if (v < u) edges.push_back(LabeledEdge{v, u, EdgeLabel(v, u)});
+    const std::span<const VertexId> nbrs = Neighbors(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (v < nbrs[i]) {
+        edges.push_back(LabeledEdge{v, nbrs[i], EdgeLabelAt(v, i)});
+      }
     }
   }
   return edges;
@@ -162,7 +170,11 @@ std::string Pattern::ToString() const {
 }
 
 bool Pattern::operator==(const Pattern& other) const {
-  return labels_ == other.labels_ && adjacency_ == other.adjacency_ &&
+  // offsets_ of a vertex-less pattern may be empty or {0}; both are equal.
+  return labels_ == other.labels_ &&
+         (labels_.empty() || offsets_ == other.offsets_) &&
+         neighbors_ == other.neighbors_ &&
+         has_edge_labels_ == other.has_edge_labels_ &&
          edge_labels_ == other.edge_labels_;
 }
 

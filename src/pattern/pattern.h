@@ -10,8 +10,9 @@
 /// \file pattern.h
 /// A graph pattern: a small mutable vertex-labeled undirected graph. The
 /// paper's patterns grow to a few hundred vertices; this representation is
-/// adjacency-list based and optimized for incremental growth (AddVertex /
-/// AddEdge) rather than for scale.
+/// CSR (one offsets array, one sorted neighbour buffer, edge labels parallel
+/// to it), so copying a pattern costs a few allocations whatever its size,
+/// and AddEdge inserts in place.
 
 namespace spidermine {
 
@@ -35,6 +36,14 @@ class Pattern {
   /// Label of edge {u, v}; 0 for unlabeled edges, -1 when absent.
   EdgeLabelId EdgeLabel(VertexId u, VertexId v) const;
 
+  /// Label of the edge from \p v to its \p i-th neighbour (Neighbors(v)[i]);
+  /// 0 for unlabeled edges. The walk-the-adjacency counterpart of EdgeLabel.
+  EdgeLabelId EdgeLabelAt(VertexId v, size_t i) const {
+    return has_edge_labels_
+               ? edge_labels_[static_cast<size_t>(offsets_[v]) + i]
+               : 0;
+  }
+
   /// True iff any edge carries a nonzero label.
   bool HasEdgeLabels() const { return has_edge_labels_; }
 
@@ -49,13 +58,11 @@ class Pattern {
 
   /// Sorted neighbors of \p v.
   std::span<const VertexId> Neighbors(VertexId v) const {
-    return {adjacency_[v].data(), adjacency_[v].size()};
+    return {neighbors_.data() + offsets_[v], static_cast<size_t>(Degree(v))};
   }
 
   /// Degree of \p v.
-  int32_t Degree(VertexId v) const {
-    return static_cast<int32_t>(adjacency_[v].size());
-  }
+  int32_t Degree(VertexId v) const { return offsets_[v + 1] - offsets_[v]; }
 
   /// True iff the undirected edge {u, v} exists.
   bool HasEdge(VertexId u, VertexId v) const;
@@ -109,13 +116,19 @@ class Pattern {
   bool operator==(const Pattern& other) const;
 
  private:
+  /// Inserts \p v into u's sorted neighbour range, with \p label when the
+  /// pattern keeps edge labels, and shifts the later offsets.
+  void InsertNeighbor(VertexId u, VertexId v, EdgeLabelId label);
+
   std::vector<LabelId> labels_;
-  std::vector<std::vector<VertexId>> adjacency_;
-  /// Labels of edges with nonzero labels, keyed by (min(u,v), max(u,v)).
-  /// Sorted; empty while the pattern is edge-unlabeled so the common
-  /// vertex-label-only path pays nothing.
-  std::vector<std::pair<std::pair<VertexId, VertexId>, EdgeLabelId>>
-      edge_labels_;
+  /// Neighbors(v) = neighbors_[offsets_[v], offsets_[v + 1]). Empty until
+  /// the first AddVertex, NumVertices() + 1 entries from then on.
+  std::vector<int32_t> offsets_;
+  std::vector<VertexId> neighbors_;
+  /// Edge labels parallel to neighbors_ (each edge stored at both ends);
+  /// kept only once an edge has a nonzero label (has_edge_labels_), so the
+  /// common vertex-label-only path pays nothing.
+  std::vector<EdgeLabelId> edge_labels_;
   int32_t num_edges_ = 0;
   bool has_edge_labels_ = false;
 };

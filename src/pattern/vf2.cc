@@ -272,15 +272,28 @@ std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
                                                      const Pattern& b) {
   if (a.NumVertices() != b.NumVertices()) return std::nullopt;
   if (a.NumEdges() != b.NumEdges()) return std::nullopt;
-  if (a.SortedLabels() != b.SortedLabels()) return std::nullopt;
-  // Degree-sequence pre-check.
-  auto degree_sequence = [](const Pattern& p) {
-    std::vector<int32_t> d(static_cast<size_t>(p.NumVertices()));
-    for (VertexId v = 0; v < p.NumVertices(); ++v) d[v] = p.Degree(v);
-    std::sort(d.begin(), d.end());
-    return d;
+  // Label-multiset and degree-sequence pre-checks, in per-thread scratch:
+  // the dedup index runs them on every key hit.
+  thread_local std::vector<int32_t> seq_a;
+  thread_local std::vector<int32_t> seq_b;
+  auto same_multiset = [&a, &b](auto value_of) {
+    seq_a.clear();
+    seq_b.clear();
+    for (VertexId v = 0; v < a.NumVertices(); ++v) {
+      seq_a.push_back(value_of(a, v));
+      seq_b.push_back(value_of(b, v));
+    }
+    std::sort(seq_a.begin(), seq_a.end());
+    std::sort(seq_b.begin(), seq_b.end());
+    return seq_a == seq_b;
   };
-  if (degree_sequence(a) != degree_sequence(b)) return std::nullopt;
+  if (!same_multiset([](const Pattern& p, VertexId v) { return p.Label(v); })) {
+    return std::nullopt;
+  }
+  if (!same_multiset(
+          [](const Pattern& p, VertexId v) { return p.Degree(v); })) {
+    return std::nullopt;
+  }
   // A connected pattern without edges has at most one vertex, which the
   // label check above already matched.
   if (a.NumEdges() == 0) return std::vector<VertexId>(a.NumVertices(), 0);

@@ -1,12 +1,11 @@
 #include "spidermine/growth.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
+#include "common/stamp_set.h"
 #include "pattern/iso_index.h"
 #include "support/support_measure.h"
 
@@ -21,11 +20,12 @@ namespace {
 /// consumed without materialization.
 using LeafKey = SpiderLeafKey;
 
-/// Sorted multiset difference a - b (b must be a sub-multiset of a for the
-/// difference to capture "new leaves"; extra b elements are ignored).
-std::vector<LeafKey> MultisetDifference(std::span<const LeafKey> a,
-                                        std::span<const LeafKey> b) {
-  std::vector<LeafKey> out;
+/// Sorted multiset difference a - b into \p out (b must be a sub-multiset
+/// of a for the difference to capture "new leaves"; extra b elements are
+/// ignored).
+void MultisetDifference(std::span<const LeafKey> a, std::span<const LeafKey> b,
+                        std::vector<LeafKey>* out) {
+  out->clear();
   size_t i = 0;
   size_t j = 0;
   while (i < a.size()) {
@@ -35,11 +35,10 @@ std::vector<LeafKey> MultisetDifference(std::span<const LeafKey> a,
     } else if (j < b.size() && b[j] < a[i]) {
       ++j;
     } else {
-      out.push_back(a[i]);
+      out->push_back(a[i]);
       ++i;
     }
   }
-  return out;
 }
 
 /// True iff sorted multiset \p sub is contained in sorted multiset \p super.
@@ -61,49 +60,67 @@ bool MultisetContains(std::span<const LeafKey> super,
   return true;
 }
 
-/// (edge label, vertex label) keys of the pattern-neighbors of \p v, sorted
-/// (the keys of N_P(v), the edges a spider must cover under the Maximal
-/// Overlap condition).
-std::vector<LeafKey> PatternNeighborKeys(const Pattern& p, VertexId v) {
-  std::vector<LeafKey> keys;
-  for (VertexId u : p.Neighbors(v)) {
-    keys.emplace_back(p.EdgeLabel(v, u), p.Label(u));
+/// (edge label, vertex label) keys of the pattern-neighbors of \p v, sorted,
+/// into \p keys (the keys of N_P(v), the edges a spider must cover under
+/// the Maximal Overlap condition).
+void PatternNeighborKeys(const Pattern& p, VertexId v,
+                         std::vector<LeafKey>* keys) {
+  keys->clear();
+  const std::span<const VertexId> nbrs = p.Neighbors(v);
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    keys->emplace_back(p.EdgeLabelAt(v, i), p.Label(nbrs[i]));
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  std::sort(keys->begin(), keys->end());
 }
 
+using LeafGroups = std::vector<std::pair<LeafKey, int32_t>>;
+
 /// Groups a sorted leaf-key multiset into (key, count) runs.
-std::vector<std::pair<LeafKey, int32_t>> GroupLeafKeys(
-    std::span<const LeafKey> keys) {
-  std::vector<std::pair<LeafKey, int32_t>> groups;
+void GroupLeafKeys(std::span<const LeafKey> keys, LeafGroups* groups) {
+  groups->clear();
   for (const LeafKey& k : keys) {
-    if (!groups.empty() && groups.back().first == k) {
-      ++groups.back().second;
+    if (!groups->empty() && groups->back().first == k) {
+      ++groups->back().second;
     } else {
-      groups.emplace_back(k, 1);
+      groups->emplace_back(k, 1);
     }
   }
-  return groups;
+}
+
+/// Per-thread buffers of the leaf enumeration (BuildSeed, TryExtend),
+/// reused by every call on the thread. Neither caller nests another.
+struct LeafScratch {
+  std::vector<LeafKey> new_leaves;
+  LeafGroups groups;
+  std::vector<std::vector<VertexId>> avail;  // per group; see below
+  std::vector<VertexId> chosen;
+  std::vector<int32_t> idx;
+  std::vector<VertexId> anchors_used;
+};
+
+LeafScratch& ThreadLeafScratch() {
+  thread_local LeafScratch scratch;
+  return scratch;
 }
 
 /// Availability lists per leaf-key group among the neighbors of \p center,
-/// excluding the sorted \p forbidden (already-embedded images).
-std::vector<std::vector<VertexId>> AvailabilityLists(
-    const LabeledGraph& graph, VertexId center,
-    const std::vector<std::pair<LeafKey, int32_t>>& groups,
-    std::span<const VertexId> forbidden) {
-  std::vector<std::vector<VertexId>> avail(groups.size());
+/// excluding the sorted \p forbidden (already-embedded images), into the
+/// first groups.size() lists of \p avail.
+void AvailabilityLists(const LabeledGraph& graph, VertexId center,
+                       const LeafGroups& groups,
+                       std::span<const VertexId> forbidden,
+                       std::vector<std::vector<VertexId>>* avail) {
+  if (avail->size() < groups.size()) avail->resize(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) (*avail)[g].clear();
   const std::span<const VertexId> neighbors = graph.Neighbors(center);
   for (size_t i = 0; i < neighbors.size(); ++i) {
     const VertexId x = neighbors[i];
     if (std::binary_search(forbidden.begin(), forbidden.end(), x)) continue;
     const LeafKey key{graph.EdgeLabelAt(center, i), graph.Label(x)};
     for (size_t g = 0; g < groups.size(); ++g) {
-      if (key == groups[g].first) avail[g].push_back(x);
+      if (key == groups[g].first) (*avail)[g].push_back(x);
     }
   }
-  return avail;
 }
 
 /// Enumerates every way to choose, for each (key, count) group, `count`
@@ -111,62 +128,62 @@ std::vector<std::vector<VertexId>> AvailabilityLists(
 /// COMBINATION: automorphic reassignments of equal-key leaves are produced
 /// once. This is the occurrence-list semantics of GrowthPattern::embeddings;
 /// it under-counts E[P] on purpose. \p emit receives the concatenated
-/// choice and returns false to stop; the function returns false when
-/// stopped early.
-bool EnumerateLeafCombinations(
-    const std::vector<std::pair<LeafKey, int32_t>>& groups,
-    const std::vector<std::vector<VertexId>>& avail,
-    std::vector<VertexId>* chosen, size_t group_idx,
-    const std::function<bool(const std::vector<VertexId>&)>& emit) {
-  if (group_idx == groups.size()) return emit(*chosen);
+/// choice (a span of \p chosen) and returns false to stop; the function
+/// returns false when stopped early. \p chosen and \p idx are scratch,
+/// returned as they came.
+template <typename Emit>
+bool EnumerateLeafCombinations(const LeafGroups& groups,
+                               const std::vector<std::vector<VertexId>>& avail,
+                               size_t group_idx, std::vector<VertexId>* chosen,
+                               std::vector<int32_t>* idx, Emit& emit) {
+  if (group_idx == groups.size()) {
+    return emit(std::span<const VertexId>(*chosen));
+  }
   const int32_t need = groups[group_idx].second;
   const std::vector<VertexId>& pool = avail[group_idx];
   if (static_cast<int32_t>(pool.size()) < need) return true;  // no choice
-  // Iterative combination enumeration over `pool`.
-  std::vector<int32_t> idx(static_cast<size_t>(need));
-  for (int32_t i = 0; i < need; ++i) idx[i] = i;
+  // Iterative combination enumeration over `pool`; this level's indices
+  // are idx[at, at + need).
+  const size_t at = idx->size();
+  for (int32_t i = 0; i < need; ++i) idx->push_back(i);
+  // Deeper levels push onto idx, so index it rather than hold a pointer.
+  auto pick = [idx, at](int32_t i) -> int32_t& {
+    return (*idx)[at + static_cast<size_t>(i)];
+  };
+  bool finished = true;
   while (true) {
-    size_t base = chosen->size();
-    for (int32_t i = 0; i < need; ++i) chosen->push_back(pool[idx[i]]);
-    bool keep_going =
-        EnumerateLeafCombinations(groups, avail, chosen, group_idx + 1, emit);
+    const size_t base = chosen->size();
+    for (int32_t i = 0; i < need; ++i) chosen->push_back(pool[pick(i)]);
+    const bool keep_going = EnumerateLeafCombinations(
+        groups, avail, group_idx + 1, chosen, idx, emit);
     chosen->resize(base);
-    if (!keep_going) return false;
+    if (!keep_going) {
+      finished = false;
+      break;
+    }
     // Advance combination.
     int32_t pos = need - 1;
     while (pos >= 0 &&
-           idx[pos] == static_cast<int32_t>(pool.size()) - need + pos) {
+           pick(pos) == static_cast<int32_t>(pool.size()) - need + pos) {
       --pos;
     }
-    if (pos < 0) return true;
-    ++idx[pos];
-    for (int32_t i = pos + 1; i < need; ++i) idx[i] = idx[i - 1] + 1;
+    if (pos < 0) break;
+    ++pick(pos);
+    for (int32_t i = pos + 1; i < need; ++i) pick(i) = pick(i - 1) + 1;
   }
+  idx->resize(at);
+  return finished;
+}
+
+template <typename T>
+void SortUnique(std::vector<T>* values) {
+  std::sort(values->begin(), values->end());
+  values->erase(std::unique(values->begin(), values->end()), values->end());
 }
 
 uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(spider_id)) << 32) |
          static_cast<uint32_t>(anchor);
-}
-
-/// The duplicate fold: adds a duplicate's \p embeddings to \p other up to
-/// the per-pattern cap, then re-dedups by image. \p iso maps each vertex of
-/// other's pattern to the duplicate's (IsoIndex::Find), so every embedding
-/// is renumbered into other's vertex numbering on the way in. Callers
-/// recompute other->support when they need it fresh (the coordinator
-/// batches that in ApplyFolds).
-void FoldEmbeddings(GrowthPattern* other,
-                    const std::vector<Embedding>& embeddings,
-                    const std::vector<VertexId>& iso, int64_t max_embeddings) {
-  for (const Embedding& e : embeddings) {
-    if (static_cast<int64_t>(other->embeddings.size()) >= max_embeddings) {
-      break;
-    }
-    Embedding renumbered(iso.size());
-    for (size_t u = 0; u < iso.size(); ++u) renumbered[u] = e[iso[u]];
-    other->embeddings.push_back(std::move(renumbered));
-  }
-  DedupEmbeddingsByImage(&other->embeddings);
 }
 
 /// A growth round's pattern pool: stable storage (deque: no realloc
@@ -189,7 +206,7 @@ struct PatternPool {
   }
 
   /// IsoIndex::Find for \p gp (its iso_hash set); \p iso gets the map from
-  /// the hit's vertices to gp's, as FoldEmbeddings takes it.
+  /// the hit's vertices to gp's, as OccurrenceFolder::Fold takes it.
   int64_t FindDuplicate(const GrowthPattern& gp, int64_t first_idx,
                         std::vector<VertexId>* iso, IsoChecks* checks) const {
     return index.Find(gp.iso_hash, gp.pattern, first_idx, patterns, iso,
@@ -214,10 +231,10 @@ struct GrowthEngine::Lineage {
 
 /// A duplicate's embeddings waiting to be folded into the pool pattern it
 /// duplicates, with the map from that pattern's vertices to the
-/// duplicate's (see FoldEmbeddings).
+/// duplicate's (see OccurrenceFolder::Fold).
 struct GrowthEngine::PendingFold {
   int64_t target = 0;
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
   std::vector<VertexId> iso;
 };
 
@@ -263,36 +280,34 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
   const SpiderStore& store = index_->store();
   GrowthPattern gp;
   gp.pattern = store.PatternOf(spider_id);
+  gp.embeddings = OccurrenceList(gp.pattern.NumVertices());
 
-  const std::span<const LeafKey> leaves = store.leaves(spider_id);
-  const auto groups = GroupLeafKeys(leaves);
+  LeafScratch& scratch = ThreadLeafScratch();
+  GroupLeafKeys(store.leaves(spider_id), &scratch.groups);
   for (VertexId anchor : store.anchors(spider_id)) {
     if (static_cast<int64_t>(gp.embeddings.size()) >=
         query_->max_embeddings_per_pattern) {
       ++local->embedding_cap_hits;
       break;
     }
-    if (groups.empty()) {
-      gp.embeddings.push_back({anchor});
+    if (scratch.groups.empty()) {
+      gp.embeddings.AppendRow()[0] = anchor;
       continue;
     }
     // A leaf never lands on its head: simple graphs have no self-loops.
-    const std::vector<std::vector<VertexId>> avail =
-        AvailabilityLists(*graph_, anchor, groups, {});
+    AvailabilityLists(*graph_, anchor, scratch.groups, {}, &scratch.avail);
     int64_t emitted_here = 0;
-    std::vector<VertexId> chosen;
-    EnumerateLeafCombinations(
-        groups, avail, &chosen, 0, [&](const std::vector<VertexId>& leafs) {
-          Embedding e;
-          e.reserve(1 + leafs.size());
-          e.push_back(anchor);
-          for (VertexId x : leafs) e.push_back(x);
-          gp.embeddings.push_back(std::move(e));
-          ++emitted_here;
-          return emitted_here < query_->max_seed_embeddings_per_anchor &&
-                 static_cast<int64_t>(gp.embeddings.size()) <
-                     query_->max_embeddings_per_pattern;
-        });
+    auto emit = [&](std::span<const VertexId> leafs) {
+      const std::span<VertexId> row = gp.embeddings.AppendRow();
+      row[0] = anchor;
+      std::copy(leafs.begin(), leafs.end(), row.begin() + 1);
+      ++emitted_here;
+      return emitted_here < query_->max_seed_embeddings_per_anchor &&
+             static_cast<int64_t>(gp.embeddings.size()) <
+                 query_->max_embeddings_per_pattern;
+    };
+    EnumerateLeafCombinations(scratch.groups, scratch.avail, 0,
+                              &scratch.chosen, &scratch.idx, emit);
   }
   DedupEmbeddingsByImage(&gp.embeddings);
   gp.support = Support(gp);
@@ -339,67 +354,69 @@ std::vector<GrowthPattern> GrowthEngine::SeedPatterns(
   return out;
 }
 
-bool GrowthEngine::TryExtend(
-    Lineage* ls, int64_t base_idx, VertexId v, int32_t spider_id,
-    const std::vector<std::vector<VertexId>>& sorted_images,
-    bool* support_preserved) const {
+bool GrowthEngine::TryExtend(Lineage* ls, int64_t base_idx, VertexId v,
+                             std::span<const LeafKey> np_keys,
+                             int32_t spider_id,
+                             const OccurrenceList& sorted_images,
+                             bool* support_preserved) const {
   ++ls->stats.extend_calls;
   const SpiderStore& store = index_->store();
   const GrowthPattern& base = ls->pool.patterns[base_idx];
 
-  const std::vector<LeafKey> np_labels =
-      PatternNeighborKeys(base.pattern, v);
   const std::span<const LeafKey> spider_leaves = store.leaves(spider_id);
   // Maximal Overlap (condition I): the spider must cover N_P(v).
-  if (!MultisetContains(spider_leaves, np_labels)) return false;
-  const std::vector<LeafKey> new_leaves =
-      MultisetDifference(spider_leaves, np_labels);
-  if (new_leaves.empty()) return false;
-
-  GrowthPattern q;
-  q.pattern = base.pattern;
-  std::vector<VertexId> new_vertices;
-  for (const LeafKey& leaf : new_leaves) {
-    VertexId nv = q.pattern.AddVertex(leaf.second);
-    q.pattern.AddEdge(v, nv, leaf.first);
-    new_vertices.push_back(nv);
-  }
+  if (!MultisetContains(spider_leaves, np_keys)) return false;
+  LeafScratch& scratch = ThreadLeafScratch();
+  MultisetDifference(spider_leaves, np_keys, &scratch.new_leaves);
+  if (scratch.new_leaves.empty()) return false;
 
   // Embedding extension (Algorithm 3): for each base embedding whose image
   // of v anchors the spider, assign the new leaves to distinct fresh
   // neighbors (Internal Integrity, condition II: never reuse an image
-  // vertex, so no edge between existing vertices is introduced).
-  const auto groups = GroupLeafKeys(new_leaves);
-  std::vector<VertexId> anchors_used;
+  // vertex, so no edge between existing vertices is introduced). The
+  // extended pattern itself is built only once the rows pass the raw-count
+  // pre-check.
+  GrowthPattern q;
+  const VertexId first_new = base.pattern.NumVertices();
+  q.embeddings = OccurrenceList(
+      first_new + static_cast<int32_t>(scratch.new_leaves.size()));
+  GroupLeafKeys(scratch.new_leaves, &scratch.groups);
+  std::vector<VertexId>& anchors_used = scratch.anchors_used;
+  anchors_used.clear();
   bool cap_hit = false;
   for (size_t ei = 0; ei < base.embeddings.size(); ++ei) {
     if (cap_hit) break;
-    const Embedding& e = base.embeddings[ei];
+    const OccurrenceList::Row e = base.embeddings[ei];
     VertexId gv = e[v];
     if (!store.IsAnchoredAt(spider_id, gv)) continue;
-    const std::vector<std::vector<VertexId>> avail =
-        AvailabilityLists(*graph_, gv, groups, sorted_images[ei]);
+    AvailabilityLists(*graph_, gv, scratch.groups, sorted_images[ei],
+                      &scratch.avail);
     bool emitted_for_anchor = false;
-    std::vector<VertexId> chosen;
-    EnumerateLeafCombinations(
-        groups, avail, &chosen, 0, [&](const std::vector<VertexId>& leafs) {
-          Embedding extended = e;
-          for (VertexId x : leafs) extended.push_back(x);
-          q.embeddings.push_back(std::move(extended));
-          emitted_for_anchor = true;
-          if (static_cast<int64_t>(q.embeddings.size()) >=
-              query_->max_embeddings_per_pattern) {
-            cap_hit = true;
-            return false;
-          }
-          return true;
-        });
+    auto emit = [&](std::span<const VertexId> leafs) {
+      const std::span<VertexId> row = q.embeddings.AppendRow();
+      std::copy(e.begin(), e.end(), row.begin());
+      std::copy(leafs.begin(), leafs.end(), row.begin() + e.size());
+      emitted_for_anchor = true;
+      if (static_cast<int64_t>(q.embeddings.size()) >=
+          query_->max_embeddings_per_pattern) {
+        cap_hit = true;
+        return false;
+      }
+      return true;
+    };
+    EnumerateLeafCombinations(scratch.groups, scratch.avail, 0,
+                              &scratch.chosen, &scratch.idx, emit);
     if (emitted_for_anchor) anchors_used.push_back(gv);
   }
   if (cap_hit) ++ls->stats.embedding_cap_hits;
   if (static_cast<int64_t>(q.embeddings.size()) < query_->min_support &&
       query_->support_measure != SupportMeasureKind::kTransaction) {
     return false;
+  }
+  q.pattern = base.pattern;
+  for (const LeafKey& leaf : scratch.new_leaves) {
+    VertexId nv = q.pattern.AddVertex(leaf.second);
+    q.pattern.AddEdge(v, nv, leaf.first);
   }
   DedupEmbeddingsByImage(&q.embeddings);
   q.support = Support(q);
@@ -418,8 +435,8 @@ bool GrowthEngine::TryExtend(
     // Support is recomputed eagerly: the lineage may extend `other` later
     // and its closedness checks compare against the up-to-date value.
     GrowthPattern& other = ls->pool.patterns[dup];
-    FoldEmbeddings(&other, q.embeddings, iso,
-                   query_->max_embeddings_per_pattern);
+    OccurrenceFolder(&other.embeddings)
+        .Fold(q.embeddings, iso, query_->max_embeddings_per_pattern);
     other.support = Support(other);
     other.merged_ever |= base.merged_ever;
     return false;
@@ -428,7 +445,9 @@ bool GrowthEngine::TryExtend(
   q.boundary = base.boundary;
   q.cursor = base.cursor + 1;
   q.next_boundary = base.next_boundary;
-  for (VertexId nv : new_vertices) q.next_boundary.push_back(nv);
+  for (VertexId nv = first_new; nv < q.pattern.NumVertices(); ++nv) {
+    q.next_boundary.push_back(nv);
+  }
   q.merged_ever = base.merged_ever;
   int64_t idx = ls->pool.Admit(std::move(q));
   ls->queue.push_back(idx);
@@ -446,6 +465,16 @@ bool GrowthEngine::TryExtend(
 
 void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
                                  int64_t pattern_cap) const {
+  // Per-thread buffers of one boundary step, reused across steps and
+  // lineages (TryExtend uses LeafScratch, not these).
+  struct ExpandScratch {
+    std::vector<LeafKey> np_keys;
+    StampSet images;
+    StampSet spider_ids;
+    std::vector<int32_t> candidates;
+    OccurrenceList sorted_images;
+  };
+  thread_local ExpandScratch scratch;
   int64_t seed_idx = ls->pool.Admit(std::move(input));
   ls->queue.push_back(seed_idx);
 
@@ -467,41 +496,41 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
 
     // ---- Candidate spiders at v (paper's Spider(v)): spiders anchored at
     // an image of v, with matching head label, covering N_P(v) and adding
-    // at least one new leaf.
-    std::vector<int32_t> candidates;
-    {
-      const LabelId label_v = cur.pattern.Label(v);
-      const std::vector<LeafKey> np_labels =
-          PatternNeighborKeys(cur.pattern, v);
-      std::unordered_set<VertexId> images;
-      for (const Embedding& e : cur.embeddings) images.insert(e[v]);
-      std::unordered_set<int32_t> spider_ids;
-      for (VertexId gv : images) {
-        for (int32_t sid : index_->SpidersAt(gv)) spider_ids.insert(sid);
-      }
-      const SpiderStore& store = index_->store();
-      for (int32_t sid : spider_ids) {
+    // at least one new leaf; each distinct spider is tested once, and the
+    // candidates are taken in ascending id order.
+    PatternNeighborKeys(cur.pattern, v, &scratch.np_keys);
+    scratch.images.Clear();
+    scratch.spider_ids.Clear();
+    scratch.candidates.clear();
+    const SpiderStore& store = index_->store();
+    const LabelId label_v = cur.pattern.Label(v);
+    for (OccurrenceList::Row e : cur.embeddings) {
+      if (!scratch.images.Insert(e[v])) continue;
+      for (int32_t sid : index_->SpidersAt(e[v])) {
+        if (!scratch.spider_ids.Insert(sid)) continue;
         if (query_->use_closed_spiders_only && !store.closed(sid)) continue;
         if (store.head_label(sid) != label_v) continue;
         const std::span<const LeafKey> leaves = store.leaves(sid);
-        if (leaves.size() <= np_labels.size()) continue;
-        if (!MultisetContains(leaves, np_labels)) continue;
-        candidates.push_back(sid);
+        if (leaves.size() <= scratch.np_keys.size()) continue;
+        if (!MultisetContains(leaves, scratch.np_keys)) continue;
+        scratch.candidates.push_back(sid);
       }
-      std::sort(candidates.begin(), candidates.end());
     }
+    std::sort(scratch.candidates.begin(), scratch.candidates.end());
 
     // Hoist per-embedding sorted images across all candidate spiders.
-    std::vector<std::vector<VertexId>> sorted_images;
-    if (!candidates.empty()) {
-      sorted_images.reserve(cur.embeddings.size());
-      for (const Embedding& e : cur.embeddings) {
-        sorted_images.push_back(SortedImage(e));
+    if (!scratch.candidates.empty()) {
+      scratch.sorted_images.Reset(cur.embeddings.width());
+      scratch.sorted_images.reserve(cur.embeddings.size());
+      for (OccurrenceList::Row e : cur.embeddings) {
+        const std::span<VertexId> row = scratch.sorted_images.AppendRow();
+        std::copy(e.begin(), e.end(), row.begin());
+        std::sort(row.begin(), row.end());
       }
     }
 
     bool support_preserved = false;
-    for (int32_t sid : candidates) {
+    for (int32_t sid : scratch.candidates) {
       if (ls->pool.size() >= pattern_cap) {
         ls->truncated = true;
         ++ls->stats.pattern_cap_hits;
@@ -511,7 +540,8 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
         ls->truncated = true;
         break;
       }
-      TryExtend(ls, idx, v, sid, sorted_images, &support_preserved);
+      TryExtend(ls, idx, v, scratch.np_keys, sid, scratch.sorted_images,
+                &support_preserved);
     }
 
     GrowthPattern& cur2 = ls->pool.patterns[idx];  // re-take (deque-stable)
@@ -621,32 +651,47 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     ++out->stats.merge_attempts;
     const GrowthPattern& a = snapshot.patterns[task.a];
     const GrowthPattern& b = snapshot.patterns[task.b];
-    // Collect overlapping embedding pairs.
-    std::unordered_map<VertexId, std::vector<int32_t>> where;
+    // Per-thread buffers of one pair, reused across pairs.
+    struct PairScratch {
+      std::vector<std::pair<VertexId, int32_t>> where;
+      std::vector<int32_t> last_ej;
+      std::vector<std::pair<int32_t, int32_t>> overlaps;
+      std::vector<VertexId> verts;
+      std::vector<int32_t> up_rep;
+      std::string shape;
+    };
+    thread_local PairScratch scratch;
+    // Collect overlapping embedding pairs (ei, ej), ej ascending, then by
+    // e2's vertex order, then ei ascending, each pair once. The overlap
+    // index holds (graph vertex, row of a) for every image vertex of a,
+    // sorted, so one vertex's rows of a are one ascending run. A pair can
+    // only repeat within one ej, so a per-row "last ej" stamp dedups it.
+    std::vector<std::pair<VertexId, int32_t>>& where = scratch.where;
+    where.clear();
     for (size_t ei = 0; ei < a.embeddings.size(); ++ei) {
       for (VertexId gv : a.embeddings[ei]) {
-        where[gv].push_back(static_cast<int32_t>(ei));
+        where.emplace_back(gv, static_cast<int32_t>(ei));
       }
     }
-    std::vector<std::pair<int32_t, int32_t>> overlaps;
-    {
-      std::unordered_set<int64_t> seen_pairs;
-      for (size_t ej = 0; ej < b.embeddings.size(); ++ej) {
-        for (VertexId gv : b.embeddings[ej]) {
-          auto it = where.find(gv);
-          if (it == where.end()) continue;
-          for (int32_t ei : it->second) {
-            int64_t pk = (static_cast<int64_t>(ei) << 32) |
-                         static_cast<int64_t>(ej);
-            if (seen_pairs.insert(pk).second) {
-              overlaps.emplace_back(ei, static_cast<int32_t>(ej));
-            }
-          }
+    std::sort(where.begin(), where.end());
+    scratch.last_ej.assign(a.embeddings.size(), -1);
+    std::vector<std::pair<int32_t, int32_t>>& overlaps = scratch.overlaps;
+    overlaps.clear();
+    for (size_t ej = 0; ej < b.embeddings.size(); ++ej) {
+      const auto row_j = static_cast<int32_t>(ej);
+      for (VertexId gv : b.embeddings[ej]) {
+        for (auto it = std::lower_bound(where.begin(), where.end(),
+                                        std::make_pair(gv, INT32_MIN));
+             it != where.end() && it->first == gv; ++it) {
+          int32_t& last = scratch.last_ej[static_cast<size_t>(it->second)];
+          if (last == row_j) continue;
+          last = row_j;
+          overlaps.emplace_back(it->second, row_j);
         }
-        if (static_cast<int32_t>(overlaps.size()) >=
-            query_->max_union_instances) {
-          break;
-        }
+      }
+      if (static_cast<int32_t>(overlaps.size()) >=
+          query_->max_union_instances) {
+        break;
       }
     }
     if (overlaps.empty()) return;
@@ -667,12 +712,12 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       std::vector<int32_t> rep;
     };
     std::unordered_map<std::string, ShapeGroup> shape_group;
-    std::string shape;
+    std::string& shape = scratch.shape;
     const int32_t na = a.pattern.NumVertices();
     const int32_t nb = b.pattern.NumVertices();
     for (const auto& [ei, ej] : overlaps) {
-      const Embedding& e1 = a.embeddings[ei];
-      const Embedding& e2 = b.embeddings[ej];
+      const OccurrenceList::Row e1 = a.embeddings[ei];
+      const OccurrenceList::Row e2 = b.embeddings[ej];
       auto concat = [&e1, &e2, na](int32_t p) {
         return p < na ? e1[p] : e2[p - na];
       };
@@ -688,26 +733,37 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       auto [memo, fresh] = shape_group.try_emplace(shape);
       ShapeGroup& sg = memo->second;
       if (fresh) {
-        // Union vertex set, sorted for a deterministic numbering.
-        std::vector<VertexId> verts = e1;
+        // Union vertex set, sorted for a deterministic numbering: union
+        // vertex t is verts[t].
+        std::vector<VertexId>& verts = scratch.verts;
+        verts.assign(e1.begin(), e1.end());
         verts.insert(verts.end(), e2.begin(), e2.end());
-        std::sort(verts.begin(), verts.end());
-        verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-        std::unordered_map<VertexId, VertexId> pos;
+        SortUnique(&verts);
+        auto pos = [&verts](VertexId gv) {
+          return static_cast<VertexId>(
+              std::lower_bound(verts.begin(), verts.end(), gv) -
+              verts.begin());
+        };
         Pattern up;
-        for (size_t t = 0; t < verts.size(); ++t) {
-          pos[verts[t]] = static_cast<VertexId>(t);
-          up.AddVertex(graph_->Label(verts[t]));
-        }
-        for (const auto& [pu, pv] : a.pattern.Edges()) {
-          up.AddEdge(pos[e1[pu]], pos[e1[pv]], a.pattern.EdgeLabel(pu, pv));
-        }
-        for (const auto& [pu, pv] : b.pattern.Edges()) {
-          up.AddEdge(pos[e2[pu]], pos[e2[pv]], b.pattern.EdgeLabel(pu, pv));
-        }
-        std::vector<int32_t> up_rep(verts.size(), -1);
+        for (VertexId gv : verts) up.AddVertex(graph_->Label(gv));
+        auto add_edges = [&up, &pos](const Pattern& parent,
+                                     OccurrenceList::Row pe) {
+          for (VertexId pu = 0; pu < parent.NumVertices(); ++pu) {
+            const std::span<const VertexId> nbrs = parent.Neighbors(pu);
+            for (size_t i = 0; i < nbrs.size(); ++i) {
+              if (pu < nbrs[i]) {
+                up.AddEdge(pos(pe[pu]), pos(pe[nbrs[i]]),
+                           parent.EdgeLabelAt(pu, i));
+              }
+            }
+          }
+        };
+        add_edges(a.pattern, e1);
+        add_edges(b.pattern, e2);
+        std::vector<int32_t>& up_rep = scratch.up_rep;
+        up_rep.assign(verts.size(), -1);
         for (int32_t p = 0; p < na + nb; ++p) {
-          int32_t& first = up_rep[pos[concat(p)]];
+          int32_t& first = up_rep[pos(concat(p))];
           if (first < 0) first = p;
         }
         const uint64_t up_hash = IsoIndex::Key(up);
@@ -720,33 +776,30 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
         } else {
           sg.group = unions.size();
           union_index.Add(up_hash, static_cast<int64_t>(sg.group));
-          sg.rep = std::move(up_rep);
+          sg.rep = up_rep;
           UnionCandidate g;
           g.iso_hash = up_hash;
           g.merged_ever = true;
           g.pattern = std::move(up);
+          g.embeddings = OccurrenceList(g.pattern.NumVertices());
           // Next boundary: images of both parents' frontier vertices.
           auto add_boundary = [&](const GrowthPattern& parent,
-                                  const Embedding& pe) {
+                                  OccurrenceList::Row pe) {
             for (VertexId pv : parent.boundary) {
-              g.next_boundary.push_back(pos[pe[pv]]);
+              g.next_boundary.push_back(pos(pe[pv]));
             }
             for (VertexId pv : parent.next_boundary) {
-              g.next_boundary.push_back(pos[pe[pv]]);
+              g.next_boundary.push_back(pos(pe[pv]));
             }
           };
           add_boundary(a, e1);
           add_boundary(b, e2);
-          std::sort(g.next_boundary.begin(), g.next_boundary.end());
-          g.next_boundary.erase(
-              std::unique(g.next_boundary.begin(), g.next_boundary.end()),
-              g.next_boundary.end());
+          SortUnique(&g.next_boundary);
           unions.push_back(std::move(g));
         }
       }
-      Embedding ue(sg.rep.size());
+      const std::span<VertexId> ue = unions[sg.group].embeddings.AppendRow();
       for (size_t u = 0; u < sg.rep.size(); ++u) ue[u] = concat(sg.rep[u]);
-      unions[sg.group].embeddings.push_back(std::move(ue));
     }
 
     for (UnionCandidate& g : unions) {
@@ -813,8 +866,9 @@ void GrowthEngine::ApplyFolds(RoundState* rs,
   // Nothing between a dedup hit and this call reads the target's
   // embeddings or support, and a target's folds touch only that target.
   // So each target can take its folds here, in the order they were found,
-  // independently of every other target, then recompute its support once
-  // (a support depends only on the final embedding list). No token: every
+  // independently of every other target, through one image table built
+  // once, then recompute its support once (a support depends only on the
+  // final embedding list). No token: every
   // target must leave folded and with a fresh support even after a
   // deadline trips.
   std::stable_sort(folds.begin(), folds.end(),
@@ -831,9 +885,12 @@ void GrowthEngine::ApplyFolds(RoundState* rs,
       const size_t first = starts[static_cast<size_t>(t)];
       const size_t last = starts[static_cast<size_t>(t) + 1];
       GrowthPattern& target = rs->pool.patterns[folds[first].target];
-      for (size_t f = first; f < last; ++f) {
-        FoldEmbeddings(&target, folds[f].embeddings, folds[f].iso,
-                       query_->max_embeddings_per_pattern);
+      {
+        OccurrenceFolder folder(&target.embeddings);
+        for (size_t f = first; f < last; ++f) {
+          folder.Fold(folds[f].embeddings, folds[f].iso,
+                      query_->max_embeddings_per_pattern);
+        }
       }
       target.support = Support(target);
     }

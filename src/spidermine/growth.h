@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +43,9 @@ namespace spidermine {
 struct GrowthPattern {
   Pattern pattern;
   /// Known embeddings E[P] (occurrence-list growth semantics: embeddings of
-  /// an extension are extensions of these).
-  std::vector<Embedding> embeddings;
+  /// an extension are extensions of these), one row per embedding, of
+  /// pattern.NumVertices() vertices.
+  OccurrenceList embeddings;
   /// Support under the configured measure.
   int64_t support = 0;
   /// Frontier pattern vertices eligible for spider extension this round
@@ -152,13 +154,14 @@ class GrowthEngine {
                      int64_t pattern_cap) const;
 
   /// SpiderExtend (Algorithm 3): extends \p ls->pool[base_idx] at boundary
-  /// vertex \p v with spider \p spider_id. \p sorted_images caches
-  /// SortedImage() of the base embeddings (hoisted across candidate
-  /// spiders). Returns false when the extension is infrequent or
-  /// impossible; on success appends to the lineage.
+  /// vertex \p v with spider \p spider_id. \p np_keys are the sorted
+  /// (edge label, vertex label) keys of v's pattern neighbours and
+  /// \p sorted_images the base embeddings' sorted images, both hoisted
+  /// across candidate spiders. Returns false when the extension is
+  /// infrequent or impossible; on success appends to the lineage.
   bool TryExtend(Lineage* ls, int64_t base_idx, VertexId v,
-                 int32_t spider_id,
-                 const std::vector<std::vector<VertexId>>& sorted_images,
+                 std::span<const SpiderLeafKey> np_keys, int32_t spider_id,
+                 const OccurrenceList& sorted_images,
                  bool* support_preserved) const;
 
   /// Runs CheckMerge for all colliding registry keys. The examined pattern

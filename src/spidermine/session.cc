@@ -48,7 +48,7 @@ class BestPerClass {
     if (MinedPattern* slot =
             Place(gp.pattern, gp.iso_hash, gp.support, gp.merged_ever)) {
       slot->pattern = gp.pattern;
-      slot->embeddings = gp.embeddings;
+      slot->embeddings = gp.embeddings.ToEmbeddings();
       slot->support = gp.support;
     }
     if (cap_ > 0 && static_cast<int64_t>(size()) > cap_ + kCompactionSlack) {

@@ -4,6 +4,8 @@
 #include <iterator>
 #include <unordered_set>
 
+#include "common/stamp_set.h"
+
 namespace spidermine {
 
 std::string_view SupportMeasureName(SupportMeasureKind kind) {
@@ -26,62 +28,35 @@ std::string_view SupportMeasureName(SupportMeasureKind kind) {
 
 namespace {
 
-/// A set of graph vertices as per-vertex stamps: a vertex is in the set iff
-/// its stamp equals the current epoch, so Clear() is O(1). One per thread,
-/// reused by every support fold on it.
-class VertexMarks {
- public:
-  /// Empties the set.
-  void Clear() {
-    if (++epoch_ == 0) {  // wrapped: old stamps could read as current
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  bool Contains(VertexId v) const {
-    const auto i = static_cast<size_t>(v);
-    return i < stamp_.size() && stamp_[i] == epoch_;
-  }
-
-  /// Adds \p v; returns true iff it was not in the set.
-  bool Insert(VertexId v) {
-    const auto i = static_cast<size_t>(v);
-    if (i >= stamp_.size()) stamp_.resize(i + 1, 0);
-    if (stamp_[i] == epoch_) return false;
-    stamp_[i] = epoch_;
-    return true;
-  }
-
- private:
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
-};
-
-VertexMarks& ThreadVertexMarks() {
-  thread_local VertexMarks marks;
+/// The graph-vertex set every support fold on a thread reuses.
+StampSet& ThreadVertexMarks() {
+  thread_local StampSet marks;
   return marks;
 }
 
-int64_t MinImageSupport(const Pattern& pattern,
-                        const std::vector<Embedding>& embeddings) {
+// The measures are templates over the row container: a
+// std::vector<Embedding> or an OccurrenceList (rows as spans).
+
+template <typename Rows>
+int64_t MinImageSupport(const Pattern& pattern, const Rows& embeddings) {
   if (embeddings.empty()) return 0;
-  VertexMarks& images = ThreadVertexMarks();
+  StampSet& images = ThreadVertexMarks();
   int64_t min_images = INT64_MAX;
   for (VertexId pv = 0; pv < pattern.NumVertices(); ++pv) {
     images.Clear();
     int64_t count = 0;
-    for (const Embedding& e : embeddings) count += images.Insert(e[pv]);
+    for (const auto& e : embeddings) count += images.Insert(e[pv]);
     min_images = std::min(min_images, count);
   }
   return min_images;
 }
 
-int64_t GreedyMisVertexSupport(const std::vector<Embedding>& embeddings) {
-  VertexMarks& used = ThreadVertexMarks();
+template <typename Rows>
+int64_t GreedyMisVertexSupport(const Rows& embeddings) {
+  StampSet& used = ThreadVertexMarks();
   used.Clear();
   int64_t count = 0;
-  for (const Embedding& e : embeddings) {
+  for (const auto& e : embeddings) {
     if (std::any_of(e.begin(), e.end(),
                     [&used](VertexId v) { return used.Contains(v); })) {
       continue;
@@ -92,8 +67,8 @@ int64_t GreedyMisVertexSupport(const std::vector<Embedding>& embeddings) {
   return count;
 }
 
-int64_t GreedyMisEdgeSupport(const Pattern& pattern,
-                             const std::vector<Embedding>& embeddings) {
+template <typename Rows>
+int64_t GreedyMisEdgeSupport(const Pattern& pattern, const Rows& embeddings) {
   auto pattern_edges = pattern.Edges();
   auto edge_key = [](VertexId a, VertexId b) {
     if (a > b) std::swap(a, b);
@@ -101,7 +76,7 @@ int64_t GreedyMisEdgeSupport(const Pattern& pattern,
   };
   std::unordered_set<uint64_t> used;
   int64_t count = 0;
-  for (const Embedding& e : embeddings) {
+  for (const auto& e : embeddings) {
     bool conflict = false;
     for (const auto& [pu, pv] : pattern_edges) {
       if (used.count(edge_key(e[pu], e[pv]))) {
@@ -125,7 +100,8 @@ bool SampleAdmits(const SupportContext& context, int32_t t) {
                             context.txn_sample->end(), t);
 }
 
-int64_t TransactionSupport(const std::vector<Embedding>& embeddings,
+template <typename Rows>
+int64_t TransactionSupport(const Rows& embeddings,
                            const SupportContext& context) {
   if (context.txn_map != nullptr) {
     // Per-vertex payloads: an embedding covers t iff every image vertex
@@ -133,7 +109,7 @@ int64_t TransactionSupport(const std::vector<Embedding>& embeddings,
     std::unordered_set<int32_t> covered;
     std::vector<int32_t> common;
     std::vector<int32_t> next;
-    for (const Embedding& e : embeddings) {
+    for (const auto& e : embeddings) {
       if (e.empty()) continue;
       std::span<const int32_t> first = context.txn_map->TxnsOf(e[0]);
       common.assign(first.begin(), first.end());
@@ -152,7 +128,7 @@ int64_t TransactionSupport(const std::vector<Embedding>& embeddings,
   }
   if (context.txn_of_vertex == nullptr) return 0;
   std::unordered_set<int32_t> txns;
-  for (const Embedding& e : embeddings) {
+  for (const auto& e : embeddings) {
     if (e.empty()) continue;
     const int32_t t = (*context.txn_of_vertex)[e[0]];
     if (SampleAdmits(context, t)) txns.insert(t);
@@ -160,11 +136,9 @@ int64_t TransactionSupport(const std::vector<Embedding>& embeddings,
   return static_cast<int64_t>(txns.size());
 }
 
-}  // namespace
-
-int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
-                       const std::vector<Embedding>& embeddings,
-                       const SupportContext& context) {
+template <typename Rows>
+int64_t SupportOf(SupportMeasureKind kind, const Pattern& pattern,
+                  const Rows& embeddings, const SupportContext& context) {
   switch (kind) {
     case SupportMeasureKind::kEmbeddingCount:
       return static_cast<int64_t>(embeddings.size());
@@ -188,58 +162,173 @@ int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
   return 0;
 }
 
-void DedupEmbeddingsByImage(std::vector<Embedding>* embeddings) {
-  // The kept rows by image fingerprint: an open-addressing table of
-  // (fingerprint, kept row) slots, one per thread and stamped per call, so
-  // it is reused without clearing. A row whose fingerprint is taken is
-  // compared by sorted image against the kept rows with that fingerprint
-  // only (one row unless fingerprints collide).
+/// Kept rows by image fingerprint: an open-addressing table of
+/// (fingerprint, kept row) slots, one per thread and stamped per use, so it
+/// is reused without clearing. A row whose fingerprint is taken is compared
+/// by sorted image against the kept rows with that fingerprint only (one row
+/// unless fingerprints collide). The table doubles when half full.
+class ImageTable {
+ public:
+  /// Empties the table, sized for \p rows rows.
+  void Clear(size_t rows) {
+    size_t capacity = 16;
+    while (capacity < 2 * rows) capacity <<= 1;
+    if (slots_.size() < capacity) slots_.resize(capacity);
+    mask_ = capacity - 1;
+    count_ = 0;
+    NextEpoch();
+  }
+
+  /// Records \p row as kept row \p kept and returns true, unless a kept row
+  /// has its image: then returns false. \p kept_row(k) returns kept row k.
+  template <typename KeptRow>
+  bool Insert(std::span<const VertexId> row, size_t kept,
+              const KeptRow& kept_row) {
+    if (2 * (count_ + 1) > mask_ + 1) Grow();
+    const uint64_t fingerprint = ImageFingerprint(row);
+    size_t slot = Home(fingerprint);
+    bool sorted = false;
+    for (; slots_[slot].epoch == epoch_; slot = (slot + 1) & mask_) {
+      if (slots_[slot].fingerprint != fingerprint) continue;
+      if (!sorted) {
+        image_.assign(row.begin(), row.end());
+        std::sort(image_.begin(), image_.end());
+        sorted = true;
+      }
+      const std::span<const VertexId> other = kept_row(slots_[slot].kept);
+      kept_image_.assign(other.begin(), other.end());
+      std::sort(kept_image_.begin(), kept_image_.end());
+      if (kept_image_ == image_) return false;
+    }
+    slots_[slot] = Slot{fingerprint, kept, epoch_};
+    ++count_;
+    return true;
+  }
+
+ private:
   struct Slot {
     uint64_t fingerprint = 0;
     size_t kept = 0;
     uint32_t epoch = 0;
   };
-  thread_local std::vector<Slot> table;
-  thread_local uint32_t epoch = 0;
-  thread_local std::vector<VertexId> image;
-  thread_local std::vector<VertexId> kept_image;
-  std::vector<Embedding>& rows = *embeddings;
-  size_t capacity = 16;
-  while (capacity < 2 * rows.size()) capacity <<= 1;
-  if (table.size() < capacity) table.resize(capacity);
-  if (++epoch == 0) {  // wrapped: old stamps could read as current
-    std::fill(table.begin(), table.end(), Slot{});
-    epoch = 1;
+
+  size_t Home(uint64_t fingerprint) const {
+    return static_cast<size_t>(fingerprint ^ (fingerprint >> 32)) & mask_;
   }
-  const size_t mask = capacity - 1;
-  size_t kept = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const uint64_t fingerprint = ImageFingerprint(rows[i]);
-    size_t slot =
-        static_cast<size_t>(fingerprint ^ (fingerprint >> 32)) & mask;
-    bool duplicate = false;
-    bool sorted = false;
-    for (; table[slot].epoch == epoch; slot = (slot + 1) & mask) {
-      if (table[slot].fingerprint != fingerprint) continue;
-      if (!sorted) {
-        image.assign(rows[i].begin(), rows[i].end());
-        std::sort(image.begin(), image.end());
-        sorted = true;
-      }
-      const Embedding& other = rows[table[slot].kept];
-      kept_image.assign(other.begin(), other.end());
-      std::sort(kept_image.begin(), kept_image.end());
-      if (kept_image == image) {
-        duplicate = true;
-        break;
-      }
+
+  void NextEpoch() {
+    if (++epoch_ == 0) {  // wrapped: old stamps could read as current
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
     }
-    if (duplicate) continue;
-    table[slot] = Slot{fingerprint, kept, epoch};
-    if (kept != i) rows[kept] = std::move(rows[i]);
+  }
+
+  void Grow() {
+    live_.clear();
+    for (size_t s = 0; s <= mask_; ++s) {
+      if (slots_[s].epoch == epoch_) live_.push_back(slots_[s]);
+    }
+    const size_t capacity = 2 * (mask_ + 1);
+    if (slots_.size() < capacity) slots_.resize(capacity);
+    mask_ = capacity - 1;
+    NextEpoch();
+    for (Slot s : live_) {
+      size_t slot = Home(s.fingerprint);
+      while (slots_[slot].epoch == epoch_) slot = (slot + 1) & mask_;
+      s.epoch = epoch_;
+      slots_[slot] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t count_ = 0;
+  uint32_t epoch_ = 0;
+  std::vector<Slot> live_;
+  std::vector<VertexId> image_;
+  std::vector<VertexId> kept_image_;
+};
+
+/// The thread's table for whole-list dedup, and the one a live
+/// OccurrenceFolder holds.
+ImageTable& ThreadDedupTable() {
+  thread_local ImageTable table;
+  return table;
+}
+ImageTable& ThreadFoldTable() {
+  thread_local ImageTable table;
+  return table;
+}
+
+void MoveRow(std::vector<Embedding>* rows, size_t from, size_t to) {
+  (*rows)[to] = std::move((*rows)[from]);
+}
+void MoveRow(OccurrenceList* rows, size_t from, size_t to) {
+  rows->CopyRow(from, to);
+}
+void KeepRows(std::vector<Embedding>* rows, size_t kept) { rows->resize(kept); }
+void KeepRows(OccurrenceList* rows, size_t kept) { rows->Truncate(kept); }
+
+/// Keeps the first row per image, in order, indexing the kept rows in
+/// \p table.
+template <typename Rows>
+void DedupRows(Rows* rows, ImageTable& table) {
+  table.Clear(rows->size());
+  auto kept_row = [rows](size_t k) -> std::span<const VertexId> {
+    return (*rows)[k];
+  };
+  size_t kept = 0;
+  for (size_t i = 0; i < rows->size(); ++i) {
+    if (!table.Insert((*rows)[i], kept, kept_row)) continue;
+    if (kept != i) MoveRow(rows, i, kept);
     ++kept;
   }
-  rows.resize(kept);
+  KeepRows(rows, kept);
+}
+
+}  // namespace
+
+int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
+                       const std::vector<Embedding>& embeddings,
+                       const SupportContext& context) {
+  return SupportOf(kind, pattern, embeddings, context);
+}
+
+int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
+                       const OccurrenceList& embeddings,
+                       const SupportContext& context) {
+  return SupportOf(kind, pattern, embeddings, context);
+}
+
+void DedupEmbeddingsByImage(std::vector<Embedding>* embeddings) {
+  DedupRows(embeddings, ThreadDedupTable());
+}
+
+void DedupEmbeddingsByImage(OccurrenceList* embeddings) {
+  DedupRows(embeddings, ThreadDedupTable());
+}
+
+OccurrenceFolder::OccurrenceFolder(OccurrenceList* list) : list_(list) {
+  DedupRows(list, ThreadFoldTable());
+}
+
+int64_t OccurrenceFolder::Fold(const OccurrenceList& rows,
+                               std::span<const VertexId> iso,
+                               int64_t max_rows) {
+  ImageTable& table = ThreadFoldTable();
+  auto kept_row = [this](size_t k) { return (*list_)[k]; };
+  const auto start = static_cast<int64_t>(list_->size());
+  int64_t offered = 0;
+  for (OccurrenceList::Row e : rows) {
+    if (start + offered >= max_rows) break;
+    ++offered;
+    const std::span<VertexId> row = list_->AppendRow();
+    for (size_t u = 0; u < iso.size(); ++u) row[u] = e[iso[u]];
+    if (!table.Insert(row, list_->size() - 1, kept_row)) {
+      list_->Truncate(list_->size() - 1);
+    }
+  }
+  return offered;
 }
 
 }  // namespace spidermine

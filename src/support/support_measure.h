@@ -94,13 +94,46 @@ std::string_view SupportMeasureName(SupportMeasureKind kind);
 /// Computes the support of a pattern given its embedding list.
 ///
 /// \p pattern supplies the edge structure needed by kGreedyMisEdge; other
-/// measures only read \p embeddings.
+/// measures only read \p embeddings. Both overloads run one implementation
+/// over the rows.
 int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
                        const std::vector<Embedding>& embeddings,
                        const SupportContext& context = {});
+int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
+                       const OccurrenceList& embeddings,
+                       const SupportContext& context = {});
 
 /// Removes duplicate embeddings that map to the identical image vertex-set
-/// (automorphic re-discoveries), keeping first occurrences in order.
+/// (automorphic re-discoveries), keeping first occurrences in order. Both
+/// overloads and OccurrenceFolder run one image-fingerprint table
+/// implementation.
 void DedupEmbeddingsByImage(std::vector<Embedding>* embeddings);
+void DedupEmbeddingsByImage(OccurrenceList* embeddings);
+
+/// Folds rows into an occurrence list, keeping first images: the same
+/// list as appending each fold's rows and then running
+/// DedupEmbeddingsByImage, but the image table of the list is built once,
+/// when the folder is made, and each fold costs O(its rows).
+///
+/// A folder holds its thread's fold table (not the one
+/// DedupEmbeddingsByImage uses) until it is destroyed: one live folder per
+/// thread.
+class OccurrenceFolder {
+ public:
+  /// Deduplicates \p list by image (a no-op on a list that already is) and
+  /// indexes its rows. \p list must outlive the folder.
+  explicit OccurrenceFolder(OccurrenceList* list);
+
+  /// Appends the rows of \p rows, each renumbered as row'[u] = row[iso[u]]
+  /// (iso has the list's width), dropping any whose image the list holds.
+  /// The cap counts raw appends, duplicates included: with n rows in the
+  /// list at this call, at most max_rows - n rows are offered. Returns how
+  /// many were offered.
+  int64_t Fold(const OccurrenceList& rows, std::span<const VertexId> iso,
+               int64_t max_rows);
+
+ private:
+  OccurrenceList* list_;
+};
 
 }  // namespace spidermine

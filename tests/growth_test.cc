@@ -42,10 +42,10 @@ LabeledGraph TwoPathsOppositeIdOrder() {
 
 /// Empty when \p e maps \p p into \p g injectively, preserving vertex
 /// labels, edges and edge labels; otherwise what is wrong.
-std::string EmbeddingError(const Pattern& p, const Embedding& e,
+std::string EmbeddingError(const Pattern& p, std::span<const VertexId> e,
                            const LabeledGraph& g) {
   if (static_cast<int32_t>(e.size()) != p.NumVertices()) return "size";
-  std::vector<VertexId> image = e;
+  std::vector<VertexId> image(e.begin(), e.end());
   std::sort(image.begin(), image.end());
   if (std::adjacent_find(image.begin(), image.end()) != image.end()) {
     return "not injective";
@@ -67,7 +67,7 @@ int64_t ExpectValidEmbeddings(const std::vector<GrowthPattern>& patterns,
                               const LabeledGraph& g) {
   int64_t checked = 0;
   for (const GrowthPattern& gp : patterns) {
-    for (const Embedding& e : gp.embeddings) {
+    for (OccurrenceList::Row e : gp.embeddings) {
       const std::string error = EmbeddingError(gp.pattern, e, g);
       EXPECT_EQ(error, "") << "pattern " << gp.id
                            << (gp.merged_ever ? " (merge product) " : " ")
@@ -117,7 +117,7 @@ TEST(GrowthTest, SeedFromSpiderBuildsAnchoredEmbeddings) {
   EXPECT_EQ(seed.support, 2);
   // Boundary = the leaves.
   EXPECT_EQ(seed.boundary, (std::vector<VertexId>{1, 2}));
-  for (const Embedding& e : seed.embeddings) {
+  for (OccurrenceList::Row e : seed.embeddings) {
     // Head image has label 1.
     EXPECT_EQ(f.graph.Label(e[0]), 1);
   }

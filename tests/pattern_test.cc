@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace spidermine {
 namespace {
 
@@ -132,6 +139,131 @@ TEST(PatternTest, ToStringIsInformative) {
   EXPECT_NE(s.find("n=2"), std::string::npos);
   EXPECT_NE(s.find("m=1"), std::string::npos);
   EXPECT_NE(s.find("0-1"), std::string::npos);
+}
+
+TEST(PatternTest, EdgeLabelAtFollowsNeighborOrder) {
+  Pattern p;
+  for (int i = 0; i < 4; ++i) p.AddVertex(0);
+  p.AddEdge(0, 3, 7);
+  p.AddEdge(0, 1);
+  p.AddEdge(0, 2, 5);
+  ASSERT_EQ(p.Degree(0), 3);
+  EXPECT_EQ(p.EdgeLabelAt(0, 0), 0);  // 0-1, unlabeled
+  EXPECT_EQ(p.EdgeLabelAt(0, 1), 5);  // 0-2
+  EXPECT_EQ(p.EdgeLabelAt(0, 2), 7);  // 0-3
+  EXPECT_EQ(p.EdgeLabelAt(3, 0), 7);
+  EXPECT_EQ(p.EdgeLabel(2, 0), 5);
+  EXPECT_EQ(p.EdgeLabel(1, 2), -1);
+  EXPECT_EQ(p.EdgeLabel(0, 9), -1);
+}
+
+/// The pattern as a reference model keeps it: one neighbour set per vertex
+/// and a label per edge (u < v).
+struct ReferencePattern {
+  std::vector<LabelId> labels;
+  std::vector<std::set<VertexId>> adjacency;
+  std::map<std::pair<VertexId, VertexId>, EdgeLabelId> edge_labels;
+
+  bool AddEdge(VertexId u, VertexId v, EdgeLabelId label) {
+    const auto n = static_cast<VertexId>(labels.size());
+    if (u == v || u < 0 || v < 0 || u >= n || v >= n) return false;
+    if (!adjacency[u].insert(v).second) return false;
+    adjacency[v].insert(u);
+    edge_labels[{std::min(u, v), std::max(u, v)}] = label;
+    return true;
+  }
+
+  EdgeLabelId EdgeLabel(VertexId u, VertexId v) const {
+    auto it = edge_labels.find({std::min(u, v), std::max(u, v)});
+    return it == edge_labels.end() ? -1 : it->second;
+  }
+};
+
+/// Checks every observable of \p p against \p ref.
+void ExpectMatches(const Pattern& p, const ReferencePattern& ref) {
+  const auto n = static_cast<VertexId>(ref.labels.size());
+  ASSERT_EQ(p.NumVertices(), n);
+  std::vector<Pattern::LabeledEdge> edges;
+  bool labeled = false;
+  for (VertexId v = 0; v < n; ++v) {
+    EXPECT_EQ(p.Label(v), ref.labels[v]);
+    const std::vector<VertexId> expected(ref.adjacency[v].begin(),
+                                         ref.adjacency[v].end());
+    const std::span<const VertexId> got = p.Neighbors(v);
+    ASSERT_EQ(std::vector<VertexId>(got.begin(), got.end()), expected);
+    EXPECT_EQ(p.Degree(v), static_cast<int32_t>(expected.size()));
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const EdgeLabelId label = ref.EdgeLabel(v, expected[i]);
+      EXPECT_EQ(p.EdgeLabelAt(v, i), label);
+      labeled |= label != 0;
+      if (v < expected[i]) edges.push_back({v, expected[i], label});
+    }
+    for (VertexId u = -1; u <= n; ++u) {
+      EXPECT_EQ(p.HasEdge(v, u), ref.EdgeLabel(v, u) >= 0);
+      EXPECT_EQ(p.EdgeLabel(v, u), ref.EdgeLabel(v, u));
+    }
+  }
+  EXPECT_EQ(p.NumEdges(), static_cast<int32_t>(ref.edge_labels.size()));
+  EXPECT_EQ(p.HasEdgeLabels(), labeled);
+  const std::vector<Pattern::LabeledEdge> got = p.LabeledEdges();
+  ASSERT_EQ(got.size(), edges.size());
+  std::vector<std::pair<VertexId, VertexId>> plain;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(got[i].u, edges[i].u);
+    EXPECT_EQ(got[i].v, edges[i].v);
+    EXPECT_EQ(got[i].label, edges[i].label);
+    plain.emplace_back(edges[i].u, edges[i].v);
+  }
+  EXPECT_EQ(p.Edges(), plain);
+}
+
+// Random AddVertex/AddEdge sequences (self-loops, duplicates and
+// out-of-range ids included, which are rejected) against the reference
+// model, with a copy taken midway that must stay equal to the state it
+// copied while the original grows on.
+TEST(PatternTest, MatchesReferenceOnRandomGrowth) {
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    Pattern p;
+    ReferencePattern ref;
+    const bool labeled_edges = trial % 2 == 1;
+    const auto steps = static_cast<int>(rng.UniformInt(0, 60));
+    Pattern copy;
+    ReferencePattern copy_ref;
+    const auto copy_at = static_cast<int>(rng.UniformInt(0, steps));
+    for (int step = 0; step < steps; ++step) {
+      if (step == copy_at) {
+        copy = p;
+        copy_ref = ref;
+      }
+      const auto n = static_cast<VertexId>(ref.labels.size());
+      if (n == 0 || rng.Bernoulli(0.3)) {
+        const auto label = static_cast<LabelId>(rng.UniformInt(0, 4));
+        EXPECT_EQ(p.AddVertex(label), n);
+        ref.labels.push_back(label);
+        ref.adjacency.emplace_back();
+        continue;
+      }
+      const auto u = static_cast<VertexId>(rng.UniformInt(-1, n));
+      const auto v = rng.Bernoulli(0.1)
+                         ? u
+                         : static_cast<VertexId>(rng.UniformInt(-1, n));
+      const auto label = labeled_edges && rng.Bernoulli(0.5)
+                             ? static_cast<EdgeLabelId>(rng.UniformInt(1, 3))
+                             : 0;
+      EXPECT_EQ(p.AddEdge(u, v, label), ref.AddEdge(u, v, label))
+          << "trial " << trial << " edge " << u << "-" << v;
+    }
+    ExpectMatches(p, ref);
+    ExpectMatches(copy, copy_ref);
+    const Pattern again = p;
+    EXPECT_EQ(again, p);
+    EXPECT_EQ(copy == p, copy_ref.labels == ref.labels &&
+                             copy_ref.edge_labels == ref.edge_labels);
+    Pattern grown = p;
+    grown.AddVertex(0);
+    EXPECT_FALSE(grown == p);
+  }
 }
 
 }  // namespace

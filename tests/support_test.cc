@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <set>
 
@@ -26,7 +27,9 @@ TEST(SupportTest, EmbeddingCountIsSize) {
   std::vector<Embedding> embeddings{{0, 1}, {1, 2}, {2, 3}};
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kEmbeddingCount, p, embeddings),
             3);
-  EXPECT_EQ(ComputeSupport(SupportMeasureKind::kEmbeddingCount, p, {}), 0);
+  EXPECT_EQ(ComputeSupport(SupportMeasureKind::kEmbeddingCount, p,
+                           std::vector<Embedding>{}),
+            0);
 }
 
 TEST(SupportTest, MinImageTakesMinimumOverVertices) {
@@ -124,7 +127,9 @@ TEST(SupportTest, HomomorphismIsMinImageOverTheGivenList) {
   std::vector<Embedding> embeddings{{0, 1}, {0, 2}, {0, 3}};
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kHomomorphism, p, embeddings),
             ComputeSupport(SupportMeasureKind::kMinImage, p, embeddings));
-  EXPECT_EQ(ComputeSupport(SupportMeasureKind::kHomomorphism, p, {}), 0);
+  EXPECT_EQ(ComputeSupport(SupportMeasureKind::kHomomorphism, p,
+                           std::vector<Embedding>{}),
+            0);
 }
 
 /// CSR map for 4 vertices: v0 -> {0, 1}, v1 -> {0}, v2 -> {1}, v3 -> {}.
@@ -401,6 +406,117 @@ TEST(DedupEmbeddingsTest, MatchesReferencesOnRandomRowStreams) {
               MisVertexReference(rows));
     EXPECT_EQ(ComputeSupport(SupportMeasureKind::kMinImage, p, rows),
               MinImageReference(width, rows));
+  }
+}
+
+OccurrenceList ToOccurrenceList(int32_t width,
+                                const std::vector<Embedding>& rows) {
+  OccurrenceList list(width);
+  for (const Embedding& e : rows) {
+    std::copy(e.begin(), e.end(), list.AppendRow().begin());
+  }
+  return list;
+}
+
+/// Growth's duplicate fold before flat occurrence lists, kept as the
+/// reference: append the renumbered rows while the list (raw appends
+/// included) is below the cap, then re-dedup the whole list. Returns how
+/// many rows it appended.
+int64_t ReferenceFold(std::vector<Embedding>* list,
+                      const std::vector<Embedding>& rows,
+                      const std::vector<VertexId>& iso, int64_t max_rows) {
+  int64_t appended = 0;
+  for (const Embedding& e : rows) {
+    if (static_cast<int64_t>(list->size()) >= max_rows) break;
+    Embedding renumbered(iso.size());
+    for (size_t u = 0; u < iso.size(); ++u) renumbered[u] = e[iso[u]];
+    list->push_back(std::move(renumbered));
+    ++appended;
+  }
+  DedupEmbeddingsByImage(list);
+  return appended;
+}
+
+// Batches of folds into one target through one OccurrenceFolder, against
+// the append-then-dedup reference: the kept rows, how many rows each fold
+// offered (its cap hit), and every measure's support must match. The
+// batches mix fresh rows, permuted copies and copies of the target's rows,
+// at caps below, at and above the list sizes.
+TEST(OccurrenceFolderTest, MatchesAppendThenDedupOnRandomBatches) {
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto width = static_cast<int32_t>(rng.UniformInt(1, 6));
+    const int32_t num_vertices =
+        trial % 4 == 0 ? 100000
+                       : static_cast<int32_t>(width + rng.UniformInt(0, 20));
+    std::vector<Embedding> start =
+        DedupReference(RandomRows(&rng, width, num_vertices,
+                                  static_cast<int32_t>(rng.UniformInt(0, 60))));
+    const std::array<int64_t, 5> caps{
+        1, static_cast<int64_t>(start.size()),
+        static_cast<int64_t>(start.size()) + 7, 40, 10000};
+    const int64_t cap = caps[rng.Index(caps.size())];
+    std::vector<Embedding> reference = start;
+    OccurrenceList list = ToOccurrenceList(width, start);
+    OccurrenceFolder folder(&list);
+    const auto folds = static_cast<int>(rng.UniformInt(1, 5));
+    for (int f = 0; f < folds; ++f) {
+      std::vector<Embedding> rows =
+          RandomRows(&rng, width, num_vertices,
+                     static_cast<int32_t>(rng.UniformInt(0, 50)));
+      for (const Embedding& e : start) {
+        if (rng.Bernoulli(0.2)) {
+          Embedding copy = e;
+          rng.Shuffle(&copy);
+          rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.Index(rows.size() + 1)),
+                      std::move(copy));
+        }
+      }
+      std::vector<VertexId> iso(static_cast<size_t>(width));
+      for (int32_t u = 0; u < width; ++u) iso[u] = u;
+      rng.Shuffle(&iso);
+      const int64_t expected_offered =
+          ReferenceFold(&reference, rows, iso, cap);
+      EXPECT_EQ(folder.Fold(ToOccurrenceList(width, rows), iso, cap),
+                expected_offered)
+          << "trial " << trial << " fold " << f;
+      ASSERT_EQ(list.ToEmbeddings(), reference)
+          << "trial " << trial << " fold " << f;
+    }
+    Pattern p;
+    for (int32_t i = 0; i < width; ++i) p.AddVertex(0);
+    for (int32_t i = 1; i < width; ++i) p.AddEdge(i - 1, i);
+    std::vector<int32_t> txn_of_vertex(static_cast<size_t>(num_vertices));
+    for (int32_t v = 0; v < num_vertices; ++v) txn_of_vertex[v] = v % 7;
+    SupportContext context;
+    context.txn_of_vertex = &txn_of_vertex;
+    for (const auto kind :
+         {SupportMeasureKind::kEmbeddingCount, SupportMeasureKind::kMinImage,
+          SupportMeasureKind::kGreedyMisVertex,
+          SupportMeasureKind::kGreedyMisEdge, SupportMeasureKind::kTransaction,
+          SupportMeasureKind::kHomomorphism}) {
+      EXPECT_EQ(ComputeSupport(kind, p, list, context),
+                ComputeSupport(kind, p, reference, context))
+          << SupportMeasureName(kind) << ", trial " << trial;
+    }
+  }
+}
+
+// The flat list's dedup keeps the same rows as the row-vector one on raw
+// streams with duplicates (what BuildSeed, TryExtend and union grouping
+// dedup).
+TEST(OccurrenceFolderTest, FlatDedupMatchesRowDedup) {
+  Rng rng(5);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto width = static_cast<int32_t>(rng.UniformInt(1, 6));
+    std::vector<Embedding> rows =
+        RandomRows(&rng, width, width + static_cast<int32_t>(trial % 15),
+                   static_cast<int32_t>(rng.UniformInt(0, 200)));
+    OccurrenceList list = ToOccurrenceList(width, rows);
+    DedupEmbeddingsByImage(&rows);
+    DedupEmbeddingsByImage(&list);
+    ASSERT_EQ(list.ToEmbeddings(), rows) << "trial " << trial;
   }
 }
 

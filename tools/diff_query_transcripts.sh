@@ -1,25 +1,30 @@
 #!/usr/bin/env bash
-# Diffs what two spidermine binaries print for the same queries on the
-# benchmark graph (perfbench/graphs.py, imported read-only, with the graph
-# spec of perfbench/run.py), through both query front ends. Each binary
-# converts the graph and mines its own Stage I artifact
-# (`stage1 --support=3`); then both answer 44 cases in two legs:
-#   plain: seeds {11, 404, 7, 23, 1001, 58}
+# Diffs what two spidermine binaries print for the same queries, through
+# both query front ends. Each binary builds its own graphs and mines its
+# own Stage I artifacts; then both answer 48 cases in three legs:
+#   plain: the benchmark graph (perfbench/graphs.py, imported read-only,
+#     with the graph spec of perfbench/run.py), `stage1 --support=3`,
+#     seeds {11, 404, 7, 23, 1001, 58}
 #     x measures {vertex-mis, homomorphism,
 #                 transaction with --txn-map --txn-sample=32}
-#     x --threads {1, 3}                                      (36 cases)
+#     x --threads {1, 3}, queries --k=5 --dmax=6 --vmin=20     (36 cases)
 #   edge-labeled: the same graph with each edge {u, v} labeled
 #     (label(u) + label(v)) % 3, seeds {11, 404}
-#     x measures {vertex-mis, homomorphism} x --threads {1, 3} (8 cases)
-# each twice: as `query --k=5 --dmax=6 --vmin=20 --stats` transcripts, and
-# as JSON request lines sent to one `serve` process per leg and --threads
-# value over stdin (responses sorted; they complete out of order). Only
-# seconds values are masked. A case differs when either its transcript or
-# its serve response does. The usage texts of `mine`, `query`, `stage1`
-# and `serve` (each run with no positional argument) are diffed too.
-# Prints a diff for everything that differs and exits 1 if anything does,
-# 0 if all 44 cases, the 4 serve acknowledgments and the 4 usage texts are
-# identical.
+#     x measures {vertex-mis, homomorphism} x --threads {1, 3},
+#     the same query flags                                      (8 cases)
+#   few-label: `gen --model=er --vertices=160 --avg-degree=3.2 --labels=5
+#     --seed=3`, `stage1 --support=2`, seeds {11, 404} x vertex-mis
+#     x --threads {1, 3}, queries --k=12 --dmax=4 --vmin=4       (4 cases;
+#     the one graph here on which TryExtend folds a duplicate extension
+#     into an earlier pattern of its own lineage)
+# each twice: as `query --stats` transcripts, and as JSON request lines
+# sent to one `serve` process per leg and --threads value over stdin
+# (responses sorted; they complete out of order). Only seconds values are
+# masked. A case differs when either its transcript or its serve response
+# does. The usage texts of `mine`, `query`, `stage1` and `serve` (each run
+# with no positional argument) are diffed too. Prints a diff for
+# everything that differs and exits 1 if anything does, 0 if all 48
+# cases, the 6 serve acknowledgments and the 4 usage texts are identical.
 #
 # Usage: tools/diff_query_transcripts.sh OLD_BIN NEW_BIN
 set -euo pipefail
@@ -53,13 +58,17 @@ with open(os.path.join(sys.argv[2], "labeled.lg"), "w") as f:
                  for u, v in sorted(edges))
 EOF
 
-for leg in plain labeled; do
-  for side in old new; do
-    bin_var="${side}_bin"
+for side in old new; do
+  bin_var="${side}_bin"
+  for leg in plain labeled; do
     "${!bin_var}" convert "$work/$leg.lg" "$work/$side.$leg.smg" > /dev/null
     "${!bin_var}" stage1 "$work/$side.$leg.smg" --support=3 \
         --out="$work/$side.$leg.sm2" > /dev/null
   done
+  "${!bin_var}" gen --model=er --vertices=160 --avg-degree=3.2 --labels=5 \
+      --seed=3 --out="$work/$side.few.smg" > /dev/null
+  "${!bin_var}" stage1 "$work/$side.few.smg" --support=2 \
+      --out="$work/$side.few.sm2" > /dev/null
 done
 
 mask_seconds() {
@@ -78,17 +87,24 @@ cases=0
 differing=0
 other=0
 # Runs the cases of one leg on the graph named $1. The arrays `seeds`,
-# `measures` and `serve_flags` (extra `serve` flags) describe them.
+# `measures`, `serve_flags` (extra `serve` flags) and `query` (the leg's
+# query parameters as name=value, sent as `--name=value` flags and as
+# "name":value serve keys) describe them.
 run_leg() {
   local leg=$1
   local expected=$(( ${#seeds[@]} * ${#measures[@]} + 1 ))
   local threads seed measure side bin_var requests id diff_out args extra
+  local param query_keys="" query_flags=()
+  for param in "${query[@]}"; do
+    query_keys+="\"${param%%=*}\":${param#*=},"
+    query_flags+=("--$param")
+  done
   for threads in 1 3; do
     requests=""
     for seed in "${seeds[@]}"; do
       for measure in "${measures[@]}"; do
-        requests+="{\"id\":\"$seed/$threads/${measure%% *}\",\"k\":5,"
-        requests+="\"dmax\":6,\"vmin\":20,\"seed\":$seed,"
+        requests+="{\"id\":\"$seed/$threads/${measure%% *}\","
+        requests+="${query_keys}\"seed\":$seed,"
         requests+="$(request_keys "$measure")}"$'\n'
       done
     done
@@ -118,7 +134,7 @@ run_leg() {
     fi
     for seed in "${seeds[@]}"; do
       for measure in "${measures[@]}"; do
-        args=(--k=5 --dmax=6 --vmin=20 --stats --seed="$seed"
+        args=("${query_flags[@]}" --stats --seed="$seed"
               --threads="$threads")
         read -r -a extra <<< "$measure"
         id="\"id\":\"$seed/$threads/${measure%% *}\""
@@ -149,12 +165,17 @@ measures=(
   "--measure=transaction --txn-map=$work/graph.txn --txn-sample=32"
 )
 serve_flags=(--txn-map="$work/graph.txn")
+query=(k=5 dmax=6 vmin=20)
 run_leg plain
 
 seeds=(11 404)
 measures=("--measure=vertex-mis" "--measure=homomorphism")
 serve_flags=()
 run_leg labeled
+
+measures=("--measure=vertex-mis")
+query=(k=12 dmax=4 vmin=4)
+run_leg few
 
 usage_differing=0
 for command in mine query stage1 serve; do
@@ -170,6 +191,6 @@ for command in mine query stage1 serve; do
 done
 
 echo "$usage_differing of 4 usage texts differ"
-echo "$other of 4 serve acknowledgments differ"
+echo "$other of 6 serve acknowledgments differ"
 echo "$differing of $cases cases differ"
 [ "$differing" -eq 0 ] && [ "$usage_differing" -eq 0 ] && [ "$other" -eq 0 ]
