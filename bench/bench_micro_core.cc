@@ -102,8 +102,9 @@ void BM_StarMining(benchmark::State& state) {
   StarMinerConfig config;
   config.min_support = 2;
   config.max_leaves = 6;
+  ThreadPool serial(1);  // one thread: every loop runs inline
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MineStarSpiders(g, config));
+    benchmark::DoNotOptimize(MineStarSpiders(g, config, serial));
   }
 }
 BENCHMARK(BM_StarMining)->Arg(1000)->Arg(5000)->Arg(20000);

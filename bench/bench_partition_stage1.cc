@@ -187,7 +187,7 @@ int Main(int argc, char** argv) {
       config.max_star_leaves = max_leaves;
       ThreadPool pool(threads > 0 ? threads : ThreadPool::DefaultThreads());
       Result<Stage1PartialResult> partial =
-          MineStage1Partial(*part, config, &pool);
+          MineStage1Partial(*part, config, pool);
       if (!partial.ok()) return 1;
       const Status saved =
           SaveStage1Partial(partial->store, partial->meta, partial_path(p));

@@ -69,8 +69,9 @@ void ThreadPool::ParallelForChunks(
     grain = (n + chunks - 1) / chunks;
   }
   if (n <= grain || num_threads_ == 1) {
-    // Serial fast path: nothing to gain from dispatch; still honor the
-    // token between chunks so a deadline bounds even the inline loop.
+    // The library's one serial path: chunks run in ascending order on the
+    // calling thread, and the token is still polled between chunks so a
+    // deadline bounds even the inline loop.
     for (int64_t begin = 0; begin < n; begin += grain) {
       if (token != nullptr && token->IsCancelled()) return;
       body(begin, std::min(n, begin + grain));
@@ -128,17 +129,6 @@ void ThreadPool::ParallelForChunks(
   std::unique_lock<std::mutex> lock(state->mu);
   state->done.wait(lock,
                    [&state] { return state->finished == state->num_chunks; });
-}
-
-void ThreadPool::ParallelFor(int64_t n,
-                             const std::function<void(int64_t)>& body,
-                             const CancellationToken* token) {
-  ParallelForChunks(
-      n, /*grain=*/-1,
-      [&body](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) body(i);
-      },
-      token);
 }
 
 int32_t ThreadPool::DefaultThreads() {

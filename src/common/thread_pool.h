@@ -15,6 +15,9 @@
 /// A fixed-size worker pool used to parallelize embarrassingly parallel
 /// library work (Stage I star shards, per-lineage growth, closure, benchmark
 /// sweeps). Tasks are void() closures; completion is observed via WaitIdle().
+/// Every library fan-out goes through ParallelForChunks, and every library
+/// entry that fans out takes a pool by reference: a serial caller passes a
+/// one-thread pool, and the loop's inline branch is the serial path.
 /// The pool is deliberately simple: no futures, no work stealing --
 /// determinism of *results* is preserved by having callers write to
 /// pre-sized output slots, so scheduling order never influences output.
@@ -22,7 +25,7 @@
 /// Concurrent callers: one pool may be shared by any number of caller
 /// threads (the serving scenario: many in-flight queries fanning out over
 /// one session pool). Schedule() is thread-safe, and each
-/// ParallelFor/ParallelForChunks call counts its own finished chunks: a
+/// ParallelForChunks call counts its own finished chunks: a
 /// runner claims a chunk before touching the loop body, the caller runs
 /// chunks itself until none is left to claim, and the call returns once
 /// every claimed chunk has finished. It never waits for a helper task that
@@ -92,24 +95,21 @@ class ThreadPool {
   /// Number of worker threads.
   int32_t num_threads() const { return num_threads_; }
 
-  /// Runs `body(i)` for i in [0, n) across the pool and waits for all
-  /// iterations; the calling thread also participates. Iterations are
-  /// distributed in contiguous chunks to limit synchronization. When
-  /// \p token is non-null and becomes cancelled, chunks not yet started are
-  /// skipped (iterations already running finish; callers observe partial
-  /// output only through their own slots). Safe to call concurrently from
-  /// multiple threads on one pool, and from inside a pool worker: the call
-  /// waits only for its own claimed chunks, not for other callers' tasks
-  /// or for its own helpers to be dequeued.
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& body,
-                   const CancellationToken* token = nullptr);
-
-  /// Chunked variant with explicit grain-size control: runs
-  /// `body(begin, end)` over contiguous ranges of at most \p grain
-  /// iterations (grain < 1 selects an automatic ~4-chunks-per-thread
-  /// grain). Use a large grain for cheap iterations to amortize dispatch,
-  /// grain = 1 for expensive skewed iterations. Cancellation and
-  /// concurrent-caller safety as in ParallelFor.
+  /// The library's one parallel loop: runs `body(begin, end)` over
+  /// contiguous ranges of at most \p grain iterations of [0, n) and waits
+  /// for all of them; the calling thread also participates. grain < 1
+  /// selects an automatic ~4-chunks-per-thread grain. Use a large grain for
+  /// cheap iterations to amortize dispatch, grain = 1 for expensive skewed
+  /// iterations. When n <= grain or the pool has one thread, the chunks
+  /// run inline, in ascending order, on the calling thread: that branch is
+  /// the library's only serial path (no caller keeps a loop of its own
+  /// for the serial case). When \p token is non-null and becomes
+  /// cancelled, chunks not yet started are skipped (chunks already running
+  /// finish; callers observe partial output only through their own slots),
+  /// inline or not. Safe to call concurrently from multiple threads on one
+  /// pool, and from inside a pool worker: the call waits only for its own
+  /// claimed chunks, not for other callers' tasks or for its own helpers
+  /// to be dequeued.
   void ParallelForChunks(int64_t n, int64_t grain,
                          const std::function<void(int64_t, int64_t)>& body,
                          const CancellationToken* token = nullptr);

@@ -15,7 +15,7 @@ using LeafKey = SpiderLeafKey;
 struct NeighborLeafCounts {
   std::vector<std::vector<std::pair<LeafKey, int32_t>>> counts;
 
-  NeighborLeafCounts(const LabeledGraph& graph, ThreadPool* pool,
+  NeighborLeafCounts(const LabeledGraph& graph, ThreadPool& pool,
                      const CancellationToken* token) {
     const int64_t n = graph.NumVertices();
     counts.resize(static_cast<size_t>(n));
@@ -30,11 +30,7 @@ struct NeighborLeafCounts {
         counts[v].assign(local.begin(), local.end());
       }
     };
-    if (pool != nullptr) {
-      pool->ParallelForChunks(n, /*grain=*/-1, fill_range, token);
-    } else {
-      fill_range(0, n);
-    }
+    pool.ParallelForChunks(n, /*grain=*/-1, fill_range, token);
   }
 
   int32_t Count(VertexId v, LeafKey key) const {
@@ -200,7 +196,7 @@ void RunSubtree(const LabeledGraph& graph, const StarMinerConfig& config,
 
 Result<StarMineResult> MineStarSpiders(const LabeledGraph& graph,
                                        const StarMinerConfig& config,
-                                       ThreadPool* pool,
+                                       ThreadPool& pool,
                                        const CancellationToken* token) {
   if (config.min_support < 1) {
     return Status::InvalidArgument("min_support must be >= 1");
@@ -249,12 +245,8 @@ Result<StarMineResult> MineStarSpiders(const LabeledGraph& graph,
       }
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelForChunks(static_cast<int64_t>(scans.size()), /*grain=*/1,
-                            run_scan, token);
-  } else {
-    run_scan(0, static_cast<int64_t>(scans.size()));
-  }
+  pool.ParallelForChunks(static_cast<int64_t>(scans.size()), /*grain=*/1,
+                         run_scan, token);
 
   // ---- Per-label fold (serial, label order): merged candidate-key counts
   // define the frequent first keys, each rooting one enumeration shard.
@@ -315,12 +307,8 @@ Result<StarMineResult> MineStarSpiders(const LabeledGraph& graph,
         if (emit && budgeted) shard.attempts = counted_attempts;
       }
     };
-    if (pool != nullptr) {
-      pool->ParallelForChunks(static_cast<int64_t>(enum_shards.size()),
-                              /*grain=*/1, body, token);
-    } else {
-      body(0, static_cast<int64_t>(enum_shards.size()));
-    }
+    pool.ParallelForChunks(static_cast<int64_t>(enum_shards.size()),
+                           /*grain=*/1, body, token);
   };
 
   // ---- Deterministic global budget. With a budget, shards first COUNT

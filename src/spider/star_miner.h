@@ -32,6 +32,11 @@
 ///     the serial enumeration order — so results are identical at any
 ///     thread count.
 ///
+/// Both shard kinds, and the per-vertex neighbour-count rows they read,
+/// dispatch through ThreadPool::ParallelForChunks on the caller's pool,
+/// which is required: a serial caller passes a one-thread pool, whose
+/// inline branch runs every shard in canonical order on the calling thread.
+///
 /// `max_spiders` is a deterministic **global** budget: shards first report
 /// their sizes (a counting pass with O(1) memory per shard), a serial
 /// coordinator fold walks shards in canonical order assigning each its
@@ -82,13 +87,14 @@ struct StarMineResult {
   std::vector<Spider> Spiders() const { return store.MaterializeAll(); }
 };
 
-/// Mines all frequent 1-spiders (stars) of \p graph. With a non-null
-/// \p pool, scan and enumeration shards run on the pool's workers; the
-/// mined set is independent of the thread count and the shard grain. A
-/// non-null \p token is polled inside shard enumeration: cancellation stops
-/// mining mid-shard and marks the result truncated.
+/// Mines all frequent 1-spiders (stars) of \p graph. The neighbour-count
+/// rows, scan shards and enumeration shards run on \p pool (a one-thread
+/// pool runs them inline); the mined set is independent of the thread
+/// count and the shard grain. A non-null \p token is polled between
+/// chunks and inside shard enumeration: cancellation stops mining
+/// mid-shard and marks the result truncated.
 Result<StarMineResult> MineStarSpiders(
     const LabeledGraph& graph, const StarMinerConfig& config,
-    ThreadPool* pool = nullptr, const CancellationToken* token = nullptr);
+    ThreadPool& pool, const CancellationToken* token = nullptr);
 
 }  // namespace spidermine

@@ -6,14 +6,9 @@
 
 namespace spidermine {
 
-namespace {
-
-/// Shared scaffold: drop patterns[i] when some patterns[j] is a strict
-/// super-pattern and `subsumes(i, j)` confirms the filter-specific
-/// condition.
-template <typename Subsumes>
-std::vector<MinedPattern> Filter(std::vector<MinedPattern> patterns,
-                                 Subsumes subsumes) {
+std::vector<MinedPattern> FilterToClosed(std::vector<MinedPattern> patterns) {
+  // Drop patterns[i] when some strictly larger patterns[j] with at least
+  // its support contains it.
   std::vector<bool> dropped(patterns.size(), false);
   for (size_t i = 0; i < patterns.size(); ++i) {
     for (size_t j = 0; j < patterns.size() && !dropped[i]; ++j) {
@@ -24,7 +19,7 @@ std::vector<MinedPattern> Filter(std::vector<MinedPattern> patterns,
           big.NumVertices() <= small.NumVertices()) {
         continue;  // not strictly larger
       }
-      if (!subsumes(small, big)) continue;
+      if (big.support < small.support) continue;
       if (IsSubPattern(small.pattern, big.pattern)) dropped[i] = true;
     }
   }
@@ -34,20 +29,6 @@ std::vector<MinedPattern> Filter(std::vector<MinedPattern> patterns,
     if (!dropped[i]) kept.push_back(std::move(patterns[i]));
   }
   return kept;
-}
-
-}  // namespace
-
-std::vector<MinedPattern> FilterToClosed(std::vector<MinedPattern> patterns) {
-  return Filter(std::move(patterns),
-                [](const MinedPattern& small, const MinedPattern& big) {
-                  return big.support >= small.support;
-                });
-}
-
-std::vector<MinedPattern> FilterToMaximal(std::vector<MinedPattern> patterns) {
-  return Filter(std::move(patterns),
-                [](const MinedPattern&, const MinedPattern&) { return true; });
 }
 
 }  // namespace spidermine

@@ -1,8 +1,10 @@
 #include "spidermine/config.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/fnv1a.h"
+#include "common/strings.h"
 
 namespace spidermine {
 
@@ -39,6 +41,20 @@ Status QueryConfig::Validate() const {
     return Status::InvalidArgument(
         "txn_sample requires the transaction support measure");
   }
+  const std::pair<const char*, int64_t> caps[] = {
+      {"max_embeddings_per_pattern", max_embeddings_per_pattern},
+      {"max_patterns_per_round", max_patterns_per_round},
+      {"max_seed_embeddings_per_anchor", max_seed_embeddings_per_anchor},
+      {"max_merge_pairs_per_key", max_merge_pairs_per_key},
+      {"max_union_instances", max_union_instances},
+      {"stage3_max_rounds", stage3_max_rounds},
+  };
+  for (const auto& [name, value] : caps) {
+    if (value < 1) {
+      return Status::InvalidArgument(
+          StrCat(name, " must be >= 1, got ", value));
+    }
+  }
   return Status::Ok();
 }
 
@@ -48,9 +64,6 @@ QueryConfig QueryConfig::Resolve(int64_t session_min_support,
   if (q.min_support == 0) q.min_support = session_min_support;
   if (q.vmin <= 0) q.vmin = std::max<int64_t>(1, graph_vertices / 10);
   q.vmin = std::min(q.vmin, graph_vertices);
-  if (q.closure_window <= 0) {
-    q.closure_window = std::max<int64_t>(64, 8LL * q.k);
-  }
   if (q.restarts < 0) q.restarts = 1;
   return q;
 }
@@ -78,13 +91,16 @@ uint64_t QueryConfig::CanonicalHash(int64_t session_min_support,
   h.MixValueBytes(q.max_merge_pairs_per_key);
   h.MixValueBytes(q.max_union_instances);
   h.MixValueBytes(q.stage3_max_rounds);
-  h.MixValueBytes(q.max_results);
+  // Fixed knobs keep their bytes and positions in the key so the pinned
+  // keys (fnv1a_test) hold: the result cap, closed spiders only (on), the
+  // closure window and keep-unmerged (off).
+  h.MixValueBytes(kMaxResults);
   h.MixValueBytes(q.time_budget_seconds);
-  h.MixValueBytes(q.use_closed_spiders_only);
+  h.MixValueBytes(true);
   h.MixValueBytes(q.close_internal_edges);
-  h.MixValueBytes(q.closure_window);
+  h.MixValueBytes(q.ClosureWindow());
   h.MixValueBytes(q.enforce_dmax_on_results);
-  h.MixValueBytes(q.keep_unmerged);
+  h.MixValueBytes(false);
   return h.hash();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,6 +25,9 @@
 namespace spidermine {
 
 class ThreadPool;
+
+/// Cap on a query's accumulated result list (kept sorted by size).
+inline constexpr int64_t kMaxResults = 10000;
 
 /// Graph-scoped parameters: everything that determines the Stage I spider
 /// set (and therefore must be fixed for the lifetime of a MiningSession).
@@ -120,7 +124,8 @@ struct QueryConfig {
   /// patterns (seed-count math only); negatives clamp to the default 1.
   int32_t restarts = 1;
 
-  // ---- Engineering caps (0 = unlimited unless stated). ----
+  // ---- Engineering caps. Each of the six below must be >= 1 (Validate
+  // rejects 0 and negatives: none of them means "unlimited"). ----
   /// Per-pattern cap on stored embeddings.
   int64_t max_embeddings_per_pattern = 10000;
   /// Cap on in-flight patterns per growth round.
@@ -134,25 +139,16 @@ struct QueryConfig {
   int32_t max_union_instances = 256;
   /// Stage III stops after this many growth rounds even without a fixpoint.
   int32_t stage3_max_rounds = 64;
-  /// Cap on the accumulated result list (kept sorted by size).
-  int64_t max_results = 10000;
   /// Wall-clock budget for this query in seconds (0 = unlimited).
   double time_budget_seconds = 0.0;
 
   // ---- Behavioral switches. ----
-  /// Use only closed stars (no super-star with the same anchors) as growth
-  /// units; reduces redundant branches without changing reachable patterns.
-  bool use_closed_spiders_only = true;
   /// Post-growth internal-edge closure (see spidermine/closure.h): restores
   /// cycle-closing edges that star-based outward growth cannot add. The
   /// paper's full-spider Stage I plants these edges at append time; with
   /// the star fast path this refinement is needed for exactness on cyclic
   /// patterns. Can only enlarge patterns; never violates Dmax.
   bool close_internal_edges = true;
-  /// How many of the size-ranked results closure examines (0 = all).
-  /// Closure can promote a pattern past others, so the window is kept well
-  /// above K; patterns far below the window are too small to reach top-K.
-  int64_t closure_window = 0;  // 0 resolves to max(64, 8 * k)
   /// Drop results whose diameter exceeds dmax. Definition 2 requires
   /// diam(P) <= Dmax of returned patterns, but Algorithm 1's Stage III
   /// ("grow until no more frequent patterns") can legitimately exceed it --
@@ -160,8 +156,11 @@ struct QueryConfig {
   /// ones. Off by default to keep that (desirable) behavior; switch on for
   /// strict Definition-2 output (the exact oracle always enforces it).
   bool enforce_dmax_on_results = false;
-  /// Ablation: skip the Stage II "keep only merged patterns" pruning.
-  bool keep_unmerged = false;
+
+  /// How many of the size-ranked results closure examines: max(64, 8k).
+  /// Closure can promote a pattern past others, so the window is kept well
+  /// above K; patterns far below the window are too small to reach top-K.
+  int64_t ClosureWindow() const { return std::max<int64_t>(64, 8LL * k); }
 
   /// Field-range validation (session-independent parts; the min_support
   /// floor and txn_of_vertex checks need the session and run in RunQuery).
@@ -173,7 +172,6 @@ struct QueryConfig {
   ///   - `min_support` 0 -> \p session_min_support (the mined floor);
   ///   - `vmin` 0 -> the paper's max(1, |V|/10) over \p graph_vertices,
   ///     and every `vmin` clamped to |V|;
-  ///   - `closure_window` 0 -> max(64, 8k);
   ///   - negative `restarts` -> the default 1.
   /// Idempotent; needs no validation first.
   QueryConfig Resolve(int64_t session_min_support,

@@ -250,21 +250,14 @@ struct GrowthEngine::RoundState {
 GrowthEngine::GrowthEngine(const LabeledGraph* graph, const SpiderIndex* index,
                            const SessionConfig* session,
                            const QueryConfig* query, MineStats* stats,
-                           const Deadline* deadline, ThreadPool* pool,
-                           const CancellationToken* token)
+                           ThreadPool& pool, const CancellationToken& token)
     : graph_(graph),
       index_(index),
       session_(session),
       query_(query),
       stats_(stats),
-      deadline_(deadline),
       pool_(pool),
       token_(token) {}
-
-bool GrowthEngine::Cancelled() const {
-  if (token_ != nullptr && token_->IsCancelled()) return true;
-  return deadline_ != nullptr && deadline_->Expired();
-}
 
 int64_t GrowthEngine::Support(const GrowthPattern& gp) const {
   SupportContext ctx;
@@ -322,12 +315,6 @@ GrowthPattern GrowthEngine::BuildSeed(int32_t spider_id,
   return gp;
 }
 
-GrowthPattern GrowthEngine::SeedFromSpider(int32_t spider_id) {
-  GrowthPattern gp = BuildSeed(spider_id, stats_);
-  gp.id = next_id_++;
-  return gp;
-}
-
 std::vector<GrowthPattern> GrowthEngine::SeedPatterns(
     const std::vector<int32_t>& picks) {
   const int64_t n = static_cast<int64_t>(picks.size());
@@ -338,15 +325,10 @@ std::vector<GrowthPattern> GrowthEngine::SeedPatterns(
       out[i] = BuildSeed(picks[i], &local[i]);
     }
   };
-  if (pool_ != nullptr && n > 1) {
-    // Grain 1: per-seed embedding enumeration is highly skewed (hub
-    // anchors).
-    pool_->ParallelForChunks(n, /*grain=*/1, build, token_);
-  } else {
-    build(0, n);
-  }
-  // Serial epilogue in input order: id assignment and stat folding match a
-  // sequential SeedFromSpider loop exactly.
+  // Grain 1: per-seed embedding enumeration is highly skewed (hub anchors).
+  pool_.ParallelForChunks(n, /*grain=*/1, build, &token_);
+  // Serial epilogue in input order: id assignment and stat folding are
+  // identical at any thread count.
   for (int64_t i = 0; i < n; ++i) {
     stats_->Add(local[i]);
     out[i].id = next_id_++;
@@ -494,10 +476,12 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
     if (cur.exhausted) continue;
     const VertexId v = cur.boundary[cur.cursor];
 
-    // ---- Candidate spiders at v (paper's Spider(v)): spiders anchored at
-    // an image of v, with matching head label, covering N_P(v) and adding
-    // at least one new leaf; each distinct spider is tested once, and the
-    // candidates are taken in ascending id order.
+    // ---- Candidate spiders at v (paper's Spider(v)): closed spiders
+    // anchored at an image of v, with matching head label, covering N_P(v)
+    // and adding at least one new leaf; each distinct spider is tested
+    // once, and the candidates are taken in ascending id order. Only closed
+    // stars (no super-star with the same anchors) are growth units: that
+    // drops redundant branches without changing reachable patterns.
     PatternNeighborKeys(cur.pattern, v, &scratch.np_keys);
     scratch.images.Clear();
     scratch.spider_ids.Clear();
@@ -508,7 +492,7 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
       if (!scratch.images.Insert(e[v])) continue;
       for (int32_t sid : index_->SpidersAt(e[v])) {
         if (!scratch.spider_ids.Insert(sid)) continue;
-        if (query_->use_closed_spiders_only && !store.closed(sid)) continue;
+        if (!store.closed(sid)) continue;
         if (store.head_label(sid) != label_v) continue;
         const std::span<const LeafKey> leaves = store.leaves(sid);
         if (leaves.size() <= scratch.np_keys.size()) continue;
@@ -557,7 +541,7 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
   }
 }
 
-void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
+void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
   // ---- Bucket collection (serial): gather candidate pattern-id sets per
   // colliding (spider, anchor) key, current round first, then cross the
   // previous round (Buf_cur x Buf_pre), resolved to live pool entries.
@@ -578,11 +562,8 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   std::vector<Bucket> buckets;
   for (uint64_t key : keys) {
     std::vector<int64_t> all_ids = rs->registry[key];
-    if (previous != nullptr) {
-      auto it = previous->find(key);
-      if (it != previous->end()) {
-        all_ids.insert(all_ids.end(), it->second.begin(), it->second.end());
-      }
+    if (auto it = previous.find(key); it != previous.end()) {
+      all_ids.insert(all_ids.end(), it->second.begin(), it->second.end());
     }
     std::sort(all_ids.begin(), all_ids.end());
     all_ids.erase(std::unique(all_ids.begin(), all_ids.end()), all_ids.end());
@@ -821,13 +802,9 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
                  &results[static_cast<size_t>(i)]);
     }
   };
-  if (pool_ != nullptr && tasks.size() > 1) {
-    // Grain 1: pair costs are skewed (embedding-list sizes vary widely).
-    pool_->ParallelForChunks(static_cast<int64_t>(tasks.size()),
-                             /*grain=*/1, build_range, token_);
-  } else {
-    build_range(0, static_cast<int64_t>(tasks.size()));
-  }
+  // Grain 1: pair costs are skewed (embedding-list sizes vary widely).
+  pool_.ParallelForChunks(static_cast<int64_t>(tasks.size()), /*grain=*/1,
+                          build_range, &token_);
 
   // ---- Serial fold in sorted (key, pair) order — the same order the old
   // per-bucket serial pass produced candidates in: assign ids, dedup
@@ -895,17 +872,12 @@ void GrowthEngine::ApplyFolds(RoundState* rs,
       target.support = Support(target);
     }
   };
-  const int64_t n = static_cast<int64_t>(starts.size()) - 1;
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelForChunks(n, /*grain=*/1, apply);
-  } else {
-    apply(0, n);
-  }
+  pool_.ParallelForChunks(static_cast<int64_t>(starts.size()) - 1,
+                          /*grain=*/1, apply);
 }
 
 GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
-                                        bool enable_merging,
-                                        MergeRegistry* previous) {
+                                        MergeRegistry& previous) {
   const int64_t n = static_cast<int64_t>(input.size());
   for (GrowthPattern& gp : input) {
     gp.cursor = 0;
@@ -934,12 +906,8 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
                     &lineages[static_cast<size_t>(i)], lineage_cap);
     }
   };
-  if (pool_ != nullptr && n > 1) {
-    // Grain 1: lineage costs are heavily skewed.
-    pool_->ParallelForChunks(n, /*grain=*/1, expand, token_);
-  } else {
-    expand(0, n);
-  }
+  // Grain 1: lineage costs are heavily skewed.
+  pool_.ParallelForChunks(n, /*grain=*/1, expand, &token_);
   // Cancellation may skip whole lineages; re-admit their untouched inputs
   // so no in-flight pattern is lost mid-budget.
   for (int64_t i = 0; i < n; ++i) {
@@ -1021,7 +989,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
     }
   }
 
-  if (enable_merging) RunMerges(&rs, previous);
+  RunMerges(&rs, previous);
 
   GrowRoundResult out;
   out.any_growth = rs.any_growth;
@@ -1039,7 +1007,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
     gp.exhausted = gp.boundary.empty();
     out.patterns.push_back(std::move(gp));
   }
-  if (previous != nullptr) *previous = std::move(rs.registry);
+  previous = std::move(rs.registry);
   return out;
 }
 

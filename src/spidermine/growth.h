@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "graph/labeled_graph.h"
 #include "pattern/embedding.h"
 #include "pattern/pattern.h"
@@ -29,7 +28,10 @@
 /// anchor bucket's union candidates on the workers (every bucket reads the
 /// same pre-merge snapshot, and each resolves its duplicates of that
 /// snapshot there) and admits them in a serial sorted-key fold -- so the
-/// round's output is identical at any thread count.
+/// round's output is identical at any thread count. Every fan-out (seeds,
+/// lineages, merge pairs, folds) is one ThreadPool::ParallelForChunks call
+/// on the engine's pool. There is no separate serial path: a one-thread
+/// pool runs the same loops inline.
 ///
 /// Every dedup site (lineage, round, union grouping, merge fold and the
 /// session's result dedup) goes through pattern/iso_index.h, so the pattern
@@ -89,39 +91,35 @@ using MergeRegistry = std::unordered_map<uint64_t, std::vector<int64_t>>;
 /// Executes growth rounds against a fixed graph + spider set.
 class GrowthEngine {
  public:
-  /// All references are borrowed and must outlive the engine. \p session
-  /// carries the graph-scoped parameters (the transaction sources);
-  /// \p query the per-query knobs, already QueryConfig::Resolve()d
-  /// (MiningSession::RunQuery resolves before constructing an engine). A
-  /// non-null \p deadline is polled inside rounds so the configured time
-  /// budget bounds even a single expensive round. A non-null \p pool
-  /// parallelizes seeding and per-lineage round expansion (results stay
-  /// identical at any thread count); \p token adds cooperative mid-round
-  /// cancellation on the workers.
+  /// All pointers and references are borrowed and must outlive the engine.
+  /// \p session carries the graph-scoped parameters (the transaction
+  /// sources); \p query the per-query knobs, already QueryConfig::Resolve()d
+  /// (MiningSession::RunQuery resolves before constructing an engine).
+  /// Seeding, lineage expansion, the merge pass and the folds fan out over
+  /// \p pool (a one-thread pool runs them inline; results are identical at
+  /// any thread count). \p token is polled inside rounds and on the
+  /// workers, so the query's time budget (the token's deadline) bounds even
+  /// a single expensive round.
   GrowthEngine(const LabeledGraph* graph, const SpiderIndex* index,
                const SessionConfig* session, const QueryConfig* query,
-               MineStats* stats, const Deadline* deadline = nullptr,
-               ThreadPool* pool = nullptr,
-               const CancellationToken* token = nullptr);
-
-  /// Builds the initial GrowthPattern for the seed spider with store id
-  /// \p spider_id (embeddings enumerated per anchor, boundary = outermost
-  /// layer).
-  GrowthPattern SeedFromSpider(int32_t spider_id);
+               MineStats* stats, ThreadPool& pool,
+               const CancellationToken& token);
 
   /// Builds seeds for every spider id in \p picks, in order, fanning the
-  /// per-spider embedding enumeration out over the pool. Equivalent to
-  /// calling SeedFromSpider on each pick in sequence (same ids, same
-  /// stats), but parallel.
+  /// per-spider embedding enumeration (embeddings enumerated per anchor,
+  /// boundary = outermost layer) out over the pool. Ids and stats are
+  /// assigned in pick order, so the result is identical at any thread
+  /// count. A seed whose chunk the token skipped is left empty.
   std::vector<GrowthPattern> SeedPatterns(const std::vector<int32_t>& picks);
 
   /// One SpiderGrow round over \p input: every pattern is extended at every
-  /// boundary vertex with every compatible spider (paper Algorithm 2), with
-  /// iso-hash dedup, closedness pruning and merge detection. When
-  /// \p enable_merging, patterns sharing a (spider, anchor) are merged
-  /// (Algorithm 4) using the previous round's registry \p previous.
+  /// boundary vertex with every compatible closed spider (paper Algorithm
+  /// 2), with iso-hash dedup and closedness pruning, then patterns sharing
+  /// a (spider, anchor) with this round or with the previous round's
+  /// registry \p previous are merged (CheckMerge, Algorithm 4).
+  /// \p previous is replaced by this round's registry.
   GrowRoundResult GrowRound(std::vector<GrowthPattern> input,
-                            bool enable_merging, MergeRegistry* previous);
+                            MergeRegistry& previous);
 
   /// Recomputes support for \p gp under the configured measure.
   int64_t Support(const GrowthPattern& gp) const;
@@ -139,8 +137,8 @@ class GrowthEngine {
   struct Lineage;
   struct PendingFold;
 
-  /// True once the bound token or deadline requests a stop.
-  bool Cancelled() const;
+  /// True once the query's token requests a stop.
+  bool Cancelled() const { return token_.IsCancelled(); }
 
   /// Seed construction with stats written to \p local (worker-safe; no
   /// shared-state writes).
@@ -172,7 +170,7 @@ class GrowthEngine {
   /// longer serializes the pass; a serial fold then admits candidates in
   /// sorted (key, pair) order, so the outcome is identical at any thread
   /// count.
-  void RunMerges(RoundState* rs, MergeRegistry* previous);
+  void RunMerges(RoundState* rs, const MergeRegistry& previous);
 
   /// Folds each pending duplicate's embeddings into its target pool
   /// pattern, in the order the duplicates were found, then recomputes each
@@ -186,9 +184,8 @@ class GrowthEngine {
   const SessionConfig* session_;
   const QueryConfig* query_;
   MineStats* stats_;
-  const Deadline* deadline_;
-  ThreadPool* pool_;
-  const CancellationToken* token_;
+  ThreadPool& pool_;
+  const CancellationToken& token_;
   int64_t next_id_ = 1;
   /// Current restart run's transaction whitelist (see SetTxnSample).
   const std::vector<int32_t>* txn_sample_ = nullptr;

@@ -227,7 +227,7 @@ Result<MiningSession> MiningSession::Create(const LabeledGraph* graph,
     star_config.shard_grain = config.stage1_shard_grain;
     SM_ASSIGN_OR_RETURN(StarMineResult stars,
                         MineStarSpiders(*session->graph_, star_config,
-                                        session->pool_, &cancel));
+                                        *session->pool_, &cancel));
     session->store_ = std::make_unique<SpiderStore>(std::move(stars.store));
     session->stage1_truncated_ = stars.truncated;
     session->index_ = std::make_unique<SpiderIndex>(
@@ -426,9 +426,9 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   }
   stats.seed_count_m = m;
 
-  GrowthEngine engine(graph_, index_.get(), &config_, &q, &stats, &deadline,
-                      pool_, &cancel);
-  BestPerClass collector(&stats.iso, q.max_results);
+  GrowthEngine engine(graph_, index_.get(), &config_, &q, &stats, *pool_,
+                      cancel);
+  BestPerClass collector(&stats.iso, kMaxResults);
   // Sampling-based transaction mode: each restart run draws its own sorted
   // whitelist from the run's salted substream (empty = count everything).
   // The vector outlives every engine call of its run; the closure recount
@@ -480,9 +480,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
         stats.timed_out = true;
         break;
       }
-      GrowRoundResult round =
-          engine.GrowRound(std::move(working), /*enable_merging=*/true,
-                           &previous);
+      GrowRoundResult round = engine.GrowRound(std::move(working), previous);
       working = std::move(round.patterns);
       ++stats.stage2_iterations;
     }
@@ -492,24 +490,20 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
     // keep the largest unmerged survivors instead of returning nothing --
     // an engineering fallback outside the paper's algorithm, reported via
     // pruned_unmerged staying 0.
-    if (!q.keep_unmerged) {
-      bool any_merged = std::any_of(
-          working.begin(), working.end(),
-          [](const GrowthPattern& gp) { return gp.merged_ever; });
-      if (any_merged) {
-        size_t before = working.size();
-        std::erase_if(working, [](const GrowthPattern& gp) {
-          return !gp.merged_ever;
-        });
-        stats.pruned_unmerged +=
-            static_cast<int64_t>(before - working.size());
-      } else if (static_cast<int64_t>(working.size()) > 4 * q.k) {
-        std::sort(working.begin(), working.end(),
-                  [](const GrowthPattern& a, const GrowthPattern& b) {
-                    return a.pattern.NumEdges() > b.pattern.NumEdges();
-                  });
-        working.resize(static_cast<size_t>(4 * q.k));
-      }
+    const bool any_merged =
+        std::any_of(working.begin(), working.end(),
+                    [](const GrowthPattern& gp) { return gp.merged_ever; });
+    if (any_merged) {
+      const size_t before = working.size();
+      std::erase_if(working,
+                    [](const GrowthPattern& gp) { return !gp.merged_ever; });
+      stats.pruned_unmerged += static_cast<int64_t>(before - working.size());
+    } else if (static_cast<int64_t>(working.size()) > 4 * q.k) {
+      std::sort(working.begin(), working.end(),
+                [](const GrowthPattern& a, const GrowthPattern& b) {
+                  return a.pattern.NumEdges() > b.pattern.NumEdges();
+                });
+      working.resize(static_cast<size_t>(4 * q.k));
     }
     stats.stage2_seconds += stage_timer.ElapsedSeconds();
 
@@ -523,9 +517,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
         stats.timed_out = true;
         break;
       }
-      GrowRoundResult grown =
-          engine.GrowRound(std::move(working), /*enable_merging=*/true,
-                           &previous);
+      GrowRoundResult grown = engine.GrowRound(std::move(working), previous);
       ++stats.stage3_rounds;
       working.clear();
       for (GrowthPattern& gp : grown.patterns) {
@@ -555,7 +547,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
       DrawTxnSample(q, /*run=*/0, num_txns_);
   if (q.close_internal_edges || homomorphic) {
     const size_t limit =
-        std::min(all.size(), static_cast<size_t>(q.closure_window));
+        std::min(all.size(), static_cast<size_t>(q.ClosureWindow()));
     // Per-pattern closure is independent: fan out over the pool, each
     // iteration touching only all[i] and its own counter slot.
     std::vector<MineStats> slots(limit);

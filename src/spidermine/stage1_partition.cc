@@ -75,7 +75,7 @@ std::strong_ordering CompareStars(const MappedStage1Partial& a, int64_t i,
 
 Result<Stage1PartialResult> MineStage1Partial(const GraphPartition& part,
                                               const Stage1PartialConfig& config,
-                                              ThreadPool* pool) {
+                                              ThreadPool& pool) {
   if (part.radius < 1) {
     return Status::InvalidArgument(
         StrCat("partition halo radius ", part.radius,

@@ -49,6 +49,11 @@
 /// `.sm2` (graph/section_file.h, docs/FORMATS.md): the `.sm2` columns
 /// minus the closed column (merge-time information) and the CSR index
 /// (rebuilt once, over the merged store).
+///
+/// Threading: a partial mines through MineStarSpiders on the caller's
+/// pool, which is required (a serial caller passes a one-thread pool, and
+/// the pool loop's inline branch is the serial path). The merge and the
+/// `.sm2p` I/O are serial.
 
 namespace spidermine {
 
@@ -94,12 +99,12 @@ struct Stage1PartialResult {
   int64_t local_stars = 0;
 };
 
-/// Mines partition \p part's Stage I contribution. Deterministic at any
-/// thread count / shard grain. Requires part.radius >= 1 (the star
-/// miner's spider radius).
+/// Mines partition \p part's Stage I contribution on \p pool (a one-thread
+/// pool runs it inline). Deterministic at any thread count / shard grain.
+/// Requires part.radius >= 1 (the star miner's spider radius).
 Result<Stage1PartialResult> MineStage1Partial(
     const GraphPartition& part, const Stage1PartialConfig& config,
-    ThreadPool* pool = nullptr);
+    ThreadPool& pool);
 
 /// Serializes a partial store + meta to `.sm2p` bytes (deterministic) /
 /// writes them to \p path. Little-endian hosts only, like `.sm2`.

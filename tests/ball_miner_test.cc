@@ -4,6 +4,7 @@
 
 #include "graph/graph_builder.h"
 #include "spider/star_miner.h"
+#include "spider_test_util.h"
 
 namespace spidermine {
 namespace {
@@ -46,7 +47,7 @@ TEST(BallMinerTest, SupersetOfStarMinerAtRadiusOne) {
   LabeledGraph g = TwoLabeledTriangles();
   StarMinerConfig star_config;
   star_config.min_support = 2;
-  Result<StarMineResult> stars = MineStarSpiders(g, star_config);
+  Result<StarMineResult> stars = MineStarSpiders(g, star_config, SerialPool());
   ASSERT_TRUE(stars.ok());
   BallMinerConfig ball_config;
   ball_config.min_support = 2;

@@ -60,19 +60,7 @@ TEST(ClosedFilterTest, UnrelatedPatternsUntouched) {
   EXPECT_EQ(FilterToClosed(std::move(patterns)).size(), 2u);
 }
 
-TEST(MaximalFilterTest, DropsAnySubPattern) {
-  std::vector<MinedPattern> patterns;
-  patterns.push_back(Make(PathOf({0, 1, 2}), 5));
-  patterns.push_back(Make(PathOf({0, 1}), 9));  // maximality ignores support
-  patterns.push_back(Make(PathOf({7, 8}), 2));
-  std::vector<MinedPattern> maximal = FilterToMaximal(std::move(patterns));
-  ASSERT_EQ(maximal.size(), 2u);
-  EXPECT_EQ(maximal[0].pattern.NumVertices(), 3);
-  EXPECT_EQ(maximal[1].pattern.Label(0), 7);
-}
-
-TEST(MaximalFilterTest, EmptyInput) {
-  EXPECT_TRUE(FilterToMaximal({}).empty());
+TEST(ClosedFilterTest, EmptyInput) {
   EXPECT_TRUE(FilterToClosed({}).empty());
 }
 

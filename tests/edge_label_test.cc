@@ -10,6 +10,7 @@
 #include "spidermine/session.h"
 
 #include "spidermine/oracle.h"
+#include "spider_test_util.h"
 
 /// \file edge_label_test.cc
 /// The paper's Sec. 3 extension: "Our method can also be applied to graphs
@@ -200,7 +201,7 @@ TEST(EdgeLabelTest, StarMinerSeparatesLeavesByEdgeLabel) {
 
   StarMinerConfig config;
   config.min_support = 3;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
 
   int single_leaf_stars_at_hub = 0;

@@ -84,21 +84,24 @@ struct Fixture {
   SessionConfig session_config;
   QueryConfig query_config;
   MineStats stats;
+  CancellationToken token;
   std::unique_ptr<SpiderIndex> index;
   std::unique_ptr<GrowthEngine> engine;
 
-  explicit Fixture(LabeledGraph g, int64_t support = 2)
+  explicit Fixture(LabeledGraph g, int64_t support = 2,
+                   ThreadPool& pool = SerialPool())
       : graph(std::move(g)) {
     StarMinerConfig star_config;
     star_config.min_support = support;
-    stars = std::move(MineStarSpiders(graph, star_config)).value();
+    stars =
+        std::move(MineStarSpiders(graph, star_config, SerialPool())).value();
     session_config.min_support = support;
     query_config.min_support = support;  // engines take a resolved threshold
     index = std::make_unique<SpiderIndex>(&stars.store,
                                           graph.NumVertices());
     engine = std::make_unique<GrowthEngine>(&graph, index.get(),
                                             &session_config, &query_config,
-                                            &stats);
+                                            &stats, pool, token);
   }
 
   /// Store id of the star (head, leaf-label multiset), or -1 when absent.
@@ -107,11 +110,11 @@ struct Fixture {
   }
 };
 
-TEST(GrowthTest, SeedFromSpiderBuildsAnchoredEmbeddings) {
+TEST(GrowthTest, SeedPatternsBuildsAnchoredEmbeddings) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(1, {0, 2});
   ASSERT_NE(s, -1);
-  GrowthPattern seed = f.engine->SeedFromSpider(s);
+  GrowthPattern seed = f.engine->SeedPatterns({s})[0];
   EXPECT_EQ(seed.pattern.NumVertices(), 3);
   ASSERT_EQ(seed.embeddings.size(), 2u);  // one per path copy
   EXPECT_EQ(seed.support, 2);
@@ -127,7 +130,7 @@ TEST(GrowthTest, SeedFromSingleVertexSpiderHasHeadBoundary) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(2, {});
   ASSERT_NE(s, -1);
-  GrowthPattern seed = f.engine->SeedFromSpider(s);
+  GrowthPattern seed = f.engine->SeedPatterns({s})[0];
   EXPECT_EQ(seed.pattern.NumVertices(), 1);
   EXPECT_EQ(seed.boundary, (std::vector<VertexId>{0}));
   EXPECT_EQ(seed.embeddings.size(), 2u);
@@ -137,12 +140,9 @@ TEST(GrowthTest, GrowRoundExtendsPatternOutward) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(1, {0, 2});
   ASSERT_NE(s, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(s));
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns({s});
   MergeRegistry previous;
-  GrowRoundResult round =
-      f.engine->GrowRound(std::move(working), /*enable_merging=*/false,
-                          &previous);
+  GrowRoundResult round = f.engine->GrowRound(std::move(working), previous);
   EXPECT_TRUE(round.any_growth);
   // Some output pattern must now contain label 3 (grown through vertex 2).
   bool grew_to_3 = false;
@@ -159,12 +159,10 @@ TEST(GrowthTest, RepeatedRoundsReachFullPath) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(2, {1, 3});
   ASSERT_NE(s, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(s));
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns({s});
   MergeRegistry previous;
   for (int round = 0; round < 3; ++round) {
-    GrowRoundResult r =
-        f.engine->GrowRound(std::move(working), false, &previous);
+    GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
     working = std::move(r.patterns);
   }
   int32_t best_vertices = 0;
@@ -178,11 +176,9 @@ TEST(GrowthTest, NonClosedSubPatternsAreDropped) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(2, {1, 3});
   ASSERT_NE(s, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(s));
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns({s});
   MergeRegistry previous;
-  GrowRoundResult r = f.engine->GrowRound(std::move(working), false,
-                                          &previous);
+  GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
   // The seed extends to label 0 and 4 keeping support 2, so the partial
   // patterns (including the seed itself) must have been dropped as
   // non-closed: every surviving pattern contains labels 0 and 4.
@@ -203,13 +199,9 @@ TEST(GrowthTest, MergeDetectedWhenSeedsCollide) {
   int32_t right = f.FindStar(3, {2, 4});
   ASSERT_NE(left, -1);
   ASSERT_NE(right, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(left));
-  working.push_back(f.engine->SeedFromSpider(right));
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns({left, right});
   MergeRegistry previous;
-  GrowRoundResult r =
-      f.engine->GrowRound(std::move(working), /*enable_merging=*/true,
-                          &previous);
+  GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
   EXPECT_GT(f.stats.merges, 0) << "colliding growth must trigger CheckMerge";
   bool merged_full_path = false;
   for (const GrowthPattern& gp : r.patterns) {
@@ -225,12 +217,10 @@ TEST(GrowthTest, ExhaustedFlagSetAtFixpoint) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(2, {1, 3});
   ASSERT_NE(s, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(s));
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns({s});
   MergeRegistry previous;
   for (int round = 0; round < 4; ++round) {
-    GrowRoundResult r =
-        f.engine->GrowRound(std::move(working), false, &previous);
+    GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
     working = std::move(r.patterns);
   }
   for (const GrowthPattern& gp : working) {
@@ -249,13 +239,9 @@ TEST(GrowthTest, SameShapeUnionsShareOneGroupNumbering) {
   int32_t right = f.FindStar(3, {2, 4});
   ASSERT_NE(left, -1);
   ASSERT_NE(right, -1);
-  std::vector<GrowthPattern> working;
-  working.push_back(f.engine->SeedFromSpider(left));
-  working.push_back(f.engine->SeedFromSpider(right));
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns({left, right});
   MergeRegistry previous;
-  GrowRoundResult r =
-      f.engine->GrowRound(std::move(working), /*enable_merging=*/true,
-                          &previous);
+  GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
   ASSERT_GT(f.stats.merges, 0);
   int32_t full_paths = 0;
   for (const GrowthPattern& gp : r.patterns) {
@@ -280,37 +266,58 @@ TEST(GrowthTest, EmbeddingsStayValidThroughMergesAndFolds) {
   Pattern planted = RandomConnectedPattern(12, 0.15, 10, &rng);
   PatternInjector injector(&builder);
   ASSERT_TRUE(injector.Inject(planted, 4, &rng).ok());
-  Fixture f(std::move(builder.Build()).value(), /*support=*/3);
-  f.query_config.max_patterns_per_round = 600;
-  f.query_config.max_embeddings_per_pattern = 1000;
-  f.query_config.max_merge_pairs_per_key = 32;
+  const LabeledGraph graph = std::move(builder.Build()).value();
 
-  std::vector<int32_t> picks;
-  Rng pick_rng(7);
-  for (size_t pick : pick_rng.SampleWithoutReplacement(
-           static_cast<size_t>(f.stars.store.size()), 24)) {
-    picks.push_back(static_cast<int32_t>(pick));
+  // The same run on a one-thread pool (every loop inline) and on a
+  // four-thread pool must agree round for round: ids, patterns, supports,
+  // occurrence rows and every counter.
+  ThreadPool four(4);
+  std::string transcripts[2];
+  ThreadPool* pools[2] = {&SerialPool(), &four};
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(StrCat(pools[run]->num_threads(), " thread(s)"));
+    Fixture f(graph, /*support=*/3, *pools[run]);
+    f.query_config.max_patterns_per_round = 600;
+    f.query_config.max_embeddings_per_pattern = 1000;
+    f.query_config.max_merge_pairs_per_key = 32;
+
+    std::vector<int32_t> picks;
+    Rng pick_rng(7);
+    for (size_t pick : pick_rng.SampleWithoutReplacement(
+             static_cast<size_t>(f.stars.store.size()), 24)) {
+      picks.push_back(static_cast<int32_t>(pick));
+    }
+    std::vector<GrowthPattern> working = f.engine->SeedPatterns(picks);
+    ExpectValidEmbeddings(working, f.graph);
+    MergeRegistry previous;
+    int64_t checked = 0;
+    std::string& transcript = transcripts[run];
+    for (int round = 0; round < 4 && !working.empty(); ++round) {
+      GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
+      checked += ExpectValidEmbeddings(r.patterns, f.graph);
+      transcript += StrCat("round ", round, "\n");
+      for (const GrowthPattern& gp : r.patterns) {
+        transcript += StrCat(gp.id, " sup=", gp.support, " ",
+                             gp.pattern.ToString(), "\n");
+        for (OccurrenceList::Row e : gp.embeddings) {
+          for (VertexId v : e) transcript += StrCat(" ", v);
+          transcript += "\n";
+        }
+      }
+      working = std::move(r.patterns);
+    }
+    transcript += f.stats.ToJson();
+    EXPECT_GT(f.stats.merges, 0) << "the merge pass must be exercised";
+    EXPECT_GT(checked, 0);
   }
-  std::vector<GrowthPattern> working = f.engine->SeedPatterns(picks);
-  ExpectValidEmbeddings(working, f.graph);
-  MergeRegistry previous;
-  int64_t checked = 0;
-  for (int round = 0; round < 4 && !working.empty(); ++round) {
-    GrowRoundResult r =
-        f.engine->GrowRound(std::move(working), /*enable_merging=*/true,
-                            &previous);
-    checked += ExpectValidEmbeddings(r.patterns, f.graph);
-    working = std::move(r.patterns);
-  }
-  EXPECT_GT(f.stats.merges, 0) << "the merge pass must be exercised";
-  EXPECT_GT(checked, 0);
+  EXPECT_EQ(transcripts[0], transcripts[1]);
 }
 
 TEST(GrowthTest, SupportRecomputationMatchesMeasure) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(1, {0, 2});
   ASSERT_NE(s, -1);
-  GrowthPattern seed = f.engine->SeedFromSpider(s);
+  GrowthPattern seed = f.engine->SeedPatterns({s})[0];
   EXPECT_EQ(f.engine->Support(seed), seed.support);
 }
 

@@ -194,22 +194,6 @@ TEST(MinerTest, DeterministicForFixedSeed) {
   }
 }
 
-TEST(MinerTest, KeepUnmergedAblationRetainsMore) {
-  LabeledGraph g = TwoPaths();
-  SessionConfig config;
-  TopKQuery query;
-  config.min_support = 2;
-  query.k = 10;
-  query.dmax = 4;
-  query.vmin = 5;
-  Result<QueryResult> pruned = MineOnce(&g, config, query);
-  query.keep_unmerged = true;
-  Result<QueryResult> kept = MineOnce(&g, config, query);
-  ASSERT_TRUE(pruned.ok());
-  ASSERT_TRUE(kept.ok());
-  EXPECT_GE(kept->patterns.size(), pruned->patterns.size());
-}
-
 TEST(TxnAdapterTest, DisjointUnionPreservesStructure) {
   std::vector<LabeledGraph> database;
   database.push_back(TwoPaths());

@@ -11,6 +11,7 @@
 #include "spider/ball_miner.h"
 #include "spider/star_miner.h"
 #include "support/support_measure.h"
+#include "spider_test_util.h"
 
 namespace spidermine {
 namespace {
@@ -69,7 +70,7 @@ TEST_P(RandomScenario, StarSupportIsAntiMonotone) {
   StarMinerConfig config;
   config.min_support = 2;
   config.max_leaves = 4;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   const std::vector<Spider> spiders = result->Spiders();
   // Index stars by (head, leaves) for sub-star lookup.
@@ -100,7 +101,7 @@ TEST_P(RandomScenario, StarAnchorsAdmitEmbeddings) {
   StarMinerConfig config;
   config.min_support = 2;
   config.max_leaves = 3;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   int32_t checked = 0;
   for (const Spider& s : result->Spiders()) {

@@ -17,6 +17,7 @@
 #include "spider/spider_store_mmap.h"
 #include "spidermine/session.h"
 #include "spidermine/stage1_partition.h"
+#include "spider_test_util.h"
 
 /// A corruption battery over the one section-table reader, run on both
 /// formats built on it (`.sm2` and `.sm2p`). Every mutant must fail
@@ -203,7 +204,7 @@ TEST(SectionFileTest, Sm2pCorruptionBattery) {
   Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
   ASSERT_TRUE(part.ok()) << part.status();
   Result<Stage1PartialResult> partial =
-      MineStage1Partial(*part, Stage1PartialConfig{});
+      MineStage1Partial(*part, Stage1PartialConfig{}, SerialPool());
   ASSERT_TRUE(partial.ok()) << partial.status();
   ASSERT_GT(partial->store.size(), 0);
   RunBattery("sm2p", Stage1PartialToBytes(partial->store, partial->meta),
@@ -226,7 +227,7 @@ TEST(SectionFileTest, RadiusOtherThanOneIsRejected) {
   Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
   ASSERT_TRUE(part.ok()) << part.status();
   Result<Stage1PartialResult> partial =
-      MineStage1Partial(*part, Stage1PartialConfig{});
+      MineStage1Partial(*part, Stage1PartialConfig{}, SerialPool());
   ASSERT_TRUE(partial.ok()) << partial.status();
   std::string sm2p = Stage1PartialToBytes(partial->store, partial->meta);
   for (std::string* bytes : {&sm2, &sm2p}) {

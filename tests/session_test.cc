@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -190,6 +191,51 @@ TEST(SessionTest, BadQueryNeverInvalidatesTheSession) {
             PatternsTranscript(reference->patterns));
 }
 
+TEST(SessionTest, EngineeringCapsBelowOneAreRejected) {
+  // No engineering cap means "unlimited" at 0: a zero cap stops growth,
+  // merging or Stage III outright. Validate rejects 0 and negatives, names
+  // the field, and leaves the session answering valid queries.
+  LabeledGraph g = TestGraph(55);
+  Result<MiningSession> session =
+      MiningSession::Create(&g, BaseSessionConfig());
+  ASSERT_TRUE(session.ok()) << session.status();
+  Result<QueryResult> reference = session->RunQuery(BaseQuery(5));
+  ASSERT_TRUE(reference.ok());
+
+  using Setter = void (*)(TopKQuery*, int32_t);
+  const std::pair<const char*, Setter> caps[] = {
+      {"max_embeddings_per_pattern",
+       [](TopKQuery* q, int32_t v) { q->max_embeddings_per_pattern = v; }},
+      {"max_patterns_per_round",
+       [](TopKQuery* q, int32_t v) { q->max_patterns_per_round = v; }},
+      {"max_seed_embeddings_per_anchor",
+       [](TopKQuery* q, int32_t v) { q->max_seed_embeddings_per_anchor = v; }},
+      {"max_merge_pairs_per_key",
+       [](TopKQuery* q, int32_t v) { q->max_merge_pairs_per_key = v; }},
+      {"max_union_instances",
+       [](TopKQuery* q, int32_t v) { q->max_union_instances = v; }},
+      {"stage3_max_rounds",
+       [](TopKQuery* q, int32_t v) { q->stage3_max_rounds = v; }},
+  };
+  for (const auto& [name, set] : caps) {
+    for (int32_t value : {0, -1}) {
+      TopKQuery bad = BaseQuery(5);
+      set(&bad, value);
+      Result<QueryResult> rejected = session->RunQuery(bad);
+      ASSERT_FALSE(rejected.ok()) << name << " = " << value;
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(rejected.status().message().find(name), std::string::npos)
+          << rejected.status().message();
+    }
+  }
+
+  EXPECT_EQ(session->queries_run(), 1);
+  Result<QueryResult> after = session->RunQuery(BaseQuery(5));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(PatternsTranscript(after->patterns),
+            PatternsTranscript(reference->patterns));
+}
+
 TEST(SessionTest, MinSupportZeroMeansSessionFloor) {
   LabeledGraph g = TestGraph(66);
   Result<MiningSession> session =
@@ -342,14 +388,6 @@ TEST(SessionTest, CanonicalHashNormalizesDefaultedFields) {
   clamped_vmin.vmin = vertices;
   EXPECT_EQ(oversized_vmin.CanonicalHash(floor, vertices),
             clamped_vmin.CanonicalHash(floor, vertices));
-
-  // closure_window: 0 resolves to max(64, 8k).
-  TopKQuery auto_window = BaseQuery(5);
-  auto_window.closure_window = 0;
-  TopKQuery resolved_window = BaseQuery(5);
-  resolved_window.closure_window = 64;  // 8k = 64 for k = 8
-  EXPECT_EQ(auto_window.CanonicalHash(floor, vertices),
-            resolved_window.CanonicalHash(floor, vertices));
 }
 
 TEST(SessionTest, CanonicalHashSeparatesDistinctQueries) {

@@ -6,6 +6,7 @@
 
 #include "graph/graph_builder.h"
 #include "spider/star_miner.h"
+#include "spider_test_util.h"
 
 namespace spidermine {
 namespace {
@@ -70,7 +71,7 @@ TEST(SpiderIndexTest, ConsistentWithStarMiner) {
   LabeledGraph g = std::move(b.Build()).value();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   const SpiderStore& store = result->store;
   SpiderIndex index(&store, g.NumVertices());

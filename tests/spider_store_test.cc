@@ -107,7 +107,7 @@ TEST(SpiderStoreTest, SingleLabelGraphMinesIntoStore) {
   LabeledGraph g = std::move(builder.Build()).value();
   StarMinerConfig config;
   config.min_support = 3;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   const SpiderStore& store = result->store;
   // Stars: {}, {0}, {0,0} — all anchored at every vertex.
@@ -133,7 +133,7 @@ TEST(SpiderStoreTest, HubHeavyScaleFreeGraphBudgetIsExactPrefix) {
   StarMinerConfig config;
   config.min_support = 3;
   config.max_leaves = 4;
-  Result<StarMineResult> full = MineStarSpiders(g, config);
+  Result<StarMineResult> full = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full->store.size(), 50);
   for (int32_t id = 0; id < static_cast<int32_t>(full->store.size()); ++id) {
@@ -147,7 +147,7 @@ TEST(SpiderStoreTest, HubHeavyScaleFreeGraphBudgetIsExactPrefix) {
   const int64_t budget = full->store.size() / 3;
   config.max_spiders = budget;
   ThreadPool pool(4);
-  Result<StarMineResult> capped = MineStarSpiders(g, config, &pool);
+  Result<StarMineResult> capped = MineStarSpiders(g, config, pool);
   ASSERT_TRUE(capped.ok());
   EXPECT_TRUE(capped->truncated);
   ASSERT_EQ(capped->store.size(), budget);

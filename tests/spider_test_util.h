@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "pattern/dfs_code.h"
 #include "spider/spider_store.h"
 #include "spidermine/session.h"
@@ -15,6 +16,14 @@
 /// one canonical format — keep the single definitions here.
 
 namespace spidermine {
+
+/// One shared one-thread pool for suites that call the pool-taking library
+/// entries (MineStarSpiders, MineStage1Partial, GrowthEngine) without
+/// wanting parallelism: every loop runs inline, in order, on the caller.
+inline ThreadPool& SerialPool() {
+  static ThreadPool pool(1);
+  return pool;
+}
 
 /// Canonical transcript of a mined pattern list: per-pattern minimum DFS
 /// code + support + embedding count, in result order. Two runs with

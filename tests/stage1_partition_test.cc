@@ -17,6 +17,7 @@
 #include "graph/graph_partition.h"
 #include "section_file_test_util.h"
 #include "spidermine/session.h"
+#include "spider_test_util.h"
 
 /// The tentpole contract of partitioned Stage I: merging the per-partition
 /// `.sm2p` partials yields a `.sm2` BYTE-IDENTICAL to a single-node
@@ -96,7 +97,7 @@ std::string PartitionedSm2Bytes(const LabeledGraph& graph,
     config.max_star_leaves = params.max_star_leaves;
     config.max_spiders = params.max_spiders;
     Result<Stage1PartialResult> partial =
-        MineStage1Partial(*part, config, &pool);
+        MineStage1Partial(*part, config, pool);
     EXPECT_TRUE(partial.ok()) << partial.status();
     const std::string path =
         TempPath(StrCat("stage1_partition_", tag, "_", p, ".sm2p"));
@@ -171,7 +172,7 @@ TEST(Stage1PartitionTest, PartialRejectsCorruptionAndTruncation) {
   Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 0);
   ASSERT_TRUE(part.ok()) << part.status();
   Result<Stage1PartialResult> partial =
-      MineStage1Partial(*part, Stage1PartialConfig{});
+      MineStage1Partial(*part, Stage1PartialConfig{}, SerialPool());
   ASSERT_TRUE(partial.ok()) << partial.status();
   ASSERT_GT(partial->store.size(), 0);
   const std::string bytes =
@@ -209,7 +210,7 @@ TEST(Stage1PartitionTest, PartialRejectsWrappingCountsAtOpen) {
   Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
   ASSERT_TRUE(part.ok()) << part.status();
   Result<Stage1PartialResult> partial =
-      MineStage1Partial(*part, Stage1PartialConfig{});
+      MineStage1Partial(*part, Stage1PartialConfig{}, SerialPool());
   ASSERT_TRUE(partial.ok()) << partial.status();
   const std::string bytes =
       Stage1PartialToBytes(partial->store, partial->meta);
@@ -248,7 +249,7 @@ TEST(Stage1PartitionTest, MergeRejectsMixedOrIncompletePartialSets) {
     Result<GraphPartition> part = BuildGraphPartition(graph, *plan, p);
     ASSERT_TRUE(part.ok()) << part.status();
     Result<Stage1PartialResult> partial =
-        MineStage1Partial(*part, Stage1PartialConfig{});
+        MineStage1Partial(*part, Stage1PartialConfig{}, SerialPool());
     ASSERT_TRUE(partial.ok()) << partial.status();
     const std::string path =
         TempPath(StrCat("stage1_partial_merge_", p, ".sm2p"));
@@ -266,7 +267,7 @@ TEST(Stage1PartitionTest, MergeRejectsMixedOrIncompletePartialSets) {
     Result<GraphPartition> part = BuildGraphPartition(graph, *plan, 1);
     ASSERT_TRUE(part.ok());
     Result<Stage1PartialResult> partial =
-        MineStage1Partial(*part, Stage1PartialConfig{});
+        MineStage1Partial(*part, Stage1PartialConfig{}, SerialPool());
     ASSERT_TRUE(partial.ok());
     Stage1PartialMeta meta = partial->meta;
     meta.max_star_leaves = 3;
@@ -286,10 +287,11 @@ TEST(Stage1PartitionTest, PartialMiningValidatesItsInputs) {
   ASSERT_TRUE(part.ok());
   Stage1PartialConfig bad;
   bad.min_support = 0;
-  EXPECT_FALSE(MineStage1Partial(*part, bad).ok());
+  EXPECT_FALSE(MineStage1Partial(*part, bad, SerialPool()).ok());
   GraphPartition no_halo = std::move(*part);
   no_halo.radius = 0;
-  EXPECT_FALSE(MineStage1Partial(no_halo, Stage1PartialConfig{}).ok());
+  EXPECT_FALSE(
+      MineStage1Partial(no_halo, Stage1PartialConfig{}, SerialPool()).ok());
 }
 
 }  // namespace

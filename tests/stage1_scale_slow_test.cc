@@ -33,7 +33,7 @@ TEST(Stage1ScaleSlowTest, BudgetedMiningInvariantOnLargeScaleFreeGraph) {
   config.max_spiders = 4000;
 
   ThreadPool pool1(1);
-  Result<StarMineResult> reference = MineStarSpiders(g, config, &pool1);
+  Result<StarMineResult> reference = MineStarSpiders(g, config, pool1);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_EQ(reference->store.size(), config.max_spiders);
   EXPECT_TRUE(reference->truncated);
@@ -46,7 +46,7 @@ TEST(Stage1ScaleSlowTest, BudgetedMiningInvariantOnLargeScaleFreeGraph) {
       ThreadPool pool(threads);
       StarMinerConfig run_config = config;
       run_config.shard_grain = grain;
-      Result<StarMineResult> run = MineStarSpiders(g, run_config, &pool);
+      Result<StarMineResult> run = MineStarSpiders(g, run_config, pool);
       ASSERT_TRUE(run.ok()) << run.status();
       EXPECT_EQ(ScaleTranscript(run->store), expected)
           << "diverged at threads=" << threads << " grain=" << grain;

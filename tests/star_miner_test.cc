@@ -42,7 +42,7 @@ TEST(StarMinerTest, FindsAllFrequentStars) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   // Expected frequent stars with head 0 (anchors: vertices 0 and 4):
   // {}, {1}, {2}, {1,1}, {1,2}, {1,1,2}.
@@ -64,7 +64,7 @@ TEST(StarMinerTest, AnchorListsAreCorrect) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   int32_t full = FindStar(result->store, 0, {1, 1, 2});
   ASSERT_NE(full, -1);
@@ -82,7 +82,7 @@ TEST(StarMinerTest, InfrequentStarsExcluded) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 3;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   // Only heads with >= 3 anchors survive: label 1 has 4 vertices.
   EXPECT_EQ(FindStar(result->store, 0, {}), -1);
@@ -93,7 +93,7 @@ TEST(StarMinerTest, ClosedFlagMarksMaximalStars) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   // {1} extends to {1,1} keeping both anchors => non-closed.
   int32_t sub = FindStar(result->store, 0, {1});
@@ -110,7 +110,7 @@ TEST(StarMinerTest, MaxLeavesBoundsSize) {
   StarMinerConfig config;
   config.min_support = 2;
   config.max_leaves = 1;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   for (int32_t id = 0; id < static_cast<int32_t>(result->store.size());
        ++id) {
@@ -124,7 +124,7 @@ TEST(StarMinerTest, MaxSpidersTruncates) {
   StarMinerConfig config;
   config.min_support = 2;
   config.max_spiders = 3;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->truncated);
   EXPECT_EQ(result->store.size(), 3);
@@ -135,7 +135,7 @@ TEST(StarMinerTest, ExcludeSingleVertexSpiders) {
   StarMinerConfig config;
   config.min_support = 2;
   config.include_single_vertex = false;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   for (int32_t id = 0; id < static_cast<int32_t>(result->store.size());
        ++id) {
@@ -147,17 +147,17 @@ TEST(StarMinerTest, InvalidConfigRejected) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 0;
-  EXPECT_FALSE(MineStarSpiders(g, config).ok());
+  EXPECT_FALSE(MineStarSpiders(g, config, SerialPool()).ok());
   config.min_support = 2;
   config.max_leaves = -1;
-  EXPECT_FALSE(MineStarSpiders(g, config).ok());
+  EXPECT_FALSE(MineStarSpiders(g, config, SerialPool()).ok());
 }
 
 TEST(StarMinerTest, StarPatternStructureIsStar) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> result = MineStarSpiders(g, config);
+  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(result.ok());
   for (const Spider& s : result->Spiders()) {
     EXPECT_EQ(s.radius, 1);
@@ -175,13 +175,13 @@ TEST(StarMinerTest, MaxSpidersIsExactGlobalPrefix) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> full = MineStarSpiders(g, config);
+  Result<StarMineResult> full = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(full.ok());
   const int64_t total = full->store.size();
   ASSERT_GT(total, 4);
   for (int64_t budget = 1; budget <= total; ++budget) {
     config.max_spiders = budget;
-    Result<StarMineResult> capped = MineStarSpiders(g, config);
+    Result<StarMineResult> capped = MineStarSpiders(g, config, SerialPool());
     ASSERT_TRUE(capped.ok());
     ASSERT_EQ(capped->store.size(), budget);
     // Closed flags of the last admitted spiders may differ (their closing
@@ -213,11 +213,11 @@ TEST(StarMinerTest, ExactBudgetInOneShardIsNotTruncated) {
   StarMinerConfig config;
   config.min_support = 2;
   config.include_single_vertex = false;
-  Result<StarMineResult> full = MineStarSpiders(g, config);
+  Result<StarMineResult> full = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(full.ok());
   ASSERT_EQ(full->store.size(), 1);
   config.max_spiders = 1;
-  Result<StarMineResult> capped = MineStarSpiders(g, config);
+  Result<StarMineResult> capped = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(capped.ok());
   EXPECT_EQ(capped->store.size(), 1);
   EXPECT_FALSE(capped->truncated);
@@ -230,10 +230,10 @@ TEST(StarMinerTest, NonBindingBudgetKeepsAttemptsComparable) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> unbudgeted = MineStarSpiders(g, config);
+  Result<StarMineResult> unbudgeted = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(unbudgeted.ok());
   config.max_spiders = unbudgeted->store.size();
-  Result<StarMineResult> budgeted = MineStarSpiders(g, config);
+  Result<StarMineResult> budgeted = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(budgeted.ok());
   EXPECT_FALSE(budgeted->truncated);
   EXPECT_EQ(budgeted->store.size(), unbudgeted->store.size());
@@ -244,13 +244,13 @@ TEST(StarMinerTest, ShardGrainDoesNotChangeResult) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
   config.min_support = 2;
-  Result<StarMineResult> reference = MineStarSpiders(g, config);
+  Result<StarMineResult> reference = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(reference.ok());
   const std::string expected = StoreTranscript(reference->store);
   ThreadPool pool(4);
   for (int64_t grain : {int64_t{1}, int64_t{2}, int64_t{1} << 20}) {
     config.shard_grain = grain;
-    Result<StarMineResult> run = MineStarSpiders(g, config, &pool);
+    Result<StarMineResult> run = MineStarSpiders(g, config, pool);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(StoreTranscript(run->store), expected)
         << "diverged at shard_grain=" << grain;
@@ -261,7 +261,7 @@ TEST(StarMinerTest, ShardGrainDoesNotChangeResult) {
 TEST(StarMinerTest, EmptyGraphYieldsNothing) {
   GraphBuilder b;
   LabeledGraph g = std::move(b.Build()).value();
-  Result<StarMineResult> result = MineStarSpiders(g, {});
+  Result<StarMineResult> result = MineStarSpiders(g, {}, SerialPool());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->store.empty());
 }

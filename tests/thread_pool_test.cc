@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
+
 namespace spidermine {
 namespace {
 
@@ -55,7 +57,9 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const int64_t n = 10007;  // prime, to exercise ragged chunking
   std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, [&hits](int64_t i) { hits[i].fetch_add(1); });
+  pool.ParallelForChunks(n, /*grain=*/-1, [&hits](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -64,13 +68,16 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPoolTest, ParallelForZeroAndOne) {
   ThreadPool pool(3);
   int calls = 0;
-  pool.ParallelFor(0, [&calls](int64_t) { ++calls; });
+  pool.ParallelForChunks(0, /*grain=*/-1,
+                         [&calls](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<int> one_calls{0};
-  pool.ParallelFor(1, [&one_calls](int64_t i) {
-    EXPECT_EQ(i, 0);
-    one_calls.fetch_add(1);
-  });
+  pool.ParallelForChunks(1, /*grain=*/-1,
+                         [&one_calls](int64_t begin, int64_t end) {
+                           EXPECT_EQ(begin, 0);
+                           EXPECT_EQ(end, 1);
+                           one_calls.fetch_add(1);
+                         });
   EXPECT_EQ(one_calls.load(), 1);
 }
 
@@ -80,7 +87,9 @@ TEST(ThreadPoolTest, ParallelForDeterministicResultViaSlots) {
   ThreadPool pool(8);
   const int64_t n = 5000;
   std::vector<int64_t> out(n, 0);
-  pool.ParallelFor(n, [&out](int64_t i) { out[i] = i * i; });
+  pool.ParallelForChunks(n, /*grain=*/-1, [&out](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) out[i] = i * i;
+  });
   for (int64_t i = 0; i < n; ++i) ASSERT_EQ(out[i], i * i);
 }
 
@@ -88,7 +97,12 @@ TEST(ThreadPoolTest, SequentialBatchesReuseWorkers) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
   for (int round = 0; round < 10; ++round) {
-    pool.ParallelFor(100, [&total](int64_t i) { total.fetch_add(i); });
+    pool.ParallelForChunks(100, /*grain=*/-1,
+                           [&total](int64_t begin, int64_t end) {
+                             for (int64_t i = begin; i < end; ++i) {
+                               total.fetch_add(i);
+                             }
+                           });
   }
   EXPECT_EQ(total.load(), 10 * (99 * 100 / 2));
 }
@@ -122,6 +136,69 @@ TEST(ThreadPoolTest, ParallelForChunksGrainBoundsRangeSize) {
                          });
   EXPECT_LE(max_range.load(), 7);
   EXPECT_GT(max_range.load(), 0);
+}
+
+/// One chunk as the inline branch ran it.
+struct ChunkRun {
+  int64_t begin = 0;
+  int64_t end = 0;
+  std::thread::id thread;
+
+  bool operator==(const ChunkRun&) const = default;
+};
+
+TEST(ThreadPoolTest, InlineBranchRunsChunksInOrderOnTheCaller) {
+  // The library's one serial path: on a one-thread pool, or when n <= grain
+  // on a bigger pool, the chunks run inline, in ascending order, on the
+  // calling thread, and the token is polled between them.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  struct Case {
+    ThreadPool* pool;
+    int64_t n;
+    int64_t grain;
+    std::vector<ChunkRun> expected;
+  };
+  const Case cases[] = {
+      {&one, 10, 3, {{0, 3, caller}, {3, 6, caller}, {6, 9, caller},
+                     {9, 10, caller}}},
+      {&four, 5, 5, {{0, 5, caller}}},
+      {&four, 1, 1, {{0, 1, caller}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(StrCat(c.pool->num_threads(), " thread(s), n=", c.n,
+                        ", grain=", c.grain));
+    std::vector<ChunkRun> runs;  // no lock: every chunk runs on this thread
+    c.pool->ParallelForChunks(c.n, c.grain,
+                              [&runs](int64_t begin, int64_t end) {
+                                runs.push_back(
+                                    {begin, end, std::this_thread::get_id()});
+                              });
+    EXPECT_EQ(runs, c.expected);
+
+    // A token tripped inside the first chunk stops every chunk after it.
+    CancellationToken token;
+    runs.clear();
+    c.pool->ParallelForChunks(
+        c.n, c.grain,
+        [&runs, &token](int64_t begin, int64_t end) {
+          runs.push_back({begin, end, std::this_thread::get_id()});
+          token.RequestCancel();
+        },
+        &token);
+    EXPECT_EQ(runs, std::vector<ChunkRun>{c.expected.front()});
+
+    // A token tripped before the call runs no chunk, even a lone one.
+    runs.clear();
+    c.pool->ParallelForChunks(
+        c.n, c.grain,
+        [&runs](int64_t begin, int64_t end) {
+          runs.push_back({begin, end, std::this_thread::get_id()});
+        },
+        &token);
+    EXPECT_TRUE(runs.empty());
+  }
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForCallersStayIndependent) {
@@ -279,7 +356,10 @@ TEST(CancellationTokenTest, CancelledTokenSkipsUnstartedWork) {
   CancellationToken token;
   token.RequestCancel();
   std::atomic<int64_t> ran{0};
-  pool.ParallelFor(100000, [&ran](int64_t) { ran.fetch_add(1); }, &token);
+  pool.ParallelForChunks(
+      100000, /*grain=*/-1,
+      [&ran](int64_t begin, int64_t end) { ran.fetch_add(end - begin); },
+      &token);
   EXPECT_EQ(ran.load(), 0) << "a pre-cancelled loop must not start";
 }
 

@@ -64,6 +64,17 @@ TEST(VariantsTest, FilterMaximalDropsNestedPatterns) {
   EXPECT_EQ(maximal[1].pattern.Label(0), 7);
 }
 
+TEST(VariantsTest, FilterMaximalIgnoresSupport) {
+  std::vector<MinedPattern> patterns;
+  patterns.push_back(Make(PathPattern({0, 1, 2}), 5));
+  patterns.push_back(Make(PathPattern({0, 1}), 9));  // more support, nested
+  patterns.push_back(Make(PathPattern({7, 8}), 2));
+  std::vector<MinedPattern> maximal = FilterMaximal(std::move(patterns));
+  ASSERT_EQ(maximal.size(), 2u);
+  EXPECT_EQ(maximal[0].NumVertices(), 3);
+  EXPECT_EQ(maximal[1].pattern.Label(0), 7);
+}
+
 TEST(VariantsTest, FilterMaximalKeepsIncomparablePatterns) {
   std::vector<MinedPattern> patterns;
   patterns.push_back(Make(PathPattern({0, 1, 2}), 2));

@@ -627,7 +627,7 @@ Status CmdStage1Part(const std::vector<std::string>& args,
                       ValidateThreadsFlag(flags.GetInt("threads")));
   ThreadPool pool(threads > 0 ? threads : ThreadPool::DefaultThreads());
   SM_ASSIGN_OR_RETURN(Stage1PartialResult result,
-                      MineStage1Partial(part, config, &pool));
+                      MineStage1Partial(part, config, pool));
 
   SM_RETURN_NOT_OK(SaveStage1Partial(result.store, result.meta, out_path));
   out << "stage1-part: partition " << part.partition_index << "/"
