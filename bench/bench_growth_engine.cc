@@ -120,8 +120,23 @@ struct Cell {
 struct SearchSide {
   double seconds = 0.0;
   int64_t rooted = 0;
-  std::vector<std::vector<Embedding>> lists;
+  std::vector<OccurrenceList> lists;
 };
+
+/// True iff both sides found the same rows, in the same order.
+bool SameLists(const std::vector<OccurrenceList>& a,
+               const std::vector<OccurrenceList>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].width() != b[i].width() || a[i].size() != b[i].size()) {
+      return false;
+    }
+    for (size_t r = 0; r < a[i].size(); ++r) {
+      if (!std::ranges::equal(a[i][r], b[i][r])) return false;
+    }
+  }
+  return true;
+}
 
 SearchSide SearchAll(const LabeledGraph& graph, const SpiderStore* store,
                      const std::vector<MinedPattern>& patterns,
@@ -211,7 +226,7 @@ int Main() {
                              query.max_embeddings_per_pattern);
     SearchSide r = SearchAll(graph, &store, returned,
                              query.max_embeddings_per_pattern);
-    if (r.lists != s.lists) {
+    if (!SameLists(r.lists, s.lists)) {
       std::fprintf(stderr,
                    "ROOTED LIST MISMATCH — rooted and scanned searches "
                    "differ\n");

@@ -81,7 +81,7 @@ void BM_SupportMeasures(benchmark::State& state) {
   Pattern p = RandomConnectedPattern(3, 0.0, 6, &rng);
   Vf2Options options;
   options.max_embeddings = 2000;
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g, options);
+  OccurrenceList embeddings = FindEmbeddings(p, g, options);
   auto kind = static_cast<SupportMeasureKind>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputeSupport(kind, p, embeddings));

@@ -1,6 +1,7 @@
 #include "baselines/complete_miner.h"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <set>
 #include <tuple>
@@ -15,7 +16,7 @@ namespace {
 
 struct State {
   Pattern pattern;
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
 };
 
 // The level-wise embedding-list steps: each pattern extension by one edge
@@ -27,13 +28,13 @@ struct State {
 /// \p src by an edge labeled \p edge_label, with vertex label
 /// \p vertex_label) onto a fresh graph neighbor. Stops once \p out reaches
 /// \p max_embeddings (the caller's per-pattern cap) and returns false
-/// then, true when the enumeration completed.
+/// then, true when the enumeration completed. \p out is one column wider
+/// than \p base.
 bool ExtendEmbeddingsNewVertex(const LabeledGraph& graph,
-                               const std::vector<Embedding>& base,
-                               VertexId src, EdgeLabelId edge_label,
-                               LabelId vertex_label, int64_t max_embeddings,
-                               std::vector<Embedding>* out) {
-  for (const Embedding& e : base) {
+                               const OccurrenceList& base, VertexId src,
+                               EdgeLabelId edge_label, LabelId vertex_label,
+                               int64_t max_embeddings, OccurrenceList* out) {
+  for (OccurrenceList::Row e : base) {
     const std::vector<VertexId> image = SortedImage(e);
     for (VertexId x : graph.Neighbors(e[static_cast<size_t>(src)])) {
       if (graph.Label(x) != vertex_label ||
@@ -43,9 +44,9 @@ bool ExtendEmbeddingsNewVertex(const LabeledGraph& graph,
       if (graph.EdgeLabel(e[static_cast<size_t>(src)], x) != edge_label) {
         continue;
       }
-      Embedding extended = e;
-      extended.push_back(x);
-      out->push_back(std::move(extended));
+      const std::span<VertexId> extended = out->AppendRow();
+      std::copy(e.begin(), e.end(), extended.begin());
+      extended.back() = x;
       if (static_cast<int64_t>(out->size()) >= max_embeddings) return false;
     }
   }
@@ -56,15 +57,16 @@ bool ExtendEmbeddingsNewVertex(const LabeledGraph& graph,
 /// vertices \p u and \p v are joined by a graph edge labeled
 /// \p edge_label (the embeddings of the pattern with that edge added; the
 /// vertex set is unchanged).
-std::vector<Embedding> FilterEmbeddingsInternalEdge(
-    const LabeledGraph& graph, const std::vector<Embedding>& embeddings,
-    VertexId u, VertexId v, EdgeLabelId edge_label) {
-  std::vector<Embedding> kept;
-  for (const Embedding& e : embeddings) {
+OccurrenceList FilterEmbeddingsInternalEdge(const LabeledGraph& graph,
+                                            const OccurrenceList& embeddings,
+                                            VertexId u, VertexId v,
+                                            EdgeLabelId edge_label) {
+  OccurrenceList kept(embeddings.width());
+  for (OccurrenceList::Row e : embeddings) {
     const VertexId gu = e[static_cast<size_t>(u)];
     const VertexId gv = e[static_cast<size_t>(v)];
     if (graph.HasEdge(gu, gv) && graph.EdgeLabel(gu, gv) == edge_label) {
-      kept.push_back(e);
+      kept.Append(e);
     }
   }
   return kept;
@@ -116,12 +118,13 @@ Result<CompleteMineResult> MineComplete(const LabeledGraph& graph,
       s.pattern.AddVertex(a);
       s.pattern.AddVertex(b);
       s.pattern.AddEdge(0, 1, el);
+      s.embeddings = OccurrenceList(2);
       for (VertexId v : graph.VerticesWithLabel(a)) {
         for (VertexId u : graph.Neighbors(v)) {
           if (graph.Label(u) != b) continue;
           if (graph.EdgeLabel(v, u) != el) continue;
           if (a == b && v > u) continue;  // one orientation for equal labels
-          s.embeddings.push_back({v, u});
+          s.embeddings.Append(std::array{v, u});
           if (static_cast<int64_t>(s.embeddings.size()) >=
               config.max_embeddings_per_pattern) {
             break;
@@ -158,7 +161,7 @@ Result<CompleteMineResult> MineComplete(const LabeledGraph& graph,
     // the graph edge's label so edge-labeled extensions stay distinct.
     std::set<std::tuple<VertexId, LabelId, EdgeLabelId>> ext_new;
     std::set<std::tuple<VertexId, VertexId, EdgeLabelId>> ext_internal;
-    for (const Embedding& e : state.embeddings) {
+    for (OccurrenceList::Row e : state.embeddings) {
       std::unordered_set<VertexId> image(e.begin(), e.end());
       for (VertexId u = 0; u < p.NumVertices(); ++u) {
         for (VertexId x : graph.Neighbors(e[u])) {
@@ -195,6 +198,7 @@ Result<CompleteMineResult> MineComplete(const LabeledGraph& graph,
       next.pattern = p;
       VertexId nv = next.pattern.AddVertex(label);
       next.pattern.AddEdge(u, nv, el);
+      next.embeddings = OccurrenceList(next.pattern.NumVertices());
       ExtendEmbeddingsNewVertex(graph, state.embeddings, u, el, label,
                                 config.max_embeddings_per_pattern,
                                 &next.embeddings);

@@ -62,7 +62,8 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
     if (static_cast<int64_t>(vertices.size()) < config.min_support) continue;
     GrewPattern p;
     p.pattern.AddVertex(label);
-    for (VertexId v : vertices) p.embeddings.push_back({v});
+    p.embeddings = OccurrenceList(1);
+    for (VertexId v : vertices) p.embeddings.AppendRow()[0] = v;
     p.support = static_cast<int64_t>(p.embeddings.size());
     patterns.push_back(std::move(p));
   }
@@ -84,7 +85,7 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
     for (size_t pid = 0; pid < patterns.size(); ++pid) {
       const GrewPattern& p = patterns[pid];
       for (size_t ei = 0; ei < p.embeddings.size(); ++ei) {
-        const Embedding& e = p.embeddings[ei];
+        const OccurrenceList::Row e = p.embeddings[ei];
         for (VertexId pv = 0; pv < p.pattern.NumVertices(); ++pv) {
           where[e[pv]].push_back(Occurrence{static_cast<int32_t>(pid),
                                             static_cast<int32_t>(ei), pv});
@@ -136,10 +137,11 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
       const GrewPattern& pa = patterns[desc.a];
       const GrewPattern& pb = patterns[desc.b];
       std::unordered_set<VertexId> used;
-      std::vector<Embedding> merged_embeddings;
+      OccurrenceList merged_embeddings(pa.embeddings.width() +
+                                       pb.embeddings.width());
       for (const MergeInstance& inst : instances) {
-        const Embedding& ea = pa.embeddings[inst.ea];
-        const Embedding& eb = pb.embeddings[inst.eb];
+        const OccurrenceList::Row ea = pa.embeddings[inst.ea];
+        const OccurrenceList::Row eb = pb.embeddings[inst.eb];
         bool conflict = false;
         for (VertexId x : ea) {
           if (used.count(x)) {
@@ -164,9 +166,9 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
         if (conflict) continue;
         for (VertexId x : ea) used.insert(x);
         for (VertexId x : eb) used.insert(x);
-        Embedding merged = ea;
-        merged.insert(merged.end(), eb.begin(), eb.end());
-        merged_embeddings.push_back(std::move(merged));
+        const std::span<VertexId> merged = merged_embeddings.AppendRow();
+        std::copy(eb.begin(), eb.end(),
+                  std::copy(ea.begin(), ea.end(), merged.begin()));
       }
       if (static_cast<int64_t>(merged_embeddings.size()) <
           config.min_support) {

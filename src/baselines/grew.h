@@ -36,7 +36,7 @@ struct GrewConfig {
 struct GrewPattern {
   Pattern pattern;
   /// Mutually vertex-disjoint embeddings (GREW's invariant).
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
   int64_t support = 0;  ///< == embeddings.size()
 };
 

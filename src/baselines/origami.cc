@@ -1,6 +1,7 @@
 #include "baselines/origami.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,7 +16,7 @@ namespace {
 
 struct Walk {
   Pattern pattern;
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
 };
 
 /// Edge features of a pattern: sorted (label, label) pairs; the similarity
@@ -111,11 +112,12 @@ Result<OrigamiResult> OrigamiMine(const TransactionGraph& txn,
     walk.pattern.AddVertex(seed.a);
     walk.pattern.AddVertex(seed.b);
     walk.pattern.AddEdge(0, 1);
+    walk.embeddings = OccurrenceList(2);
     for (VertexId v : graph.VerticesWithLabel(seed.a)) {
       for (VertexId u : graph.Neighbors(v)) {
         if (graph.Label(u) != seed.b) continue;
         if (seed.a == seed.b && v > u) continue;
-        walk.embeddings.push_back({v, u});
+        walk.embeddings.Append(std::array{v, u});
         if (static_cast<int64_t>(walk.embeddings.size()) >=
             config.max_embeddings_per_pattern) {
           break;
@@ -137,7 +139,7 @@ Result<OrigamiResult> OrigamiMine(const TransactionGraph& txn,
       {
         std::unordered_set<uint64_t> seen_new;
         std::unordered_set<uint64_t> seen_int;
-        for (const Embedding& e : walk.embeddings) {
+        for (OccurrenceList::Row e : walk.embeddings) {
           std::unordered_set<VertexId> image(e.begin(), e.end());
           for (VertexId u = 0; u < p.NumVertices(); ++u) {
             for (VertexId x : graph.Neighbors(e[u])) {
@@ -172,13 +174,15 @@ Result<OrigamiResult> OrigamiMine(const TransactionGraph& txn,
           LabelId label = static_cast<LabelId>(key & 0xffffffffu);
           VertexId nv = next.pattern.AddVertex(label);
           next.pattern.AddEdge(u, nv);
-          for (const Embedding& e : walk.embeddings) {
+          next.embeddings = OccurrenceList(next.pattern.NumVertices());
+          for (OccurrenceList::Row e : walk.embeddings) {
             std::unordered_set<VertexId> image(e.begin(), e.end());
             for (VertexId x : graph.Neighbors(e[u])) {
               if (graph.Label(x) != label || image.count(x)) continue;
-              Embedding extended_e = e;
-              extended_e.push_back(x);
-              next.embeddings.push_back(std::move(extended_e));
+              const std::span<VertexId> extended_e =
+                  next.embeddings.AppendRow();
+              std::copy(e.begin(), e.end(), extended_e.begin());
+              extended_e.back() = x;
               if (static_cast<int64_t>(next.embeddings.size()) >=
                   config.max_embeddings_per_pattern) {
                 break;
@@ -193,8 +197,9 @@ Result<OrigamiResult> OrigamiMine(const TransactionGraph& txn,
           VertexId u = static_cast<VertexId>(key >> 32);
           VertexId v = static_cast<VertexId>(key & 0xffffffffu);
           next.pattern.AddEdge(u, v);
-          for (const Embedding& e : walk.embeddings) {
-            if (graph.HasEdge(e[u], e[v])) next.embeddings.push_back(e);
+          next.embeddings = OccurrenceList(next.pattern.NumVertices());
+          for (OccurrenceList::Row e : walk.embeddings) {
+            if (graph.HasEdge(e[u], e[v])) next.embeddings.Append(e);
           }
         }
         if (txn_support(next) >= config.min_support) {

@@ -142,7 +142,7 @@ Result<SeusResult> SeusDiscover(const LabeledGraph& graph,
     Vf2Options options;
     options.max_embeddings = config.max_embeddings_per_pattern;
     options.max_states = 200000;
-    std::vector<Embedding> embeddings = FindEmbeddings(p, graph, options);
+    OccurrenceList embeddings = FindEmbeddings(p, graph, options);
     DedupEmbeddingsByImage(&embeddings);
     int64_t support = ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p,
                                      embeddings);

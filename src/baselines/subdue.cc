@@ -23,7 +23,7 @@ double DescriptionLength(double vertices, double edges, double labels) {
 
 struct Candidate {
   Pattern pattern;
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
   int64_t instances = 0;
   double value = 0.0;
 };
@@ -86,7 +86,8 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
     if (vertices.size() < 2) continue;
     Candidate c;
     c.pattern.AddVertex(label);
-    for (VertexId v : vertices) c.embeddings.push_back({v});
+    c.embeddings = OccurrenceList(1);
+    for (VertexId v : vertices) c.embeddings.AppendRow()[0] = v;
     EvaluateCandidate(graph, &c);
     beam.push_back(std::move(c));
   }
@@ -110,7 +111,7 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
       std::unordered_set<uint64_t> ext_new;
       std::unordered_set<uint64_t> ext_internal;
       const Pattern& p = parent.pattern;
-      for (const Embedding& e : parent.embeddings) {
+      for (OccurrenceList::Row e : parent.embeddings) {
         std::unordered_set<VertexId> image(e.begin(), e.end());
         for (VertexId u = 0; u < p.NumVertices(); ++u) {
           for (VertexId x : graph.Neighbors(e[u])) {
@@ -147,13 +148,14 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
         child.pattern = p;
         VertexId nv = child.pattern.AddVertex(label);
         child.pattern.AddEdge(u, nv);
-        for (const Embedding& e : parent.embeddings) {
+        child.embeddings = OccurrenceList(child.pattern.NumVertices());
+        for (OccurrenceList::Row e : parent.embeddings) {
           std::unordered_set<VertexId> image(e.begin(), e.end());
           for (VertexId x : graph.Neighbors(e[u])) {
             if (graph.Label(x) != label || image.count(x)) continue;
-            Embedding extended = e;
-            extended.push_back(x);
-            child.embeddings.push_back(std::move(extended));
+            const std::span<VertexId> extended = child.embeddings.AppendRow();
+            std::copy(e.begin(), e.end(), extended.begin());
+            extended.back() = x;
             if (static_cast<int64_t>(child.embeddings.size()) >=
                 config.max_embeddings_per_pattern) {
               break;
@@ -173,8 +175,9 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
         Candidate child;
         child.pattern = p;
         child.pattern.AddEdge(u, v);
-        for (const Embedding& e : parent.embeddings) {
-          if (graph.HasEdge(e[u], e[v])) child.embeddings.push_back(e);
+        child.embeddings = OccurrenceList(child.pattern.NumVertices());
+        for (OccurrenceList::Row e : parent.embeddings) {
+          if (graph.HasEdge(e[u], e[v])) child.embeddings.Append(e);
         }
         admit(std::move(child));
       }

@@ -4,8 +4,8 @@
 
 namespace spidermine {
 
-std::vector<VertexId> SortedImage(const Embedding& embedding) {
-  std::vector<VertexId> image = embedding;
+std::vector<VertexId> SortedImage(std::span<const VertexId> row) {
+  std::vector<VertexId> image(row.begin(), row.end());
   std::sort(image.begin(), image.end());
   return image;
 }
@@ -70,10 +70,6 @@ bool ImagesIntersect(const std::vector<VertexId>& a,
   return false;
 }
 
-void CanonicalizeEmbeddingOrder(std::vector<Embedding>* embeddings) {
-  std::sort(embeddings->begin(), embeddings->end());
-}
-
 uint64_t ImageFingerprint(std::span<const VertexId> embedding) {
   // Sum/xor of per-vertex mixes: order independent.
   uint64_t acc_sum = 0;
@@ -91,11 +87,24 @@ uint64_t ImageFingerprint(std::span<const VertexId> embedding) {
   return acc_sum ^ (acc_xor * 0xff51afd7ed558ccdULL);
 }
 
-std::vector<Embedding> OccurrenceList::ToEmbeddings() const {
-  std::vector<Embedding> out;
-  out.reserve(rows_);
-  for (Row row : *this) out.emplace_back(row.begin(), row.end());
-  return out;
+void OccurrenceList::SortRows() {
+  // Sort row numbers, then gather the rows once. Equal rows are identical,
+  // so the order std::sort leaves them in cannot show.
+  std::vector<size_t> order(rows_);
+  for (size_t i = 0; i < rows_; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+    const Row ra = (*this)[a];
+    const Row rb = (*this)[b];
+    return std::lexicographical_compare(ra.begin(), ra.end(), rb.begin(),
+                                        rb.end());
+  });
+  std::vector<VertexId> sorted;
+  sorted.reserve(data_.size());
+  for (size_t i : order) {
+    const Row row = (*this)[i];
+    sorted.insert(sorted.end(), row.begin(), row.end());
+  }
+  data_ = std::move(sorted);
 }
 
 }  // namespace spidermine

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -10,17 +11,15 @@
 
 /// \file embedding.h
 /// An embedding e_P of a pattern P in the network G: the image vertex in G
-/// of each pattern vertex. The set of all embeddings is the paper's E[P],
-/// held either as a list of Embedding rows or flat, as an OccurrenceList.
+/// of each pattern vertex. The set of all embeddings is the paper's E[P].
+/// Every E[P] in the library is an OccurrenceList: one row per embedding,
+/// row[i] = image in G of pattern vertex i, all rows held in one buffer.
 
 namespace spidermine {
 
-/// embedding[i] = image in G of pattern vertex i. Injective by construction.
-using Embedding = std::vector<VertexId>;
-
-/// The image vertex set of \p embedding, sorted ascending (for overlap
-/// tests and hashing).
-std::vector<VertexId> SortedImage(const Embedding& embedding);
+/// The image vertex set of \p row, sorted ascending (for overlap tests and
+/// hashing).
+std::vector<VertexId> SortedImage(std::span<const VertexId> row);
 
 /// True iff the two embeddings share at least one graph vertex.
 /// Both arguments must be sorted images (see SortedImage). Runs once per
@@ -31,23 +30,13 @@ std::vector<VertexId> SortedImage(const Embedding& embedding);
 bool ImagesIntersect(const std::vector<VertexId>& a,
                      const std::vector<VertexId>& b);
 
-/// Sorts E[P] into canonical lexicographic order (element-wise VertexId
-/// comparison). Embedding enumeration order is an implementation detail
-/// (VF2's matching order, an occurrence list's extension order, a fold),
-/// but downstream consumers — DedupEmbeddingsByImage keeps the FIRST
-/// embedding per image, and closure scores candidate edges through those
-/// representatives — are order-sensitive. Canonicalizing first makes every
-/// enumeration strategy feed them identical input.
-void CanonicalizeEmbeddingOrder(std::vector<Embedding>* embeddings);
-
 /// A 64-bit order-independent fingerprint of the image set, for hashing
 /// embeddings into buckets during merge detection.
 uint64_t ImageFingerprint(std::span<const VertexId> embedding);
 
 /// Rows of one width (embeddings of one pattern, or their sorted images)
 /// stored flat: one VertexId buffer, row i at [i * width, (i + 1) * width),
-/// exposed as spans. Growth's occurrence lists live here, so a list costs
-/// one heap block however many rows it has.
+/// exposed as spans. A list costs one heap block however many rows it has.
 class OccurrenceList {
  public:
   using Row = std::span<const VertexId>;
@@ -93,6 +82,13 @@ class OccurrenceList {
             static_cast<size_t>(width_)};
   }
 
+  /// Appends a copy of \p row (row.size() == width()). \p row must not be
+  /// a row of this list: the buffer may move.
+  void Append(Row row) {
+    assert(row.size() == static_cast<size_t>(width_));
+    std::copy(row.begin(), row.end(), AppendRow().begin());
+  }
+
   /// Overwrites row \p to with row \p from.
   void CopyRow(size_t from, size_t to) {
     const Row src = (*this)[from];
@@ -117,8 +113,12 @@ class OccurrenceList {
     data_.reserve(rows * static_cast<size_t>(width_));
   }
 
-  /// The rows as separate Embeddings (the MinedPattern boundary).
-  std::vector<Embedding> ToEmbeddings() const;
+  /// Sorts the rows into lexicographic order (element-wise VertexId
+  /// comparison). Enumeration order is an implementation detail (VF2's
+  /// matching order, a fold), but DedupEmbeddingsByImage keeps the FIRST
+  /// row per image and closure scores candidate edges through those rows,
+  /// so sorting first makes every enumeration feed them identical input.
+  void SortRows();
 
  private:
   int32_t width_ = 0;

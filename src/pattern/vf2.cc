@@ -117,7 +117,7 @@ struct SearchState {
   const Pattern* pattern;
   const Host* graph;
   const Vf2Options* options;
-  const std::function<bool(const Embedding&)>* callback;
+  const std::function<bool(std::span<const VertexId>)>* callback;
   std::vector<VertexId> order;          // matching order of pattern vertices
   std::vector<VertexId> image;          // pattern vertex -> graph vertex or -1
   std::vector<bool> used;               // graph vertex used? (dense bitmap)
@@ -138,9 +138,8 @@ void SearchState<Host>::Recurse(size_t depth) {
     return;
   }
   if (depth == order.size()) {
-    Embedding embedding(image.begin(), image.end());
     ++emitted;
-    if (!(*callback)(embedding)) stop = true;
+    if (!(*callback)(image)) stop = true;
     if (options->max_embeddings > 0 && emitted >= options->max_embeddings) {
       stop = true;
     }
@@ -209,9 +208,9 @@ void SearchState<Host>::Recurse(size_t depth) {
 }
 
 template <typename Host>
-Vf2Stats Enumerate(const Pattern& pattern, const Host& graph,
-                   const Vf2Options& options,
-                   const std::function<bool(const Embedding&)>& callback) {
+Vf2Stats Enumerate(
+    const Pattern& pattern, const Host& graph, const Vf2Options& options,
+    const std::function<bool(std::span<const VertexId>)>& callback) {
   Vf2Stats stats;
   if (pattern.NumVertices() == 0) return stats;
   assert(pattern.IsConnected() && "embedding search requires connectivity");
@@ -236,7 +235,7 @@ bool Contains(const Pattern& pattern, const Host& host) {
   bool found = false;
   Vf2Options options;
   options.max_embeddings = 1;
-  Enumerate(pattern, host, options, [&found](const Embedding&) {
+  Enumerate(pattern, host, options, [&found](std::span<const VertexId>) {
     found = true;
     return false;
   });
@@ -248,17 +247,17 @@ bool Contains(const Pattern& pattern, const Host& host) {
 Vf2Stats EnumerateEmbeddings(
     const Pattern& pattern, const LabeledGraph& graph,
     const Vf2Options& options,
-    const std::function<bool(const Embedding&)>& callback) {
+    const std::function<bool(std::span<const VertexId>)>& callback) {
   return Enumerate(pattern, graph, options, callback);
 }
 
-std::vector<Embedding> FindEmbeddings(const Pattern& pattern,
-                                      const LabeledGraph& graph,
-                                      const Vf2Options& options) {
-  std::vector<Embedding> out;
+OccurrenceList FindEmbeddings(const Pattern& pattern,
+                              const LabeledGraph& graph,
+                              const Vf2Options& options) {
+  OccurrenceList out(pattern.NumVertices());
   EnumerateEmbeddings(pattern, graph, options,
-                      [&out](const Embedding& e) {
-                        out.push_back(e);
+                      [&out](std::span<const VertexId> row) {
+                        out.Append(row);
                         return true;
                       });
   return out;
@@ -302,10 +301,11 @@ std::optional<std::vector<VertexId>> FindIsomorphism(const Pattern& a,
   std::optional<std::vector<VertexId>> map;
   Vf2Options options;
   options.max_embeddings = 1;
-  Enumerate(a, PatternHost(b), options, [&map](const Embedding& e) {
-    map = e;
-    return false;
-  });
+  Enumerate(a, PatternHost(b), options,
+            [&map](std::span<const VertexId> row) {
+              map.emplace(row.begin(), row.end());
+              return false;
+            });
   return map;
 }
 

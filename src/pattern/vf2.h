@@ -54,16 +54,19 @@ struct Vf2Stats {
 };
 
 /// Invokes \p callback for every embedding of \p pattern in \p graph, in a
-/// deterministic order. The callback returns false to stop enumeration.
+/// deterministic order: row[i] = image of pattern vertex i, valid only
+/// during the call. The callback returns false to stop enumeration.
 /// Requires a connected, non-empty pattern.
-Vf2Stats EnumerateEmbeddings(const Pattern& pattern, const LabeledGraph& graph,
-                             const Vf2Options& options,
-                             const std::function<bool(const Embedding&)>& callback);
+Vf2Stats EnumerateEmbeddings(
+    const Pattern& pattern, const LabeledGraph& graph,
+    const Vf2Options& options,
+    const std::function<bool(std::span<const VertexId>)>& callback);
 
-/// Collects embeddings into a vector (see EnumerateEmbeddings).
-std::vector<Embedding> FindEmbeddings(const Pattern& pattern,
-                                      const LabeledGraph& graph,
-                                      const Vf2Options& options = {});
+/// Collects the embeddings, in enumeration order, into a list of width
+/// pattern.NumVertices() (see EnumerateEmbeddings).
+OccurrenceList FindEmbeddings(const Pattern& pattern,
+                              const LabeledGraph& graph,
+                              const Vf2Options& options = {});
 
 /// True iff at least one embedding exists.
 bool ContainsEmbedding(const Pattern& pattern, const LabeledGraph& graph);

@@ -27,13 +27,13 @@ std::string HeadTaggedCanonical(const Pattern& p) {
 
 struct State {
   Pattern pattern;  // vertex 0 = head
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
 };
 
-std::vector<VertexId> DistinctAnchors(const std::vector<Embedding>& embs) {
+std::vector<VertexId> DistinctAnchors(const OccurrenceList& embs) {
   std::vector<VertexId> anchors;
   anchors.reserve(embs.size());
-  for (const Embedding& e : embs) anchors.push_back(e[0]);
+  for (OccurrenceList::Row e : embs) anchors.push_back(e[0]);
   std::sort(anchors.begin(), anchors.end());
   anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
   return anchors;
@@ -70,12 +70,11 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
     if (static_cast<int64_t>(vertices.size()) < config.min_support) continue;
     State s;
     s.pattern.AddVertex(label);
-    for (VertexId v : vertices) s.embeddings.push_back({v});
+    s.embeddings = OccurrenceList(1);
+    for (VertexId v : vertices) s.embeddings.AppendRow()[0] = v;
     std::string canonical = HeadTaggedCanonical(s.pattern);
     seen.insert(canonical);
-    if (config.include_single_vertex) {
-      result.spiders.push_back(MakeSpider(s, config.radius, canonical));
-    }
+    result.spiders.push_back(MakeSpider(s, config.radius, canonical));
     queue.push_back(std::move(s));
   }
 
@@ -99,7 +98,7 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
     // stay distinct (label 0 everywhere on unlabeled graphs).
     std::set<std::tuple<VertexId, LabelId, EdgeLabelId>> ext_new;
     std::set<std::tuple<VertexId, VertexId, EdgeLabelId>> ext_internal;
-    for (const Embedding& e : state.embeddings) {
+    for (OccurrenceList::Row e : state.embeddings) {
       std::unordered_set<VertexId> image(e.begin(), e.end());
       for (VertexId u = 0; u < p.NumVertices(); ++u) {
         for (VertexId x : graph.Neighbors(e[u])) {
@@ -138,14 +137,15 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
       next.pattern = p;
       VertexId nv = next.pattern.AddVertex(label);
       next.pattern.AddEdge(u, nv, el);
-      for (const Embedding& e : state.embeddings) {
+      next.embeddings = OccurrenceList(next.pattern.NumVertices());
+      for (OccurrenceList::Row e : state.embeddings) {
         std::unordered_set<VertexId> image(e.begin(), e.end());
         for (VertexId x : graph.Neighbors(e[u])) {
           if (graph.Label(x) != label || image.count(x)) continue;
           if (graph.EdgeLabel(e[u], x) != el) continue;
-          Embedding extended = e;
-          extended.push_back(x);
-          next.embeddings.push_back(std::move(extended));
+          const std::span<VertexId> extended = next.embeddings.AppendRow();
+          std::copy(e.begin(), e.end(), extended.begin());
+          extended.back() = x;
           if (static_cast<int64_t>(next.embeddings.size()) >=
               config.max_embeddings_per_pattern) {
             break;
@@ -164,9 +164,10 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
       State next;
       next.pattern = p;
       next.pattern.AddEdge(u, v, el);
-      for (const Embedding& e : state.embeddings) {
+      next.embeddings = OccurrenceList(next.pattern.NumVertices());
+      for (OccurrenceList::Row e : state.embeddings) {
         if (graph.HasEdge(e[u], e[v]) && graph.EdgeLabel(e[u], e[v]) == el) {
-          next.embeddings.push_back(e);
+          next.embeddings.Append(e);
         }
       }
       consider(std::move(next));

@@ -30,8 +30,6 @@ struct BallMinerConfig {
   int64_t max_embeddings_per_pattern = 10000;
   /// Per-spider vertex cap (safety on dense neighborhoods).
   int32_t max_vertices = 64;
-  /// Include frequent single-vertex spiders.
-  bool include_single_vertex = true;
 };
 
 /// Output of ball mining.

@@ -324,12 +324,10 @@ Result<StarMineResult> MineStarSpiders(const LabeledGraph& graph,
     int64_t remaining = config.max_spiders;
     int64_t full_total = 0;
     for (size_t p = 0; p < plans.size(); ++p) {
-      if (config.include_single_vertex) {
-        ++full_total;
-        if (remaining > 0) {
-          root_admitted[p] = 1;
-          --remaining;
-        }
+      ++full_total;
+      if (remaining > 0) {
+        root_admitted[p] = 1;
+        --remaining;
       }
       for (size_t s = 0; s < plans[p].num_shards; ++s) {
         EnumShard& shard = enum_shards[plans[p].first_shard + s];
@@ -345,9 +343,7 @@ Result<StarMineResult> MineStarSpiders(const LabeledGraph& graph,
     run_shards(/*emit=*/true);
   } else {
     for (auto& shard : enum_shards) shard.admitted = INT64_MAX;
-    for (size_t p = 0; p < plans.size(); ++p) {
-      root_admitted[p] = config.include_single_vertex ? 1 : 0;
-    }
+    std::fill(root_admitted.begin(), root_admitted.end(), 1);
     run_shards(/*emit=*/true);
   }
 

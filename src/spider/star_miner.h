@@ -61,9 +61,6 @@ struct StarMinerConfig {
   /// exact prefix of the unlimited enumeration in canonical (label, first
   /// key, DFS) order, and the flag below reports the truncation.
   int64_t max_spiders = 0;
-  /// Include the 0-leaf single-vertex spiders (frequent labels). These are
-  /// legitimate spiders and eligible seeds.
-  bool include_single_vertex = true;
   /// Vertex-range grain of the per-label root scans: each scan shard covers
   /// at most this many head vertices. <= 0 selects an automatic grain. The
   /// mined set is identical at any value.

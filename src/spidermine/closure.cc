@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace spidermine {
 
@@ -13,18 +14,20 @@ struct Candidate {
   VertexId j = -1;
   EdgeLabelId edge_label = 0;
   int64_t support = 0;
-  std::vector<Embedding> surviving;
+  OccurrenceList surviving;
 };
 
 }  // namespace
 
 int32_t CloseInternalEdges(const LabeledGraph& graph, Pattern* pattern,
-                           std::vector<Embedding>* embeddings,
+                           OccurrenceList* embeddings,
                            SupportMeasureKind measure, int64_t min_support,
                            int64_t* support, const SupportContext& context) {
   int32_t added = 0;
   if (embeddings->empty()) return 0;
   const int32_t n = pattern->NumVertices();
+  // The scored bucket's rows; swapped into the best candidate when it wins.
+  OccurrenceList surviving;
   for (;;) {
     Candidate best;
     for (VertexId i = 0; i < n; ++i) {
@@ -33,12 +36,11 @@ int32_t CloseInternalEdges(const LabeledGraph& graph, Pattern* pattern,
         // Embeddings in which the candidate internal edge is realized,
         // bucketed by the graph edge's label: all surviving embeddings of
         // one candidate must realize the same labeled edge. Buckets hold
-        // indices into *embeddings — a full Embedding copy per survivor
-        // (the old representation) is wasted work for the many buckets
-        // that fall below min_support or lose the best-candidate race.
+        // row numbers of *embeddings: most buckets fall below min_support
+        // or lose the best-candidate race, so their rows are never copied.
         std::map<EdgeLabelId, std::vector<size_t>> by_label;
         for (size_t e = 0; e < embeddings->size(); ++e) {
-          const Embedding& emb = (*embeddings)[e];
+          const OccurrenceList::Row emb = (*embeddings)[e];
           if (graph.HasEdge(emb[i], emb[j])) {
             by_label[graph.EdgeLabel(emb[i], emb[j])].push_back(e);
           }
@@ -47,10 +49,10 @@ int32_t CloseInternalEdges(const LabeledGraph& graph, Pattern* pattern,
           if (static_cast<int64_t>(surviving_idx.size()) < min_support) {
             continue;
           }
-          // Materialize only the buckets that reach scoring.
-          std::vector<Embedding> surviving;
+          // Gather only the buckets that reach scoring.
+          surviving.Reset(embeddings->width());
           surviving.reserve(surviving_idx.size());
-          for (size_t e : surviving_idx) surviving.push_back((*embeddings)[e]);
+          for (size_t e : surviving_idx) surviving.Append((*embeddings)[e]);
           // Score with the enriched structure: edge-conflict measures need
           // the new edge to exist in the pattern.
           Pattern enriched = *pattern;
@@ -63,7 +65,7 @@ int32_t CloseInternalEdges(const LabeledGraph& graph, Pattern* pattern,
             best.j = j;
             best.edge_label = edge_label;
             best.support = s;
-            best.surviving = std::move(surviving);
+            std::swap(best.surviving, surviving);
           }
         }
       }

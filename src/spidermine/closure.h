@@ -40,7 +40,7 @@ namespace spidermine {
 /// Returns the number of edges added (0 when the pattern is already closed
 /// or no candidate is frequent).
 int32_t CloseInternalEdges(const LabeledGraph& graph, Pattern* pattern,
-                           std::vector<Embedding>* embeddings,
+                           OccurrenceList* embeddings,
                            SupportMeasureKind measure, int64_t min_support,
                            int64_t* support = nullptr,
                            const SupportContext& context = {});

@@ -48,7 +48,7 @@ class BestPerClass {
     if (MinedPattern* slot =
             Place(gp.pattern, gp.iso_hash, gp.support, gp.merged_ever)) {
       slot->pattern = gp.pattern;
-      slot->embeddings = gp.embeddings.ToEmbeddings();
+      slot->embeddings = gp.embeddings;
       slot->support = gp.support;
     }
     if (cap_ > 0 && static_cast<int64_t>(size()) > cap_ + kCompactionSlack) {
@@ -580,10 +580,10 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
               ++(roots ? slot.closure_rooted : slot.closure_scanned);
               return roots;
             };
-            std::vector<Embedding> full =
+            OccurrenceList full =
                 FindEmbeddings(mp.pattern, *graph_, vf2_options);
             if (!full.empty()) {
-              CanonicalizeEmbeddingOrder(&full);
+              full.SortRows();
               // Homomorphic embeddings with one image SET can be genuinely
               // different maps (different per-column images feeding the
               // minimum-image count), so the automorphism dedup only

@@ -79,7 +79,7 @@ const char* Stage1LoadModeName(Stage1LoadMode mode);
 struct MinedPattern {
   Pattern pattern;
   /// Embeddings known for the pattern (capped; see QueryConfig).
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings;
   /// Support under the configured measure.
   int64_t support = 0;
   /// True when the pattern descends from a Stage II merge.

@@ -98,7 +98,6 @@ Result<Stage1PartialResult> MineStage1Partial(const GraphPartition& part,
   local.min_support = 1;
   local.max_leaves = config.max_star_leaves;
   local.max_spiders = 0;
-  local.include_single_vertex = true;
   local.shard_grain = config.shard_grain;
   SM_ASSIGN_OR_RETURN(StarMineResult mined,
                       MineStarSpiders(part.graph, local, pool));

@@ -9,14 +9,14 @@ namespace {
 
 /// Builds the conflict adjacency as bitsets over embeddings.
 std::vector<std::vector<bool>> BuildConflicts(
-    const Pattern& pattern, const std::vector<Embedding>& embeddings,
+    const Pattern& pattern, const OccurrenceList& embeddings,
     MisConflict conflict) {
   const size_t n = embeddings.size();
   std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
   if (conflict == MisConflict::kSharedVertex) {
     std::vector<std::vector<VertexId>> images;
     images.reserve(n);
-    for (const Embedding& e : embeddings) images.push_back(SortedImage(e));
+    for (OccurrenceList::Row e : embeddings) images.push_back(SortedImage(e));
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
         if (ImagesIntersect(images[i], images[j])) {
@@ -99,7 +99,7 @@ struct MisSearch {
 }  // namespace
 
 Result<ExactMisResult> ComputeExactMisSupport(
-    const Pattern& pattern, const std::vector<Embedding>& embeddings,
+    const Pattern& pattern, const OccurrenceList& embeddings,
     MisConflict conflict, int64_t max_nodes) {
   if (conflict == MisConflict::kSharedEdge && pattern.NumEdges() == 0) {
     return Status::InvalidArgument(

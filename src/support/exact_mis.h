@@ -38,7 +38,7 @@ struct ExactMisResult {
 /// default of 1e6). Fails with kInvalidArgument for empty patterns when
 /// edge conflicts are requested.
 Result<ExactMisResult> ComputeExactMisSupport(
-    const Pattern& pattern, const std::vector<Embedding>& embeddings,
+    const Pattern& pattern, const OccurrenceList& embeddings,
     MisConflict conflict, int64_t max_nodes = 0);
 
 }  // namespace spidermine

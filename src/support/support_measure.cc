@@ -34,29 +34,25 @@ StampSet& ThreadVertexMarks() {
   return marks;
 }
 
-// The measures are templates over the row container: a
-// std::vector<Embedding> or an OccurrenceList (rows as spans).
-
-template <typename Rows>
-int64_t MinImageSupport(const Pattern& pattern, const Rows& embeddings) {
+int64_t MinImageSupport(const Pattern& pattern,
+                        const OccurrenceList& embeddings) {
   if (embeddings.empty()) return 0;
   StampSet& images = ThreadVertexMarks();
   int64_t min_images = INT64_MAX;
   for (VertexId pv = 0; pv < pattern.NumVertices(); ++pv) {
     images.Clear();
     int64_t count = 0;
-    for (const auto& e : embeddings) count += images.Insert(e[pv]);
+    for (OccurrenceList::Row e : embeddings) count += images.Insert(e[pv]);
     min_images = std::min(min_images, count);
   }
   return min_images;
 }
 
-template <typename Rows>
-int64_t GreedyMisVertexSupport(const Rows& embeddings) {
+int64_t GreedyMisVertexSupport(const OccurrenceList& embeddings) {
   StampSet& used = ThreadVertexMarks();
   used.Clear();
   int64_t count = 0;
-  for (const auto& e : embeddings) {
+  for (OccurrenceList::Row e : embeddings) {
     if (std::any_of(e.begin(), e.end(),
                     [&used](VertexId v) { return used.Contains(v); })) {
       continue;
@@ -67,8 +63,8 @@ int64_t GreedyMisVertexSupport(const Rows& embeddings) {
   return count;
 }
 
-template <typename Rows>
-int64_t GreedyMisEdgeSupport(const Pattern& pattern, const Rows& embeddings) {
+int64_t GreedyMisEdgeSupport(const Pattern& pattern,
+                             const OccurrenceList& embeddings) {
   auto pattern_edges = pattern.Edges();
   auto edge_key = [](VertexId a, VertexId b) {
     if (a > b) std::swap(a, b);
@@ -76,7 +72,7 @@ int64_t GreedyMisEdgeSupport(const Pattern& pattern, const Rows& embeddings) {
   };
   std::unordered_set<uint64_t> used;
   int64_t count = 0;
-  for (const auto& e : embeddings) {
+  for (OccurrenceList::Row e : embeddings) {
     bool conflict = false;
     for (const auto& [pu, pv] : pattern_edges) {
       if (used.count(edge_key(e[pu], e[pv]))) {
@@ -100,8 +96,7 @@ bool SampleAdmits(const SupportContext& context, int32_t t) {
                             context.txn_sample->end(), t);
 }
 
-template <typename Rows>
-int64_t TransactionSupport(const Rows& embeddings,
+int64_t TransactionSupport(const OccurrenceList& embeddings,
                            const SupportContext& context) {
   if (context.txn_map != nullptr) {
     // Per-vertex payloads: an embedding covers t iff every image vertex
@@ -109,7 +104,7 @@ int64_t TransactionSupport(const Rows& embeddings,
     std::unordered_set<int32_t> covered;
     std::vector<int32_t> common;
     std::vector<int32_t> next;
-    for (const auto& e : embeddings) {
+    for (OccurrenceList::Row e : embeddings) {
       if (e.empty()) continue;
       std::span<const int32_t> first = context.txn_map->TxnsOf(e[0]);
       common.assign(first.begin(), first.end());
@@ -128,38 +123,12 @@ int64_t TransactionSupport(const Rows& embeddings,
   }
   if (context.txn_of_vertex == nullptr) return 0;
   std::unordered_set<int32_t> txns;
-  for (const auto& e : embeddings) {
+  for (OccurrenceList::Row e : embeddings) {
     if (e.empty()) continue;
     const int32_t t = (*context.txn_of_vertex)[e[0]];
     if (SampleAdmits(context, t)) txns.insert(t);
   }
   return static_cast<int64_t>(txns.size());
-}
-
-template <typename Rows>
-int64_t SupportOf(SupportMeasureKind kind, const Pattern& pattern,
-                  const Rows& embeddings, const SupportContext& context) {
-  switch (kind) {
-    case SupportMeasureKind::kEmbeddingCount:
-      return static_cast<int64_t>(embeddings.size());
-    case SupportMeasureKind::kMinImage:
-      return MinImageSupport(pattern, embeddings);
-    case SupportMeasureKind::kGreedyMisVertex:
-      return GreedyMisVertexSupport(embeddings);
-    case SupportMeasureKind::kGreedyMisEdge:
-      // A pattern with no edges has no edge conflicts; fall back to the
-      // vertex measure so single-vertex patterns keep sensible support.
-      if (pattern.NumEdges() == 0) return GreedyMisVertexSupport(embeddings);
-      return GreedyMisEdgeSupport(pattern, embeddings);
-    case SupportMeasureKind::kTransaction:
-      return TransactionSupport(embeddings, context);
-    case SupportMeasureKind::kHomomorphism:
-      // Minimum-image count over whatever list the caller passes: the
-      // homomorphism support on a complete homomorphic E[P], and the
-      // anti-monotone growth-time bound on an injective occurrence list.
-      return MinImageSupport(pattern, embeddings);
-  }
-  return 0;
 }
 
 /// Kept rows by image fingerprint: an open-addressing table of
@@ -260,19 +229,9 @@ ImageTable& ThreadFoldTable() {
   return table;
 }
 
-void MoveRow(std::vector<Embedding>* rows, size_t from, size_t to) {
-  (*rows)[to] = std::move((*rows)[from]);
-}
-void MoveRow(OccurrenceList* rows, size_t from, size_t to) {
-  rows->CopyRow(from, to);
-}
-void KeepRows(std::vector<Embedding>* rows, size_t kept) { rows->resize(kept); }
-void KeepRows(OccurrenceList* rows, size_t kept) { rows->Truncate(kept); }
-
 /// Keeps the first row per image, in order, indexing the kept rows in
 /// \p table.
-template <typename Rows>
-void DedupRows(Rows* rows, ImageTable& table) {
+void DedupRows(OccurrenceList* rows, ImageTable& table) {
   table.Clear(rows->size());
   auto kept_row = [rows](size_t k) -> std::span<const VertexId> {
     return (*rows)[k];
@@ -280,28 +239,38 @@ void DedupRows(Rows* rows, ImageTable& table) {
   size_t kept = 0;
   for (size_t i = 0; i < rows->size(); ++i) {
     if (!table.Insert((*rows)[i], kept, kept_row)) continue;
-    if (kept != i) MoveRow(rows, i, kept);
+    if (kept != i) rows->CopyRow(i, kept);
     ++kept;
   }
-  KeepRows(rows, kept);
+  rows->Truncate(kept);
 }
 
 }  // namespace
 
 int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
-                       const std::vector<Embedding>& embeddings,
-                       const SupportContext& context) {
-  return SupportOf(kind, pattern, embeddings, context);
-}
-
-int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
                        const OccurrenceList& embeddings,
                        const SupportContext& context) {
-  return SupportOf(kind, pattern, embeddings, context);
-}
-
-void DedupEmbeddingsByImage(std::vector<Embedding>* embeddings) {
-  DedupRows(embeddings, ThreadDedupTable());
+  switch (kind) {
+    case SupportMeasureKind::kEmbeddingCount:
+      return static_cast<int64_t>(embeddings.size());
+    case SupportMeasureKind::kMinImage:
+      return MinImageSupport(pattern, embeddings);
+    case SupportMeasureKind::kGreedyMisVertex:
+      return GreedyMisVertexSupport(embeddings);
+    case SupportMeasureKind::kGreedyMisEdge:
+      // A pattern with no edges has no edge conflicts; fall back to the
+      // vertex measure so single-vertex patterns keep sensible support.
+      if (pattern.NumEdges() == 0) return GreedyMisVertexSupport(embeddings);
+      return GreedyMisEdgeSupport(pattern, embeddings);
+    case SupportMeasureKind::kTransaction:
+      return TransactionSupport(embeddings, context);
+    case SupportMeasureKind::kHomomorphism:
+      // Minimum-image count over whatever list the caller passes: the
+      // homomorphism support on a complete homomorphic E[P], and the
+      // anti-monotone growth-time bound on an injective occurrence list.
+      return MinImageSupport(pattern, embeddings);
+  }
+  return 0;
 }
 
 void DedupEmbeddingsByImage(OccurrenceList* embeddings) {

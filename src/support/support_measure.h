@@ -94,20 +94,14 @@ std::string_view SupportMeasureName(SupportMeasureKind kind);
 /// Computes the support of a pattern given its embedding list.
 ///
 /// \p pattern supplies the edge structure needed by kGreedyMisEdge; other
-/// measures only read \p embeddings. Both overloads run one implementation
-/// over the rows.
-int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
-                       const std::vector<Embedding>& embeddings,
-                       const SupportContext& context = {});
+/// measures only read \p embeddings.
 int64_t ComputeSupport(SupportMeasureKind kind, const Pattern& pattern,
                        const OccurrenceList& embeddings,
                        const SupportContext& context = {});
 
 /// Removes duplicate embeddings that map to the identical image vertex-set
-/// (automorphic re-discoveries), keeping first occurrences in order. Both
-/// overloads and OccurrenceFolder run one image-fingerprint table
-/// implementation.
-void DedupEmbeddingsByImage(std::vector<Embedding>* embeddings);
+/// (automorphic re-discoveries), keeping first occurrences in order. It
+/// and OccurrenceFolder run one image-fingerprint table implementation.
 void DedupEmbeddingsByImage(OccurrenceList* embeddings);
 
 /// Folds rows into an occurrence list, keeping first images: the same

@@ -36,7 +36,7 @@ Pattern OpenTriangle() {
 TEST(ClosureTest, ClosesTriangleEdge) {
   LabeledGraph g = TwoTriangles();
   Pattern p = OpenTriangle();
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g);
+  OccurrenceList embeddings = FindEmbeddings(p, g);
   ASSERT_GE(embeddings.size(), 2u);
   int64_t support = 0;
   int32_t added =
@@ -47,7 +47,7 @@ TEST(ClosureTest, ClosesTriangleEdge) {
   EXPECT_TRUE(p.HasEdge(0, 2));
   EXPECT_EQ(support, 2);
   // Surviving embeddings all realize the new edge.
-  for (const Embedding& e : embeddings) {
+  for (OccurrenceList::Row e : embeddings) {
     EXPECT_TRUE(g.HasEdge(e[0], e[2]));
   }
 }
@@ -70,7 +70,7 @@ TEST(ClosureTest, RespectsMinSupport) {
   LabeledGraph g = std::move(builder.Build()).value();
 
   Pattern p = OpenTriangle();
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g);
+  OccurrenceList embeddings = FindEmbeddings(p, g);
   int32_t added =
       CloseInternalEdges(g, &p, &embeddings, SupportMeasureKind::kGreedyMisVertex,
                          /*min_support=*/2, nullptr);
@@ -89,7 +89,7 @@ TEST(ClosureTest, AlreadyClosedPatternUnchanged) {
   LabeledGraph g = TwoTriangles();
   Pattern p = OpenTriangle();
   p.AddEdge(0, 2);  // full triangle
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g);
+  OccurrenceList embeddings = FindEmbeddings(p, g);
   const size_t embeddings_before = embeddings.size();
   int32_t added =
       CloseInternalEdges(g, &p, &embeddings, SupportMeasureKind::kGreedyMisVertex,
@@ -123,7 +123,7 @@ TEST(ClosureTest, AddsMultipleEdgesGreedily) {
   star.AddEdge(0, s2);
   star.AddEdge(0, s3);
 
-  std::vector<Embedding> embeddings = FindEmbeddings(star, g);
+  OccurrenceList embeddings = FindEmbeddings(star, g);
   int64_t support = 0;
   int32_t added = CloseInternalEdges(g, &star, &embeddings,
                                      SupportMeasureKind::kGreedyMisVertex,
@@ -136,7 +136,7 @@ TEST(ClosureTest, AddsMultipleEdgesGreedily) {
 TEST(ClosureTest, EmptyEmbeddingListIsNoop) {
   LabeledGraph g = TwoTriangles();
   Pattern p = OpenTriangle();
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings(p.NumVertices());
   EXPECT_EQ(CloseInternalEdges(g, &p, &embeddings,
                                SupportMeasureKind::kGreedyMisVertex, 2),
             0);

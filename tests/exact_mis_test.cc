@@ -6,6 +6,7 @@
 #include "gen/erdos_renyi.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
+#include "occurrence_test_util.h"
 #include "pattern/vf2.h"
 
 namespace spidermine {
@@ -27,7 +28,7 @@ TEST(ExactMisTest, EmptyEmbeddingsIsZero) {
 }
 
 TEST(ExactMisTest, DisjointEmbeddingsAllCount) {
-  std::vector<Embedding> embeddings{{0, 1}, {2, 3}, {4, 5}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {2, 3}, {4, 5}});
   Result<ExactMisResult> r = ComputeExactMisSupport(
       EdgePattern(), embeddings, MisConflict::kSharedVertex);
   ASSERT_TRUE(r.ok());
@@ -37,7 +38,7 @@ TEST(ExactMisTest, DisjointEmbeddingsAllCount) {
 
 TEST(ExactMisTest, ChainBeatsGreedyWorstCase) {
   // Star conflicts: e0 overlaps everything; exact MIS picks the others.
-  std::vector<Embedding> embeddings{{0, 1}, {1, 2}, {0, 3}, {5, 6}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {1, 2}, {0, 3}, {5, 6}});
   Result<ExactMisResult> r = ComputeExactMisSupport(
       EdgePattern(), embeddings, MisConflict::kSharedVertex);
   ASSERT_TRUE(r.ok());
@@ -47,7 +48,7 @@ TEST(ExactMisTest, ChainBeatsGreedyWorstCase) {
 
 TEST(ExactMisTest, EdgeConflictSemantics) {
   // Embeddings sharing a vertex but not an edge are compatible.
-  std::vector<Embedding> embeddings{{0, 1}, {0, 2}, {0, 3}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {0, 2}, {0, 3}});
   Result<ExactMisResult> vertex = ComputeExactMisSupport(
       EdgePattern(), embeddings, MisConflict::kSharedVertex);
   Result<ExactMisResult> edge = ComputeExactMisSupport(
@@ -61,17 +62,18 @@ TEST(ExactMisTest, EdgeConflictSemantics) {
 TEST(ExactMisTest, EdgeConflictRejectsEdgelessPattern) {
   Pattern p(0);
   EXPECT_FALSE(
-      ComputeExactMisSupport(p, {{0}}, MisConflict::kSharedEdge).ok());
+      ComputeExactMisSupport(p, ListOf({{0}}), MisConflict::kSharedEdge).ok());
 }
 
 TEST(ExactMisTest, BudgetTruncationReported) {
   // Many mutually-compatible embeddings with a tiny node budget.
-  std::vector<Embedding> embeddings;
+  Rows embeddings;
   for (int i = 0; i < 40; ++i) {
     embeddings.push_back({2 * i, 2 * i + 1});
   }
-  Result<ExactMisResult> r = ComputeExactMisSupport(
-      EdgePattern(), embeddings, MisConflict::kSharedVertex, /*max_nodes=*/5);
+  Result<ExactMisResult> r =
+      ComputeExactMisSupport(EdgePattern(), ListOf(embeddings),
+                             MisConflict::kSharedVertex, /*max_nodes=*/5);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->truncated);
   EXPECT_GT(r->support, 0);  // still a valid lower bound
@@ -88,7 +90,7 @@ TEST(ExactMisTest, ExactAtLeastGreedyOnRandomInstances) {
     Pattern p = RandomConnectedPattern(3, 0.0, 3, &rng);
     Vf2Options options;
     options.max_embeddings = 60;
-    std::vector<Embedding> embeddings = FindEmbeddings(p, g, options);
+    OccurrenceList embeddings = FindEmbeddings(p, g, options);
     DedupEmbeddingsByImage(&embeddings);
     if (embeddings.empty()) continue;
     int64_t greedy = ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p,
@@ -112,7 +114,7 @@ TEST(ExactMisTest, GreedyIsHalfDecentOnRandomInstances) {
   Pattern p = RandomConnectedPattern(2, 0.0, 2, &rng);
   Vf2Options options;
   options.max_embeddings = 80;
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g, options);
+  OccurrenceList embeddings = FindEmbeddings(p, g, options);
   DedupEmbeddingsByImage(&embeddings);
   if (embeddings.empty()) GTEST_SKIP();
   int64_t greedy =

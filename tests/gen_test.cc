@@ -98,7 +98,7 @@ TEST(InjectionTest, PlantedPatternIsEmbeddedDisjointly) {
   LabeledGraph g = std::move(builder.Build()).value();
   Vf2Options options;
   options.max_embeddings = 5000;
-  std::vector<Embedding> embeddings = FindEmbeddings(planted, g, options);
+  OccurrenceList embeddings = FindEmbeddings(planted, g, options);
   DedupEmbeddingsByImage(&embeddings);
   // 4 vertex-disjoint embeddings exist by construction, so the exact MIS
   // support is >= 4; the greedy approximation may lose one to an

@@ -46,7 +46,7 @@ TEST(GrewTest, EmbeddingsAreVertexDisjoint) {
   ASSERT_TRUE(result.ok());
   for (const GrewPattern& p : result->patterns) {
     std::unordered_set<VertexId> used;
-    for (const Embedding& e : p.embeddings) {
+    for (OccurrenceList::Row e : p.embeddings) {
       for (VertexId v : e) {
         EXPECT_TRUE(used.insert(v).second)
             << "vertex " << v << " reused across embeddings of "

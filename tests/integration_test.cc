@@ -74,12 +74,12 @@ TEST(IntegrationTest, ReturnedSupportsAreReproducible) {
     Vf2Options options;
     options.max_embeddings = 2000;
     options.max_states = 2000000;
-    std::vector<Embedding> embeddings =
+    OccurrenceList embeddings =
         FindEmbeddings(mp.pattern, data->graph, options);
-    // The miner's closure phase canonicalizes E[P] before the image dedup;
+    // The miner's closure phase sorts E[P]'s rows before the image dedup;
     // greedy-MIS support is order-sensitive, so reproducing it needs the
     // same step.
-    CanonicalizeEmbeddingOrder(&embeddings);
+    embeddings.SortRows();
     DedupEmbeddingsByImage(&embeddings);
     int64_t support = ComputeSupport(SupportMeasureKind::kGreedyMisVertex,
                                      mp.pattern, embeddings);

@@ -42,7 +42,7 @@ TEST_P(ClosureInvariants, ClosurePreservesMiningInvariants) {
   // Start from the planted pattern minus one edge that keeps it connected
   // (drop a cycle edge if any; otherwise skip the mutation).
   Pattern open = planted;
-  std::vector<Embedding> embeddings = FindEmbeddings(open, g);
+  OccurrenceList embeddings = FindEmbeddings(open, g);
   ASSERT_FALSE(embeddings.empty());
   const int32_t diameter_before = open.Diameter();
 
@@ -56,7 +56,7 @@ TEST_P(ClosureInvariants, ClosurePreservesMiningInvariants) {
   EXPECT_TRUE(open.IsConnected());
   EXPECT_LE(open.Diameter(), diameter_before);
   // 2. Every surviving embedding realizes every pattern edge.
-  for (const Embedding& e : embeddings) {
+  for (OccurrenceList::Row e : embeddings) {
     for (const auto& [u, v] : open.Edges()) {
       EXPECT_TRUE(g.HasEdge(e[u], e[v]))
           << "edge " << u << "-" << v << " not realized";
@@ -71,7 +71,7 @@ TEST_P(ClosureInvariants, ClosurePreservesMiningInvariants) {
   }
   // 4. Idempotence: a second pass adds nothing.
   Pattern again = open;
-  std::vector<Embedding> embeddings2 = embeddings;
+  OccurrenceList embeddings2 = embeddings;
   EXPECT_EQ(CloseInternalEdges(g, &again, &embeddings2,
                                SupportMeasureKind::kGreedyMisVertex, 3),
             0);
@@ -226,7 +226,7 @@ TEST_P(OracleInvariants, OracleOutputIsFrequentBoundedAndSorted) {
     EXPECT_LE(op.pattern.NumEdges(), previous_edges);
     previous_edges = op.pattern.NumEdges();
     // Reported support is reproducible from fresh embeddings.
-    std::vector<Embedding> embeddings = FindEmbeddings(op.pattern, g);
+    OccurrenceList embeddings = FindEmbeddings(op.pattern, g);
     DedupEmbeddingsByImage(&embeddings);
     EXPECT_EQ(op.support,
               ComputeSupport(SupportMeasureKind::kGreedyMisVertex, op.pattern,

@@ -83,7 +83,8 @@ Pattern K33Interleaved() {
 
 /// True iff \p e maps \p p injectively into \p g, preserving vertex labels,
 /// edges and edge labels.
-bool IsEmbedding(const Pattern& p, const LabeledGraph& g, const Embedding& e) {
+bool IsEmbedding(const Pattern& p, const LabeledGraph& g,
+                 const std::vector<VertexId>& e) {
   if (static_cast<int32_t>(e.size()) != p.NumVertices()) return false;
   for (VertexId u = 0; u < p.NumVertices(); ++u) {
     if (g.Label(e[u]) != p.Label(u)) return false;
@@ -173,19 +174,19 @@ TEST(IsoIndexTest, MapRenumbersEmbeddingsBetweenEntryAndProbe) {
 
   // The direction a duplicate fold uses: an embedding e of the probe
   // becomes u -> e[map[u]], an embedding of the entry.
-  const std::vector<Embedding> probe_embeddings = FindEmbeddings(probe, graph);
+  const OccurrenceList probe_embeddings = FindEmbeddings(probe, graph);
   ASSERT_EQ(probe_embeddings.size(), 2u);
-  for (const Embedding& e : probe_embeddings) {
-    Embedding renumbered(map.size());
+  for (OccurrenceList::Row e : probe_embeddings) {
+    std::vector<VertexId> renumbered(map.size());
     for (size_t u = 0; u < map.size(); ++u) renumbered[u] = e[map[u]];
     EXPECT_TRUE(IsEmbedding(entry, graph, renumbered));
   }
   // And back: an embedding f of the entry places f[u] at probe vertex
   // map[u].
-  const std::vector<Embedding> entry_embeddings = FindEmbeddings(entry, graph);
+  const OccurrenceList entry_embeddings = FindEmbeddings(entry, graph);
   ASSERT_EQ(entry_embeddings.size(), 2u);
-  for (const Embedding& f : entry_embeddings) {
-    Embedding renumbered(map.size());
+  for (OccurrenceList::Row f : entry_embeddings) {
+    std::vector<VertexId> renumbered(map.size());
     for (size_t u = 0; u < map.size(); ++u) renumbered[map[u]] = f[u];
     EXPECT_TRUE(IsEmbedding(probe, graph, renumbered));
   }

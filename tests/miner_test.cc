@@ -85,7 +85,7 @@ TEST(MinerTest, ReturnedEmbeddingsAreRealEmbeddings) {
   Result<QueryResult> result = MineOnce(&g, config, query);
   ASSERT_TRUE(result.ok());
   for (const MinedPattern& mp : result->patterns) {
-    for (const Embedding& e : mp.embeddings) {
+    for (OccurrenceList::Row e : mp.embeddings) {
       ASSERT_EQ(e.size(), static_cast<size_t>(mp.NumVertices()));
       for (VertexId pv = 0; pv < mp.NumVertices(); ++pv) {
         EXPECT_EQ(g.Label(e[pv]), mp.pattern.Label(pv));

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "occurrence_test_util.h"
+#include "pattern/embedding.h"
 
 namespace spidermine {
 namespace {
@@ -263,6 +266,36 @@ TEST(PatternTest, MatchesReferenceOnRandomGrowth) {
     Pattern grown = p;
     grown.AddVertex(0);
     EXPECT_FALSE(grown == p);
+  }
+}
+
+// OccurrenceList::SortRows orders equal-width rows as std::sort orders the
+// same rows held as vectors. Small vertex ranges make shared prefixes and
+// equal rows common, and copies add exact duplicates.
+TEST(OccurrenceListTest, SortRowsMatchesSortOverRowVectors) {
+  Rng rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto width = static_cast<int32_t>(rng.UniformInt(1, 6));
+    const auto max_vertex = static_cast<VertexId>(rng.UniformInt(1, 40));
+    const auto count = static_cast<int32_t>(rng.UniformInt(0, 200));
+    Rows rows;
+    while (static_cast<int32_t>(rows.size()) < count) {
+      if (!rows.empty() && rng.Bernoulli(0.3)) {
+        rows.push_back(rows[rng.Index(rows.size())]);
+        continue;
+      }
+      std::vector<VertexId> row(static_cast<size_t>(width));
+      for (VertexId& v : row) {
+        v = static_cast<VertexId>(rng.UniformInt(0, max_vertex));
+      }
+      rows.push_back(std::move(row));
+    }
+    OccurrenceList list = ListOf(rows, width);
+    list.SortRows();
+    Rows expected = rows;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(list.width(), width);
+    ASSERT_EQ(RowsOf(list), expected) << "trial " << trial;
   }
 }
 

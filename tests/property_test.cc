@@ -49,7 +49,7 @@ TEST_P(RandomScenario, EmbeddingsAreValid) {
       static_cast<int32_t>(rng_.UniformInt(2, 4)), 0.2, g.NumLabels(), &rng_);
   Vf2Options options;
   options.max_embeddings = 200;
-  for (const Embedding& e : FindEmbeddings(p, g, options)) {
+  for (OccurrenceList::Row e : FindEmbeddings(p, g, options)) {
     std::vector<VertexId> image = SortedImage(e);
     EXPECT_EQ(std::adjacent_find(image.begin(), image.end()), image.end());
     for (VertexId pv = 0; pv < p.NumVertices(); ++pv) {
@@ -146,7 +146,7 @@ TEST_P(RandomScenario, SupportMeasureHierarchy) {
   Pattern p = RandomConnectedPattern(3, 0.0, 3, &rng_);
   Vf2Options options;
   options.max_embeddings = 300;
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g, options);
+  OccurrenceList embeddings = FindEmbeddings(p, g, options);
   DedupEmbeddingsByImage(&embeddings);
   int64_t count =
       ComputeSupport(SupportMeasureKind::kEmbeddingCount, p, embeddings);

@@ -9,6 +9,7 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
+#include "occurrence_test_util.h"
 #include "pattern/vf2.h"
 #include "spider/spider_store.h"
 #include "spidermine/session.h"
@@ -82,9 +83,9 @@ struct RootUse {
   int32_t scanned = 0;
 };
 
-std::vector<Embedding> Search(const Pattern& p, const LabeledGraph& g,
-                              const SpiderStore* store, bool homomorphic,
-                              RootUse* use = nullptr) {
+Rows Search(const Pattern& p, const LabeledGraph& g,
+            const SpiderStore* store, bool homomorphic,
+            RootUse* use = nullptr) {
   Vf2Options options;
   options.max_embeddings = kCap;
   options.homomorphic = homomorphic;
@@ -95,14 +96,14 @@ std::vector<Embedding> Search(const Pattern& p, const LabeledGraph& g,
       return roots;
     };
   }
-  return FindEmbeddings(p, g, options);
+  return RowsOf(FindEmbeddings(p, g, options));
 }
 
 /// Rooted search == label scan for \p p, both modes; accumulates use.
 void ExpectRootedEqualsScan(const Pattern& p, const LabeledGraph& g,
                             const SpiderStore& store, RootUse* use) {
   for (bool homomorphic : {false, true}) {
-    const std::vector<Embedding> scan = Search(p, g, nullptr, homomorphic);
+    const Rows scan = Search(p, g, nullptr, homomorphic);
     EXPECT_EQ(Search(p, g, &store, homomorphic, use), scan)
         << (homomorphic ? "homomorphic " : "injective ") << p.ToString();
   }

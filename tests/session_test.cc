@@ -11,6 +11,7 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
+#include "occurrence_test_util.h"
 #include "pattern/vf2.h"
 #include "spider_test_util.h"
 
@@ -323,13 +324,13 @@ TEST(SessionTest, AccumulateTopKReplacesTheVariantWithItsEmbeddings) {
   for (LabelId label : {1, 2, 3}) earlier.pattern.AddVertex(label);
   earlier.pattern.AddEdge(0, 1);
   earlier.pattern.AddEdge(1, 2);
-  earlier.embeddings = {{0, 1, 2}};
+  earlier.embeddings = ListOf({{0, 1, 2}});
   earlier.support = 1;
   MinedPattern later;
   for (LabelId label : {3, 2, 1}) later.pattern.AddVertex(label);
   later.pattern.AddEdge(0, 1);
   later.pattern.AddEdge(1, 2);
-  later.embeddings = {{2, 1, 0}, {2, 1, 3}};
+  later.embeddings = ListOf({{2, 1, 0}, {2, 1, 3}});
   later.support = 2;
   ASSERT_TRUE(ArePatternsIsomorphic(earlier.pattern, later.pattern));
   ASSERT_FALSE(earlier.pattern == later.pattern);
@@ -343,10 +344,10 @@ TEST(SessionTest, AccumulateTopKReplacesTheVariantWithItsEmbeddings) {
     ASSERT_EQ(accumulated.size(), 1u);
     const MinedPattern& kept = accumulated[0];
     EXPECT_TRUE(kept.pattern == later.pattern);
-    EXPECT_EQ(kept.embeddings, later.embeddings);
+    EXPECT_EQ(RowsOf(kept.embeddings), RowsOf(later.embeddings));
     EXPECT_EQ(kept.support, 2);
     EXPECT_TRUE(kept.from_merge);
-    for (const Embedding& e : kept.embeddings) {
+    for (OccurrenceList::Row e : kept.embeddings) {
       for (const auto& [u, v] : kept.pattern.Edges()) {
         EXPECT_TRUE(g.HasEdge(e[u], e[v]));
       }

@@ -130,19 +130,6 @@ TEST(StarMinerTest, MaxSpidersTruncates) {
   EXPECT_EQ(result->store.size(), 3);
 }
 
-TEST(StarMinerTest, ExcludeSingleVertexSpiders) {
-  LabeledGraph g = TwoStars();
-  StarMinerConfig config;
-  config.min_support = 2;
-  config.include_single_vertex = false;
-  Result<StarMineResult> result = MineStarSpiders(g, config, SerialPool());
-  ASSERT_TRUE(result.ok());
-  for (int32_t id = 0; id < static_cast<int32_t>(result->store.size());
-       ++id) {
-    EXPECT_GE(result->store.NumVerticesOf(id), 2);
-  }
-}
-
 TEST(StarMinerTest, InvalidConfigRejected) {
   LabeledGraph g = TwoStars();
   StarMinerConfig config;
@@ -201,10 +188,11 @@ TEST(StarMinerTest, MaxSpidersIsExactGlobalPrefix) {
 }
 
 TEST(StarMinerTest, ExactBudgetInOneShardIsNotTruncated) {
-  // Two disjoint label-0 edges: with roots excluded, exactly one frequent
-  // star ({0}, leaf 0) in a single enumeration shard. A budget equal to
-  // the full enumeration must not report truncation even though one shard
-  // holds the entire budget.
+  // Two disjoint label-0 edges: exactly two frequent spiders, the root
+  // ({0}, no leaf) and the star ({0}, leaf 0), which is the only spider of
+  // its single enumeration shard. A budget equal to the full enumeration
+  // must not report truncation even though that shard holds the whole
+  // budget the root leaves.
   GraphBuilder b;
   for (int i = 0; i < 4; ++i) b.AddVertex(0);
   b.AddEdge(0, 1);
@@ -212,14 +200,14 @@ TEST(StarMinerTest, ExactBudgetInOneShardIsNotTruncated) {
   LabeledGraph g = std::move(b.Build()).value();
   StarMinerConfig config;
   config.min_support = 2;
-  config.include_single_vertex = false;
   Result<StarMineResult> full = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(full.ok());
-  ASSERT_EQ(full->store.size(), 1);
-  config.max_spiders = 1;
+  ASSERT_EQ(full->store.size(), 2);
+  EXPECT_EQ(full->store.NumVerticesOf(0), 1);
+  config.max_spiders = 2;
   Result<StarMineResult> capped = MineStarSpiders(g, config, SerialPool());
   ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(capped->store.size(), 1);
+  EXPECT_EQ(capped->store.size(), 2);
   EXPECT_FALSE(capped->truncated);
 }
 

@@ -46,23 +46,22 @@ constexpr int64_t kStateCap = 2000000;
 /// enumeration hit a cap — per-list dominance still holds on a truncated
 /// list, cross-list claims (hom >= MNI, lineages) do not.
 struct BruteForceLists {
-  std::vector<Embedding> iso;
-  std::vector<Embedding> iso_dedup;
-  std::vector<Embedding> hom;
+  OccurrenceList iso;
+  OccurrenceList iso_dedup;
+  OccurrenceList hom;
   bool complete = true;
 };
 
-std::vector<Embedding> CappedEmbeddings(const Pattern& p,
-                                        const LabeledGraph& g,
-                                        bool homomorphic, bool* complete) {
+OccurrenceList CappedEmbeddings(const Pattern& p, const LabeledGraph& g,
+                                bool homomorphic, bool* complete) {
   Vf2Options options;
   options.max_embeddings = kEnumCap;
   options.max_states = kStateCap;
   options.homomorphic = homomorphic;
-  std::vector<Embedding> out;
+  OccurrenceList out(p.NumVertices());
   Vf2Stats stats = EnumerateEmbeddings(p, g, options,
-                                       [&out](const Embedding& e) {
-                                         out.push_back(e);
+                                       [&out](std::span<const VertexId> row) {
+                                         out.Append(row);
                                          return true;
                                        });
   if (stats.aborted || static_cast<int64_t>(out.size()) >= kEnumCap) {
@@ -310,7 +309,7 @@ TEST(HomomorphismOracleTest, EngineEqualsBruteForce) {
     Vf2Options options;
     options.max_embeddings = 2000000;
     options.homomorphic = true;
-    std::vector<Embedding> hom = FindEmbeddings(mp.pattern, g, options);
+    OccurrenceList hom = FindEmbeddings(mp.pattern, g, options);
     ASSERT_LT(static_cast<int64_t>(hom.size()), options.max_embeddings);
     EXPECT_EQ(mp.support, ComputeSupport(SupportMeasureKind::kHomomorphism,
                                          mp.pattern, hom))
@@ -410,7 +409,7 @@ TEST(TransactionDifferentialTest, DisjointUnionLineagesAndSampling) {
   SupportContext sampled_ctx = ctx;
   sampled_ctx.txn_sample = &whitelist;
   const Pattern& p0 = full->patterns.front().pattern;
-  std::vector<Embedding> embeddings = FindEmbeddings(p0, txn->graph);
+  OccurrenceList embeddings = FindEmbeddings(p0, txn->graph);
   EXPECT_LE(ComputeSupport(SupportMeasureKind::kTransaction, p0, embeddings,
                            sampled_ctx),
             std::min<int64_t>(

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "graph/graph_builder.h"
+#include "occurrence_test_util.h"
 #include "spidermine/txn_adapter.h"
 
 namespace spidermine {
@@ -24,28 +25,28 @@ Pattern EdgePattern() {
 
 TEST(SupportTest, EmbeddingCountIsSize) {
   Pattern p = EdgePattern();
-  std::vector<Embedding> embeddings{{0, 1}, {1, 2}, {2, 3}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {1, 2}, {2, 3}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kEmbeddingCount, p, embeddings),
             3);
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kEmbeddingCount, p,
-                           std::vector<Embedding>{}),
+                           OccurrenceList(2)),
             0);
 }
 
 TEST(SupportTest, MinImageTakesMinimumOverVertices) {
   Pattern p = EdgePattern();
   // Vertex 0 images: {0, 0, 0} -> 1 distinct; vertex 1 images: {1, 2, 3}.
-  std::vector<Embedding> embeddings{{0, 1}, {0, 2}, {0, 3}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {0, 2}, {0, 3}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kMinImage, p, embeddings), 1);
   // Balanced images.
-  std::vector<Embedding> balanced{{0, 1}, {2, 3}};
+  OccurrenceList balanced = ListOf({{0, 1}, {2, 3}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kMinImage, p, balanced), 2);
 }
 
 TEST(SupportTest, GreedyMisVertexCountsDisjointEmbeddings) {
   Pattern p = EdgePattern();
   // {0,1} and {1,2} overlap; {3,4} disjoint.
-  std::vector<Embedding> embeddings{{0, 1}, {1, 2}, {3, 4}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {1, 2}, {3, 4}});
   EXPECT_EQ(
       ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p, embeddings), 2);
 }
@@ -53,7 +54,7 @@ TEST(SupportTest, GreedyMisVertexCountsDisjointEmbeddings) {
 TEST(SupportTest, GreedyMisVertexChainOverlap) {
   Pattern p = EdgePattern();
   // A path of overlapping edges: greedy picks 0-1, skips 1-2, picks 2-3...
-  std::vector<Embedding> embeddings{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
   EXPECT_EQ(
       ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p, embeddings), 3);
 }
@@ -61,7 +62,7 @@ TEST(SupportTest, GreedyMisVertexChainOverlap) {
 TEST(SupportTest, GreedyMisEdgeAllowsVertexSharing) {
   Pattern p = EdgePattern();
   // Star at 0: edges 0-1, 0-2, 0-3 share vertex 0 but no edge.
-  std::vector<Embedding> embeddings{{0, 1}, {0, 2}, {0, 3}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {0, 2}, {0, 3}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kGreedyMisEdge, p, embeddings),
             3);
   EXPECT_EQ(
@@ -76,14 +77,14 @@ TEST(SupportTest, GreedyMisEdgeDetectsSharedEdges) {
   p.AddVertex(0);
   p.AddEdge(0, 1);
   p.AddEdge(1, 2);
-  std::vector<Embedding> embeddings{{0, 1, 2}, {2, 1, 0}, {3, 4, 5}};
+  OccurrenceList embeddings = ListOf({{0, 1, 2}, {2, 1, 0}, {3, 4, 5}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kGreedyMisEdge, p, embeddings),
             2);
 }
 
 TEST(SupportTest, GreedyMisEdgeOnEdgelessPatternFallsBack) {
   Pattern p(0);
-  std::vector<Embedding> embeddings{{0}, {1}, {1}};
+  OccurrenceList embeddings = ListOf({{0}, {1}, {1}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kGreedyMisEdge, p, embeddings),
             2);
 }
@@ -93,7 +94,7 @@ TEST(SupportTest, TransactionSupportCountsDistinctTransactions) {
   std::vector<int32_t> txn{0, 0, 1, 1, 2, 2};
   SupportContext ctx;
   ctx.txn_of_vertex = &txn;
-  std::vector<Embedding> embeddings{{0, 1}, {2, 3}, {2, 3}, {4, 5}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {2, 3}, {2, 3}, {4, 5}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kTransaction, p, embeddings,
                            ctx),
             3);
@@ -101,7 +102,7 @@ TEST(SupportTest, TransactionSupportCountsDistinctTransactions) {
 
 TEST(SupportTest, TransactionSupportWithoutContextIsZero) {
   Pattern p = EdgePattern();
-  std::vector<Embedding> embeddings{{0, 1}};
+  OccurrenceList embeddings = ListOf({{0, 1}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kTransaction, p, embeddings),
             0);
 }
@@ -124,11 +125,11 @@ TEST(SupportTest, HomomorphismIsMinImageOverTheGivenList) {
   Pattern p = EdgePattern();
   // On whatever list it is handed, the measure is the minimum-image count;
   // the homomorphism semantics come from the list being homomorphic E[P].
-  std::vector<Embedding> embeddings{{0, 1}, {0, 2}, {0, 3}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {0, 2}, {0, 3}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kHomomorphism, p, embeddings),
             ComputeSupport(SupportMeasureKind::kMinImage, p, embeddings));
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kHomomorphism, p,
-                           std::vector<Embedding>{}),
+                           OccurrenceList(2)),
             0);
 }
 
@@ -157,10 +158,10 @@ TEST(SupportTest, TransactionSupportWithMapIntersectsImageVertices) {
   ctx.txn_map = &map;
   // {0,1}: txns(0) = {0,1}, txns(1) = {0} -> covers {0}.
   // {0,2}: {0,1} & {1} -> covers {1}. Together: 2 transactions.
-  std::vector<Embedding> both{{0, 1}, {0, 2}};
+  OccurrenceList both = ListOf({{0, 1}, {0, 2}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kTransaction, p, both, ctx), 2);
   // {1,2}: {0} & {1} -> empty; a vertex with no payload covers nothing.
-  std::vector<Embedding> none{{1, 2}, {0, 3}};
+  OccurrenceList none = ListOf({{1, 2}, {0, 3}});
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kTransaction, p, none, ctx), 0);
 }
 
@@ -171,7 +172,7 @@ TEST(SupportTest, TransactionMapTakesPrecedenceOverTxnOfVertex) {
   SupportContext ctx;
   ctx.txn_of_vertex = &txn;
   ctx.txn_map = &map;
-  std::vector<Embedding> embeddings{{0, 1}};
+  OccurrenceList embeddings = ListOf({{0, 1}});
   // The map says {0}; the legacy vector would say {5}.
   EXPECT_EQ(
       ComputeSupport(SupportMeasureKind::kTransaction, p, embeddings, ctx), 1);
@@ -185,7 +186,7 @@ TEST(SupportTest, TransactionSampleFiltersBothSources) {
   SupportContext legacy;
   legacy.txn_of_vertex = &txn;
   legacy.txn_sample = &sample;
-  std::vector<Embedding> embeddings{{0, 1}, {2, 3}, {4, 5}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {2, 3}, {4, 5}});
   EXPECT_EQ(
       ComputeSupport(SupportMeasureKind::kTransaction, p, embeddings, legacy),
       1);
@@ -194,7 +195,7 @@ TEST(SupportTest, TransactionSampleFiltersBothSources) {
   SupportContext payload;
   payload.txn_map = &map;
   payload.txn_sample = &sample;
-  std::vector<Embedding> both{{0, 1}, {0, 2}};  // covers {0} and {1}
+  OccurrenceList both = ListOf({{0, 1}, {0, 2}});  // covers {0} and {1}
   EXPECT_EQ(ComputeSupport(SupportMeasureKind::kTransaction, p, both, payload),
             1);
 }
@@ -291,44 +292,43 @@ TEST(TxnAdapterTest, LoadVertexTxnMapParsesAndValidates) {
 }
 
 TEST(DedupEmbeddingsTest, RemovesSameImageDifferentOrder) {
-  std::vector<Embedding> embeddings{{0, 1}, {1, 0}, {2, 3}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {1, 0}, {2, 3}});
   DedupEmbeddingsByImage(&embeddings);
-  EXPECT_EQ(embeddings.size(), 2u);
-  EXPECT_EQ(embeddings[0], (Embedding{0, 1}));
-  EXPECT_EQ(embeddings[1], (Embedding{2, 3}));
+  EXPECT_EQ(RowsOf(embeddings), (Rows{{0, 1}, {2, 3}}));
 }
 
 TEST(DedupEmbeddingsTest, KeepsDistinctImages) {
-  std::vector<Embedding> embeddings{{0, 1}, {0, 2}, {1, 2}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {0, 2}, {1, 2}});
   DedupEmbeddingsByImage(&embeddings);
   EXPECT_EQ(embeddings.size(), 3u);
 }
 
 TEST(DedupEmbeddingsTest, EmptyListNoop) {
-  std::vector<Embedding> embeddings;
+  OccurrenceList embeddings(2);
   DedupEmbeddingsByImage(&embeddings);
   EXPECT_TRUE(embeddings.empty());
 }
 
 /// The first row per sorted image, in order: DedupEmbeddingsByImage's
 /// contract, by comparing every row with every kept row.
-std::vector<Embedding> DedupReference(const std::vector<Embedding>& rows) {
-  std::vector<Embedding> kept;
-  for (const Embedding& e : rows) {
-    const Embedding image = SortedImage(e);
-    if (std::none_of(kept.begin(), kept.end(), [&image](const Embedding& k) {
-          return SortedImage(k) == image;
-        })) {
+Rows DedupReference(const Rows& rows) {
+  Rows kept;
+  for (const std::vector<VertexId>& e : rows) {
+    const std::vector<VertexId> image = SortedImage(e);
+    if (std::none_of(kept.begin(), kept.end(),
+                     [&image](const std::vector<VertexId>& k) {
+                       return SortedImage(k) == image;
+                     })) {
       kept.push_back(e);
     }
   }
   return kept;
 }
 
-int64_t MisVertexReference(const std::vector<Embedding>& rows) {
+int64_t MisVertexReference(const Rows& rows) {
   std::set<VertexId> used;
   int64_t count = 0;
-  for (const Embedding& e : rows) {
+  for (const std::vector<VertexId>& e : rows) {
     if (std::any_of(e.begin(), e.end(),
                     [&used](VertexId v) { return used.count(v) > 0; })) {
       continue;
@@ -339,12 +339,12 @@ int64_t MisVertexReference(const std::vector<Embedding>& rows) {
   return count;
 }
 
-int64_t MinImageReference(int32_t width, const std::vector<Embedding>& rows) {
+int64_t MinImageReference(int32_t width, const Rows& rows) {
   if (rows.empty()) return 0;
   int64_t min_images = INT64_MAX;
   for (int32_t pv = 0; pv < width; ++pv) {
     std::set<VertexId> images;
-    for (const Embedding& e : rows) images.insert(e[pv]);
+    for (const std::vector<VertexId>& e : rows) images.insert(e[pv]);
     min_images = std::min(min_images, static_cast<int64_t>(images.size()));
   }
   return min_images;
@@ -352,18 +352,18 @@ int64_t MinImageReference(int32_t width, const std::vector<Embedding>& rows) {
 
 /// A random row stream: rows of \p width distinct vertices below
 /// \p num_vertices, and permuted copies of earlier rows.
-std::vector<Embedding> RandomRows(Rng* rng, int32_t width,
-                                  int32_t num_vertices, int32_t count) {
-  std::vector<Embedding> rows;
+Rows RandomRows(Rng* rng, int32_t width, int32_t num_vertices,
+                int32_t count) {
+  Rows rows;
   while (static_cast<int32_t>(rows.size()) < count) {
     if (!rows.empty() && rng->Bernoulli(0.4)) {
-      Embedding copy = rows[rng->Index(rows.size())];
+      std::vector<VertexId> copy = rows[rng->Index(rows.size())];
       rng->Shuffle(&copy);
       rows.push_back(std::move(copy));
       continue;
     }
     std::set<VertexId> picked;
-    Embedding row;
+    std::vector<VertexId> row;
     while (static_cast<int32_t>(row.size()) < width) {
       const auto v =
           static_cast<VertexId>(rng->UniformInt(0, num_vertices - 1));
@@ -386,7 +386,8 @@ TEST(DedupEmbeddingsTest, MatchesReferencesOnRandomRowStreams) {
             ? 100000
             : static_cast<int32_t>(width + rng.UniformInt(0, 30));
     const auto count = static_cast<int32_t>(rng.UniformInt(0, 300));
-    std::vector<Embedding> rows = RandomRows(&rng, width, num_vertices, count);
+    const Rows rows = RandomRows(&rng, width, num_vertices, count);
+    OccurrenceList list = ListOf(rows, width);
     Pattern p;
     for (int32_t i = 0; i < width; ++i) p.AddVertex(0);
     for (int32_t i = 1; i < width; ++i) p.AddEdge(i - 1, i);
@@ -396,44 +397,34 @@ TEST(DedupEmbeddingsTest, MatchesReferencesOnRandomRowStreams) {
       const int64_t expected = kind == SupportMeasureKind::kGreedyMisVertex
                                    ? MisVertexReference(rows)
                                    : MinImageReference(width, rows);
-      EXPECT_EQ(ComputeSupport(kind, p, rows), expected)
+      EXPECT_EQ(ComputeSupport(kind, p, list), expected)
           << SupportMeasureName(kind) << " on raw rows, trial " << trial;
     }
-    const std::vector<Embedding> expected = DedupReference(rows);
-    DedupEmbeddingsByImage(&rows);
-    ASSERT_EQ(rows, expected) << "trial " << trial;
-    EXPECT_EQ(ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p, rows),
-              MisVertexReference(rows));
-    EXPECT_EQ(ComputeSupport(SupportMeasureKind::kMinImage, p, rows),
-              MinImageReference(width, rows));
+    const Rows expected = DedupReference(rows);
+    DedupEmbeddingsByImage(&list);
+    ASSERT_EQ(RowsOf(list), expected) << "trial " << trial;
+    EXPECT_EQ(ComputeSupport(SupportMeasureKind::kGreedyMisVertex, p, list),
+              MisVertexReference(expected));
+    EXPECT_EQ(ComputeSupport(SupportMeasureKind::kMinImage, p, list),
+              MinImageReference(width, expected));
   }
-}
-
-OccurrenceList ToOccurrenceList(int32_t width,
-                                const std::vector<Embedding>& rows) {
-  OccurrenceList list(width);
-  for (const Embedding& e : rows) {
-    std::copy(e.begin(), e.end(), list.AppendRow().begin());
-  }
-  return list;
 }
 
 /// Growth's duplicate fold before flat occurrence lists, kept as the
 /// reference: append the renumbered rows while the list (raw appends
 /// included) is below the cap, then re-dedup the whole list. Returns how
 /// many rows it appended.
-int64_t ReferenceFold(std::vector<Embedding>* list,
-                      const std::vector<Embedding>& rows,
+int64_t ReferenceFold(Rows* list, const Rows& rows,
                       const std::vector<VertexId>& iso, int64_t max_rows) {
   int64_t appended = 0;
-  for (const Embedding& e : rows) {
+  for (const std::vector<VertexId>& e : rows) {
     if (static_cast<int64_t>(list->size()) >= max_rows) break;
-    Embedding renumbered(iso.size());
+    std::vector<VertexId> renumbered(iso.size());
     for (size_t u = 0; u < iso.size(); ++u) renumbered[u] = e[iso[u]];
     list->push_back(std::move(renumbered));
     ++appended;
   }
-  DedupEmbeddingsByImage(list);
+  *list = DedupReference(*list);
   return appended;
 }
 
@@ -449,24 +440,23 @@ TEST(OccurrenceFolderTest, MatchesAppendThenDedupOnRandomBatches) {
     const int32_t num_vertices =
         trial % 4 == 0 ? 100000
                        : static_cast<int32_t>(width + rng.UniformInt(0, 20));
-    std::vector<Embedding> start =
+    const Rows start =
         DedupReference(RandomRows(&rng, width, num_vertices,
                                   static_cast<int32_t>(rng.UniformInt(0, 60))));
     const std::array<int64_t, 5> caps{
         1, static_cast<int64_t>(start.size()),
         static_cast<int64_t>(start.size()) + 7, 40, 10000};
     const int64_t cap = caps[rng.Index(caps.size())];
-    std::vector<Embedding> reference = start;
-    OccurrenceList list = ToOccurrenceList(width, start);
+    Rows reference = start;
+    OccurrenceList list = ListOf(start, width);
     OccurrenceFolder folder(&list);
     const auto folds = static_cast<int>(rng.UniformInt(1, 5));
     for (int f = 0; f < folds; ++f) {
-      std::vector<Embedding> rows =
-          RandomRows(&rng, width, num_vertices,
-                     static_cast<int32_t>(rng.UniformInt(0, 50)));
-      for (const Embedding& e : start) {
+      Rows rows = RandomRows(&rng, width, num_vertices,
+                             static_cast<int32_t>(rng.UniformInt(0, 50)));
+      for (const std::vector<VertexId>& e : start) {
         if (rng.Bernoulli(0.2)) {
-          Embedding copy = e;
+          std::vector<VertexId> copy = e;
           rng.Shuffle(&copy);
           rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(
                                          rng.Index(rows.size() + 1)),
@@ -478,10 +468,9 @@ TEST(OccurrenceFolderTest, MatchesAppendThenDedupOnRandomBatches) {
       rng.Shuffle(&iso);
       const int64_t expected_offered =
           ReferenceFold(&reference, rows, iso, cap);
-      EXPECT_EQ(folder.Fold(ToOccurrenceList(width, rows), iso, cap),
-                expected_offered)
+      EXPECT_EQ(folder.Fold(ListOf(rows, width), iso, cap), expected_offered)
           << "trial " << trial << " fold " << f;
-      ASSERT_EQ(list.ToEmbeddings(), reference)
+      ASSERT_EQ(RowsOf(list), reference)
           << "trial " << trial << " fold " << f;
     }
     Pattern p;
@@ -491,38 +480,22 @@ TEST(OccurrenceFolderTest, MatchesAppendThenDedupOnRandomBatches) {
     for (int32_t v = 0; v < num_vertices; ++v) txn_of_vertex[v] = v % 7;
     SupportContext context;
     context.txn_of_vertex = &txn_of_vertex;
+    const OccurrenceList reference_list = ListOf(reference, width);
     for (const auto kind :
          {SupportMeasureKind::kEmbeddingCount, SupportMeasureKind::kMinImage,
           SupportMeasureKind::kGreedyMisVertex,
           SupportMeasureKind::kGreedyMisEdge, SupportMeasureKind::kTransaction,
           SupportMeasureKind::kHomomorphism}) {
       EXPECT_EQ(ComputeSupport(kind, p, list, context),
-                ComputeSupport(kind, p, reference, context))
+                ComputeSupport(kind, p, reference_list, context))
           << SupportMeasureName(kind) << ", trial " << trial;
     }
   }
 }
 
-// The flat list's dedup keeps the same rows as the row-vector one on raw
-// streams with duplicates (what BuildSeed, TryExtend and union grouping
-// dedup).
-TEST(OccurrenceFolderTest, FlatDedupMatchesRowDedup) {
-  Rng rng(5);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto width = static_cast<int32_t>(rng.UniformInt(1, 6));
-    std::vector<Embedding> rows =
-        RandomRows(&rng, width, width + static_cast<int32_t>(trial % 15),
-                   static_cast<int32_t>(rng.UniformInt(0, 200)));
-    OccurrenceList list = ToOccurrenceList(width, rows);
-    DedupEmbeddingsByImage(&rows);
-    DedupEmbeddingsByImage(&list);
-    ASSERT_EQ(list.ToEmbeddings(), rows) << "trial " << trial;
-  }
-}
-
 TEST(SupportTest, MisMeasuresAreUpperBoundedByEmbeddingCount) {
   Pattern p = EdgePattern();
-  std::vector<Embedding> embeddings{{0, 1}, {2, 3}, {4, 5}, {0, 5}};
+  OccurrenceList embeddings = ListOf({{0, 1}, {2, 3}, {4, 5}, {0, 5}});
   int64_t count =
       ComputeSupport(SupportMeasureKind::kEmbeddingCount, p, embeddings);
   EXPECT_LE(

@@ -21,10 +21,8 @@ MinedPattern Make(Pattern pattern, int64_t support, size_t embeddings = 0) {
   MinedPattern mp;
   mp.pattern = std::move(pattern);
   mp.support = support;
-  mp.embeddings.resize(embeddings);
-  for (size_t i = 0; i < embeddings; ++i) {
-    mp.embeddings[i] = Embedding(static_cast<size_t>(mp.NumVertices()), 0);
-  }
+  mp.embeddings = OccurrenceList(mp.NumVertices());
+  for (size_t i = 0; i < embeddings; ++i) mp.embeddings.AppendRow();
   return mp;
 }
 

@@ -6,6 +6,7 @@
 #include "gen/erdos_renyi.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
+#include "occurrence_test_util.h"
 
 namespace spidermine {
 namespace {
@@ -38,7 +39,7 @@ Pattern LabeledEdge(LabelId a, LabelId b) {
 TEST(Vf2Test, SingleVertexEmbeddings) {
   LabeledGraph g = TriangleChain();
   Pattern p(0);
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g);
+  OccurrenceList embeddings = FindEmbeddings(p, g);
   EXPECT_EQ(embeddings.size(), 3u);  // vertices 0, 2, 4 carry label 0
 }
 
@@ -90,7 +91,7 @@ TEST(Vf2Test, AnchoredSearchRestrictsHead) {
   Vf2Options options;
   options.anchor_pattern_vertex = 0;
   options.anchor_graph_vertex = 4;
-  std::vector<Embedding> embeddings = FindEmbeddings(p, g, options);
+  OccurrenceList embeddings = FindEmbeddings(p, g, options);
   ASSERT_EQ(embeddings.size(), 1u);  // 4 has one B-neighbor: 3
   EXPECT_EQ(embeddings[0][0], 4);
   EXPECT_EQ(embeddings[0][1], 3);
@@ -105,8 +106,8 @@ TEST(Vf2Test, MaxStatesAborts) {
   for (int i = 0; i + 1 < 6; ++i) path.AddEdge(i, i + 1);
   Vf2Options options;
   options.max_states = 50;
-  Vf2Stats stats = EnumerateEmbeddings(path, g, options,
-                                       [](const Embedding&) { return true; });
+  Vf2Stats stats = EnumerateEmbeddings(
+      path, g, options, [](std::span<const VertexId>) { return true; });
   EXPECT_TRUE(stats.aborted);
   EXPECT_LE(stats.states_visited, 51);
 }
@@ -115,11 +116,44 @@ TEST(Vf2Test, CallbackCanStopEarly) {
   LabeledGraph g = TriangleChain();
   Pattern p = LabeledEdge(0, 0);
   int seen = 0;
-  EnumerateEmbeddings(p, g, {}, [&seen](const Embedding&) {
+  EnumerateEmbeddings(p, g, {}, [&seen](std::span<const VertexId>) {
     ++seen;
     return false;
   });
   EXPECT_EQ(seen, 1);
+}
+
+// FindEmbeddings collects exactly the rows the callback sees, in order,
+// with no cap, a cap of one row and a cap inside the list; a capped list
+// is a prefix of the uncapped one.
+TEST(Vf2Test, FindEmbeddingsListsTheCallbackRows) {
+  Rng rng(17);
+  LabeledGraph g =
+      std::move(GenerateErdosRenyi(60, 3.0, 2, &rng).Build()).value();
+  Pattern path;
+  for (int i = 0; i < 3; ++i) path.AddVertex(0);
+  path.AddEdge(0, 1);
+  path.AddEdge(1, 2);
+  Rows all;
+  for (int64_t cap : {int64_t{0}, int64_t{1}, int64_t{7}}) {
+    Vf2Options options;
+    options.max_embeddings = cap;
+    Rows seen;
+    EnumerateEmbeddings(path, g, options,
+                        [&seen](std::span<const VertexId> row) {
+                          seen.emplace_back(row.begin(), row.end());
+                          return true;
+                        });
+    const OccurrenceList found = FindEmbeddings(path, g, options);
+    EXPECT_EQ(found.width(), path.NumVertices());
+    EXPECT_EQ(RowsOf(found), seen) << "max_embeddings=" << cap;
+    if (cap == 0) {
+      all = seen;
+      ASSERT_GT(all.size(), 7u);
+    } else {
+      EXPECT_EQ(seen, Rows(all.begin(), all.begin() + cap));
+    }
+  }
 }
 
 TEST(Vf2Test, EmbeddingsAreInjective) {
@@ -131,7 +165,7 @@ TEST(Vf2Test, EmbeddingsAreInjective) {
   triangle.AddEdge(0, 1);
   triangle.AddEdge(1, 2);
   triangle.AddEdge(0, 2);
-  for (const Embedding& e : FindEmbeddings(triangle, g)) {
+  for (OccurrenceList::Row e : FindEmbeddings(triangle, g)) {
     std::vector<VertexId> image = SortedImage(e);
     EXPECT_EQ(std::unique(image.begin(), image.end()), image.end());
   }
@@ -145,7 +179,7 @@ TEST(Vf2Test, EmbeddingsPreserveEdges) {
   p.AddVertex(0);
   p.AddEdge(0, 1);
   p.AddEdge(1, 2);
-  for (const Embedding& e : FindEmbeddings(p, g)) {
+  for (OccurrenceList::Row e : FindEmbeddings(p, g)) {
     for (const auto& [u, v] : p.Edges()) {
       EXPECT_TRUE(g.HasEdge(e[u], e[v]));
     }
@@ -273,10 +307,11 @@ std::optional<std::vector<VertexId>> ReferenceIsomorphism(const Pattern& a,
   Vf2Options options;
   options.max_embeddings = 1;
   std::optional<std::vector<VertexId>> map;
-  EnumerateEmbeddings(a, BuilderHost(b), options, [&map](const Embedding& e) {
-    map = e;
-    return false;
-  });
+  EnumerateEmbeddings(a, BuilderHost(b), options,
+                      [&map](std::span<const VertexId> row) {
+                        map.emplace(row.begin(), row.end());
+                        return false;
+                      });
   return map;
 }
 

@@ -22,9 +22,14 @@
 # (responses sorted; they complete out of order). Only seconds values are
 # masked. A case differs when either its transcript or its serve response
 # does. The usage texts of `mine`, `query`, `stage1` and `serve` (each run
-# with no positional argument) are diffed too. Prints a diff for
-# everything that differs and exits 1 if anything does, 0 if all 48
-# cases, the 6 serve acknowledgments and the 4 usage texts are identical.
+# with no positional argument) are diffed too. A last leg runs the
+# comparison miners on CI's smoke graph (`gen --model=er --vertices=400
+# --avg-degree=1.8 --labels=15 --seed=5 --inject-vertices=12
+# --inject-count=3`): `baseline --algo={subdue,seus,grew,complete}
+# --support=3 --k=10`, 4 outputs. Prints a diff for everything that
+# differs and exits 1 if anything does, 0 if all 48 cases, the 6 serve
+# acknowledgments, the 4 usage texts and the 4 baseline outputs are
+# identical.
 #
 # Usage: tools/diff_query_transcripts.sh OLD_BIN NEW_BIN
 set -euo pipefail
@@ -69,6 +74,9 @@ for side in old new; do
       --seed=3 --out="$work/$side.few.smg" > /dev/null
   "${!bin_var}" stage1 "$work/$side.few.smg" --support=2 \
       --out="$work/$side.few.sm2" > /dev/null
+  "${!bin_var}" gen --model=er --vertices=400 --avg-degree=1.8 --labels=15 \
+      --seed=5 --inject-vertices=12 --inject-count=3 \
+      --out="$work/$side.smoke.smg" > /dev/null
 done
 
 mask_seconds() {
@@ -190,7 +198,23 @@ for command in mine query stage1 serve; do
   fi
 done
 
+baseline_differing=0
+for algo in subdue seus grew complete; do
+  for side in old new; do
+    bin_var="${side}_bin"
+    "${!bin_var}" baseline "$work/$side.smoke.smg" --algo="$algo" \
+        --support=3 --k=10 > "$work/$side.baseline"
+  done
+  if ! diff_out=$(diff "$work/old.baseline" "$work/new.baseline"); then
+    baseline_differing=$((baseline_differing + 1))
+    echo "=== baseline --algo=$algo"
+    echo "$diff_out"
+  fi
+done
+
 echo "$usage_differing of 4 usage texts differ"
 echo "$other of 6 serve acknowledgments differ"
+echo "$baseline_differing of 4 baseline outputs differ"
 echo "$differing of $cases cases differ"
-[ "$differing" -eq 0 ] && [ "$usage_differing" -eq 0 ] && [ "$other" -eq 0 ]
+[ "$differing" -eq 0 ] && [ "$usage_differing" -eq 0 ] && [ "$other" -eq 0 ] &&
+    [ "$baseline_differing" -eq 0 ]
