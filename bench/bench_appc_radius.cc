@@ -10,11 +10,11 @@
 
 #include <cstdio>
 
+#include "baselines/ball_miner.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "gen/erdos_renyi.h"
 #include "graph/graph_builder.h"
-#include "spider/ball_miner.h"
 
 int main() {
   using namespace spidermine;

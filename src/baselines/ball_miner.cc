@@ -1,4 +1,4 @@
-#include "spider/ball_miner.h"
+#include "baselines/ball_miner.h"
 
 #include <set>
 #include <tuple>
@@ -7,22 +7,22 @@
 #include <deque>
 #include <unordered_set>
 
-#include "pattern/dfs_code.h"
 #include "pattern/embedding.h"
+#include "pattern/iso_index.h"
 
 namespace spidermine {
 
 namespace {
 
-/// Head-tagged canonical key: the head must be distinguishable, because two
-/// isomorphic patterns with different heads are different spiders.
-std::string HeadTaggedCanonical(const Pattern& p) {
+/// The pattern with its head's label made distinct: the dedup key, because
+/// two isomorphic patterns with different heads are different spiders.
+Pattern HeadTagged(const Pattern& p) {
   Pattern tagged;
   for (VertexId v = 0; v < p.NumVertices(); ++v) {
     tagged.AddVertex(p.Label(v) * 2 + (v == 0 ? 1 : 0));
   }
   for (const auto& e : p.LabeledEdges()) tagged.AddEdge(e.u, e.v, e.label);
-  return CanonicalString(tagged);
+  return tagged;
 }
 
 struct State {
@@ -39,13 +39,12 @@ std::vector<VertexId> DistinctAnchors(const OccurrenceList& embs) {
   return anchors;
 }
 
-Spider MakeSpider(const State& state, int32_t radius, std::string canonical) {
+Spider MakeSpider(const State& state, int32_t radius) {
   Spider s;
   s.pattern = state.pattern;
   s.radius = radius;
   s.anchors = DistinctAnchors(state.embeddings);
   s.support = static_cast<int64_t>(s.anchors.size());
-  s.canonical = std::move(canonical);
   return s;
 }
 
@@ -62,7 +61,7 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
 
   BallMineResult result;
   std::deque<State> queue;
-  std::unordered_set<std::string> seen;
+  IsoSet seen;
 
   // Seeds: one single-vertex pattern per frequent label.
   for (LabelId label = 0; label < graph.NumLabels(); ++label) {
@@ -72,9 +71,8 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
     s.pattern.AddVertex(label);
     s.embeddings = OccurrenceList(1);
     for (VertexId v : vertices) s.embeddings.AppendRow()[0] = v;
-    std::string canonical = HeadTaggedCanonical(s.pattern);
-    seen.insert(canonical);
-    result.spiders.push_back(MakeSpider(s, config.radius, canonical));
+    seen.Insert(HeadTagged(s.pattern));
+    result.spiders.push_back(MakeSpider(s, config.radius));
     queue.push_back(std::move(s));
   }
 
@@ -125,9 +123,8 @@ Result<BallMineResult> MineBallSpiders(const LabeledGraph& graph,
       }
       std::vector<VertexId> anchors = DistinctAnchors(next.embeddings);
       if (static_cast<int64_t>(anchors.size()) < config.min_support) return;
-      std::string canonical = HeadTaggedCanonical(next.pattern);
-      if (!seen.insert(canonical).second) return;
-      result.spiders.push_back(MakeSpider(next, config.radius, canonical));
+      if (!seen.Insert(HeadTagged(next.pattern))) return;
+      result.spiders.push_back(MakeSpider(next, config.radius));
       queue.push_back(std::move(next));
     };
 

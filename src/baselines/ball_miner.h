@@ -14,7 +14,7 @@
 /// exponential (the paper reports Stage I runtimes of 0.6s / 2.7s / 87s /
 /// out-of-memory for r = 1..4 on a 600-edge graph, reproduced by
 /// bench_appc_radius) and is used for small graphs, tests, and the radius
-/// ablation, while star_miner.h is the fast r=1 path of the growth engine.
+/// ablation, while spider/star_miner.h is the r = 1 miner Stage I runs.
 
 namespace spidermine {
 

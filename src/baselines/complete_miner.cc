@@ -8,7 +8,7 @@
 #include <unordered_set>
 
 #include "common/timer.h"
-#include "pattern/dfs_code.h"
+#include "pattern/iso_index.h"
 
 namespace spidermine {
 
@@ -84,7 +84,7 @@ Result<CompleteMineResult> MineComplete(const LabeledGraph& graph,
   SupportContext ctx;
 
   std::deque<State> queue;
-  std::unordered_set<std::string> seen;
+  IsoSet seen;
 
   auto support_of = [&](const State& s) {
     return ComputeSupport(config.support_measure, s.pattern, s.embeddings,
@@ -137,7 +137,7 @@ Result<CompleteMineResult> MineComplete(const LabeledGraph& graph,
       }
       int64_t support = support_of(s);
       if (support < config.min_support) continue;
-      seen.insert(CanonicalString(s.pattern));
+      seen.Insert(s.pattern);
       result.patterns.push_back({s.pattern, support});
       queue.push_back(std::move(s));
     }
@@ -186,8 +186,7 @@ Result<CompleteMineResult> MineComplete(const LabeledGraph& graph,
       DedupEmbeddingsByImage(&next.embeddings);
       int64_t support = support_of(next);
       if (support < config.min_support) return;
-      std::string key = CanonicalString(next.pattern);
-      if (!seen.insert(key).second) return;
+      if (!seen.Insert(next.pattern)) return;
       result.patterns.push_back({next.pattern, support});
       queue.push_back(std::move(next));
     };

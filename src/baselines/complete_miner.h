@@ -13,11 +13,12 @@
 /// Complete frequent-subgraph enumeration over a single graph: the
 /// MoSS/gSpan-style comparator [9, 33] of the paper's evaluation. Growth is
 /// edge-by-edge with occurrence lists; duplicate pattern states are pruned
-/// via minimum-DFS-code canonical keys. The miner is exhaustive by design
-/// and therefore exponential -- this is the behavior Figures 9 and 16
-/// demonstrate ("-" entries: MoSS cannot run to completion) -- so every run
-/// carries explicit budgets, and exceeding them is reported, mirroring the
-/// paper's practice of aborting runs over 10 hours.
+/// through an IsoSet (iso_index.h), so every isomorphism class is kept
+/// exactly once. The miner is exhaustive by design and therefore
+/// exponential -- this is the behavior Figures 9 and 16 demonstrate ("-"
+/// entries: MoSS cannot run to completion) -- so every run carries
+/// explicit budgets, and exceeding them is reported, mirroring the paper's
+/// practice of aborting runs over 10 hours.
 
 namespace spidermine {
 

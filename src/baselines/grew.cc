@@ -6,7 +6,7 @@
 #include <unordered_set>
 
 #include "common/timer.h"
-#include "pattern/dfs_code.h"
+#include "pattern/iso_index.h"
 
 namespace spidermine {
 
@@ -68,10 +68,8 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
     patterns.push_back(std::move(p));
   }
 
-  std::unordered_set<std::string> seen;
-  for (const GrewPattern& p : patterns) {
-    seen.insert(CanonicalString(p.pattern));
-  }
+  IsoSet seen;
+  for (const GrewPattern& p : patterns) seen.Insert(p.pattern);
 
   for (int32_t iter = 0; iter < config.max_iterations; ++iter) {
     if (deadline.Expired()) {
@@ -184,8 +182,7 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
         q.pattern.AddEdge(offset + u2, offset + v2);
       }
       q.pattern.AddEdge(desc.av, offset + desc.bv);
-      std::string key = CanonicalString(q.pattern);
-      if (!seen.insert(key).second) continue;
+      if (!seen.Insert(q.pattern)) continue;
       q.embeddings = std::move(merged_embeddings);
       q.support = static_cast<int64_t>(q.embeddings.size());
       merged_patterns.push_back(std::move(q));

@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "common/timer.h"
-#include "pattern/dfs_code.h"
+#include "pattern/iso_index.h"
 #include "support/support_measure.h"
 
 namespace spidermine {
@@ -100,7 +100,7 @@ Result<OrigamiResult> OrigamiMine(const TransactionGraph& txn,
   }
   if (seeds.empty()) return result;
 
-  std::unordered_set<std::string> distinct;
+  IsoSet distinct;
   for (int32_t sample = 0; sample < config.num_samples; ++sample) {
     if (deadline.Expired()) {
       result.timed_out = true;
@@ -211,8 +211,7 @@ Result<OrigamiResult> OrigamiMine(const TransactionGraph& txn,
       if (!extended) break;  // maximal
     }
 
-    std::string key = CanonicalString(walk.pattern);
-    if (!distinct.insert(key).second) continue;
+    if (!distinct.Insert(walk.pattern)) continue;
     OrigamiPattern op;
     op.support = txn_support(walk);
     op.pattern = std::move(walk.pattern);

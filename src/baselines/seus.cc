@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
 #include "common/timer.h"
-#include "pattern/dfs_code.h"
+#include "pattern/iso_index.h"
 #include "pattern/vf2.h"
 #include "support/support_measure.h"
 
@@ -66,7 +65,7 @@ Result<SeusResult> SeusDiscover(const LabeledGraph& graph,
   // Enumerate candidate patterns over the summary: BFS over patterns,
   // extending by any summary edge whose count passes the threshold.
   std::vector<Pattern> frontier;
-  std::unordered_set<std::string> seen;
+  IsoSet seen;
 
   // Level 1: single summary edges.
   for (const auto& [labels, count] : summary.edges) {
@@ -78,8 +77,7 @@ Result<SeusResult> SeusDiscover(const LabeledGraph& graph,
     p.AddVertex(labels.first);
     p.AddVertex(labels.second);
     p.AddEdge(0, 1);
-    std::string key = CanonicalString(p);
-    if (seen.insert(key).second) frontier.push_back(std::move(p));
+    if (seen.Insert(p)) frontier.push_back(std::move(p));
   }
 
   std::vector<Pattern> candidates = frontier;
@@ -111,8 +109,7 @@ Result<SeusResult> SeusDiscover(const LabeledGraph& graph,
             ++result.candidates_pruned_by_summary;
             continue;
           }
-          std::string key = CanonicalString(q);
-          if (!seen.insert(key).second) continue;
+          if (!seen.Insert(q)) continue;
           candidates.push_back(q);
           next.push_back(std::move(q));
           if (static_cast<int64_t>(candidates.size()) >=

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "common/timer.h"
-#include "pattern/dfs_code.h"
+#include "pattern/iso_index.h"
 #include "support/support_measure.h"
 
 namespace spidermine {
@@ -94,8 +94,8 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
   std::sort(beam.begin(), beam.end(), BetterCandidate);
 
   std::vector<Candidate> best = beam;
-  std::unordered_set<std::string> seen;
-  for (const Candidate& c : beam) seen.insert(CanonicalString(c.pattern));
+  IsoSet seen;
+  for (const Candidate& c : beam) seen.Insert(c.pattern);
 
   while (!beam.empty()) {
     if (deadline.Expired()) {
@@ -133,8 +133,7 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
       auto admit = [&](Candidate&& child) {
         ++result.expansions;
         if (child.embeddings.empty()) return;
-        std::string key = CanonicalString(child.pattern);
-        if (!seen.insert(key).second) return;
+        if (!seen.Insert(child.pattern)) return;
         EvaluateCandidate(graph, &child);
         if (child.instances < 2) return;  // repetition is what compresses
         children.push_back(std::move(child));

@@ -71,9 +71,6 @@ struct MinCodeSearch {
   DfsCode current;
   DfsCode best;
   bool have_best = false;
-  int64_t steps = 0;
-  int64_t max_steps = INT64_MAX;
-  bool exceeded = false;
 
   void SetEdgeCovered(VertexId u, VertexId v, bool value) {
     auto set_one = [&](VertexId a, VertexId b) {
@@ -119,10 +116,6 @@ struct MinCodeSearch {
 
 bool MinCodeSearch::Recurse(bool equal_prefix) {
   const Pattern& p = *pattern;
-  if (++steps > max_steps) {
-    exceeded = true;
-    return false;
-  }
   if (current.edges.size() == static_cast<size_t>(p.NumEdges())) {
     if (!have_best || CompareDfsCodes(current, best) < 0) {
       best = current;
@@ -206,25 +199,19 @@ bool MinCodeSearch::Recurse(bool equal_prefix) {
 
 }  // namespace
 
-namespace {
-
-/// Shared implementation; returns false when max_steps was exceeded (the
-/// code in *result is then the best found, not necessarily minimal).
-bool MinimumDfsCodeImpl(const Pattern& pattern, int64_t max_steps,
-                        DfsCode* out) {
-  DfsCode& result = *out;
-  result = DfsCode{};
+DfsCode MinimumDfsCode(const Pattern& pattern) {
+  DfsCode result;
   if (pattern.NumVertices() == 0) {
     result.root_label = -1;
-    return true;
+    return result;
   }
   if (!pattern.IsConnected()) {
     result.root_label = -2;
-    return true;
+    return result;
   }
   if (pattern.NumEdges() == 0) {
     result.root_label = pattern.Label(0);
-    return true;
+    return result;
   }
 
   // Minimal first tuple: smallest (from_label, edge_label, to_label) over
@@ -248,7 +235,6 @@ bool MinimumDfsCodeImpl(const Pattern& pattern, int64_t max_steps,
 
   MinCodeSearch search;
   search.pattern = &pattern;
-  search.max_steps = max_steps;
   search.dfs_of.assign(static_cast<size_t>(pattern.NumVertices()), -1);
   search.covered.resize(static_cast<size_t>(pattern.NumVertices()));
   for (VertexId v = 0; v < pattern.NumVertices(); ++v) {
@@ -272,26 +258,10 @@ bool MinimumDfsCodeImpl(const Pattern& pattern, int64_t max_steps,
       search.SetEdgeCovered(u, v, false);
       search.dfs_of[u] = -1;
       search.dfs_of[v] = -1;
-      if (search.exceeded) break;
     }
-    if (search.exceeded) break;
   }
-  assert(search.have_best || search.exceeded);
-  result = search.best;
-  return !search.exceeded;
-}
-
-}  // namespace
-
-DfsCode MinimumDfsCode(const Pattern& pattern) {
-  DfsCode code;
-  MinimumDfsCodeImpl(pattern, INT64_MAX, &code);
-  return code;
-}
-
-bool MinimumDfsCodeBounded(const Pattern& pattern, int64_t max_steps,
-                           DfsCode* out) {
-  return MinimumDfsCodeImpl(pattern, max_steps, out);
+  assert(search.have_best);
+  return search.best;
 }
 
 namespace {
@@ -401,33 +371,6 @@ std::string DfsCodeToString(const DfsCode& code) {
     if (e.edge_label != 0) os << "," << e.edge_label;
   }
   return os.str();
-}
-
-std::string CanonicalString(const Pattern& pattern) {
-  const int32_t n = pattern.NumVertices();
-  // Symmetry gate, decided from isomorphism-invariant quantities only
-  // (distinct (label, degree) signatures), so every isomorphic copy takes
-  // the same branch: highly symmetric patterns would blow up the exact
-  // search and use the WL fingerprint instead.
-  if (n > 12 && pattern.NumEdges() > 0) {
-    std::vector<std::pair<LabelId, int32_t>> sig;
-    sig.reserve(static_cast<size_t>(n));
-    for (VertexId v = 0; v < n; ++v) {
-      sig.emplace_back(pattern.Label(v), pattern.Degree(v));
-    }
-    std::sort(sig.begin(), sig.end());
-    sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-    if (static_cast<int32_t>(sig.size()) * 3 < n) {
-      return "wl:" + WlRefinementString(pattern);
-    }
-  }
-  DfsCode code;
-  if (!MinimumDfsCodeBounded(pattern, 200000, &code)) {
-    // Budget blow-up past the gate is vanishingly rare; the WL key stays
-    // sound for "equal => possibly isomorphic" consumers.
-    return "wl:" + WlRefinementString(pattern);
-  }
-  return DfsCodeToString(code);
 }
 
 Pattern PatternFromDfsCode(const DfsCode& code) {

@@ -8,10 +8,10 @@
 
 /// \file dfs_code.h
 /// gSpan-style minimum DFS code canonicalization for patterns. Two patterns
-/// are isomorphic iff their minimum DFS codes are equal, so the canonical
-/// string is usable as an exact dedup key. SpiderMine uses this for
-/// spiders; in-flight and result patterns are deduped through iso_index.h,
-/// which keys on the cheaper PatternIsoHash below and confirms with VF2.
+/// are isomorphic iff their minimum DFS codes are equal. The search is
+/// exact and unbounded (exponential on large symmetric patterns), so no
+/// miner keys on it: every pattern dedup goes through iso_index.h, which
+/// keys on the cheaper PatternIsoHash below and confirms with VF2.
 
 namespace spidermine {
 
@@ -54,40 +54,24 @@ int CompareDfsCodes(const DfsCode& a, const DfsCode& b);
 /// returning an empty code with root_label = -2).
 DfsCode MinimumDfsCode(const Pattern& pattern);
 
-/// Budgeted variant: explores at most \p max_steps search states. Returns
-/// false (leaving \p out as the best code found, possibly non-minimal)
-/// when the budget is exhausted -- dense patterns over very few labels can
-/// make the exact search exponential. Callers needing an isomorphism-
-/// invariant key must then fall back to WlRefinementString.
-bool MinimumDfsCodeBounded(const Pattern& pattern, int64_t max_steps,
-                           DfsCode* out);
-
 /// Weisfeiler-Leman color-refinement fingerprint (3 rounds): equal for
 /// isomorphic patterns, deterministic, but weaker than a canonical form
-/// (non-isomorphic patterns may collide). Used as the sound fallback key
-/// when the exact canonical search exceeds its budget.
+/// (non-isomorphic patterns may collide). PatternIsoHash hashes its bytes.
 std::string WlRefinementString(const Pattern& pattern);
 
 /// Serializes a code to a compact string usable as a hash/map key.
 std::string DfsCodeToString(const DfsCode& code);
 
 /// 64-bit isomorphism-invariant fingerprint: FNV-1a over the bytes of
-/// WlRefinementString, folded without building the string. Isomorphic patterns always hash equal (WL is
-/// invariant and has no budgeted fallback, unlike CanonicalString), so a
-/// hash mismatch certifies non-isomorphism and IsoIndex skips the exact
-/// VF2 test; equal hashes still require VF2 confirmation.
+/// WlRefinementString, folded without building the string. Isomorphic
+/// patterns always hash equal, so a hash mismatch certifies non-isomorphism
+/// and IsoIndex skips the exact VF2 test; equal hashes still require VF2
+/// confirmation.
 /// Never returns 0, so callers can use 0 as a "not yet computed" sentinel.
 uint64_t PatternIsoHash(const Pattern& pattern);
 
-/// Isomorphism-invariant key: DfsCodeToString of the minimum DFS code, or
-/// a "wl:"-prefixed WlRefinementString when the exact search would blow up
-/// (budget 200k states). Equal keys for isomorphic patterns always hold;
-/// distinct keys certify non-isomorphism only for the exact form, so exact
-/// consumers confirm collisions with vf2.h.
-std::string CanonicalString(const Pattern& pattern);
-
 /// Rebuilds a pattern from a DFS code (inverse of MinimumDfsCode up to
-/// isomorphism). Used by tests and by the complete miner.
+/// isomorphism).
 Pattern PatternFromDfsCode(const DfsCode& code);
 
 }  // namespace spidermine

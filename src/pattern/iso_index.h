@@ -12,8 +12,9 @@
 /// \file iso_index.h
 /// The isomorphism-class index every pattern dedup goes through (growth's
 /// lineage, round, union-grouping and merge-fold lookups; the session's
-/// result dedup), so changing how classes are decided is a change here
-/// only. Entries are positions, added in increasing order, in a caller-owned
+/// result dedup; through IsoSet, the baselines, the complete miner and the
+/// ball miner), so changing how classes are decided is a change here only.
+/// Entries are positions, added in increasing order, in a caller-owned
 /// container whose elements have a `pattern` member. A key miss certifies a
 /// new class; a key hit is confirmed with VF2, so a lookup returns the
 /// first isomorphic entry in admission order.
@@ -75,6 +76,34 @@ class IsoIndex {
  private:
   /// Key -> positions, in admission order.
   std::unordered_map<uint64_t, std::vector<int64_t>> buckets_;
+};
+
+/// A set of patterns up to isomorphism, for miners that keep no entry
+/// container of their own: it owns the inserted patterns, an IsoIndex over
+/// them and the IsoChecks of its lookups.
+class IsoSet {
+ public:
+  /// True iff no pattern isomorphic to \p pattern was inserted before; only
+  /// then is \p pattern kept.
+  bool Insert(const Pattern& pattern) {
+    const uint64_t key = IsoIndex::Key(pattern);
+    if (index_.Find(key, pattern, 0, entries_, nullptr, &checks_) >= 0) {
+      return false;
+    }
+    index_.Add(key, static_cast<int64_t>(entries_.size()));
+    entries_.push_back({pattern});
+    return true;
+  }
+
+  const IsoChecks& checks() const { return checks_; }
+
+ private:
+  struct Entry {
+    Pattern pattern;
+  };
+  std::vector<Entry> entries_;
+  IsoIndex index_;
+  IsoChecks checks_;
 };
 
 }  // namespace spidermine

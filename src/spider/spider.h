@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "pattern/pattern.h"
@@ -10,7 +10,10 @@
 /// The r-spider (paper Definition 4): a frequent pattern P with a head
 /// vertex u such that P is r-bounded from u. Spiders are the growth unit of
 /// SpiderMine: Stage I mines them all, Stage II grows seed spiders by
-/// appending spiders at pattern boundaries.
+/// appending spiders at pattern boundaries. Stage I keeps its r = 1 spiders
+/// (stars) in a SpiderStore (spider_store.h); this record is what a store
+/// materializes and what the radius-r ball miner (baselines/ball_miner.h)
+/// returns.
 
 namespace spidermine {
 
@@ -26,8 +29,6 @@ struct Spider {
   /// Support = number of distinct anchors (distinct head images). This is
   /// the head-image count, an anti-monotone measure for head-rooted growth.
   int64_t support = 0;
-  /// Canonical key (head-tagged minimum DFS code) for dedup.
-  std::string canonical;
   /// False when some super-spider has the identical anchor set; closed
   /// spiders are the non-redundant growth units (growing with a non-closed
   /// spider is always dominated by growing with its closure).

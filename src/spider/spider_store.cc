@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <compare>
-#include <sstream>
 
 namespace spidermine {
 
@@ -147,14 +146,6 @@ Spider SpiderStore::Materialize(int32_t id) const {
   s.anchors.assign(a.begin(), a.end());
   s.support = static_cast<int64_t>(s.anchors.size());
   s.closed = closed(id);
-  // Canonical key: stars are canonicalized directly by (head, sorted
-  // (edge label, leaf label) pairs); no DFS-code search needed.
-  std::ostringstream key;
-  key << "h" << head_label(id);
-  for (const SpiderLeafKey& leaf : leaves(id)) {
-    key << "," << leaf.first << ":" << leaf.second;
-  }
-  s.canonical = key.str();
   return s;
 }
 

@@ -16,8 +16,8 @@
 /// head label plus the sorted multiset of (edge label, leaf label) pairs, so
 /// the store keeps exactly that — one contiguous leaf pool and one
 /// contiguous anchor pool, with per-spider offset spans — instead of a
-/// `std::vector<Spider>` of individually heap-allocated patterns, anchor
-/// vectors and canonical strings. Per-spider overhead is constant (a few
+/// `std::vector<Spider>` of individually heap-allocated patterns and anchor
+/// vectors. Per-spider overhead is constant (a few
 /// integers), iteration is cache-linear, and shard outputs concatenate with
 /// four bulk copies. The legacy `Spider` record remains the interchange type
 /// for general-radius ball spiders and can be materialized on demand.
@@ -164,8 +164,8 @@ class SpiderStore {
   /// Reconstructs the star pattern of spider \p id (vertex 0 = head).
   Pattern PatternOf(int32_t id) const;
 
-  /// Materializes the legacy Spider record (pattern, anchors, canonical
-  /// key) for spider \p id.
+  /// Materializes the legacy Spider record (pattern, anchors, support,
+  /// closed flag) for spider \p id.
   Spider Materialize(int32_t id) const;
 
   /// Materializes every spider, in id order.

@@ -46,8 +46,8 @@
 /// of the unlimited enumeration at any thread count or shard grain. The
 /// budgeted path trades at most one extra enumeration pass for that bound.
 ///
-/// General radii are handled by ball_miner.h; the star miner is the fast
-/// path the growth engine uses.
+/// Stage I runs this miner only. General radii are mined by
+/// baselines/ball_miner.h, which serves the radius bench and tests.
 
 namespace spidermine {
 

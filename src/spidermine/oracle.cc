@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "baselines/complete_miner.h"
-#include "pattern/dfs_code.h"
-#include "pattern/vf2.h"
 
 namespace spidermine {
 
@@ -55,23 +53,6 @@ Result<OracleResult> ExactTopKLargest(const LabeledGraph& graph,
     result.top_k.resize(static_cast<size_t>(config.k));
   }
   return result;
-}
-
-bool ContainsIsomorphicPattern(const std::vector<Pattern>& candidates,
-                               const Pattern& target) {
-  // Target fingerprint computed once (lazily — size checks may already
-  // reject everything); a WL hash mismatch skips the exact VF2 test.
-  uint64_t target_hash = 0;
-  for (const Pattern& candidate : candidates) {
-    if (candidate.NumVertices() != target.NumVertices() ||
-        candidate.NumEdges() != target.NumEdges()) {
-      continue;
-    }
-    if (target_hash == 0) target_hash = PatternIsoHash(target);
-    if (PatternIsoHash(candidate) != target_hash) continue;
-    if (ArePatternsIsomorphic(candidate, target)) return true;
-  }
-  return false;
 }
 
 }  // namespace spidermine

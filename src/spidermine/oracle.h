@@ -66,10 +66,4 @@ struct OracleResult {
 Result<OracleResult> ExactTopKLargest(const LabeledGraph& graph,
                                       const OracleConfig& config);
 
-/// True iff \p candidates contains a pattern isomorphic to \p target.
-/// Helper for guarantee tests ("did SpiderMine recover the planted/oracle
-/// pattern?").
-bool ContainsIsomorphicPattern(const std::vector<Pattern>& candidates,
-                               const Pattern& target);
-
 }  // namespace spidermine

@@ -1,4 +1,4 @@
-#include "spider/ball_miner.h"
+#include "baselines/ball_miner.h"
 
 #include <gtest/gtest.h>
 
@@ -54,9 +54,8 @@ TEST(BallMinerTest, SupersetOfStarMinerAtRadiusOne) {
   ball_config.radius = 1;
   Result<BallMineResult> balls = MineBallSpiders(g, ball_config);
   ASSERT_TRUE(balls.ok());
-  // Every star spider must appear among ball spiders (same canonical key
-  // space: head-tagged canonical form for balls vs star key -- compare via
-  // structure: head label + leaf labels and no internal edges).
+  // Every star spider must appear among ball spiders, compared by
+  // structure: head label + leaf labels and no internal edges.
   for (const Spider& star : stars->Spiders()) {
     bool found = false;
     for (const Spider& ball : balls->spiders) {

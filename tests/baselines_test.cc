@@ -10,6 +10,7 @@
 #include "gen/pattern_factory.h"
 #include "gen/transaction_gen.h"
 #include "graph/graph_builder.h"
+#include "pattern/vf2.h"
 
 namespace spidermine {
 namespace {
@@ -214,6 +215,55 @@ TEST(CompleteMinerTest, ContainsSpiderMineTopPattern) {
     max_edges = std::max(max_edges, p.pattern.NumEdges());
   }
   EXPECT_EQ(max_edges, 3);
+}
+
+/// A one-label 21-vertex path with a pendant leaf at spine position
+/// \p pendant_at: 22 vertices, three (label, degree) signatures.
+Pattern Caterpillar(int32_t pendant_at) {
+  Pattern p;
+  for (int32_t i = 0; i < 21; ++i) p.AddVertex(0);
+  for (int32_t i = 0; i + 1 < 21; ++i) p.AddEdge(i, i + 1);
+  const VertexId leaf = p.AddVertex(0);
+  p.AddEdge(pendant_at, leaf);
+  return p;
+}
+
+TEST(CompleteMinerTest, KeepsLargeFewSignaturePatternsApart) {
+  // Two copies each of the caterpillars with the leaf at positions 7 and
+  // 8. Both are frequent; a key that is only a WL fingerprint for large
+  // patterns with few (label, degree) signatures merges them (and other
+  // classes), so the miner must decide classes exactly.
+  const Pattern at7 = Caterpillar(7);
+  const Pattern at8 = Caterpillar(8);
+  ASSERT_FALSE(ArePatternsIsomorphic(at7, at8));
+  GraphBuilder b;
+  for (const Pattern* p : {&at7, &at7, &at8, &at8}) {
+    const VertexId base = b.AddVertex(0);
+    for (VertexId v = 1; v < p->NumVertices(); ++v) b.AddVertex(0);
+    for (const auto& [u, v] : p->Edges()) b.AddEdge(base + u, base + v);
+  }
+  LabeledGraph g = std::move(b.Build()).value();
+  CompleteMinerConfig config;
+  config.min_support = 2;
+  Result<CompleteMineResult> result = MineComplete(g, config);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->aborted);
+  EXPECT_EQ(result->patterns.size(), 95u);
+  int found_at7 = 0;
+  int found_at8 = 0;
+  for (const CompletePattern& p : result->patterns) {
+    found_at7 += ArePatternsIsomorphic(p.pattern, at7) ? 1 : 0;
+    found_at8 += ArePatternsIsomorphic(p.pattern, at8) ? 1 : 0;
+  }
+  EXPECT_EQ(found_at7, 1);
+  EXPECT_EQ(found_at8, 1);
+  for (size_t i = 0; i < result->patterns.size(); ++i) {
+    for (size_t j = i + 1; j < result->patterns.size(); ++j) {
+      EXPECT_FALSE(ArePatternsIsomorphic(result->patterns[i].pattern,
+                                         result->patterns[j].pattern))
+          << i << " and " << j;
+    }
+  }
 }
 
 TEST(CompleteMinerTest, InvalidConfigRejected) {

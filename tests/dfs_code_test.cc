@@ -23,12 +23,17 @@ Pattern Permuted(const Pattern& p, const std::vector<VertexId>& perm) {
   return q;
 }
 
+/// The minimum DFS code as a string: equal iff the patterns are isomorphic.
+std::string CodeString(const Pattern& p) {
+  return DfsCodeToString(MinimumDfsCode(p));
+}
+
 TEST(DfsCodeTest, SingleVertex) {
   Pattern p(5);
   DfsCode code = MinimumDfsCode(p);
   EXPECT_EQ(code.root_label, 5);
   EXPECT_TRUE(code.edges.empty());
-  EXPECT_EQ(CanonicalString(p), "r5");
+  EXPECT_EQ(DfsCodeToString(code), "r5");
 }
 
 TEST(DfsCodeTest, SingleEdgeOrientation) {
@@ -66,7 +71,7 @@ TEST(DfsCodeTest, TriangleVsPathDiffer) {
   for (int i = 0; i < 3; ++i) path.AddVertex(0);
   path.AddEdge(0, 1);
   path.AddEdge(1, 2);
-  EXPECT_NE(CanonicalString(triangle), CanonicalString(path));
+  EXPECT_NE(CodeString(triangle), CodeString(path));
 }
 
 TEST(DfsCodeTest, LabelsDistinguish) {
@@ -78,7 +83,7 @@ TEST(DfsCodeTest, LabelsDistinguish) {
   b.AddVertex(0);
   b.AddVertex(2);
   b.AddEdge(0, 1);
-  EXPECT_NE(CanonicalString(a), CanonicalString(b));
+  EXPECT_NE(CodeString(a), CodeString(b));
 }
 
 TEST(DfsCodeTest, PermutationInvarianceSmallFixed) {
@@ -93,11 +98,11 @@ TEST(DfsCodeTest, PermutationInvarianceSmallFixed) {
   p.AddEdge(2, 3);
   p.AddEdge(3, 0);
   p.AddEdge(0, 2);
-  std::string canonical = CanonicalString(p);
+  const std::string canonical = CodeString(p);
   std::vector<VertexId> perm{0, 1, 2, 3};
   std::sort(perm.begin(), perm.end());
   do {
-    EXPECT_EQ(CanonicalString(Permuted(p, perm)), canonical);
+    EXPECT_EQ(CodeString(Permuted(p, perm)), canonical);
   } while (std::next_permutation(perm.begin(), perm.end()));
 }
 
@@ -109,7 +114,7 @@ TEST(DfsCodeTest, RoundTripThroughPatternFromDfsCode) {
     DfsCode code = MinimumDfsCode(p);
     Pattern rebuilt = PatternFromDfsCode(code);
     EXPECT_TRUE(ArePatternsIsomorphic(p, rebuilt)) << p.ToString();
-    EXPECT_EQ(CanonicalString(rebuilt), DfsCodeToString(code));
+    EXPECT_EQ(CodeString(rebuilt), DfsCodeToString(code));
   }
 }
 
@@ -147,12 +152,12 @@ TEST_P(DfsCodePermutationProperty, CanonicalFormIsPermutationInvariant) {
   Pattern p = RandomConnectedPattern(
       static_cast<int32_t>(rng.UniformInt(3, 12)), 0.4,
       static_cast<LabelId>(rng.UniformInt(1, 5)), &rng);
-  std::string canonical = CanonicalString(p);
+  const std::string canonical = CodeString(p);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<VertexId> perm(p.NumVertices());
     for (VertexId v = 0; v < p.NumVertices(); ++v) perm[v] = v;
     rng.Shuffle(&perm);
-    EXPECT_EQ(CanonicalString(Permuted(p, perm)), canonical)
+    EXPECT_EQ(CodeString(Permuted(p, perm)), canonical)
         << "pattern: " << p.ToString();
   }
 }

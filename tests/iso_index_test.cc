@@ -81,6 +81,28 @@ Pattern K33Interleaved() {
   return Unlabeled(6, edges);
 }
 
+/// Two n-cycles {0..n-1} and {n..2n-1} with rungs i -- n+i: the n-prism,
+/// or with the closing rail edges crossed, the Moebius ladder on 2n
+/// vertices. Both are 3-regular.
+Pattern Ladder(int32_t n, bool moebius) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i < n; ++i) {
+    edges.emplace_back(i, n + i);
+    if (i + 1 < n) {
+      edges.emplace_back(i, i + 1);
+      edges.emplace_back(n + i, n + i + 1);
+    }
+  }
+  if (moebius) {
+    edges.emplace_back(n - 1, n);
+    edges.emplace_back(2 * n - 1, 0);
+  } else {
+    edges.emplace_back(n - 1, 0);
+    edges.emplace_back(2 * n - 1, n);
+  }
+  return Unlabeled(2 * n, edges);
+}
+
 /// True iff \p e maps \p p injectively into \p g, preserving vertex labels,
 /// edges and edge labels.
 bool IsEmbedding(const Pattern& p, const LabeledGraph& g,
@@ -115,6 +137,20 @@ TEST(IsoIndexTest, PrismAndK33ShareAKeyButStayTwoClasses) {
   EXPECT_EQ(entries.size(), 2u);
   EXPECT_EQ(checks.skipped, 1);  // the prism: nothing under its key yet
   EXPECT_EQ(checks.run, 1);      // K3,3 against the prism
+
+  // The same holds for the 7-prism and the 14-vertex Moebius ladder, here
+  // through the owning IsoSet: each is new once, and only once.
+  const Pattern prism7 = Ladder(7, /*moebius=*/false);
+  const Pattern moebius14 = Ladder(7, /*moebius=*/true);
+  ASSERT_FALSE(ArePatternsIsomorphic(prism7, moebius14));
+  EXPECT_EQ(IsoIndex::Key(prism7), IsoIndex::Key(moebius14));
+  IsoSet set;
+  EXPECT_TRUE(set.Insert(prism7));
+  EXPECT_TRUE(set.Insert(moebius14));
+  EXPECT_FALSE(set.Insert(moebius14));
+  EXPECT_FALSE(set.Insert(prism7));
+  EXPECT_EQ(set.checks().skipped, 1);
+  EXPECT_EQ(set.checks().run, 1 + 2 + 1);
 }
 
 TEST(IsoIndexTest, FirstIsomorphicEntryInAdmissionOrderWins) {

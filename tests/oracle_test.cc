@@ -122,31 +122,6 @@ TEST(OracleTest, RanksBySizeDescending) {
   }
 }
 
-TEST(OracleTest, ContainsIsomorphicPatternHelper) {
-  Pattern triangle(0);
-  VertexId b = triangle.AddVertex(1);
-  VertexId c = triangle.AddVertex(2);
-  triangle.AddEdge(0, b);
-  triangle.AddEdge(b, c);
-  triangle.AddEdge(0, c);
-
-  // Same triangle built in a different vertex order.
-  Pattern shuffled(2);
-  VertexId x = shuffled.AddVertex(0);
-  VertexId y = shuffled.AddVertex(1);
-  shuffled.AddEdge(0, x);
-  shuffled.AddEdge(x, y);
-  shuffled.AddEdge(0, y);
-
-  Pattern edge_only(0);
-  edge_only.AddVertex(1);
-  edge_only.AddEdge(0, 1);
-
-  EXPECT_TRUE(ContainsIsomorphicPattern({shuffled}, triangle));
-  EXPECT_FALSE(ContainsIsomorphicPattern({edge_only}, triangle));
-  EXPECT_FALSE(ContainsIsomorphicPattern({}, triangle));
-}
-
 // End-to-end cross-validation: on a small planted graph, SpiderMine's
 // largest result should match the oracle's largest pattern size (the
 // probabilistic guarantee makes the full top-K comparison statistical; the

@@ -63,7 +63,6 @@ TEST(SpiderStoreTest, PatternAndMaterializeRoundTrip) {
   EXPECT_EQ(s.support, 2);
   EXPECT_EQ(s.anchors, anchors);
   EXPECT_EQ(s.LeafKeys(), leaves);
-  EXPECT_EQ(s.canonical, "h9,0:2,1:3");
   EXPECT_TRUE(s.IsAnchoredAt(6));
 }
 
