@@ -28,14 +28,16 @@ struct Occurrence {
 };
 
 /// A candidate merge family: connect pattern a at local vertex av with
-/// pattern b at local vertex bv.
+/// pattern b at local vertex bv by an edge labeled edge_label.
 struct MergeDescriptor {
   int32_t a;
   VertexId av;
   int32_t b;
   VertexId bv;
+  EdgeLabelId edge_label;
   bool operator<(const MergeDescriptor& o) const {
-    return std::tie(a, av, b, bv) < std::tie(o.a, o.av, o.b, o.bv);
+    return std::tie(a, av, b, bv, edge_label) <
+           std::tie(o.a, o.av, o.b, o.bv, o.edge_label);
   }
 };
 
@@ -96,8 +98,11 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
     for (VertexId u = 0; u < graph.NumVertices(); ++u) {
       auto iu = where.find(u);
       if (iu == where.end()) continue;
-      for (VertexId v : graph.Neighbors(u)) {
+      const std::span<const VertexId> neighbors = graph.Neighbors(u);
+      for (size_t i = 0; i < neighbors.size(); ++i) {
+        const VertexId v = neighbors[i];
         if (v <= u) continue;
+        const EdgeLabelId edge_label = graph.EdgeLabelAt(u, i);
         auto iv = where.find(v);
         if (iv == where.end()) continue;
         for (const Occurrence& oa : iu->second) {
@@ -113,11 +118,11 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
                 (oa.pattern_id == ob.pattern_id &&
                  oa.pattern_vertex <= ob.pattern_vertex)) {
               candidates[{oa.pattern_id, oa.pattern_vertex, ob.pattern_id,
-                          ob.pattern_vertex}]
+                          ob.pattern_vertex, edge_label}]
                   .push_back({oa.embedding_idx, ob.embedding_idx});
             } else {
               candidates[{ob.pattern_id, ob.pattern_vertex, oa.pattern_id,
-                          oa.pattern_vertex}]
+                          oa.pattern_vertex, edge_label}]
                   .push_back({ob.embedding_idx, oa.embedding_idx});
             }
           }
@@ -178,10 +183,10 @@ Result<GrewResult> GrewDiscover(const LabeledGraph& graph,
       for (VertexId v = 0; v < pb.pattern.NumVertices(); ++v) {
         q.pattern.AddVertex(pb.pattern.Label(v));
       }
-      for (const auto& [u2, v2] : pb.pattern.Edges()) {
-        q.pattern.AddEdge(offset + u2, offset + v2);
+      for (const Pattern::LabeledEdge& edge : pb.pattern.LabeledEdges()) {
+        q.pattern.AddEdge(offset + edge.u, offset + edge.v, edge.label);
       }
-      q.pattern.AddEdge(desc.av, offset + desc.bv);
+      q.pattern.AddEdge(desc.av, offset + desc.bv, desc.edge_label);
       if (!seen.Insert(q.pattern)) continue;
       q.embeddings = std::move(merged_embeddings);
       q.support = static_cast<int64_t>(q.embeddings.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "common/timer.h"
 #include "pattern/iso_index.h"
@@ -12,14 +13,15 @@ namespace spidermine {
 
 namespace {
 
-/// The summary graph: one node per label; summary_edges[(a, b)] = number of
-/// data edges between an a-labeled and a b-labeled vertex (a <= b).
+/// The summary graph: one node per label; edges[(a, b, l)] = number of
+/// data edges labeled l between an a-labeled and a b-labeled vertex
+/// (a <= b).
 struct Summary {
-  std::map<std::pair<LabelId, LabelId>, int64_t> edges;
+  std::map<std::tuple<LabelId, LabelId, EdgeLabelId>, int64_t> edges;
 
-  int64_t EdgeCount(LabelId a, LabelId b) const {
+  int64_t EdgeCount(LabelId a, LabelId b, EdgeLabelId edge_label) const {
     if (a > b) std::swap(a, b);
-    auto it = edges.find({a, b});
+    auto it = edges.find({a, b, edge_label});
     return it == edges.end() ? 0 : it->second;
   }
 };
@@ -27,12 +29,13 @@ struct Summary {
 Summary BuildSummary(const LabeledGraph& graph) {
   Summary s;
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    for (VertexId u : graph.Neighbors(v)) {
-      if (v < u) {
+    const std::span<const VertexId> neighbors = graph.Neighbors(v);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      if (v < neighbors[i]) {
         LabelId a = graph.Label(v);
-        LabelId b = graph.Label(u);
+        LabelId b = graph.Label(neighbors[i]);
         if (a > b) std::swap(a, b);
-        ++s.edges[{a, b}];
+        ++s.edges[{a, b, graph.EdgeLabelAt(v, i)}];
       }
     }
   }
@@ -44,9 +47,10 @@ Summary BuildSummary(const LabeledGraph& graph) {
 /// instance count).
 int64_t SummaryEstimate(const Summary& summary, const Pattern& p) {
   int64_t estimate = INT64_MAX;
-  for (const auto& [u, v] : p.Edges()) {
-    estimate =
-        std::min(estimate, summary.EdgeCount(p.Label(u), p.Label(v)));
+  for (const Pattern::LabeledEdge& edge : p.LabeledEdges()) {
+    estimate = std::min(estimate, summary.EdgeCount(p.Label(edge.u),
+                                                    p.Label(edge.v),
+                                                    edge.label));
   }
   return estimate == INT64_MAX ? 0 : estimate;
 }
@@ -73,10 +77,11 @@ Result<SeusResult> SeusDiscover(const LabeledGraph& graph,
       ++result.candidates_pruned_by_summary;
       continue;
     }
+    const auto& [a, b, edge_label] = labels;
     Pattern p;
-    p.AddVertex(labels.first);
-    p.AddVertex(labels.second);
-    p.AddEdge(0, 1);
+    p.AddVertex(a);
+    p.AddVertex(b);
+    p.AddEdge(0, 1, edge_label);
     if (seen.Insert(p)) frontier.push_back(std::move(p));
   }
 
@@ -94,17 +99,18 @@ Result<SeusResult> SeusDiscover(const LabeledGraph& graph,
       for (VertexId v = 0; v < p.NumVertices(); ++v) {
         for (const auto& [labels, count] : summary.edges) {
           if (count < config.min_support) continue;
+          const auto& [a, b, edge_label] = labels;
           LabelId partner;
-          if (labels.first == p.Label(v)) {
-            partner = labels.second;
-          } else if (labels.second == p.Label(v)) {
-            partner = labels.first;
+          if (a == p.Label(v)) {
+            partner = b;
+          } else if (b == p.Label(v)) {
+            partner = a;
           } else {
             continue;
           }
           Pattern q = p;
           VertexId nv = q.AddVertex(partner);
-          q.AddEdge(v, nv);
+          q.AddEdge(v, nv, edge_label);
           if (SummaryEstimate(summary, q) < config.min_support) {
             ++result.candidates_pruned_by_summary;
             continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/timer.h"
@@ -66,6 +67,17 @@ bool BetterCandidate(const Candidate& a, const Candidate& b) {
   return a.pattern.NumEdges() > b.pattern.NumEdges();
 }
 
+/// One-edge extensions by key, each with the ascending edge labels it is
+/// realized with.
+using Extensions = std::unordered_map<uint64_t, std::vector<EdgeLabelId>>;
+
+void AddExtension(Extensions* extensions, uint64_t key,
+                  EdgeLabelId edge_label) {
+  std::vector<EdgeLabelId>& labels = (*extensions)[key];
+  const auto at = std::lower_bound(labels.begin(), labels.end(), edge_label);
+  if (at == labels.end() || *at != edge_label) labels.insert(at, edge_label);
+}
+
 }  // namespace
 
 Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
@@ -108,23 +120,28 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
       if (result.expansions >= config.max_expansions) break;
 
       // Discover one-edge extensions realizable in the instances.
-      std::unordered_set<uint64_t> ext_new;
-      std::unordered_set<uint64_t> ext_internal;
+      Extensions ext_new;
+      Extensions ext_internal;
       const Pattern& p = parent.pattern;
       for (OccurrenceList::Row e : parent.embeddings) {
         std::unordered_set<VertexId> image(e.begin(), e.end());
         for (VertexId u = 0; u < p.NumVertices(); ++u) {
-          for (VertexId x : graph.Neighbors(e[u])) {
-            if (image.count(x)) continue;
-            ext_new.insert((static_cast<uint64_t>(u) << 32) |
-                           static_cast<uint32_t>(graph.Label(x)));
+          const std::span<const VertexId> neighbors = graph.Neighbors(e[u]);
+          for (size_t i = 0; i < neighbors.size(); ++i) {
+            if (image.count(neighbors[i])) continue;
+            AddExtension(&ext_new,
+                         (static_cast<uint64_t>(u) << 32) |
+                             static_cast<uint32_t>(graph.Label(neighbors[i])),
+                         graph.EdgeLabelAt(e[u], i));
           }
         }
         for (VertexId u = 0; u < p.NumVertices(); ++u) {
           for (VertexId v = u + 1; v < p.NumVertices(); ++v) {
             if (!p.HasEdge(u, v) && graph.HasEdge(e[u], e[v])) {
-              ext_internal.insert((static_cast<uint64_t>(u) << 32) |
-                                  static_cast<uint32_t>(v));
+              AddExtension(&ext_internal,
+                           (static_cast<uint64_t>(u) << 32) |
+                               static_cast<uint32_t>(v),
+                           graph.EdgeLabel(e[u], e[v]));
             }
           }
         }
@@ -139,46 +156,61 @@ Result<SubdueResult> SubdueDiscover(const LabeledGraph& graph,
         children.push_back(std::move(child));
       };
 
-      for (uint64_t key : ext_new) {
-        if (result.expansions >= config.max_expansions) break;
-        VertexId u = static_cast<VertexId>(key >> 32);
-        LabelId label = static_cast<LabelId>(key & 0xffffffffu);
-        Candidate child;
-        child.pattern = p;
-        VertexId nv = child.pattern.AddVertex(label);
-        child.pattern.AddEdge(u, nv);
-        child.embeddings = OccurrenceList(child.pattern.NumVertices());
-        for (OccurrenceList::Row e : parent.embeddings) {
-          std::unordered_set<VertexId> image(e.begin(), e.end());
-          for (VertexId x : graph.Neighbors(e[u])) {
-            if (graph.Label(x) != label || image.count(x)) continue;
-            const std::span<VertexId> extended = child.embeddings.AppendRow();
-            std::copy(e.begin(), e.end(), extended.begin());
-            extended.back() = x;
+      for (const auto& [key, edge_labels] : ext_new) {
+        const VertexId u = static_cast<VertexId>(key >> 32);
+        const LabelId label = static_cast<LabelId>(key & 0xffffffffu);
+        for (EdgeLabelId edge_label : edge_labels) {
+          if (result.expansions >= config.max_expansions) break;
+          Candidate child;
+          child.pattern = p;
+          VertexId nv = child.pattern.AddVertex(label);
+          child.pattern.AddEdge(u, nv, edge_label);
+          child.embeddings = OccurrenceList(child.pattern.NumVertices());
+          for (OccurrenceList::Row e : parent.embeddings) {
+            std::unordered_set<VertexId> image(e.begin(), e.end());
+            const std::span<const VertexId> neighbors = graph.Neighbors(e[u]);
+            for (size_t i = 0; i < neighbors.size(); ++i) {
+              const VertexId x = neighbors[i];
+              if (graph.Label(x) != label ||
+                  graph.EdgeLabelAt(e[u], i) != edge_label || image.count(x)) {
+                continue;
+              }
+              const std::span<VertexId> extended =
+                  child.embeddings.AppendRow();
+              std::copy(e.begin(), e.end(), extended.begin());
+              extended.back() = x;
+              if (static_cast<int64_t>(child.embeddings.size()) >=
+                  config.max_embeddings_per_pattern) {
+                break;
+              }
+            }
             if (static_cast<int64_t>(child.embeddings.size()) >=
                 config.max_embeddings_per_pattern) {
               break;
             }
           }
-          if (static_cast<int64_t>(child.embeddings.size()) >=
-              config.max_embeddings_per_pattern) {
-            break;
-          }
+          admit(std::move(child));
         }
-        admit(std::move(child));
-      }
-      for (uint64_t key : ext_internal) {
         if (result.expansions >= config.max_expansions) break;
-        VertexId u = static_cast<VertexId>(key >> 32);
-        VertexId v = static_cast<VertexId>(key & 0xffffffffu);
-        Candidate child;
-        child.pattern = p;
-        child.pattern.AddEdge(u, v);
-        child.embeddings = OccurrenceList(child.pattern.NumVertices());
-        for (OccurrenceList::Row e : parent.embeddings) {
-          if (graph.HasEdge(e[u], e[v])) child.embeddings.Append(e);
+      }
+      for (const auto& [key, edge_labels] : ext_internal) {
+        const VertexId u = static_cast<VertexId>(key >> 32);
+        const VertexId v = static_cast<VertexId>(key & 0xffffffffu);
+        for (EdgeLabelId edge_label : edge_labels) {
+          if (result.expansions >= config.max_expansions) break;
+          Candidate child;
+          child.pattern = p;
+          child.pattern.AddEdge(u, v, edge_label);
+          child.embeddings = OccurrenceList(child.pattern.NumVertices());
+          for (OccurrenceList::Row e : parent.embeddings) {
+            if (graph.HasEdge(e[u], e[v]) &&
+                graph.EdgeLabel(e[u], e[v]) == edge_label) {
+              child.embeddings.Append(e);
+            }
+          }
+          admit(std::move(child));
         }
-        admit(std::move(child));
+        if (result.expansions >= config.max_expansions) break;
       }
     }
     if (children.empty()) break;

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pattern/dfs_code.h"
@@ -17,7 +17,9 @@
 /// Entries are positions, added in increasing order, in a caller-owned
 /// container whose elements have a `pattern` member. A key miss certifies a
 /// new class; a key hit is confirmed with VF2, so a lookup returns the
-/// first isomorphic entry in admission order.
+/// first isomorphic entry in admission order. Storage is flat: the entries
+/// in admission order, chained per key, plus one open-addressed key table,
+/// so adding an entry allocates only when a buffer doubles.
 
 namespace spidermine {
 
@@ -40,7 +42,19 @@ class IsoIndex {
   }
 
   /// Records position \p idx (above every earlier one) under \p key.
-  void Add(uint64_t key, int64_t idx) { buckets_[key].push_back(idx); }
+  void Add(uint64_t key, int64_t idx) {
+    if (2 * (used_ + 1) > slots_.size()) Grow();
+    Slot& slot = slots_[SlotOf(key)];
+    const auto entry = static_cast<int32_t>(entries_.size());
+    entries_.push_back({idx, -1});
+    if (slot.key == 0) {
+      slot = {key, entry, entry};
+      ++used_;
+    } else {
+      entries_[static_cast<size_t>(slot.last)].next = entry;
+      slot.last = entry;
+    }
+  }
 
   /// The first position at or after \p first_idx whose pattern
   /// (`entries[idx].pattern`) is isomorphic to \p probe, or -1; \p key must
@@ -53,29 +67,62 @@ class IsoIndex {
   int64_t Find(uint64_t key, const Pattern& probe, int64_t first_idx,
                const Entries& entries, std::vector<VertexId>* map,
                IsoChecks* checks) const {
-    const auto bucket = buckets_.find(key);
-    if (bucket == buckets_.end()) {
+    const Slot* slot = slots_.empty() ? nullptr : &slots_[SlotOf(key)];
+    if (slot == nullptr || slot->key == 0) {
       if (first_idx == 0) ++checks->skipped;
       return -1;
     }
-    const std::vector<int64_t>& positions = bucket->second;
-    for (auto it = std::lower_bound(positions.begin(), positions.end(),
-                                    first_idx);
-         it != positions.end(); ++it) {
+    for (int32_t e = slot->first; e >= 0;
+         e = entries_[static_cast<size_t>(e)].next) {
+      const int64_t idx = entries_[static_cast<size_t>(e)].position;
+      if (idx < first_idx) continue;
       ++checks->run;
       auto found =
-          FindIsomorphism(entries[static_cast<size_t>(*it)].pattern, probe);
+          FindIsomorphism(entries[static_cast<size_t>(idx)].pattern, probe);
       if (found.has_value()) {
         if (map != nullptr) *map = std::move(*found);
-        return *it;
+        return idx;
       }
     }
     return -1;
   }
 
  private:
-  /// Key -> positions, in admission order.
-  std::unordered_map<uint64_t, std::vector<int64_t>> buckets_;
+  /// One key of the open-addressed table: its first and last entry.
+  struct Slot {
+    uint64_t key = 0;  // 0 = empty
+    int32_t first = -1;
+    int32_t last = -1;
+  };
+
+  /// The slot holding \p key, or the empty slot where it would go
+  /// (linear probing; the table is never more than half full).
+  size_t SlotOf(uint64_t key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    while (slots_[s].key != 0 && slots_[s].key != key) s = (s + 1) & mask;
+    return s;
+  }
+
+  /// Doubles the table (16 slots at first) and re-seats every key.
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.key != 0) slots_[SlotOf(slot.key)] = slot;
+    }
+  }
+
+  /// One added position, and the next entry under the same key (-1 =
+  /// none), so a key's entries chain in admission order.
+  struct Entry {
+    int64_t position;
+    int32_t next;
+  };
+
+  std::vector<Entry> entries_;  // in admission order
+  std::vector<Slot> slots_;     // power-of-two size
+  size_t used_ = 0;             // occupied slots
 };
 
 /// A set of patterns up to isomorphism, for miners that keep no entry

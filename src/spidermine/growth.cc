@@ -1,10 +1,13 @@
 #include "spidermine/growth.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <span>
-#include <string>
+#include <type_traits>
 #include <utility>
 
+#include "common/fnv1a.h"
 #include "common/stamp_set.h"
 #include "pattern/iso_index.h"
 #include "support/support_measure.h"
@@ -186,11 +189,100 @@ uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
          static_cast<uint32_t>(anchor);
 }
 
-/// A growth round's pattern pool: stable storage (deque: no realloc
-/// moves), dead flags and the isomorphism-class index over it. Each lineage
-/// and the coordinator's round state hold one.
+/// The union-shape memo of one examined pattern pair (see RunMerges), in
+/// flat buffers reused across pairs: each shape key and the group map of
+/// its first instance are int32 runs appended to one buffer each, and an
+/// open-addressed table of shape indices, compared by hash and then
+/// exactly, finds them.
+class ShapeMemo {
+ public:
+  /// Forgets every shape, keeping the buffers.
+  void Reset() {
+    keys_.clear();
+    reps_.clear();
+    shapes_.clear();
+    table_.assign(kInitialSlots, -1);
+  }
+
+  static uint64_t Hash(std::span<const int32_t> key) {
+    Fnv1a hash;
+    for (int32_t at : key) hash.MixWord(static_cast<uint32_t>(at));
+    return hash.hash();
+  }
+
+  /// The index of the shape equal to \p key (\p hash = Hash(key)), or -1.
+  int32_t Find(std::span<const int32_t> key, uint64_t hash) const {
+    const size_t mask = table_.size() - 1;
+    for (size_t slot = SlotOf(hash);; slot = (slot + 1) & mask) {
+      const int32_t shape = table_[slot];
+      if (shape < 0) return -1;
+      const Shape& entry = shapes_[static_cast<size_t>(shape)];
+      if (entry.hash == hash &&
+          std::equal(key.begin(), key.end(), keys_.begin() + entry.key)) {
+        return shape;
+      }
+    }
+  }
+
+  /// Records a shape absent so far: its \p key, the union group its
+  /// instances join and \p rep, each group vertex's position in e1 ++ e2.
+  /// Returns its index.
+  int32_t Insert(std::span<const int32_t> key, uint64_t hash, size_t group,
+                 std::span<const int32_t> rep) {
+    if (2 * (shapes_.size() + 1) > table_.size()) {
+      table_.assign(2 * table_.size(), -1);
+      for (size_t i = 0; i < shapes_.size(); ++i) {
+        table_[FreeSlot(shapes_[i].hash)] = static_cast<int32_t>(i);
+      }
+    }
+    const auto shape = static_cast<int32_t>(shapes_.size());
+    table_[FreeSlot(hash)] = shape;
+    shapes_.push_back({hash, keys_.size(), reps_.size(), rep.size(), group});
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    reps_.insert(reps_.end(), rep.begin(), rep.end());
+    return shape;
+  }
+
+  size_t group(int32_t shape) const {
+    return shapes_[static_cast<size_t>(shape)].group;
+  }
+  std::span<const int32_t> rep(int32_t shape) const {
+    const Shape& entry = shapes_[static_cast<size_t>(shape)];
+    return {reps_.data() + entry.rep, entry.rep_size};
+  }
+
+ private:
+  static constexpr size_t kInitialSlots = 32;  // a power of two
+
+  struct Shape {
+    uint64_t hash;
+    size_t key;  // offset in keys_
+    size_t rep;  // offset in reps_
+    size_t rep_size;
+    size_t group;
+  };
+
+  size_t SlotOf(uint64_t hash) const {
+    return static_cast<size_t>(hash ^ (hash >> 29)) & (table_.size() - 1);
+  }
+  size_t FreeSlot(uint64_t hash) const {
+    size_t slot = SlotOf(hash);
+    while (table_[slot] >= 0) slot = (slot + 1) & (table_.size() - 1);
+    return slot;
+  }
+
+  std::vector<int32_t> keys_;
+  std::vector<int32_t> reps_;
+  std::vector<Shape> shapes_;
+  std::vector<int32_t> table_;  // shape index, -1 = empty
+};
+
+/// A growth round's pattern pool: patterns by position, dead flags and the
+/// isomorphism-class index over them. Each lineage and the coordinator's
+/// round state hold one. Admit may move every pattern, so no reference into
+/// `patterns` may be held across it.
 struct PatternPool {
-  std::deque<GrowthPattern> patterns;
+  std::vector<GrowthPattern> patterns;
   std::vector<char> dead;
   IsoIndex index;
 
@@ -216,13 +308,16 @@ struct PatternPool {
 
 }  // namespace
 
+static_assert(std::is_nothrow_move_constructible_v<GrowthPattern>,
+              "PatternPool's vector must move, not copy, on growth");
+
 /// The intra-round expansion state of ONE input pattern, owned entirely by
 /// the worker expanding it. pool[0] is the input; later entries are the
-/// extensions discovered this round. Registry values are LOCAL pool
-/// indices; the coordinator rewrites them to global pattern ids.
+/// extensions discovered this round. Registry ids are LOCAL pool indices;
+/// the coordinator rewrites them to global pattern ids. An empty lineage
+/// allocates nothing.
 struct GrowthEngine::Lineage {
   PatternPool pool;
-  std::deque<int64_t> queue;
   MergeRegistry registry;
   MineStats stats;  // the coordinator adds these to the query's in order
   bool any_growth = false;
@@ -336,7 +431,8 @@ std::vector<GrowthPattern> GrowthEngine::SeedPatterns(
   return out;
 }
 
-bool GrowthEngine::TryExtend(Lineage* ls, int64_t base_idx, VertexId v,
+bool GrowthEngine::TryExtend(Lineage* ls, std::vector<int64_t>* queue,
+                             int64_t base_idx, VertexId v,
                              std::span<const LeafKey> np_keys,
                              int32_t spider_id,
                              const OccurrenceList& sorted_images,
@@ -431,16 +527,15 @@ bool GrowthEngine::TryExtend(Lineage* ls, int64_t base_idx, VertexId v,
     q.next_boundary.push_back(nv);
   }
   q.merged_ever = base.merged_ever;
-  int64_t idx = ls->pool.Admit(std::move(q));
-  ls->queue.push_back(idx);
+  // `base` dangles from here on: Admit may move the pool.
+  const int64_t idx = ls->pool.Admit(std::move(q));
+  queue->push_back(idx);
   ls->any_growth = true;
 
   // Register spider usage for merge detection (Algorithm 4's buffers).
-  std::sort(anchors_used.begin(), anchors_used.end());
-  anchors_used.erase(std::unique(anchors_used.begin(), anchors_used.end()),
-                     anchors_used.end());
+  SortUnique(&anchors_used);
   for (VertexId a : anchors_used) {
-    ls->registry[MergeKey(spider_id, a)].push_back(idx);
+    ls->registry.emplace_back(MergeKey(spider_id, a), idx);
   }
   return true;
 }
@@ -455,23 +550,24 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
     StampSet spider_ids;
     std::vector<int32_t> candidates;
     OccurrenceList sorted_images;
+    std::vector<int64_t> queue;  // pool indices, read from `head`
   };
   thread_local ExpandScratch scratch;
-  int64_t seed_idx = ls->pool.Admit(std::move(input));
-  ls->queue.push_back(seed_idx);
+  std::vector<int64_t>& queue = scratch.queue;
+  queue.clear();
+  queue.push_back(ls->pool.Admit(std::move(input)));
 
-  while (!ls->queue.empty()) {
+  for (size_t head = 0; head < queue.size();) {
     if (Cancelled()) {
       // Budget exhausted mid-round: stop extending; patterns discovered so
       // far are finalized as-is by the coordinator.
       ls->truncated = true;
       break;
     }
-    int64_t idx = ls->queue.front();
-    ls->queue.pop_front();
+    const int64_t idx = queue[head++];
     if (ls->pool.dead[idx]) continue;
-    // NOTE: deque storage keeps references stable across Admit().
-    GrowthPattern& cur = ls->pool.patterns[idx];
+    // `cur` is read only up to the TryExtend loop, which admits.
+    const GrowthPattern& cur = ls->pool.patterns[idx];
     if (cur.cursor >= cur.boundary.size()) continue;  // finished this round
     if (cur.exhausted) continue;
     const VertexId v = cur.boundary[cur.cursor];
@@ -524,11 +620,10 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
         ls->truncated = true;
         break;
       }
-      TryExtend(ls, idx, v, scratch.np_keys, sid, scratch.sorted_images,
-                &support_preserved);
+      TryExtend(ls, &queue, idx, v, scratch.np_keys, sid,
+                scratch.sorted_images, &support_preserved);
     }
 
-    GrowthPattern& cur2 = ls->pool.patterns[idx];  // re-take (deque-stable)
     if (support_preserved) {
       // Non-closed: some extension kept every occurrence (Algorithm 2
       // line 22-23); drop the sub-pattern.
@@ -536,8 +631,8 @@ void GrowthEngine::ExpandLineage(GrowthPattern input, Lineage* ls,
       ++ls->stats.nonclosed_dropped;
       continue;
     }
-    ++cur2.cursor;
-    ls->queue.push_back(idx);
+    ++ls->pool.patterns[idx].cursor;
+    queue.push_back(idx);
   }
 }
 
@@ -545,41 +640,29 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
   // ---- Bucket collection (serial): gather candidate pattern-id sets per
   // colliding (spider, anchor) key, current round first, then cross the
   // previous round (Buf_cur x Buf_pre), resolved to live pool entries.
-  // Keys are visited in sorted order so the merge sequence is independent
-  // of hash-map layout (and of how the registry was assembled).
-  struct Bucket {
-    uint64_t key = 0;
-    std::vector<int64_t> live;  // pool indices, in pattern-id order
-  };
-  std::vector<uint64_t> keys;
-  keys.reserve(rs->registry.size());
-  for (const auto& [key, ids] : rs->registry) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  std::unordered_map<int64_t, int64_t> id_to_pool;  // pattern id -> index
+  // Sorting the registry once visits keys in ascending order with each
+  // key's ids as one run, so the merge sequence is independent of how the
+  // registry was assembled; it is also the form `previous` is kept in.
+  MergeRegistry& current = rs->registry;
+  SortUnique(&current);
+  // Pattern id -> pool index, sorted by id. Ids need not ascend with the
+  // index: the session re-sorts a round's input by size when Stage II made
+  // no merge.
+  std::vector<std::pair<int64_t, int64_t>> id_to_pool;
+  id_to_pool.reserve(static_cast<size_t>(rs->pool.size()));
   for (int64_t idx = 0; idx < rs->pool.size(); ++idx) {
-    id_to_pool[rs->pool.patterns[idx].id] = idx;
+    id_to_pool.emplace_back(rs->pool.patterns[idx].id, idx);
   }
-  std::vector<Bucket> buckets;
-  for (uint64_t key : keys) {
-    std::vector<int64_t> all_ids = rs->registry[key];
-    if (auto it = previous.find(key); it != previous.end()) {
-      all_ids.insert(all_ids.end(), it->second.begin(), it->second.end());
-    }
-    std::sort(all_ids.begin(), all_ids.end());
-    all_ids.erase(std::unique(all_ids.begin(), all_ids.end()), all_ids.end());
-    if (all_ids.size() < 2) continue;
-    Bucket bucket;
-    bucket.key = key;
-    for (int64_t id : all_ids) {
-      auto it = id_to_pool.find(id);
-      if (it == id_to_pool.end()) continue;
-      if (rs->pool.dead[it->second]) continue;
-      bucket.live.push_back(it->second);
-    }
-    if (bucket.live.size() < 2) continue;
-    buckets.push_back(std::move(bucket));
-  }
-  if (buckets.empty()) return;
+  std::sort(id_to_pool.begin(), id_to_pool.end());
+  // The live pool index of pattern \p id, or -1.
+  auto live_index = [rs, &id_to_pool](int64_t id) -> int64_t {
+    const auto it =
+        std::upper_bound(id_to_pool.begin(), id_to_pool.end(),
+                         std::make_pair(id, INT64_MAX));
+    if (it == id_to_pool.begin() || std::prev(it)->first != id) return -1;
+    const int64_t idx = std::prev(it)->second;
+    return rs->pool.dead[idx] ? -1 : idx;
+  };
 
   // ---- Pair flattening: the pairs a bucket examines are the first
   // max_merge_pairs_per_key (i, j) combinations of its live list in
@@ -592,14 +675,33 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
     int64_t b = 0;
   };
   std::vector<PairTask> tasks;
-  for (const Bucket& bucket : buckets) {
+  std::vector<int64_t> ids;   // one key's ids, this round's and the last's
+  std::vector<int64_t> live;  // their live pool indices, in id order
+  auto prev = previous.begin();
+  for (auto run = current.begin(); run != current.end();) {
+    const uint64_t key = run->first;
+    ids.clear();
+    for (; run != current.end() && run->first == key; ++run) {
+      ids.push_back(run->second);
+    }
+    while (prev != previous.end() && prev->first < key) ++prev;
+    for (auto p = prev; p != previous.end() && p->first == key; ++p) {
+      ids.push_back(p->second);
+    }
+    SortUnique(&ids);
+    if (ids.size() < 2) continue;
+    live.clear();
+    for (int64_t id : ids) {
+      const int64_t idx = live_index(id);
+      if (idx >= 0) live.push_back(idx);
+    }
     int32_t pairs_done = 0;
-    for (size_t i = 0; i < bucket.live.size() && pairs_done <
-         query_->max_merge_pairs_per_key; ++i) {
-      for (size_t j = i + 1; j < bucket.live.size() && pairs_done <
-           query_->max_merge_pairs_per_key; ++j) {
+    for (size_t i = 0; i < live.size() &&
+         pairs_done < query_->max_merge_pairs_per_key; ++i) {
+      for (size_t j = i + 1; j < live.size() &&
+           pairs_done < query_->max_merge_pairs_per_key; ++j) {
         ++pairs_done;
-        tasks.push_back({bucket.live[i], bucket.live[j]});
+        tasks.push_back({live[i], live[j]});
       }
     }
   }
@@ -639,7 +741,9 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
       std::vector<std::pair<int32_t, int32_t>> overlaps;
       std::vector<VertexId> verts;
       std::vector<int32_t> up_rep;
-      std::string shape;
+      std::vector<int32_t> group_rep;
+      std::vector<int32_t> shape;
+      ShapeMemo memo;
     };
     thread_local PairScratch scratch;
     // Collect overlapping embedding pairs (ei, ej), ej ascending, then by
@@ -688,12 +792,9 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
     // position in e1 ++ e2, so every instance of the shape enters the group
     // as concat[rep[u]]: in the group pattern's numbering. Exact because
     // groups only append: a repeat would find that same group first.
-    struct ShapeGroup {
-      size_t group = 0;
-      std::vector<int32_t> rep;
-    };
-    std::unordered_map<std::string, ShapeGroup> shape_group;
-    std::string& shape = scratch.shape;
+    ShapeMemo& memo = scratch.memo;
+    memo.Reset();
+    std::vector<int32_t>& shape = scratch.shape;
     const int32_t na = a.pattern.NumVertices();
     const int32_t nb = b.pattern.NumVertices();
     for (const auto& [ei, ej] : overlaps) {
@@ -709,11 +810,11 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
         const auto hit = std::find(e1.begin(), e1.end(), gv);
         const int32_t at =
             hit == e1.end() ? -1 : static_cast<int32_t>(hit - e1.begin());
-        shape.append(reinterpret_cast<const char*>(&at), sizeof(at));
+        shape.push_back(at);
       }
-      auto [memo, fresh] = shape_group.try_emplace(shape);
-      ShapeGroup& sg = memo->second;
-      if (fresh) {
+      const uint64_t shape_hash = ShapeMemo::Hash(shape);
+      int32_t memo_hit = memo.Find(shape, shape_hash);
+      if (memo_hit < 0) {
         // Union vertex set, sorted for a deterministic numbering: union
         // vertex t is verts[t].
         std::vector<VertexId>& verts = scratch.verts;
@@ -752,12 +853,14 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
         const int64_t group = union_index.Find(up_hash, up, /*first_idx=*/0,
                                                unions, &iso, &out->stats.iso);
         if (group >= 0) {
-          sg.group = static_cast<size_t>(group);
-          for (VertexId uv : iso) sg.rep.push_back(up_rep[uv]);
+          std::vector<int32_t>& group_rep = scratch.group_rep;
+          group_rep.clear();
+          for (VertexId uv : iso) group_rep.push_back(up_rep[uv]);
+          memo_hit = memo.Insert(shape, shape_hash,
+                                 static_cast<size_t>(group), group_rep);
         } else {
-          sg.group = unions.size();
-          union_index.Add(up_hash, static_cast<int64_t>(sg.group));
-          sg.rep = up_rep;
+          union_index.Add(up_hash, static_cast<int64_t>(unions.size()));
+          memo_hit = memo.Insert(shape, shape_hash, unions.size(), up_rep);
           UnionCandidate g;
           g.iso_hash = up_hash;
           g.merged_ever = true;
@@ -779,8 +882,10 @@ void GrowthEngine::RunMerges(RoundState* rs, const MergeRegistry& previous) {
           unions.push_back(std::move(g));
         }
       }
-      const std::span<VertexId> ue = unions[sg.group].embeddings.AppendRow();
-      for (size_t u = 0; u < sg.rep.size(); ++u) ue[u] = concat(sg.rep[u]);
+      const std::span<const int32_t> rep = memo.rep(memo_hit);
+      const std::span<VertexId> ue =
+          unions[memo.group(memo_hit)].embeddings.AppendRow();
+      for (size_t u = 0; u < rep.size(); ++u) ue[u] = concat(rep[u]);
     }
 
     for (UnionCandidate& g : unions) {
@@ -867,6 +972,7 @@ void GrowthEngine::ApplyFolds(RoundState* rs,
         for (size_t f = first; f < last; ++f) {
           folder.Fold(folds[f].embeddings, folds[f].iso,
                       query_->max_embeddings_per_pattern);
+          folds[f] = {};  // freed here, on the pool
         }
       }
       target.support = Support(target);
@@ -921,22 +1027,29 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   // ---- Serial coordinator: everything below runs in input order and is
   // therefore identical at any thread count.
   RoundState rs;
+  // Lineage i's pool entry c maps to round pool index
+  // global_of[first_of[i] + c] (-1 = dropped at the round budget).
+  std::vector<int64_t> first_of(static_cast<size_t>(n) + 1, 0);
   for (int64_t i = 0; i < n; ++i) {
     Lineage& ls = lineages[static_cast<size_t>(i)];
     stats_->Add(ls.stats);
     rs.any_growth |= ls.any_growth;
     rs.truncated |= ls.truncated;
+    first_of[static_cast<size_t>(i) + 1] =
+        first_of[static_cast<size_t>(i)] + ls.pool.size();
   }
+  std::vector<int64_t> global_of(static_cast<size_t>(first_of.back()), -1);
+  rs.pool.patterns.reserve(static_cast<size_t>(
+      std::min<int64_t>(first_of.back(),
+                        std::max(n, query_->max_patterns_per_round))));
 
   // Pass 1: admit every lineage's input (pool[0]) unconditionally, as the
   // serial algorithm admits all round inputs before extending.
-  std::vector<std::vector<int64_t>> global_of(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     PatternPool& lp = lineages[static_cast<size_t>(i)].pool;
-    global_of[static_cast<size_t>(i)].assign(lp.patterns.size(), -1);
-    int64_t idx = rs.pool.Admit(std::move(lp.patterns[0]));
+    const int64_t idx = rs.pool.Admit(std::move(lp.patterns[0]));
     rs.pool.dead[idx] = lp.dead[0];
-    global_of[static_cast<size_t>(i)][0] = idx;
+    global_of[first_of[static_cast<size_t>(i)]] = idx;
   }
 
   // Pass 2: fold lineage extensions across lineages. A child duplicating an
@@ -946,8 +1059,9 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   std::vector<PendingFold> folds;
   for (int64_t i = 0; i < n; ++i) {
     PatternPool& lp = lineages[static_cast<size_t>(i)].pool;
-    for (size_t c = 1; c < lp.patterns.size(); ++c) {
-      GrowthPattern child = std::move(lp.patterns[c]);
+    int64_t* lineage_global = &global_of[first_of[static_cast<size_t>(i)]];
+    for (int64_t c = 1; c < lp.size(); ++c) {
+      GrowthPattern& child = lp.patterns[c];
       std::vector<VertexId> iso;
       const int64_t dup =
           rs.pool.FindDuplicate(child, /*first_idx=*/0, &iso, &stats_->iso);
@@ -956,7 +1070,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
         // A non-closed verdict from any lineage applies to the shared
         // pattern (Algorithm 2's closedness drop must survive the fold).
         rs.pool.dead[dup] = rs.pool.dead[dup] || lp.dead[c];
-        global_of[static_cast<size_t>(i)][c] = dup;
+        lineage_global[c] = dup;
         folds.push_back({dup, std::move(child.embeddings), std::move(iso)});
         continue;
       }
@@ -969,44 +1083,65 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
         break;
       }
       child.id = next_id_++;
-      int64_t idx = rs.pool.Admit(std::move(child));
+      const int64_t idx = rs.pool.Admit(std::move(child));
       rs.pool.dead[idx] = lp.dead[c];
-      global_of[static_cast<size_t>(i)][c] = idx;
+      lineage_global[c] = idx;
     }
   }
   // Must precede RunMerges/output, which read embeddings and supports.
   ApplyFolds(&rs, std::move(folds));
 
-  // Registry remap: lineage-local pool indices -> global pattern ids. A
-  // key's ids land in lineage order whatever order the keys are visited in,
-  // and RunMerges sorts both the keys and each key's ids.
+  // Registry remap: lineage-local pool indices -> global pattern ids, in
+  // lineage order (RunMerges sorts the result).
+  size_t registered = 0;
+  for (const Lineage& ls : lineages) registered += ls.registry.size();
+  rs.registry.reserve(registered);
   for (int64_t i = 0; i < n; ++i) {
-    for (const auto& [key, lidxs] : lineages[static_cast<size_t>(i)].registry) {
-      for (int64_t lidx : lidxs) {
-        const int64_t g = global_of[static_cast<size_t>(i)][lidx];
-        if (g >= 0) rs.registry[key].push_back(rs.pool.patterns[g].id);
-      }
+    const int64_t* lineage_global =
+        &global_of[first_of[static_cast<size_t>(i)]];
+    for (const auto& [key, lidx] : lineages[static_cast<size_t>(i)].registry) {
+      const int64_t g = lineage_global[lidx];
+      if (g >= 0) rs.registry.emplace_back(key, rs.pool.patterns[g].id);
     }
   }
+  // Free what pass 2 left in the lineages (children dropped at the round
+  // budget, moved-from shells, registries) on the pool, not here.
+  pool_.ParallelForChunks(n, /*grain=*/64, [&lineages](int64_t begin,
+                                                       int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      lineages[static_cast<size_t>(i)] = Lineage();
+    }
+  });
 
   RunMerges(&rs, previous);
 
+  // Output: live patterns in pool order, each with its next boundary as
+  // the new boundary; dead ones are freed. Every index is independent of
+  // the others, so this fans out too.
+  std::vector<int64_t> out_of(static_cast<size_t>(rs.pool.size()), -1);
+  int64_t live = 0;
+  for (int64_t idx = 0; idx < rs.pool.size(); ++idx) {
+    if (!rs.pool.dead[idx]) out_of[static_cast<size_t>(idx)] = live++;
+  }
   GrowRoundResult out;
   out.any_growth = rs.any_growth;
   out.truncated = rs.truncated;
-  for (int64_t idx = 0; idx < rs.pool.size(); ++idx) {
-    if (rs.pool.dead[idx]) continue;
-    GrowthPattern gp = std::move(rs.pool.patterns[idx]);
-    std::sort(gp.next_boundary.begin(), gp.next_boundary.end());
-    gp.next_boundary.erase(
-        std::unique(gp.next_boundary.begin(), gp.next_boundary.end()),
-        gp.next_boundary.end());
-    gp.boundary = std::move(gp.next_boundary);
-    gp.next_boundary = {};
-    gp.cursor = 0;
-    gp.exhausted = gp.boundary.empty();
-    out.patterns.push_back(std::move(gp));
-  }
+  out.patterns.resize(static_cast<size_t>(live));
+  pool_.ParallelForChunks(
+      rs.pool.size(), /*grain=*/64,
+      [&rs, &out, &out_of](int64_t begin, int64_t end) {
+        for (int64_t idx = begin; idx < end; ++idx) {
+          GrowthPattern gp = std::move(rs.pool.patterns[idx]);
+          const int64_t at = out_of[static_cast<size_t>(idx)];
+          if (at < 0) continue;  // dead: freed with `gp`
+          SortUnique(&gp.next_boundary);
+          gp.boundary = std::move(gp.next_boundary);
+          gp.next_boundary = {};
+          gp.cursor = 0;
+          gp.exhausted = gp.boundary.empty();
+          out.patterns[static_cast<size_t>(at)] = std::move(gp);
+        }
+      });
   previous = std::move(rs.registry);
   return out;
 }

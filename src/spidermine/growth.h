@@ -1,9 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -84,9 +83,10 @@ struct GrowRoundResult {
 };
 
 /// Spider-usage registry for merge detection: the paper's Buf_pre/Buf_cur.
-/// Key = (spider id, graph anchor vertex); value = ids of patterns that
-/// used that spider there.
-using MergeRegistry = std::unordered_map<uint64_t, std::vector<int64_t>>;
+/// One (key, pattern id) pair per use, key = (spider id, graph anchor
+/// vertex). GrowRound leaves it sorted and free of repeats, so each key's
+/// ids are one ascending run.
+using MergeRegistry = std::vector<std::pair<uint64_t, int64_t>>;
 
 /// Executes growth rounds against a fixed graph + spider set.
 class GrowthEngine {
@@ -117,7 +117,8 @@ class GrowthEngine {
   /// 2), with iso-hash dedup and closedness pruning, then patterns sharing
   /// a (spider, anchor) with this round or with the previous round's
   /// registry \p previous are merged (CheckMerge, Algorithm 4).
-  /// \p previous is replaced by this round's registry.
+  /// \p previous (empty, or as the last GrowRound left it) is replaced by
+  /// this round's registry.
   GrowRoundResult GrowRound(std::vector<GrowthPattern> input,
                             MergeRegistry& previous);
 
@@ -156,9 +157,11 @@ class GrowthEngine {
   /// (edge label, vertex label) keys of v's pattern neighbours and
   /// \p sorted_images the base embeddings' sorted images, both hoisted
   /// across candidate spiders. Returns false when the extension is
-  /// infrequent or impossible; on success appends to the lineage.
-  bool TryExtend(Lineage* ls, int64_t base_idx, VertexId v,
-                 std::span<const SpiderLeafKey> np_keys, int32_t spider_id,
+  /// infrequent or impossible; on success appends to the lineage and its
+  /// expansion \p queue.
+  bool TryExtend(Lineage* ls, std::vector<int64_t>* queue, int64_t base_idx,
+                 VertexId v, std::span<const SpiderLeafKey> np_keys,
+                 int32_t spider_id,
                  const OccurrenceList& sorted_images,
                  bool* support_preserved) const;
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "baselines/complete_miner.h"
+#include "baselines/grew.h"
 #include "baselines/origami.h"
 #include "baselines/seus.h"
 #include "baselines/subdue.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "gen/erdos_renyi.h"
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
@@ -354,6 +359,78 @@ TEST(OrigamiTest, InvalidConfigRejected) {
   OrigamiConfig config;
   config.min_support = 0;
   EXPECT_FALSE(OrigamiMine(txn, config).ok());
+}
+
+// ------------------------------------------------------- Edge labels
+
+/// Six disjoint edges between a 0- and a 1-labeled vertex: three with edge
+/// label 1, three with edge label 2.
+LabeledGraph SixLabeledEdges() {
+  GraphBuilder b;
+  for (int copy = 0; copy < 6; ++copy) {
+    const VertexId u = b.AddVertex(0);
+    const VertexId v = b.AddVertex(1);
+    b.AddEdge(u, v, copy < 3 ? 1 : 2);
+  }
+  return std::move(b.Build()).value();
+}
+
+/// "a-b(l)" (vertex labels a <= b, edge label l) -> support, for every
+/// single-edge pattern of a result; patterns with more edges go under
+/// "larger" so that a miner inventing one fails the comparison.
+template <typename Patterns, typename SupportOf>
+std::map<std::string, int64_t> EdgePatterns(const Patterns& patterns,
+                                            SupportOf support_of) {
+  std::map<std::string, int64_t> out;
+  for (const auto& p : patterns) {
+    if (p.pattern.NumEdges() == 0) continue;
+    if (p.pattern.NumEdges() > 1) {
+      ++out["larger"];
+      continue;
+    }
+    const Pattern::LabeledEdge edge = p.pattern.LabeledEdges()[0];
+    const LabelId a = p.pattern.Label(edge.u);
+    const LabelId b = p.pattern.Label(edge.v);
+    out[StrCat(std::min(a, b), "-", std::max(a, b), "(", edge.label, ")")] =
+        support_of(p);
+  }
+  return out;
+}
+
+TEST(EdgeLabelTest, EveryMinerKeepsEdgeLabelsApart) {
+  const LabeledGraph g = SixLabeledEdges();
+  const std::map<std::string, int64_t> expected = {{"0-1(1)", 3},
+                                                   {"0-1(2)", 3}};
+
+  CompleteMinerConfig complete_config;
+  complete_config.min_support = 2;
+  Result<CompleteMineResult> complete = MineComplete(g, complete_config);
+  ASSERT_TRUE(complete.ok());
+  EXPECT_EQ(EdgePatterns(complete->patterns,
+                         [](const CompletePattern& p) { return p.support; }),
+            expected);
+
+  Result<SubdueResult> subdue = SubdueDiscover(g, {});
+  ASSERT_TRUE(subdue.ok());
+  EXPECT_EQ(EdgePatterns(subdue->patterns,
+                         [](const SubduePattern& p) { return p.instances; }),
+            expected);
+
+  GrewConfig grew_config;
+  grew_config.min_support = 2;
+  Result<GrewResult> grew = GrewDiscover(g, grew_config);
+  ASSERT_TRUE(grew.ok());
+  EXPECT_EQ(EdgePatterns(grew->patterns,
+                         [](const GrewPattern& p) { return p.support; }),
+            expected);
+
+  SeusConfig seus_config;
+  seus_config.min_support = 2;
+  Result<SeusResult> seus = SeusDiscover(g, seus_config);
+  ASSERT_TRUE(seus.ok());
+  EXPECT_EQ(EdgePatterns(seus->patterns,
+                         [](const SeusPattern& p) { return p.support; }),
+            expected);
 }
 
 }  // namespace

@@ -313,6 +313,51 @@ TEST(GrowthTest, EmbeddingsStayValidThroughMergesAndFolds) {
   EXPECT_EQ(transcripts[0], transcripts[1]);
 }
 
+/// Round inputs whose ids do not ascend with their position, as the
+/// session's no-merge fallback leaves them (it re-sorts the survivors by
+/// size): the merge pass resolves registry ids to pool entries by id, so
+/// the buckets, the pairs and the merges must not depend on input order.
+TEST(GrowthTest, MergesResolveIdsThatDoNotAscend) {
+  Rng rng(4242);
+  GraphBuilder builder = GenerateErdosRenyi(220, 2.0, 10, &rng);
+  Pattern planted = RandomConnectedPattern(12, 0.15, 10, &rng);
+  PatternInjector injector(&builder);
+  ASSERT_TRUE(injector.Inject(planted, 4, &rng).ok());
+  Fixture f(std::move(builder.Build()).value(), /*support=*/3);
+  f.query_config.max_patterns_per_round = 600;
+  f.query_config.max_embeddings_per_pattern = 1000;
+  f.query_config.max_merge_pairs_per_key = 32;
+
+  std::vector<int32_t> picks;
+  Rng pick_rng(7);
+  for (size_t pick : pick_rng.SampleWithoutReplacement(
+           static_cast<size_t>(f.stars.store.size()), 24)) {
+    picks.push_back(static_cast<int32_t>(pick));
+  }
+  std::vector<GrowthPattern> working = f.engine->SeedPatterns(picks);
+  MergeRegistry previous;
+  for (int round = 0; round < 2; ++round) {
+    std::stable_sort(working.begin(), working.end(),
+                     [](const GrowthPattern& a, const GrowthPattern& b) {
+                       return a.pattern.NumEdges() > b.pattern.NumEdges();
+                     });
+    ASSERT_FALSE(std::is_sorted(working.begin(), working.end(),
+                                [](const GrowthPattern& a,
+                                   const GrowthPattern& b) {
+                                  return a.id < b.id;
+                                }))
+        << "round " << round << " input ids already ascend";
+    GrowRoundResult r = f.engine->GrowRound(std::move(working), previous);
+    EXPECT_GT(ExpectValidEmbeddings(r.patterns, f.graph), 0);
+    working = std::move(r.patterns);
+  }
+  EXPECT_GT(f.stats.merges, 0);
+  // Pinned: the bucket and pair order decide these, so a change to how
+  // registry ids are resolved must leave them as they are.
+  EXPECT_EQ(f.stats.merges, 14);
+  EXPECT_EQ(f.stats.merge_attempts, 272);
+}
+
 TEST(GrowthTest, SupportRecomputationMatchesMeasure) {
   Fixture f(TwoPaths());
   int32_t s = f.FindStar(1, {0, 2});

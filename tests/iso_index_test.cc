@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/graph_builder.h"
 #include "pattern/vf2.h"
 
@@ -101,6 +104,46 @@ Pattern Ladder(int32_t n, bool moebius) {
     edges.emplace_back(2 * n - 1, n);
   }
   return Unlabeled(2 * n, edges);
+}
+
+/// \p p with its vertices renumbered by a random permutation.
+Pattern Permuted(const Pattern& p, Rng* rng) {
+  std::vector<VertexId> to(static_cast<size_t>(p.NumVertices()));
+  for (VertexId v = 0; v < p.NumVertices(); ++v) to[v] = v;
+  rng->Shuffle(&to);
+  std::vector<LabelId> labels(to.size());
+  for (VertexId v = 0; v < p.NumVertices(); ++v) labels[to[v]] = p.Label(v);
+  Pattern out;
+  for (LabelId label : labels) out.AddVertex(label);
+  for (const Pattern::LabeledEdge& edge : p.LabeledEdges()) {
+    out.AddEdge(to[edge.u], to[edge.v], edge.label);
+  }
+  return out;
+}
+
+/// A random connected pattern of 1-6 vertices over labels {0, 1, 2}, its
+/// edge labels 0 or (one pattern in four) 0-1.
+Pattern RandomSmallPattern(Rng* rng) {
+  const auto n = static_cast<int32_t>(rng->UniformInt(1, 6));
+  const bool edge_labels = rng->Bernoulli(0.25);
+  Pattern p;
+  for (int32_t v = 0; v < n; ++v) {
+    p.AddVertex(static_cast<LabelId>(rng->UniformInt(0, 2)));
+  }
+  auto edge_label = [&] {
+    return edge_labels ? static_cast<EdgeLabelId>(rng->UniformInt(0, 1)) : 0;
+  };
+  for (VertexId v = 1; v < n; ++v) {  // a random spanning tree
+    p.AddEdge(static_cast<VertexId>(rng->UniformInt(0, v - 1)), v,
+              edge_label());
+  }
+  for (int extra = static_cast<int>(rng->UniformInt(0, 3)); extra > 0;
+       --extra) {
+    const auto u = static_cast<VertexId>(rng->UniformInt(0, n - 1));
+    const auto v = static_cast<VertexId>(rng->UniformInt(0, n - 1));
+    if (u != v) p.AddEdge(u, v, edge_label());  // ignored when present
+  }
+  return p;
 }
 
 /// True iff \p e maps \p p injectively into \p g, preserving vertex labels,
@@ -254,6 +297,131 @@ TEST(IsoIndexTest, CountersCountEachLookupOnce) {
   EXPECT_EQ(FindIn(index, entries, K33(), snapshot_size, &split), 1);
   EXPECT_EQ(split.skipped, 1);
   EXPECT_EQ(split.run, 2);
+}
+
+/// The flat table against a brute-force scan: several thousand random
+/// small patterns (isomorphic repeats and WL-colliding pairs among them)
+/// are added to one index, interleaved with lookups at random first_idx.
+/// Every result is the first VF2-isomorphic entry at or after first_idx,
+/// and every lookup counts a skip exactly when nothing was ever added
+/// under its key, and one VF2 run per same-key entry it passed.
+TEST(IsoIndexTest, MatchesABruteForceScanWhileGrowing) {
+  Rng rng(2027);
+  const std::vector<Pattern> colliding = {Prism(), K33(),
+                                          Ladder(7, /*moebius=*/false),
+                                          Ladder(7, /*moebius=*/true)};
+  IsoIndex index;
+  std::vector<Entry> entries;
+  std::vector<uint64_t> keys;
+  std::set<uint64_t> distinct_keys;
+  auto random_pattern = [&]() -> Pattern {
+    const double pick = rng.UniformReal();
+    if (pick < 0.1) return Permuted(colliding[rng.Index(4)], &rng);
+    if (pick < 0.4 && !entries.empty()) {
+      return Permuted(entries[rng.Index(entries.size())].pattern, &rng);
+    }
+    return RandomSmallPattern(&rng);
+  };
+  auto same_shape = [](const Pattern& a, const Pattern& b) {
+    return a.NumVertices() == b.NumVertices() &&
+           a.NumEdges() == b.NumEdges() &&
+           a.SortedLabels() == b.SortedLabels();
+  };
+  int64_t hits = 0;
+  for (int step = 0; step < 6000; ++step) {
+    if (step % 2 == 0) {
+      Pattern p = random_pattern();
+      const uint64_t key = IsoIndex::Key(p);
+      index.Add(key, static_cast<int64_t>(entries.size()));
+      entries.push_back({std::move(p)});
+      keys.push_back(key);
+      distinct_keys.insert(key);
+      continue;
+    }
+    const Pattern probe = random_pattern();
+    const uint64_t key = IsoIndex::Key(probe);
+    const auto n = static_cast<int64_t>(entries.size());
+    const int64_t first_idx =
+        rng.Bernoulli(0.5) ? 0 : rng.UniformInt(0, n);
+    int64_t expected = -1;
+    for (int64_t j = first_idx; j < n && expected < 0; ++j) {
+      const Pattern& entry = entries[static_cast<size_t>(j)].pattern;
+      if (same_shape(entry, probe) && ArePatternsIsomorphic(entry, probe)) {
+        expected = j;
+      }
+    }
+    IsoChecks want;
+    if (distinct_keys.count(key) == 0) {
+      want.skipped = first_idx == 0 ? 1 : 0;
+    } else {
+      const int64_t last = expected >= 0 ? expected : n - 1;
+      for (int64_t j = first_idx; j <= last; ++j) {
+        if (keys[static_cast<size_t>(j)] == key) ++want.run;
+      }
+    }
+    IsoChecks got;
+    std::vector<VertexId> map;
+    ASSERT_EQ(FindIn(index, entries, probe, first_idx, &got, &map), expected)
+        << "step " << step << ", first_idx " << first_idx << ": "
+        << probe.ToString();
+    EXPECT_EQ(got.skipped, want.skipped) << "step " << step;
+    EXPECT_EQ(got.run, want.run) << "step " << step;
+    if (expected >= 0) {
+      ++hits;
+      // The map is an isomorphism from the entry onto the probe.
+      const Pattern& entry = entries[static_cast<size_t>(expected)].pattern;
+      for (const Pattern::LabeledEdge& edge : entry.LabeledEdges()) {
+        ASSERT_TRUE(probe.HasEdge(map[edge.u], map[edge.v]));
+        EXPECT_EQ(probe.EdgeLabel(map[edge.u], map[edge.v]), edge.label);
+      }
+    }
+  }
+  EXPECT_GT(hits, 300);
+  // The key table starts at 16 slots and doubles whenever it would be more
+  // than half full, so this many keys made it grow at least six times.
+  EXPECT_GT(distinct_keys.size(), 512u);
+}
+
+/// Lookups are read-only: four threads may search one index at once while
+/// nothing is added, and each gets what a lone lookup gets.
+TEST(IsoIndexTest, ConcurrentLookupsAgreeWithSerialOnes) {
+  Rng rng(99);
+  std::vector<Entry> entries;
+  IsoIndex index;
+  for (int i = 0; i < 400; ++i) {
+    Pattern p = i % 50 == 0 ? Permuted(Ladder(7, i % 100 == 0), &rng)
+                            : RandomSmallPattern(&rng);
+    index.Add(IsoIndex::Key(p), static_cast<int64_t>(entries.size()));
+    entries.push_back({std::move(p)});
+  }
+  std::vector<Pattern> probes;
+  for (int i = 0; i < 400; ++i) {
+    probes.push_back(i % 2 == 0
+                         ? Permuted(entries[rng.Index(entries.size())].pattern,
+                                    &rng)
+                         : RandomSmallPattern(&rng));
+  }
+  std::vector<int64_t> serial;
+  IsoChecks serial_checks;
+  for (const Pattern& probe : probes) {
+    serial.push_back(FindIn(index, entries, probe, 0, &serial_checks));
+  }
+  std::vector<std::vector<int64_t>> found(4);
+  std::vector<IsoChecks> checks(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (const Pattern& probe : probes) {
+        found[t].push_back(FindIn(index, entries, probe, 0, &checks[t]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(found[t], serial) << "thread " << t;
+    EXPECT_EQ(checks[t].skipped, serial_checks.skipped);
+    EXPECT_EQ(checks[t].run, serial_checks.run);
+  }
 }
 
 }  // namespace
